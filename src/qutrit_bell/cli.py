@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -147,10 +148,19 @@ def _parse_n_list(spec: str) -> list[int]:
         raise PreconditionError(f"bad N list {spec!r}: {exc}") from exc
 
 
+def _check_numeric_flags(args) -> None:
+    """Reject numeric flags no command can use, before any work starts."""
+    for name in ("t_max", "grid_step", "refine_tol", "tau"):
+        value = getattr(args, name, None)
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise PreconditionError(
+                f"--{name.replace('_', '-')} must be finite and > 0, got {value}")
+    if getattr(args, "n_max", 1) < 1:
+        raise PreconditionError(f"--n-max must be >= 1, got {args.n_max}")
+
+
 def cmd_scan(args) -> int:
     g = _build_graph(args, args.n)
-    if args.t_max is not None and args.t_max <= 0:
-        raise PreconditionError(f"t-max must be positive, got {args.t_max}")
     t_max = args.t_max if args.t_max is not None else PEAK_WINDOW_FACTOR * g.n_vertices
     basis, eig, psi0 = _prepared(g)
     grid = np.arange(0.0, t_max + args.grid_step, args.grid_step)
@@ -214,13 +224,9 @@ def cmd_protocol1(args) -> int:
 
 
 def cmd_protocol2(args) -> int:
-    if args.n_max < 1:
-        raise PreconditionError(f"n-max must be >= 1, got {args.n_max}")
     g = _build_graph(args, args.n)
     basis, eig, psi0 = _prepared(g)
     if args.tau is not None:
-        if args.tau <= 0:
-            raise PreconditionError(f"tau must be positive, got {args.tau}")
         schedule = plan_regular(g, eig, args.tau, args.n_max)
     else:
         schedule = plan_protocol2(g, eig, Strategy(args.strategy), args.n_max,
@@ -373,6 +379,7 @@ def main(argv: list[str] | None = None) -> int:
         print("error: --n is required for built-in topologies", file=sys.stderr)
         return USAGE_ERROR
     try:
+        _check_numeric_flags(args)
         return args.func(args)
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,6 +36,9 @@ DEFAULT_REFINE_TOL = 1e-6
 #: tabulated peak on the 32-site loop (from 6.42 N); any factor in between
 #: reproduces the reference tables, 6.4 is used.
 PEAK_WINDOW_FACTOR = 6.4
+#: times per phase block on a grid: the exp(-i lambda t) block holds at most
+#: d * PHASE_BLOCK complex numbers (20 MB at d = 1260), whatever the grid length
+PHASE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -74,6 +78,25 @@ def pair_index(n: int, i: int, j: int) -> int:
 
 def enumerate_basis(n: int) -> TwoExcitationBasis:
     return TwoExcitationBasis(n)
+
+
+@lru_cache(maxsize=64)
+def _index_groups(g: Graph) -> dict[str, np.ndarray]:
+    """Pair-basis rows of the four measurement outcomes, from Alice's and Bob's sites.
+
+    ``success`` holds |bob,alice> then |alice,bob>; ``g2``/``g3`` the pairs
+    touching only Alice/only Bob; ``g1`` the pairs touching neither.
+    """
+    n, a, b = g.n_vertices, g.roles.alice, g.roles.bob
+    groups = {"success": [pair_index(n, b, a), pair_index(n, a, b)],
+              "g1": [], "g2": [], "g3": []}
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i == j or {i, j} == {a, b}:
+                continue
+            key = "g2" if a in (i, j) else "g3" if b in (i, j) else "g1"
+            groups[key].append(pair_index(n, i, j))
+    return {key: np.array(rows, dtype=int) for key, rows in groups.items()}
 
 
 @dataclass(frozen=True)
@@ -150,13 +173,39 @@ def initial_state(g: Graph, basis: TwoExcitationBasis | None = None) -> Wavefunc
     return Wavefunction(amplitudes=a, time_stamp=0.0)
 
 
+class _SpectralKernel:
+    """Amplitudes <r|exp(-iHt)|psi0> on a fixed row set (every row by default).
+
+    V^T psi0 is formed once. A scalar time gives shape (rows,); a 1-D grid
+    gives (rows, T), with the phases built PHASE_BLOCK times at a time.
+    """
+
+    def __init__(self, e: Eigensystem, psi0: Wavefunction, rows=None):
+        if psi0.amplitudes.shape[0] != e.eigenvalues.shape[0]:
+            raise ValueError("wavefunction and eigensystem dimensions differ")
+        self._lam = e.eigenvalues
+        self._coeff = e.eigenvectors.T @ psi0.amplitudes
+        self._v = e.eigenvectors if rows is None else e.eigenvectors[list(rows), :]
+
+    def _phased(self, t) -> np.ndarray:
+        """exp(-i lambda t) V^T psi0: shape (d,) at a scalar t, (d, T) on a grid."""
+        coeff = self._coeff.reshape((-1,) + (1,) * np.ndim(t))
+        return np.exp(-1j * np.multiply.outer(self._lam, t)) * coeff
+
+    def __call__(self, t) -> np.ndarray:
+        if np.ndim(t) == 0:
+            return self._v @ self._phased(t)
+        t = np.asarray(t, dtype=float)
+        out = np.empty((self._v.shape[0], t.size), dtype=complex)
+        for s in range(0, t.size, PHASE_BLOCK):
+            out[:, s:s + PHASE_BLOCK] = self._v @ self._phased(t[s:s + PHASE_BLOCK])
+        return out
+
+
 def evolve(e: Eigensystem, psi0: Wavefunction, t: float) -> Wavefunction:
     """Apply exp(-iHt) through the spectral form; norm is preserved."""
-    if psi0.amplitudes.shape[0] != e.eigenvalues.shape[0]:
-        raise ValueError("wavefunction and eigensystem dimensions differ")
-    coeff = e.eigenvectors.T @ psi0.amplitudes
-    a = e.eigenvectors @ (np.exp(-1j * e.eigenvalues * t) * coeff)
-    return Wavefunction(amplitudes=a, time_stamp=psi0.time_stamp + t)
+    return Wavefunction(amplitudes=_SpectralKernel(e, psi0)(t),
+                        time_stamp=psi0.time_stamp + t)
 
 
 def amplitude_rows(e: Eigensystem, psi0: Wavefunction, rows, t_grid: np.ndarray) -> np.ndarray:
@@ -165,39 +214,21 @@ def amplitude_rows(e: Eigensystem, psi0: Wavefunction, rows, t_grid: np.ndarray)
     Much cheaper than evolving the full vector when only a few components
     are needed (success scans use the two Bell-channel rows).
     """
-    coeff = e.eigenvectors.T @ psi0.amplitudes
-    phases = np.exp(-1j * np.outer(e.eigenvalues, np.asarray(t_grid, dtype=float)))
-    return e.eigenvectors[list(rows), :] @ (phases * coeff[:, None])
-
-
-def _target_rows(g: Graph) -> tuple[int, int]:
-    n = g.n_vertices
-    r = g.roles
-    return pair_index(n, r.bob, r.alice), pair_index(n, r.alice, r.bob)
+    return _SpectralKernel(e, psi0, rows)(t_grid)
 
 
 def success_probability(psi: Wavefunction, g: Graph) -> float:
     """Probability that the joint measurement heralds the Bell state.
 
-    p = |a_{N,N-1} + a_{N-1,N}|^2 / 2 with Alice at N-1 and Bob at N.
+    p = |a_{B,A} + a_{A,B}|^2 / 2 with Alice at site A and Bob at site B.
     """
-    _require_standard_targets(g)
-    i_ba, i_ab = _target_rows(g)
+    i_ba, i_ab = _index_groups(g)["success"]
     return 0.5 * float(np.abs(psi.amplitudes[i_ba] + psi.amplitudes[i_ab]) ** 2)
-
-
-def _require_standard_targets(g: Graph) -> None:
-    n = g.n_vertices
-    if g.roles.alice != n - 1 or g.roles.bob != n:
-        raise ValueError(
-            f"measurement formulas require alice=N-1 and bob=N, got "
-            f"alice={g.roles.alice}, bob={g.roles.bob} for N={n}")
 
 
 def success_curve(e: Eigensystem, psi0: Wavefunction, g: Graph,
                   t_grid: np.ndarray) -> np.ndarray:
-    _require_standard_targets(g)
-    amps = amplitude_rows(e, psi0, _target_rows(g), t_grid)
+    amps = amplitude_rows(e, psi0, _index_groups(g)["success"], t_grid)
     return 0.5 * np.abs(amps[0] + amps[1]) ** 2
 
 
@@ -293,11 +324,10 @@ def find_peak(e: Eigensystem, psi0: Wavefunction, g: Graph,
     if p.max() < 1e-15:
         logger.warning("success probability identically zero over [0, %g]", t_max)
         return 0.0, 0.0
-    coeff = e.eigenvectors.T @ psi0.amplitudes
-    rows = e.eigenvectors[list(_target_rows(g)), :]
+    kernel = _SpectralKernel(e, psi0, _index_groups(g)["success"])
 
     def objective(t: float) -> float:
-        amp = rows @ (np.exp(-1j * e.eigenvalues * t) * coeff)
+        amp = kernel(t)
         return 0.5 * float(np.abs(amp[0] + amp[1]) ** 2)
 
     return select_peak(p, grid, objective, grid_step, refine_tol)

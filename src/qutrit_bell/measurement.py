@@ -1,12 +1,12 @@
 """The coarse-grained joint measurement and its four outcomes.
 
-Alice (site N-1) and Bob (site N) each test whether their qutrit is in
+Alice (site A) and Bob (site B) each test whether their qutrit is in
 state 0 or in the {+1, -1} subspace, without resolving the sign. Outcomes:
 
-* Psi1    - both negative: the excitations remain in sites 1..N-2;
+* Psi1    - both negative: neither excitation sits on A or B;
 * Psi2    - Alice positive, Bob negative;
 * Psi3    - Bob positive, Alice negative;
-* Success - both positive: the pair is projected onto span{|N-1,N>, |N,N-1>}.
+* Success - both positive: the pair is projected onto span{|A,B>, |B,A>}.
 
 On graphs with the protocol symmetry the two projected amplitudes are
 equal, so the heralded state is exactly the Bell combination and the
@@ -17,11 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import Wavefunction, pair_index
+from .dynamics import Wavefunction, _index_groups
 from .topology import Graph
 
 NORM_TOL = 1e-8
@@ -56,40 +55,11 @@ class OutcomeDistribution:
         return self.p2 + self.p3
 
 
-@lru_cache(maxsize=64)
-def _index_groups(n: int) -> dict:
-    """Dense indices of the four projector supports for an N-site graph."""
-    alice, bob = n - 1, n
-    i_ba = pair_index(n, bob, alice)
-    i_ab = pair_index(n, alice, bob)
-    g1, g2, g3 = [], [], []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            k = pair_index(n, i, j)
-            touches_a = alice in (i, j)
-            touches_b = bob in (i, j)
-            if touches_a and touches_b:
-                continue  # the two success rows
-            if touches_a:
-                g2.append(k)
-            elif touches_b:
-                g3.append(k)
-            else:
-                g1.append(k)
-    return {"success": np.array([i_ba, i_ab]), "g1": np.array(g1),
-            "g2": np.array(g2), "g3": np.array(g3)}
-
-
 def outcome_distribution(psi: Wavefunction, g: Graph) -> OutcomeDistribution:
-    n = g.n_vertices
-    if g.roles.alice != n - 1 or g.roles.bob != n:
-        raise ValueError("measurement requires alice=N-1 and bob=N")
     a = psi.amplitudes
     if abs(np.linalg.norm(a) - 1.0) > NORM_TOL:
         raise ValueError(f"wavefunction norm deviates from 1 by more than {NORM_TOL}")
-    grp = _index_groups(n)
+    grp = _index_groups(g)
     i_ba, i_ab = grp["success"]
     p2 = float(np.sum(np.abs(a[grp["g2"]]) ** 2))
     p3 = float(np.sum(np.abs(a[grp["g3"]]) ** 2))
@@ -106,8 +76,7 @@ def post_state(psi: Wavefunction, outcome: Outcome, g: Graph) -> Wavefunction:
     The time stamp restarts at zero: schedule times are measured relative
     to the most recent measurement.
     """
-    n = g.n_vertices
-    grp = _index_groups(n)
+    grp = _index_groups(g)
     keep = {Outcome.PSI1: grp["g1"], Outcome.PSI2: grp["g2"],
             Outcome.PSI3: grp["g3"], Outcome.SUCCESS: grp["success"]}[outcome]
     projected = np.zeros_like(psi.amplitudes)
@@ -125,9 +94,7 @@ def bell_fidelity(psi: Wavefunction, g: Graph) -> float:
     Returns |a_BA + a_AB|^2 / (2 (|a_BA|^2 + |a_AB|^2)), or 0 when the
     projection carries no weight.
     """
-    n = g.n_vertices
-    i_ba = pair_index(n, g.roles.bob, g.roles.alice)
-    i_ab = pair_index(n, g.roles.alice, g.roles.bob)
+    i_ba, i_ab = _index_groups(g)["success"]
     a_ba, a_ab = psi.amplitudes[i_ba], psi.amplitudes[i_ab]
     denom = float(np.abs(a_ba) ** 2 + np.abs(a_ab) ** 2)
     if denom < 1e-14:

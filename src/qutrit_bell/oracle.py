@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (assemble_hamiltonian, enumerate_basis, evolve,
-                       initial_state, spectral_decompose)
+from .dynamics import (_index_groups, amplitude_rows, assemble_hamiltonian,
+                       enumerate_basis, evolve, initial_state, spectral_decompose)
 from .topology import Graph
 
 ORACLE_MAX_SITES = 9
@@ -208,18 +208,15 @@ def full_evolve_compare(g: Graph, t_grid) -> OracleComparison:
 
 
 def symmetry_check(g: Graph, t_grid) -> float:
-    """Max |a_{N,N-1}(t) - a_{N-1,N}(t)| from the protocol initial state.
+    """Max |a_{B,A}(t) - a_{A,B}(t)| (Alice at A, Bob at B) from the initial state.
 
     Only meaningful on graphs possessing the protocol automorphism; the
     caller is expected to have verified it exists.
     """
-    from .dynamics import amplitude_rows, pair_index
     t_grid = np.asarray(t_grid, dtype=float)
     n = g.n_vertices
     basis = enumerate_basis(n)
     eig = spectral_decompose(assemble_hamiltonian(g, basis))
     psi0 = initial_state(g, basis)
-    rows = (pair_index(n, g.roles.bob, g.roles.alice),
-            pair_index(n, g.roles.alice, g.roles.bob))
-    amps = amplitude_rows(eig, psi0, rows, t_grid)
+    amps = amplitude_rows(eig, psi0, _index_groups(g)["success"], t_grid)
     return float(np.max(np.abs(amps[0] - amps[1])))

@@ -24,14 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 
 import numpy as np
 
-from . import measurement
 from .dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, Eigensystem,
-                       Wavefunction, amplitude_rows, enumerate_basis, evolve,
-                       initial_state, refine_maximum, select_peak)
-from .measurement import Outcome, outcome_distribution, post_state
+                       Wavefunction, _index_groups, _SpectralKernel, amplitude_rows,
+                       evolve, initial_state, refine_maximum, select_peak)
+from .measurement import ZERO_PROB, Outcome, outcome_distribution, post_state
 from .topology import Graph
 
 #: fraction of the window-max success probability below which a time is not
@@ -109,81 +109,106 @@ def protocol1_cumulative(p: float, n: int) -> float:
         raise ValueError(f"p must lie in [0,1], got {p}")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    return 1.0 - (1.0 - p) ** n
+    if p == 1.0:
+        return 1.0
+    # -expm1(n log1p(-p)) keeps its precision where 1 - p rounds to 1;
+    # subtracting from 0.0 turns the -0.0 of p = 0 into 0.0
+    return 0.0 - float(np.expm1(n * np.log1p(-p)))
 
 
 def protocol1_required(p: float, q: float) -> int:
     """Smallest n with 1-(1-p)^n >= q.
 
-    Uses the logarithmic bound with an exact-boundary guard so that values
-    of p landing precisely on an integer boundary round correctly.
+    The logarithmic estimate is off by at most one where p lands on an
+    integer boundary; one guard step in each direction corrects it.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0,1), got {p}")
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0,1), got {q}")
-    n = int(np.ceil(np.log1p(-q) / np.log1p(-p)))
-    n = max(n, 1)
-    while protocol1_cumulative(p, n) < q:
-        n += 1
-    while n > 1 and protocol1_cumulative(p, n - 1) >= q:
-        n -= 1
+    n = max(1, int(np.ceil(np.log1p(-q) / np.log1p(-p))))
+    if protocol1_cumulative(p, n) < q:
+        return n + 1
+    if n > 1 and protocol1_cumulative(p, n - 1) >= q:
+        return n - 1
     return n
 
 
-def _outcome_index_groups(g: Graph):
-    n = g.n_vertices
-    grp = measurement._index_groups(n)
-    return grp["success"], grp["g1"], np.concatenate([grp["g2"], grp["g3"]])
-
-
-def _pick_time(strategy: Strategy, t_grid, p_success, p_unusable) -> int:
+def _score(strategy: Strategy, p_success, p_unusable):
+    """The quantity a strategy maximizes, on a grid or at one time."""
     if strategy is Strategy.PEAK_SUCCESS:
-        return int(np.argmax(p_success))
-    if strategy is Strategy.MAX_MARGIN:
-        return int(np.argmax(p_success - p_unusable))
-    # MinLoss: the bare minimum of p_U sits at t=0 where nothing can be
-    # measured; restrict to times with appreciable success probability.
-    mask = p_success >= MINLOSS_FLOOR * p_success.max()
-    idx = np.where(mask)[0]
-    return int(idx[np.argmin(p_unusable[idx])])
+        return p_success
+    if strategy is Strategy.MIN_LOSS:
+        return -p_unusable
+    return p_success - p_unusable
 
 
-def _choose_step_time(strategy: Strategy, e: Eigensystem, psi: Wavefunction,
-                      t_grid: np.ndarray, grid_step: float, refine_tol: float,
-                      succ_rows, u_rows) -> float:
-    """Measurement time for the current conditional state, per strategy."""
-    succ_amp = amplitude_rows(e, psi, succ_rows, t_grid)
-    p_s = 0.5 * np.abs(succ_amp[0] + succ_amp[1]) ** 2
+def _choose_step_time(strategy: Strategy, e: Eigensystem, psi: Wavefunction, g: Graph,
+                      t_grid: np.ndarray, grid_step: float, refine_tol: float) -> float:
+    """Measurement time for the current conditional state, per strategy.
+
+    Only the rows the strategy reads are projected: the two success rows,
+    plus the psi2/psi3 rows unless it is peak-success. One curve function
+    turns them into (p_S, p_U) on the grid and at the refinement points.
+    """
+    grp = _index_groups(g)
+    rows = grp["success"]
+    if strategy is not Strategy.PEAK_SUCCESS:
+        rows = np.concatenate([rows, grp["g2"], grp["g3"]])
+
+    def curve(amp):
+        return 0.5 * np.abs(amp[0] + amp[1]) ** 2, np.sum(np.abs(amp[2:]) ** 2, axis=0)
+
+    p_s, p_u = curve(amplitude_rows(e, psi, rows, t_grid))
     if p_s.max() < 1e-15:
         raise RuntimeError("success probability identically zero over the "
                            "search window; cannot plan further measurements")
-    u_amp = amplitude_rows(e, psi, u_rows, t_grid)
-    p_u = np.sum(np.abs(u_amp) ** 2, axis=0)
-
-    coeff = e.eigenvectors.T @ psi.amplitudes
-    rows_s = e.eigenvectors[list(succ_rows), :]
-    rows_u = e.eigenvectors[list(u_rows), :]
+    kernel = _SpectralKernel(e, psi, rows)
 
     def objective(t: float) -> float:
-        ph = np.exp(-1j * e.eigenvalues * t) * coeff
-        amp = rows_s @ ph
-        ps = 0.5 * float(np.abs(amp[0] + amp[1]) ** 2)
-        if strategy is Strategy.PEAK_SUCCESS:
-            return ps
-        pu = float(np.sum(np.abs(rows_u @ ph) ** 2))
-        return -pu if strategy is Strategy.MIN_LOSS else ps - pu
+        return float(_score(strategy, *curve(kernel(t))))
 
     if strategy is Strategy.PEAK_SUCCESS:
         t_star, _ = select_peak(p_s, t_grid, objective, grid_step, refine_tol)
         return t_star
-    k = _pick_time(strategy, t_grid, p_s, p_u)
+    score = _score(strategy, p_s, p_u)
+    if strategy is Strategy.MIN_LOSS:
+        # the bare minimum of p_U sits at t=0 where nothing can be measured;
+        # only times with appreciable success probability compete
+        score = np.where(p_s >= MINLOSS_FLOOR * p_s.max(), score, -np.inf)
+    k = int(np.argmax(score))
     lo = max(0.0, float(t_grid[k]) - grid_step)
     hi = min(float(t_grid[-1]), float(t_grid[k]) + grid_step)
     t_star, f_star = refine_maximum(objective, lo, hi, refine_tol)
     if objective(float(t_grid[k])) >= f_star:
         return float(t_grid[k])
     return float(t_star)
+
+
+def _step_chooser(g: Graph, e: Eigensystem, strategy: Strategy, t_max: float | None,
+                  grid_step: float, refine_tol: float):
+    """Conditional state -> measurement time, scanning [0, t_max] per step."""
+    if t_max is None:
+        t_max = PLAN_WINDOW_FACTOR * g.n_vertices
+    t_grid = np.arange(0.0, t_max + grid_step, grid_step)
+    return lambda psi: _choose_step_time(strategy, e, psi, g, t_grid, grid_step, refine_tol)
+
+
+def _protocol2_steps(g: Graph, e: Eigensystem, choose_time):
+    """The protocol-2 chain, one ScheduleStep per measurement, lazily.
+
+    Each step evolves the current conditional state for choose_time(state),
+    measures, and conditions on psi1. The chain ends after a step that
+    leaves psi1 no weight: further steps would condition on nothing.
+    """
+    psi = initial_state(g)
+    while psi is not None:
+        t = float(choose_time(psi))
+        phi = evolve(e, psi, t)
+        dist = outcome_distribution(phi, g)
+        psi = None if dist.p1 < ZERO_PROB else post_state(phi, Outcome.PSI1, g)
+        yield ScheduleStep(time=t, p_success=dist.pS_bell, p1=dist.p1, p2=dist.p2,
+                           p3=dist.p3, pS_projection=dist.pS_projection)
 
 
 def plan_protocol2(g: Graph, e: Eigensystem, strategy: Strategy = Strategy.PEAK_SUCCESS,
@@ -199,25 +224,9 @@ def plan_protocol2(g: Graph, e: Eigensystem, strategy: Strategy = Strategy.PEAK_
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if t_max is None:
-        t_max = PLAN_WINDOW_FACTOR * g.n_vertices
-    basis = enumerate_basis(g.n_vertices)
-    succ_rows, g1_rows, u_rows = _outcome_index_groups(g)
-    psi = initial_state(g, basis)
-    t_grid = np.arange(0.0, t_max + grid_step, grid_step)
-    sched = Schedule(strategy=strategy.value, n_vertices=g.n_vertices)
-    for _ in range(n_max):
-        t_star = _choose_step_time(strategy, e, psi, t_grid, grid_step,
-                                   refine_tol, succ_rows, u_rows)
-        phi = evolve(e, psi, t_star)
-        dist = outcome_distribution(phi, g)
-        sched.steps.append(ScheduleStep(
-            time=float(t_star), p_success=dist.pS_bell, p1=dist.p1,
-            p2=dist.p2, p3=dist.p3, pS_projection=dist.pS_projection))
-        if dist.p1 < measurement.ZERO_PROB:
-            break  # chain exhausted; remaining steps would condition on nothing
-        psi = post_state(phi, Outcome.PSI1, g)
-    return sched
+    choose = _step_chooser(g, e, strategy, t_max, grid_step, refine_tol)
+    return Schedule(strategy=strategy.value, n_vertices=g.n_vertices,
+                    steps=list(islice(_protocol2_steps(g, e, choose), n_max)))
 
 
 def plan_regular(g: Graph, e: Eigensystem, tau: float, n_max: int) -> Schedule:
@@ -226,19 +235,8 @@ def plan_regular(g: Graph, e: Eigensystem, tau: float, n_max: int) -> Schedule:
         raise ValueError(f"tau must be positive, got {tau}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    basis = enumerate_basis(g.n_vertices)
-    psi = initial_state(g, basis)
-    sched = Schedule(strategy="regular", n_vertices=g.n_vertices)
-    for _ in range(n_max):
-        phi = evolve(e, psi, tau)
-        dist = outcome_distribution(phi, g)
-        sched.steps.append(ScheduleStep(
-            time=tau, p_success=dist.pS_bell, p1=dist.p1,
-            p2=dist.p2, p3=dist.p3, pS_projection=dist.pS_projection))
-        if dist.p1 < measurement.ZERO_PROB:
-            break
-        psi = post_state(phi, Outcome.PSI1, g)
-    return sched
+    return Schedule(strategy="regular", n_vertices=g.n_vertices,
+                    steps=list(islice(_protocol2_steps(g, e, lambda psi: tau), n_max)))
 
 
 def _padded(schedule: Schedule, n: int) -> list[tuple[float, float, float]]:
@@ -366,46 +364,17 @@ def protocol2_limit_check(g: Graph, e: Eigensystem, q: float,
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"target q must lie in (0,1), got {q}")
-    schedule = plan_protocol2(g, e, strategy, n_max=1, t_max=t_max,
-                              grid_step=grid_step, refine_tol=refine_tol)
-    basis = enumerate_basis(g.n_vertices)
-    succ_rows, g1_rows, u_rows = _outcome_index_groups(g)
-    if t_max is None:
-        t_max = PLAN_WINDOW_FACTOR * g.n_vertices
-    t_grid = np.arange(0.0, t_max + grid_step, grid_step)
-
-    # conditional state after the steps planned so far
-    psi = initial_state(g, basis)
-    chain_alive = True
-    for s in schedule.steps:
-        phi = evolve(e, psi, s.time)
-        psi = post_state(phi, Outcome.PSI1, g)
-
-    n_reached = None
-    series = protocol2_total(schedule, 1)
+    steps = _protocol2_steps(g, e, _step_chooser(g, e, strategy, t_max, grid_step,
+                                                 refine_tol))
+    schedule = Schedule(strategy=strategy.value, n_vertices=g.n_vertices,
+                        steps=[next(steps)])
     n = 1
-    while n < max_measurements:
-        if series[-1] >= q:
-            n_reached = n
-            break
-        # extend by one measurement
-        if chain_alive:
-            t_star = _choose_step_time(strategy, e, psi, t_grid, grid_step,
-                                       refine_tol, succ_rows, u_rows)
-            phi = evolve(e, psi, t_star)
-            dist = outcome_distribution(phi, g)
-            schedule.steps.append(ScheduleStep(
-                time=t_star, p_success=dist.pS_bell, p1=dist.p1,
-                p2=dist.p2, p3=dist.p3, pS_projection=dist.pS_projection))
-            if dist.p1 < measurement.ZERO_PROB:
-                chain_alive = False
-            else:
-                psi = post_state(phi, Outcome.PSI1, g)
+    series = protocol2_total(schedule, n)
+    while series[-1] < q and n < max_measurements:
+        schedule.steps.extend(islice(steps, 1))  # nothing once the chain has ended
         n += 1
         series = protocol2_total(schedule, n)
-        if series[-1] >= q:
-            n_reached = n
-            break
+    n_reached = n if series[-1] >= q else None
 
     p_peak = schedule.p_success(0)
     pbar = protocol2_no_reset(schedule, n)

@@ -196,12 +196,41 @@ class TestOutputHandling:
         p = np.array([float(r[1]) for r in rows])
         assert p.max() == pytest.approx(0.5, abs=5e-3)
 
+    def test_custom_roles_off_the_last_two_sites(self, tmp_path, capsys):
+        # cross-5 with vertex v renamed 6-v: Alice at 2, Bob at 1
+        topo = tmp_path / "cross5-reversed.txt"
+        topo.write_text("5\n5 4 2 1\n3 5\n3 4\n2 3\n1 3\n")
+        code, out, _ = run_cli(["scan", "--topology", "custom", "--topology-file",
+                                str(topo), "--t-max", "5", "--no-timestamp"], capsys)
+        assert code == 0
+        _, moved = parse_csv(out)
+        _, ref = parse_csv(run_cli(["scan", "--topology", "cross", "--n", "5",
+                                    "--t-max", "5", "--no-timestamp"], capsys)[1])
+        assert np.array(moved, dtype=float) == pytest.approx(np.array(ref, dtype=float),
+                                                             abs=1e-9)
+
     def test_bad_topology_file(self, tmp_path, capsys):
         topo = tmp_path / "bad.txt"
         topo.write_text("4\n1 2 3 4\n1 5\n")
         code, _, err = run_cli(["scan", "--topology", "custom",
                                 "--topology-file", str(topo)], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("args", [
+        ["scan", "--topology", "cross", "--n", "5", "--grid-step", "0"],
+        ["scan", "--topology", "cross", "--n", "5", "--grid-step", "-0.1"],
+        ["scan", "--topology", "cross", "--n", "5", "--t-max", "nan"],
+        ["scan", "--topology", "cross", "--n", "5", "--t-max", "inf"],
+        ["peaks", "--topology", "cross", "--n-list", "5", "--t-max", "-1"],
+        ["protocol2", "--topology", "cross", "--n", "5", "--tau", "nan"],
+        ["protocol2", "--topology", "cross", "--n", "5", "--refine-tol", "0"],
+        ["protocol1", "--topology", "cross", "--n-list", "5", "--n-max", "0"],
+    ])
+    def test_invalid_numeric_flag_is_exit_2(self, args, capsys):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2
+        assert out == ""
+        assert "must be" in err and "Traceback" not in err
 
     def test_usage_error_is_exit_1(self):
         proc = subprocess.run(

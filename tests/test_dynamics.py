@@ -4,12 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import peak, prepared
-from qutrit_bell import (Hamiltonian, assemble_hamiltonian, build_cross,
-                         build_loop, enumerate_basis, evolve,
+from qutrit_bell import (Graph, Hamiltonian, Roles, assemble_hamiltonian,
+                         build_cross, build_loop, enumerate_basis, evolve,
                          find_protocol_automorphism, find_peak, initial_state,
-                         scan_success, spectral_decompose, success_probability)
-from qutrit_bell.dynamics import (Wavefunction, amplitude_rows, pair_index,
-                                  refine_maximum)
+                         outcome_distribution, scan_success, spectral_decompose,
+                         success_probability)
+from qutrit_bell.dynamics import (PHASE_BLOCK, Wavefunction, _SpectralKernel,
+                                  amplitude_rows, pair_index, refine_maximum)
+
+
+def reversed_labels(g):
+    """g with vertex v renamed N+1-v: Alice and Bob move off sites N-1 and N."""
+    n = g.n_vertices
+    return Graph(n, frozenset((n + 1 - v, n + 1 - u) for u, v in g.edges),
+                 Roles(*(n + 1 - v for v in g.roles.as_tuple())))
 
 # spectrum of the 4-site loop in the pair basis, frozen once as a regression
 # snapshot (degeneracies reflect the ring's symmetry group)
@@ -145,6 +153,27 @@ class TestEvolve:
             evolve(e, Wavefunction(np.zeros(3, dtype=complex)), 1.0)
 
 
+class TestSpectralKernel:
+    ROWS = [0, 7, 20, 55]
+
+    def test_blocked_grid_matches_evolve_at_block_boundaries(self):
+        _, _, e, psi0 = prepared("loop", 8)
+        t = 0.01 * np.arange(2 * PHASE_BLOCK + 100)  # three phase blocks
+        amps = amplitude_rows(e, psi0, self.ROWS, t)
+        for k in (0, PHASE_BLOCK - 1, PHASE_BLOCK, 2 * PHASE_BLOCK - 1,
+                  2 * PHASE_BLOCK, t.size - 1):
+            full = evolve(e, psi0, float(t[k])).amplitudes
+            assert np.max(np.abs(amps[:, k] - full[self.ROWS])) < 1e-12
+
+    def test_scalar_time_equals_grid_column(self):
+        _, _, e, psi0 = prepared("loop", 8)
+        t = 0.01 * np.arange(2 * PHASE_BLOCK + 100)
+        kernel = _SpectralKernel(e, psi0, self.ROWS)
+        grid = kernel(t)
+        for k in (3, PHASE_BLOCK, 2 * PHASE_BLOCK + 99):
+            assert np.max(np.abs(kernel(float(t[k])) - grid[:, k])) < 1e-15
+
+
 class TestSuccessProbability:
     def test_zero_at_start(self):
         g, _, _, psi0 = prepared("cross", 5)
@@ -162,14 +191,22 @@ class TestSuccessProbability:
             d = outcome_distribution(psi, g)
             assert abs(d.pS_bell - d.pS_projection) < 1e-10
 
-    def test_requires_standard_role_placement(self):
-        from qutrit_bell import Graph, Roles
-        g = Graph(4, frozenset({(1, 2), (2, 3), (3, 4)}), Roles(1, 2, 3, 4))
-        _, b, e, _ = prepared("loop", 4)
-        psi = initial_state(build_loop(4), b)
-        bad = Graph(4, frozenset({(1, 2), (2, 3), (3, 4)}), Roles(3, 4, 1, 2))
-        with pytest.raises(ValueError, match="alice=N-1"):
-            success_probability(psi, bad)
+    def test_roles_off_the_last_two_sites(self):
+        g, _, e, psi0 = prepared("cross", 5)
+        h = reversed_labels(g)
+        assert (h.roles.alice, h.roles.bob) == (2, 1)
+        b = enumerate_basis(5)
+        e_h = spectral_decompose(assemble_hamiltonian(h, b))
+        psi_h = initial_state(h, b)
+        for t in (0.0, 0.7, 3.1, 11.0):
+            d = outcome_distribution(evolve(e, psi0, t), g)
+            d_h = outcome_distribution(evolve(e_h, psi_h, t), h)
+            assert [d_h.p1, d_h.p2, d_h.p3, d_h.pS_projection, d_h.pS_bell] == pytest.approx(
+                [d.p1, d.p2, d.p3, d.pS_projection, d.pS_bell], abs=1e-12)
+        t_star, p_star = find_peak(e, psi0, g)
+        t_h, p_h = find_peak(e_h, psi_h, h)
+        assert t_h == pytest.approx(t_star, abs=1e-6)
+        assert p_h == pytest.approx(p_star, abs=1e-12)
 
 
 class TestScanAndPeaks:

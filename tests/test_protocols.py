@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,7 +47,7 @@ class TestProtocol1:
         explicit = sum(p * (1 - p) ** (k - 1) for k in range(1, n + 1))
         assert abs(protocol1_cumulative(p, n) - explicit) < 1e-12
 
-    @given(st.floats(min_value=1e-3, max_value=0.999),
+    @given(st.floats(min_value=1e-12, max_value=0.999),
            st.floats(min_value=1e-3, max_value=0.999))
     @settings(max_examples=80, deadline=None)
     def test_required_is_minimal(self, p, q):
@@ -53,6 +55,20 @@ class TestProtocol1:
         assert protocol1_cumulative(p, n) >= q
         if n > 1:
             assert protocol1_cumulative(p, n - 1) < q
+
+    @pytest.mark.parametrize("p", [1e-15, 9e-33])
+    def test_required_returns_where_one_minus_p_rounds_to_one(self, p):
+        def too_slow(signum, frame):
+            raise TimeoutError("protocol1_required did not return")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(5)
+        try:
+            n = protocol1_required(p, 0.9)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert n == pytest.approx(-np.log1p(-0.9) / p, rel=1e-9)
 
     def test_required_from_computed_peaks(self):
         assert protocol1_required(peak("cross", 5)[1], 0.90) == 6
@@ -180,6 +196,14 @@ class TestLimitCheck:
         report = protocol2_limit_check(g, e, q=0.999, max_measurements=4)
         assert not report.reached
         assert len(report.series) == 4
+
+    @pytest.mark.parametrize("family,n", [("cross", 5), ("loop", 8)])
+    def test_schedule_equals_plan_step_for_step(self, family, n):
+        g, _, e, _ = prepared(family, n)
+        report = protocol2_limit_check(g, e, q=0.99, max_measurements=12)
+        planned = plan_protocol2(g, e, n_max=len(report.schedule))
+        assert len(report.schedule) > 1
+        assert report.schedule.steps == planned.steps
 
     def test_rejects_bad_target(self):
         g, _, e, _ = prepared("cross", 5)
