@@ -273,7 +273,7 @@ def cmd_verify(args) -> int:
         sector = sector_restriction(g)
         record(f"{label}_sector_restriction_max_diff",
                float(np.max(np.abs(sector - h.matrix))), 1e-12)
-        grid = np.arange(0.0, args.t_max if args.t_max else 10.0 + 1e-9, 0.1)
+        grid = np.arange(0.0, (args.t_max or 10.0) + 1e-9, 0.1)
         cmp_res = full_evolve_compare(g, grid)
         record(f"{label}_full_vs_reduced_max_amplitude_dev",
                cmp_res.max_amplitude_deviation, 1e-9)

@@ -24,13 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import reduce
 from itertools import islice
 
 import numpy as np
 
 from .dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, Eigensystem,
-                       Wavefunction, _index_groups, _SpectralKernel, amplitude_rows,
-                       evolve, initial_state, refine_maximum, select_peak)
+                       Wavefunction, _index_groups, _SpectralKernel, evolve,
+                       initial_state, refine_maximum, select_peak)
 from .measurement import ZERO_PROB, Outcome, outcome_distribution, post_state
 from .topology import Graph
 
@@ -143,30 +144,41 @@ def _score(strategy: Strategy, p_success, p_unusable):
     return p_success - p_unusable
 
 
+def _step_curve(amp: np.ndarray):
+    """(p_S, p_U) from the amplitudes of the success rows then the psi2/psi3 rows.
+
+    amp is (rows,) at one time or (rows, B) on a block of times. A block is
+    summed row after row, as numpy sums a whole grid matrix along axis 0;
+    np.sum would sum a one-time block pairwise, which rounds differently.
+    """
+    sq = np.abs(amp[2:]) ** 2
+    p_u = np.sum(sq, axis=0) if amp.ndim == 1 else reduce(np.add, sq, np.zeros(amp.shape[1]))
+    return 0.5 * np.abs(amp[0] + amp[1]) ** 2, p_u
+
+
 def _choose_step_time(strategy: Strategy, e: Eigensystem, psi: Wavefunction, g: Graph,
                       t_grid: np.ndarray, grid_step: float, refine_tol: float) -> float:
     """Measurement time for the current conditional state, per strategy.
 
     Only the rows the strategy reads are projected: the two success rows,
-    plus the psi2/psi3 rows unless it is peak-success. One curve function
-    turns them into (p_S, p_U) on the grid and at the refinement points.
+    plus the psi2/psi3 rows unless it is peak-success. The grid curves are
+    reduced one phase block at a time, so no rows x T matrix is held.
     """
     grp = _index_groups(g)
     rows = grp["success"]
     if strategy is not Strategy.PEAK_SUCCESS:
         rows = np.concatenate([rows, grp["g2"], grp["g3"]])
 
-    def curve(amp):
-        return 0.5 * np.abs(amp[0] + amp[1]) ** 2, np.sum(np.abs(amp[2:]) ** 2, axis=0)
-
-    p_s, p_u = curve(amplitude_rows(e, psi, rows, t_grid))
+    kernel = _SpectralKernel(e, psi, rows)
+    p_s, p_u = np.empty(t_grid.size), np.empty(t_grid.size)
+    for cols, amp in kernel._blocks(t_grid):
+        p_s[cols], p_u[cols] = _step_curve(amp)
     if p_s.max() < 1e-15:
         raise RuntimeError("success probability identically zero over the "
                            "search window; cannot plan further measurements")
-    kernel = _SpectralKernel(e, psi, rows)
 
     def objective(t: float) -> float:
-        return float(_score(strategy, *curve(kernel(t))))
+        return float(_score(strategy, *_step_curve(kernel(t))))
 
     if strategy is Strategy.PEAK_SUCCESS:
         t_star, _ = select_peak(p_s, t_grid, objective, grid_step, refine_tol)

@@ -150,6 +150,13 @@ class TestVerify:
                                 "--no-timestamp"], capsys)
         assert code == 0
 
+    def test_t_max_includes_its_end_point(self, capsys):
+        argv = ["verify", "--topology", "loop", "--n", "4", "--no-timestamp"]
+        _, default, _ = run_cli(argv, capsys)
+        code, explicit, _ = run_cli(argv + ["--t-max", "10"], capsys)
+        assert code == 0
+        assert parse_csv(explicit) == parse_csv(default)
+
     def test_oversize_refused(self, capsys):
         code, _, err = run_cli(["verify", "--topology", "cross", "--n", "13"],
                                capsys)

@@ -173,6 +173,38 @@ class TestSpectralKernel:
         for k in (3, PHASE_BLOCK, 2 * PHASE_BLOCK + 99):
             assert np.max(np.abs(kernel(float(t[k])) - grid[:, k])) < 1e-15
 
+    @staticmethod
+    def dense(e, psi, rows, t):
+        """The kernel's formula in one piece: complex exp, then one product."""
+        lam, v = e.eigenvalues, e.eigenvectors
+        coeff = np.ascontiguousarray(v.T).astype(complex) @ psi
+        phases = np.exp(-1j * np.multiply.outer(lam, t))
+        return v[rows].astype(complex) @ (phases * coeff.reshape((-1,) + (1,) * np.ndim(t)))
+
+    def test_bit_identical_to_the_dense_formula(self):
+        # protocol-2 goldens on near-zero curves move with a one-ulp change
+        _, _, e, _ = prepared("loop", 8)
+        rng = np.random.default_rng(3)
+        psi = rng.normal(size=56) + 1j * rng.normal(size=56)
+        kernel = _SpectralKernel(e, Wavefunction(psi), self.ROWS)
+        t = 0.01 * np.arange(2 * PHASE_BLOCK + 100)
+        assert np.array_equal(kernel(t), self.dense(e, psi, self.ROWS, t))
+        for k in (0, 5, PHASE_BLOCK, t.size - 1):
+            assert np.array_equal(kernel(float(t[k])), self.dense(e, psi, self.ROWS, t[k]))
+            assert np.array_equal(evolve(e, Wavefunction(psi), float(t[k])).amplitudes,
+                                  self.dense(e, psi, slice(None), t[k]))
+
+    def test_lone_last_time_is_its_own_block(self):
+        # a one-column product rounds differently from a wider one, so the
+        # block edges are part of the result
+        _, _, e, _ = prepared("loop", 8)
+        psi = np.random.default_rng(4).normal(size=56) + 0j
+        t = 0.01 * np.arange(2 * PHASE_BLOCK + 1)
+        got = _SpectralKernel(e, Wavefunction(psi), self.ROWS)(t)
+        for s in range(0, t.size, PHASE_BLOCK):
+            cols = slice(s, s + PHASE_BLOCK)
+            assert np.array_equal(got[:, cols], self.dense(e, psi, self.ROWS, t[cols]))
+
 
 class TestSuccessProbability:
     def test_zero_at_start(self):
@@ -271,3 +303,16 @@ class TestRefineMaximum:
     def test_cosine(self):
         t, v = refine_maximum(np.cos, 5.0, 8.0, 1e-8)
         assert t == pytest.approx(2 * np.pi, abs=1e-5)
+
+    def test_fallback_reuses_endpoint_values(self):
+        # a linear f has no curvature, so every iteration trisects; it needs
+        # f at a, b and the candidate, and f(m) once at the start
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x
+
+        t, v = refine_maximum(f, 0.0, 1.0, tol=0.0, max_iter=10)
+        assert len(calls) == 1 + 3 * 10
+        assert t == v == 1.0 - 2.0 ** -11

@@ -1,4 +1,5 @@
 import signal
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from qutrit_bell import (Strategy, build_protocol_report, enumerate_outcome_tree
                          protocol1_cumulative, protocol1_required,
                          protocol2_limit_check, protocol2_no_reset,
                          protocol2_total)
-from qutrit_bell.protocols import Schedule, ScheduleStep
+from qutrit_bell.dynamics import PHASE_BLOCK, _index_groups, _SpectralKernel, amplitude_rows
+from qutrit_bell.protocols import Schedule, ScheduleStep, _step_curve
 
 
 def synthetic_schedule(rows, n_vertices=5, strategy="synthetic"):
@@ -117,6 +119,34 @@ class TestPlanProtocol2:
         g, _, e, _ = prepared("cross", 5)
         with pytest.raises(ValueError):
             plan_protocol2(g, e, Strategy.PEAK_SUCCESS, n_max=0)
+
+    def test_blocked_curves_equal_whole_grid_curves(self):
+        # the last block holds one time, the case np.sum would round pairwise
+        g, _, e, psi0 = prepared("loop", 8)
+        grp = _index_groups(g)
+        rows = np.concatenate([grp["success"], grp["g2"], grp["g3"]])
+        t = 0.01 * np.arange(2 * PHASE_BLOCK + 1)
+        amps = amplitude_rows(e, psi0, rows, t)
+        whole = (0.5 * np.abs(amps[0] + amps[1]) ** 2,
+                 np.sum(np.abs(amps[2:]) ** 2, axis=0))
+        p_s, p_u = np.empty(t.size), np.empty(t.size)
+        for cols, amp in _SpectralKernel(e, psi0, rows)._blocks(t):
+            p_s[cols], p_u[cols] = _step_curve(amp)
+        assert np.array_equal(p_s, whole[0])
+        assert np.array_equal(p_u, whole[1])
+
+    def test_planning_holds_no_rows_by_grid_matrix(self):
+        g, _, e, _ = prepared("loop", 16)
+        # one rows x T complex matrix over the 8N planning grid: 11.9 MB
+        rows = 2 + len(_index_groups(g)["g2"]) + len(_index_groups(g)["g3"])
+        t_size = int(8.0 * 16 / 0.01) + 1
+        tracemalloc.start()
+        try:
+            plan_protocol2(g, e, Strategy.MIN_LOSS, n_max=1)
+            _, peak_bytes = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak_bytes < rows * t_size * 16
 
 
 class TestRegularSchedule:
