@@ -1,4 +1,6 @@
+import contextlib
 import json
+import signal
 import subprocess
 import sys
 
@@ -12,6 +14,20 @@ def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@contextlib.contextmanager
+def time_budget(seconds):
+    def too_slow(signum, frame):
+        raise TimeoutError(f"did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def parse_csv(text):
@@ -162,6 +178,39 @@ class TestVerify:
                                capsys)
         assert code == 2
         assert "N <= 9" in err
+
+    @pytest.mark.parametrize("topology", ["cross", "loop"])
+    def test_zero_n_is_exit_2(self, topology, capsys):
+        code, out, err = run_cli(["verify", "--topology", topology, "--n", "0"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "got 0" in err
+
+    @pytest.mark.parametrize("topology,n", [("cross", 9), ("loop", 8)])
+    def test_finishes_at_the_oracle_cap(self, topology, n, capsys):
+        with time_budget(10):
+            code, out, _ = run_cli(["verify", "--topology", topology, "--n", str(n),
+                                    "--no-timestamp"], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [r[0] for r in rows] == [
+            "su3_algebra_max_violation", f"N{n}_sector_restriction_max_diff",
+            f"N{n}_full_vs_reduced_max_amplitude_dev", f"N{n}_sector_leakage",
+            f"N{n}_bell_amplitude_asymmetry"]
+        assert all(r[-1] == "pass" for r in rows)
+
+
+class TestSizeGuard:
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--topology", "loop", "--n", "1000"],
+        ["peaks", "--topology", "loop", "--n-list", "4,1000"],
+    ])
+    def test_eigensystem_beyond_physical_memory_is_exit_2(self, argv, capsys):
+        with time_budget(1):
+            code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "N=1000" in err and "GB" in err
 
 
 class TestOutputHandling:

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import prepared
 from qutrit_bell import assemble_hamiltonian, build_cross, build_loop
-from qutrit_bell.oracle import (full_evolve_compare, full_hamiltonian,
+from qutrit_bell.oracle import (_chebyshev_step, full_evolve_compare, full_hamiltonian,
                                 full_initial_index, generator_matrix,
                                 sector_restriction, su3_algebra_check,
                                 symmetry_check)
@@ -85,14 +85,24 @@ class TestFullEvolveCompare:
         assert result.max_amplitude_deviation < 1e-15
         assert result.max_sector_leakage < 1e-15
 
-    def test_series_stepping_agrees_with_spectral(self, monkeypatch):
-        import qutrit_bell.oracle as oracle_mod
-        g = build_loop(4)
-        baseline = full_evolve_compare(g, [0.5, 1.0])
-        monkeypatch.setattr(oracle_mod, "DENSE_SPECTRAL_MAX", 1)
-        stepped = full_evolve_compare(g, [0.5, 1.0])
-        assert stepped.max_amplitude_deviation < 1e-9
-        assert baseline.max_amplitude_deviation < 1e-9
+    def test_uneven_grid_with_repeats_and_reversals(self):
+        g, *_ = prepared("cross", 5)
+        result = full_evolve_compare(g, [0.3, 0.3, 2.0, 1.1, 0.0, 9.7])
+        assert result.max_amplitude_deviation < 1e-9
+        assert result.max_sector_leakage < 1e-12
+
+    @pytest.mark.parametrize("family,n", [("loop", 4), ("cross", 5)])
+    @pytest.mark.parametrize("dt", [0.0, 0.1, -0.5, 7.3])
+    def test_chebyshev_step_matches_dense_eigh(self, family, n, dt):
+        # dt = 7.3 gives x = |E| dt = 29.2, about 70 Bessel terms
+        g, *_ = prepared(family, n)
+        full = full_hamiltonian(g)
+        lam, vec = np.linalg.eigh(full.dense())
+        rng = np.random.default_rng(7)
+        psi = rng.normal(size=full.dimension) + 1j * rng.normal(size=full.dimension)
+        psi /= np.linalg.norm(psi)
+        reference = vec @ (np.exp(-1j * lam * dt) * (vec.T @ psi))
+        assert np.max(np.abs(_chebyshev_step(full, psi, dt) - reference)) < 1e-12
 
 
 class TestSymmetryCheck:
