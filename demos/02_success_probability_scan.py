@@ -9,16 +9,15 @@ from pathlib import Path
 import numpy as np
 
 from qutrit_bell import (assemble_hamiltonian, build_cross, build_loop,
-                         enumerate_basis, find_peak, initial_state,
-                         scan_success, spectral_decompose)
+                         find_peak, initial_state, scan_success,
+                         spectral_decompose)
 
 out_dir = Path(__file__).resolve().parent
 
 for name, g in (("cross5", build_cross(5)), ("cross13", build_cross(13)),
                 ("loop4", build_loop(4)), ("loop8", build_loop(8))):
-    basis = enumerate_basis(g.n_vertices)
-    eig = spectral_decompose(assemble_hamiltonian(g, basis))
-    psi0 = initial_state(g, basis)
+    eig = spectral_decompose(assemble_hamiltonian(g))
+    psi0 = initial_state(g)
 
     grid = np.arange(0.0, 6.4 * g.n_vertices, 0.01)
     ts, p = scan_success(eig, psi0, g, grid)

@@ -6,17 +6,15 @@ reproduces the measurement-count tables for both families.
 """
 
 from qutrit_bell import (assemble_hamiltonian, build_cross, build_loop,
-                         enumerate_basis, find_peak, initial_state,
-                         protocol1_cumulative, protocol1_required,
-                         spectral_decompose)
+                         find_peak, initial_state, protocol1_cumulative,
+                         protocol1_required, spectral_decompose)
 
 targets = (0.90, 0.95, 0.99)
 
 
 def peak_of(g):
-    basis = enumerate_basis(g.n_vertices)
-    eig = spectral_decompose(assemble_hamiltonian(g, basis))
-    return find_peak(eig, initial_state(g, basis), g)[1]
+    eig = spectral_decompose(assemble_hamiltonian(g))
+    return find_peak(eig, initial_state(g), g)[1]
 
 
 print("cross family: measurements needed for 90/95/99 percent confidence")

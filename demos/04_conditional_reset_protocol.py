@@ -7,14 +7,12 @@ driven by the per-step outcome probabilities of one planned schedule.
 """
 
 from qutrit_bell import (Strategy, assemble_hamiltonian, build_loop,
-                         enumerate_basis, plan_protocol2, plan_regular,
-                         protocol1_cumulative, protocol2_limit_check,
-                         protocol2_no_reset, protocol2_total,
-                         spectral_decompose)
+                         plan_protocol2, plan_regular, protocol1_cumulative,
+                         protocol2_limit_check, protocol2_no_reset,
+                         protocol2_total, spectral_decompose)
 
 g = build_loop(4)
-basis = enumerate_basis(g.n_vertices)
-eig = spectral_decompose(assemble_hamiltonian(g, basis))
+eig = spectral_decompose(assemble_hamiltonian(g))
 
 print("== greedy schedules under the three timing strategies (loop N=4) ==")
 for strategy in Strategy:

@@ -10,8 +10,8 @@ all cross-check independent parts of the machinery.
 import numpy as np
 
 from qutrit_bell import (Strategy, assemble_hamiltonian, build_cross, build_loop,
-                         enumerate_basis, enumerate_outcome_tree, monte_carlo,
-                         plan_protocol2, protocol2_total, spectral_decompose)
+                         enumerate_outcome_tree, monte_carlo, plan_protocol2,
+                         protocol2_total, spectral_decompose)
 from qutrit_bell.oracle import (full_evolve_compare, sector_restriction,
                                 su3_algebra_check, symmetry_check)
 
@@ -19,8 +19,7 @@ print(f"generator algebra, worst violation over 81 combinations: "
       f"{su3_algebra_check():.3e}")
 
 for name, g in (("loop N=4", build_loop(4)), ("cross N=5", build_cross(5))):
-    basis = enumerate_basis(g.n_vertices)
-    reduced = assemble_hamiltonian(g, basis).matrix
+    reduced = assemble_hamiltonian(g).matrix
     restricted = sector_restriction(g)
     grid = np.arange(0.0, 10.0 + 1e-9, 0.1)
     cmp_result = full_evolve_compare(g, grid)
@@ -36,8 +35,7 @@ for name, g in (("loop N=4", build_loop(4)), ("cross N=5", build_cross(5))):
 print()
 print("protocol bookkeeping, cross N=5:")
 g = build_cross(5)
-basis = enumerate_basis(5)
-eig = spectral_decompose(assemble_hamiltonian(g, basis))
+eig = spectral_decompose(assemble_hamiltonian(g))
 sched = plan_protocol2(g, eig, Strategy.PEAK_SUCCESS, n_max=6)
 analytic = protocol2_total(sched)
 worst = max(abs(analytic[n - 1] - enumerate_outcome_tree(sched, n)[1])

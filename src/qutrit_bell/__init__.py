@@ -9,10 +9,9 @@ together with a full-Hilbert-space brute-force oracle for validation.
 
 __version__ = "0.1.0"
 
-from .dynamics import (BasisState, Eigensystem, Hamiltonian, TwoExcitationBasis,
-                       Wavefunction, assemble_hamiltonian, enumerate_basis, evolve,
-                       find_peak, initial_state, scan_success, spectral_decompose,
-                       success_probability)
+from .dynamics import (Eigensystem, Hamiltonian, Wavefunction, assemble_hamiltonian,
+                       evolve, find_peak, initial_state, scan_success,
+                       spectral_decompose, success_probability)
 from .measurement import (Outcome, OutcomeDistribution, bell_fidelity,
                           outcome_distribution, post_state)
 from .protocols import (ProtocolReport, Schedule, Strategy, TrajectoryStats,
@@ -24,11 +23,11 @@ from .topology import (AutomorphismReport, Graph, Roles, build_cross, build_loop
                        find_protocol_automorphism, path_distance)
 
 __all__ = [
-    "AutomorphismReport", "BasisState", "Eigensystem", "Graph", "Hamiltonian",
+    "AutomorphismReport", "Eigensystem", "Graph", "Hamiltonian",
     "Outcome", "OutcomeDistribution", "ProtocolReport", "Roles", "Schedule",
-    "Strategy", "TrajectoryStats", "TwoExcitationBasis", "Wavefunction",
+    "Strategy", "TrajectoryStats", "Wavefunction",
     "assemble_hamiltonian", "bell_fidelity", "build_cross", "build_loop",
-    "build_protocol_report", "enumerate_basis", "enumerate_outcome_tree",
+    "build_protocol_report", "enumerate_outcome_tree",
     "evolve", "find_peak", "find_protocol_automorphism", "initial_state",
     "monte_carlo", "outcome_distribution", "path_distance", "plan_protocol2",
     "plan_regular", "post_state", "protocol1_cumulative", "protocol1_required",

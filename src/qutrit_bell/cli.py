@@ -21,8 +21,8 @@ import numpy as np
 
 from . import __version__
 from .dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL,
-                       PEAK_WINDOW_FACTOR, assemble_hamiltonian, enumerate_basis,
-                       evolve, find_peak, initial_state, spectral_decompose)
+                       PEAK_WINDOW_FACTOR, assemble_hamiltonian, evolve,
+                       find_peak, initial_state, spectral_decompose)
 from .measurement import outcome_distribution
 from .oracle import (ORACLE_MAX_SITES, full_evolve_compare, sector_restriction,
                      su3_algebra_check, symmetry_check)
@@ -58,8 +58,12 @@ def _fmt(x) -> str:
 
 def _load_topology_file(path: str) -> Graph:
     """Plain-text custom graph: N; four role vertices; one edge per line."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PreconditionError(f"topology file {path}: {exc}") from exc
     lines = []
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if line:
             lines.append(line)
@@ -81,13 +85,26 @@ def _load_topology_file(path: str) -> Graph:
         raise PreconditionError(f"topology file {path}: {exc}") from exc
 
 
+def _check_fits(n: int) -> None:
+    """Refuse N whose dense eigensystem would exceed physical memory."""
+    d = n * (n - 1)
+    need = EIGENSYSTEM_ARRAYS * 8 * d * d
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise PreconditionError(f"N={n}: the dense eigensystem (d = {d}) needs "
+                                f"about {need / 1e9:.3g} GB, more than the "
+                                f"{have / 1e9:.3g} GB of physical memory")
+
+
 def _build_graph(args, n: int) -> Graph:
+    """The system's graph; N is checked against memory before a built-in one is built."""
+    if args.topology == "custom":
+        g = _load_topology_file(args.topology_file)
+        _check_fits(g.n_vertices)
+        return g
+    _check_fits(n)
     try:
-        if args.topology == "cross":
-            return build_cross(n)
-        if args.topology == "loop":
-            return build_loop(n)
-        return _load_topology_file(args.topology_file)
+        return build_cross(n) if args.topology == "cross" else build_loop(n)
     except ValueError as exc:
         raise PreconditionError(str(exc)) from exc
 
@@ -141,23 +158,17 @@ def _write_table(args, columns: list[str], rows: list[tuple],
 
 
 def _prepared(g: Graph):
-    d = g.n_vertices * (g.n_vertices - 1)
-    need = EIGENSYSTEM_ARRAYS * 8 * d * d
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise PreconditionError(f"N={g.n_vertices}: the dense eigensystem (d = {d}) needs "
-                                f"about {need / 1e9:.3g} GB, more than the "
-                                f"{have / 1e9:.3g} GB of physical memory")
-    basis = enumerate_basis(g.n_vertices)
-    eig = spectral_decompose(assemble_hamiltonian(g, basis))
-    return basis, eig, initial_state(g, basis)
+    return spectral_decompose(assemble_hamiltonian(g)), initial_state(g)
 
 
 def _parse_n_list(spec: str) -> list[int]:
     try:
-        return [int(x) for x in spec.split(",") if x.strip()]
+        ns = [int(x) for x in spec.split(",") if x.strip()]
     except ValueError as exc:
         raise PreconditionError(f"bad N list {spec!r}: {exc}") from exc
+    if not ns:
+        raise PreconditionError("empty N list")
+    return ns
 
 
 def _check_numeric_flags(args) -> None:
@@ -174,7 +185,7 @@ def _check_numeric_flags(args) -> None:
 def cmd_scan(args) -> int:
     g = _build_graph(args, args.n)
     t_max = args.t_max if args.t_max is not None else PEAK_WINDOW_FACTOR * g.n_vertices
-    basis, eig, psi0 = _prepared(g)
+    eig, psi0 = _prepared(g)
     grid = np.arange(0.0, t_max + args.grid_step, args.grid_step)
     rows = []
     for t in grid:
@@ -187,12 +198,10 @@ def cmd_scan(args) -> int:
 
 def cmd_peaks(args) -> int:
     ns = _parse_n_list(args.n_list)
-    if not ns:
-        raise PreconditionError("empty N list")
     rows = []
     for n in ns:
         g = _build_graph(args, n)
-        basis, eig, psi0 = _prepared(g)
+        eig, psi0 = _prepared(g)
         t_star, p_star = find_peak(eig, psi0, g, t_max=args.t_max,
                                    grid_step=args.grid_step,
                                    refine_tol=args.refine_tol)
@@ -206,6 +215,8 @@ def _parse_targets(spec: str) -> list[float]:
         targets = [float(x) for x in spec.split(",") if x.strip()]
     except ValueError as exc:
         raise PreconditionError(f"bad target list {spec!r}: {exc}") from exc
+    if not targets:
+        raise PreconditionError("empty target list")
     for q in targets:
         if not 0.0 < q < 1.0:
             raise PreconditionError(f"targets must lie strictly inside (0,1), got {q}")
@@ -218,7 +229,7 @@ def cmd_protocol1(args) -> int:
     required_rows, series_rows = [], []
     for n in ns:
         g = _build_graph(args, n)
-        basis, eig, psi0 = _prepared(g)
+        eig, psi0 = _prepared(g)
         t_star, p_star = find_peak(eig, psi0, g, t_max=args.t_max,
                                    grid_step=args.grid_step,
                                    refine_tol=args.refine_tol)
@@ -237,7 +248,7 @@ def cmd_protocol1(args) -> int:
 
 def cmd_protocol2(args) -> int:
     g = _build_graph(args, args.n)
-    basis, eig, psi0 = _prepared(g)
+    eig, _ = _prepared(g)
     if args.tau is not None:
         schedule = plan_regular(g, eig, args.tau, args.n_max)
     else:
@@ -273,7 +284,7 @@ def cmd_verify(args) -> int:
         raise PreconditionError(
             f"brute-force verification is capped at N <= {ORACLE_MAX_SITES}, got N={n}")
     label = f"N{n}"
-    h = assemble_hamiltonian(g, enumerate_basis(n))
+    h = assemble_hamiltonian(g)
     record(f"{label}_sector_restriction_max_diff",
            float(np.max(np.abs(sector_restriction(g) - h.matrix))), 1e-12)
     grid = np.arange(0.0, (args.t_max or 10.0) + 1e-9, 0.1)
@@ -351,6 +362,8 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     k = argv.index("--config")
     path = argv[k + 1]
     cfg = json.loads(Path(path).read_text())
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{path}: the top level is not a JSON object")
     flags: list[str] = []
     for key, value in cfg.items():
         flag = "--" + key.replace("_", "-")
@@ -368,7 +381,7 @@ def main(argv: list[str] | None = None) -> int:
     if argv and "--config" in argv:
         try:
             argv = _apply_config_file(argv)
-        except (OSError, json.JSONDecodeError, IndexError) as exc:
+        except (OSError, ValueError, IndexError) as exc:
             print(f"error: cannot read config file: {exc}", file=sys.stderr)
             return USAGE_ERROR
     parser = build_parser()

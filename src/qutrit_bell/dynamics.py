@@ -1,8 +1,11 @@
-"""Reduced two-excitation basis, exchange Hamiltonian and exact evolution.
+"""Two-excitation pair basis, exchange Hamiltonian and exact evolution.
 
 The dynamics conserve the number of +1 and -1 excitations separately, so a
 state with exactly one +1 (at site i) and one -1 (at site j) lives in the
-N(N-1)-dimensional space spanned by the ordered pairs |i,j>.
+N(N-1)-dimensional space spanned by the ordered pairs |i,j>, taken in
+lexicographic order; `pair_index` gives a pair's position in closed form,
+so there is no basis object: `assemble_hamiltonian(g)` and
+`initial_state(g)` need only the graph.
 
 Each edge (m,n) contributes the off-diagonal part of the two-site exchange,
 
@@ -41,43 +44,24 @@ PEAK_WINDOW_FACTOR = 6.4
 PHASE_BLOCK = 1024
 
 
-@dataclass(frozen=True)
-class BasisState:
-    plus_site: int
-    minus_site: int
+def _pair_position(n: int, plus, minus):
+    """Lexicographic position of |plus,minus>; elementwise on site arrays."""
+    return (plus - 1) * (n - 1) + (minus - 1) - (minus > plus)
 
 
-class TwoExcitationBasis:
-    """All ordered pairs (i, j), i != j, in lexicographic order."""
-
-    def __init__(self, n_vertices: int):
-        if n_vertices < 2:
-            raise ValueError(f"need at least 2 vertices, got {n_vertices}")
-        self.n_vertices = n_vertices
-        self.states = [BasisState(i, j)
-                       for i in range(1, n_vertices + 1)
-                       for j in range(1, n_vertices + 1) if i != j]
-        self._index = {(s.plus_site, s.minus_site): k for k, s in enumerate(self.states)}
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    def __iter__(self):
-        return iter(self.states)
-
-    def index_of(self, plus_site: int, minus_site: int) -> int:
-        return self._index[(plus_site, minus_site)]
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Plus and minus sites of every pair |i,j>, i != j, in lexicographic order."""
+    k = np.arange(n * (n - 1))
+    plus = k // (n - 1) + 1
+    minus = k % (n - 1) + 1
+    return plus, minus + (minus >= plus)
 
 
 def pair_index(n: int, i: int, j: int) -> int:
     """Dense position of |i,j> in the lexicographic basis, O(1)."""
     if i == j or not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"invalid pair ({i},{j}) for n={n}")
-    return (i - 1) * (n - 1) + (j - 1) - (1 if j > i else 0)
-
-
-def enumerate_basis(n: int) -> TwoExcitationBasis:
-    return TwoExcitationBasis(n)
+    return _pair_position(n, i, j)
 
 
 @lru_cache(maxsize=64)
@@ -88,15 +72,13 @@ def _index_groups(g: Graph) -> dict[str, np.ndarray]:
     touching only Alice/only Bob; ``g1`` the pairs touching neither.
     """
     n, a, b = g.n_vertices, g.roles.alice, g.roles.bob
-    groups = {"success": [pair_index(n, b, a), pair_index(n, a, b)],
-              "g1": [], "g2": [], "g3": []}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j or {i, j} == {a, b}:
-                continue
-            key = "g2" if a in (i, j) else "g3" if b in (i, j) else "g1"
-            groups[key].append(pair_index(n, i, j))
-    return {key: np.array(rows, dtype=int) for key, rows in groups.items()}
+    plus, minus = _pairs(n)
+    on_a = (plus == a) | (minus == a)
+    on_b = (plus == b) | (minus == b)
+    return {"success": np.array([pair_index(n, b, a), pair_index(n, a, b)]),
+            "g1": np.flatnonzero(~on_a & ~on_b),
+            "g2": np.flatnonzero(on_a & ~on_b),
+            "g3": np.flatnonzero(on_b & ~on_a)}
 
 
 @dataclass(frozen=True)
@@ -106,26 +88,23 @@ class Hamiltonian:
     matrix: np.ndarray
 
 
-def assemble_hamiltonian(g: Graph, basis: TwoExcitationBasis) -> Hamiltonian:
+def assemble_hamiltonian(g: Graph) -> Hamiltonian:
     """Build H = sum over edges of the equal-state-free exchange operator.
 
     For each edge (m,n) and pair (i,j): if the edge touches exactly one of
     the excitations, that excitation hops to the other endpoint; if the
     edge is {i,j}, the two excitations swap. Edges disjoint from {i,j}
-    contribute nothing (zero diagonal).
+    contribute nothing (zero diagonal). For one edge the pairs it moves map
+    one to one onto their images, so each edge is a single scatter.
     """
     n = g.n_vertices
-    if basis.n_vertices != n:
-        raise ValueError(f"basis built for N={basis.n_vertices}, graph has N={n}")
-    d = len(basis)
-    h = np.zeros((d, d))
+    plus, minus = _pairs(n)
+    h = np.zeros((plus.size, plus.size))
     for (m, mm) in g.edges:
-        for k, s in enumerate(basis.states):
-            i, j = s.plus_site, s.minus_site
-            ti = mm if i == m else (m if i == mm else i)
-            tj = mm if j == m else (m if j == mm else j)
-            if (ti, tj) != (i, j):
-                h[basis.index_of(ti, tj), k] += 1.0
+        ti = np.where(plus == m, mm, np.where(plus == mm, m, plus))
+        tj = np.where(minus == m, mm, np.where(minus == mm, m, minus))
+        moved = (ti != plus) | (tj != minus)
+        h[_pair_position(n, ti[moved], tj[moved]), moved] += 1.0
     return Hamiltonian(h)
 
 
@@ -173,12 +152,11 @@ class Wavefunction:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def initial_state(g: Graph, basis: TwoExcitationBasis | None = None) -> Wavefunction:
+def initial_state(g: Graph) -> Wavefunction:
     """|charlie_plus, charlie_minus>: +1 at Charlie's plus site, -1 at the other."""
-    if basis is None:
-        basis = enumerate_basis(g.n_vertices)
-    a = np.zeros(len(basis), dtype=complex)
-    a[basis.index_of(g.roles.charlie_plus, g.roles.charlie_minus)] = 1.0
+    n = g.n_vertices
+    a = np.zeros(n * (n - 1), dtype=complex)
+    a[pair_index(n, g.roles.charlie_plus, g.roles.charlie_minus)] = 1.0
     return Wavefunction(amplitudes=a, time_stamp=0.0)
 
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (_index_groups, amplitude_rows, assemble_hamiltonian,
-                       enumerate_basis, evolve, initial_state, spectral_decompose)
+from .dynamics import (_index_groups, _pairs, amplitude_rows, assemble_hamiltonian,
+                       evolve, initial_state, spectral_decompose)
 from .topology import Graph
 
 ORACLE_MAX_SITES = 9
@@ -100,13 +100,9 @@ def full_initial_index(g: Graph) -> int:
 
 def _sector_indices(g: Graph) -> np.ndarray:
     """Full-space index of |i,j> for every reduced basis state, in order."""
-    n = g.n_vertices
-    basis = enumerate_basis(n)
-    base = np.sum(np.ones(n, dtype=np.int64) * 3 ** np.arange(n))
-    out = np.empty(len(basis), dtype=np.int64)
-    for k, s in enumerate(basis.states):
-        out[k] = base + 3 ** (s.plus_site - 1) - 3 ** (s.minus_site - 1)
-    return out
+    plus, minus = _pairs(g.n_vertices)
+    base = np.sum(3 ** np.arange(g.n_vertices, dtype=np.int64))  # every site at 0
+    return base + 3 ** (plus - 1) - 3 ** (minus - 1)
 
 
 def sector_restriction(g: Graph) -> np.ndarray:
@@ -180,9 +176,8 @@ def full_evolve_compare(g: Graph, t_grid) -> OracleComparison:
     """
     _check_oracle_size(g.n_vertices)
     t_grid = np.asarray(t_grid, dtype=float)
-    basis = enumerate_basis(g.n_vertices)
-    eig = spectral_decompose(assemble_hamiltonian(g, basis))
-    psi_red0 = initial_state(g, basis)
+    eig = spectral_decompose(assemble_hamiltonian(g))
+    psi_red0 = initial_state(g)
 
     full = FullHamiltonian(g)
     psi_full = np.zeros(full.dimension, dtype=complex)
@@ -211,9 +206,7 @@ def symmetry_check(g: Graph, t_grid) -> float:
     caller is expected to have verified it exists.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    n = g.n_vertices
-    basis = enumerate_basis(n)
-    eig = spectral_decompose(assemble_hamiltonian(g, basis))
-    psi0 = initial_state(g, basis)
+    eig = spectral_decompose(assemble_hamiltonian(g))
+    psi0 = initial_state(g)
     amps = amplitude_rows(eig, psi0, _index_groups(g)["success"], t_grid)
     return float(np.max(np.abs(amps[0] - amps[1])))

@@ -86,7 +86,7 @@ _SCHEDULES = {}
 
 def schedule_for(family, n):
     if (family, n) not in _SCHEDULES:
-        g, _, e, _ = prepared(family, n)
+        g, e, _ = prepared(family, n)
         _SCHEDULES[(family, n)] = plan_protocol2(g, e, Strategy.PEAK_SUCCESS,
                                                  n_max=10)
     return _SCHEDULES[(family, n)]
@@ -223,7 +223,7 @@ def test_criterion_4_degraded_properties(family, n):
     assert np.all(ptot <= 1.0 + 1e-12)
     assert np.all(ptot[1:] >= pbar[1:] - 1e-12)
     # geometric lower bound at every reset count (run-level restatement)
-    g, _, e, _ = prepared(family, n)
+    g, e, _ = prepared(family, n)
     check = protocol2_limit_check(g, e, q=0.999999, max_measurements=10)
     assert check.run_success_ok
     assert check.reset_bound_ok
@@ -236,7 +236,7 @@ def test_criterion_4_degraded_properties(family, n):
 
 @pytest.mark.parametrize("family,n", [("cross", 5), ("loop", 4)])
 def test_criterion_5_limit_behavior(family, n):
-    g, _, e, _ = prepared(family, n)
+    g, e, _ = prepared(family, n)
     result = protocol2_limit_check(g, e, q=0.99, max_measurements=500)
     ok = result.reached and result.series[result.n_reached - 1] >= 0.99
     report(5, f"{family} N={n}", ok,
@@ -251,9 +251,9 @@ def test_criterion_5_limit_behavior(family, n):
 
 @pytest.mark.parametrize("family,n", [("loop", 4), ("cross", 5)])
 def test_criterion_6_oracle_equivalence(family, n):
-    g, basis, _, _ = prepared(family, n)
+    g, *_ = prepared(family, n)
     comparison = full_evolve_compare(g, np.arange(0.0, 10.0 + 1e-9, 0.1))
-    reduced = assemble_hamiltonian(g, basis).matrix
+    reduced = assemble_hamiltonian(g).matrix
     restricted = sector_restriction(g)
     ok = (comparison.max_amplitude_deviation < 1e-9
           and comparison.max_sector_leakage < 1e-12
@@ -289,7 +289,7 @@ def test_criterion_7_recursion_vs_enumeration():
 
 @pytest.mark.parametrize("family,n", list(PEAK_REFERENCE))
 def test_criterion_8_symmetry_invariant(family, n):
-    g, _, e, psi0 = prepared(family, n)
+    g, e, psi0 = prepared(family, n)
     rows = (pair_index(n, g.roles.bob, g.roles.alice),
             pair_index(n, g.roles.alice, g.roles.bob))
     grid = np.arange(0.0, 8.0 * n, 0.01)
@@ -321,7 +321,7 @@ def test_criterion_9_generator_algebra():
 
 
 def test_criterion_10_monte_carlo():
-    g, _, e, _ = prepared("cross", 5)
+    g, e, _ = prepared("cross", 5)
     sched = schedule_for("cross", 5)
     trials = 100_000
     stats = monte_carlo(g, e, sched, trials=trials, seed=20240817, max_steps=5)

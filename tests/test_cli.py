@@ -201,16 +201,20 @@ class TestVerify:
 
 
 class TestSizeGuard:
+    # N = 10^6 would take seconds and hundreds of MB to build: the guard
+    # must refuse it before the graph exists
     @pytest.mark.parametrize("argv", [
         ["scan", "--topology", "loop", "--n", "1000"],
         ["peaks", "--topology", "loop", "--n-list", "4,1000"],
+        ["scan", "--topology", "loop", "--n", "1000000"],
+        ["verify", "--topology", "loop", "--n", "1000000"],
     ])
     def test_eigensystem_beyond_physical_memory_is_exit_2(self, argv, capsys):
         with time_budget(1):
             code, out, err = run_cli(argv, capsys)
         assert code == 2
         assert out == ""
-        assert "N=1000" in err and "GB" in err
+        assert f"N={argv[-1].split(',')[-1]}:" in err and "GB" in err
 
 
 class TestOutputHandling:
@@ -287,6 +291,38 @@ class TestOutputHandling:
         assert code == 2
         assert out == ""
         assert "must be" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("args", [
+        ["peaks", "--topology", "cross", "--n-list", ","],
+        ["protocol1", "--topology", "cross", "--n-list", ","],
+        ["protocol1", "--topology", "cross", "--n-list", "5", "--targets", ","],
+    ])
+    def test_empty_list_is_exit_2(self, args, capsys):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2
+        assert out == ""
+        assert "empty" in err
+
+    @pytest.mark.parametrize("content", ["[1, 2]", '"loop"', "3"])
+    def test_config_that_is_not_an_object_is_exit_1(self, tmp_path, content, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(content)
+        code, out, err = run_cli(["scan", "--config", str(cfg)], capsys)
+        assert code == 1
+        assert out == ""
+        assert "config" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("name,content", [("missing.txt", None),
+                                              ("binary.txt", b"\xff\xfe\x00")])
+    def test_unreadable_topology_file_is_exit_2(self, tmp_path, name, content, capsys):
+        topo = tmp_path / name
+        if content is not None:
+            topo.write_bytes(content)
+        code, out, err = run_cli(["scan", "--topology", "custom",
+                                  "--topology-file", str(topo)], capsys)
+        assert code == 2
+        assert out == ""
+        assert str(topo) in err and "Traceback" not in err
 
     def test_usage_error_is_exit_1(self):
         proc = subprocess.run(

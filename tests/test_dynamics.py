@@ -1,3 +1,4 @@
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,12 +6,13 @@ from hypothesis import strategies as st
 
 from conftest import peak, prepared
 from qutrit_bell import (Graph, Hamiltonian, Roles, assemble_hamiltonian,
-                         build_cross, build_loop, enumerate_basis, evolve,
+                         build_cross, build_loop, evolve,
                          find_protocol_automorphism, find_peak, initial_state,
                          outcome_distribution, scan_success, spectral_decompose,
                          success_probability)
 from qutrit_bell.dynamics import (PHASE_BLOCK, Wavefunction, _SpectralKernel,
-                                  amplitude_rows, pair_index, refine_maximum)
+                                  _index_groups, _pairs, amplitude_rows, pair_index,
+                                  refine_maximum)
 
 
 def reversed_labels(g):
@@ -25,72 +27,123 @@ LOOP4_EIGENVALUES = [-2.5615528128, -2.5615528128, -2.3722813233, -1.0, -1.0,
                      0.0, 1.0, 1.0, 1.0, 1.5615528128, 1.5615528128, 3.3722813233]
 
 
+def sorted_pairs(n):
+    """Every ordered pair (i, j), i != j, by a plain double loop."""
+    return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+
+
+def reference_hamiltonian(g):
+    """The exchange Hamiltonian built pair by pair, with a dict for the ordering."""
+    pairs = sorted_pairs(g.n_vertices)
+    index = {pair: k for k, pair in enumerate(pairs)}
+    h = np.zeros((len(pairs), len(pairs)))
+    for m, mm in g.edges:
+        for k, (i, j) in enumerate(pairs):
+            ti = mm if i == m else (m if i == mm else i)
+            tj = mm if j == m else (m if j == mm else j)
+            if (ti, tj) != (i, j):
+                h[index[ti, tj], k] += 1.0
+    return h
+
+
+def reference_index_groups(g):
+    """The four outcome row sets, pair by pair."""
+    a, b = g.roles.alice, g.roles.bob
+    pairs = sorted_pairs(g.n_vertices)
+    groups = {"success": [pairs.index((b, a)), pairs.index((a, b))],
+              "g1": [], "g2": [], "g3": []}
+    for k, (i, j) in enumerate(pairs):
+        if {i, j} != {a, b}:
+            groups["g2" if a in (i, j) else "g3" if b in (i, j) else "g1"].append(k)
+    return groups
+
+
+def random_graph_with_moved_roles():
+    """A seeded connected 10-site graph; Alice and Bob sit at 1 and 5."""
+    nxg = nx.connected_watts_strogatz_graph(10, 4, 0.5, seed=3)
+    return Graph(10, frozenset((min(u, v) + 1, max(u, v) + 1) for u, v in nxg.edges),
+                 Roles(3, 7, 1, 5))
+
+
+REGRESSION_GRAPHS = {"cross-5": build_cross(5), "cross-9": build_cross(9),
+                     "cross-35": build_cross(35), "loop-4": build_loop(4),
+                     "loop-8": build_loop(8), "loop-36": build_loop(36),
+                     "random-10": random_graph_with_moved_roles()}
+
+
 class TestBasis:
+    """The pair basis is `_pairs` and its inverse `pair_index`."""
+
     def test_smallest_case(self):
-        b = enumerate_basis(2)
-        assert [(s.plus_site, s.minus_site) for s in b.states] == [(1, 2), (2, 1)]
+        assert list(zip(*_pairs(2))) == [(1, 2), (2, 1)]
 
     @pytest.mark.parametrize("n,size", [(5, 20), (35, 1190), (8, 56)])
     def test_size(self, n, size):
-        assert len(enumerate_basis(n)) == size
+        plus, minus = _pairs(n)
+        assert plus.shape == minus.shape == (size,)
 
     def test_lexicographic_order(self):
-        b = enumerate_basis(4)
-        pairs = [(s.plus_site, s.minus_site) for s in b.states]
-        assert pairs == sorted(pairs)
+        pairs = [(int(i), int(j)) for i, j in zip(*_pairs(6))]
+        assert pairs == sorted(pairs) == sorted_pairs(6)
 
     def test_index_map_is_a_bijection(self):
-        b = enumerate_basis(6)
-        seen = {b.index_of(s.plus_site, s.minus_site) for s in b.states}
-        assert seen == set(range(len(b)))
+        n = 6
+        plus, minus = _pairs(n)
+        assert [pair_index(n, int(i), int(j)) for i, j in zip(plus, minus)] == \
+            list(range(n * (n - 1)))
 
     @given(st.integers(min_value=2, max_value=12), st.data())
     @settings(max_examples=60, deadline=None)
     def test_pair_index_closed_form(self, n, data):
         i = data.draw(st.integers(1, n))
         j = data.draw(st.integers(1, n).filter(lambda x: x != i))
-        assert pair_index(n, i, j) == enumerate_basis(n).index_of(i, j)
+        assert pair_index(n, i, j) == sorted_pairs(n).index((i, j))
 
-    def test_rejects_tiny(self):
+    @pytest.mark.parametrize("i,j", [(1, 1), (0, 2), (2, 6)])
+    def test_pair_index_rejects_invalid_pairs(self, i, j):
         with pytest.raises(ValueError):
-            enumerate_basis(1)
+            pair_index(5, i, j)
 
 
 class TestHamiltonian:
     def test_loop4_diagonal_is_zero(self):
-        g, b, _, _ = prepared("loop", 4)
-        h = assemble_hamiltonian(g, b)
+        g, _, _ = prepared("loop", 4)
+        h = assemble_hamiltonian(g)
         assert np.all(np.diag(h.matrix) == 0.0)
 
     def test_loop4_swap_element_on_an_edge(self):
-        g, b, _, _ = prepared("loop", 4)
-        h = assemble_hamiltonian(g, b)
+        g, _, _ = prepared("loop", 4)
+        h = assemble_hamiltonian(g)
         assert (1, 3) in g.edges
-        assert h.matrix[b.index_of(3, 1), b.index_of(1, 3)] == 1.0
+        assert h.matrix[pair_index(4, 3, 1), pair_index(4, 1, 3)] == 1.0
 
     def test_entries_and_symmetry(self):
         for family, n in (("cross", 7), ("loop", 8)):
-            g, b, _, _ = prepared(family, n)
-            m = assemble_hamiltonian(g, b).matrix
+            g, _, _ = prepared(family, n)
+            m = assemble_hamiltonian(g).matrix
             assert np.array_equal(m, m.T)
             assert set(np.unique(m)) <= {0.0, 1.0}
 
     def test_commutes_with_protocol_automorphism(self):
         for family, n in (("cross", 5), ("cross", 9), ("loop", 8)):
-            g, b, _, _ = prepared(family, n)
-            m = assemble_hamiltonian(g, b).matrix
+            g, _, _ = prepared(family, n)
+            m = assemble_hamiltonian(g).matrix
             perm = find_protocol_automorphism(g).mapping
-            d = len(b)
-            p = np.zeros((d, d))
-            for k, s in enumerate(b.states):
-                p[b.index_of(perm[s.plus_site - 1], perm[s.minus_site - 1]), k] = 1.0
+            p = np.zeros_like(m)
+            for k, (i, j) in enumerate(sorted_pairs(n)):
+                p[pair_index(n, perm[i - 1], perm[j - 1]), k] = 1.0
             assert np.max(np.abs(p @ m - m @ p)) < 1e-12
 
-    def test_mismatched_basis_rejected(self):
-        g = build_cross(5)
-        with pytest.raises(ValueError):
-            assemble_hamiltonian(g, enumerate_basis(7))
+    @pytest.mark.parametrize("g", REGRESSION_GRAPHS.values(), ids=REGRESSION_GRAPHS)
+    def test_equals_pair_by_pair_assembly(self, g):
+        assert np.array_equal(assemble_hamiltonian(g).matrix, reference_hamiltonian(g))
 
+    @pytest.mark.parametrize("g", REGRESSION_GRAPHS.values(), ids=REGRESSION_GRAPHS)
+    def test_index_groups_equal_pair_by_pair_groups(self, g):
+        groups, reference = _index_groups(g), reference_index_groups(g)
+        assert groups.keys() == reference.keys()
+        for key, rows in reference.items():
+            assert np.array_equal(groups[key], rows), key
 
 class TestSpectralDecompose:
     def test_two_level_swap_block(self):
@@ -99,17 +152,17 @@ class TestSpectralDecompose:
 
     def test_trace_identity(self):
         for family, n in (("cross", 7), ("loop", 8)):
-            g, b, e, _ = prepared(family, n)
-            h = assemble_hamiltonian(g, b)
+            g, e, _ = prepared(family, n)
+            h = assemble_hamiltonian(g)
             assert abs(np.trace(h.matrix) - e.eigenvalues.sum()) < 1e-8
 
     def test_loop4_spectrum_snapshot(self):
-        _, _, e, _ = prepared("loop", 4)
+        _, e, _ = prepared("loop", 4)
         assert np.allclose(sorted(e.eigenvalues), LOOP4_EIGENVALUES, atol=1e-9)
 
     def test_reconstruction(self):
-        g, b, e, _ = prepared("cross", 5)
-        h = assemble_hamiltonian(g, b).matrix
+        g, e, _ = prepared("cross", 5)
+        h = assemble_hamiltonian(g).matrix
         rebuilt = (e.eigenvectors * e.eigenvalues) @ e.eigenvectors.T
         assert np.max(np.abs(rebuilt - h)) < 1e-10
 
@@ -120,35 +173,35 @@ class TestSpectralDecompose:
 
 class TestInitialState:
     def test_cross5(self):
-        g, b, _, psi0 = prepared("cross", 5)
-        assert psi0.amplitudes[b.index_of(1, 2)] == 1.0
+        g, _, psi0 = prepared("cross", 5)
+        assert psi0.amplitudes[pair_index(5, 1, 2)] == 1.0
         assert psi0.norm() == pytest.approx(1.0, abs=1e-14)
 
     def test_loop8(self):
-        g, b, _, psi0 = prepared("loop", 8)
-        assert psi0.amplitudes[b.index_of(4, 3)] == 1.0
+        g, _, psi0 = prepared("loop", 8)
+        assert psi0.amplitudes[pair_index(8, 4, 3)] == 1.0
 
 
 class TestEvolve:
     def test_identity_at_zero(self):
-        _, _, e, psi0 = prepared("cross", 5)
+        _, e, psi0 = prepared("cross", 5)
         out = evolve(e, psi0, 0.0)
         assert np.allclose(out.amplitudes, psi0.amplitudes, atol=1e-14)
 
     @pytest.mark.parametrize("t", [0.1, 1.0, 10.0])
     def test_unitarity(self, t):
-        _, _, e, psi0 = prepared("loop", 8)
+        _, e, psi0 = prepared("loop", 8)
         assert abs(evolve(e, psi0, t).norm() - 1.0) < 1e-10
 
     def test_group_property(self):
-        _, _, e, psi0 = prepared("cross", 7)
+        _, e, psi0 = prepared("cross", 7)
         once = evolve(e, psi0, 1.3 + 2.4)
         twice = evolve(e, evolve(e, psi0, 1.3), 2.4)
         assert np.max(np.abs(once.amplitudes - twice.amplitudes)) < 1e-9
         assert twice.time_stamp == pytest.approx(3.7)
 
     def test_dimension_mismatch(self):
-        _, _, e, _ = prepared("cross", 5)
+        _, e, _ = prepared("cross", 5)
         with pytest.raises(ValueError):
             evolve(e, Wavefunction(np.zeros(3, dtype=complex)), 1.0)
 
@@ -157,7 +210,7 @@ class TestSpectralKernel:
     ROWS = [0, 7, 20, 55]
 
     def test_blocked_grid_matches_evolve_at_block_boundaries(self):
-        _, _, e, psi0 = prepared("loop", 8)
+        _, e, psi0 = prepared("loop", 8)
         t = 0.01 * np.arange(2 * PHASE_BLOCK + 100)  # three phase blocks
         amps = amplitude_rows(e, psi0, self.ROWS, t)
         for k in (0, PHASE_BLOCK - 1, PHASE_BLOCK, 2 * PHASE_BLOCK - 1,
@@ -166,7 +219,7 @@ class TestSpectralKernel:
             assert np.max(np.abs(amps[:, k] - full[self.ROWS])) < 1e-12
 
     def test_scalar_time_equals_grid_column(self):
-        _, _, e, psi0 = prepared("loop", 8)
+        _, e, psi0 = prepared("loop", 8)
         t = 0.01 * np.arange(2 * PHASE_BLOCK + 100)
         kernel = _SpectralKernel(e, psi0, self.ROWS)
         grid = kernel(t)
@@ -183,7 +236,7 @@ class TestSpectralKernel:
 
     def test_bit_identical_to_the_dense_formula(self):
         # protocol-2 goldens on near-zero curves move with a one-ulp change
-        _, _, e, _ = prepared("loop", 8)
+        _, e, _ = prepared("loop", 8)
         rng = np.random.default_rng(3)
         psi = rng.normal(size=56) + 1j * rng.normal(size=56)
         kernel = _SpectralKernel(e, Wavefunction(psi), self.ROWS)
@@ -197,7 +250,7 @@ class TestSpectralKernel:
     def test_lone_last_time_is_its_own_block(self):
         # a one-column product rounds differently from a wider one, so the
         # block edges are part of the result
-        _, _, e, _ = prepared("loop", 8)
+        _, e, _ = prepared("loop", 8)
         psi = np.random.default_rng(4).normal(size=56) + 0j
         t = 0.01 * np.arange(2 * PHASE_BLOCK + 1)
         got = _SpectralKernel(e, Wavefunction(psi), self.ROWS)(t)
@@ -208,7 +261,7 @@ class TestSpectralKernel:
 
 class TestSuccessProbability:
     def test_zero_at_start(self):
-        g, _, _, psi0 = prepared("cross", 5)
+        g, _, psi0 = prepared("cross", 5)
         assert success_probability(psi0, g) == 0.0
 
     def test_loop4_peak_value(self):
@@ -217,19 +270,18 @@ class TestSuccessProbability:
 
     def test_equals_projection_on_symmetric_graphs(self):
         from qutrit_bell import outcome_distribution
-        g, _, e, psi0 = prepared("loop", 8)
+        g, e, psi0 = prepared("loop", 8)
         for t in (0.7, 3.1, 11.0):
             psi = evolve(e, psi0, t)
             d = outcome_distribution(psi, g)
             assert abs(d.pS_bell - d.pS_projection) < 1e-10
 
     def test_roles_off_the_last_two_sites(self):
-        g, _, e, psi0 = prepared("cross", 5)
+        g, e, psi0 = prepared("cross", 5)
         h = reversed_labels(g)
         assert (h.roles.alice, h.roles.bob) == (2, 1)
-        b = enumerate_basis(5)
-        e_h = spectral_decompose(assemble_hamiltonian(h, b))
-        psi_h = initial_state(h, b)
+        e_h = spectral_decompose(assemble_hamiltonian(h))
+        psi_h = initial_state(h)
         for t in (0.0, 0.7, 3.1, 11.0):
             d = outcome_distribution(evolve(e, psi0, t), g)
             d_h = outcome_distribution(evolve(e_h, psi_h, t), h)
@@ -243,13 +295,13 @@ class TestSuccessProbability:
 
 class TestScanAndPeaks:
     def test_scan_starts_at_zero(self):
-        g, _, e, psi0 = prepared("cross", 5)
+        g, e, psi0 = prepared("cross", 5)
         ts, p = scan_success(e, psi0, g, np.arange(0.0, 5.0, 0.1))
         assert p[0] == pytest.approx(0.0, abs=1e-15)
         assert np.all((p >= -1e-12) & (p <= 1.0 + 1e-12))
 
     def test_cross5_has_an_early_peak(self):
-        g, _, e, psi0 = prepared("cross", 5)
+        g, e, psi0 = prepared("cross", 5)
         ts, p = scan_success(e, psi0, g, np.arange(0.0, 10.0, 0.01))
         interior = (p[1:-1] >= p[:-2]) & (p[1:-1] >= p[2:]) & (p[1:-1] > 0.1)
         assert interior.any()
@@ -259,7 +311,7 @@ class TestScanAndPeaks:
         assert peak("loop", 12)[1] < peak("loop", 8)[1]
 
     def test_bad_grid_rejected(self):
-        g, _, e, psi0 = prepared("cross", 5)
+        g, e, psi0 = prepared("cross", 5)
         with pytest.raises(ValueError):
             scan_success(e, psi0, g, np.array([]))
         with pytest.raises(ValueError):
@@ -272,13 +324,13 @@ class TestScanAndPeaks:
         assert p_star == pytest.approx(0.342936, abs=1e-5)
 
     def test_find_peak_degenerate_flat_curve(self):
-        g, b, _, psi0 = prepared("cross", 5)
+        g, _, psi0 = prepared("cross", 5)
         frozen = spectral_decompose(Hamiltonian(np.zeros((20, 20))))
         t_star, p_star = find_peak(frozen, psi0, g, t_max=5.0)
         assert (t_star, p_star) == (0.0, 0.0)
 
     def test_find_peak_rejects_bad_window(self):
-        g, _, e, psi0 = prepared("cross", 5)
+        g, e, psi0 = prepared("cross", 5)
         with pytest.raises(ValueError):
             find_peak(e, psi0, g, t_max=-1.0)
 
@@ -287,7 +339,7 @@ class TestSymmetryInvariant:
     @pytest.mark.parametrize("family,n", [("cross", 5), ("cross", 7), ("loop", 4),
                                           ("loop", 8)])
     def test_bell_amplitudes_stay_equal(self, family, n):
-        g, _, e, psi0 = prepared(family, n)
+        g, e, psi0 = prepared(family, n)
         rows = (pair_index(n, g.roles.bob, g.roles.alice),
                 pair_index(n, g.roles.alice, g.roles.bob))
         amps = amplitude_rows(e, psi0, rows, np.arange(0.0, 2.0 * n, 0.01))

@@ -8,20 +8,20 @@ from qutrit_bell.dynamics import Wavefunction, pair_index
 
 
 def evolved(family, n, t):
-    g, _, e, psi0 = prepared(family, n)
+    g, e, psi0 = prepared(family, n)
     return g, evolve(e, psi0, t)
 
 
 class TestOutcomeDistribution:
     def test_initial_state_is_all_psi1(self):
-        g, _, _, psi0 = prepared("cross", 5)
+        g, _, psi0 = prepared("cross", 5)
         d = outcome_distribution(psi0, g)
         assert d.p1 == pytest.approx(1.0, abs=1e-14)
         assert d.p2 == d.p3 == d.pS_projection == 0.0
 
     def test_completeness_along_the_evolution(self):
         rng = np.random.default_rng(7)
-        g, _, e, psi0 = prepared("loop", 8)
+        g, e, psi0 = prepared("loop", 8)
         for t in rng.uniform(0.0, 40.0, size=25):
             d = outcome_distribution(evolve(e, psi0, float(t)), g)
             assert d.p1 + d.p2 + d.p3 + d.pS_projection == pytest.approx(1.0, abs=1e-10)
@@ -31,7 +31,7 @@ class TestOutcomeDistribution:
 
     def test_completeness_on_random_states(self):
         rng = np.random.default_rng(11)
-        g, b, _, _ = prepared("cross", 5)
+        g, _, _ = prepared("cross", 5)
         for _ in range(20):
             a = rng.normal(size=20) + 1j * rng.normal(size=20)
             psi = Wavefunction(a / np.linalg.norm(a))
@@ -47,7 +47,7 @@ class TestOutcomeDistribution:
         assert d.pS_bell == pytest.approx(d.pS_projection, abs=1e-10)
 
     def test_non_normalized_rejected(self):
-        g, _, _, psi0 = prepared("cross", 5)
+        g, _, psi0 = prepared("cross", 5)
         bad = Wavefunction(psi0.amplitudes * 1.5)
         with pytest.raises(ValueError, match="norm"):
             outcome_distribution(bad, g)
@@ -91,7 +91,7 @@ class TestPostState:
         assert fidelity == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_probability_outcome_refused(self):
-        g, _, _, psi0 = prepared("cross", 5)
+        g, _, psi0 = prepared("cross", 5)
         with pytest.raises(ValueError, match="probability"):
             post_state(psi0, Outcome.SUCCESS, g)
 
@@ -104,28 +104,28 @@ class TestPostState:
 
 class TestBellFidelity:
     def test_exact_bell_state(self):
-        g, b, _, _ = prepared("cross", 5)
+        g, _, _ = prepared("cross", 5)
         n = g.n_vertices
-        a = np.zeros(len(b), dtype=complex)
+        a = np.zeros(n * (n - 1), dtype=complex)
         a[pair_index(n, n - 1, n)] = 1 / np.sqrt(2)
         a[pair_index(n, n, n - 1)] = 1 / np.sqrt(2)
         assert bell_fidelity(Wavefunction(a), g) == pytest.approx(1.0, abs=1e-14)
 
     def test_orthogonal_combination(self):
-        g, b, _, _ = prepared("cross", 5)
+        g, _, _ = prepared("cross", 5)
         n = g.n_vertices
-        a = np.zeros(len(b), dtype=complex)
+        a = np.zeros(n * (n - 1), dtype=complex)
         a[pair_index(n, n, n - 1)] = 1 / np.sqrt(2)
         a[pair_index(n, n - 1, n)] = -1 / np.sqrt(2)
         assert bell_fidelity(Wavefunction(a), g) == 0.0
 
     def test_zero_weight_defaults_to_zero(self):
-        g, _, _, psi0 = prepared("cross", 5)
+        g, _, psi0 = prepared("cross", 5)
         assert bell_fidelity(psi0, g) == 0.0
 
     def test_unity_along_builtin_evolutions(self):
         for family, n in (("cross", 7), ("loop", 8)):
-            g, _, e, psi0 = prepared(family, n)
+            g, e, psi0 = prepared(family, n)
             for t in (1.0, 4.2, 17.0):
                 psi = evolve(e, psi0, t)
                 d = outcome_distribution(psi, g)

@@ -65,8 +65,7 @@ class TestSectorRestriction:
     @pytest.mark.parametrize("builder,n", [(build_loop, 4), (build_cross, 5)])
     def test_equals_reduced_hamiltonian(self, builder, n):
         g = builder(n)
-        _, b, _, _ = prepared("loop" if builder is build_loop else "cross", n)
-        reduced = assemble_hamiltonian(g, b).matrix
+        reduced = assemble_hamiltonian(g).matrix
         restricted = sector_restriction(g)
         assert np.array_equal(restricted, reduced)
 

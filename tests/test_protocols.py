@@ -26,13 +26,13 @@ def synthetic_schedule(rows, n_vertices=5, strategy="synthetic"):
 
 @pytest.fixture(scope="module")
 def cross5_schedule():
-    g, _, e, _ = prepared("cross", 5)
+    g, e, _ = prepared("cross", 5)
     return plan_protocol2(g, e, Strategy.PEAK_SUCCESS, n_max=10)
 
 
 @pytest.fixture(scope="module")
 def loop4_schedule():
-    g, _, e, _ = prepared("loop", 4)
+    g, e, _ = prepared("loop", 4)
     return plan_protocol2(g, e, Strategy.PEAK_SUCCESS, n_max=10)
 
 
@@ -107,7 +107,7 @@ class TestPlanProtocol2:
             assert s.time > 0
 
     def test_all_strategies_produce_valid_schedules(self):
-        g, _, e, _ = prepared("loop", 8)
+        g, e, _ = prepared("loop", 8)
         for strategy in Strategy:
             sched = plan_protocol2(g, e, strategy, n_max=3)
             assert len(sched) == 3
@@ -116,13 +116,13 @@ class TestPlanProtocol2:
             assert np.all(np.diff(series) >= -1e-12)
 
     def test_rejects_bad_n_max(self):
-        g, _, e, _ = prepared("cross", 5)
+        g, e, _ = prepared("cross", 5)
         with pytest.raises(ValueError):
             plan_protocol2(g, e, Strategy.PEAK_SUCCESS, n_max=0)
 
     def test_blocked_curves_equal_whole_grid_curves(self):
         # the last block holds one time, the case np.sum would round pairwise
-        g, _, e, psi0 = prepared("loop", 8)
+        g, e, psi0 = prepared("loop", 8)
         grp = _index_groups(g)
         rows = np.concatenate([grp["success"], grp["g2"], grp["g3"]])
         t = 0.01 * np.arange(2 * PHASE_BLOCK + 1)
@@ -136,7 +136,7 @@ class TestPlanProtocol2:
         assert np.array_equal(p_u, whole[1])
 
     def test_planning_holds_no_rows_by_grid_matrix(self):
-        g, _, e, _ = prepared("loop", 16)
+        g, e, _ = prepared("loop", 16)
         # one rows x T complex matrix over the 8N planning grid: 11.9 MB
         rows = 2 + len(_index_groups(g)["g2"]) + len(_index_groups(g)["g3"])
         t_size = int(8.0 * 16 / 0.01) + 1
@@ -151,7 +151,7 @@ class TestPlanProtocol2:
 
 class TestRegularSchedule:
     def test_fixed_interval(self):
-        g, _, e, _ = prepared("cross", 5)
+        g, e, _ = prepared("cross", 5)
         sched = plan_regular(g, e, tau=2.3, n_max=6)
         assert sched.strategy == "regular"
         assert np.allclose(sched.times, 2.3)
@@ -159,7 +159,7 @@ class TestRegularSchedule:
         assert np.all(np.diff(series) >= -1e-12)
 
     def test_rejects_bad_tau(self):
-        g, _, e, _ = prepared("cross", 5)
+        g, e, _ = prepared("cross", 5)
         with pytest.raises(ValueError):
             plan_regular(g, e, tau=0.0, n_max=3)
 
@@ -203,7 +203,7 @@ class TestCumulativeSeries:
 
 class TestLimitCheck:
     def test_loop4_reaches_099_at_8(self):
-        g, _, e, _ = prepared("loop", 4)
+        g, e, _ = prepared("loop", 4)
         report = protocol2_limit_check(g, e, q=0.99)
         assert report.reached
         assert report.n_reached == 8
@@ -212,7 +212,7 @@ class TestLimitCheck:
         assert report.reset_bound_ok
 
     def test_cross5_reaches_target(self):
-        g, _, e, _ = prepared("cross", 5)
+        g, e, _ = prepared("cross", 5)
         report = protocol2_limit_check(g, e, q=0.5)
         assert report.reached
         assert report.series[report.n_reached - 1] >= 0.5
@@ -222,42 +222,42 @@ class TestLimitCheck:
         assert report.reset_bound_ok
 
     def test_cap_reported(self):
-        g, _, e, _ = prepared("cross", 9)
+        g, e, _ = prepared("cross", 9)
         report = protocol2_limit_check(g, e, q=0.999, max_measurements=4)
         assert not report.reached
         assert len(report.series) == 4
 
     @pytest.mark.parametrize("family,n", [("cross", 5), ("loop", 8)])
     def test_schedule_equals_plan_step_for_step(self, family, n):
-        g, _, e, _ = prepared(family, n)
+        g, e, _ = prepared(family, n)
         report = protocol2_limit_check(g, e, q=0.99, max_measurements=12)
         planned = plan_protocol2(g, e, n_max=len(report.schedule))
         assert len(report.schedule) > 1
         assert report.schedule.steps == planned.steps
 
     def test_rejects_bad_target(self):
-        g, _, e, _ = prepared("cross", 5)
+        g, e, _ = prepared("cross", 5)
         with pytest.raises(ValueError):
             protocol2_limit_check(g, e, q=1.0)
 
 
 class TestMonteCarlo:
     def test_deterministic_given_seed(self, cross5_schedule):
-        g, _, e, _ = prepared("cross", 5)
+        g, e, _ = prepared("cross", 5)
         a = monte_carlo(g, e, cross5_schedule, trials=2000, seed=42)
         b = monte_carlo(g, e, cross5_schedule, trials=2000, seed=42)
         assert np.array_equal(a.successes_by_step, b.successes_by_step)
         assert a.resets == b.resets
 
     def test_certain_success(self):
-        g, _, e, _ = prepared("cross", 5)
+        g, e, _ = prepared("cross", 5)
         sched = synthetic_schedule([(1.0, 0.0, 0.0, 0.0)] * 3)
         stats = monte_carlo(g, e, sched, trials=500, seed=1)
         assert stats.successes_by_step[0] == 500
         assert stats.cumulative_success()[-1] == 500
 
     def test_matches_analytic_series(self, cross5_schedule):
-        g, _, e, _ = prepared("cross", 5)
+        g, e, _ = prepared("cross", 5)
         trials = 100_000
         stats = monte_carlo(g, e, cross5_schedule, trials=trials, seed=7,
                             max_steps=5)
@@ -268,12 +268,12 @@ class TestMonteCarlo:
             assert abs(stats.empirical_p(n) - p) <= 3 * sigma
 
     def test_counts_bounded_by_trials(self, cross5_schedule):
-        g, _, e, _ = prepared("cross", 5)
+        g, e, _ = prepared("cross", 5)
         stats = monte_carlo(g, e, cross5_schedule, trials=3000, seed=3)
         assert np.all(stats.cumulative_success() <= 3000)
 
     def test_rejects_bad_trials(self, cross5_schedule):
-        g, _, e, _ = prepared("cross", 5)
+        g, e, _ = prepared("cross", 5)
         with pytest.raises(ValueError):
             monte_carlo(g, e, cross5_schedule, trials=0, seed=1)
 
