@@ -21,9 +21,9 @@ import numpy as np
 
 from . import __version__
 from .dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL,
-                       PEAK_WINDOW_FACTOR, assemble_hamiltonian, evolve,
+                       PEAK_WINDOW_FACTOR, _time_grid, assemble_hamiltonian,
                        find_peak, initial_state, spectral_decompose)
-from .measurement import outcome_distribution
+from .measurement import outcome_curves
 from .oracle import (ORACLE_MAX_SITES, full_evolve_compare, sector_restriction,
                      su3_algebra_check, symmetry_check)
 from .protocols import (Strategy, build_protocol_report, plan_protocol2,
@@ -121,10 +121,22 @@ def _header_lines(args, extra: dict | None = None) -> list[str]:
     return lines
 
 
-def _write_table(args, columns: list[str], rows: list[tuple],
+def _csv_lines(args, extra_config: dict | None, sections):
+    yield from (line + "\n" for line in _header_lines(args, extra_config))
+    for name, cols, rws in sections:
+        if name:
+            yield f"# table: {name}\n"
+        yield ",".join(cols) + "\n"
+        yield from (",".join(_fmt(x) for x in row) + "\n" for row in rws)
+
+
+def _write_table(args, columns: list[str], rows,
                  extra_config: dict | None = None, sections=None) -> None:
-    """Emit one table (or several named sections) as CSV or JSON."""
-    out = Path(args.output) if args.output else None
+    """Emit one table (or several named sections) as CSV or JSON.
+
+    Rows may be any iterable. CSV rows are formatted as they are written, so
+    a long scan never holds its table as text.
+    """
     if args.format == "json":
         payload = {"config": {k: v for k, v in sorted(vars(args).items())
                               if k not in ("func", "no_timestamp", "output", "config")
@@ -140,21 +152,15 @@ def _write_table(args, columns: list[str], rows: list[tuple],
             payload["sections"] = {
                 name: {"columns": cols, "rows": [[_fmt(x) for x in row] for row in rws]}
                 for name, cols, rws in sections}
-        text = json.dumps(payload, indent=2) + "\n"
+        chunks = [json.dumps(payload, indent=2) + "\n"]
     else:
-        lines = _header_lines(args, extra_config)
-        if sections is None:
-            sections = [(None, columns, rows)]
-        for name, cols, rws in sections:
-            if name:
-                lines.append(f"# table: {name}")
-            lines.append(",".join(cols))
-            lines.extend(",".join(_fmt(x) for x in row) for row in rws)
-        text = "\n".join(lines) + "\n"
-    if out is None:
-        sys.stdout.write(text)
+        chunks = _csv_lines(args, extra_config,
+                            [(None, columns, rows)] if sections is None else sections)
+    if args.output:
+        with open(args.output, "w") as out:
+            out.writelines(chunks)
     else:
-        out.write_text(text)
+        sys.stdout.writelines(chunks)
 
 
 def _prepared(g: Graph):
@@ -186,12 +192,9 @@ def cmd_scan(args) -> int:
     g = _build_graph(args, args.n)
     t_max = args.t_max if args.t_max is not None else PEAK_WINDOW_FACTOR * g.n_vertices
     eig, psi0 = _prepared(g)
-    grid = np.arange(0.0, t_max + args.grid_step, args.grid_step)
-    rows = []
-    for t in grid:
-        psi = evolve(eig, psi0, float(t))
-        d = outcome_distribution(psi, g)
-        rows.append((float(t), d.pS_bell, d.p1, d.p2, d.p3, d.pS_projection))
+    grid = _time_grid(t_max, args.grid_step)
+    curves = outcome_curves(eig, psi0, g, grid)
+    rows = zip(*(map(float, column) for column in (grid, *curves)))
     _write_table(args, ["t", "p_success", "p1", "p2", "p3", "pS_projection"], rows)
     return 0
 
@@ -287,7 +290,7 @@ def cmd_verify(args) -> int:
     h = assemble_hamiltonian(g)
     record(f"{label}_sector_restriction_max_diff",
            float(np.max(np.abs(sector_restriction(g) - h.matrix))), 1e-12)
-    grid = np.arange(0.0, (args.t_max or 10.0) + 1e-9, 0.1)
+    grid = _time_grid(args.t_max or 10.0, 0.1)
     cmp_res = full_evolve_compare(g, grid)
     record(f"{label}_full_vs_reduced_max_amplitude_dev",
            cmp_res.max_amplitude_deviation, 1e-9)

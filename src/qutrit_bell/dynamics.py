@@ -16,7 +16,12 @@ exchanges the two excitations sitting on it (swap). Equal-state terms are
 excluded, so the matrix has zero diagonal and 0/1 off-diagonal entries.
 The propagator exp(-iHt) is evaluated through the dense eigendecomposition;
 for N <= 36 the dimension stays at or below 1260, where this is both exact
-and cheap to re-evaluate at many times. Units: hbar = 1, J = 1.
+and cheap to re-evaluate at many times. One private kernel,
+`_SpectralKernel`, holds the only exp(-i lambda t): it serves a scalar time
+(`evolve`), a few rows along a grid (`amplitude_rows`, `find_peak`, the
+protocol-2 planner), and the full state along a grid one block of times at
+a time (the outcome curves of `measurement.outcome_curves`). Time grids are
+built by `_time_grid`, which ends at t_max. Units: hbar = 1, J = 1.
 """
 
 from __future__ import annotations
@@ -42,6 +47,24 @@ PEAK_WINDOW_FACTOR = 6.4
 #: times per phase block on a grid: the exp(-i lambda t) block holds at most
 #: d * PHASE_BLOCK complex numbers (20 MB at d = 1260), whatever the grid length
 PHASE_BLOCK = 1024
+#: times per block when every row is wanted: the block's phases and its d x B
+#: amplitudes are each 5 MB at d = 1260. A loop-36 `scan` peaked at 112-113 MB
+#: of RSS at 256, as before blocking; at 1024 it reached 118 MB for 1001 points
+#: and 140 MB for the default 23,041.
+FULL_STATE_BLOCK = 256
+#: a grid point may pass t_max by this much and still count as <= t_max: it
+#: absorbs the rounding of k * step, not a further step
+GRID_END_SLACK = 1e-9
+
+
+def _time_grid(t_max: float, step: float) -> np.ndarray:
+    """0, step, 2 step, ... up to t_max, end point included.
+
+    The points are those of np.arange(0.0, t_max + step, step), whose last
+    point passes t_max for some windows (0.71 for t_max = 0.7, step 0.01).
+    """
+    grid = np.arange(0.0, t_max + step, step)
+    return grid[grid <= t_max + GRID_END_SLACK]
 
 
 def _pair_position(n: int, plus, minus):
@@ -165,11 +188,15 @@ class _SpectralKernel:
 
     V^T psi0 is formed once, and a row subset is cast to complex once. A
     scalar time gives shape (rows,); a 1-D grid gives (rows, T), with the
-    phases built PHASE_BLOCK times at a time.
+    phases built PHASE_BLOCK times at a time for a row subset and
+    FULL_STATE_BLOCK times at a time for every row.
 
-    Every result rounds exactly as exp(-1j * outer(lambda, t)) * V^T psi0
-    followed by one complex product per block would: protocol-2 schedules
-    planned on curves of height ~1e-13 move with any one-ulp change.
+    A scalar time and a row-subset grid round exactly as
+    exp(-1j * outer(lambda, t)) * V^T psi0 followed by one complex product
+    per PHASE_BLOCK block would: protocol-2 schedules planned on curves of
+    height ~1e-13 move with any one-ulp change. A full-state grid block is
+    one real product of V with the block's float view instead: it skips
+    numpy's complex copy of V, and its last bits may differ.
     """
 
     def __init__(self, e: Eigensystem, psi0: Wavefunction, rows=None):
@@ -179,6 +206,7 @@ class _SpectralKernel:
         self._coeff = e._vt @ psi0.amplitudes
         self._v = (e.eigenvectors if rows is None
                    else e.eigenvectors[list(rows), :].astype(complex))
+        self._block = FULL_STATE_BLOCK if rows is None else PHASE_BLOCK
 
     def _phased(self, t) -> np.ndarray:
         """exp(-i lambda t) V^T psi0: shape (d,) at a scalar t, (d, T) on a grid.
@@ -195,10 +223,16 @@ class _SpectralKernel:
         return out
 
     def _blocks(self, t: np.ndarray):
-        """(column slice, amplitudes) for each PHASE_BLOCK-long block of a grid."""
-        for s in range(0, t.size, PHASE_BLOCK):
-            cols = slice(s, s + PHASE_BLOCK)
-            yield cols, self._v @ self._phased(t[cols])
+        """(column slice, amplitudes) for each block of a grid."""
+        for s in range(0, t.size, self._block):
+            cols = slice(s, s + self._block)
+            yield cols, self._product(self._phased(t[cols]))
+
+    def _product(self, phased: np.ndarray) -> np.ndarray:
+        if self._v.dtype == complex:
+            return self._v @ phased
+        # V is real: one real product over the (re, im) column pairs
+        return (self._v @ phased.view(np.float64)).view(np.complex128)
 
     def __call__(self, t) -> np.ndarray:
         if np.ndim(t) == 0:
@@ -327,7 +361,7 @@ def find_peak(e: Eigensystem, psi0: Wavefunction, g: Graph,
         t_max = PEAK_WINDOW_FACTOR * g.n_vertices
     if t_max <= 0:
         raise ValueError(f"t_max must be positive, got {t_max}")
-    grid = np.arange(0.0, t_max + grid_step, grid_step)
+    grid = _time_grid(t_max, grid_step)
     p = success_curve(e, psi0, g, grid)
     if p.max() < 1e-15:
         logger.warning("success probability identically zero over [0, %g]", t_max)

@@ -11,6 +11,11 @@ state 0 or in the {+1, -1} subspace, without resolving the sign. Outcomes:
 On graphs with the protocol symmetry the two projected amplitudes are
 equal, so the heralded state is exactly the Bell combination and the
 heralded probability equals the projection probability.
+
+`outcome_distribution` measures one state; `outcome_curves` gives the same
+probabilities along a time grid, from full-state amplitudes computed one
+kernel block at a time. Both reduce through `_outcomes`, which checks the
+norm of every state it is given.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import Wavefunction, _index_groups
+from .dynamics import Eigensystem, Wavefunction, _index_groups, _SpectralKernel
 from .topology import Graph
 
 NORM_TOL = 1e-8
@@ -55,19 +60,42 @@ class OutcomeDistribution:
         return self.p2 + self.p3
 
 
-def outcome_distribution(psi: Wavefunction, g: Graph) -> OutcomeDistribution:
-    a = psi.amplitudes
-    if abs(np.linalg.norm(a) - 1.0) > NORM_TOL:
+def _outcomes(a: np.ndarray, g: Graph):
+    """(pS_bell, p1, p2, p3, pS_projection) of amplitudes a, reduced along axis 0.
+
+    a is one state, shape (d,), or a block of states, shape (d, B); each
+    state's norm must be 1 to NORM_TOL.
+    """
+    if np.any(np.abs(np.linalg.norm(a, axis=0) - 1.0) > NORM_TOL):
         raise ValueError(f"wavefunction norm deviates from 1 by more than {NORM_TOL}")
     grp = _index_groups(g)
     i_ba, i_ab = grp["success"]
-    p2 = float(np.sum(np.abs(a[grp["g2"]]) ** 2))
-    p3 = float(np.sum(np.abs(a[grp["g3"]]) ** 2))
-    p_success = float(np.abs(a[i_ba]) ** 2 + np.abs(a[i_ab]) ** 2)
-    p1 = max(0.0, 1.0 - p2 - p3 - p_success)
-    p_bell = 0.5 * float(np.abs(a[i_ba] + a[i_ab]) ** 2)
+    p2 = np.sum(np.abs(a[grp["g2"]]) ** 2, axis=0)
+    p3 = np.sum(np.abs(a[grp["g3"]]) ** 2, axis=0)
+    p_success = np.abs(a[i_ba]) ** 2 + np.abs(a[i_ab]) ** 2
+    p1 = np.maximum(0.0, 1.0 - p2 - p3 - p_success)
+    p_bell = 0.5 * np.abs(a[i_ba] + a[i_ab]) ** 2
+    return p_bell, p1, p2, p3, p_success
+
+
+def outcome_distribution(psi: Wavefunction, g: Graph) -> OutcomeDistribution:
+    p_bell, p1, p2, p3, p_success = map(float, _outcomes(psi.amplitudes, g))
     return OutcomeDistribution(p1=p1, p2=p2, p3=p3,
                                pS_projection=p_success, pS_bell=p_bell)
+
+
+def outcome_curves(e: Eigensystem, psi0: Wavefunction, g: Graph,
+                   t_grid) -> tuple[np.ndarray, ...]:
+    """(pS_bell, p1, p2, p3, pS_projection) of exp(-iHt) psi0 along a time grid.
+
+    The full state is computed one kernel block at a time, so no d x T
+    matrix is held, and every grid point's norm is checked.
+    """
+    t_grid = np.asarray(t_grid, dtype=float)
+    curves = np.empty((5, t_grid.size))
+    for cols, amp in _SpectralKernel(e, psi0)._blocks(t_grid):
+        curves[:, cols] = _outcomes(amp, g)
+    return tuple(curves)
 
 
 def post_state(psi: Wavefunction, outcome: Outcome, g: Graph) -> Wavefunction:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (_index_groups, _pairs, amplitude_rows, assemble_hamiltonian,
-                       evolve, initial_state, spectral_decompose)
+from .dynamics import (_index_groups, _pairs, _SpectralKernel, amplitude_rows,
+                       assemble_hamiltonian, initial_state, spectral_decompose)
 from .topology import Graph
 
 ORACLE_MAX_SITES = 9
@@ -176,8 +176,8 @@ def full_evolve_compare(g: Graph, t_grid) -> OracleComparison:
     """
     _check_oracle_size(g.n_vertices)
     t_grid = np.asarray(t_grid, dtype=float)
-    eig = spectral_decompose(assemble_hamiltonian(g))
-    psi_red0 = initial_state(g)
+    red = _SpectralKernel(spectral_decompose(assemble_hamiltonian(g)),
+                          initial_state(g))(t_grid)
 
     full = FullHamiltonian(g)
     psi_full = np.zeros(full.dimension, dtype=complex)
@@ -189,10 +189,9 @@ def full_evolve_compare(g: Graph, t_grid) -> OracleComparison:
     worst_dev = 0.0
     worst_leak = 0.0
     t_prev = 0.0
-    for t in map(float, t_grid):
+    for t, red_t in zip(map(float, t_grid), red.T):
         psi_full = _chebyshev_step(full, psi_full, t - t_prev)
         t_prev = t
-        red_t = evolve(eig, psi_red0, t).amplitudes
         worst_dev = max(worst_dev, float(np.max(np.abs(psi_full[sect] - red_t))))
         worst_leak = max(worst_leak, float(np.max(np.abs(psi_full[outside]))))
     return OracleComparison(max_amplitude_deviation=worst_dev,

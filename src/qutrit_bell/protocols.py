@@ -30,8 +30,8 @@ from itertools import islice
 import numpy as np
 
 from .dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, Eigensystem,
-                       Wavefunction, _index_groups, _SpectralKernel, evolve,
-                       initial_state, refine_maximum, select_peak)
+                       Wavefunction, _index_groups, _SpectralKernel, _time_grid,
+                       evolve, initial_state, refine_maximum, select_peak)
 from .measurement import ZERO_PROB, Outcome, outcome_distribution, post_state
 from .topology import Graph
 
@@ -202,7 +202,7 @@ def _step_chooser(g: Graph, e: Eigensystem, strategy: Strategy, t_max: float | N
     """Conditional state -> measurement time, scanning [0, t_max] per step."""
     if t_max is None:
         t_max = PLAN_WINDOW_FACTOR * g.n_vertices
-    t_grid = np.arange(0.0, t_max + grid_step, grid_step)
+    t_grid = _time_grid(t_max, grid_step)
     return lambda psi: _choose_step_time(strategy, e, psi, g, t_grid, grid_step, refine_tol)
 
 

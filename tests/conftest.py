@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from qutrit_bell import (assemble_hamiltonian, build_cross, build_loop,
+import networkx as nx
+
+from qutrit_bell import (Graph, Roles, assemble_hamiltonian, build_cross, build_loop,
                          find_peak, initial_state, spectral_decompose)
 
 
@@ -19,3 +21,10 @@ def prepared(family: str, n: int):
 def peak(family: str, n: int, t_max: float | None = None):
     g, eig, psi0 = prepared(family, n)
     return find_peak(eig, psi0, g, t_max=t_max)
+
+
+def random_graph_with_moved_roles():
+    """A seeded connected 10-site graph; Alice and Bob sit at 1 and 5."""
+    nxg = nx.connected_watts_strogatz_graph(10, 4, 0.5, seed=3)
+    return Graph(10, frozenset((min(u, v) + 1, max(u, v) + 1) for u, v in nxg.edges),
+                 Roles(3, 7, 1, 5))

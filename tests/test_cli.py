@@ -61,6 +61,23 @@ class TestScan:
         assert code == 2
         assert "odd" in err
 
+    def test_default_window_ends_at_t_max(self, capsys):
+        code, out, _ = run_cli(["scan", "--topology", "loop", "--n", "4",
+                                "--no-timestamp"], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 2561
+        assert rows[-1][0] == "25.6"
+
+    def test_loop36_within_budget(self, capsys):
+        with time_budget(5):
+            code, out, _ = run_cli(["scan", "--topology", "loop", "--n", "36",
+                                    "--t-max", "10", "--no-timestamp"], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 1001
+        assert rows[-1][0] == "10"
+
     def test_probability_columns_sum_to_one(self, capsys):
         code, out, _ = run_cli(["scan", "--topology", "loop", "--n", "8",
                                 "--t-max", "6", "--no-timestamp"], capsys)

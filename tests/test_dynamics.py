@@ -1,18 +1,17 @@
-import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import peak, prepared
+from conftest import peak, prepared, random_graph_with_moved_roles
 from qutrit_bell import (Graph, Hamiltonian, Roles, assemble_hamiltonian,
                          build_cross, build_loop, evolve,
                          find_protocol_automorphism, find_peak, initial_state,
                          outcome_distribution, scan_success, spectral_decompose,
                          success_probability)
-from qutrit_bell.dynamics import (PHASE_BLOCK, Wavefunction, _SpectralKernel,
-                                  _index_groups, _pairs, amplitude_rows, pair_index,
-                                  refine_maximum)
+from qutrit_bell.dynamics import (GRID_END_SLACK, PHASE_BLOCK, Wavefunction,
+                                  _SpectralKernel, _index_groups, _pairs, _time_grid,
+                                  amplitude_rows, pair_index, refine_maximum)
 
 
 def reversed_labels(g):
@@ -56,13 +55,6 @@ def reference_index_groups(g):
         if {i, j} != {a, b}:
             groups["g2" if a in (i, j) else "g3" if b in (i, j) else "g1"].append(k)
     return groups
-
-
-def random_graph_with_moved_roles():
-    """A seeded connected 10-site graph; Alice and Bob sit at 1 and 5."""
-    nxg = nx.connected_watts_strogatz_graph(10, 4, 0.5, seed=3)
-    return Graph(10, frozenset((min(u, v) + 1, max(u, v) + 1) for u, v in nxg.edges),
-                 Roles(3, 7, 1, 5))
 
 
 REGRESSION_GRAPHS = {"cross-5": build_cross(5), "cross-9": build_cross(9),
@@ -333,6 +325,30 @@ class TestScanAndPeaks:
         g, e, psi0 = prepared("cross", 5)
         with pytest.raises(ValueError):
             find_peak(e, psi0, g, t_max=-1.0)
+
+
+class TestTimeGrid:
+    @given(st.floats(1e-3, 1.0), st.floats(1e-3, 100.0))
+    @settings(max_examples=200, deadline=None)
+    def test_ends_within_one_step_of_t_max(self, step, t_max):
+        grid = _time_grid(t_max, step)
+        assert grid[0] == 0.0
+        assert t_max - step < grid[-1] <= t_max + GRID_END_SLACK
+
+    def test_equals_arange_unless_it_overshoots(self):
+        # --t-max 0.1 ... 30.0: the scan and peak grids drop arange's extra
+        # point where it passes t_max (0.71 for 0.7); a last point that
+        # passes t_max by rounding alone (0.30000000000000004 for 0.3) stays.
+        # The verify grid is unchanged.
+        overshoots = 0
+        for t_max in (k / 10 for k in range(1, 301)):
+            old = np.arange(0.0, t_max + 0.01, 0.01)
+            if old[-1] > t_max + GRID_END_SLACK:
+                overshoots += 1
+                old = old[:-1]
+            assert np.array_equal(_time_grid(t_max, 0.01), old)
+            assert np.array_equal(_time_grid(t_max, 0.1), np.arange(0.0, t_max + 1e-9, 0.1))
+        assert overshoots == 47
 
 
 class TestSymmetryInvariant:

@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import peak, prepared
-from qutrit_bell import (Outcome, bell_fidelity, evolve, outcome_distribution,
-                         post_state)
-from qutrit_bell.dynamics import Wavefunction, pair_index
+from conftest import peak, prepared, random_graph_with_moved_roles
+from qutrit_bell import (Outcome, assemble_hamiltonian, bell_fidelity, evolve,
+                         initial_state, outcome_distribution, post_state,
+                         spectral_decompose)
+from qutrit_bell.dynamics import FULL_STATE_BLOCK, Wavefunction, pair_index
+from qutrit_bell.measurement import outcome_curves
 
 
 def evolved(family, n, t):
@@ -56,6 +60,53 @@ class TestOutcomeDistribution:
         g, psi = evolved("cross", 5, 2.3)
         d = outcome_distribution(psi, g)
         assert d.p_unusable == pytest.approx(d.p2 + d.p3, abs=1e-15)
+
+
+class TestOutcomeCurves:
+    # three full-state blocks, the last of them a single time
+    GRID = 0.01 * np.arange(2 * FULL_STATE_BLOCK + 1)
+
+    @staticmethod
+    def system(name):
+        if name == "random-10":
+            g = random_graph_with_moved_roles()
+            return g, spectral_decompose(assemble_hamiltonian(g)), initial_state(g)
+        family, n = name.split("-")
+        return prepared(family, int(n))
+
+    @pytest.mark.parametrize("name", ["loop-8", "cross-5", "random-10"])
+    def test_equals_per_point_distribution(self, name):
+        g, e, psi0 = self.system(name)
+        curves = np.array(outcome_curves(e, psi0, g, self.GRID))
+        per_point = []
+        for t in self.GRID:
+            d = outcome_distribution(evolve(e, psi0, float(t)), g)
+            per_point.append((d.pS_bell, d.p1, d.p2, d.p3, d.pS_projection))
+        assert curves.shape == (5, self.GRID.size)
+        assert np.max(np.abs(curves - np.array(per_point).T)) < 1e-12
+
+    def test_non_unit_start_state_rejected_like_one_state(self):
+        g, e, psi0 = prepared("cross", 5)
+        doubled = Wavefunction(2.0 * psi0.amplitudes)
+        with pytest.raises(ValueError, match="norm") as one_state:
+            outcome_distribution(doubled, g)
+        with pytest.raises(ValueError, match="norm") as on_grid:
+            outcome_curves(e, doubled, g, self.GRID)
+        assert str(on_grid.value) == str(one_state.value)
+
+    def test_loop36_grid_holds_no_wide_block(self):
+        g, e, psi0 = prepared("loop", 36)
+        d = psi0.amplitudes.size
+        tracemalloc.start()
+        try:
+            outcome_curves(e, psi0, g, 0.01 * np.arange(1001))
+            _, peak_bytes = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # V^T psi0 casts V^T to complex once (d x d, 25.4 MB), as evolve does;
+        # the blocks stay below it: three d x 256 complex arrays are 15.5 MB,
+        # at 512 times per block the peak is 30.5 MB
+        assert peak_bytes < d * d * 16 + 2 ** 20
 
 
 class TestPostState:
