@@ -12,8 +12,7 @@ import numpy as np
 from qutrit_bell import (Strategy, assemble_hamiltonian, build_cross, build_loop,
                          enumerate_outcome_tree, monte_carlo, plan_protocol2,
                          protocol2_total, spectral_decompose)
-from qutrit_bell.oracle import (full_evolve_compare, sector_restriction,
-                                su3_algebra_check, symmetry_check)
+from qutrit_bell.oracle import full_evolve_compare, sector_restriction, su3_algebra_check
 
 print(f"generator algebra, worst violation over 81 combinations: "
       f"{su3_algebra_check():.3e}")
@@ -30,7 +29,7 @@ for name, g in (("loop N=4", build_loop(4)), ("cross N=5", build_cross(5))):
     print(f"  leakage outside the sector:          "
           f"{cmp_result.max_sector_leakage:.3e}")
     print(f"  Bell-channel asymmetry over [0,10]:  "
-          f"{symmetry_check(g, grid):.3e}")
+          f"{cmp_result.max_bell_asymmetry:.3e}")
 
 print()
 print("protocol bookkeeping, cross N=5:")

@@ -11,12 +11,11 @@ __version__ = "0.1.0"
 
 from .dynamics import (Eigensystem, Hamiltonian, Wavefunction, assemble_hamiltonian,
                        evolve, find_peak, initial_state, scan_success,
-                       spectral_decompose, success_probability)
+                       spectral_decompose)
 from .measurement import (Outcome, OutcomeDistribution, bell_fidelity,
                           outcome_distribution, post_state)
-from .protocols import (ProtocolReport, Schedule, Strategy, TrajectoryStats,
-                        build_protocol_report, enumerate_outcome_tree, monte_carlo,
-                        plan_protocol2, plan_regular, protocol1_cumulative,
+from .protocols import (Schedule, Strategy, TrajectoryStats, enumerate_outcome_tree,
+                        monte_carlo, plan_protocol2, plan_regular, protocol1_cumulative,
                         protocol1_required, protocol2_limit_check,
                         protocol2_no_reset, protocol2_total)
 from .topology import (AutomorphismReport, Graph, Roles, build_cross, build_loop,
@@ -24,13 +23,12 @@ from .topology import (AutomorphismReport, Graph, Roles, build_cross, build_loop
 
 __all__ = [
     "AutomorphismReport", "Eigensystem", "Graph", "Hamiltonian",
-    "Outcome", "OutcomeDistribution", "ProtocolReport", "Roles", "Schedule",
+    "Outcome", "OutcomeDistribution", "Roles", "Schedule",
     "Strategy", "TrajectoryStats", "Wavefunction",
     "assemble_hamiltonian", "bell_fidelity", "build_cross", "build_loop",
-    "build_protocol_report", "enumerate_outcome_tree",
-    "evolve", "find_peak", "find_protocol_automorphism", "initial_state",
+    "enumerate_outcome_tree", "evolve", "find_peak", "find_protocol_automorphism", "initial_state",
     "monte_carlo", "outcome_distribution", "path_distance", "plan_protocol2",
     "plan_regular", "post_state", "protocol1_cumulative", "protocol1_required",
     "protocol2_limit_check", "protocol2_no_reset", "protocol2_total",
-    "scan_success", "spectral_decompose", "success_probability",
+    "scan_success", "spectral_decompose",
 ]

@@ -25,9 +25,10 @@ from .dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL,
                        find_peak, initial_state, spectral_decompose)
 from .measurement import outcome_curves
 from .oracle import (ORACLE_MAX_SITES, full_evolve_compare, sector_restriction,
-                     su3_algebra_check, symmetry_check)
-from .protocols import (Strategy, build_protocol_report, plan_protocol2,
-                        plan_regular, protocol1_cumulative, protocol1_required)
+                     su3_algebra_check)
+from .protocols import (PLAN_WINDOW_FACTOR, Strategy, plan_protocol2, plan_regular,
+                        protocol1_cumulative, protocol1_required, protocol2_no_reset,
+                        protocol2_total)
 from .topology import Graph, Roles, build_cross, build_loop, find_protocol_automorphism
 
 USAGE_ERROR = 1
@@ -37,6 +38,10 @@ VERIFICATION_ERROR = 3
 #: Peak memory of building and checking the dense eigensystem, in d x d float
 #: arrays; the RSS rise measured 5.2-5.3 of them at loop-36 and loop-60.
 EIGENSYSTEM_ARRAYS = 6
+#: Float arrays of grid length a command holds besides amplitude rows: a scan's
+#: grid and its five outcome curves.
+GRID_ARRAYS = 6
+VERIFY_GRID_STEP = 0.1  # step of the grid on which `verify` compares the engines
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,15 +90,29 @@ def _load_topology_file(path: str) -> Graph:
         raise PreconditionError(f"topology file {path}: {exc}") from exc
 
 
+def _check_memory(what: str, need: float) -> None:
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise PreconditionError(f"{what} needs about {need / 1e9:.3g} GB, more than "
+                                f"the {have / 1e9:.3g} GB of physical memory")
+
+
 def _check_fits(n: int) -> None:
     """Refuse N whose dense eigensystem would exceed physical memory."""
     d = n * (n - 1)
-    need = EIGENSYSTEM_ARRAYS * 8 * d * d
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise PreconditionError(f"N={n}: the dense eigensystem (d = {d}) needs "
-                                f"about {need / 1e9:.3g} GB, more than the "
-                                f"{have / 1e9:.3g} GB of physical memory")
+    _check_memory(f"N={n}: the dense eigensystem (d = {d})",
+                  EIGENSYSTEM_ARRAYS * 8 * d * d)
+
+
+def _check_grid(t_max: float, step: float, rows: int = 0) -> None:
+    """Refuse a time grid whose arrays would exceed physical memory.
+
+    Each grid point costs GRID_ARRAYS floats plus one complex amplitude per
+    row held along the whole grid.
+    """
+    points = t_max / step + 1
+    _check_memory(f"the time grid over [0, {t_max:g}] at step {step:g} ({points:.3g} points)",
+                  8 * points * (GRID_ARRAYS + 2 * rows))
 
 
 def _build_graph(args, n: int) -> Graph:
@@ -109,15 +128,18 @@ def _build_graph(args, n: int) -> Graph:
         raise PreconditionError(str(exc)) from exc
 
 
-def _header_lines(args, extra: dict | None = None) -> list[str]:
+def _config_echo(args, extra: dict | None) -> dict:
     echo = {k: v for k, v in sorted(vars(args).items())
             if k not in ("func", "no_timestamp", "output", "config") and v is not None}
-    if extra:
-        echo.update(extra)
+    echo.update(extra or {})
+    return echo
+
+
+def _header_lines(args, extra: dict | None = None) -> list[str]:
     lines = [f"# qutrit-bell {__version__}"]
     if not args.no_timestamp:
         lines.append(f"# generated: {datetime.now(timezone.utc).isoformat()}")
-    lines.append("# config: " + " ".join(f"{k}={v}" for k, v in echo.items()))
+    lines.append("# config: " + " ".join(f"{k}={v}" for k, v in _config_echo(args, extra).items()))
     return lines
 
 
@@ -138,11 +160,7 @@ def _write_table(args, columns: list[str], rows,
     a long scan never holds its table as text.
     """
     if args.format == "json":
-        payload = {"config": {k: v for k, v in sorted(vars(args).items())
-                              if k not in ("func", "no_timestamp", "output", "config")
-                              and v is not None}}
-        if extra_config:
-            payload["config"].update(extra_config)
+        payload = {"config": _config_echo(args, extra_config)}
         if not args.no_timestamp:
             payload["generated"] = datetime.now(timezone.utc).isoformat()
         if sections is None:
@@ -167,14 +185,15 @@ def _prepared(g: Graph):
     return spectral_decompose(assemble_hamiltonian(g)), initial_state(g)
 
 
-def _parse_n_list(spec: str) -> list[int]:
+def _parse_list(spec: str, convert, name: str) -> list:
+    """Comma-separated values of --n-list or --targets; empty entries are skipped."""
     try:
-        ns = [int(x) for x in spec.split(",") if x.strip()]
+        values = [convert(x) for x in spec.split(",") if x.strip()]
     except ValueError as exc:
-        raise PreconditionError(f"bad N list {spec!r}: {exc}") from exc
-    if not ns:
-        raise PreconditionError("empty N list")
-    return ns
+        raise PreconditionError(f"bad {name} list {spec!r}: {exc}") from exc
+    if not values:
+        raise PreconditionError(f"empty {name} list")
+    return values
 
 
 def _check_numeric_flags(args) -> None:
@@ -190,7 +209,8 @@ def _check_numeric_flags(args) -> None:
 
 def cmd_scan(args) -> int:
     g = _build_graph(args, args.n)
-    t_max = args.t_max if args.t_max is not None else PEAK_WINDOW_FACTOR * g.n_vertices
+    t_max = args.t_max or PEAK_WINDOW_FACTOR * g.n_vertices
+    _check_grid(t_max, args.grid_step)
     eig, psi0 = _prepared(g)
     grid = _time_grid(t_max, args.grid_step)
     curves = outcome_curves(eig, psi0, g, grid)
@@ -199,43 +219,29 @@ def cmd_scan(args) -> int:
     return 0
 
 
+def _peaks(args, ns: list[int]) -> list[tuple[int, float, float]]:
+    """(N, t_peak, p_peak) per size; every graph and grid is checked before any work."""
+    graphs = [(n, _build_graph(args, n)) for n in ns]
+    for _, g in graphs:
+        _check_grid(args.t_max or PEAK_WINDOW_FACTOR * g.n_vertices, args.grid_step, rows=2)
+    return [(n, *find_peak(*_prepared(g), g, t_max=args.t_max, grid_step=args.grid_step,
+                           refine_tol=args.refine_tol))
+            for n, g in graphs]
+
+
 def cmd_peaks(args) -> int:
-    ns = _parse_n_list(args.n_list)
-    rows = []
-    for n in ns:
-        g = _build_graph(args, n)
-        eig, psi0 = _prepared(g)
-        t_star, p_star = find_peak(eig, psi0, g, t_max=args.t_max,
-                                   grid_step=args.grid_step,
-                                   refine_tol=args.refine_tol)
-        rows.append((n, t_star, p_star))
-    _write_table(args, ["N", "t_peak", "p_peak"], rows)
+    _write_table(args, ["N", "t_peak", "p_peak"], _peaks(args, _parse_list(args.n_list, int, "N")))
     return 0
 
 
-def _parse_targets(spec: str) -> list[float]:
-    try:
-        targets = [float(x) for x in spec.split(",") if x.strip()]
-    except ValueError as exc:
-        raise PreconditionError(f"bad target list {spec!r}: {exc}") from exc
-    if not targets:
-        raise PreconditionError("empty target list")
+def cmd_protocol1(args) -> int:
+    ns = _parse_list(args.n_list, int, "N")
+    targets = _parse_list(args.targets, float, "target")
     for q in targets:
         if not 0.0 < q < 1.0:
             raise PreconditionError(f"targets must lie strictly inside (0,1), got {q}")
-    return targets
-
-
-def cmd_protocol1(args) -> int:
-    ns = _parse_n_list(args.n_list)
-    targets = _parse_targets(args.targets)
     required_rows, series_rows = [], []
-    for n in ns:
-        g = _build_graph(args, n)
-        eig, psi0 = _prepared(g)
-        t_star, p_star = find_peak(eig, psi0, g, t_max=args.t_max,
-                                   grid_step=args.grid_step,
-                                   refine_tol=args.refine_tol)
+    for n, t_star, p_star in _peaks(args, ns):
         if not 0.0 < p_star < 1.0:
             raise PreconditionError(f"N={n}: peak probability {p_star} unusable "
                                     "for repetition counts")
@@ -251,6 +257,8 @@ def cmd_protocol1(args) -> int:
 
 def cmd_protocol2(args) -> int:
     g = _build_graph(args, args.n)
+    if args.tau is None:
+        _check_grid(args.t_max or PLAN_WINDOW_FACTOR * g.n_vertices, args.grid_step)
     eig, _ = _prepared(g)
     if args.tau is not None:
         schedule = plan_regular(g, eig, args.tau, args.n_max)
@@ -258,13 +266,10 @@ def cmd_protocol2(args) -> int:
         schedule = plan_protocol2(g, eig, Strategy(args.strategy), args.n_max,
                                   t_max=args.t_max, grid_step=args.grid_step,
                                   refine_tol=args.refine_tol)
-    report = build_protocol_report(schedule, n=args.n_max)
-    rows = []
-    p1shot = schedule.p_success(0)
-    for k in range(args.n_max):
-        t_k = schedule.steps[k].time if k < len(schedule) else 0.0
-        rows.append((k + 1, report.cumulative_no_reset[k], report.cumulative_total[k],
-                     protocol1_cumulative(p1shot, k + 1), schedule.strategy, t_k))
+    series = zip(protocol2_no_reset(schedule, args.n_max), protocol2_total(schedule, args.n_max))
+    rows = [(k + 1, pbar, ptot, protocol1_cumulative(schedule.p_success(0), k + 1),
+             schedule.strategy, schedule.steps[k].time if k < len(schedule) else 0.0)
+            for k, (pbar, ptot) in enumerate(series)]
     extra = {}
     if schedule.success_deficit > 1e-12:
         extra["asymmetric_success_deficit"] = _fmt(schedule.success_deficit)
@@ -286,17 +291,18 @@ def cmd_verify(args) -> int:
     if n > ORACLE_MAX_SITES:
         raise PreconditionError(
             f"brute-force verification is capped at N <= {ORACLE_MAX_SITES}, got N={n}")
+    t_max = args.t_max or 10.0
+    _check_grid(t_max, VERIFY_GRID_STEP, rows=n * (n - 1))
     label = f"N{n}"
     h = assemble_hamiltonian(g)
     record(f"{label}_sector_restriction_max_diff",
            float(np.max(np.abs(sector_restriction(g) - h.matrix))), 1e-12)
-    grid = _time_grid(args.t_max or 10.0, 0.1)
-    cmp_res = full_evolve_compare(g, grid)
+    cmp_res = full_evolve_compare(g, _time_grid(t_max, VERIFY_GRID_STEP))
     record(f"{label}_full_vs_reduced_max_amplitude_dev",
            cmp_res.max_amplitude_deviation, 1e-9)
     record(f"{label}_sector_leakage", cmp_res.max_sector_leakage, 1e-12)
     if find_protocol_automorphism(g).exists:
-        record(f"{label}_bell_amplitude_asymmetry", symmetry_check(g, grid), 1e-10)
+        record(f"{label}_bell_amplitude_asymmetry", cmp_res.max_bell_asymmetry, 1e-10)
     rows = [(name, value, bound, "pass" if ok else "FAIL")
             for name, value, bound, ok in checks]
     _write_table(args, ["check", "measured", "bound", "status"], rows)
@@ -305,10 +311,9 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, topology=True, n_single=True):
-    if topology:
-        p.add_argument("--topology", choices=["cross", "loop", "custom"], default="cross")
-        p.add_argument("--topology-file", help="custom topology file (with --topology custom)")
+def _add_common(p: argparse.ArgumentParser, n_single=True):
+    p.add_argument("--topology", choices=["cross", "loop", "custom"], default="cross")
+    p.add_argument("--topology-file", help="custom topology file (with --topology custom)")
     if n_single:
         p.add_argument("--n", type=int, help="number of qutrits")
     p.add_argument("--t-max", type=float, default=None,
@@ -389,10 +394,10 @@ def main(argv: list[str] | None = None) -> int:
             return USAGE_ERROR
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "topology", None) == "custom" and not getattr(args, "topology_file", None):
+    if args.topology == "custom" and not args.topology_file:
         print("error: --topology custom requires --topology-file", file=sys.stderr)
         return USAGE_ERROR
-    if getattr(args, "topology", None) in ("cross", "loop") and getattr(args, "n", None) is None \
+    if args.topology != "custom" and getattr(args, "n", None) is None \
             and not hasattr(args, "n_list"):
         print("error: --n is required for built-in topologies", file=sys.stderr)
         return USAGE_ERROR

@@ -259,30 +259,19 @@ def amplitude_rows(e: Eigensystem, psi0: Wavefunction, rows, t_grid: np.ndarray)
     return _SpectralKernel(e, psi0, rows)(t_grid)
 
 
-def success_probability(psi: Wavefunction, g: Graph) -> float:
-    """Probability that the joint measurement heralds the Bell state.
-
-    p = |a_{B,A} + a_{A,B}|^2 / 2 with Alice at site A and Bob at site B.
-    """
-    i_ba, i_ab = _index_groups(g)["success"]
-    return 0.5 * float(np.abs(psi.amplitudes[i_ba] + psi.amplitudes[i_ab]) ** 2)
-
-
-def success_curve(e: Eigensystem, psi0: Wavefunction, g: Graph,
-                  t_grid: np.ndarray) -> np.ndarray:
-    amps = amplitude_rows(e, psi0, _index_groups(g)["success"], t_grid)
-    return 0.5 * np.abs(amps[0] + amps[1]) ** 2
-
-
 def scan_success(e: Eigensystem, psi0: Wavefunction, g: Graph,
                  t_grid) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise success probability along an increasing time grid."""
+    """Heralded success probability |a_{B,A} + a_{A,B}|^2 / 2 along an increasing grid.
+
+    Alice sits at site A and Bob at site B; only their two rows are projected.
+    """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0:
         raise ValueError("time grid is empty")
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("time grid must be strictly increasing")
-    return t_grid, success_curve(e, psi0, g, t_grid)
+    amps = amplitude_rows(e, psi0, _index_groups(g)["success"], t_grid)
+    return t_grid, 0.5 * np.abs(amps[0] + amps[1]) ** 2
 
 
 def refine_maximum(f, lo: float, hi: float, tol: float,
@@ -361,8 +350,7 @@ def find_peak(e: Eigensystem, psi0: Wavefunction, g: Graph,
         t_max = PEAK_WINDOW_FACTOR * g.n_vertices
     if t_max <= 0:
         raise ValueError(f"t_max must be positive, got {t_max}")
-    grid = _time_grid(t_max, grid_step)
-    p = success_curve(e, psi0, g, grid)
+    grid, p = scan_success(e, psi0, g, _time_grid(t_max, grid_step))
     if p.max() < 1e-15:
         logger.warning("success probability identically zero over [0, %g]", t_max)
         return 0.0, 0.0

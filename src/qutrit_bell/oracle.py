@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (_index_groups, _pairs, _SpectralKernel, amplitude_rows,
-                       assemble_hamiltonian, initial_state, spectral_decompose)
+from .dynamics import (_index_groups, _pairs, _SpectralKernel, assemble_hamiltonian,
+                       initial_state, spectral_decompose)
 from .topology import Graph
 
 ORACLE_MAX_SITES = 9
@@ -85,10 +85,6 @@ class FullHamiltonian:
         for row in self._partners:
             h[row, idx] += 1.0
         return h[:-1]
-
-
-def full_hamiltonian(g: Graph) -> FullHamiltonian:
-    return FullHamiltonian(g)
 
 
 def full_initial_index(g: Graph) -> int:
@@ -165,14 +161,18 @@ def _chebyshev_step(full: FullHamiltonian, psi: np.ndarray, dt: float) -> np.nda
 class OracleComparison:
     max_amplitude_deviation: float
     max_sector_leakage: float
+    #: max |a_{B,A}(t) - a_{A,B}(t)| of the reduced engine (Alice at A, Bob
+    #: at B); it stays at roundoff on graphs with the protocol automorphism
+    max_bell_asymmetry: float
     times: np.ndarray
 
 
 def full_evolve_compare(g: Graph, t_grid) -> OracleComparison:
     """Evolve in the full space and compare with the reduced engine.
 
-    Returns the worst amplitude difference within the sector and the worst
-    amplitude magnitude outside it, across the grid.
+    Returns the worst amplitude difference within the sector, the worst
+    amplitude magnitude outside it and the worst Bell-channel asymmetry of
+    the reduced amplitudes, across the grid.
     """
     _check_oracle_size(g.n_vertices)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -194,18 +194,8 @@ def full_evolve_compare(g: Graph, t_grid) -> OracleComparison:
         t_prev = t
         worst_dev = max(worst_dev, float(np.max(np.abs(psi_full[sect] - red_t))))
         worst_leak = max(worst_leak, float(np.max(np.abs(psi_full[outside]))))
-    return OracleComparison(max_amplitude_deviation=worst_dev,
-                            max_sector_leakage=worst_leak, times=t_grid)
+    i_ba, i_ab = _index_groups(g)["success"]
+    asymmetry = float(np.max(np.abs(red[i_ba] - red[i_ab]), initial=0.0))
+    return OracleComparison(max_amplitude_deviation=worst_dev, max_sector_leakage=worst_leak,
+                            max_bell_asymmetry=asymmetry, times=t_grid)
 
-
-def symmetry_check(g: Graph, t_grid) -> float:
-    """Max |a_{B,A}(t) - a_{A,B}(t)| (Alice at A, Bob at B) from the initial state.
-
-    Only meaningful on graphs possessing the protocol automorphism; the
-    caller is expected to have verified it exists.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    eig = spectral_decompose(assemble_hamiltonian(g))
-    psi0 = initial_state(g)
-    amps = amplitude_rows(eig, psi0, _index_groups(g)["success"], t_grid)
-    return float(np.max(np.abs(amps[0] - amps[1])))

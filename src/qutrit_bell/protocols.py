@@ -462,25 +462,3 @@ def monte_carlo(g: Graph, e: Eigensystem, schedule: Schedule, trials: int,
     return TrajectoryStats(trials=trials, successes_by_step=successes,
                            resets=resets, seed=seed)
 
-
-@dataclass(frozen=True)
-class ProtocolReport:
-    """Protocol-2 series next to the matched protocol-1 baseline."""
-
-    cumulative_no_reset: np.ndarray
-    cumulative_total: np.ndarray
-    required_measurements: dict[float, int]
-    schedule: Schedule
-
-
-def build_protocol_report(schedule: Schedule, targets=(0.90, 0.95, 0.99),
-                          n: int | None = None) -> ProtocolReport:
-    n = len(schedule) if n is None else n
-    pbar = protocol2_no_reset(schedule, n)
-    ptot = protocol2_total(schedule, n)
-    required = {}
-    p1shot = schedule.p_success(0)
-    for q in targets:
-        required[q] = protocol1_required(p1shot, q)
-    return ProtocolReport(cumulative_no_reset=pbar, cumulative_total=ptot,
-                          required_measurements=required, schedule=schedule)

@@ -19,7 +19,6 @@ Vertices are 1-based throughout.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import networkx as nx
@@ -75,13 +74,6 @@ class Graph:
         g.add_nodes_from(range(1, self.n_vertices + 1))
         g.add_edges_from(self.edges)
         return g
-
-    def adjacency(self) -> dict[int, tuple[int, ...]]:
-        adj: dict[int, list[int]] = {v: [] for v in range(1, self.n_vertices + 1)}
-        for (u, v) in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return {v: tuple(sorted(ns)) for v, ns in adj.items()}
 
 
 @dataclass(frozen=True)
@@ -159,82 +151,31 @@ def build_loop(n: int) -> Graph:
     return Graph(n_vertices=n, edges=edges, roles=roles)
 
 
-def _is_automorphism(g: Graph, perm: dict[int, int]) -> bool:
-    mapped = {_normalize(perm[u], perm[v]) for (u, v) in g.edges}
-    return mapped == set(g.edges)
-
-
-def _protocol_perm_ok(g: Graph, perm: dict[int, int]) -> bool:
-    r = g.roles
-    return (perm[r.charlie_plus] == r.charlie_minus
-            and perm[r.charlie_minus] == r.charlie_plus
-            and perm[r.alice] == r.alice
-            and perm[r.bob] == r.bob)
-
-
-def _reflection_candidates(g: Graph):
-    """Cheap structural candidates, tried before the generic search."""
-    n = g.n_vertices
-    r = g.roles
-    # cross-style: swap the two stubs, fix everything else
-    perm = {v: v for v in range(1, n + 1)}
-    perm[r.charlie_plus] = r.charlie_minus
-    perm[r.charlie_minus] = r.charlie_plus
-    yield perm
-    # ring reflection about the alice-bob axis of the built-in loop order
-    if n % 4 == 0:
-        order = _loop_order(n)
-        pos = {v: k for k, v in enumerate(order)}
-        axis = n // 4  # position of alice in the cyclic order
-        yield {v: order[(2 * axis - pos[v]) % n] for v in range(1, n + 1)}
-
-
 def find_protocol_automorphism(g: Graph) -> AutomorphismReport:
     """Search for the symmetry the protocol relies on.
 
     Wanted: a graph automorphism that exchanges Charlie's two sites and
-    fixes Alice's and Bob's. Built-in families are handled by constructed
-    reflections; otherwise a VF2 isomorphism search runs on role-colored
-    copies of the graph, so the role constraints prune the search.
-    Nonexistence is a valid result, not an error.
+    fixes Alice's and Bob's. A VF2 isomorphism search runs from a
+    role-colored copy of the graph to a copy with Charlie's colors
+    exchanged, so every match it returns is such an automorphism and the
+    role constraints prune the search. Nonexistence is a valid result, not
+    an error.
     """
-    for perm in _reflection_candidates(g):
-        if _protocol_perm_ok(g, perm) and _is_automorphism(g, perm):
-            return AutomorphismReport(True, tuple(perm[v] for v in range(1, g.n_vertices + 1)))
-
     r = g.roles
-    labels_src = {r.charlie_plus: "c+", r.charlie_minus: "c-", r.alice: "a", r.bob: "b"}
-    labels_dst = {r.charlie_plus: "c-", r.charlie_minus: "c+", r.alice: "a", r.bob: "b"}
-    g1 = g.as_networkx()
-    g2 = g.as_networkx()
-    for v in g1.nodes:
-        g1.nodes[v]["role"] = labels_src.get(v, "")
-        g2.nodes[v]["role"] = labels_dst.get(v, "")
+    g1, g2 = g.as_networkx(), g.as_networkx()
+    fixed = {r.alice: "a", r.bob: "b"}
+    nx.set_node_attributes(g1, {r.charlie_plus: "c+", r.charlie_minus: "c-", **fixed}, "role")
+    nx.set_node_attributes(g2, {r.charlie_plus: "c-", r.charlie_minus: "c+", **fixed}, "role")
     matcher = nx.algorithms.isomorphism.GraphMatcher(
-        g1, g2, node_match=lambda a, b: a["role"] == b["role"])
-    for iso in matcher.isomorphisms_iter():
-        perm = {v: iso[v] for v in range(1, g.n_vertices + 1)}
-        if _protocol_perm_ok(g, perm) and _is_automorphism(g, perm):
-            return AutomorphismReport(True, tuple(perm[v] for v in range(1, g.n_vertices + 1)))
-    return AutomorphismReport(False, None)
+        g1, g2, node_match=lambda a, b: a.get("role") == b.get("role"))
+    iso = next(matcher.isomorphisms_iter(), None)
+    mapping = None if iso is None else tuple(iso[v] for v in range(1, g.n_vertices + 1))
+    return AutomorphismReport(mapping is not None, mapping)
 
 
 def path_distance(g: Graph, u: int, v: int) -> int:
-    """Shortest-path edge count between u and v (breadth-first)."""
+    """Shortest-path edge count between u and v."""
     n = g.n_vertices
     if not (1 <= u <= n and 1 <= v <= n):
         raise ValueError(f"vertices ({u},{v}) outside [1,{n}]")
-    if u == v:
-        return 0
-    adj = g.adjacency()
-    dist = {u: 0}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                if y == v:
-                    return dist[y]
-                queue.append(y)
-    raise ValueError(f"no path between {u} and {v}")
+    return nx.shortest_path_length(g.as_networkx(), u, v)

@@ -233,6 +233,24 @@ class TestSizeGuard:
         assert out == ""
         assert f"N={argv[-1].split(',')[-1]}:" in err and "GB" in err
 
+    # each grid would need terabytes or more, which numpy cannot allocate:
+    # the CLI must refuse it before building it
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--topology", "loop", "--n", "4", "--grid-step", "1e-12"],
+        ["scan", "--topology", "loop", "--n", "4", "--t-max", "1e300"],
+        ["peaks", "--topology", "loop", "--n-list", "4", "--grid-step", "1e-13"],
+        ["protocol1", "--topology", "loop", "--n-list", "4", "--grid-step", "1e-13"],
+        ["protocol2", "--topology", "loop", "--n", "4", "--grid-step", "1e-12"],
+        ["verify", "--topology", "loop", "--n", "4", "--t-max", "1e12"],
+    ])
+    def test_time_grid_beyond_physical_memory_is_exit_2(self, argv, capsys):
+        with time_budget(1):
+            code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "time grid" in err and "GB" in err
+        assert "Traceback" not in err
+
 
 class TestOutputHandling:
     def test_determinism(self, tmp_path, capsys):

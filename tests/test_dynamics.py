@@ -7,8 +7,7 @@ from conftest import peak, prepared, random_graph_with_moved_roles
 from qutrit_bell import (Graph, Hamiltonian, Roles, assemble_hamiltonian,
                          build_cross, build_loop, evolve,
                          find_protocol_automorphism, find_peak, initial_state,
-                         outcome_distribution, scan_success, spectral_decompose,
-                         success_probability)
+                         outcome_distribution, scan_success, spectral_decompose)
 from qutrit_bell.dynamics import (GRID_END_SLACK, PHASE_BLOCK, Wavefunction,
                                   _SpectralKernel, _index_groups, _pairs, _time_grid,
                                   amplitude_rows, pair_index, refine_maximum)
@@ -254,7 +253,7 @@ class TestSpectralKernel:
 class TestSuccessProbability:
     def test_zero_at_start(self):
         g, _, psi0 = prepared("cross", 5)
-        assert success_probability(psi0, g) == 0.0
+        assert outcome_distribution(psi0, g).pS_bell == 0.0
 
     def test_loop4_peak_value(self):
         t_star, p_star = peak("loop", 4)

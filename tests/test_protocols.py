@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import peak, prepared
-from qutrit_bell import (Strategy, build_protocol_report, enumerate_outcome_tree,
+from qutrit_bell import (Strategy, enumerate_outcome_tree,
                          monte_carlo, plan_protocol2, plan_regular,
                          protocol1_cumulative, protocol1_required,
                          protocol2_limit_check, protocol2_no_reset,
@@ -176,13 +176,15 @@ class TestCumulativeSeries:
         pbar = protocol2_no_reset(sched)
         assert np.allclose(pbar, 0.3)
 
-    def test_no_reset_below_total(self, cross5_schedule):
-        pbar = protocol2_no_reset(cross5_schedule)
-        ptot = protocol2_total(cross5_schedule)
-        assert np.all(ptot[1:] >= pbar[1:])
-        assert np.all(np.diff(pbar) >= -1e-15)
-        assert np.all(np.diff(ptot) >= -1e-15)
-        assert ptot[-1] <= 1.0 + 1e-12
+    def test_no_reset_below_total(self, cross5_schedule, loop4_schedule):
+        for sched in (cross5_schedule, loop4_schedule):
+            pbar = protocol2_no_reset(sched)
+            ptot = protocol2_total(sched)
+            assert ptot[0] == pbar[0]
+            assert np.all(ptot[1:] >= pbar[1:])
+            assert np.all(np.diff(pbar) >= -1e-15)
+            assert np.all(np.diff(ptot) >= -1e-15)
+            assert ptot[-1] <= 1.0 + 1e-12
 
     def test_degenerates_to_simple_repetition(self):
         # never continue, always reset on failure: geometric accumulation
@@ -277,12 +279,3 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo(g, e, cross5_schedule, trials=0, seed=1)
 
-
-class TestProtocolReport:
-    def test_report_fields(self, loop4_schedule):
-        report = build_protocol_report(loop4_schedule)
-        assert set(report.required_measurements) == {0.90, 0.95, 0.99}
-        p1shot = loop4_schedule.p_success(0)
-        for q, n in report.required_measurements.items():
-            assert n == protocol1_required(p1shot, q)
-        assert np.all(report.cumulative_total >= report.cumulative_no_reset - 1e-15)
