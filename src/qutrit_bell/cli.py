@@ -41,7 +41,11 @@ EIGENSYSTEM_ARRAYS = 6
 #: Float arrays of grid length a command holds besides amplitude rows: a scan's
 #: grid and its five outcome curves.
 GRID_ARRAYS = 6
-VERIFY_GRID_STEP = 0.1  # step of the grid on which `verify` compares the engines
+#: Memory of one output row as JSON, whose text is built whole before it is
+#: written: a 256,001-point loop-4 `scan` peaked at 375.6 MiB of RSS as JSON
+#: and 61.2 MiB as CSV, 1.29 kB per point.
+JSON_ROW_BYTES = 1300
+VERIFY_GRID_STEP = 0.1  # default step of the grid on which `verify` compares the engines
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,15 +108,17 @@ def _check_fits(n: int) -> None:
                   EIGENSYSTEM_ARRAYS * 8 * d * d)
 
 
-def _check_grid(t_max: float, step: float, rows: int = 0) -> None:
+def _check_grid(t_max: float, step: float, rows: int = 0, json_rows: bool = False) -> None:
     """Refuse a time grid whose arrays would exceed physical memory.
 
     Each grid point costs GRID_ARRAYS floats plus one complex amplitude per
-    row held along the whole grid.
+    row held along the whole grid, and JSON_ROW_BYTES more when the command
+    writes one output row per point as JSON (json_rows).
     """
     points = t_max / step + 1
+    per_point = 8 * (GRID_ARRAYS + 2 * rows) + (JSON_ROW_BYTES if json_rows else 0)
     _check_memory(f"the time grid over [0, {t_max:g}] at step {step:g} ({points:.3g} points)",
-                  8 * points * (GRID_ARRAYS + 2 * rows))
+                  points * per_point)
 
 
 def _build_graph(args, n: int) -> Graph:
@@ -210,7 +216,7 @@ def _check_numeric_flags(args) -> None:
 def cmd_scan(args) -> int:
     g = _build_graph(args, args.n)
     t_max = args.t_max or PEAK_WINDOW_FACTOR * g.n_vertices
-    _check_grid(t_max, args.grid_step)
+    _check_grid(t_max, args.grid_step, json_rows=args.format == "json")
     eig, psi0 = _prepared(g)
     grid = _time_grid(t_max, args.grid_step)
     curves = outcome_curves(eig, psi0, g, grid)
@@ -292,12 +298,12 @@ def cmd_verify(args) -> int:
         raise PreconditionError(
             f"brute-force verification is capped at N <= {ORACLE_MAX_SITES}, got N={n}")
     t_max = args.t_max or 10.0
-    _check_grid(t_max, VERIFY_GRID_STEP, rows=n * (n - 1))
+    _check_grid(t_max, args.grid_step, rows=n * (n - 1))
     label = f"N{n}"
     h = assemble_hamiltonian(g)
     record(f"{label}_sector_restriction_max_diff",
            float(np.max(np.abs(sector_restriction(g) - h.matrix))), 1e-12)
-    cmp_res = full_evolve_compare(g, _time_grid(t_max, VERIFY_GRID_STEP))
+    cmp_res = full_evolve_compare(g, _time_grid(t_max, args.grid_step))
     record(f"{label}_full_vs_reduced_max_amplitude_dev",
            cmp_res.max_amplitude_deviation, 1e-9)
     record(f"{label}_sector_leakage", cmp_res.max_sector_leakage, 1e-12)
@@ -359,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="brute-force and algebra checks")
     _add_common(p)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, grid_step=VERIFY_GRID_STEP)
     return top
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import signal
 from functools import lru_cache
 
 import networkx as nx
@@ -28,3 +30,18 @@ def random_graph_with_moved_roles():
     nxg = nx.connected_watts_strogatz_graph(10, 4, 0.5, seed=3)
     return Graph(10, frozenset((min(u, v) + 1, max(u, v) + 1) for u, v in nxg.edges),
                  Roles(3, 7, 1, 5))
+
+
+@contextlib.contextmanager
+def time_budget(seconds):
+    """Raise TimeoutError in the block once `seconds` of wall time have passed."""
+    def too_slow(signum, frame):
+        raise TimeoutError(f"did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

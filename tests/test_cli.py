@@ -1,12 +1,12 @@
-import contextlib
 import json
-import signal
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from conftest import time_budget
 from qutrit_bell.cli import main
 
 
@@ -14,20 +14,6 @@ def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-@contextlib.contextmanager
-def time_budget(seconds):
-    def too_slow(signum, frame):
-        raise TimeoutError(f"did not finish within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, too_slow)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def parse_csv(text):
@@ -190,6 +176,16 @@ class TestVerify:
         assert code == 0
         assert parse_csv(explicit) == parse_csv(default)
 
+    def test_grid_step_is_used_and_echoed(self, capsys):
+        argv = ["verify", "--topology", "loop", "--n", "4", "--no-timestamp"]
+        _, default, _ = run_cli(argv, capsys)
+        code, coarse, _ = run_cli(argv + ["--grid-step", "0.5"], capsys)
+        assert code == 0
+        assert " grid_step=0.1 " in default.splitlines()[1]
+        assert " grid_step=0.5 " in coarse.splitlines()[1]
+        measured = {r[0]: r[1] for r in parse_csv(default)[1]}
+        assert measured != {r[0]: r[1] for r in parse_csv(coarse)[1]}
+
     def test_oversize_refused(self, capsys):
         code, _, err = run_cli(["verify", "--topology", "cross", "--n", "13"],
                                capsys)
@@ -244,6 +240,19 @@ class TestSizeGuard:
         ["verify", "--topology", "loop", "--n", "4", "--t-max", "1e12"],
     ])
     def test_time_grid_beyond_physical_memory_is_exit_2(self, argv, capsys):
+        with time_budget(1):
+            code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "time grid" in err and "GB" in err
+        assert "Traceback" not in err
+
+    def test_json_scan_text_beyond_physical_memory_is_exit_2(self, capsys):
+        # the grid's arrays (48 bytes a point) would fit in a quarter of
+        # memory, but the JSON text of its rows would not
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        argv = ["scan", "--topology", "loop", "--n", "4", "--format", "json",
+                "--grid-step", "0.01", "--t-max", f"{memory / 200 * 0.01:.6g}"]
         with time_budget(1):
             code, out, err = run_cli(argv, capsys)
         assert code == 2

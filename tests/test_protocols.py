@@ -120,6 +120,42 @@ class TestPlanProtocol2:
         with pytest.raises(ValueError):
             plan_protocol2(g, e, Strategy.PEAK_SUCCESS, n_max=0)
 
+    # (time, p_success, p1) of each step as the CLI prints them. The loop-4
+    # tail plans on curves of height ~1e-13, and cross-7 moved when the
+    # rounding of V^T psi0 changed: both pin the kernel's scalar path.
+    PINNED_SCHEDULES = {
+        ("loop", 4): [
+            ("25.15652991", "0.4999823158", "0.02972908738"),
+            ("25.15652991", "0.000594824536", "0.05938747997"),
+            ("25.15652992", "3.542499403e-07", "0.05942278537"),
+            ("1.093762169", "1.954802822e-10", "0.4346790704"),
+            ("1.093762243", "3.27950962e-11", "0.4346792114"),
+            ("1.093762243", "5.501925681e-12", "0.434679212"),
+            ("1.093762462", "9.230400197e-13", "0.4346796285"),
+            ("1.09376456", "1.548552461e-13", "0.4346836147"),
+            ("1.093761546", "2.597929365e-14", "0.4346778862"),
+            ("1.093764561", "4.358474091e-15", "0.4346836162")],
+        ("cross", 7): [
+            ("38.28164163", "0.2613616541", "0.6903919736"),
+            ("22.24706041", "0.0922672129", "0.3315527005"),
+            ("37.25766733", "0.1142560812", "0.7028686059"),
+            ("14.28089175", "0.1058357996", "0.8446389614"),
+            ("1.666173346", "0.02564755522", "0.5047678522"),
+            ("49.89456592", "0.0107431986", "0.622738956"),
+            ("8.784179236", "0.009111684427", "0.9245583962"),
+            ("8.451986342", "0.005730013117", "0.8598482965"),
+            ("22.72020001", "0.001751550917", "0.9781515129"),
+            ("15.83325513", "0.0006293128752", "0.9877083336")],
+    }
+
+    @pytest.mark.parametrize("family,n", list(PINNED_SCHEDULES))
+    def test_printed_schedule_is_pinned(self, family, n):
+        g, e, _ = prepared(family, n)
+        sched = plan_protocol2(g, e, Strategy.PEAK_SUCCESS, n_max=10)
+        printed = [(f"{s.time:.10g}", f"{s.p_success:.10g}", f"{s.p1:.10g}")
+                   for s in sched.steps]
+        assert printed == self.PINNED_SCHEDULES[(family, n)]
+
     def test_blocked_curves_equal_whole_grid_curves(self):
         # the last block holds one time, the case np.sum would round pairwise
         g, e, psi0 = prepared("loop", 8)
