@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -41,11 +42,12 @@ EIGENSYSTEM_ARRAYS = 6
 #: Float arrays of grid length a command holds besides amplitude rows: a scan's
 #: grid and its five outcome curves.
 GRID_ARRAYS = 6
-#: Memory of one output row as JSON, whose text is built whole before it is
-#: written: a 256,001-point loop-4 `scan` peaked at 375.6 MiB of RSS as JSON
-#: and 61.2 MiB as CSV, 1.29 kB per point.
-JSON_ROW_BYTES = 1300
 VERIFY_GRID_STEP = 0.1  # default step of the grid on which `verify` compares the engines
+#: Cap on |E| t_max, the Chebyshev argument over which `verify` propagates the
+#: 3^N state. At cross-9 a unit costs about 0.9 ms on 2 cores (2.9 s for
+#: t_max = 400), so some 9 s at the cap; a grid step dt beyond
+#: CHEBYSHEV_SPAN / |E| takes one recurrence of order about 1.4 |E| dt.
+VERIFY_MAX_EDGE_TIME = 1e4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -108,17 +110,15 @@ def _check_fits(n: int) -> None:
                   EIGENSYSTEM_ARRAYS * 8 * d * d)
 
 
-def _check_grid(t_max: float, step: float, rows: int = 0, json_rows: bool = False) -> None:
+def _check_grid(t_max: float, step: float, rows: int = 0) -> None:
     """Refuse a time grid whose arrays would exceed physical memory.
 
     Each grid point costs GRID_ARRAYS floats plus one complex amplitude per
-    row held along the whole grid, and JSON_ROW_BYTES more when the command
-    writes one output row per point as JSON (json_rows).
+    row held along the whole grid.
     """
     points = t_max / step + 1
-    per_point = 8 * (GRID_ARRAYS + 2 * rows) + (JSON_ROW_BYTES if json_rows else 0)
     _check_memory(f"the time grid over [0, {t_max:g}] at step {step:g} ({points:.3g} points)",
-                  points * per_point)
+                  points * 8 * (GRID_ARRAYS + 2 * rows))
 
 
 def _build_graph(args, n: int) -> Graph:
@@ -158,12 +158,33 @@ def _csv_lines(args, extra_config: dict | None, sections):
         yield from (",".join(_fmt(x) for x in row) + "\n" for row in rws)
 
 
+class _Rows(list):
+    """A non-empty row iterable that `json` encodes as a list, one row at a time."""
+
+    def __init__(self, rows):
+        super().__init__()
+        self._rows = rows
+
+    def __bool__(self):
+        return True
+
+    def __iter__(self):
+        return ([_fmt(x) for x in row] for row in self._rows)
+
+
+def _json_rows(rows):
+    """Rows for the JSON encoder: read lazily, or [] when there are none."""
+    rows = iter(rows)
+    first = next(rows, None)
+    return [] if first is None else _Rows(chain([first], rows))
+
+
 def _write_table(args, columns: list[str], rows,
                  extra_config: dict | None = None, sections=None) -> None:
     """Emit one table (or several named sections) as CSV or JSON.
 
-    Rows may be any iterable. CSV rows are formatted as they are written, so
-    a long scan never holds its table as text.
+    Rows may be any iterable. Both formats format rows as they are written,
+    so a long scan never holds its table as text.
     """
     if args.format == "json":
         payload = {"config": _config_echo(args, extra_config)}
@@ -171,12 +192,12 @@ def _write_table(args, columns: list[str], rows,
             payload["generated"] = datetime.now(timezone.utc).isoformat()
         if sections is None:
             payload["columns"] = columns
-            payload["rows"] = [[_fmt(x) for x in row] for row in rows]
+            payload["rows"] = _json_rows(rows)
         else:
-            payload["sections"] = {
-                name: {"columns": cols, "rows": [[_fmt(x) for x in row] for row in rws]}
-                for name, cols, rws in sections}
-        chunks = [json.dumps(payload, indent=2) + "\n"]
+            payload["sections"] = {name: {"columns": cols, "rows": _json_rows(rws)}
+                                   for name, cols, rws in sections}
+        # indent=2, as json.dumps(payload, indent=2) would write it
+        chunks = chain(json.JSONEncoder(indent=2).iterencode(payload), ["\n"])
     else:
         chunks = _csv_lines(args, extra_config,
                             [(None, columns, rows)] if sections is None else sections)
@@ -216,7 +237,7 @@ def _check_numeric_flags(args) -> None:
 def cmd_scan(args) -> int:
     g = _build_graph(args, args.n)
     t_max = args.t_max or PEAK_WINDOW_FACTOR * g.n_vertices
-    _check_grid(t_max, args.grid_step, json_rows=args.format == "json")
+    _check_grid(t_max, args.grid_step)
     eig, psi0 = _prepared(g)
     grid = _time_grid(t_max, args.grid_step)
     curves = outcome_curves(eig, psi0, g, grid)
@@ -269,9 +290,12 @@ def cmd_protocol2(args) -> int:
     if args.tau is not None:
         schedule = plan_regular(g, eig, args.tau, args.n_max)
     else:
-        schedule = plan_protocol2(g, eig, Strategy(args.strategy), args.n_max,
-                                  t_max=args.t_max, grid_step=args.grid_step,
-                                  refine_tol=args.refine_tol)
+        try:
+            schedule = plan_protocol2(g, eig, Strategy(args.strategy), args.n_max,
+                                      t_max=args.t_max, grid_step=args.grid_step,
+                                      refine_tol=args.refine_tol)
+        except RuntimeError as exc:  # a search window without success
+            raise PreconditionError(str(exc)) from exc
     series = zip(protocol2_no_reset(schedule, args.n_max), protocol2_total(schedule, args.n_max))
     rows = [(k + 1, pbar, ptot, protocol1_cumulative(schedule.p_success(0), k + 1),
              schedule.strategy, schedule.steps[k].time if k < len(schedule) else 0.0)
@@ -299,6 +323,10 @@ def cmd_verify(args) -> int:
             f"brute-force verification is capped at N <= {ORACLE_MAX_SITES}, got N={n}")
     t_max = args.t_max or 10.0
     _check_grid(t_max, args.grid_step, rows=n * (n - 1))
+    if len(g.edges) * t_max > VERIFY_MAX_EDGE_TIME:
+        raise PreconditionError(f"verify propagates the 3^N state over |E| t_max = "
+                                f"{len(g.edges) * t_max:.3g}, beyond the cap of "
+                                f"{VERIFY_MAX_EDGE_TIME:g}")
     label = f"N{n}"
     h = assemble_hamiltonian(g)
     record(f"{label}_sector_restriction_max_diff",

@@ -3,7 +3,10 @@ import pytest
 
 from conftest import prepared
 from qutrit_bell import assemble_hamiltonian, build_cross, build_loop
-from qutrit_bell.oracle import (FullHamiltonian, _chebyshev_step, full_evolve_compare,
+from qutrit_bell.cli import main
+from qutrit_bell.dynamics import _time_grid
+from qutrit_bell.oracle import (FullHamiltonian, _bessel_j, _chebyshev_span,
+                                _sector_indices, _spans, full_evolve_compare,
                                 full_initial_index, generator_matrix,
                                 sector_restriction, su3_algebra_check)
 from qutrit_bell.topology import Graph, Roles
@@ -68,6 +71,13 @@ class TestSectorRestriction:
         restricted = sector_restriction(g)
         assert np.array_equal(restricted, reduced)
 
+    def test_image_outside_the_sector_raises(self, monkeypatch):
+        # with the last sector state left out, some column's image lands outside
+        sect = _sector_indices(build_loop(4))
+        monkeypatch.setattr("qutrit_bell.oracle._sector_indices", lambda g: sect[:-1])
+        with pytest.raises(ValueError, match="out of the sector"):
+            sector_restriction(build_loop(4))
+
 
 class TestFullEvolveCompare:
     @pytest.mark.parametrize("family,n", [("loop", 4), ("cross", 5)])
@@ -92,21 +102,120 @@ class TestFullEvolveCompare:
     @pytest.mark.parametrize("family,n", [("loop", 4), ("cross", 5)])
     @pytest.mark.parametrize("dt", [0.0, 0.1, -0.5, 7.3])
     def test_chebyshev_step_matches_dense_eigh(self, family, n, dt):
-        # dt = 7.3 gives x = |E| dt = 29.2, about 70 Bessel terms
+        # one recurrence serves every offset, repeats included; dt comes
+        # last, so the returned full state is the one at dt. 7.3 gives
+        # x = |E| dt = 29.2, about 70 Bessel terms
         g, *_ = prepared(family, n)
         full = FullHamiltonian(g)
-        lam, vec = np.linalg.eigh(full.dense())
-        rng = np.random.default_rng(7)
-        psi = rng.normal(size=full.dimension) + 1j * rng.normal(size=full.dimension)
-        psi /= np.linalg.norm(psi)
-        reference = vec @ (np.exp(-1j * lam * dt) * (vec.T @ psi))
-        assert np.max(np.abs(_chebyshev_step(full, psi, dt) - reference)) < 1e-12
+        psi = _random_state(full.dimension)
+        offsets = np.array([0.0, 0.1, -0.5, 7.3, 0.1, 0.0, dt])
+        everything = np.arange(full.dimension)
+        states, leak, last = _chebyshev_span(full, psi, offsets, everything)
+        reference = _dense_states(full, psi, offsets)
+        assert np.max(np.abs(states - reference)) < 1e-12
+        assert np.max(np.abs(last - reference[-1])) < 1e-12
+        assert not leak.any()  # no state has a component outside all rows
+
+    # an uneven grid over 4 spans, ending in a lone point beyond a span; and a
+    # fine grid whose first span has 2001 points, more than one PHASE_BLOCK
+    @pytest.mark.parametrize("t_grid", [
+        np.concatenate([np.arange(0.0, 30.0, 0.7), [29.4, 3.0, 3.0, 41.0]]),
+        np.arange(0.0, 24.0, 0.004)])
+    def test_grid_across_spans_matches_dense_eigh(self, t_grid):
+        g, *_ = prepared("loop", 4)
+        full = FullHamiltonian(g)
+        psi = _random_state(full.dimension)
+        everything = np.arange(full.dimension)
+        spans = list(_spans(full, psi, t_grid, everything))
+        assert len(spans) >= 3
+        assert [p.start for p, *_ in spans[1:]] == [p.stop for p, *_ in spans[:-1]]
+        assert spans[-1][0].stop == t_grid.size
+        reference = _dense_states(full, psi, t_grid)
+        for points, states, _ in spans:
+            assert np.max(np.abs(states - reference[points])) < 1e-12
+
+    def test_leakage_bound_covers_the_outside(self):
+        # a state that starts partly outside the sector: the bound must be
+        # at least the largest outside magnitude at every time (the dense
+        # reference itself is good to about 1e-15)
+        g, *_ = prepared("cross", 5)
+        full = FullHamiltonian(g)
+        psi = _random_state(full.dimension)
+        sect = _sector_indices(g)
+        t_grid = np.arange(0.0, 12.0, 0.3)
+        reference = _dense_states(full, psi, t_grid)
+        reference[:, sect] = 0.0
+        for points, _, leak in _spans(full, psi, t_grid, sect):
+            assert np.all(leak >= np.max(np.abs(reference[points]), axis=1) - 1e-13)
+
+    def test_bessel_table_at_tiny_arguments(self):
+        x = np.array([0.0, 1e-300, -1e-300, 1e-9, -3e-9])
+        table = _bessel_j(6, x)
+        series = np.array([(x / 2) ** k / np.prod(np.arange(1.0, k + 1)) for k in range(7)])
+        assert np.array_equal(table[0], np.ones(5))
+        assert np.allclose(table, series, rtol=1e-15, atol=0.0)
+
+
+def _random_state(dimension: int) -> np.ndarray:
+    rng = np.random.default_rng(7)
+    psi = rng.normal(size=dimension) + 1j * rng.normal(size=dimension)
+    return psi / np.linalg.norm(psi)
+
+
+def _dense_states(full: FullHamiltonian, psi: np.ndarray, times) -> np.ndarray:
+    """exp(-iHt) psi for each t (times x dimension), from eigh of the dense full H."""
+    lam, vec = np.linalg.eigh(full.dense())
+    return (vec @ (np.exp(-1j * np.outer(lam, times)) * (vec.T @ psi)[:, None])).T
+
+
+class _CountedApply:
+    """FullHamiltonian.apply with a call counter."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        self._apply = FullHamiltonian.apply
+        monkeypatch.setattr(FullHamiltonian, "apply", self)
+
+    def __get__(self, full, owner):
+        def counted(vec):
+            self.calls += 1
+            return self._apply(full, vec)
+        return counted
+
+
+class TestCost:
+    def test_apply_counts_on_the_default_verify_grid(self, monkeypatch):
+        # cross-9, 101 points: one recurrence per span of CHEBYSHEV_SPAN / |E|
+        # = 4 time units; a fresh expansion per point took 1500 applies, and
+        # the restriction one per sector column
+        g, *_ = prepared("cross", 9)
+        counter = _CountedApply(monkeypatch)
+        sector_restriction(g)
+        assert counter.calls == 0
+        full_evolve_compare(g, _time_grid(10.0, 0.1))
+        assert counter.calls <= 200
+
+    def test_leaking_apply_fails_verify(self, monkeypatch, capsys):
+        apply = FullHamiltonian.apply
+
+        def leaky(full, vec):
+            out = apply(full, vec)
+            out[0] += 1e-6 * np.linalg.norm(vec)  # every site at -1: outside the sector
+            return out
+
+        monkeypatch.setattr(FullHamiltonian, "apply", leaky)
+        code = main(["verify", "--topology", "loop", "--n", "4", "--no-timestamp"])
+        rows = dict(line.split(",", 1) for line in capsys.readouterr().out.splitlines()
+                    if not line.startswith("#"))
+        assert code == 3
+        assert rows["N4_sector_leakage"].endswith(",FAIL")
+        assert rows["N4_sector_restriction_max_diff"].endswith(",pass")
 
 
 class TestSymmetryCheck:
     """The reduced engine's Bell-channel amplitudes, as `verify` reads them.
 
-    The grids keep each system under half a second through the 3^N oracle.
+    Each grid takes well under a second through the 3^N oracle.
     """
 
     def test_cross7(self):
@@ -116,7 +225,7 @@ class TestSymmetryCheck:
 
     def test_loop8(self):
         g, *_ = prepared("loop", 8)
-        result = full_evolve_compare(g, np.arange(0.0, 20.0, 0.5))
+        result = full_evolve_compare(g, np.arange(0.0, 20.0, 0.05))
         assert result.max_bell_asymmetry < 1e-10
 
     def test_zero_time(self):

@@ -4,8 +4,13 @@ Half of the drawn graphs are built to carry the protocol symmetry: the
 edges are closed under an involution that exchanges Charlie's two sites,
 fixes Alice's and Bob's and pairs some of the other sites at random. The
 rest are plain random graphs, which rarely have it.
+
+The last property fuzzes the CLI's numeric flags on loop-4 and cross-5.
 """
 
+import io
+import math
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import permutations
 
 import numpy as np
@@ -13,13 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import time_budget
 from qutrit_bell import (Graph, Roles, assemble_hamiltonian, evolve,
                          find_protocol_automorphism, initial_state,
                          outcome_distribution, spectral_decompose)
+from qutrit_bell.cli import main
 from qutrit_bell.dynamics import _index_groups
 from qutrit_bell.oracle import full_evolve_compare
 
-#: a few uneven times; the oracle steps through them one Chebyshev step each
+#: a few uneven times; the oracle reaches them in one or two Chebyshev spans
 ORACLE_GRID = [0.0, 0.37, 1.3, 2.9, 6.1]
 
 
@@ -111,3 +118,48 @@ def test_outcome_probabilities_sum_to_one(drawn, t):
     # p1 is the remainder of the other three; it must also be psi1's own weight
     weight_g1 = float(np.sum(np.abs(psi.amplitudes[_index_groups(g)["g1"]]) ** 2))
     assert d.p1 == pytest.approx(weight_g1, abs=1e-12)
+
+
+#: a float flag: special values, negatives, or a moderate range small enough
+#: that every command on loop-4 and cross-5 stays well under a second
+FLOAT_FLAG = st.one_of(st.none(),
+                       st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0,
+                                        1e-300, 1e300]),
+                       st.floats(-30.0, -1e-3),
+                       st.floats(0.05, 20.0))
+FLAGS = {"scan": ("t-max", "grid-step", "refine-tol"),
+         "peaks": ("t-max", "grid-step", "refine-tol"),
+         "protocol1": ("t-max", "grid-step", "refine-tol", "n-max"),
+         "protocol2": ("t-max", "grid-step", "refine-tol", "tau", "n-max"),
+         "verify": ("t-max", "grid-step", "refine-tol")}
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """argv of one command with some of its numeric flags drawn.
+
+    --n-max stays small: protocol-1 writes one row per step and the
+    protocol-2 series is quadratic in it.
+    """
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    topology, n = draw(st.sampled_from([("loop", "4"), ("cross", "5")]))
+    size = ["--n-list", n] if command in ("peaks", "protocol1") else ["--n", n]
+    argv = [command, "--topology", topology, *size, "--no-timestamp"]
+    for flag in FLAGS[command]:
+        value = draw(st.one_of(st.none(), st.integers(-3, 12)) if flag == "n-max"
+                     else FLOAT_FLAG)
+        if value is not None:
+            argv.append(f"--{flag}={value!r}")
+    return argv
+
+
+@given(fuzzed_argv())
+@settings(max_examples=100, deadline=None)
+def test_fuzzed_numeric_flags_end_in_a_documented_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with time_budget(5), redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert out.getvalue()
