@@ -24,16 +24,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import islice
 
 import numpy as np
 
 from .dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, Eigensystem,
-                       Wavefunction, _index_groups, _SpectralKernel, _time_grid,
-                       evolve, initial_state, refine_maximum, select_peak)
+                       Wavefunction, _index_groups, _pair_position, _pairs,
+                       _SpectralKernel, _time_grid, evolve, initial_state,
+                       refine_maximum, select_peak)
 from .measurement import ZERO_PROB, Outcome, outcome_distribution, post_state
-from .topology import Graph
+from .topology import Graph, find_protocol_automorphism
 
 #: fraction of the window-max success probability below which a time is not
 #: considered a meaningful measurement opportunity for the MinLoss strategy
@@ -144,16 +145,55 @@ def _score(strategy: Strategy, p_success, p_unusable):
     return p_success - p_unusable
 
 
-def _step_curve(amp: np.ndarray):
+def _step_curve(amp: np.ndarray, weight: float = 1.0):
     """(p_S, p_U) from the amplitudes of the success rows then the psi2/psi3 rows.
 
-    amp is (rows,) at one time or (rows, B) on a block of times. A block is
-    summed row after row, as numpy sums a whole grid matrix along axis 0;
-    np.sum would sum a one-time block pairwise, which rounds differently.
+    amp is (rows,) at one time or (rows, B) on a block of times; each
+    psi2/psi3 row counts `weight` times in p_U. A block is summed row after
+    row, as numpy sums a whole grid matrix along axis 0; np.sum would sum a
+    one-time block pairwise, which rounds differently.
     """
     sq = np.abs(amp[2:]) ** 2
     p_u = np.sum(sq, axis=0) if amp.ndim == 1 else reduce(np.add, sq, np.zeros(amp.shape[1]))
-    return 0.5 * np.abs(amp[0] + amp[1]) ** 2, p_u
+    return 0.5 * np.abs(amp[0] + amp[1]) ** 2, weight * p_u
+
+
+@lru_cache(maxsize=64)
+def _pc_partner(g: Graph) -> np.ndarray | None:
+    """Position of PC|i,j> = |Pj,Pi> for every pair |i,j>, or None.
+
+    P is the protocol automorphism and C exchanges the +1 and -1
+    excitations. None when the graph has no such P, or when the one found
+    is not an involution, so that PC would not pair the rows.
+    """
+    found = find_protocol_automorphism(g)
+    if not found.exists:
+        return None
+    perm = np.array((0, *found.mapping))
+    if not np.array_equal(perm[perm], np.arange(perm.size)):
+        return None
+    plus, minus = _pairs(g.n_vertices)
+    return _pair_position(g.n_vertices, perm[minus], perm[plus])
+
+
+def _scan_rows(g: Graph, psi: Wavefunction) -> tuple[np.ndarray, float]:
+    """The psi2/psi3 rows a grid scan projects, and the weight of each in p_U.
+
+    PC fixes Alice and Bob, so it maps psi2 rows to psi2 rows and psi3 rows
+    to psi3 rows, and none to itself. A PC-even state has equal amplitudes
+    on the two rows of each such pair, and so does its evolution, since H
+    commutes with PC: one row per pair, counted twice, gives p_U. A state
+    counts as PC-even when each amplitude matches its partner's to ZERO_PROB
+    (planned chains stay within 2e-14 on loop-36 and cross-35); any other
+    state, or a graph without the pairing, projects every row once.
+    """
+    grp = _index_groups(g)
+    rows = np.concatenate([grp["g2"], grp["g3"]])
+    partner = _pc_partner(g)
+    a = psi.amplitudes
+    if partner is None or np.max(np.abs(a - a[partner])) > ZERO_PROB:
+        return rows, 1.0
+    return rows[rows < partner[rows]], 2.0
 
 
 def _choose_step_time(strategy: Strategy, e: Eigensystem, psi: Wavefunction, g: Graph,
@@ -161,18 +201,26 @@ def _choose_step_time(strategy: Strategy, e: Eigensystem, psi: Wavefunction, g: 
     """Measurement time for the current conditional state, per strategy.
 
     Only the rows the strategy reads are projected: the two success rows,
-    plus the psi2/psi3 rows unless it is peak-success. The grid curves are
-    reduced one phase block at a time, so no rows x T matrix is held.
+    plus the psi2/psi3 rows unless it is peak-success. On a PC-even state
+    the grid scan projects one psi2/psi3 row of each PC pair and counts it
+    twice (`_scan_rows`), which halves its work on the loop and the cross;
+    the refinement still reads every row, so the chosen times keep the
+    scalar path's bits. The grid curves are reduced one phase block at a
+    time, so no rows x T matrix is held.
     """
     grp = _index_groups(g)
-    rows = grp["success"]
+    rows = scan_rows = grp["success"]
+    weight = 1.0
     if strategy is not Strategy.PEAK_SUCCESS:
+        unusable, weight = _scan_rows(g, psi)
         rows = np.concatenate([rows, grp["g2"], grp["g3"]])
+        scan_rows = np.concatenate([grp["success"], unusable])
 
     kernel = _SpectralKernel(e, psi, rows)
+    scan = kernel if weight == 1.0 else _SpectralKernel(e, psi, scan_rows)
     p_s, p_u = np.empty(t_grid.size), np.empty(t_grid.size)
-    for cols, amp in kernel._blocks(t_grid):
-        p_s[cols], p_u[cols] = _step_curve(amp)
+    for cols, amp in scan._blocks(t_grid):
+        p_s[cols], p_u[cols] = _step_curve(amp, weight)
     if p_s.max() < 1e-15:
         raise RuntimeError("success probability identically zero over the "
                            "search window; cannot plan further measurements")
@@ -274,18 +322,18 @@ def protocol2_no_reset(schedule: Schedule, n: int | None = None) -> np.ndarray:
 
 
 def protocol2_total(schedule: Schedule, n: int | None = None) -> np.ndarray:
-    """Total success probabilities P_1..P_n including restart branches."""
+    """Total success probabilities P_1..P_n including restart branches.
+
+    The weight of a restart at step j, w_j = [prod_{i<j} p_1(i)] times the
+    step's reset weight, does not depend on n, so each P_n is Pbar_n plus
+    one dot product of w with the earlier P in reverse.
+    """
     n = len(schedule) if n is None else n
-    rows = _padded(schedule, n)
-    pbar = protocol2_no_reset(schedule, n)
-    p = np.empty(n)
-    for nn in range(1, n + 1):
-        val = pbar[nn - 1]
-        surv = 1.0
-        for j in range(1, nn):
-            val += surv * rows[j - 1][2] * p[nn - j - 1]
-            surv *= rows[j - 1][1]
-        p[nn - 1] = val
+    _, p1, reset = np.array(_padded(schedule, n)).reshape(n, 3).T
+    w = np.cumprod(np.concatenate(([1.0], p1[:-1]))) * reset
+    p = protocol2_no_reset(schedule, n)
+    for k in range(1, n):
+        p[k] += np.dot(w[:k], p[k - 1::-1])
     return p
 
 

@@ -148,6 +148,17 @@ class TestProtocol2:
         _, rows = parse_csv(out)
         assert all(r[4] == "regular" for r in rows)
 
+    def test_long_regular_series_within_budget(self, capsys):
+        # 2.4 s on 2 cores, most of it evolving the 20000 regular steps
+        with time_budget(15):
+            code, out, _ = run_cli(["protocol2", "--topology", "loop", "--n", "4",
+                                    "--tau", "1", "--n-max", "20000", "--no-timestamp"],
+                                   capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 20000
+        assert rows[-1][0] == "20000"
+
     @pytest.mark.parametrize("flags", [["--t-max", "0.001"], ["--grid-step", "50"]])
     def test_window_without_success_is_exit_2(self, flags, capsys):
         code, out, err = run_cli(["protocol2", "--topology", "loop", "--n", "4"] + flags,

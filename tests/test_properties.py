@@ -24,7 +24,9 @@ from qutrit_bell import (Graph, Roles, assemble_hamiltonian, evolve,
                          outcome_distribution, spectral_decompose)
 from qutrit_bell.cli import main
 from qutrit_bell.dynamics import _index_groups
+from qutrit_bell.measurement import ZERO_PROB, Outcome, post_state
 from qutrit_bell.oracle import full_evolve_compare
+from qutrit_bell.protocols import _pc_partner, _scan_rows
 
 #: a few uneven times; the oracle reaches them in one or two Chebyshev spans
 ORACLE_GRID = [0.0, 0.37, 1.3, 2.9, 6.1]
@@ -106,6 +108,34 @@ def test_bell_amplitudes_equal_and_match_the_oracle_under_the_symmetry(drawn):
     assert result.max_amplitude_deviation <= 1e-9
 
 
+@given(protocol_graphs(symmetric=True), st.floats(0.0, 50.0))
+@settings(max_examples=40, deadline=None)
+def test_pc_pairs_the_unusable_rows_and_their_doubled_sum_is_p_u(drawn, t):
+    g, _ = drawn
+    mapping = find_protocol_automorphism(g).mapping
+    partner = _pc_partner(g)
+    if any(mapping[mapping[v] - 1] != v + 1 for v in range(g.n_vertices)):
+        assert partner is None  # only an involution pairs the rows
+        return
+    grp = _index_groups(g)
+    assert np.array_equal(partner[partner], np.arange(partner.size))
+    for name in ("g2", "g3"):
+        rows = grp[name]
+        assert np.all(partner[rows] != rows)
+        assert np.array_equal(np.sort(partner[rows]), rows)
+    psi = evolve(spectral_decompose(assemble_hamiltonian(g)), initial_state(g), t)
+    states = [psi]
+    if outcome_distribution(psi, g).p1 >= ZERO_PROB:
+        states.append(post_state(psi, Outcome.PSI1, g))  # what the planner conditions on
+    for state in states:
+        rows, weight = _scan_rows(g, state)
+        a = state.amplitudes
+        assert weight == 2.0
+        assert 2 * rows.size == grp["g2"].size + grp["g3"].size
+        full = np.sum(np.abs(a[grp["g2"]]) ** 2) + np.sum(np.abs(a[grp["g3"]]) ** 2)
+        assert abs(weight * np.sum(np.abs(a[rows]) ** 2) - full) <= 1e-12
+
+
 @given(protocol_graphs(), st.floats(0.0, 50.0))
 @settings(max_examples=40, deadline=None)
 def test_outcome_probabilities_sum_to_one(drawn, t):
@@ -138,8 +168,8 @@ FLAGS = {"scan": ("t-max", "grid-step", "refine-tol"),
 def fuzzed_argv(draw):
     """argv of one command with some of its numeric flags drawn.
 
-    --n-max stays small: protocol-1 writes one row per step and the
-    protocol-2 series is quadratic in it.
+    --n-max stays small: protocol-1 writes one row per step and protocol-2
+    plans one grid scan per step.
     """
     command = draw(st.sampled_from(sorted(FLAGS)))
     topology, n = draw(st.sampled_from([("loop", "4"), ("cross", "5")]))

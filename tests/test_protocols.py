@@ -1,19 +1,24 @@
 import signal
 import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import peak, prepared
-from qutrit_bell import (Strategy, enumerate_outcome_tree,
+from conftest import peak, prepared, random_graph_with_moved_roles
+from qutrit_bell import (Strategy, Wavefunction, enumerate_outcome_tree, initial_state,
                          monte_carlo, plan_protocol2, plan_regular,
                          protocol1_cumulative, protocol1_required,
                          protocol2_limit_check, protocol2_no_reset,
                          protocol2_total)
-from qutrit_bell.dynamics import PHASE_BLOCK, _index_groups, _SpectralKernel, amplitude_rows
-from qutrit_bell.protocols import Schedule, ScheduleStep, _step_curve
+from qutrit_bell import protocols
+from qutrit_bell.dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, PHASE_BLOCK,
+                                  _index_groups, _SpectralKernel, amplitude_rows,
+                                  pair_index)
+from qutrit_bell.protocols import (Schedule, ScheduleStep, _pc_partner, _protocol2_steps,
+                                   _scan_rows, _step_chooser, _step_curve)
 
 
 def synthetic_schedule(rows, n_vertices=5, strategy="synthetic"):
@@ -123,8 +128,10 @@ class TestPlanProtocol2:
     # (time, p_success, p1) of each step as the CLI prints them. The loop-4
     # tail plans on curves of height ~1e-13, and cross-7 moved when the
     # rounding of V^T psi0 changed: both pin the kernel's scalar path.
+    # Min-loss and max-margin also scan p_U on the grid; max-margin stalls
+    # at t = 0 after its first step, where p_S is roundoff.
     PINNED_SCHEDULES = {
-        ("loop", 4): [
+        ("loop", 4, "peak-success"): [
             ("25.15652991", "0.4999823158", "0.02972908738"),
             ("25.15652991", "0.000594824536", "0.05938747997"),
             ("25.15652992", "3.542499403e-07", "0.05942278537"),
@@ -135,7 +142,7 @@ class TestPlanProtocol2:
             ("1.09376456", "1.548552461e-13", "0.4346836147"),
             ("1.093761546", "2.597929365e-14", "0.4346778862"),
             ("1.093764561", "4.358474091e-15", "0.4346836162")],
-        ("cross", 7): [
+        ("cross", 7, "peak-success"): [
             ("38.28164163", "0.2613616541", "0.6903919736"),
             ("22.24706041", "0.0922672129", "0.3315527005"),
             ("37.25766733", "0.1142560812", "0.7028686059"),
@@ -146,15 +153,61 @@ class TestPlanProtocol2:
             ("8.451986342", "0.005730013117", "0.8598482965"),
             ("22.72020001", "0.001751550917", "0.9781515129"),
             ("15.83325513", "0.0006293128752", "0.9877083336")],
+        ("loop", 8, "min-loss"): [
+            ("10.52477721", "0.2352290265", "0.7144439216"),
+            ("38.38185619", "0.1624503076", "0.7776125001"),
+            ("1.918401199", "0.0283439288", "0.8762302464"),
+            ("54.13512662", "0.01106596411", "0.9090559978"),
+            ("56.90717761", "0.02209156099", "0.9008714758"),
+            ("16.44536876", "0.01659189864", "0.94871434"),
+            ("56.87548119", "0.04355662088", "0.8963771731"),
+            ("12.29950751", "0.006082037856", "0.9302111516"),
+            ("56.97", "0.003809548085", "0.9286892546"),
+            ("25.43353782", "0.01610566609", "0.9136496464")],
+        ("cross", 9, "min-loss"): [
+            ("5.333600806", "0.04215421965", "0.8922932238"),
+            ("52.57419248", "0.2010550738", "0.716253554"),
+            ("68.52797912", "0.03835882609", "0.9087435961"),
+            ("60.97360394", "0.01318932553", "0.9575892512"),
+            ("56.45016857", "0.01690150823", "0.9563374357"),
+            ("26.08515789", "0.01047918319", "0.9629583022"),
+            ("26.99617802", "0.006410171276", "0.9732138941"),
+            ("35.8110991", "0.01255775737", "0.9681406898"),
+            ("52.33664878", "0.004663421842", "0.9783331896"),
+            ("37.13826822", "0.003406112016", "0.9884674583")],
+        ("loop", 8, "max-margin"): [
+            ("38.02471899", "0.4666508391", "0.3455376013"),
+            ("0", "5.392791923e-32", "1"),
+            ("0", "4.935506401e-32", "1"),
+            ("0", "5.827934071e-32", "1"),
+            ("0", "5.102751035e-32", "1"),
+            ("0", "5.596580914e-32", "1"),
+            ("0", "5.033110048e-32", "1"),
+            ("0", "6.713352269e-32", "1"),
+            ("0", "5.900889953e-32", "1"),
+            ("0", "4.987096497e-32", "1")],
+        ("cross", 9, "max-margin"): [
+            ("67.19400995", "0.222265539", "0.6482067169"),
+            ("0", "7.237283619e-32", "1"),
+            ("0", "8.7635831e-32", "1"),
+            ("0", "7.656173382e-32", "1"),
+            ("0", "9.598955213e-32", "1"),
+            ("0", "1.041506803e-31", "1"),
+            ("0", "1.142317198e-31", "1"),
+            ("0", "9.249278558e-32", "1"),
+            ("0", "7.437098851e-32", "1"),
+            ("0", "7.975757382e-32", "1")],
     }
 
-    @pytest.mark.parametrize("family,n", list(PINNED_SCHEDULES))
-    def test_printed_schedule_is_pinned(self, family, n):
+    @pytest.mark.parametrize("family,n,strategy", [
+        pytest.param(*key, id="-".join(map(str, key[:2] if key[2] == "peak-success" else key)))
+        for key in PINNED_SCHEDULES])
+    def test_printed_schedule_is_pinned(self, family, n, strategy):
         g, e, _ = prepared(family, n)
-        sched = plan_protocol2(g, e, Strategy.PEAK_SUCCESS, n_max=10)
+        sched = plan_protocol2(g, e, Strategy(strategy), n_max=10)
         printed = [(f"{s.time:.10g}", f"{s.p_success:.10g}", f"{s.p1:.10g}")
                    for s in sched.steps]
-        assert printed == self.PINNED_SCHEDULES[(family, n)]
+        assert printed == self.PINNED_SCHEDULES[(family, n, strategy)]
 
     def test_blocked_curves_equal_whole_grid_curves(self):
         # the last block holds one time, the case np.sum would round pairwise
@@ -183,6 +236,81 @@ class TestPlanProtocol2:
         finally:
             tracemalloc.stop()
         assert peak_bytes < rows * t_size * 16
+
+
+def min_loss_chain(family, n, steps):
+    """(graph, eigensystem, the conditional states a min-loss plan scans from)."""
+    g, e, _ = prepared(family, n)
+    choose = _step_chooser(g, e, Strategy.MIN_LOSS, None, DEFAULT_GRID_STEP,
+                           DEFAULT_REFINE_TOL)
+    states = []
+
+    def recording(psi):
+        states.append(psi)
+        return choose(psi)
+
+    list(islice(_protocol2_steps(g, e, recording), steps))
+    return g, e, states
+
+
+def scanned_curves(e, psi, g, t):
+    """(p_S, p_U) on grid t as the planner scans them from psi."""
+    unusable, weight = _scan_rows(g, psi)
+    rows = np.concatenate([_index_groups(g)["success"], unusable])
+    p_s, p_u = np.empty(t.size), np.empty(t.size)
+    for cols, amp in _SpectralKernel(e, psi, rows)._blocks(t):
+        p_s[cols], p_u[cols] = _step_curve(amp, weight)
+    return p_s, p_u
+
+
+class TestMirrorRows:
+    """The min-loss/max-margin grid scan projects one psi2/psi3 row per PC pair."""
+
+    def test_loop36_scans_68_of_136_unusable_rows(self, monkeypatch):
+        g, e, psi0 = prepared("loop", 36)
+        grp = _index_groups(g)
+        assert len(grp["g2"]) + len(grp["g3"]) == 136
+        built = []
+
+        class Recording(_SpectralKernel):
+            def __init__(self, e, psi0, rows=None):
+                built.append(len(rows))
+                super().__init__(e, psi0, rows)
+
+        monkeypatch.setattr(protocols, "_SpectralKernel", Recording)
+        plan_protocol2(g, e, Strategy.MIN_LOSS, n_max=1, t_max=20.0)
+        # the refinement reads all 2 + 136 rows, the grid scan 2 + 68
+        assert built == [138, 70]
+
+    @pytest.mark.parametrize("family,n", [("loop", 36), ("cross", 35)])
+    def test_chain_curves_equal_full_row_curves(self, family, n):
+        g, e, states = min_loss_chain(family, n, 3)
+        grp = _index_groups(g)
+        rows = np.concatenate([grp["g2"], grp["g3"]])
+        t = 0.01 * np.arange(2 * PHASE_BLOCK + 1)
+        for psi in states:
+            assert _scan_rows(g, psi)[1] == 2.0
+            _, p_u = scanned_curves(e, psi, g, t)
+            full = np.abs(_SpectralKernel(e, psi, rows)(t)) ** 2
+            assert np.max(np.abs(p_u - full.sum(axis=0))) <= 1e-13
+
+    def test_graph_without_the_symmetry_scans_every_row(self):
+        g = random_graph_with_moved_roles()
+        grp = _index_groups(g)
+        assert _pc_partner(g) is None
+        rows, weight = _scan_rows(g, initial_state(g))
+        assert weight == 1.0
+        assert np.array_equal(rows, np.concatenate([grp["g2"], grp["g3"]]))
+
+    def test_state_that_is_not_pc_even_scans_every_row(self):
+        g, e, psi0 = prepared("loop", 8)
+        grp = _index_groups(g)
+        assert _scan_rows(g, psi0)[1] == 2.0
+        a = psi0.amplitudes.copy()
+        a[pair_index(8, g.roles.charlie_plus, g.roles.alice)] = 1e-9  # PC partner stays 0
+        rows, weight = _scan_rows(g, Wavefunction(a / np.linalg.norm(a)))
+        assert weight == 1.0
+        assert np.array_equal(rows, np.concatenate([grp["g2"], grp["g3"]]))
 
 
 class TestRegularSchedule:
@@ -229,6 +357,27 @@ class TestCumulativeSeries:
         ptot = protocol2_total(sched)
         for n in range(1, 9):
             assert ptot[n - 1] == pytest.approx(protocol1_cumulative(p, n), abs=1e-12)
+
+    def test_total_matches_the_direct_double_sum(self, cross5_schedule, loop4_schedule):
+        rng = np.random.default_rng(5)
+        raw = rng.random((300, 4))
+        raw /= raw.sum(axis=1, keepdims=True)
+        for sched in (cross5_schedule, loop4_schedule, synthetic_schedule(raw)):
+            n = len(sched) + 5  # padded with dead steps
+            rows = [(sched.p_continue(k), sched.reset_weight(k)) for k in range(len(sched))]
+            rows += [(1.0, 0.0)] * 5
+            pbar = protocol2_no_reset(sched, n)
+            direct = np.empty(n)
+            for m in range(n):
+                val, surv = pbar[m], 1.0
+                for j in range(m):
+                    val += surv * rows[j][1] * direct[m - j - 1]
+                    surv *= rows[j][0]
+                direct[m] = val
+            assert np.allclose(protocol2_total(sched, n), direct, rtol=1e-14, atol=0.0)
+            for m in range(1, 9):
+                assert enumerate_outcome_tree(sched, m)[1] == pytest.approx(
+                    protocol2_total(sched, m)[-1], abs=1e-12)
 
     def test_recursion_matches_tree_enumeration(self, cross5_schedule):
         pbar = protocol2_no_reset(cross5_schedule)
