@@ -26,7 +26,7 @@ print("== strategy (i) in detail ==")
 sched = plan_protocol2(g, eig, Strategy.PEAK_SUCCESS, n_max=8)
 pbar = protocol2_no_reset(sched)
 ptot = protocol2_total(sched)
-p1shot = sched.p_success(0)
+p1shot = sched.steps[0].p_success
 print("   n   no-reset   with-restarts   simple-repetition")
 for k in range(8):
     print(f"  {k + 1:2d}   {pbar[k]:.4f}     {ptot[k]:.4f}          "

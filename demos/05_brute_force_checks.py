@@ -41,7 +41,7 @@ worst = max(abs(analytic[n - 1] - enumerate_outcome_tree(sched, n)[1])
             for n in range(1, 7))
 print(f"  recursion vs explicit outcome-tree enumeration: {worst:.3e}")
 
-stats = monte_carlo(g, eig, sched, trials=100_000, seed=1, max_steps=5)
+stats = monte_carlo(g, sched, trials=100_000, seed=1, max_steps=5)
 print("  Monte Carlo vs analytic cumulative success:")
 for n in range(1, 6):
     p = analytic[n - 1]

@@ -18,15 +18,12 @@ from datetime import datetime, timezone
 from itertools import chain
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL,
                        PEAK_WINDOW_FACTOR, _time_grid, assemble_hamiltonian,
                        find_peak, initial_state, spectral_decompose)
 from .measurement import outcome_curves
-from .oracle import (ORACLE_MAX_SITES, full_evolve_compare, sector_restriction,
-                     su3_algebra_check)
+from .oracle import ORACLE_MAX_SITES, full_evolve_compare, su3_algebra_check
 from .protocols import (PLAN_WINDOW_FACTOR, Strategy, plan_protocol2, plan_regular,
                         protocol1_cumulative, protocol1_required, protocol2_no_reset,
                         protocol2_total)
@@ -297,7 +294,7 @@ def cmd_protocol2(args) -> int:
         except RuntimeError as exc:  # a search window without success
             raise PreconditionError(str(exc)) from exc
     series = zip(protocol2_no_reset(schedule, args.n_max), protocol2_total(schedule, args.n_max))
-    rows = [(k + 1, pbar, ptot, protocol1_cumulative(schedule.p_success(0), k + 1),
+    rows = [(k + 1, pbar, ptot, protocol1_cumulative(schedule.steps[0].p_success, k + 1),
              schedule.strategy, schedule.steps[k].time if k < len(schedule) else 0.0)
             for k, (pbar, ptot) in enumerate(series)]
     extra = {}
@@ -328,10 +325,8 @@ def cmd_verify(args) -> int:
                                 f"{len(g.edges) * t_max:.3g}, beyond the cap of "
                                 f"{VERIFY_MAX_EDGE_TIME:g}")
     label = f"N{n}"
-    h = assemble_hamiltonian(g)
-    record(f"{label}_sector_restriction_max_diff",
-           float(np.max(np.abs(sector_restriction(g) - h.matrix))), 1e-12)
     cmp_res = full_evolve_compare(g, _time_grid(t_max, args.grid_step))
+    record(f"{label}_sector_restriction_max_diff", cmp_res.max_restriction_deviation, 1e-12)
     record(f"{label}_full_vs_reduced_max_amplitude_dev",
            cmp_res.max_amplitude_deviation, 1e-9)
     record(f"{label}_sector_leakage", cmp_res.max_sector_leakage, 1e-12)

@@ -14,7 +14,8 @@ makes the cumulative recursion tractable:
     Pbar_n = p_S(1) + sum_j p_S(j) prod_{i<j} p_1(i)          (no reset)
     P_n    = Pbar_n + sum_j [prod_{i<j} p_1(i)] p_U(j) P_{n-j}
 
-with p_U = p_2 + p_3 the per-step reset probability.
+with p_U = p_2 + p_3 the per-step reset probability. Every series reads one
+per-step table, `_padded`, where a chain that ended early pads as dead steps.
 
 An explicit outcome-tree enumeration and a Monte Carlo sampler provide two
 independent checks of the recursions.
@@ -31,8 +32,8 @@ import numpy as np
 
 from .dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, Eigensystem,
                        Wavefunction, _index_groups, _pair_position, _pairs,
-                       _SpectralKernel, _time_grid, evolve, initial_state,
-                       refine_maximum, select_peak)
+                       _SpectralKernel, _time_grid, evolve, find_peak,
+                       initial_state, refine_maximum)
 from .measurement import ZERO_PROB, Outcome, outcome_distribution, post_state
 from .topology import Graph, find_protocol_automorphism
 
@@ -43,6 +44,8 @@ MINLOSS_FLOOR = 0.1
 #: wider than the one-shot peak window because the conditional chains keep
 #: re-peaking at late times
 PLAN_WINDOW_FACTOR = 8.0
+#: largest reset count m at which the limit check tests 1 - (1-p)^(m+1)
+LIMIT_CHECK_RESETS = 3
 
 
 class Strategy(Enum):
@@ -66,6 +69,11 @@ class ScheduleStep:
     def p_unusable(self) -> float:
         return self.p2 + self.p3
 
+    @property
+    def reset_weight(self) -> float:
+        """Probability that this measurement forces a restart."""
+        return self.p_unusable + max(0.0, self.pS_projection - self.p_success)
+
 
 @dataclass
 class Schedule:
@@ -75,7 +83,7 @@ class Schedule:
     after a reset the schedule restarts from step 1. ``success_deficit``
     is nonzero only on graphs without the protocol symmetry, where the
     projection probability exceeds the Bell-heralded one; that excess is
-    treated as one more way to lose the run (see ``reset_weight``).
+    treated as one more way to lose the run (``ScheduleStep.reset_weight``).
     """
 
     strategy: str
@@ -88,17 +96,6 @@ class Schedule:
 
     def __len__(self) -> int:
         return len(self.steps)
-
-    def p_success(self, k: int) -> float:
-        return self.steps[k].p_success
-
-    def p_continue(self, k: int) -> float:
-        return self.steps[k].p1
-
-    def reset_weight(self, k: int) -> float:
-        """Probability that measurement k+1 forces a restart."""
-        s = self.steps[k]
-        return s.p_unusable + max(0.0, s.pS_projection - s.p_success)
 
     @property
     def success_deficit(self) -> float:
@@ -137,9 +134,7 @@ def protocol1_required(p: float, q: float) -> int:
 
 
 def _score(strategy: Strategy, p_success, p_unusable):
-    """The quantity a strategy maximizes, on a grid or at one time."""
-    if strategy is Strategy.PEAK_SUCCESS:
-        return p_success
+    """The quantity min-loss or max-margin maximizes, on a grid or at one time."""
     if strategy is Strategy.MIN_LOSS:
         return -p_unusable
     return p_success - p_unusable
@@ -197,40 +192,35 @@ def _scan_rows(g: Graph, psi: Wavefunction) -> tuple[np.ndarray, float]:
 
 
 def _choose_step_time(strategy: Strategy, e: Eigensystem, psi: Wavefunction, g: Graph,
-                      t_grid: np.ndarray, grid_step: float, refine_tol: float) -> float:
-    """Measurement time for the current conditional state, per strategy.
+                      t_max: float, grid_step: float, refine_tol: float) -> float | None:
+    """Measurement time for the current conditional state, or None.
 
-    Only the rows the strategy reads are projected: the two success rows,
-    plus the psi2/psi3 rows unless it is peak-success. On a PC-even state
-    the grid scan projects one psi2/psi3 row of each PC pair and counts it
-    twice (`_scan_rows`), which halves its work on the loop and the cross;
-    the refinement still reads every row, so the chosen times keep the
-    scalar path's bits. The grid curves are reduced one phase block at a
-    time, so no rows x T matrix is held.
+    None when p_S stays below 1e-15 over [0, t_max]: nothing is left to
+    herald. Peak-success is `find_peak` on the state, which reports such a
+    window as (0, 0). Min-loss and max-margin also read the psi2/psi3 rows;
+    on a PC-even state the grid scan projects one row of each PC pair and
+    counts it twice (`_scan_rows`). The refinement reads every row, so the
+    chosen times keep the scalar path's bits. The grid curves are reduced
+    one phase block at a time, so no rows x T matrix is held.
     """
+    if strategy is Strategy.PEAK_SUCCESS:
+        t_star, p_star = find_peak(e, psi, g, t_max, grid_step, refine_tol)
+        return None if p_star == 0.0 else t_star
     grp = _index_groups(g)
-    rows = scan_rows = grp["success"]
-    weight = 1.0
-    if strategy is not Strategy.PEAK_SUCCESS:
-        unusable, weight = _scan_rows(g, psi)
-        rows = np.concatenate([rows, grp["g2"], grp["g3"]])
-        scan_rows = np.concatenate([grp["success"], unusable])
-
-    kernel = _SpectralKernel(e, psi, rows)
-    scan = kernel if weight == 1.0 else _SpectralKernel(e, psi, scan_rows)
+    unusable, weight = _scan_rows(g, psi)
+    kernel = _SpectralKernel(e, psi, np.concatenate([grp["success"], grp["g2"], grp["g3"]]))
+    scan = kernel if weight == 1.0 else _SpectralKernel(
+        e, psi, np.concatenate([grp["success"], unusable]))
+    t_grid = _time_grid(t_max, grid_step)
     p_s, p_u = np.empty(t_grid.size), np.empty(t_grid.size)
     for cols, amp in scan._blocks(t_grid):
         p_s[cols], p_u[cols] = _step_curve(amp, weight)
     if p_s.max() < 1e-15:
-        raise RuntimeError("success probability identically zero over the "
-                           "search window; cannot plan further measurements")
+        return None
 
     def objective(t: float) -> float:
         return float(_score(strategy, *_step_curve(kernel(t))))
 
-    if strategy is Strategy.PEAK_SUCCESS:
-        t_star, _ = select_peak(p_s, t_grid, objective, grid_step, refine_tol)
-        return t_star
     score = _score(strategy, p_s, p_u)
     if strategy is Strategy.MIN_LOSS:
         # the bare minimum of p_U sits at t=0 where nothing can be measured;
@@ -247,11 +237,10 @@ def _choose_step_time(strategy: Strategy, e: Eigensystem, psi: Wavefunction, g: 
 
 def _step_chooser(g: Graph, e: Eigensystem, strategy: Strategy, t_max: float | None,
                   grid_step: float, refine_tol: float):
-    """Conditional state -> measurement time, scanning [0, t_max] per step."""
+    """Conditional state -> measurement time (or None), scanning [0, t_max] per step."""
     if t_max is None:
         t_max = PLAN_WINDOW_FACTOR * g.n_vertices
-    t_grid = _time_grid(t_max, grid_step)
-    return lambda psi: _choose_step_time(strategy, e, psi, g, t_grid, grid_step, refine_tol)
+    return lambda psi: _choose_step_time(strategy, e, psi, g, t_max, grid_step, refine_tol)
 
 
 def _protocol2_steps(g: Graph, e: Eigensystem, choose_time):
@@ -259,16 +248,30 @@ def _protocol2_steps(g: Graph, e: Eigensystem, choose_time):
 
     Each step evolves the current conditional state for choose_time(state),
     measures, and conditions on psi1. The chain ends after a step that
-    leaves psi1 no weight: further steps would condition on nothing.
+    leaves psi1 no weight, or where choose_time returns None because the
+    window holds no success; at the first step that is an error.
     """
-    psi = initial_state(g)
+    psi = first = initial_state(g)
     while psi is not None:
-        t = float(choose_time(psi))
-        phi = evolve(e, psi, t)
+        t = choose_time(psi)
+        if t is None:
+            if psi is first:
+                raise RuntimeError("success probability identically zero over the "
+                                   "search window; cannot plan further measurements")
+            return
+        phi = evolve(e, psi, float(t))
         dist = outcome_distribution(phi, g)
         psi = None if dist.p1 < ZERO_PROB else post_state(phi, Outcome.PSI1, g)
-        yield ScheduleStep(time=t, p_success=dist.pS_bell, p1=dist.p1, p2=dist.p2,
+        yield ScheduleStep(time=float(t), p_success=dist.pS_bell, p1=dist.p1, p2=dist.p2,
                            p3=dist.p3, pS_projection=dist.pS_projection)
+
+
+def _schedule(g: Graph, e: Eigensystem, strategy: str, choose_time, n_max: int) -> Schedule:
+    """The chain's first n_max steps, or all of them if it ends sooner."""
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    return Schedule(strategy=strategy, n_vertices=g.n_vertices,
+                    steps=list(islice(_protocol2_steps(g, e, choose_time), n_max)))
 
 
 def plan_protocol2(g: Graph, e: Eigensystem, strategy: Strategy = Strategy.PEAK_SUCCESS,
@@ -282,43 +285,39 @@ def plan_protocol2(g: Graph, e: Eigensystem, strategy: Strategy = Strategy.PEAK_
     extremum, records the outcome probabilities and conditions on psi1.
     The schedule is reused verbatim after every reset.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    choose = _step_chooser(g, e, strategy, t_max, grid_step, refine_tol)
-    return Schedule(strategy=strategy.value, n_vertices=g.n_vertices,
-                    steps=list(islice(_protocol2_steps(g, e, choose), n_max)))
+    return _schedule(g, e, strategy.value,
+                     _step_chooser(g, e, strategy, t_max, grid_step, refine_tol), n_max)
 
 
 def plan_regular(g: Graph, e: Eigensystem, tau: float, n_max: int) -> Schedule:
     """Fixed-interval fallback schedule: every measurement after time tau."""
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    return Schedule(strategy="regular", n_vertices=g.n_vertices,
-                    steps=list(islice(_protocol2_steps(g, e, lambda psi: tau), n_max)))
+    return _schedule(g, e, "regular", lambda psi: tau, n_max)
 
 
-def _padded(schedule: Schedule, n: int) -> list[tuple[float, float, float]]:
-    """Per-step (p_success, p1, reset weight), padded with dead steps."""
-    rows = [(schedule.p_success(k), schedule.p_continue(k), schedule.reset_weight(k))
-            for k in range(len(schedule))]
-    while len(rows) < n:
-        rows.append((0.0, 1.0, 0.0))  # exhausted chain: nothing ever happens
-    return rows[:n]
+def _padded(schedule: Schedule, n: int) -> np.ndarray:
+    """The per-step table over n steps: rows p_S, p_1 and reset weight.
+
+    Steps past the end of the chain are dead, (0, 1, 0): nothing ever
+    happens there, so an ended chain adds nothing to any series.
+    """
+    rows = [(s.p_success, s.p1, s.reset_weight) for s in schedule.steps[:n]]
+    table = np.tile([0.0, 1.0, 0.0], (n, 1))
+    table[:len(rows)] = np.reshape(rows, (-1, 3))
+    return table.T
+
+
+def _survival(p1: np.ndarray) -> np.ndarray:
+    """prod_{i<j} p_1(i) for each step j: the weight of reaching it without a reset."""
+    return np.cumprod(np.concatenate(([1.0], p1[:-1])))
 
 
 def protocol2_no_reset(schedule: Schedule, n: int | None = None) -> np.ndarray:
     """Cumulative success probabilities Pbar_1..Pbar_n along one run."""
     n = len(schedule) if n is None else n
-    rows = _padded(schedule, n)
-    out = np.empty(n)
-    total, surv = 0.0, 1.0
-    for k, (ps, p1, _) in enumerate(rows):
-        total += ps * surv
-        out[k] = total
-        surv *= p1
-    return out
+    ps, p1, _ = _padded(schedule, n)
+    return np.cumsum(ps * _survival(p1))
 
 
 def protocol2_total(schedule: Schedule, n: int | None = None) -> np.ndarray:
@@ -329,8 +328,8 @@ def protocol2_total(schedule: Schedule, n: int | None = None) -> np.ndarray:
     one dot product of w with the earlier P in reverse.
     """
     n = len(schedule) if n is None else n
-    _, p1, reset = np.array(_padded(schedule, n)).reshape(n, 3).T
-    w = np.cumprod(np.concatenate(([1.0], p1[:-1]))) * reset
+    _, p1, reset = _padded(schedule, n)
+    w = _survival(p1) * reset
     p = protocol2_no_reset(schedule, n)
     for k in range(1, n):
         p[k] += np.dot(w[:k], p[k - 1::-1])
@@ -344,18 +343,17 @@ def enumerate_outcome_tree(schedule: Schedule, n: int) -> tuple[float, float]:
     outcome strings of length <= n, multiplying branch probabilities. Kept
     deliberately independent of the closed-form code above.
     """
-    rows = _padded(schedule, n)
+    ps, p1, pu = (column.tolist() for column in _padded(schedule, n))
     totals = {"all": 0.0, "no_reset": 0.0}
 
     def walk(depth: int, pos: int, weight: float, had_reset: bool) -> None:
         if depth == n or weight == 0.0:
             return
-        ps, p1, pu = rows[pos]
-        totals["all"] += weight * ps
+        totals["all"] += weight * ps[pos]
         if not had_reset:
-            totals["no_reset"] += weight * ps
-        walk(depth + 1, pos + 1, weight * p1, had_reset)
-        walk(depth + 1, 0, weight * pu, True)
+            totals["no_reset"] += weight * ps[pos]
+        walk(depth + 1, pos + 1, weight * p1[pos], had_reset)
+        walk(depth + 1, 0, weight * pu[pos], True)
 
     walk(0, 0, 1.0, False)
     return totals["no_reset"], totals["all"]
@@ -383,29 +381,18 @@ def _reset_count_masses(schedule: Schedule, n: int, m_max: int):
 
     Returns (success_by_resets, alive_by_resets): cumulative success mass
     and still-undecided mass with at most m resets, for m = 0..m_max.
+    Undecided mass that would pass position n or reset m_max is dropped.
     """
-    rows = _padded(schedule, n)
-    horizon = len(rows)
-    alive = np.zeros((horizon + 1, m_max + 1))
+    ps, p1, pu = _padded(schedule, n)
+    alive = np.zeros((n, m_max + 1))
     alive[0, 0] = 1.0
     success = np.zeros(m_max + 1)
-    for step in range(n):
-        nxt = np.zeros_like(alive)
-        for pos in range(horizon):
-            for m in range(m_max + 1):
-                w = alive[pos, m]
-                if w == 0.0:
-                    continue
-                ps, p1, pu = rows[pos]
-                success[m] += w * ps
-                if pos + 1 <= horizon - 1:
-                    nxt[pos + 1, m] += w * p1
-                if m + 1 <= m_max:
-                    nxt[0, m + 1] += w * pu
-        alive = nxt
-    cum_success = np.cumsum(success)
-    cum_alive = np.cumsum(alive.sum(axis=0))
-    return cum_success, cum_alive
+    for _ in range(n):
+        success += ps @ alive
+        reset = pu @ alive
+        alive[1:] = alive[:-1] * p1[:-1, None]
+        alive[0] = np.concatenate(([0.0], reset[:-1]))
+    return np.cumsum(success), np.cumsum(alive.sum(axis=0))
 
 
 def protocol2_limit_check(g: Graph, e: Eigensystem, q: float,
@@ -413,8 +400,7 @@ def protocol2_limit_check(g: Graph, e: Eigensystem, q: float,
                           max_measurements: int = 500,
                           t_max: float | None = None,
                           grid_step: float = DEFAULT_GRID_STEP,
-                          refine_tol: float = DEFAULT_REFINE_TOL,
-                          bound_resets: int = 3) -> LimitCheckReport:
+                          refine_tol: float = DEFAULT_REFINE_TOL) -> LimitCheckReport:
     """Extend the schedule lazily until P_n >= q or the cap is hit.
 
     Also asserts the numerically checkable form of the convergence
@@ -436,17 +422,16 @@ def protocol2_limit_check(g: Graph, e: Eigensystem, q: float,
         series = protocol2_total(schedule, n)
     n_reached = n if series[-1] >= q else None
 
-    p_peak = schedule.p_success(0)
+    p_peak = schedule.steps[0].p_success
     pbar = protocol2_no_reset(schedule, n)
-    surv = np.cumprod([1.0] + [schedule.p_continue(k) for k in range(min(len(schedule), n) - 1)])
-    reset_mass = sum(surv[k] * schedule.reset_weight(k)
-                     for k in range(min(len(schedule), n)))
+    _, p1, reset = _padded(schedule, n)
+    reset_mass = sum(_survival(p1) * reset)
     run_success_ok = pbar[-1] + 1e-9 >= p_peak and (
         pbar[-1] / max(pbar[-1] + reset_mass, 1e-300) + 1e-9 >= p_peak)
-    succ_m, alive_m = _reset_count_masses(schedule, n, bound_resets)
+    succ_m, alive_m = _reset_count_masses(schedule, n, LIMIT_CHECK_RESETS)
     reset_bound_ok = all(
         succ_m[m] + alive_m[m] + 1e-9 >= 1.0 - (1.0 - p_peak) ** (m + 1)
-        for m in range(bound_resets + 1))
+        for m in range(LIMIT_CHECK_RESETS + 1))
     return LimitCheckReport(target=q, n_reached=n_reached, series=series,
                             schedule=schedule, one_shot_peak=p_peak,
                             run_success_ok=run_success_ok,
@@ -469,8 +454,8 @@ class TrajectoryStats:
         return float(self.cumulative_success()[n - 1]) / self.trials
 
 
-def monte_carlo(g: Graph, e: Eigensystem, schedule: Schedule, trials: int,
-                seed: int, max_steps: int | None = None) -> TrajectoryStats:
+def monte_carlo(g: Graph, schedule: Schedule, trials: int, seed: int,
+                max_steps: int | None = None) -> TrajectoryStats:
     """Sample trajectories of protocol 2 from the planned schedule.
 
     Each trial draws an outcome per measurement from the schedule's
@@ -486,9 +471,7 @@ def monte_carlo(g: Graph, e: Eigensystem, schedule: Schedule, trials: int,
     if schedule.n_vertices != g.n_vertices:
         raise ValueError("schedule was planned for a different graph size")
     n_steps = len(schedule) if max_steps is None else max_steps
-    rows = _padded(schedule, n_steps)
-    ps = np.array([r[0] for r in rows])
-    p1 = np.array([r[1] for r in rows])
+    ps, p1, _ = _padded(schedule, n_steps)
 
     rng = np.random.default_rng(seed)
     pos = np.zeros(trials, dtype=np.int64)
@@ -497,7 +480,7 @@ def monte_carlo(g: Graph, e: Eigensystem, schedule: Schedule, trials: int,
     resets = 0
     for step in range(n_steps):
         u = rng.random(trials)
-        cur = np.minimum(pos, len(rows) - 1)
+        cur = np.minimum(pos, n_steps - 1)
         ps_k, p1_k = ps[cur], p1[cur]
         win = active & (u < ps_k)
         cont = active & ~win & (u < ps_k + p1_k)

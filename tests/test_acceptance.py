@@ -207,9 +207,9 @@ def test_criterion_4_degraded_first_entry(family, n):
     # fallback property: the first entry always matches the reference peak
     sched = schedule_for(family, n)
     want = CONDITIONAL_RESET_COLUMNS[(family, n)][0]
-    ok = abs(sched.p_success(0) - want) < 5e-3
+    ok = abs(sched.steps[0].p_success - want) < 5e-3
     report(4, f"{family} N={n} first entry", ok,
-           f"P1={sched.p_success(0):.4f} reference={want}")
+           f"P1={sched.steps[0].p_success:.4f} reference={want}")
     assert ok
 
 
@@ -241,6 +241,17 @@ def test_criterion_5_limit_behavior(family, n):
     ok = result.reached and result.series[result.n_reached - 1] >= 0.99
     report(5, f"{family} N={n}", ok,
            f"P_n >= 0.99 at n={result.n_reached}")
+    assert ok
+    assert result.run_success_ok and result.reset_bound_ok
+
+
+def test_criterion_5_beyond_the_chain_end():
+    # loop-4's chain ends after 10 steps; restarts still reach 0.9995
+    g, e, _ = prepared("loop", 4)
+    result = protocol2_limit_check(g, e, q=0.9995, max_measurements=500)
+    ok = (result.n_reached == 12 and len(result.schedule) == 10
+          and result.series[11] >= 0.9995)
+    report(5, "loop N=4, q=0.9995", ok, f"P_n >= 0.9995 at n={result.n_reached}")
     assert ok
     assert result.run_success_ok and result.reset_bound_ok
 
@@ -321,10 +332,10 @@ def test_criterion_9_generator_algebra():
 
 
 def test_criterion_10_monte_carlo():
-    g, e, _ = prepared("cross", 5)
+    g, *_ = prepared("cross", 5)
     sched = schedule_for("cross", 5)
     trials = 100_000
-    stats = monte_carlo(g, e, sched, trials=trials, seed=20240817, max_steps=5)
+    stats = monte_carlo(g, sched, trials=trials, seed=20240817, max_steps=5)
     analytic = protocol2_total(sched, 5)
     worst_sigma = 0.0
     for n in range(1, 6):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import time_budget
+from qutrit_bell import cli, oracle
 from qutrit_bell.cli import _config_echo, _fmt, _write_table, build_parser, main
 
 
@@ -159,6 +160,49 @@ class TestProtocol2:
         assert len(rows) == 20000
         assert rows[-1][0] == "20000"
 
+    # (P_bar_n, P_n) of --n-max 10 as printed before the per-step table was
+    # one array: the series must not move by a printed digit
+    PINNED_SERIES = {
+        ("loop", "4"): [
+            ("0.4999823158", "0.4999823158"), ("0.4999999994", "0.7351359811"),
+            ("0.5", "0.8596985089"), ("0.5", "0.9256807003"), ("0.5", "0.9606125355"),
+            ("0.5", "0.9791181969"), ("0.5", "0.9889260235"), ("0.5", "0.9941258931"),
+            ("0.5", "0.9968835245"), ("0.5", "0.9983463115")],
+        ("cross", "5"): [
+            ("0.3429355281", "0.3429355281"), ("0.3950669733", "0.4819274472"),
+            ("0.4046252555", "0.5772767974"), ("0.4080018251", "0.6569453751"),
+            ("0.4087612558", "0.7061139886"), ("0.4090238018", "0.74102223"),
+            ("0.4090975272", "0.77237157"), ("0.4091375604", "0.7944800972"),
+            ("0.4091405348", "0.8136230776"), ("0.4091411818", "0.8334955374")],
+        ("loop", "36", "--tau", "5"): [
+            ("0.01451117661", "0.01451117661"), ("0.01761059203", "0.02208244005"),
+            ("0.01931706714", "0.02788209184"), ("0.02314419824", "0.03538337486"),
+            ("0.02352788285", "0.04020211283"), ("0.02395716954", "0.04423173832"),
+            ("0.02626435284", "0.04988837657"), ("0.02662460598", "0.05433633846"),
+            ("0.02663260473", "0.05808160607"), ("0.02744345555", "0.0624252246")],
+    }
+
+    @pytest.mark.parametrize("system", PINNED_SERIES, ids="-".join)
+    def test_printed_series_is_pinned(self, system, capsys):
+        topology, n, *flags = system
+        code, out, _ = run_cli(["protocol2", "--topology", topology, "--n", n, *flags,
+                                "--n-max", "10", "--no-timestamp"], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [(r[1], r[2]) for r in rows] == self.PINNED_SERIES[system]
+
+    def test_chain_with_nothing_left_to_herald_ends(self, capsys):
+        # loop-4's 11th conditional state has success below 1e-15 over the
+        # whole window: the chain ends there, and later rows are dead steps
+        argv = ["protocol2", "--topology", "loop", "--n", "4", "--no-timestamp"]
+        _, ten, _ = run_cli(argv + ["--n-max", "10"], capsys)
+        code, out, _ = run_cli(argv + ["--n-max", "20"], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [r[1:] for r in rows[:10]] == [r[1:] for r in parse_csv(ten)[1]]
+        assert [r[5] for r in rows[10:]] == ["0"] * 10
+        assert rows[-1][2] == "0.9999964653"
+
     @pytest.mark.parametrize("flags", [["--t-max", "0.001"], ["--grid-step", "50"]])
     def test_window_without_success_is_exit_2(self, flags, capsys):
         code, out, err = run_cli(["protocol2", "--topology", "loop", "--n", "4"] + flags,
@@ -187,6 +231,26 @@ class TestVerify:
         code, out, _ = run_cli(["verify", "--topology", "loop", "--n", "4",
                                 "--no-timestamp"], capsys)
         assert code == 0
+
+    def test_builds_each_engine_once(self, monkeypatch, capsys):
+        builds = {"FullHamiltonian": 0, "assemble_hamiltonian": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def build(*args, **kwargs):
+                builds[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, build)
+
+        for module in (cli, oracle):
+            counted(module, "assemble_hamiltonian")
+        counted(oracle, "FullHamiltonian")
+        code, _, _ = run_cli(["verify", "--topology", "cross", "--n", "7",
+                              "--no-timestamp"], capsys)
+        assert code == 0
+        assert builds == {"FullHamiltonian": 1, "assemble_hamiltonian": 1}
 
     def test_t_max_includes_its_end_point(self, capsys):
         argv = ["verify", "--topology", "loop", "--n", "4", "--no-timestamp"]

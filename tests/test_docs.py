@@ -1,7 +1,8 @@
 """The demos and the README quick start keep up with the library's API.
 
-The demos are checked statically, by the names they import; running them
-would take minutes. The README's quick start runs as written.
+The demos are checked here statically, by the names they import. That
+misses a call to a method that is gone, so the CI workflow also runs every
+demo (about 7 s in all on 2 cores). The README's quick start runs as written.
 """
 
 import ast

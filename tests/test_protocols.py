@@ -96,14 +96,14 @@ class TestPlanProtocol2:
     def test_first_step_matches_one_shot_peak(self, cross5_schedule):
         t_star, p_star = peak("cross", 5)
         assert cross5_schedule.steps[0].time == pytest.approx(t_star, abs=1e-5)
-        assert cross5_schedule.p_success(0) == pytest.approx(p_star, abs=1e-9)
-        assert cross5_schedule.p_success(0) == pytest.approx(0.3429, abs=5e-3)
+        assert cross5_schedule.steps[0].p_success == pytest.approx(p_star, abs=1e-9)
+        assert cross5_schedule.steps[0].p_success == pytest.approx(0.3429, abs=5e-3)
 
     def test_later_peaks_diminish(self, cross5_schedule, loop4_schedule):
         for sched in (cross5_schedule, loop4_schedule):
-            first = sched.p_success(0)
+            first = sched.steps[0].p_success
             for k in range(1, len(sched)):
-                assert sched.p_success(k) <= first + 1e-12
+                assert sched.steps[k].p_success <= first + 1e-12
 
     def test_step_probabilities_are_consistent(self, cross5_schedule):
         for s in cross5_schedule.steps:
@@ -331,7 +331,7 @@ class TestRegularSchedule:
 class TestCumulativeSeries:
     def test_single_term(self, cross5_schedule):
         pbar = protocol2_no_reset(cross5_schedule, 1)
-        assert pbar[0] == pytest.approx(cross5_schedule.p_success(0), abs=1e-14)
+        assert pbar[0] == pytest.approx(cross5_schedule.steps[0].p_success, abs=1e-14)
         ptot = protocol2_total(cross5_schedule, 1)
         assert ptot[0] == pbar[0]
 
@@ -364,7 +364,7 @@ class TestCumulativeSeries:
         raw /= raw.sum(axis=1, keepdims=True)
         for sched in (cross5_schedule, loop4_schedule, synthetic_schedule(raw)):
             n = len(sched) + 5  # padded with dead steps
-            rows = [(sched.p_continue(k), sched.reset_weight(k)) for k in range(len(sched))]
+            rows = [(s.p1, s.reset_weight) for s in sched.steps]
             rows += [(1.0, 0.0)] * 5
             pbar = protocol2_no_reset(sched, n)
             direct = np.empty(n)
@@ -386,6 +386,62 @@ class TestCumulativeSeries:
             tree_bar, tree_tot = enumerate_outcome_tree(cross5_schedule, n)
             assert abs(pbar[n - 1] - tree_bar) < 1e-10
             assert abs(ptot[n - 1] - tree_tot) < 1e-10
+
+
+def triple_loop_reset_count_masses(schedule, n, m_max):
+    """The reset-count recursion as a loop over steps, positions and counts."""
+    rows = [(s.p_success, s.p1, s.reset_weight) for s in schedule.steps[:n]]
+    rows += [(0.0, 1.0, 0.0)] * (n - len(rows))
+    alive = np.zeros((n + 1, m_max + 1))
+    alive[0, 0] = 1.0
+    success = np.zeros(m_max + 1)
+    for _ in range(n):
+        nxt = np.zeros_like(alive)
+        for pos in range(n):
+            for m in range(m_max + 1):
+                w = alive[pos, m]
+                if w == 0.0:
+                    continue
+                ps, p1, pu = rows[pos]
+                success[m] += w * ps
+                if pos + 1 <= n - 1:
+                    nxt[pos + 1, m] += w * p1
+                if m + 1 <= m_max:
+                    nxt[0, m + 1] += w * pu
+        alive = nxt
+    return np.cumsum(success), np.cumsum(alive.sum(axis=0))
+
+
+class TestPerStepTable:
+    def test_dead_steps_pad_the_table(self):
+        sched = synthetic_schedule([(0.25, 0.5, 0.125, 0.125)])
+        table = protocols._padded(sched, 3)
+        assert table.tolist() == [[0.25, 0.0, 0.0], [0.5, 1.0, 1.0], [0.25, 0.0, 0.0]]
+
+    @pytest.mark.parametrize("m_max", range(4))
+    def test_reset_count_masses_match_the_triple_loop(self, m_max):
+        rng = np.random.default_rng(100 + m_max)
+        for _ in range(25):
+            raw = rng.random((int(rng.integers(1, 8)), 4))
+            raw /= raw.sum(axis=1, keepdims=True)
+            sched = synthetic_schedule(raw)
+            n = len(sched) + int(rng.integers(1, 6))
+            got = protocols._reset_count_masses(sched, n, m_max)
+            want = triple_loop_reset_count_masses(sched, n, m_max)
+            for a, b in zip(got, want):
+                assert np.max(np.abs(a - b)) <= 1e-15
+
+    def test_tree_returns_python_floats(self, cross5_schedule):
+        for n in (3, len(cross5_schedule) + 2):
+            assert [type(x) for x in enumerate_outcome_tree(cross5_schedule, n)] == [float] * 2
+
+
+class TestChainEnd:
+    def test_loop4_chain_ends_after_ten_steps(self, loop4_schedule):
+        g, e, _ = prepared("loop", 4)
+        sched = plan_protocol2(g, e, n_max=20)
+        assert sched.steps == loop4_schedule.steps
+        assert f"{protocol2_total(sched, 20)[-1]:.10g}" == "0.9999964653"
 
 
 class TestLimitCheck:
@@ -430,23 +486,23 @@ class TestLimitCheck:
 
 class TestMonteCarlo:
     def test_deterministic_given_seed(self, cross5_schedule):
-        g, e, _ = prepared("cross", 5)
-        a = monte_carlo(g, e, cross5_schedule, trials=2000, seed=42)
-        b = monte_carlo(g, e, cross5_schedule, trials=2000, seed=42)
+        g, *_ = prepared("cross", 5)
+        a = monte_carlo(g, cross5_schedule, trials=2000, seed=42)
+        b = monte_carlo(g, cross5_schedule, trials=2000, seed=42)
         assert np.array_equal(a.successes_by_step, b.successes_by_step)
         assert a.resets == b.resets
 
     def test_certain_success(self):
-        g, e, _ = prepared("cross", 5)
+        g, *_ = prepared("cross", 5)
         sched = synthetic_schedule([(1.0, 0.0, 0.0, 0.0)] * 3)
-        stats = monte_carlo(g, e, sched, trials=500, seed=1)
+        stats = monte_carlo(g, sched, trials=500, seed=1)
         assert stats.successes_by_step[0] == 500
         assert stats.cumulative_success()[-1] == 500
 
     def test_matches_analytic_series(self, cross5_schedule):
-        g, e, _ = prepared("cross", 5)
+        g, *_ = prepared("cross", 5)
         trials = 100_000
-        stats = monte_carlo(g, e, cross5_schedule, trials=trials, seed=7,
+        stats = monte_carlo(g, cross5_schedule, trials=trials, seed=7,
                             max_steps=5)
         analytic = protocol2_total(cross5_schedule, 5)
         for n in range(1, 6):
@@ -455,12 +511,12 @@ class TestMonteCarlo:
             assert abs(stats.empirical_p(n) - p) <= 3 * sigma
 
     def test_counts_bounded_by_trials(self, cross5_schedule):
-        g, e, _ = prepared("cross", 5)
-        stats = monte_carlo(g, e, cross5_schedule, trials=3000, seed=3)
+        g, *_ = prepared("cross", 5)
+        stats = monte_carlo(g, cross5_schedule, trials=3000, seed=3)
         assert np.all(stats.cumulative_success() <= 3000)
 
     def test_rejects_bad_trials(self, cross5_schedule):
-        g, e, _ = prepared("cross", 5)
+        g, *_ = prepared("cross", 5)
         with pytest.raises(ValueError):
-            monte_carlo(g, e, cross5_schedule, trials=0, seed=1)
+            monte_carlo(g, cross5_schedule, trials=0, seed=1)
 
