@@ -2,19 +2,19 @@
 
 Success accumulates geometrically, so the number of attempts needed for a
 target confidence follows directly from the one-shot peak. This demo
-reproduces the measurement-count tables for both families.
+reproduces the measurement-count tables for both families. Each peak comes
+from the C-even block of the exchange C|i,j> = |j,i> (`one_shot_peak`), an
+eigensystem of half the pair space's dimension.
 """
 
-from qutrit_bell import (assemble_hamiltonian, build_cross, build_loop,
-                         find_peak, initial_state, protocol1_cumulative,
-                         protocol1_required, spectral_decompose)
+from qutrit_bell import (build_cross, build_loop, one_shot_peak,
+                         protocol1_cumulative, protocol1_required)
 
 targets = (0.90, 0.95, 0.99)
 
 
 def peak_of(g):
-    eig = spectral_decompose(assemble_hamiltonian(g))
-    return find_peak(eig, initial_state(g), g)[1]
+    return one_shot_peak(g)[1]
 
 
 print("cross family: measurements needed for 90/95/99 percent confidence")

@@ -10,8 +10,8 @@ together with a full-Hilbert-space brute-force oracle for validation.
 __version__ = "0.1.0"
 
 from .dynamics import (Eigensystem, Hamiltonian, Wavefunction, assemble_hamiltonian,
-                       evolve, find_peak, initial_state, scan_success,
-                       spectral_decompose)
+                       evolve, find_peak, initial_state, one_shot_peak,
+                       scan_success, spectral_decompose)
 from .measurement import (Outcome, OutcomeDistribution, bell_fidelity,
                           outcome_distribution, post_state)
 from .protocols import (Schedule, Strategy, TrajectoryStats, enumerate_outcome_tree,
@@ -27,7 +27,7 @@ __all__ = [
     "Strategy", "TrajectoryStats", "Wavefunction",
     "assemble_hamiltonian", "bell_fidelity", "build_cross", "build_loop",
     "enumerate_outcome_tree", "evolve", "find_peak", "find_protocol_automorphism", "initial_state",
-    "monte_carlo", "outcome_distribution", "path_distance", "plan_protocol2",
+    "monte_carlo", "one_shot_peak", "outcome_distribution", "path_distance", "plan_protocol2",
     "plan_regular", "post_state", "protocol1_cumulative", "protocol1_required",
     "protocol2_limit_check", "protocol2_no_reset", "protocol2_total",
     "scan_success", "spectral_decompose",

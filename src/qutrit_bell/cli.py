@@ -21,7 +21,7 @@ from pathlib import Path
 from . import __version__
 from .dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL,
                        PEAK_WINDOW_FACTOR, _time_grid, assemble_hamiltonian,
-                       find_peak, initial_state, spectral_decompose)
+                       initial_state, one_shot_peak, spectral_decompose)
 from .measurement import outcome_curves
 from .oracle import ORACLE_MAX_SITES, full_evolve_compare, su3_algebra_check
 from .protocols import (PLAN_WINDOW_FACTOR, Strategy, plan_protocol2, plan_regular,
@@ -100,9 +100,8 @@ def _check_memory(what: str, need: float) -> None:
                                 f"the {have / 1e9:.3g} GB of physical memory")
 
 
-def _check_fits(n: int) -> None:
-    """Refuse N whose dense eigensystem would exceed physical memory."""
-    d = n * (n - 1)
+def _check_fits(n: int, d: int) -> None:
+    """Refuse N whose dense d x d eigensystem would exceed physical memory."""
     _check_memory(f"N={n}: the dense eigensystem (d = {d})",
                   EIGENSYSTEM_ARRAYS * 8 * d * d)
 
@@ -118,13 +117,16 @@ def _check_grid(t_max: float, step: float, rows: int = 0) -> None:
                   points * 8 * (GRID_ARRAYS + 2 * rows))
 
 
-def _build_graph(args, n: int) -> Graph:
-    """The system's graph; N is checked against memory before a built-in one is built."""
-    if args.topology == "custom":
-        g = _load_topology_file(args.topology_file)
-        _check_fits(g.n_vertices)
-        return g
-    _check_fits(n)
+def _build_graph(args, n: int, c_even: bool = False) -> Graph:
+    """The system's graph; N is checked against memory before a built-in one is built.
+
+    The eigensystem checked is the pair space, or its C-even block (half of it).
+    """
+    custom = _load_topology_file(args.topology_file) if args.topology == "custom" else None
+    n = n if custom is None else custom.n_vertices
+    _check_fits(n, n * (n - 1) // (2 if c_even else 1))
+    if custom is not None:
+        return custom
     try:
         return build_cross(n) if args.topology == "cross" else build_loop(n)
     except ValueError as exc:
@@ -245,11 +247,11 @@ def cmd_scan(args) -> int:
 
 def _peaks(args, ns: list[int]) -> list[tuple[int, float, float]]:
     """(N, t_peak, p_peak) per size; every graph and grid is checked before any work."""
-    graphs = [(n, _build_graph(args, n)) for n in ns]
+    graphs = [(n, _build_graph(args, n, c_even=True)) for n in ns]
     for _, g in graphs:
-        _check_grid(args.t_max or PEAK_WINDOW_FACTOR * g.n_vertices, args.grid_step, rows=2)
-    return [(n, *find_peak(*_prepared(g), g, t_max=args.t_max, grid_step=args.grid_step,
-                           refine_tol=args.refine_tol))
+        _check_grid(args.t_max or PEAK_WINDOW_FACTOR * g.n_vertices, args.grid_step, rows=1)
+    return [(n, *one_shot_peak(g, t_max=args.t_max, grid_step=args.grid_step,
+                               refine_tol=args.refine_tol))
             for n, g in graphs]
 
 

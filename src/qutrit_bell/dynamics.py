@@ -14,12 +14,15 @@ Each edge (m,n) contributes the off-diagonal part of the two-site exchange,
 which in the pair basis moves an excitation along the edge (hop) or
 exchanges the two excitations sitting on it (swap). Equal-state terms are
 excluded, so the matrix has zero diagonal and 0/1 off-diagonal entries.
+The exchange C|i,j> = |j,i> commutes with H on every graph, and the Bell
+amplitude lies in its even block on the N(N-1)/2 unordered pairs, where
+`one_shot_peak` reads the one-shot peak from one row.
 The propagator exp(-iHt) is evaluated through the dense eigendecomposition;
 for N <= 36 the dimension stays at or below 1260, where this is both exact
 and cheap to re-evaluate at many times. One private kernel,
 `_SpectralKernel`, holds the only exp(-i lambda t): it serves a scalar time
 (`evolve`, peak refinement), a few rows along a grid (`amplitude_rows`,
-`find_peak`, the protocol-2 planner), and the full state along a grid one
+the peak searches, the protocol-2 planner), and the full state along a grid one
 block of times at a time (the outcome curves of
 `measurement.outcome_curves`). The scalar path is bit-exact; the grid path
 takes only arithmetic grids from 0, such as those of `_time_grid`, which
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -83,6 +86,12 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return plus, minus + (minus >= plus)
 
 
+def _unordered_position(n: int, i, j):
+    """Lexicographic position of {i,j} among the pairs i < j; elementwise on site arrays."""
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    return (lo - 1) * (2 * n - lo) // 2 + (hi - lo - 1)
+
+
 def pair_index(n: int, i: int, j: int) -> int:
     """Dense position of |i,j> in the lexicographic basis, O(1)."""
     if i == j or not (1 <= i <= n and 1 <= j <= n):
@@ -109,29 +118,40 @@ def _index_groups(g: Graph) -> dict[str, np.ndarray]:
 
 @dataclass(frozen=True)
 class Hamiltonian:
-    """Real symmetric exchange matrix in the pair basis (units of J)."""
+    """Real symmetric exchange matrix in a pair basis (units of J)."""
 
     matrix: np.ndarray
 
 
-def assemble_hamiltonian(g: Graph) -> Hamiltonian:
-    """Build H = sum over edges of the equal-state-free exchange operator.
+def _exchange_matrix(g: Graph, plus: np.ndarray, minus: np.ndarray, position) -> np.ndarray:
+    """The edges' exchange operator on a pair list, each pair (plus[k], minus[k]).
 
     For each edge (m,n) and pair (i,j): if the edge touches exactly one of
     the excitations, that excitation hops to the other endpoint; if the
     edge is {i,j}, the two excitations swap. Edges disjoint from {i,j}
-    contribute nothing (zero diagonal). For one edge the pairs it moves map
-    one to one onto their images, so each edge is a single scatter.
+    contribute nothing. For one edge the pairs it moves map one to one onto
+    their images, so each edge is a single scatter.
     """
-    n = g.n_vertices
-    plus, minus = _pairs(n)
     h = np.zeros((plus.size, plus.size))
     for (m, mm) in g.edges:
         ti = np.where(plus == m, mm, np.where(plus == mm, m, plus))
         tj = np.where(minus == m, mm, np.where(minus == mm, m, minus))
         moved = (ti != plus) | (tj != minus)
-        h[_pair_position(n, ti[moved], tj[moved]), moved] += 1.0
-    return Hamiltonian(h)
+        h[position(ti[moved], tj[moved]), moved] += 1.0
+    return h
+
+
+def assemble_hamiltonian(g: Graph, c_even: bool = False) -> Hamiltonian:
+    """H = sum over edges of the equal-state-free exchange operator (zero diagonal).
+
+    With c_even, H's C-even block B^T H B on |{i,j}+> = (|i,j> + |j,i>)/sqrt2,
+    i < j, instead: a hop keeps its unit entry and a swap lands on the diagonal.
+    """
+    n = g.n_vertices
+    if c_even:
+        lo, hi = np.triu_indices(n, 1)
+        return Hamiltonian(_exchange_matrix(g, lo + 1, hi + 1, partial(_unordered_position, n)))
+    return Hamiltonian(_exchange_matrix(g, *_pairs(n), partial(_pair_position, n)))
 
 
 @dataclass(frozen=True)
@@ -371,6 +391,23 @@ def select_peak(curve: np.ndarray, grid: np.ndarray, objective, grid_step: float
     return float(t_star), float(p_star)
 
 
+def _peak(g: Graph, e: Eigensystem, psi0: Wavefunction, rows, p_success,
+          t_max: float | None, grid_step: float, refine_tol: float) -> tuple[float, float]:
+    """`select_peak` of p_success(row amplitudes) on [0, t_max]; (0, 0) if it is all zero."""
+    if t_max is None:
+        t_max = PEAK_WINDOW_FACTOR * g.n_vertices
+    if t_max <= 0:
+        raise ValueError(f"t_max must be positive, got {t_max}")
+    grid = _time_grid(t_max, grid_step)
+    curve = p_success(amplitude_rows(e, psi0, rows, grid))
+    if curve.max() < 1e-15:
+        logger.warning("success probability identically zero over [0, %g]", t_max)
+        return 0.0, 0.0
+    kernel = _SpectralKernel(e, psi0, rows)
+    return select_peak(curve, grid, lambda t: float(p_success(kernel(t))),
+                       grid_step, refine_tol)
+
+
 def find_peak(e: Eigensystem, psi0: Wavefunction, g: Graph,
               t_max: float | None = None,
               grid_step: float = DEFAULT_GRID_STEP,
@@ -381,18 +418,22 @@ def find_peak(e: Eigensystem, psi0: Wavefunction, g: Graph,
     earliest time wins (less-dispersed post-measurement states).
     Returns (0.0, 0.0) with a warning if the curve is identically zero.
     """
-    if t_max is None:
-        t_max = PEAK_WINDOW_FACTOR * g.n_vertices
-    if t_max <= 0:
-        raise ValueError(f"t_max must be positive, got {t_max}")
-    grid, p = scan_success(e, psi0, g, _time_grid(t_max, grid_step))
-    if p.max() < 1e-15:
-        logger.warning("success probability identically zero over [0, %g]", t_max)
-        return 0.0, 0.0
-    kernel = _SpectralKernel(e, psi0, _index_groups(g)["success"])
+    return _peak(g, e, psi0, _index_groups(g)["success"],
+                 lambda amp: 0.5 * np.abs(amp[0] + amp[1]) ** 2, t_max, grid_step, refine_tol)
 
-    def objective(t: float) -> float:
-        amp = kernel(t)
-        return 0.5 * float(np.abs(amp[0] + amp[1]) ** 2)
 
-    return select_peak(p, grid, objective, grid_step, refine_tol)
+def one_shot_peak(g: Graph, t_max: float | None = None,
+                  grid_step: float = DEFAULT_GRID_STEP,
+                  refine_tol: float = DEFAULT_REFINE_TOL) -> tuple[float, float]:
+    """`find_peak` from the initial state, on the C-even block of half the dimension.
+
+    (a_BA + a_AB)/sqrt2 = <{A,B}+|psi(t)>, and |c+,c-> has C-even part
+    |{c+,c-}+>/sqrt2, so p_S = |<{A,B}+|exp(-iH+ t)|{c+,c-}+>|^2 / 2. The peak
+    differs from `find_peak`'s by rounding only, within refine_tol in t*.
+    """
+    n, r = g.n_vertices, g.roles
+    e = spectral_decompose(assemble_hamiltonian(g, c_even=True))
+    start = np.zeros(e.eigenvalues.size, dtype=complex)
+    start[_unordered_position(n, r.charlie_plus, r.charlie_minus)] = 1.0
+    return _peak(g, e, Wavefunction(start), [_unordered_position(n, r.alice, r.bob)],
+                 lambda amp: 0.5 * np.abs(amp[0]) ** 2, t_max, grid_step, refine_tol)

@@ -380,17 +380,18 @@ def _reset_count_masses(schedule: Schedule, n: int, m_max: int):
     """Distribution over (resets used) after n measurements.
 
     Returns (success_by_resets, alive_by_resets): cumulative success mass
-    and still-undecided mass with at most m resets, for m = 0..m_max.
-    Undecided mass that would pass position n or reset m_max is dropped.
+    and still-undecided mass with at most m resets, for m = 0..m_max. The
+    undecided mass includes the run that met psi1 at all n measurements
+    (prod p_1, kept at position n); mass past reset m_max is dropped.
     """
     ps, p1, pu = _padded(schedule, n)
-    alive = np.zeros((n, m_max + 1))
+    alive = np.zeros((n + 1, m_max + 1))
     alive[0, 0] = 1.0
     success = np.zeros(m_max + 1)
     for _ in range(n):
-        success += ps @ alive
-        reset = pu @ alive
-        alive[1:] = alive[:-1] * p1[:-1, None]
+        success += ps @ alive[:n]
+        reset = pu @ alive[:n]
+        alive[1:] = alive[:-1] * p1[:, None]
         alive[0] = np.concatenate(([0.0], reset[:-1]))
     return np.cumsum(success), np.cumsum(alive.sum(axis=0))
 

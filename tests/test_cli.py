@@ -324,6 +324,21 @@ class TestSizeGuard:
         assert out == ""
         assert f"N={argv[-1].split(',')[-1]}:" in err and "GB" in err
 
+    def test_peaks_guard_sizes_the_c_even_block(self, monkeypatch, capsys):
+        # physical memory between the loop-8 C-even block (d = 28) and the full
+        # pair space (d = 56): peaks diagonalises the block and runs, scan
+        # needs the full eigensystem and is refused
+        block, full = (cli.EIGENSYSTEM_ARRAYS * 8 * d * d for d in (28, 56))
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": (block + full) // 2}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        code, out, err = run_cli(["peaks", "--topology", "loop", "--n-list", "8",
+                                  "--t-max", "1"], capsys)
+        assert code == 0 and out.count("\n") > 1 and err == ""
+        code, out, err = run_cli(["scan", "--topology", "loop", "--n", "8",
+                                  "--t-max", "1"], capsys)
+        assert code == 2 and out == ""
+        assert "N=8: the dense eigensystem (d = 56)" in err
+
     # each grid would need terabytes or more, which numpy cannot allocate:
     # the CLI must refuse it before building it
     @pytest.mark.parametrize("argv", [

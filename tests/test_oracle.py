@@ -6,7 +6,7 @@ from qutrit_bell import assemble_hamiltonian, build_cross, build_loop
 from qutrit_bell.cli import main
 from qutrit_bell.dynamics import _time_grid
 from qutrit_bell.oracle import (FullHamiltonian, _bessel_j, _chebyshev_span,
-                                _sector_indices, _spans, full_evolve_compare,
+                                _sector_indices, _site_digit, _spans, full_evolve_compare,
                                 full_initial_index, generator_matrix,
                                 sector_restriction, su3_algebra_check)
 from qutrit_bell.topology import Graph, Roles
@@ -61,6 +61,19 @@ class TestFullHamiltonian:
     def test_size_cap(self):
         with pytest.raises(ValueError, match="N <= 9"):
             FullHamiltonian(build_cross(11))
+
+    @pytest.mark.parametrize("builder,n", [(build_cross, 5), (build_loop, 4)])
+    def test_commutes_with_the_plus_minus_relabelling(self, builder, n):
+        # on-site +1 <-> -1 on every site: digit d of STATES = (-1, 0, +1)
+        # becomes 2 - d. In the two-excitation sector this is C|i,j> = |j,i>,
+        # the symmetry the C-even peak block rests on.
+        full = FullHamiltonian(builder(n))
+        idx = np.arange(full.dimension)
+        flipped = sum((2 - _site_digit(idx, site)) * 3 ** (site - 1)
+                      for site in range(1, n + 1))
+        assert sorted(flipped) == list(idx)
+        h = full.dense()
+        assert np.array_equal(h[np.ix_(flipped, flipped)], h)
 
 
 class TestSectorRestriction:

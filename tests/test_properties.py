@@ -5,28 +5,33 @@ edges are closed under an involution that exchanges Charlie's two sites,
 fixes Alice's and Bob's and pairs some of the other sites at random. The
 rest are plain random graphs, which rarely have it.
 
-The last property fuzzes the CLI's numeric flags on loop-4 and cross-5.
+The C-even block of the one-shot peak is checked on the same graphs and on
+the 25 systems of the protocol-1 tables. The last property fuzzes the
+CLI's numeric flags on loop-4 and cross-5.
 """
 
 import io
 import math
 from contextlib import redirect_stderr, redirect_stdout
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import time_budget
-from qutrit_bell import (Graph, Roles, assemble_hamiltonian, evolve,
-                         find_protocol_automorphism, initial_state,
-                         outcome_distribution, spectral_decompose)
+from conftest import peak, time_budget
+from qutrit_bell import (Graph, Roles, assemble_hamiltonian, build_cross, build_loop,
+                         evolve, find_peak, find_protocol_automorphism, initial_state,
+                         one_shot_peak, outcome_distribution, protocol1_cumulative,
+                         protocol1_required, spectral_decompose)
 from qutrit_bell.cli import main
-from qutrit_bell.dynamics import _index_groups
+from qutrit_bell.dynamics import DEFAULT_REFINE_TOL, _index_groups, _pairs, pair_index
 from qutrit_bell.measurement import ZERO_PROB, Outcome, post_state
 from qutrit_bell.oracle import full_evolve_compare
 from qutrit_bell.protocols import _pc_partner, _scan_rows
+from test_acceptance import (QUANTILES, REPEAT_RESET_COLUMNS, TABLE_CROSS_COUNTS,
+                             TABLE_LOOP_COUNTS, _count_marks, _repeat_marks)
 
 #: a few uneven times; the oracle reaches them in one or two Chebyshev spans
 ORACLE_GRID = [0.0, 0.37, 1.3, 2.9, 6.1]
@@ -148,6 +153,69 @@ def test_outcome_probabilities_sum_to_one(drawn, t):
     # p1 is the remainder of the other three; it must also be psi1's own weight
     weight_g1 = float(np.sum(np.abs(psi.amplitudes[_index_groups(g)["g1"]]) ** 2))
     assert d.p1 == pytest.approx(weight_g1, abs=1e-12)
+
+
+def c_even_isometry_unscaled(n):
+    """sqrt2 B: column {i,j}, i < j in lexicographic order, is |i,j> + |j,i>."""
+    b = np.zeros((n * (n - 1), n * (n - 1) // 2))
+    for k, (i, j) in enumerate(combinations(range(1, n + 1), 2)):
+        b[[pair_index(n, i, j), pair_index(n, j, i)], k] = 1.0
+    return b
+
+
+@given(protocol_graphs())
+@settings(max_examples=100, deadline=None)
+def test_c_even_block_is_the_projected_hamiltonian_and_c_commutes(drawn):
+    g, _ = drawn
+    n = g.n_vertices
+    h = assemble_hamiltonian(g).matrix
+    b = c_even_isometry_unscaled(n)
+    # B^T H B with B = b / sqrt2: the two 1/sqrt2 make an exact 1/2
+    assert np.array_equal(assemble_hamiltonian(g, c_even=True).matrix,
+                          0.5 * (b.T @ h @ b))
+    plus, minus = _pairs(n)
+    c = np.array([pair_index(n, j, i) for i, j in zip(plus, minus)])
+    assert np.array_equal(h[np.ix_(c, c)], h)
+
+
+def assert_block_peak_matches_find_peak(block, full, refine_tol=DEFAULT_REFINE_TOL):
+    assert abs(block[1] - full[1]) <= 1e-12
+    assert abs(block[0] - full[0]) <= refine_tol
+
+
+@given(protocol_graphs())
+@settings(max_examples=60, deadline=None)
+def test_block_peak_matches_the_full_space_peak(drawn):
+    g, _ = drawn
+    full = find_peak(spectral_decompose(assemble_hamiltonian(g)), initial_state(g), g)
+    assert_block_peak_matches_find_peak(one_shot_peak(g), full)
+
+
+@pytest.mark.parametrize("family,n", [("cross", n) for n in range(5, 36, 2)]
+                         + [("loop", n) for n in range(4, 37, 4)])
+def test_tables_systems_block_peak_and_protocol1_output(family, n, capsys):
+    full = peak(family, n)
+    g = build_cross(n) if family == "cross" else build_loop(n)
+    assert_block_peak_matches_find_peak(one_shot_peak(g), full)
+
+    assert main(["protocol1", "--topology", family, "--n-list", str(n),
+                 "--no-timestamp"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()
+            if line[:1].isdigit()]
+    assert len(rows) == len(QUANTILES) + 10  # the default --n-max
+    counts = tuple(int(row[2]) for row in rows[:len(QUANTILES)])
+    series = [float(row[2]) for row in rows[len(QUANTILES):]]
+    # the counts and series the acceptance gate takes from the full-space peak,
+    # and its reference rows where the gate holds them consistent
+    assert counts == tuple(protocol1_required(full[1], q) for q in QUANTILES)
+    assert max(abs(p - protocol1_cumulative(full[1], k + 1))
+               for k, p in enumerate(series)) <= 1e-9
+    table = TABLE_CROSS_COUNTS if family == "cross" else TABLE_LOOP_COUNTS
+    if _count_marks(family, n) == ():
+        assert counts == table[n]
+    if (family, n) in REPEAT_RESET_COLUMNS and _repeat_marks(family, n) == ():
+        column = REPEAT_RESET_COLUMNS[(family, n)]
+        assert max(abs(p - want) for p, want in zip(series, column)) < 1e-3
 
 
 #: a float flag: special values, negatives, or a moderate range small enough

@@ -404,8 +404,7 @@ def triple_loop_reset_count_masses(schedule, n, m_max):
                     continue
                 ps, p1, pu = rows[pos]
                 success[m] += w * ps
-                if pos + 1 <= n - 1:
-                    nxt[pos + 1, m] += w * p1
+                nxt[pos + 1, m] += w * p1
                 if m + 1 <= m_max:
                     nxt[0, m + 1] += w * pu
         alive = nxt
@@ -430,6 +429,18 @@ class TestPerStepTable:
             want = triple_loop_reset_count_masses(sched, n, m_max)
             for a, b in zip(got, want):
                 assert np.max(np.abs(a - b)) <= 1e-15
+
+    def test_cross5_undecided_mass_keeps_the_run_without_reset(self, cross5_schedule):
+        n = len(cross5_schedule)
+        succ, alive = protocols._reset_count_masses(cross5_schedule, n, 3)
+        _, p1, reset = protocols._padded(cross5_schedule, n)
+        survived = float(np.prod(p1))
+        assert survived == pytest.approx(0.0368, abs=1e-4)
+        # with no reset a run succeeds, resets or meets psi1 at all n steps
+        assert alive[0] == pytest.approx(survived, abs=1e-15)
+        assert succ[0] == pytest.approx(protocol2_no_reset(cross5_schedule)[-1], abs=1e-15)
+        assert succ[0] + alive[0] + np.sum(protocols._survival(p1) * reset) \
+            == pytest.approx(1.0, abs=1e-12)
 
     def test_tree_returns_python_floats(self, cross5_schedule):
         for n in (3, len(cross5_schedule) + 2):
