@@ -5,6 +5,9 @@ Exit codes: 0 success, 1 usage error, 2 precondition violation,
 --format json), with floats at 10 significant digits and a config echo in
 the header; identical configurations and seeds produce byte-identical
 files when --no-timestamp is given.
+
+`main` parses the flags; `_checked_run` makes every exit-2 refusal they decide,
+before any work; the command then only computes and writes.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import chain
 from pathlib import Path
@@ -39,6 +43,9 @@ EIGENSYSTEM_ARRAYS = 6
 #: Float arrays of grid length a command holds besides amplitude rows: a scan's
 #: grid and its five outcome curves.
 GRID_ARRAYS = 6
+#: Floats a protocol-2 run holds per step of --n-max: the planned step, the per-step
+#: table and the series arrays (475 bytes, tracemalloc, loop-4 --tau 1 --n-max 20000).
+SERIES_FLOATS = 60
 VERIFY_GRID_STEP = 0.1  # default step of the grid on which `verify` compares the engines
 #: Cap on |E| t_max, the Chebyshev argument over which `verify` propagates the
 #: 3^N state. At cross-9 a unit costs about 0.9 ms on 2 cores (2.9 s for
@@ -64,33 +71,21 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _load_topology_file(path: str) -> Graph:
-    """Plain-text custom graph: N; four role vertices; one edge per line."""
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise PreconditionError(f"topology file {path}: {exc}") from exc
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
+def _load_topology_file(path: str) -> tuple[int, frozenset, Roles]:
+    """Plain-text custom graph: N; four role vertices; one edge per line.
+
+    Returns (N, edges, roles) unbuilt, so that N is sized before its graph
+    exists; raises OSError or ValueError for a file it cannot read or parse.
+    """
+    lines = [line for line in (raw.split("#", 1)[0].strip()
+                               for raw in Path(path).read_text().splitlines()) if line]
     if len(lines) < 2:
-        raise PreconditionError(f"topology file {path}: need at least N and roles lines")
-    try:
-        n = int(lines[0])
-        plus, minus, alice, bob = (int(x) for x in lines[1].split())
-        edges = set()
-        for line in lines[2:]:
-            u, v = (int(x) for x in line.split())
-            edges.add((min(u, v), max(u, v)))
-    except ValueError as exc:
-        raise PreconditionError(f"topology file {path}: {exc}") from exc
-    try:
-        return Graph(n_vertices=n, edges=frozenset(edges),
-                     roles=Roles(plus, minus, alice, bob))
-    except ValueError as exc:
-        raise PreconditionError(f"topology file {path}: {exc}") from exc
+        raise ValueError("need at least N and roles lines")
+    n = int(lines[0])
+    plus, minus, alice, bob = (int(x) for x in lines[1].split())
+    edges = frozenset((min(u, v), max(u, v))
+                      for u, v in (map(int, line.split()) for line in lines[2:]))
+    return n, edges, Roles(plus, minus, alice, bob)
 
 
 def _check_memory(what: str, need: float) -> None:
@@ -98,39 +93,6 @@ def _check_memory(what: str, need: float) -> None:
     if need > have:
         raise PreconditionError(f"{what} needs about {need / 1e9:.3g} GB, more than "
                                 f"the {have / 1e9:.3g} GB of physical memory")
-
-
-def _check_fits(n: int, d: int) -> None:
-    """Refuse N whose dense d x d eigensystem would exceed physical memory."""
-    _check_memory(f"N={n}: the dense eigensystem (d = {d})",
-                  EIGENSYSTEM_ARRAYS * 8 * d * d)
-
-
-def _check_grid(t_max: float, step: float, rows: int = 0) -> None:
-    """Refuse a time grid whose arrays would exceed physical memory.
-
-    Each grid point costs GRID_ARRAYS floats plus one complex amplitude per
-    row held along the whole grid.
-    """
-    points = t_max / step + 1
-    _check_memory(f"the time grid over [0, {t_max:g}] at step {step:g} ({points:.3g} points)",
-                  points * 8 * (GRID_ARRAYS + 2 * rows))
-
-
-def _build_graph(args, n: int, c_even: bool = False) -> Graph:
-    """The system's graph; N is checked against memory before a built-in one is built.
-
-    The eigensystem checked is the pair space, or its C-even block (half of it).
-    """
-    custom = _load_topology_file(args.topology_file) if args.topology == "custom" else None
-    n = n if custom is None else custom.n_vertices
-    _check_fits(n, n * (n - 1) // (2 if c_even else 1))
-    if custom is not None:
-        return custom
-    try:
-        return build_cross(n) if args.topology == "cross" else build_loop(n)
-    except ValueError as exc:
-        raise PreconditionError(str(exc)) from exc
 
 
 def _config_echo(args, extra: dict | None) -> dict:
@@ -207,10 +169,6 @@ def _write_table(args, columns: list[str], rows,
         sys.stdout.writelines(chunks)
 
 
-def _prepared(g: Graph):
-    return spectral_decompose(assemble_hamiltonian(g)), initial_state(g)
-
-
 def _parse_list(spec: str, convert, name: str) -> list:
     """Comma-separated values of --n-list or --targets; empty entries are skipped."""
     try:
@@ -222,22 +180,85 @@ def _parse_list(spec: str, convert, name: str) -> list:
     return values
 
 
-def _check_numeric_flags(args) -> None:
-    """Reject numeric flags no command can use, before any work starts."""
+@dataclass(frozen=True)
+class _Run:
+    """What the checks derive: each system as (N as listed, graph, window end t_max)."""
+
+    systems: tuple[tuple[int, Graph, float], ...]
+    targets: tuple[float, ...]
+
+
+def _checked_run(args) -> _Run:
+    """Make every exit-2 refusal that the flags decide, before any work starts.
+
+    Sizes each command's dense eigensystem (d = N(N-1), or the C-even block's
+    N(N-1)/2), time grid (none with --tau) and protocol-2 series, resolves the
+    default window and applies `verify`'s caps. A graph is built once N fits.
+    """
     for name in ("t_max", "grid_step", "refine_tol", "tau"):
         value = getattr(args, name, None)
         if value is not None and not (math.isfinite(value) and value > 0):
             raise PreconditionError(
                 f"--{name.replace('_', '-')} must be finite and > 0, got {value}")
-    if getattr(args, "n_max", 1) < 1:
-        raise PreconditionError(f"--n-max must be >= 1, got {args.n_max}")
+    n_max = getattr(args, "n_max", 1)
+    if n_max < 1:
+        raise PreconditionError(f"--n-max must be >= 1, got {n_max}")
+    command = args.command
+    if command == "protocol2":
+        _check_memory(f"--n-max {n_max}: the protocol-2 series", SERIES_FLOATS * 8 * n_max)
+    peak_table = command in ("peaks", "protocol1")  # --n-list; C-even block, one Bell row
+    ns = _parse_list(args.n_list, int, "N") if peak_table else [args.n]
+    targets = tuple(_parse_list(args.targets, float, "target")) if command == "protocol1" else ()
+    for q in targets:
+        if not 0.0 < q < 1.0:
+            raise PreconditionError(f"targets must lie strictly inside (0,1), got {q}")
+    custom = args.topology == "custom"
+    where = f"topology file {args.topology_file}: " if custom else ""
+    if custom:
+        try:
+            n_file, edges, roles = _load_topology_file(args.topology_file)
+        except (OSError, ValueError) as exc:
+            raise PreconditionError(f"{where}{exc}") from exc
+        for n in ns:
+            if n is not None and n != n_file:
+                raise PreconditionError(f"{where}N must be the file's N={n_file}, got N={n}")
+        ns = [n_file] * len(ns)
+    systems = []
+    for n in ns:
+        d = n * (n - 1) // (2 if peak_table else 1)
+        _check_memory(f"N={n}: the dense eigensystem (d = {d})", EIGENSYSTEM_ARRAYS * 8 * d * d)
+        try:
+            g = (Graph(n, edges, roles) if custom else
+                 build_cross(n) if args.topology == "cross" else build_loop(n))
+        except ValueError as exc:
+            raise PreconditionError(f"{where}{exc}") from exc
+        if command == "verify":
+            if n > ORACLE_MAX_SITES:
+                raise PreconditionError(f"brute-force verification is capped at "
+                                        f"N <= {ORACLE_MAX_SITES}, got N={n}")
+            default = 10.0
+        elif command == "protocol2":
+            default = PLAN_WINDOW_FACTOR * g.n_vertices
+        else:
+            default = PEAK_WINDOW_FACTOR * g.n_vertices
+        t_max = args.t_max or default
+        if getattr(args, "tau", None) is None:
+            # GRID_ARRAYS floats a point, plus a complex amplitude per row held along the grid
+            rows = d if command == "verify" else int(peak_table)
+            points = t_max / args.grid_step + 1
+            _check_memory(f"the time grid over [0, {t_max:g}] at step {args.grid_step:g} "
+                          f"({points:.3g} points)", points * 8 * (GRID_ARRAYS + 2 * rows))
+        if command == "verify" and len(g.edges) * t_max > VERIFY_MAX_EDGE_TIME:
+            raise PreconditionError(f"verify propagates the 3^N state over |E| t_max = "
+                                    f"{len(g.edges) * t_max:.3g}, beyond the cap of "
+                                    f"{VERIFY_MAX_EDGE_TIME:g}")
+        systems.append((n, g, t_max))
+    return _Run(tuple(systems), targets)
 
 
-def cmd_scan(args) -> int:
-    g = _build_graph(args, args.n)
-    t_max = args.t_max or PEAK_WINDOW_FACTOR * g.n_vertices
-    _check_grid(t_max, args.grid_step)
-    eig, psi0 = _prepared(g)
+def cmd_scan(args, run: _Run) -> int:
+    [(_, g, t_max)] = run.systems
+    eig, psi0 = spectral_decompose(assemble_hamiltonian(g)), initial_state(g)
     grid = _time_grid(t_max, args.grid_step)
     curves = outcome_curves(eig, psi0, g, grid)
     rows = zip(*(map(float, column) for column in (grid, *curves)))
@@ -245,60 +266,51 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def _peaks(args, ns: list[int]) -> list[tuple[int, float, float]]:
-    """(N, t_peak, p_peak) per size; every graph and grid is checked before any work."""
-    graphs = [(n, _build_graph(args, n, c_even=True)) for n in ns]
-    for _, g in graphs:
-        _check_grid(args.t_max or PEAK_WINDOW_FACTOR * g.n_vertices, args.grid_step, rows=1)
-    return [(n, *one_shot_peak(g, t_max=args.t_max, grid_step=args.grid_step,
+def _peaks(args, run: _Run) -> list[tuple[int, float, float]]:
+    """(N, t_peak, p_peak) per system."""
+    return [(n, *one_shot_peak(g, t_max=t_max, grid_step=args.grid_step,
                                refine_tol=args.refine_tol))
-            for n, g in graphs]
+            for n, g, t_max in run.systems]
 
 
-def cmd_peaks(args) -> int:
-    _write_table(args, ["N", "t_peak", "p_peak"], _peaks(args, _parse_list(args.n_list, int, "N")))
+def cmd_peaks(args, run: _Run) -> int:
+    _write_table(args, ["N", "t_peak", "p_peak"], _peaks(args, run))
     return 0
 
 
-def cmd_protocol1(args) -> int:
-    ns = _parse_list(args.n_list, int, "N")
-    targets = _parse_list(args.targets, float, "target")
-    for q in targets:
-        if not 0.0 < q < 1.0:
-            raise PreconditionError(f"targets must lie strictly inside (0,1), got {q}")
-    required_rows, series_rows = [], []
-    for n, t_star, p_star in _peaks(args, ns):
+def cmd_protocol1(args, run: _Run) -> int:
+    peaks = _peaks(args, run)
+    for n, _, p_star in peaks:
         if not 0.0 < p_star < 1.0:
             raise PreconditionError(f"N={n}: peak probability {p_star} unusable "
                                     "for repetition counts")
-        for q in targets:
-            required_rows.append((n, q, protocol1_required(p_star, q)))
-        for k in range(1, args.n_max + 1):
-            series_rows.append((n, k, protocol1_cumulative(p_star, k)))
+    required_rows = [(n, q, protocol1_required(p_star, q))
+                     for n, _, p_star in peaks for q in run.targets]
+    # made as they are written, so memory does not grow with --n-max
+    series_rows = ((n, k, protocol1_cumulative(p_star, k))
+                   for n, _, p_star in peaks for k in range(1, args.n_max + 1))
     _write_table(args, [], [], sections=[
         ("required_measurements", ["N", "q", "n_required"], required_rows),
         ("cumulative_series", ["N", "n", "P_n"], series_rows)])
     return 0
 
 
-def cmd_protocol2(args) -> int:
-    g = _build_graph(args, args.n)
-    if args.tau is None:
-        _check_grid(args.t_max or PLAN_WINDOW_FACTOR * g.n_vertices, args.grid_step)
-    eig, _ = _prepared(g)
+def cmd_protocol2(args, run: _Run) -> int:
+    [(_, g, t_max)] = run.systems
+    eig = spectral_decompose(assemble_hamiltonian(g))
     if args.tau is not None:
         schedule = plan_regular(g, eig, args.tau, args.n_max)
     else:
         try:
             schedule = plan_protocol2(g, eig, Strategy(args.strategy), args.n_max,
-                                      t_max=args.t_max, grid_step=args.grid_step,
+                                      t_max=t_max, grid_step=args.grid_step,
                                       refine_tol=args.refine_tol)
         except RuntimeError as exc:  # a search window without success
             raise PreconditionError(str(exc)) from exc
     series = zip(protocol2_no_reset(schedule, args.n_max), protocol2_total(schedule, args.n_max))
-    rows = [(k + 1, pbar, ptot, protocol1_cumulative(schedule.steps[0].p_success, k + 1),
+    rows = ((k + 1, pbar, ptot, protocol1_cumulative(schedule.steps[0].p_success, k + 1),
              schedule.strategy, schedule.steps[k].time if k < len(schedule) else 0.0)
-            for k, (pbar, ptot) in enumerate(series)]
+            for k, (pbar, ptot) in enumerate(series))
     extra = {}
     if schedule.success_deficit > 1e-12:
         extra["asymmetric_success_deficit"] = _fmt(schedule.success_deficit)
@@ -307,39 +319,21 @@ def cmd_protocol2(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    checks: list[tuple[str, float, float, bool]] = []
-
-    def record(name: str, value: float, bound: float):
-        checks.append((name, value, bound, bool(value < bound)))
-
-    record("su3_algebra_max_violation", su3_algebra_check(), 1e-14)
-
-    g = _build_graph(args, args.n)
-    n = g.n_vertices
-    if n > ORACLE_MAX_SITES:
-        raise PreconditionError(
-            f"brute-force verification is capped at N <= {ORACLE_MAX_SITES}, got N={n}")
-    t_max = args.t_max or 10.0
-    _check_grid(t_max, args.grid_step, rows=n * (n - 1))
-    if len(g.edges) * t_max > VERIFY_MAX_EDGE_TIME:
-        raise PreconditionError(f"verify propagates the 3^N state over |E| t_max = "
-                                f"{len(g.edges) * t_max:.3g}, beyond the cap of "
-                                f"{VERIFY_MAX_EDGE_TIME:g}")
-    label = f"N{n}"
+def cmd_verify(args, run: _Run) -> int:
+    [(_, g, t_max)] = run.systems
+    label = f"N{g.n_vertices}"
+    checks = [("su3_algebra_max_violation", su3_algebra_check(), 1e-14)]
     cmp_res = full_evolve_compare(g, _time_grid(t_max, args.grid_step))
-    record(f"{label}_sector_restriction_max_diff", cmp_res.max_restriction_deviation, 1e-12)
-    record(f"{label}_full_vs_reduced_max_amplitude_dev",
-           cmp_res.max_amplitude_deviation, 1e-9)
-    record(f"{label}_sector_leakage", cmp_res.max_sector_leakage, 1e-12)
+    checks += [(f"{label}_sector_restriction_max_diff", cmp_res.max_restriction_deviation, 1e-12),
+               (f"{label}_full_vs_reduced_max_amplitude_dev",
+                cmp_res.max_amplitude_deviation, 1e-9),
+               (f"{label}_sector_leakage", cmp_res.max_sector_leakage, 1e-12)]
     if find_protocol_automorphism(g).exists:
-        record(f"{label}_bell_amplitude_asymmetry", cmp_res.max_bell_asymmetry, 1e-10)
-    rows = [(name, value, bound, "pass" if ok else "FAIL")
-            for name, value, bound, ok in checks]
+        checks.append((f"{label}_bell_amplitude_asymmetry", cmp_res.max_bell_asymmetry, 1e-10))
+    rows = [(name, value, bound, "pass" if value < bound else "FAIL")
+            for name, value, bound in checks]
     _write_table(args, ["check", "measured", "bound", "status"], rows)
-    if not all(ok for *_, ok in checks):
-        return VERIFICATION_ERROR
-    return 0
+    return 0 if all(row[3] == "pass" for row in rows) else VERIFICATION_ERROR
 
 
 def _add_common(p: argparse.ArgumentParser, n_single=True):
@@ -348,7 +342,7 @@ def _add_common(p: argparse.ArgumentParser, n_single=True):
     if n_single:
         p.add_argument("--n", type=int, help="number of qutrits")
     p.add_argument("--t-max", type=float, default=None,
-                   help="scan window end (default 6.4N; protocol planning uses 8N)")
+                   help="window end (default 6.4N; protocol2 planning 8N; verify 10)")
     p.add_argument("--grid-step", type=float, default=DEFAULT_GRID_STEP)
     p.add_argument("--refine-tol", type=float, default=DEFAULT_REFINE_TOL)
     p.add_argument("--output", help="output file (default stdout)")
@@ -395,14 +389,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(argv: list[str]) -> list[str]:
-    """Prepend flags from --config <file> (flags on the command line win)."""
-    if "--config" not in argv:
+    """Insert the flags of --config FILE after the subcommand (command-line flags win).
+
+    `--config FILE` and `--config=FILE` are both found, before or after the
+    subcommand.
+    """
+    pre = _Parser(prog="qutrit-bell", add_help=False)
+    pre.add_argument("--config")
+    known, rest = pre.parse_known_args(argv)
+    if known.config is None:
         return argv
-    k = argv.index("--config")
-    path = argv[k + 1]
-    cfg = json.loads(Path(path).read_text())
+    cfg = json.loads(Path(known.config).read_text())
     if not isinstance(cfg, dict):
-        raise ValueError(f"{path}: the top level is not a JSON object")
+        raise ValueError(f"{known.config}: the top level is not a JSON object")
     flags: list[str] = []
     for key, value in cfg.items():
         flag = "--" + key.replace("_", "-")
@@ -411,20 +410,17 @@ def _apply_config_file(argv: list[str]) -> list[str]:
                 flags.append(flag)
         else:
             flags.extend([flag, str(value)])
-    rest = argv[:k] + argv[k + 2:]
     return rest[:1] + flags + rest[1:]
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and "--config" in argv:
-        try:
-            argv = _apply_config_file(argv)
-        except (OSError, ValueError, IndexError) as exc:
-            print(f"error: cannot read config file: {exc}", file=sys.stderr)
-            return USAGE_ERROR
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        argv = _apply_config_file(argv)
+    except (OSError, ValueError) as exc:
+        print(f"error: cannot read config file: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    args = build_parser().parse_args(argv)
     if args.topology == "custom" and not args.topology_file:
         print("error: --topology custom requires --topology-file", file=sys.stderr)
         return USAGE_ERROR
@@ -433,8 +429,7 @@ def main(argv: list[str] | None = None) -> int:
         print("error: --n is required for built-in topologies", file=sys.stderr)
         return USAGE_ERROR
     try:
-        _check_numeric_flags(args)
-        return args.func(args)
+        return args.func(args, _checked_run(args))
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return PRECONDITION_ERROR

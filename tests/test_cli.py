@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,86 @@ import pytest
 from conftest import time_budget
 from qutrit_bell import cli, oracle
 from qutrit_bell.cli import _config_echo, _fmt, _write_table, build_parser, main
+
+DATA = Path(__file__).resolve().parent / "data"
+CROSS5 = str(DATA / "cross5.txt")  # cross-5 as a custom topology file
+
+# N = 10^6 would take seconds and hundreds of MB to build: the guard
+# must refuse it before the graph exists. A custom file's N is sized the
+# same way, before its graph is built: a 10^8-site graph does not fit in memory
+EIGENSYSTEM_REFUSALS = [
+    ["scan", "--topology", "loop", "--n", "1000"],
+    ["peaks", "--topology", "loop", "--n-list", "4,1000"],
+    ["scan", "--topology", "loop", "--n", "1000000"],
+    ["verify", "--topology", "loop", "--n", "1000000"],
+    ["scan", "--topology", "custom", "--topology-file", str(DATA / "sites-1e8.txt"),
+     "--n", "100000000"],
+    ["peaks", "--topology", "custom", "--topology-file", str(DATA / "sites-1e8.txt"),
+     "--n-list", "100000000"],
+    ["verify", "--topology", "custom", "--topology-file", str(DATA / "sites-1e6.txt"),
+     "--n", "1000000"],
+]
+
+# each grid would need terabytes or more, which numpy cannot allocate:
+# the CLI must refuse it before building it
+GRID_REFUSALS = [
+    ["scan", "--topology", "loop", "--n", "4", "--grid-step", "1e-12"],
+    ["scan", "--topology", "loop", "--n", "4", "--t-max", "1e300"],
+    ["peaks", "--topology", "loop", "--n-list", "4", "--grid-step", "1e-13"],
+    ["protocol1", "--topology", "loop", "--n-list", "4", "--grid-step", "1e-13"],
+    ["protocol2", "--topology", "loop", "--n", "4", "--grid-step", "1e-12"],
+    ["verify", "--topology", "loop", "--n", "4", "--t-max", "1e12"],
+]
+
+# protocol2's planned steps, per-step table and series are --n-max long:
+# 10^10 steps would need terabytes
+SERIES_REFUSALS = [
+    ["protocol2", "--topology", "loop", "--n", "4", "--n-max", "10000000000"],
+    ["protocol2", "--topology", "loop", "--n", "4", "--n-max", "10000000000", "--tau", "1"],
+]
+
+JSON_SCAN_FLAGS = [["--grid-step", "1e-12"], ["--t-max", "1e300"],
+                   ["--t-max", "1e15", "--grid-step", "1e3"]]
+
+INVALID_FLAGS = [
+    ["scan", "--topology", "cross", "--n", "5", "--grid-step", "0"],
+    ["scan", "--topology", "cross", "--n", "5", "--grid-step", "-0.1"],
+    ["scan", "--topology", "cross", "--n", "5", "--t-max", "nan"],
+    ["scan", "--topology", "cross", "--n", "5", "--t-max", "inf"],
+    ["peaks", "--topology", "cross", "--n-list", "5", "--t-max", "-1"],
+    ["protocol2", "--topology", "cross", "--n", "5", "--tau", "nan"],
+    ["protocol2", "--topology", "cross", "--n", "5", "--refine-tol", "0"],
+    ["protocol1", "--topology", "cross", "--n-list", "5", "--n-max", "0"],
+    # a custom topology is one system, of the file's N: any other N would
+    # label the file's results with a size they do not have
+    ["peaks", "--topology", "custom", "--topology-file", CROSS5, "--n-list", "9,13"],
+    ["peaks", "--topology", "custom", "--topology-file", CROSS5, "--n-list", "5,13"],
+    ["scan", "--topology", "custom", "--topology-file", CROSS5, "--n", "99"],
+]
+
+EMPTY_LISTS = [
+    ["peaks", "--topology", "cross", "--n-list", ","],
+    ["protocol1", "--topology", "cross", "--n-list", ","],
+    ["protocol1", "--topology", "cross", "--n-list", "5", "--targets", ","],
+]
+
+# every refusal that the flags decide, whatever test above checks its message
+REFUSALS = (EIGENSYSTEM_REFUSALS + GRID_REFUSALS + SERIES_REFUSALS + INVALID_FLAGS
+            + EMPTY_LISTS
+            + [["scan", "--topology", "loop", "--n", "4"] + flags for flags in JSON_SCAN_FLAGS]
+            + [["verify", "--topology", "loop", "--n", "4", "--t-max", "1e300",
+                "--grid-step", "1e300"],
+               ["verify", "--topology", "loop", "--n", "4", "--t-max", "2600",
+                "--grid-step", "100"],
+               ["verify", "--topology", "cross", "--n", "0"],
+               ["verify", "--topology", "loop", "--n", "0"],
+               ["verify", "--topology", "cross", "--n", "13"],
+               ["scan", "--topology", "cross", "--n", "4"],
+               ["peaks", "--topology", "cross", "--n-list", "5,banana"],
+               ["protocol1", "--topology", "cross", "--n-list", "5", "--targets", "0"],
+               ["protocol2", "--topology", "cross", "--n", "5", "--n-max", "0"],
+               ["scan", "--topology", "custom", "--topology-file", str(DATA / "sites-1e8.txt")],
+               ["scan", "--topology", "custom", "--topology-file", str(DATA / "missing.txt")]])
 
 
 def run_cli(args, capsys):
@@ -309,14 +391,7 @@ class TestVerify:
 
 
 class TestSizeGuard:
-    # N = 10^6 would take seconds and hundreds of MB to build: the guard
-    # must refuse it before the graph exists
-    @pytest.mark.parametrize("argv", [
-        ["scan", "--topology", "loop", "--n", "1000"],
-        ["peaks", "--topology", "loop", "--n-list", "4,1000"],
-        ["scan", "--topology", "loop", "--n", "1000000"],
-        ["verify", "--topology", "loop", "--n", "1000000"],
-    ])
+    @pytest.mark.parametrize("argv", EIGENSYSTEM_REFUSALS)
     def test_eigensystem_beyond_physical_memory_is_exit_2(self, argv, capsys):
         with time_budget(1):
             code, out, err = run_cli(argv, capsys)
@@ -339,16 +414,7 @@ class TestSizeGuard:
         assert code == 2 and out == ""
         assert "N=8: the dense eigensystem (d = 56)" in err
 
-    # each grid would need terabytes or more, which numpy cannot allocate:
-    # the CLI must refuse it before building it
-    @pytest.mark.parametrize("argv", [
-        ["scan", "--topology", "loop", "--n", "4", "--grid-step", "1e-12"],
-        ["scan", "--topology", "loop", "--n", "4", "--t-max", "1e300"],
-        ["peaks", "--topology", "loop", "--n-list", "4", "--grid-step", "1e-13"],
-        ["protocol1", "--topology", "loop", "--n-list", "4", "--grid-step", "1e-13"],
-        ["protocol2", "--topology", "loop", "--n", "4", "--grid-step", "1e-12"],
-        ["verify", "--topology", "loop", "--n", "4", "--t-max", "1e12"],
-    ])
+    @pytest.mark.parametrize("argv", GRID_REFUSALS)
     def test_time_grid_beyond_physical_memory_is_exit_2(self, argv, capsys):
         with time_budget(1):
             code, out, err = run_cli(argv, capsys)
@@ -360,8 +426,7 @@ class TestSizeGuard:
     # a JSON scan streams its rows as a CSV scan does, so the same grid guard
     # refuses both with the same message; only refusals are run here, never
     # a grid that passes the guard at memory scale
-    @pytest.mark.parametrize("flags", [["--grid-step", "1e-12"], ["--t-max", "1e300"],
-                                       ["--t-max", "1e15", "--grid-step", "1e3"]])
+    @pytest.mark.parametrize("flags", JSON_SCAN_FLAGS)
     def test_json_scan_is_guarded_like_a_csv_scan(self, flags, capsys):
         argv = ["scan", "--topology", "loop", "--n", "4"] + flags
         with time_budget(1):
@@ -369,6 +434,42 @@ class TestSizeGuard:
             json_result = run_cli(argv + ["--format", "json"], capsys)
         assert json_result == csv_result
         assert csv_result[0] == 2 and "time grid" in csv_result[2]
+
+    @pytest.mark.parametrize("argv", SERIES_REFUSALS)
+    def test_protocol2_series_beyond_physical_memory_is_exit_2(self, argv, capsys):
+        with time_budget(1):
+            code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "--n-max 10000000000: the protocol-2 series" in err and "GB" in err
+        assert "Traceback" not in err
+
+    def test_protocol1_series_is_made_as_it_is_written(self, monkeypatch):
+        # rows are made as they are written, so memory does not grow with --n-max
+        written = {}
+
+        def first_rows(args, columns, rows, extra_config=None, sections=None):
+            written.update((name, list(islice(rws, 3))) for name, _, rws in sections)
+
+        monkeypatch.setattr(cli, "_write_table", first_rows)
+        with time_budget(1):
+            code = main(["protocol1", "--topology", "loop", "--n-list", "4",
+                         "--n-max", "10000000000"])
+        assert code == 0
+        assert [row[:2] for row in written["cumulative_series"]] == [(4, 1), (4, 2), (4, 3)]
+
+    @pytest.mark.parametrize("argv", REFUSALS)
+    def test_every_refusal_comes_before_any_work(self, argv, monkeypatch, capsys):
+        def work(*args, **kwargs):
+            pytest.fail("the run started work before it was refused")
+
+        for name in ("spectral_decompose", "one_shot_peak", "su3_algebra_check",
+                     "full_evolve_compare"):
+            monkeypatch.setattr(cli, name, work)
+        with time_budget(1):
+            code, out, _ = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
 
 
 class TestOutputHandling:
@@ -419,6 +520,17 @@ class TestOutputHandling:
         _, rows = parse_csv(out)
         assert float(rows[-1][0]) == pytest.approx(5.0, abs=0.02)
 
+    # --config=FILE is read before or after the subcommand, as --config FILE is
+    @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+    def test_config_file_with_equals_sign(self, before, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"t_max": 0.03}))
+        argv = ["scan", "--topology", "loop", "--n", "4", "--no-timestamp"]
+        flag = [f"--config={cfg}"]
+        code, out, _ = run_cli(flag + argv if before else argv + flag, capsys)
+        assert code == 0
+        assert [r[0] for r in parse_csv(out)[1]] == ["0", "0.01", "0.02", "0.03"]
+
     def test_custom_topology_file(self, tmp_path, capsys):
         topo = tmp_path / "ring.txt"
         topo.write_text("# four-site ring, role sites at quarter points\n"
@@ -451,27 +563,14 @@ class TestOutputHandling:
                                 "--topology-file", str(topo)], capsys)
         assert code == 2
 
-    @pytest.mark.parametrize("args", [
-        ["scan", "--topology", "cross", "--n", "5", "--grid-step", "0"],
-        ["scan", "--topology", "cross", "--n", "5", "--grid-step", "-0.1"],
-        ["scan", "--topology", "cross", "--n", "5", "--t-max", "nan"],
-        ["scan", "--topology", "cross", "--n", "5", "--t-max", "inf"],
-        ["peaks", "--topology", "cross", "--n-list", "5", "--t-max", "-1"],
-        ["protocol2", "--topology", "cross", "--n", "5", "--tau", "nan"],
-        ["protocol2", "--topology", "cross", "--n", "5", "--refine-tol", "0"],
-        ["protocol1", "--topology", "cross", "--n-list", "5", "--n-max", "0"],
-    ])
+    @pytest.mark.parametrize("args", INVALID_FLAGS)
     def test_invalid_numeric_flag_is_exit_2(self, args, capsys):
         code, out, err = run_cli(args, capsys)
         assert code == 2
         assert out == ""
         assert "must be" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("args", [
-        ["peaks", "--topology", "cross", "--n-list", ","],
-        ["protocol1", "--topology", "cross", "--n-list", ","],
-        ["protocol1", "--topology", "cross", "--n-list", "5", "--targets", ","],
-    ])
+    @pytest.mark.parametrize("args", EMPTY_LISTS)
     def test_empty_list_is_exit_2(self, args, capsys):
         code, out, err = run_cli(args, capsys)
         assert code == 2
