@@ -40,6 +40,10 @@ VERIFICATION_ERROR = 3
 #: Peak memory of building and checking the dense eigensystem, in d x d float
 #: arrays; the RSS rise measured 5.2-5.3 of them at loop-36 and loop-60.
 EIGENSYSTEM_ARRAYS = 6
+#: Peak memory of `scan`'s two C blocks, in D x D float arrays, D = N(N-1)/2: one
+#: block's kernel is held while the other is built and checked. The RSS rise of
+#: `outcome_curves` measured 7.2 of them at loop-36 and 6.3 at loop-60 (2 grid points).
+C_BLOCKS_ARRAYS = 8
 #: Float arrays of grid length a command holds besides amplitude rows: a scan's
 #: grid and its five outcome curves.
 GRID_ARRAYS = 6
@@ -191,9 +195,10 @@ class _Run:
 def _checked_run(args) -> _Run:
     """Make every exit-2 refusal that the flags decide, before any work starts.
 
-    Sizes each command's dense eigensystem (d = N(N-1), or the C-even block's
-    N(N-1)/2), time grid (none with --tau) and protocol-2 series, resolves the
-    default window and applies `verify`'s caps. A graph is built once N fits.
+    Sizes each command's dense eigensystem (d = N(N-1); the C-even block's
+    N(N-1)/2, or the two C blocks of `scan`), time grid (none with --tau) and
+    protocol-2 series, resolves the default window and applies `verify`'s caps.
+    A graph is built once N fits.
     """
     for name in ("t_max", "grid_step", "refine_tol", "tau"):
         value = getattr(args, name, None)
@@ -225,8 +230,10 @@ def _checked_run(args) -> _Run:
         ns = [n_file] * len(ns)
     systems = []
     for n in ns:
-        d = n * (n - 1) // (2 if peak_table else 1)
-        _check_memory(f"N={n}: the dense eigensystem (d = {d})", EIGENSYSTEM_ARRAYS * 8 * d * d)
+        d = n * (n - 1) // (2 if peak_table or command == "scan" else 1)
+        what, arrays = (("the two C blocks", C_BLOCKS_ARRAYS) if command == "scan" else
+                        ("the dense eigensystem", EIGENSYSTEM_ARRAYS))
+        _check_memory(f"N={n}: {what} (d = {d})", arrays * 8 * d * d)
         try:
             g = (Graph(n, edges, roles) if custom else
                  build_cross(n) if args.topology == "cross" else build_loop(n))
@@ -258,9 +265,8 @@ def _checked_run(args) -> _Run:
 
 def cmd_scan(args, run: _Run) -> int:
     [(_, g, t_max)] = run.systems
-    eig, psi0 = spectral_decompose(assemble_hamiltonian(g)), initial_state(g)
     grid = _time_grid(t_max, args.grid_step)
-    curves = outcome_curves(eig, psi0, g, grid)
+    curves = outcome_curves(g, initial_state(g), grid)
     rows = zip(*(map(float, column) for column in (grid, *curves)))
     _write_table(args, ["t", "p_success", "p1", "p2", "p3", "pS_projection"], rows)
     return 0
@@ -408,6 +414,8 @@ def _apply_config_file(argv: list[str]) -> list[str]:
         if isinstance(value, bool):
             if value:
                 flags.append(flag)
+        elif isinstance(value, list):  # --n-list and --targets take comma-separated values
+            flags.extend([flag, ",".join(map(str, value))])
         else:
             flags.extend([flag, str(value)])
     return rest[:1] + flags + rest[1:]

@@ -14,16 +14,18 @@ Each edge (m,n) contributes the off-diagonal part of the two-site exchange,
 which in the pair basis moves an excitation along the edge (hop) or
 exchanges the two excitations sitting on it (swap). Equal-state terms are
 excluded, so the matrix has zero diagonal and 0/1 off-diagonal entries.
-The exchange C|i,j> = |j,i> commutes with H on every graph, and the Bell
-amplitude lies in its even block on the N(N-1)/2 unordered pairs, where
-`one_shot_peak` reads the one-shot peak from one row.
+The exchange C|i,j> = |j,i> commutes with H on every graph, so H splits
+into an even block H+ and an odd block H-, each on the N(N-1)/2 unordered
+pairs (`assemble_hamiltonian(g, c_parity=+1 or -1)`). The Bell amplitude
+lies in H+, where `one_shot_peak` reads the one-shot peak from one row; the
+full state along a grid comes from both blocks (`_c_block_states`).
 The propagator exp(-iHt) is evaluated through the dense eigendecomposition;
 for N <= 36 the dimension stays at or below 1260, where this is both exact
 and cheap to re-evaluate at many times. One private kernel,
 `_SpectralKernel`, holds the only exp(-i lambda t): it serves a scalar time
 (`evolve`, peak refinement), a few rows along a grid (`amplitude_rows`,
-the peak searches, the protocol-2 planner), and the full state along a grid one
-block of times at a time (the outcome curves of
+the peak searches, the protocol-2 planner), and every row of a C block along
+a grid one block of times at a time (the outcome curves of
 `measurement.outcome_curves`). The scalar path is bit-exact; the grid path
 takes only arithmetic grids from 0, such as those of `_time_grid`, which
 ends at t_max, and agrees with the scalar path to within 1e-13. Units:
@@ -54,9 +56,9 @@ PEAK_WINDOW_FACTOR = 6.4
 #: d * PHASE_BLOCK complex numbers (20 MB at d = 1260), whatever the grid length
 PHASE_BLOCK = 1024
 #: times per block when every row is wanted: the block's phases and its d x B
-#: amplitudes are each 5 MB at d = 1260. A loop-36 `scan` peaked at 112-113 MB
-#: of RSS at 256, as before blocking; at 1024 it reached 118 MB for 1001 points
-#: and 140 MB for the default 23,041.
+#: amplitudes are each 5 MB at d = 1260. On the full eigensystem a loop-36
+#: `scan` peaked at 112-113 MB of RSS at 256, as before blocking; at 1024 it
+#: reached 118 MB for 1001 points and 140 MB for the default 23,041.
 FULL_STATE_BLOCK = 256
 #: a grid point may pass t_max by this much and still count as <= t_max: it
 #: absorbs the rounding of k * step, not a further step
@@ -92,6 +94,12 @@ def _unordered_position(n: int, i, j):
     return (lo - 1) * (2 * n - lo) // 2 + (hi - lo - 1)
 
 
+def _unordered_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sites i < j of every unordered pair {i,j}, in lexicographic order."""
+    lo, hi = np.triu_indices(n, 1)
+    return lo + 1, hi + 1
+
+
 def pair_index(n: int, i: int, j: int) -> int:
     """Dense position of |i,j> in the lexicographic basis, O(1)."""
     if i == j or not (1 <= i <= n and 1 <= j <= n):
@@ -123,35 +131,42 @@ class Hamiltonian:
     matrix: np.ndarray
 
 
-def _exchange_matrix(g: Graph, plus: np.ndarray, minus: np.ndarray, position) -> np.ndarray:
+def _exchange_matrix(g: Graph, plus: np.ndarray, minus: np.ndarray, position,
+                     parity: int = 1) -> np.ndarray:
     """The edges' exchange operator on a pair list, each pair (plus[k], minus[k]).
 
     For each edge (m,n) and pair (i,j): if the edge touches exactly one of
     the excitations, that excitation hops to the other endpoint; if the
     edge is {i,j}, the two excitations swap. Edges disjoint from {i,j}
     contribute nothing. For one edge the pairs it moves map one to one onto
-    their images, so each edge is a single scatter.
+    their images, so each edge is a single scatter. An image (k,l) with
+    k > l enters with the sign `parity`, which is -1 only for the C-odd block.
     """
     h = np.zeros((plus.size, plus.size))
     for (m, mm) in g.edges:
         ti = np.where(plus == m, mm, np.where(plus == mm, m, plus))
         tj = np.where(minus == m, mm, np.where(minus == mm, m, minus))
         moved = (ti != plus) | (tj != minus)
-        h[position(ti[moved], tj[moved]), moved] += 1.0
+        ti, tj = ti[moved], tj[moved]
+        h[position(ti, tj), moved] += np.where(ti > tj, parity, 1.0)
     return h
 
 
-def assemble_hamiltonian(g: Graph, c_even: bool = False) -> Hamiltonian:
+def assemble_hamiltonian(g: Graph, c_parity: int | None = None) -> Hamiltonian:
     """H = sum over edges of the equal-state-free exchange operator (zero diagonal).
 
-    With c_even, H's C-even block B^T H B on |{i,j}+> = (|i,j> + |j,i>)/sqrt2,
-    i < j, instead: a hop keeps its unit entry and a swap lands on the diagonal.
+    With c_parity = +1 or -1, H's block of that parity under C instead, on
+    |{i,j}+-> = (|i,j> +- |j,i>)/sqrt2, i < j: in H+ every term enters with +1 (a
+    swap lands on the diagonal); in H- a hop that lands on (k,l) with k > l,
+    and so every swap, enters with -1.
     """
     n = g.n_vertices
-    if c_even:
-        lo, hi = np.triu_indices(n, 1)
-        return Hamiltonian(_exchange_matrix(g, lo + 1, hi + 1, partial(_unordered_position, n)))
-    return Hamiltonian(_exchange_matrix(g, *_pairs(n), partial(_pair_position, n)))
+    if c_parity is None:
+        return Hamiltonian(_exchange_matrix(g, *_pairs(n), partial(_pair_position, n)))
+    if c_parity not in (1, -1):
+        raise ValueError(f"c_parity must be None, +1 or -1, got {c_parity!r}")
+    return Hamiltonian(_exchange_matrix(g, *_unordered_pairs(n),
+                                        partial(_unordered_position, n), c_parity))
 
 
 @dataclass(frozen=True)
@@ -272,13 +287,14 @@ class _SpectralKernel:
         for s in range(0, t.size, self._block):
             n = min(self._block, t.size - s)
             shift = self._phased(t[s])
+            # each block is made in the yield, so this frame keeps no block
+            # alive while the caller works on it
             if self._full:
                 # V is real: one real product over the (re, im) column pairs
-                phased = offsets[:, :n] * shift[:, None]
-                amp = (self._v @ phased.view(np.float64)).view(np.complex128)
+                yield slice(s, s + n), (self._v @ (offsets[:, :n] * shift[:, None])
+                                        .view(np.float64)).view(np.complex128)
             else:
-                amp = (self._v * shift) @ offsets[:, :n]
-            yield slice(s, s + n), amp
+                yield slice(s, s + n), (self._v * shift) @ offsets[:, :n]
 
     def __call__(self, t) -> np.ndarray:
         if np.ndim(t) == 0:
@@ -303,6 +319,35 @@ def amplitude_rows(e: Eigensystem, psi0: Wavefunction, rows, t_grid: np.ndarray)
     be step * arange(T), as `_time_grid` builds it.
     """
     return _SpectralKernel(e, psi0, rows)(t_grid)
+
+
+def _c_block_states(g: Graph, psi0: Wavefunction, t_grid):
+    """(column slice, d x B amplitudes) of exp(-iHt) psi0 along a grid step * arange(T).
+
+    psi0's C-even and C-odd parts psi+- = (a_ij +- a_ji)/sqrt2, i < j, evolve
+    under H+ and H-; both kernels step B times together, and a_ij, a_ji =
+    (a+ +- a-)/sqrt2 are set in one d x B buffer, which the next block
+    overwrites. The two 1/sqrt2 are one exact 1/2 on the split.
+    """
+    n = g.n_vertices
+    a = psi0.amplitudes
+    if a.shape != (n * (n - 1),):
+        raise ValueError("wavefunction and pair-space dimensions differ")
+    lo, hi = _unordered_pairs(n)
+    ij, ji = _pair_position(n, lo, hi), _pair_position(n, hi, lo)
+    # one block's kernel is held while the other block is decomposed
+    kernels = [_SpectralKernel(spectral_decompose(assemble_hamiltonian(g, c_parity=parity)),
+                               Wavefunction(0.5 * (a[ij] + parity * a[ji])))
+               for parity in (1, -1)]
+    state = np.empty((a.size, min(FULL_STATE_BLOCK, np.size(t_grid))), dtype=complex)
+    even_blocks, odd_blocks = (k._blocks(t_grid) for k in kernels)
+    for cols, even in even_blocks:
+        _, odd = next(odd_blocks)
+        block = state[:, :even.shape[1]]
+        block[ij] = even + odd
+        block[ji] = even - odd
+        del even, odd  # nothing else holds the half blocks: free them before the caller's work
+        yield cols, block
 
 
 def scan_success(e: Eigensystem, psi0: Wavefunction, g: Graph,
@@ -432,7 +477,7 @@ def one_shot_peak(g: Graph, t_max: float | None = None,
     differs from `find_peak`'s by rounding only, within refine_tol in t*.
     """
     n, r = g.n_vertices, g.roles
-    e = spectral_decompose(assemble_hamiltonian(g, c_even=True))
+    e = spectral_decompose(assemble_hamiltonian(g, c_parity=1))
     start = np.zeros(e.eigenvalues.size, dtype=complex)
     start[_unordered_position(n, r.charlie_plus, r.charlie_minus)] = 1.0
     return _peak(g, e, Wavefunction(start), [_unordered_position(n, r.alice, r.bob)],

@@ -13,9 +13,10 @@ equal, so the heralded state is exactly the Bell combination and the
 heralded probability equals the projection probability.
 
 `outcome_distribution` measures one state; `outcome_curves` gives the same
-probabilities along a time grid, from full-state amplitudes computed one
-kernel block at a time. Both reduce through `_outcomes`, which checks the
-norm of every state it is given.
+probabilities along a time grid, from full-state amplitudes put together
+one kernel block at a time from the C-even and C-odd blocks of H, so it
+never builds the full eigensystem. Both reduce through `_outcomes`, which
+checks the norm of every state it is given.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import Eigensystem, Wavefunction, _index_groups, _SpectralKernel
+from .dynamics import Wavefunction, _c_block_states, _index_groups
 from .topology import Graph
 
 NORM_TOL = 1e-8
@@ -84,17 +85,17 @@ def outcome_distribution(psi: Wavefunction, g: Graph) -> OutcomeDistribution:
                                pS_projection=p_success, pS_bell=p_bell)
 
 
-def outcome_curves(e: Eigensystem, psi0: Wavefunction, g: Graph,
-                   t_grid) -> tuple[np.ndarray, ...]:
+def outcome_curves(g: Graph, psi0: Wavefunction, t_grid) -> tuple[np.ndarray, ...]:
     """(pS_bell, p1, p2, p3, pS_projection) of exp(-iHt) psi0 along a time grid.
 
-    The full state is computed one kernel block at a time, so no d x T
-    matrix is held, and every grid point's norm is checked.
+    The full state comes one block of times at a time from the two C blocks
+    (`dynamics._c_block_states`), so neither a d x T matrix nor the d x d
+    eigensystem is held, and every grid point's norm is checked.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     curves = np.empty((5, t_grid.size))
-    for cols, amp in _SpectralKernel(e, psi0)._blocks(t_grid):
-        curves[:, cols] = _outcomes(amp, g)
+    for cols, block in _c_block_states(g, psi0, t_grid):
+        curves[:, cols] = _outcomes(block, g)
     return tuple(curves)
 
 

@@ -402,14 +402,16 @@ class TestSizeGuard:
     def test_peaks_guard_sizes_the_c_even_block(self, monkeypatch, capsys):
         # physical memory between the loop-8 C-even block (d = 28) and the full
         # pair space (d = 56): peaks diagonalises the block and runs, scan
-        # needs the full eigensystem and is refused
+        # its two C blocks and runs, protocol2 needs the full eigensystem and
+        # is refused
         block, full = (cli.EIGENSYSTEM_ARRAYS * 8 * d * d for d in (28, 56))
         pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": (block + full) // 2}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
-        code, out, err = run_cli(["peaks", "--topology", "loop", "--n-list", "8",
-                                  "--t-max", "1"], capsys)
-        assert code == 0 and out.count("\n") > 1 and err == ""
-        code, out, err = run_cli(["scan", "--topology", "loop", "--n", "8",
+        for argv in (["peaks", "--topology", "loop", "--n-list", "8", "--t-max", "1"],
+                     ["scan", "--topology", "loop", "--n", "8", "--t-max", "1"]):
+            code, out, err = run_cli(argv, capsys)
+            assert code == 0 and out.count("\n") > 1 and err == ""
+        code, out, err = run_cli(["protocol2", "--topology", "loop", "--n", "8",
                                   "--t-max", "1"], capsys)
         assert code == 2 and out == ""
         assert "N=8: the dense eigensystem (d = 56)" in err
@@ -463,8 +465,8 @@ class TestSizeGuard:
         def work(*args, **kwargs):
             pytest.fail("the run started work before it was refused")
 
-        for name in ("spectral_decompose", "one_shot_peak", "su3_algebra_check",
-                     "full_evolve_compare"):
+        for name in ("spectral_decompose", "one_shot_peak", "outcome_curves",
+                     "su3_algebra_check", "full_evolve_compare"):
             monkeypatch.setattr(cli, name, work)
         with time_budget(1):
             code, out, _ = run_cli(argv, capsys)
@@ -519,6 +521,25 @@ class TestOutputHandling:
         assert code == 0
         _, rows = parse_csv(out)
         assert float(rows[-1][0]) == pytest.approx(5.0, abs=0.02)
+
+    # a JSON list is the comma-separated string the flag takes
+    @pytest.mark.parametrize("command,key,as_list,as_string", [
+        ("peaks", "n_list", [4, 8], "4,8"),
+        ("protocol1", "n_list", [4, 8], "4,8"),
+        ("protocol1", "targets", [0.5, 0.9], "0.5,0.9"),
+    ])
+    def test_config_list_is_the_comma_string(self, command, key, as_list, as_string,
+                                             tmp_path, capsys):
+        outputs = []
+        for value in (as_list, as_string):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"topology": "loop", "n_list": "4", "no_timestamp": True,
+                                       key: value}))
+            code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+            assert code == 0 and err == ""
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        assert f"{key}={as_string}" in outputs[0]
 
     # --config=FILE is read before or after the subcommand, as --config FILE is
     @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])

@@ -77,7 +77,7 @@ class TestOutcomeCurves:
     @pytest.mark.parametrize("name", ["loop-8", "cross-5", "random-10"])
     def test_equals_per_point_distribution(self, name):
         g, e, psi0 = self.system(name)
-        curves = np.array(outcome_curves(e, psi0, g, self.GRID))
+        curves = np.array(outcome_curves(g, psi0, self.GRID))
         per_point = []
         for t in self.GRID:
             d = outcome_distribution(evolve(e, psi0, float(t)), g)
@@ -91,7 +91,7 @@ class TestOutcomeCurves:
         with pytest.raises(ValueError, match="norm") as one_state:
             outcome_distribution(doubled, g)
         with pytest.raises(ValueError, match="norm") as on_grid:
-            outcome_curves(e, doubled, g, self.GRID)
+            outcome_curves(g, doubled, self.GRID)
         assert str(on_grid.value) == str(one_state.value)
 
     def test_loop36_grid_holds_no_wide_block(self):
@@ -99,13 +99,15 @@ class TestOutcomeCurves:
         d = psi0.amplitudes.size
         tracemalloc.start()
         try:
-            outcome_curves(e, psi0, g, 0.01 * np.arange(1001))
+            outcome_curves(g, psi0, 0.01 * np.arange(1001))
             _, peak_bytes = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # V^T psi0 casts V^T to complex once (d x d, 25.4 MB), as evolve does;
-        # the blocks stay below it: three d x 256 complex arrays are 15.5 MB,
-        # at 512 times per block the peak is 30.5 MB
+        # the bound is evolve's complex cast of the full V^T (d x d, 25.4 MB);
+        # the call builds both C blocks and peaks at 24.6 MB: two half-size V,
+        # two offset tables, the d x 256 state and the two half blocks. At 512
+        # times per block it is 42.6 MB, and with kernel frames that kept each
+        # yielded block alive it was 32.4 MB
         assert peak_bytes < d * d * 16 + 2 ** 20
 
 

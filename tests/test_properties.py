@@ -6,8 +6,9 @@ fixes Alice's and Bob's and pairs some of the other sites at random. The
 rest are plain random graphs, which rarely have it.
 
 The C-even block of the one-shot peak is checked on the same graphs and on
-the 25 systems of the protocol-1 tables. The last property fuzzes the
-CLI's numeric flags on loop-4 and cross-5.
+the 25 systems of the protocol-1 tables; both C blocks, and the states and
+outcome curves that `scan` takes from them, on the same graphs. The last
+property fuzzes the CLI's numeric flags on loop-4 and cross-5.
 """
 
 import io
@@ -26,8 +27,9 @@ from qutrit_bell import (Graph, Roles, assemble_hamiltonian, build_cross, build_
                          one_shot_peak, outcome_distribution, protocol1_cumulative,
                          protocol1_required, spectral_decompose)
 from qutrit_bell.cli import main
-from qutrit_bell.dynamics import DEFAULT_REFINE_TOL, _index_groups, _pairs, pair_index
-from qutrit_bell.measurement import ZERO_PROB, Outcome, post_state
+from qutrit_bell.dynamics import (DEFAULT_REFINE_TOL, FULL_STATE_BLOCK, Wavefunction,
+                                  _c_block_states, _index_groups, _pairs, pair_index)
+from qutrit_bell.measurement import ZERO_PROB, Outcome, outcome_curves, post_state
 from qutrit_bell.oracle import full_evolve_compare
 from qutrit_bell.protocols import _pc_partner, _scan_rows
 from test_acceptance import (QUANTILES, REPEAT_RESET_COLUMNS, TABLE_CROSS_COUNTS,
@@ -155,11 +157,12 @@ def test_outcome_probabilities_sum_to_one(drawn, t):
     assert d.p1 == pytest.approx(weight_g1, abs=1e-12)
 
 
-def c_even_isometry_unscaled(n):
-    """sqrt2 B: column {i,j}, i < j in lexicographic order, is |i,j> + |j,i>."""
+def c_isometry_unscaled(n, parity):
+    """sqrt2 B (parity +1) or sqrt2 D (-1): column {i,j}, i < j in lexicographic
+    order, is |i,j> + parity |j,i>."""
     b = np.zeros((n * (n - 1), n * (n - 1) // 2))
     for k, (i, j) in enumerate(combinations(range(1, n + 1), 2)):
-        b[[pair_index(n, i, j), pair_index(n, j, i)], k] = 1.0
+        b[[pair_index(n, i, j), pair_index(n, j, i)], k] = 1.0, parity
     return b
 
 
@@ -169,13 +172,46 @@ def test_c_even_block_is_the_projected_hamiltonian_and_c_commutes(drawn):
     g, _ = drawn
     n = g.n_vertices
     h = assemble_hamiltonian(g).matrix
-    b = c_even_isometry_unscaled(n)
+    b = c_isometry_unscaled(n, 1)
     # B^T H B with B = b / sqrt2: the two 1/sqrt2 make an exact 1/2
-    assert np.array_equal(assemble_hamiltonian(g, c_even=True).matrix,
+    assert np.array_equal(assemble_hamiltonian(g, c_parity=1).matrix,
                           0.5 * (b.T @ h @ b))
     plus, minus = _pairs(n)
     c = np.array([pair_index(n, j, i) for i, j in zip(plus, minus)])
     assert np.array_equal(h[np.ix_(c, c)], h)
+
+
+@given(protocol_graphs())
+@settings(max_examples=100, deadline=None)
+def test_c_odd_block_is_the_projected_hamiltonian(drawn):
+    g, _ = drawn
+    h = assemble_hamiltonian(g).matrix
+    d = c_isometry_unscaled(g.n_vertices, -1)
+    # D^T H D with D = d / sqrt2, d of +-1 entries: an exact 1/2 again
+    assert np.array_equal(assemble_hamiltonian(g, c_parity=-1).matrix,
+                          0.5 * (d.T @ h @ d))
+
+
+@given(protocol_graphs(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_c_blocks_evolve_any_state_as_the_full_space_does(drawn, seed):
+    g, _ = drawn
+    n = g.n_vertices
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=n * (n - 1)) + 1j * rng.normal(size=n * (n - 1))
+    psi0 = Wavefunction(a / np.linalg.norm(a))
+    grid = 0.37 * np.arange(FULL_STATE_BLOCK + 2)  # two kernel blocks, the last of two times
+    e = spectral_decompose(assemble_hamiltonian(g))
+    per_point = [evolve(e, psi0, float(t)) for t in grid]
+    # every outcome is C-invariant, so only the states tell |i,j> from |j,i>
+    for cols, block in _c_block_states(g, psi0, grid):
+        want = np.array([psi.amplitudes for psi in per_point[cols]]).T
+        assert np.max(np.abs(block - want)) <= 1e-12
+    curves = np.array(outcome_curves(g, psi0, grid))
+    for k, psi in enumerate(per_point):
+        d = outcome_distribution(psi, g)
+        want = (d.pS_bell, d.p1, d.p2, d.p3, d.pS_projection)
+        assert np.max(np.abs(curves[:, k] - want)) <= 1e-12
 
 
 def assert_block_peak_matches_find_peak(block, full, refine_tol=DEFAULT_REFINE_TOL):
