@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .dynamics import (Eigensystem, Hamiltonian, Wavefunction, assemble_hamiltonian,
                        evolve, find_peak, initial_state, one_shot_peak,
-                       scan_success, spectral_decompose)
+                       spectral_decompose)
 from .measurement import (Outcome, OutcomeDistribution, bell_fidelity,
                           outcome_distribution, post_state)
 from .protocols import (Schedule, Strategy, TrajectoryStats, enumerate_outcome_tree,
@@ -30,5 +30,5 @@ __all__ = [
     "monte_carlo", "one_shot_peak", "outcome_distribution", "path_distance", "plan_protocol2",
     "plan_regular", "post_state", "protocol1_cumulative", "protocol1_required",
     "protocol2_limit_check", "protocol2_no_reset", "protocol2_total",
-    "scan_success", "spectral_decompose",
+    "spectral_decompose",
 ]

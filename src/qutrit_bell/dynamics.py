@@ -55,10 +55,10 @@ PEAK_WINDOW_FACTOR = 6.4
 #: times per phase block on a grid: the exp(-i lambda t) block holds at most
 #: d * PHASE_BLOCK complex numbers (20 MB at d = 1260), whatever the grid length
 PHASE_BLOCK = 1024
-#: times per block when every row is wanted: the block's phases and its d x B
-#: amplitudes are each 5 MB at d = 1260. On the full eigensystem a loop-36
-#: `scan` peaked at 112-113 MB of RSS at 256, as before blocking; at 1024 it
-#: reached 118 MB for 1001 points and 140 MB for the default 23,041.
+#: times per block when every row is wanted: on a loop-36 C block (d = 630)
+#: the block's phases are 2.6 MB and the d x B state put together from the two
+#: blocks 5.2 MB. A loop-36 `scan` peaks at 77 MB of RSS at 256 for 1001 points
+#: and at 78 MB for the default 23,041; at 1024 it reached 130 and 132 MB.
 FULL_STATE_BLOCK = 256
 #: a grid point may pass t_max by this much and still count as <= t_max: it
 #: absorbs the rounding of k * step, not a further step
@@ -177,7 +177,9 @@ class Eigensystem:
     #: C-ordered V^T, so V^T psi needs no transposing copy per call. Built
     #: here, it reuses heap the decomposition's checks just freed; built at
     #: the first projection instead, it raised the peak RSS of the protocol-1
-    #: tables (d up to 1260; glibc, OpenBLAS) from 120 to 130 MB.
+    #: tables (C-even blocks, d up to 630; glibc, OpenBLAS) from 78.8 to
+    #: 79.4 MB, and from 120 to 130 MB on the full space (d up to 1260), which
+    #: protocol 2 still diagonalises.
     _vt: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -315,7 +317,7 @@ def amplitude_rows(e: Eigensystem, psi0: Wavefunction, rows, t_grid: np.ndarray)
     """Selected amplitude components along a time grid, shape (len(rows), T).
 
     Much cheaper than evolving the full vector when only a few components
-    are needed (success scans use the two Bell-channel rows). The grid must
+    are needed (peak searches use the two Bell-channel rows). The grid must
     be step * arange(T), as `_time_grid` builds it.
     """
     return _SpectralKernel(e, psi0, rows)(t_grid)
@@ -348,21 +350,6 @@ def _c_block_states(g: Graph, psi0: Wavefunction, t_grid):
         block[ji] = even - odd
         del even, odd  # nothing else holds the half blocks: free them before the caller's work
         yield cols, block
-
-
-def scan_success(e: Eigensystem, psi0: Wavefunction, g: Graph,
-                 t_grid) -> tuple[np.ndarray, np.ndarray]:
-    """Heralded success probability |a_{B,A} + a_{A,B}|^2 / 2 along a grid step * arange(T).
-
-    Alice sits at site A and Bob at site B; only their two rows are projected.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size == 0:
-        raise ValueError("time grid is empty")
-    if np.any(np.diff(t_grid) <= 0):
-        raise ValueError("time grid must be strictly increasing")
-    amps = amplitude_rows(e, psi0, _index_groups(g)["success"], t_grid)
-    return t_grid, 0.5 * np.abs(amps[0] + amps[1]) ** 2
 
 
 def refine_maximum(f, lo: float, hi: float, tol: float,

@@ -67,7 +67,11 @@ def _outcomes(a: np.ndarray, g: Graph):
     a is one state, shape (d,), or a block of states, shape (d, B); each
     state's norm must be 1 to NORM_TOL.
     """
-    if np.any(np.abs(np.linalg.norm(a, axis=0) - 1.0) > NORM_TOL):
+    # squares summed over the real and imaginary views: np.linalg.norm would
+    # hold a d x B complex temporary, as large as the block itself
+    norm = np.sqrt(np.einsum("i...,i...->...", a.real, a.real)
+                   + np.einsum("i...,i...->...", a.imag, a.imag))
+    if np.any(np.abs(norm - 1.0) > NORM_TOL):
         raise ValueError(f"wavefunction norm deviates from 1 by more than {NORM_TOL}")
     grp = _index_groups(g)
     i_ba, i_ab = grp["success"]

@@ -8,7 +8,9 @@ to the one-(+1)-one-(-1) sector must reproduce the reduced matrix entry
 for entry. Time evolution never forms a matrix: one Chebyshev recurrence
 T_k(H/R) psi, built on `FullHamiltonian.apply`, serves every grid point of a
 span of consecutive points, and the state at the span's last point seeds the
-next span. Capped at N <= 9.
+next span. Its coefficients, Bessel values J_k(R dt), come from one FFT of
+exp(-i R dt cos theta) (the Jacobi-Anger expansion), so no Bessel function
+is evaluated. Capped at N <= 9.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ ORACLE_MAX_SITES = 9
 CHEBYSHEV_TAIL = 1e-17  # a-priori bound on the first dropped Bessel coefficient
 #: largest |E| * |t - t0| of a grid point served by the recurrence started at t0
 CHEBYSHEV_SPAN = 32.0
-#: below this |x| the series' leading term (x/2)^k / k! gives J_k(x) to roundoff
-BESSEL_SERIES_X = 1e-8
 
 STATES = (-1, 0, +1)
 
@@ -146,32 +146,6 @@ def _chebyshev_order(x: float) -> int:
     return order
 
 
-def _bessel_j(k_max: int, x: np.ndarray) -> np.ndarray:
-    """J_0(x) .. J_k_max(x) for each x, as a (k_max + 1, len(x)) table.
-
-    Miller's backward recurrence, started at order k_max + 1 and normalised
-    by J_0 + 2 sum_k J_2k = 1; the start leaves an error of about
-    |J_{k_max+2}(x)|, below CHEBYSHEV_TAIL when k_max is the order of the
-    largest |x|. Below BESSEL_SERIES_X, where the recurrence would overflow,
-    the series' leading term is used.
-    """
-    x = np.asarray(x, dtype=float)
-    out = np.empty((k_max + 1, x.size))
-    small = np.abs(x) < BESSEL_SERIES_X
-    out[0, small] = 1.0
-    out[1:, small] = np.cumprod(x[small] / (2 * np.arange(1, k_max + 1)[:, None]), axis=0)
-    xs = x[~small]
-    j = np.zeros((k_max + 3, xs.size))
-    j[k_max + 1] = 1.0
-    for k in range(k_max + 1, 0, -1):
-        j[k - 1] = 2 * k / xs * j[k] - j[k + 1]
-        over = np.abs(j[k - 1]) > 1e250
-        if over.any():
-            j[:, over] *= 1e-250
-    out[:, ~small] = j[:k_max + 1] / (j[0] + 2 * j[2::2].sum(axis=0))
-    return out
-
-
 def _chebyshev_vectors(full: FullHamiltonian, psi: np.ndarray, order: int):
     """T_0(H/R) psi, ..., T_order(H/R) psi with R = |E|, by the three-term recurrence."""
     radius = float(len(full.graph.edges))
@@ -185,10 +159,19 @@ def _chebyshev_vectors(full: FullHamiltonian, psi: np.ndarray, order: int):
 
 
 def _chebyshev_coefficients(order: int, x: np.ndarray) -> np.ndarray:
-    """c_0 .. c_order at each x = R dt, as an (order + 1, len(x)) table."""
-    phases = np.array((2, -2j, -2, 2j))[np.arange(order + 1) % 4]
-    phases[0] = 1
-    return _bessel_j(order, x) * phases[:, None]
+    """c_0 .. c_order at each x = R dt, as an (order + 1, len(x)) table.
+
+    By Jacobi-Anger, exp(-i x cos theta) = sum_k (-i)^k J_k(x) e^{ik theta}
+    over every integer k, so one DFT of it at m = 2 (order + 1) equal angles,
+    divided by m, gives (-i)^k J_k(x) for k <= order: c_0, and half of every
+    other c_k. The orders that fold onto them lie past `order`, below
+    CHEBYSHEV_TAIL.
+    """
+    m = 2 * (order + 1)
+    angles = np.cos(2 * np.pi / m * np.arange(m))
+    coeffs = np.fft.fft(np.exp(-1j * np.multiply.outer(angles, x)), axis=0)[:order + 1] / m
+    coeffs[1:] *= 2
+    return coeffs
 
 
 def _chebyshev_span(full: FullHamiltonian, psi: np.ndarray, offsets: np.ndarray,

@@ -7,11 +7,12 @@ from conftest import peak, prepared, random_graph_with_moved_roles, time_budget
 from qutrit_bell import (Graph, Hamiltonian, Roles, assemble_hamiltonian,
                          build_cross, build_loop, evolve,
                          find_protocol_automorphism, find_peak, initial_state,
-                         outcome_distribution, scan_success, spectral_decompose)
+                         outcome_distribution, spectral_decompose)
 from qutrit_bell.dynamics import (CANDIDATE_TOL, DEFAULT_GRID_STEP, GRID_END_SLACK,
                                   PEAK_WINDOW_FACTOR, PHASE_BLOCK, Wavefunction,
                                   _peak_candidates, _SpectralKernel, _index_groups, _pairs,
                                   _time_grid, amplitude_rows, pair_index, refine_maximum)
+from qutrit_bell.measurement import outcome_curves
 
 
 def reversed_labels(g):
@@ -323,27 +324,20 @@ class TestSuccessProbability:
 
 class TestScanAndPeaks:
     def test_scan_starts_at_zero(self):
-        g, e, psi0 = prepared("cross", 5)
-        ts, p = scan_success(e, psi0, g, np.arange(0.0, 5.0, 0.1))
+        g, _, psi0 = prepared("cross", 5)
+        p = outcome_curves(g, psi0, np.arange(0.0, 5.0, 0.1))[0]
         assert p[0] == pytest.approx(0.0, abs=1e-15)
         assert np.all((p >= -1e-12) & (p <= 1.0 + 1e-12))
 
     def test_cross5_has_an_early_peak(self):
-        g, e, psi0 = prepared("cross", 5)
-        ts, p = scan_success(e, psi0, g, np.arange(0.0, 10.0, 0.01))
+        g, _, psi0 = prepared("cross", 5)
+        p = outcome_curves(g, psi0, np.arange(0.0, 10.0, 0.01))[0]
         interior = (p[1:-1] >= p[:-2]) & (p[1:-1] >= p[2:]) & (p[1:-1] > 0.1)
         assert interior.any()
 
     def test_peak_decreases_with_size(self):
         assert peak("cross", 13)[1] < peak("cross", 5)[1]
         assert peak("loop", 12)[1] < peak("loop", 8)[1]
-
-    def test_bad_grid_rejected(self):
-        g, e, psi0 = prepared("cross", 5)
-        with pytest.raises(ValueError):
-            scan_success(e, psi0, g, np.array([]))
-        with pytest.raises(ValueError):
-            scan_success(e, psi0, g, np.array([1.0, 0.5]))
 
     def test_find_peak_earliest_on_exact_ties(self):
         # the cross-5 curve recurs exactly; the first recurrence must win
@@ -368,7 +362,7 @@ class TestScanAndPeaks:
         g, e, psi0 = prepared("loop", 36)
         grid = _time_grid(PEAK_WINDOW_FACTOR * 36, DEFAULT_GRID_STEP)
         with time_budget(0.5):
-            scan_success(e, psi0, g, grid)
+            amplitude_rows(e, psi0, _index_groups(g)["success"], grid)
 
     @given(st.lists(st.integers(0, 4), min_size=1, max_size=40),
            st.sampled_from([1.0, 0.4 * CANDIDATE_TOL]))

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import peak, prepared, random_graph_with_moved_roles
-from qutrit_bell import (Outcome, assemble_hamiltonian, bell_fidelity, evolve,
+from qutrit_bell import (Outcome, assemble_hamiltonian, bell_fidelity, build_loop, evolve,
                          initial_state, outcome_distribution, post_state,
                          spectral_decompose)
 from qutrit_bell.dynamics import FULL_STATE_BLOCK, Wavefunction, pair_index
-from qutrit_bell.measurement import outcome_curves
+from qutrit_bell.measurement import _outcomes, outcome_curves
 
 
 def evolved(family, n, t):
@@ -109,6 +109,24 @@ class TestOutcomeCurves:
         # times per block it is 42.6 MB, and with kernel frames that kept each
         # yielded block alive it was 32.4 MB
         assert peak_bytes < d * d * 16 + 2 ** 20
+
+    def test_norm_check_holds_no_block_sized_temporary(self):
+        # one loop-36 block of FULL_STATE_BLOCK states (5.16 MB): the call
+        # peaked at 5.17 MB with np.linalg.norm's d x B complex temporary, and
+        # at 0.43 MB with squares summed over the real and imaginary views
+        g = build_loop(36)
+        rng = np.random.default_rng(3)
+        block = (rng.normal(size=(36 * 35, FULL_STATE_BLOCK))
+                 + 1j * rng.normal(size=(36 * 35, FULL_STATE_BLOCK)))
+        block /= np.linalg.norm(block, axis=0)
+        _outcomes(block, g)  # builds the cached row groups outside the trace
+        tracemalloc.start()
+        try:
+            _outcomes(block, g)
+            _, peak_bytes = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak_bytes < block.nbytes / 4
 
 
 class TestPostState:

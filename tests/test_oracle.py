@@ -5,9 +5,9 @@ from conftest import prepared
 from qutrit_bell import assemble_hamiltonian, build_cross, build_loop
 from qutrit_bell.cli import main
 from qutrit_bell.dynamics import _time_grid
-from qutrit_bell.oracle import (FullHamiltonian, _bessel_j, _chebyshev_span,
-                                _sector_indices, _site_digit, _spans, full_evolve_compare,
-                                full_initial_index, generator_matrix,
+from qutrit_bell.oracle import (FullHamiltonian, _chebyshev_coefficients, _chebyshev_order,
+                                _chebyshev_span, _sector_indices, _site_digit, _spans,
+                                full_evolve_compare, full_initial_index, generator_matrix,
                                 sector_restriction, su3_algebra_check)
 from qutrit_bell.topology import Graph, Roles
 
@@ -161,12 +161,17 @@ class TestFullEvolveCompare:
         for points, _, leak in _spans(full, psi, t_grid, sect):
             assert np.all(leak >= np.max(np.abs(reference[points]), axis=1) - 1e-13)
 
-    def test_bessel_table_at_tiny_arguments(self):
-        x = np.array([0.0, 1e-300, -1e-300, 1e-9, -3e-9])
-        table = _bessel_j(6, x)
-        series = np.array([(x / 2) ** k / np.prod(np.arange(1.0, k + 1)) for k in range(7)])
-        assert np.array_equal(table[0], np.ones(5))
-        assert np.allclose(table, series, rtol=1e-15, atol=0.0)
+    @pytest.mark.parametrize("x", [0.0, 1e-300, -1e-300, 1e-9, 0.8, -29.2, 32.0])
+    def test_coefficient_table_sums_to_the_exponential(self, x):
+        # sum_k c_k(x) T_k(y) = exp(-ixy) on [-1, 1], here at 64 Chebyshev nodes
+        order = _chebyshev_order(abs(x))
+        coeffs = _chebyshev_coefficients(order, np.array([x]))[:, 0]
+        y = np.cos(np.pi * (np.arange(64) + 0.5) / 64)
+        t_k = np.cos(np.outer(np.arange(order + 1), np.arccos(y)))
+        assert np.max(np.abs(coeffs @ t_k - np.exp(-1j * x * y))) < 1e-13
+
+    def test_coefficient_table_at_zero_is_exactly_one(self):
+        assert np.array_equal(_chebyshev_coefficients(_chebyshev_order(0.0), [0.0]), [[1.0]])
 
 
 def _random_state(dimension: int) -> np.ndarray:
