@@ -212,7 +212,8 @@ def _checked_run(args) -> _Run:
     if command == "protocol2":
         _check_memory(f"--n-max {n_max}: the protocol-2 series", SERIES_FLOATS * 8 * n_max)
     peak_table = command in ("peaks", "protocol1")  # --n-list; C-even block, one Bell row
-    ns = _parse_list(args.n_list, int, "N") if peak_table else [args.n]
+    n_list = getattr(args, "n_list", None)
+    ns = [getattr(args, "n", None)] if n_list is None else _parse_list(n_list, int, "N")
     targets = tuple(_parse_list(args.targets, float, "target")) if command == "protocol1" else ()
     for q in targets:
         if not 0.0 < q < 1.0:
@@ -369,12 +370,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("peaks", help="peak success probability per system size")
     _add_common(p, n_single=False)
-    p.add_argument("--n-list", required=True, help="comma-separated sizes, e.g. 5,7,9")
+    p.add_argument("--n-list", help="comma-separated sizes, e.g. 5,7,9")
     p.set_defaults(func=cmd_peaks)
 
     p = sub.add_parser("protocol1", help="repeat-with-reset measurement counts")
     _add_common(p, n_single=False)
-    p.add_argument("--n-list", required=True)
+    p.add_argument("--n-list")
     p.add_argument("--targets", default="0.90,0.95,0.99")
     p.add_argument("--n-max", type=int, default=10, help="series length")
     p.set_defaults(func=cmd_protocol1)
@@ -432,9 +433,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.topology == "custom" and not args.topology_file:
         print("error: --topology custom requires --topology-file", file=sys.stderr)
         return USAGE_ERROR
-    if args.topology != "custom" and getattr(args, "n", None) is None \
-            and not hasattr(args, "n_list"):
-        print("error: --n is required for built-in topologies", file=sys.stderr)
+    size = "n_list" if hasattr(args, "n_list") else "n"
+    if args.topology != "custom" and getattr(args, size) is None:
+        print(f"error: --{size.replace('_', '-')} is required for built-in topologies",
+              file=sys.stderr)
         return USAGE_ERROR
     try:
         return args.func(args, _checked_run(args))

@@ -28,8 +28,9 @@ the peak searches, the protocol-2 planner), and every row of a C block along
 a grid one block of times at a time (the outcome curves of
 `measurement.outcome_curves`). The scalar path is bit-exact; the grid path
 takes only arithmetic grids from 0, such as those of `_time_grid`, which
-ends at t_max, and agrees with the scalar path to within 1e-13. Units:
-hbar = 1, J = 1.
+ends at t_max, and agrees with the scalar path to within 1e-13.
+`select_peak` picks the peak time of a sampled curve, for the peak searches
+and for every protocol-2 planning strategy. Units: hbar = 1, J = 1.
 """
 
 from __future__ import annotations

@@ -17,6 +17,9 @@ makes the cumulative recursion tractable:
 with p_U = p_2 + p_3 the per-step reset probability. Every series reads one
 per-step table, `_padded`, where a chain that ended early pads as dead steps.
 
+Every strategy plans a step alike (`_step_chooser`): a grid scan of (p_S,
+p_U) from the conditional state, its score, then `dynamics.select_peak`.
+
 An explicit outcome-tree enumeration and a Monte Carlo sampler provide two
 independent checks of the recursions.
 """
@@ -25,15 +28,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import islice
 
 import numpy as np
 
 from .dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, Eigensystem,
-                       Wavefunction, _index_groups, _pair_position, _pairs,
-                       _SpectralKernel, _time_grid, evolve, find_peak,
-                       initial_state, refine_maximum)
+                       Wavefunction, _index_groups, _pairs, _SpectralKernel,
+                       _time_grid, evolve, initial_state, select_peak)
 from .measurement import ZERO_PROB, Outcome, outcome_distribution, post_state
 from .topology import Graph, find_protocol_automorphism
 
@@ -134,7 +136,9 @@ def protocol1_required(p: float, q: float) -> int:
 
 
 def _score(strategy: Strategy, p_success, p_unusable):
-    """The quantity min-loss or max-margin maximizes, on a grid or at one time."""
+    """The quantity a strategy maximizes, on a grid or at one time."""
+    if strategy is Strategy.PEAK_SUCCESS:
+        return p_success
     if strategy is Strategy.MIN_LOSS:
         return -p_unusable
     return p_success - p_unusable
@@ -153,94 +157,61 @@ def _step_curve(amp: np.ndarray, weight: float = 1.0):
     return 0.5 * np.abs(amp[0] + amp[1]) ** 2, weight * p_u
 
 
-@lru_cache(maxsize=64)
-def _pc_partner(g: Graph) -> np.ndarray | None:
-    """Position of PC|i,j> = |Pj,Pi> for every pair |i,j>, or None.
+def _planner_rows(g: Graph, strategy: Strategy) -> tuple[np.ndarray, np.ndarray, float]:
+    """(rows the objective reads, rows the grid scan reads, weight of a scanned psi2/psi3 row).
 
-    P is the protocol automorphism and C exchanges the +1 and -1
-    excitations. None when the graph has no such P, or when the one found
-    is not an involution, so that PC would not pair the rows.
-    """
-    found = find_protocol_automorphism(g)
-    if not found.exists:
-        return None
-    perm = np.array((0, *found.mapping))
-    if not np.array_equal(perm[perm], np.arange(perm.size)):
-        return None
-    plus, minus = _pairs(g.n_vertices)
-    return _pair_position(g.n_vertices, perm[minus], perm[plus])
-
-
-def _scan_rows(g: Graph, psi: Wavefunction) -> tuple[np.ndarray, float]:
-    """The psi2/psi3 rows a grid scan projects, and the weight of each in p_U.
-
-    PC fixes Alice and Bob, so it maps psi2 rows to psi2 rows and psi3 rows
-    to psi3 rows, and none to itself. A PC-even state has equal amplitudes
-    on the two rows of each such pair, and so does its evolution, since H
-    commutes with PC: one row per pair, counted twice, gives p_U. A state
-    counts as PC-even when each amplitude matches its partner's to ZERO_PROB
-    (planned chains stay within 2e-14 on loop-36 and cross-35); any other
-    state, or a graph without the pairing, projects every row once.
+    Peak-success reads the two success rows only; the others every psi2/psi3
+    row too, but with a protocol automorphism P the scan reads only those
+    where Alice or Bob holds the +1, counted twice. H, the initial state and
+    the psi1 projector commute with PC (C exchanges the +1 and -1), so every
+    planned state has PC psi = psi: a_{j,A} = a_{A,P^-1 j}, as P fixes Alice
+    (and Bob), whether or not P is an involution.
     """
     grp = _index_groups(g)
-    rows = np.concatenate([grp["g2"], grp["g3"]])
-    partner = _pc_partner(g)
-    a = psi.amplitudes
-    if partner is None or np.max(np.abs(a - a[partner])) > ZERO_PROB:
-        return rows, 1.0
-    return rows[rows < partner[rows]], 2.0
-
-
-def _choose_step_time(strategy: Strategy, e: Eigensystem, psi: Wavefunction, g: Graph,
-                      t_max: float, grid_step: float, refine_tol: float) -> float | None:
-    """Measurement time for the current conditional state, or None.
-
-    None when p_S stays below 1e-15 over [0, t_max]: nothing is left to
-    herald. Peak-success is `find_peak` on the state, which reports such a
-    window as (0, 0). Min-loss and max-margin also read the psi2/psi3 rows;
-    on a PC-even state the grid scan projects one row of each PC pair and
-    counts it twice (`_scan_rows`). The refinement reads every row, so the
-    chosen times keep the scalar path's bits. The grid curves are reduced
-    one phase block at a time, so no rows x T matrix is held.
-    """
     if strategy is Strategy.PEAK_SUCCESS:
-        t_star, p_star = find_peak(e, psi, g, t_max, grid_step, refine_tol)
-        return None if p_star == 0.0 else t_star
-    grp = _index_groups(g)
-    unusable, weight = _scan_rows(g, psi)
-    kernel = _SpectralKernel(e, psi, np.concatenate([grp["success"], grp["g2"], grp["g3"]]))
-    scan = kernel if weight == 1.0 else _SpectralKernel(
-        e, psi, np.concatenate([grp["success"], unusable]))
-    t_grid = _time_grid(t_max, grid_step)
-    p_s, p_u = np.empty(t_grid.size), np.empty(t_grid.size)
-    for cols, amp in scan._blocks(t_grid):
-        p_s[cols], p_u[cols] = _step_curve(amp, weight)
-    if p_s.max() < 1e-15:
-        return None
-
-    def objective(t: float) -> float:
-        return float(_score(strategy, *_step_curve(kernel(t))))
-
-    score = _score(strategy, p_s, p_u)
-    if strategy is Strategy.MIN_LOSS:
-        # the bare minimum of p_U sits at t=0 where nothing can be measured;
-        # only times with appreciable success probability compete
-        score = np.where(p_s >= MINLOSS_FLOOR * p_s.max(), score, -np.inf)
-    k = int(np.argmax(score))
-    lo = max(0.0, float(t_grid[k]) - grid_step)
-    hi = min(float(t_grid[-1]), float(t_grid[k]) + grid_step)
-    t_star, f_star = refine_maximum(objective, lo, hi, refine_tol)
-    if objective(float(t_grid[k])) >= f_star:
-        return float(t_grid[k])
-    return float(t_star)
+        return grp["success"], grp["success"], 1.0
+    unusable = np.concatenate([grp["g2"], grp["g3"]])
+    every = np.concatenate([grp["success"], unusable])
+    if not find_protocol_automorphism(g).exists:
+        return every, every, 1.0
+    plus = _pairs(g.n_vertices)[0][unusable]
+    held = unusable[(plus == g.roles.alice) | (plus == g.roles.bob)]
+    return every, np.concatenate([grp["success"], held]), 2.0
 
 
 def _step_chooser(g: Graph, e: Eigensystem, strategy: Strategy, t_max: float | None,
                   grid_step: float, refine_tol: float):
-    """Conditional state -> measurement time (or None), scanning [0, t_max] per step."""
-    if t_max is None:
-        t_max = PLAN_WINDOW_FACTOR * g.n_vertices
-    return lambda psi: _choose_step_time(strategy, e, psi, g, t_max, grid_step, refine_tol)
+    """Conditional state -> measurement time, or None, from a scan of [0, t_max].
+
+    One path for every strategy: (p_S, p_U) on the grid, one phase block at
+    a time, scored by `_score` (min-loss only where p_S reaches MINLOSS_FLOOR
+    of its maximum: p_U is least at t=0, where nothing can be measured),
+    then `select_peak`, refined on the scalar path of the objective rows.
+    None when p_S stays below 1e-15 over the window: nothing is left to
+    herald.
+    """
+    t_max = PLAN_WINDOW_FACTOR * g.n_vertices if t_max is None else t_max
+    if t_max <= 0:
+        raise ValueError(f"t_max must be positive, got {t_max}")
+    rows, scan_rows, weight = _planner_rows(g, strategy)
+    t_grid = _time_grid(t_max, grid_step)
+
+    def choose(psi: Wavefunction) -> float | None:
+        kernel = _SpectralKernel(e, psi, rows)
+        scan = kernel if scan_rows is rows else _SpectralKernel(e, psi, scan_rows)
+        p_s, p_u = np.empty(t_grid.size), np.empty(t_grid.size)
+        for cols, amp in scan._blocks(t_grid):
+            p_s[cols], p_u[cols] = _step_curve(amp, weight)
+        if p_s.max() < 1e-15:
+            return None
+        score = _score(strategy, p_s, p_u)
+        if strategy is Strategy.MIN_LOSS:
+            score = np.where(p_s >= MINLOSS_FLOOR * p_s.max(), score, -np.inf)
+        return select_peak(score, t_grid,
+                           lambda t: float(_score(strategy, *_step_curve(kernel(t)))),
+                           grid_step, refine_tol)[0]
+
+    return choose
 
 
 def _protocol2_steps(g: Graph, e: Eigensystem, choose_time):

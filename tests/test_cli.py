@@ -564,6 +564,20 @@ class TestOutputHandling:
         p = np.array([float(r[1]) for r in rows])
         assert p.max() == pytest.approx(0.5, abs=5e-3)
 
+    @pytest.mark.parametrize("command", ["peaks", "protocol1"])
+    def test_custom_file_needs_no_n_list(self, command, capsys):
+        argv = [command, "--topology", "custom", "--topology-file", CROSS5, "--no-timestamp"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        _, listed, _ = run_cli(argv + ["--n-list", "5"], capsys)
+        assert [line for line in out.splitlines() if not line.startswith("#")] == \
+            [line for line in listed.splitlines() if not line.startswith("#")]
+
+    def test_built_in_topology_needs_an_n_list(self, capsys):
+        code, out, err = run_cli(["peaks", "--topology", "cross"], capsys)
+        assert code == 1
+        assert out == "" and "--n-list is required" in err
+
     def test_custom_roles_off_the_last_two_sites(self, tmp_path, capsys):
         # cross-5 with vertex v renamed 6-v: Alice at 2, Bob at 1
         topo = tmp_path / "cross5-reversed.txt"

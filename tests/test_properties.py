@@ -31,7 +31,7 @@ from qutrit_bell.dynamics import (DEFAULT_REFINE_TOL, FULL_STATE_BLOCK, Wavefunc
                                   _c_block_states, _index_groups, _pairs, pair_index)
 from qutrit_bell.measurement import ZERO_PROB, Outcome, outcome_curves, post_state
 from qutrit_bell.oracle import full_evolve_compare
-from qutrit_bell.protocols import _pc_partner, _scan_rows
+from qutrit_bell.protocols import Strategy, _planner_rows
 from test_acceptance import (QUANTILES, REPEAT_RESET_COLUMNS, TABLE_CROSS_COUNTS,
                              TABLE_LOOP_COUNTS, _count_marks, _repeat_marks)
 
@@ -117,30 +117,26 @@ def test_bell_amplitudes_equal_and_match_the_oracle_under_the_symmetry(drawn):
 
 @given(protocol_graphs(symmetric=True), st.floats(0.0, 50.0))
 @settings(max_examples=40, deadline=None)
-def test_pc_pairs_the_unusable_rows_and_their_doubled_sum_is_p_u(drawn, t):
+def test_doubled_rows_with_the_plus_at_alice_or_bob_give_p_u(drawn, t):
+    # PC psi = psi for whatever protocol automorphism P the search returns,
+    # involution or not, so it needs no mapping
     g, _ = drawn
-    mapping = find_protocol_automorphism(g).mapping
-    partner = _pc_partner(g)
-    if any(mapping[mapping[v] - 1] != v + 1 for v in range(g.n_vertices)):
-        assert partner is None  # only an involution pairs the rows
-        return
     grp = _index_groups(g)
-    assert np.array_equal(partner[partner], np.arange(partner.size))
-    for name in ("g2", "g3"):
-        rows = grp[name]
-        assert np.all(partner[rows] != rows)
-        assert np.array_equal(np.sort(partner[rows]), rows)
+    unusable = np.concatenate([grp["g2"], grp["g3"]])
+    plus = _pairs(g.n_vertices)[0][unusable]
+    held = unusable[(plus == g.roles.alice) | (plus == g.roles.bob)]
+    _, scanned, weight = _planner_rows(g, Strategy.MIN_LOSS)
+    assert weight == 2.0
+    assert np.array_equal(scanned, np.concatenate([grp["success"], held]))
+    assert 2 * held.size == unusable.size
     psi = evolve(spectral_decompose(assemble_hamiltonian(g)), initial_state(g), t)
     states = [psi]
     if outcome_distribution(psi, g).p1 >= ZERO_PROB:
         states.append(post_state(psi, Outcome.PSI1, g))  # what the planner conditions on
     for state in states:
-        rows, weight = _scan_rows(g, state)
         a = state.amplitudes
-        assert weight == 2.0
-        assert 2 * rows.size == grp["g2"].size + grp["g3"].size
         full = np.sum(np.abs(a[grp["g2"]]) ** 2) + np.sum(np.abs(a[grp["g3"]]) ** 2)
-        assert abs(weight * np.sum(np.abs(a[rows]) ** 2) - full) <= 1e-12
+        assert abs(weight * np.sum(np.abs(a[held]) ** 2) - full) <= 1e-12
 
 
 @given(protocol_graphs(), st.floats(0.0, 50.0))

@@ -8,17 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import peak, prepared, random_graph_with_moved_roles
-from qutrit_bell import (Strategy, Wavefunction, enumerate_outcome_tree, initial_state,
-                         monte_carlo, plan_protocol2, plan_regular,
-                         protocol1_cumulative, protocol1_required,
-                         protocol2_limit_check, protocol2_no_reset,
-                         protocol2_total)
+from qutrit_bell import (Strategy, enumerate_outcome_tree, monte_carlo, plan_protocol2,
+                         plan_regular, protocol1_cumulative, protocol1_required,
+                         protocol2_limit_check, protocol2_no_reset, protocol2_total)
 from qutrit_bell import protocols
 from qutrit_bell.dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, PHASE_BLOCK,
-                                  _index_groups, _SpectralKernel, amplitude_rows,
-                                  pair_index)
-from qutrit_bell.protocols import (Schedule, ScheduleStep, _pc_partner, _protocol2_steps,
-                                   _scan_rows, _step_chooser, _step_curve)
+                                  TIE_TOL, _index_groups, _SpectralKernel, _time_grid,
+                                  amplitude_rows, find_peak)
+from qutrit_bell.protocols import (Schedule, ScheduleStep, _planner_rows, _protocol2_steps,
+                                   _step_chooser, _step_curve)
+from qutrit_bell.topology import find_protocol_automorphism
 
 
 def synthetic_schedule(rows, n_vertices=5, strategy="synthetic"):
@@ -124,6 +123,13 @@ class TestPlanProtocol2:
         g, e, _ = prepared("cross", 5)
         with pytest.raises(ValueError):
             plan_protocol2(g, e, Strategy.PEAK_SUCCESS, n_max=0)
+
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+    def test_rejects_a_window_that_is_not_positive(self, strategy):
+        g, e, _ = prepared("cross", 5)
+        for t_max in (0.0, -1.0):
+            with pytest.raises(ValueError, match="t_max must be positive"):
+                plan_protocol2(g, e, strategy, n_max=2, t_max=t_max)
 
     # (time, p_success, p1) of each step as the CLI prints them. The loop-4
     # tail plans on curves of height ~1e-13, and cross-7 moved when the
@@ -238,25 +244,24 @@ class TestPlanProtocol2:
         assert peak_bytes < rows * t_size * 16
 
 
-def min_loss_chain(family, n, steps):
-    """(graph, eigensystem, the conditional states a min-loss plan scans from)."""
+def planned_chain(family, n, strategy, steps):
+    """(graph, eigensystem, the conditional states a plan scans from, the times it chose)."""
     g, e, _ = prepared(family, n)
-    choose = _step_chooser(g, e, Strategy.MIN_LOSS, None, DEFAULT_GRID_STEP,
-                           DEFAULT_REFINE_TOL)
-    states = []
+    choose = _step_chooser(g, e, strategy, None, DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL)
+    states, times = [], []
 
     def recording(psi):
         states.append(psi)
-        return choose(psi)
+        times.append(choose(psi))
+        return times[-1]
 
     list(islice(_protocol2_steps(g, e, recording), steps))
-    return g, e, states
+    return g, e, states, times
 
 
-def scanned_curves(e, psi, g, t):
+def scanned_curves(e, psi, g, t, strategy=Strategy.MIN_LOSS):
     """(p_S, p_U) on grid t as the planner scans them from psi."""
-    unusable, weight = _scan_rows(g, psi)
-    rows = np.concatenate([_index_groups(g)["success"], unusable])
+    _, rows, weight = _planner_rows(g, strategy)
     p_s, p_u = np.empty(t.size), np.empty(t.size)
     for cols, amp in _SpectralKernel(e, psi, rows)._blocks(t):
         p_s[cols], p_u[cols] = _step_curve(amp, weight)
@@ -264,12 +269,12 @@ def scanned_curves(e, psi, g, t):
 
 
 class TestMirrorRows:
-    """The min-loss/max-margin grid scan projects one psi2/psi3 row per PC pair."""
+    """The min-loss/max-margin grid scan projects the psi2/psi3 rows where
+    Alice or Bob holds the +1, each counted twice."""
 
-    def test_loop36_scans_68_of_136_unusable_rows(self, monkeypatch):
-        g, e, psi0 = prepared("loop", 36)
-        grp = _index_groups(g)
-        assert len(grp["g2"]) + len(grp["g3"]) == 136
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Row count of each kernel the planner builds, in order."""
         built = []
 
         class Recording(_SpectralKernel):
@@ -278,18 +283,24 @@ class TestMirrorRows:
                 super().__init__(e, psi0, rows)
 
         monkeypatch.setattr(protocols, "_SpectralKernel", Recording)
+        return built
+
+    def test_loop36_scans_68_of_136_unusable_rows(self, built):
+        g, e, psi0 = prepared("loop", 36)
+        grp = _index_groups(g)
+        assert len(grp["g2"]) + len(grp["g3"]) == 136
         plan_protocol2(g, e, Strategy.MIN_LOSS, n_max=1, t_max=20.0)
         # the refinement reads all 2 + 136 rows, the grid scan 2 + 68
         assert built == [138, 70]
 
     @pytest.mark.parametrize("family,n", [("loop", 36), ("cross", 35)])
     def test_chain_curves_equal_full_row_curves(self, family, n):
-        g, e, states = min_loss_chain(family, n, 3)
+        g, e, states, _ = planned_chain(family, n, Strategy.MIN_LOSS, 3)
         grp = _index_groups(g)
         rows = np.concatenate([grp["g2"], grp["g3"]])
+        assert _planner_rows(g, Strategy.MIN_LOSS)[2] == 2.0
         t = 0.01 * np.arange(2 * PHASE_BLOCK + 1)
         for psi in states:
-            assert _scan_rows(g, psi)[1] == 2.0
             _, p_u = scanned_curves(e, psi, g, t)
             full = np.abs(_SpectralKernel(e, psi, rows)(t)) ** 2
             assert np.max(np.abs(p_u - full.sum(axis=0))) <= 1e-13
@@ -297,20 +308,59 @@ class TestMirrorRows:
     def test_graph_without_the_symmetry_scans_every_row(self):
         g = random_graph_with_moved_roles()
         grp = _index_groups(g)
-        assert _pc_partner(g) is None
-        rows, weight = _scan_rows(g, initial_state(g))
-        assert weight == 1.0
-        assert np.array_equal(rows, np.concatenate([grp["g2"], grp["g3"]]))
+        every = np.concatenate([grp["success"], grp["g2"], grp["g3"]])
+        for strategy in (Strategy.MIN_LOSS, Strategy.MAX_MARGIN):
+            rows, scanned, weight = _planner_rows(g, strategy)
+            assert weight == 1.0
+            assert np.array_equal(rows, every) and np.array_equal(scanned, every)
 
-    def test_state_that_is_not_pc_even_scans_every_row(self):
-        g, e, psi0 = prepared("loop", 8)
-        grp = _index_groups(g)
-        assert _scan_rows(g, psi0)[1] == 2.0
-        a = psi0.amplitudes.copy()
-        a[pair_index(8, g.roles.charlie_plus, g.roles.alice)] = 1e-9  # PC partner stays 0
-        rows, weight = _scan_rows(g, Wavefunction(a / np.linalg.norm(a)))
-        assert weight == 1.0
-        assert np.array_equal(rows, np.concatenate([grp["g2"], grp["g3"]]))
+    def test_peak_success_reads_only_the_success_rows(self, built):
+        g, e, _ = prepared("loop", 8)
+        success = _index_groups(g)["success"]
+        rows, scanned, weight = _planner_rows(g, Strategy.PEAK_SUCCESS)
+        assert np.array_equal(rows, success) and scanned is rows and weight == 1.0
+        plan_protocol2(g, e, Strategy.PEAK_SUCCESS, n_max=2)
+        assert built == [2, 2]  # one kernel per step, for the scan and the refinement
+
+
+class TestOnePlannerStep:
+    """Every strategy is one grid scan and one `select_peak`."""
+
+    @pytest.mark.parametrize("family,n", [("loop", 4), ("cross", 7)])
+    def test_peak_success_times_equal_find_peak(self, family, n):
+        g, e, states, times = planned_chain(family, n, Strategy.PEAK_SUCCESS, 12)
+        assert len(states) > 1
+        for psi, t in zip(states, times):
+            t_peak, p_peak = find_peak(e, psi, g, t_max=protocols.PLAN_WINDOW_FACTOR * n)
+            assert t == (None if p_peak == 0.0 else t_peak)
+
+    @pytest.mark.parametrize("family,n", [("loop", 4), ("cross", 7)])
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+    def test_step_objective_reaches_the_grid_maximum(self, family, n, strategy):
+        g, e, states, times = planned_chain(family, n, strategy, 6)
+        grid = _time_grid(protocols.PLAN_WINDOW_FACTOR * n, DEFAULT_GRID_STEP)
+        rows = _planner_rows(g, strategy)[0]
+        for psi, t in zip(states, times):
+            p_s, p_u = scanned_curves(e, psi, g, grid, strategy)
+            score = protocols._score(strategy, p_s, p_u)
+            if strategy is Strategy.MIN_LOSS:
+                score = np.where(p_s >= protocols.MINLOSS_FLOOR * p_s.max(), score, -np.inf)
+            objective = protocols._score(strategy, *_step_curve(_SpectralKernel(e, psi, rows)(t)))
+            assert objective >= score.max() - TIE_TOL
+
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+    def test_automorphism_searched_at_most_once_per_plan(self, strategy, monkeypatch):
+        g, e, _ = prepared("loop", 8)
+        calls = []
+
+        def counting(graph):
+            calls.append(graph)
+            return find_protocol_automorphism(graph)
+
+        monkeypatch.setattr(protocols, "find_protocol_automorphism", counting)
+        plan_protocol2(g, e, strategy, n_max=4)
+        # peak-success reads no psi2/psi3 row, so it needs no automorphism
+        assert len(calls) == (strategy is not Strategy.PEAK_SUCCESS)
 
 
 class TestRegularSchedule:
