@@ -296,14 +296,20 @@ def protocol2_total(schedule: Schedule, n: int | None = None) -> np.ndarray:
 
     The weight of a restart at step j, w_j = [prod_{i<j} p_1(i)] times the
     step's reset weight, does not depend on n, so each P_n is Pbar_n plus
-    one dot product of w with the earlier P in reverse.
+    one dot product of w with the earlier P in reverse. w is read only up
+    to its last nonzero entry: the survival product underflows to 0 and
+    steps past the chain end reset nothing, so the sum is linear in n from
+    there on.
     """
     n = len(schedule) if n is None else n
     _, p1, reset = _padded(schedule, n)
     w = _survival(p1) * reset
+    live = np.flatnonzero(w)
+    w = w[:live[-1] + 1 if live.size else 0]
     p = protocol2_no_reset(schedule, n)
     for k in range(1, n):
-        p[k] += np.dot(w[:k], p[k - 1::-1])
+        m = min(k, w.size)
+        p[k] += np.dot(w[:m], p[k - 1::-1][:m])
     return p
 
 

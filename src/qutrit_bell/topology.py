@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 Edge = tuple[int, int]
 
 
@@ -66,14 +64,8 @@ class Graph:
         for r in rs:
             if not 1 <= r <= n:
                 raise ValueError(f"role vertex {r} outside [1,{n}]")
-        if not nx.is_connected(self.as_networkx()):
+        if -1 in _distances(self, rs[0])[1:]:
             raise ValueError("graph is not connected")
-
-    def as_networkx(self) -> nx.Graph:
-        g = nx.Graph()
-        g.add_nodes_from(range(1, self.n_vertices + 1))
-        g.add_edges_from(self.edges)
-        return g
 
 
 @dataclass(frozen=True)
@@ -87,6 +79,30 @@ class AutomorphismReport:
 
     exists: bool
     mapping: tuple[int, ...] | None = None
+
+
+def _neighbours(g: Graph) -> list[set[int]]:
+    """Neighbour sets indexed by vertex (entry 0 unused)."""
+    nbrs: list[set[int]] = [set() for _ in range(g.n_vertices + 1)]
+    for (u, v) in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return nbrs
+
+
+def _distances(g: Graph, source: int) -> list[int]:
+    """Edge counts from source by breadth-first search, indexed by vertex
+    (entry 0 unused); -1 marks a vertex source cannot reach."""
+    nbrs = _neighbours(g)
+    dist = [-1] * (g.n_vertices + 1)
+    dist[source] = 0
+    queue = [source]
+    for u in queue:  # grows while it is read: first in, first out
+        for v in nbrs[u]:
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
 
 
 def _normalize(u: int, v: int) -> Edge:
@@ -154,23 +170,46 @@ def build_loop(n: int) -> Graph:
 def find_protocol_automorphism(g: Graph) -> AutomorphismReport:
     """Search for the symmetry the protocol relies on.
 
-    Wanted: a graph automorphism that exchanges Charlie's two sites and
-    fixes Alice's and Bob's. A VF2 isomorphism search runs from a
-    role-colored copy of the graph to a copy with Charlie's colors
-    exchanged, so every match it returns is such an automorphism and the
-    role constraints prune the search. Nonexistence is a valid result, not
-    an error.
+    Wanted: a graph automorphism P that exchanges Charlie's two sites and
+    fixes Alice's and Bob's. P keeps each vertex's degree and distances to
+    Alice and Bob and exchanges its distances to c+ and c-, so P(v) is drawn
+    only from vertices with v's colour so swapped (which pins the role
+    sites). A backtracking search on an explicit stack assigns vertices in
+    breadth-first order from Alice; each choice must map the edges to
+    already-assigned neighbours onto edges, which makes a complete
+    bijection an automorphism. Nonexistence is a valid result, not an error.
     """
-    r = g.roles
-    g1, g2 = g.as_networkx(), g.as_networkx()
-    fixed = {r.alice: "a", r.bob: "b"}
-    nx.set_node_attributes(g1, {r.charlie_plus: "c+", r.charlie_minus: "c-", **fixed}, "role")
-    nx.set_node_attributes(g2, {r.charlie_plus: "c-", r.charlie_minus: "c+", **fixed}, "role")
-    matcher = nx.algorithms.isomorphism.GraphMatcher(
-        g1, g2, node_match=lambda a, b: a.get("role") == b.get("role"))
-    iso = next(matcher.isomorphisms_iter(), None)
-    mapping = None if iso is None else tuple(iso[v] for v in range(1, g.n_vertices + 1))
-    return AutomorphismReport(mapping is not None, mapping)
+    n, r = g.n_vertices, g.roles
+    nbrs = _neighbours(g)
+    d_a, d_b, d_plus, d_minus = (_distances(g, s) for s in
+                                 (r.alice, r.bob, r.charlie_plus, r.charlie_minus))
+    by_colour: dict[tuple[int, ...], list[int]] = {}
+    for w in range(1, n + 1):
+        colour = (len(nbrs[w]), d_a[w], d_b[w], d_plus[w], d_minus[w])
+        by_colour.setdefault(colour, []).append(w)
+    order = sorted(range(1, n + 1), key=d_a.__getitem__)
+    candidates = [by_colour.get((len(nbrs[v]), d_a[v], d_b[v], d_minus[v], d_plus[v]), [])
+                  for v in order]
+    image = [0] * (n + 1)
+    used = [False] * (n + 1)
+
+    def fits(v: int, w: int) -> bool:
+        return not used[w] and all(image[u] in nbrs[w] for u in nbrs[v] if image[u])
+
+    stack = [iter(candidates[0])]
+    while stack:
+        v = order[len(stack) - 1]
+        if image[v]:
+            used[image[v]], image[v] = False, 0
+        w = next((w for w in stack[-1] if fits(v, w)), 0)
+        if not w:
+            stack.pop()
+            continue
+        image[v], used[w] = w, True
+        if len(stack) == n:
+            return AutomorphismReport(True, tuple(image[1:]))
+        stack.append(iter(candidates[len(stack)]))
+    return AutomorphismReport(False)
 
 
 def path_distance(g: Graph, u: int, v: int) -> int:
@@ -178,4 +217,4 @@ def path_distance(g: Graph, u: int, v: int) -> int:
     n = g.n_vertices
     if not (1 <= u <= n and 1 <= v <= n):
         raise ValueError(f"vertices ({u},{v}) outside [1,{n}]")
-    return nx.shortest_path_length(g.as_networkx(), u, v)
+    return _distances(g, u)[v]

@@ -8,8 +8,8 @@ from functools import lru_cache
 
 import networkx as nx
 
-from qutrit_bell import (Graph, Roles, assemble_hamiltonian, build_cross, build_loop,
-                         find_peak, initial_state, spectral_decompose)
+from qutrit_bell import (AutomorphismReport, Graph, Roles, assemble_hamiltonian, build_cross,
+                         build_loop, find_peak, initial_state, spectral_decompose)
 
 
 @lru_cache(maxsize=None)
@@ -30,6 +30,28 @@ def random_graph_with_moved_roles():
     nxg = nx.connected_watts_strogatz_graph(10, 4, 0.5, seed=3)
     return Graph(10, frozenset((min(u, v) + 1, max(u, v) + 1) for u, v in nxg.edges),
                  Roles(3, 7, 1, 5))
+
+
+def vf2_protocol_automorphism(g: Graph) -> AutomorphismReport:
+    """Reference for `find_protocol_automorphism`: networkx's VF2 search
+    (Cordella et al., IEEE TPAMI 26, 1367 (2004)) from a role-coloured copy
+    of the graph to a copy with Charlie's colours exchanged, so every match
+    it returns is a protocol automorphism."""
+    r = g.roles
+    fixed = {r.alice: "a", r.bob: "b"}
+    copies = []
+    for colours in ({r.charlie_plus: "c+", r.charlie_minus: "c-", **fixed},
+                    {r.charlie_plus: "c-", r.charlie_minus: "c+", **fixed}):
+        nxg = nx.Graph()
+        nxg.add_nodes_from(range(1, g.n_vertices + 1))
+        nxg.add_edges_from(g.edges)
+        nx.set_node_attributes(nxg, colours, "role")
+        copies.append(nxg)
+    matcher = nx.algorithms.isomorphism.GraphMatcher(
+        *copies, node_match=lambda a, b: a.get("role") == b.get("role"))
+    iso = next(matcher.isomorphisms_iter(), None)
+    mapping = None if iso is None else tuple(iso[v] for v in range(1, g.n_vertices + 1))
+    return AutomorphismReport(mapping is not None, mapping)
 
 
 @contextlib.contextmanager

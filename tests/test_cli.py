@@ -642,3 +642,22 @@ class TestOutputHandling:
     def test_missing_custom_file_is_usage_error(self, capsys):
         code = main(["scan", "--topology", "custom"])
         assert code == 1
+
+
+class TestRuntimeImports:
+    def test_no_command_imports_networkx(self):
+        # in a fresh interpreter: this session has networkx loaded (conftest)
+        script = "\n".join([
+            "import sys",
+            "from qutrit_bell import cli",
+            "for argv in (['protocol2', '--topology', 'loop', '--n', '8',",
+            "              '--strategy', 'min-loss'],",
+            "             ['verify', '--topology', 'loop', '--n', '4']):",
+            "    assert cli.main(argv) == 0, argv",
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'networkx'))",
+        ])
+        env = {**os.environ, "PYTHONPATH": str(DATA.parent.parent / "src")}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"

@@ -40,13 +40,14 @@ ORACLE_GRID = [0.0, 0.37, 1.3, 2.9, 6.1]
 
 
 @st.composite
-def protocol_graphs(draw, symmetric=None):
-    """(graph, symmetric): a connected graph on 4..7 sites with random roles.
+def protocol_graphs(draw, symmetric=None, max_sites=7):
+    """(graph, symmetric): a connected graph on 4..max_sites sites with
+    random roles.
 
     A random spanning tree plus random extra edges; when symmetric, both
     are closed under a random involution that exchanges Charlie's sites.
     """
-    n = draw(st.integers(4, 7))
+    n = draw(st.integers(4, max_sites))
     sites = draw(st.permutations(range(1, n + 1)))
     c_plus, c_minus, alice, bob = sites[:4]
     if symmetric is None:

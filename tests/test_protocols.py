@@ -429,6 +429,20 @@ class TestCumulativeSeries:
                 assert enumerate_outcome_tree(sched, m)[1] == pytest.approx(
                     protocol2_total(sched, m)[-1], abs=1e-12)
 
+    def test_reads_restart_weights_only_up_to_the_last_nonzero_one(self):
+        # loop-4 at tau = 1: the survival product underflows to 0 after 566
+        # steps, so the weights past it add exact zeros to the full recursion
+        g, e, _ = prepared("loop", 4)
+        n = 5000
+        sched = plan_regular(g, e, 1.0, n)
+        _, p1, reset = protocols._padded(sched, n)
+        w = protocols._survival(p1) * reset
+        assert np.flatnonzero(w)[-1] < 1000
+        full = protocol2_no_reset(sched, n)
+        for k in range(1, n):
+            full[k] += np.dot(w[:k], full[k - 1::-1])
+        assert np.array_equal(protocol2_total(sched, n), full)
+
     def test_recursion_matches_tree_enumeration(self, cross5_schedule):
         pbar = protocol2_no_reset(cross5_schedule)
         ptot = protocol2_total(cross5_schedule)

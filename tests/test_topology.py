@@ -1,8 +1,14 @@
+import random
+from itertools import product
+
 import networkx as nx
 import pytest
+from hypothesis import given, settings
 
+from conftest import vf2_protocol_automorphism
 from qutrit_bell import (Graph, Roles, build_cross, build_loop,
                          find_protocol_automorphism, path_distance)
+from test_properties import brute_force_automorphisms, protocol_graphs
 
 
 def edges_of(g):
@@ -43,7 +49,7 @@ class TestBuildLoop:
         assert len(g.edges) == 4
         assert g.roles == Roles(charlie_plus=2, charlie_minus=1, alice=3, bob=4)
         # every vertex has degree 2 and both role pairs sit opposite each other
-        assert all(d == 2 for _, d in g.as_networkx().degree)
+        assert all(d == 2 for _, d in nx.Graph(list(g.edges)).degree)
         assert path_distance(g, 1, 2) == 2
         assert path_distance(g, 3, 4) == 2
 
@@ -133,6 +139,82 @@ class TestProtocolAutomorphism:
         rep = find_protocol_automorphism(g)
         assert rep.exists
         self._check_mapping(g, rep.mapping)
+
+    def test_backtracks_past_a_first_choice_that_fails(self):
+        # 6 and 8 share every role colour, so 6 is first tried on itself;
+        # 2 then finds no image, and only P = (1 7)(2 3)(6 8) works
+        g = Graph(8, frozenset({(1, 2), (1, 5), (1, 7), (2, 8), (3, 6), (3, 7), (4, 5),
+                                (5, 6), (5, 7), (5, 8)}), Roles(1, 7, 5, 4))
+        rep = find_protocol_automorphism(g)
+        assert rep.mapping == (7, 3, 2, 4, 5, 8, 1, 6)
+        self._check_mapping(g, rep.mapping)
+
+    @given(protocol_graphs(max_sites=14))
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_vf2_past_brute_force_reach(self, drawn):
+        g, symmetric = drawn
+        rep = find_protocol_automorphism(g)
+        assert rep.exists == vf2_protocol_automorphism(g).exists
+        if symmetric:
+            assert rep.exists
+        if rep.exists:
+            self._check_mapping(g, rep.mapping)
+        else:
+            assert rep.mapping is None
+
+    @pytest.mark.parametrize("name", ["K12", "Q5", "rook-6x6", "random-36"])
+    def test_agrees_with_vf2_on_named_graphs(self, name):
+        g = named_graph(name)
+        rep = find_protocol_automorphism(g)
+        assert rep.exists == vf2_protocol_automorphism(g).exists
+        assert rep.exists == (name != "random-36")
+        if rep.exists:
+            self._check_mapping(g, rep.mapping)
+
+    @pytest.mark.parametrize("g", [build_cross(9), build_loop(8)], ids=["cross-9", "loop-8"])
+    def test_demo_graphs_have_exactly_one_automorphism(self, g):
+        # demo 01 prints the mapping, so it must not depend on the search order
+        [perm] = brute_force_automorphisms(g)
+        assert find_protocol_automorphism(g).mapping == tuple(
+            perm[v] for v in range(1, g.n_vertices + 1))
+
+
+def named_graph(name):
+    """Graphs with large symmetry groups, where role colours prune little.
+
+    K12, the Q5 hypercube (Alice on 00000, Bob on 11111, Charlie on 00001
+    and 00010) and the 6x6 rook's graph (Alice on (0,0), Bob on (1,1),
+    Charlie on (0,1) and (1,0)) each have a protocol automorphism. random-36 is built like the seeded 36-site graph of the
+    benchmark's `scan` workload: a random spanning tree plus random extra
+    edges up to 45, roles 1 2 35 36, redrawn until Charlie's two sites
+    differ in degree, so it has none.
+    """
+    if name == "K12":
+        return Graph(12, frozenset((u, v) for u in range(1, 13) for v in range(u + 1, 13)),
+                     Roles(3, 4, 1, 2))
+    if name == "Q5":
+        edges = {(x + 1, (x | 1 << b) + 1) for x in range(32) for b in range(5)
+                 if not x >> b & 1}
+        return Graph(32, frozenset(edges), Roles(2, 3, 1, 32))
+    if name == "rook-6x6":
+        cell = {(i, j): 6 * i + j + 1 for i, j in product(range(6), repeat=2)}
+        edges = {(cell[a], cell[b]) for a in cell for b in cell
+                 if cell[a] < cell[b] and (a[0] == b[0] or a[1] == b[1])}
+        return Graph(36, frozenset(edges), Roles(cell[0, 1], cell[1, 0], cell[0, 0], cell[1, 1]))
+    for attempt in range(1000):
+        rng = random.Random(attempt)
+        order = list(range(1, 37))
+        rng.shuffle(order)
+        edges = set()
+        for k in range(1, 36):
+            u, v = order[k], order[rng.randrange(k)]
+            edges.add((min(u, v), max(u, v)))
+        while len(edges) < 45:
+            edges.add(tuple(sorted(rng.sample(range(1, 37), 2))))
+        g = Graph(36, frozenset(edges), Roles(1, 2, 35, 36))
+        if sum(1 in e for e in edges) != sum(2 in e for e in edges):
+            return g
+    raise AssertionError("no draw separates Charlie's sites by degree")
 
 
 class TestPathDistance:
