@@ -195,9 +195,10 @@ class _Run:
 def _checked_run(args) -> _Run:
     """Make every exit-2 refusal that the flags decide, before any work starts.
 
-    Sizes each command's dense eigensystem (d = N(N-1); the C-even block's
-    N(N-1)/2, or the two C blocks of `scan`), time grid (none with --tau) and
-    protocol-2 series, resolves the default window and applies `verify`'s caps.
+    Sizes each command's dense eigensystem (d = N(N-1); at most the C-even
+    block's N(N-1)/2 for the peak tables; the two C blocks of `scan`), time
+    grid (none with --tau) and protocol-2 series, resolves the default window
+    and applies `verify`'s caps.
     A graph is built once N fits.
     """
     for name in ("t_max", "grid_step", "refine_tol", "tau"):

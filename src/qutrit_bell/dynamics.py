@@ -17,8 +17,9 @@ excluded, so the matrix has zero diagonal and 0/1 off-diagonal entries.
 The exchange C|i,j> = |j,i> commutes with H on every graph, so H splits
 into an even block H+ and an odd block H-, each on the N(N-1)/2 unordered
 pairs (`assemble_hamiltonian(g, c_parity=+1 or -1)`). The Bell amplitude
-lies in H+, where `one_shot_peak` reads the one-shot peak from one row; the
-full state along a grid comes from both blocks (`_c_block_states`).
+lies in H+, and there in the part invariant under the automorphisms that keep
+{c+,c-} and {A,B}: `one_shot_peak` reads it from one row of H+ on pair orbits
+(`_role_block`), and the full state along a grid comes from both C blocks.
 The propagator exp(-iHt) is evaluated through the dense eigendecomposition;
 for N <= 36 the dimension stays at or below 1260, where this is both exact
 and cheap to re-evaluate at many times. One private kernel,
@@ -37,11 +38,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache, partial, reduce
 
 import numpy as np
 
-from .topology import Graph
+from .topology import ROLE_SWAPS, Graph, find_protocol_automorphism
 
 logger = logging.getLogger(__name__)
 
@@ -133,23 +134,24 @@ class Hamiltonian:
 
 
 def _exchange_matrix(g: Graph, plus: np.ndarray, minus: np.ndarray, position,
-                     parity: int = 1) -> np.ndarray:
+                     parity: int = 1, label: np.ndarray | None = None) -> np.ndarray:
     """The edges' exchange operator on a pair list, each pair (plus[k], minus[k]).
 
     For each edge (m,n) and pair (i,j): if the edge touches exactly one of
     the excitations, that excitation hops to the other endpoint; if the
     edge is {i,j}, the two excitations swap. Edges disjoint from {i,j}
-    contribute nothing. For one edge the pairs it moves map one to one onto
-    their images, so each edge is a single scatter. An image (k,l) with
-    k > l enters with the sign `parity`, which is -1 only for the C-odd block.
+    contribute nothing. An image (k,l) with k > l enters with the sign `parity`
+    (-1 only for the C-odd block). Each edge scatters onto label[image], label[pair]
+    (default label[k] = k): with orbit labels, entry (O', O) sums H over O' x O.
     """
-    h = np.zeros((plus.size, plus.size))
+    label = np.arange(plus.size) if label is None else label
+    h = np.zeros((label.max() + 1,) * 2)
     for (m, mm) in g.edges:
         ti = np.where(plus == m, mm, np.where(plus == mm, m, plus))
         tj = np.where(minus == m, mm, np.where(minus == mm, m, minus))
         moved = (ti != plus) | (tj != minus)
         ti, tj = ti[moved], tj[moved]
-        h[position(ti, tj), moved] += np.where(ti > tj, parity, 1.0)
+        np.add.at(h, (label[position(ti, tj)], label[moved]), np.where(ti > tj, parity, 1.0))
     return h
 
 
@@ -455,18 +457,39 @@ def find_peak(e: Eigensystem, psi0: Wavefunction, g: Graph,
                  lambda amp: 0.5 * np.abs(amp[0] + amp[1]) ** 2, t_max, grid_step, refine_tol)
 
 
+def _role_block(g: Graph) -> tuple[Hamiltonian, np.ndarray]:
+    """H+ on the orbit states |O> = sum_{p in O} |{p}+> / sqrt|O|, and each pair's orbit.
+
+    Orbits under one automorphism per `ROLE_SWAPS` entry, numbered by least pair.
+    Entry (O', O) is S s_O' s_O, S the integer sum of H+ over O' x O, s = 1/sqrt|O|.
+    """
+    n = g.n_vertices
+    lo, hi = _unordered_pairs(n)
+    position = partial(_unordered_position, n)
+    maps = (find_protocol_automorphism(g, swap).mapping for swap in ROLE_SWAPS)
+    moves = [position(p[lo], p[hi]) for p in (np.array((0, *m)) for m in maps if m)]
+    label = np.arange(lo.size)
+    while not all(np.array_equal(label, label[move]) for move in moves):
+        label = reduce(np.minimum, (label[move] for move in moves), label)  # to orbit minima
+    _, label, size = np.unique(label, return_inverse=True, return_counts=True)
+    s = 1.0 / np.sqrt(size)
+    return Hamiltonian(_exchange_matrix(g, lo, hi, position, 1, label) * np.outer(s, s)), label
+
+
 def one_shot_peak(g: Graph, t_max: float | None = None,
                   grid_step: float = DEFAULT_GRID_STEP,
                   refine_tol: float = DEFAULT_REFINE_TOL) -> tuple[float, float]:
-    """`find_peak` from the initial state, on the C-even block of half the dimension.
+    """`find_peak` from the initial state, on the role-symmetric part of the C-even block.
 
     (a_BA + a_AB)/sqrt2 = <{A,B}+|psi(t)>, and |c+,c-> has C-even part
-    |{c+,c-}+>/sqrt2, so p_S = |<{A,B}+|exp(-iH+ t)|{c+,c-}+>|^2 / 2. The peak
-    differs from `find_peak`'s by rounding only, within refine_tol in t*.
+    |{c+,c-}+>/sqrt2, so p_S = |<{A,B}+|exp(-iH+ t)|{c+,c-}+>|^2 / 2, and both
+    pairs are orbits of one in `_role_block`. The peak differs from
+    `find_peak`'s by rounding only, within refine_tol in t*.
     """
     n, r = g.n_vertices, g.roles
-    e = spectral_decompose(assemble_hamiltonian(g, c_parity=1))
+    h, label = _role_block(g)
+    e = spectral_decompose(h)
     start = np.zeros(e.eigenvalues.size, dtype=complex)
-    start[_unordered_position(n, r.charlie_plus, r.charlie_minus)] = 1.0
-    return _peak(g, e, Wavefunction(start), [_unordered_position(n, r.alice, r.bob)],
+    start[label[_unordered_position(n, r.charlie_plus, r.charlie_minus)]] = 1.0
+    return _peak(g, e, Wavefunction(start), [label[_unordered_position(n, r.alice, r.bob)]],
                  lambda amp: 0.5 * np.abs(amp[0]) ** 2, t_max, grid_step, refine_tol)

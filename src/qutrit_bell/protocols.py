@@ -218,11 +218,12 @@ def _protocol2_steps(g: Graph, e: Eigensystem, choose_time):
     """The protocol-2 chain, one ScheduleStep per measurement, lazily.
 
     Each step evolves the current conditional state for choose_time(state),
-    measures, and conditions on psi1. The chain ends after a step that
-    leaves psi1 no weight, or where choose_time returns None because the
-    window holds no success; at the first step that is an error.
+    measures, and conditions on psi1. The chain ends after a step that leaves
+    psi1 or the product of p_1 (`_survival`) no weight, or where choose_time
+    finds no success in its window; at the first step that is an error.
     """
     psi = first = initial_state(g)
+    survival = 1.0
     while psi is not None:
         t = choose_time(psi)
         if t is None:
@@ -232,7 +233,8 @@ def _protocol2_steps(g: Graph, e: Eigensystem, choose_time):
             return
         phi = evolve(e, psi, float(t))
         dist = outcome_distribution(phi, g)
-        psi = None if dist.p1 < ZERO_PROB else post_state(phi, Outcome.PSI1, g)
+        survival *= dist.p1
+        psi = None if dist.p1 < ZERO_PROB or not survival else post_state(phi, Outcome.PSI1, g)
         yield ScheduleStep(time=float(t), p_success=dist.pS_bell, p1=dist.p1, p2=dist.p2,
                            p3=dist.p3, pS_projection=dist.pS_projection)
 

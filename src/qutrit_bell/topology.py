@@ -12,7 +12,9 @@ Two built-in families are provided:
 
 Both families possess the reflection that fixes Alice's and Bob's sites
 while exchanging Charlie's two sites; this symmetry is what guarantees the
-two Bell-channel amplitudes stay equal during the evolution.
+two Bell-channel amplitudes stay equal during the evolution. Both also have
+the reflection that fixes Charlie's sites and exchanges Alice's with Bob's
+(the cross's arm swap, the loop's mirror through Charlie's sites).
 
 Vertices are 1-based throughout.
 """
@@ -70,11 +72,11 @@ class Graph:
 
 @dataclass(frozen=True)
 class AutomorphismReport:
-    """Result of the protocol-symmetry search.
+    """Result of a role-symmetry search.
 
     When ``exists``, ``mapping[v-1]`` is the image of vertex v under a graph
-    automorphism that exchanges charlie_plus with charlie_minus and fixes
-    both alice and bob.
+    automorphism that moves the role sites as the searched role permutation
+    says (by default: it exchanges c+ and c-, fixes A and B).
     """
 
     exists: bool
@@ -167,29 +169,34 @@ def build_loop(n: int) -> Graph:
     return Graph(n_vertices=n, edges=edges, roles=roles)
 
 
-def find_protocol_automorphism(g: Graph) -> AutomorphismReport:
-    """Search for the symmetry the protocol relies on.
+#: the role permutations that keep the sets {c+, c-} and {A, B}: position k of
+#: `Roles.as_tuple()` (c+, c-, A, B) moves to position perm[k]
+SWAP_CHARLIE, SWAP_ENDS, SWAP_BOTH = ROLE_SWAPS = (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2)
 
-    Wanted: a graph automorphism P that exchanges Charlie's two sites and
-    fixes Alice's and Bob's. P keeps each vertex's degree and distances to
-    Alice and Bob and exchanges its distances to c+ and c-, so P(v) is drawn
-    only from vertices with v's colour so swapped (which pins the role
-    sites). A backtracking search on an explicit stack assigns vertices in
-    breadth-first order from Alice; each choice must map the edges to
-    already-assigned neighbours onto edges, which makes a complete
-    bijection an automorphism. Nonexistence is a valid result, not an error.
+
+def find_protocol_automorphism(g: Graph,
+                               role_perm: tuple[int, ...] = SWAP_CHARLIE) -> AutomorphismReport:
+    """Search for a graph automorphism P that moves role k onto role role_perm[k];
+    by default the symmetry the protocol relies on, which exchanges Charlie's
+    two sites and fixes Alice's and Bob's.
+
+    P keeps each vertex's degree and permutes its distances to the four role
+    sites as it permutes the roles, so P(v) is drawn only from vertices with
+    v's colour so permuted (which pins the role sites). A backtracking search
+    on an explicit stack assigns vertices in breadth-first order from Alice;
+    each choice must map the edges to already-assigned neighbours onto edges,
+    which makes a complete bijection an automorphism. Nonexistence is a valid
+    result, not an error.
     """
-    n, r = g.n_vertices, g.roles
+    n, roles = g.n_vertices, g.roles.as_tuple()
     nbrs = _neighbours(g)
-    d_a, d_b, d_plus, d_minus = (_distances(g, s) for s in
-                                 (r.alice, r.bob, r.charlie_plus, r.charlie_minus))
+    dist = [_distances(g, s) for s in roles]
     by_colour: dict[tuple[int, ...], list[int]] = {}
     for w in range(1, n + 1):
-        colour = (len(nbrs[w]), d_a[w], d_b[w], d_plus[w], d_minus[w])
+        colour = (len(nbrs[w]), *(dist[k][w] for k in role_perm))
         by_colour.setdefault(colour, []).append(w)
-    order = sorted(range(1, n + 1), key=d_a.__getitem__)
-    candidates = [by_colour.get((len(nbrs[v]), d_a[v], d_b[v], d_minus[v], d_plus[v]), [])
-                  for v in order]
+    order = sorted(range(1, n + 1), key=dist[2].__getitem__)  # breadth-first from Alice
+    candidates = [by_colour.get((len(nbrs[v]), *(d[v] for d in dist)), []) for v in order]
     image = [0] * (n + 1)
     used = [False] * (n + 1)
 

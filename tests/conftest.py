@@ -10,6 +10,7 @@ import networkx as nx
 
 from qutrit_bell import (AutomorphismReport, Graph, Roles, assemble_hamiltonian, build_cross,
                          build_loop, find_peak, initial_state, spectral_decompose)
+from qutrit_bell.topology import SWAP_CHARLIE
 
 
 @lru_cache(maxsize=None)
@@ -32,16 +33,15 @@ def random_graph_with_moved_roles():
                  Roles(3, 7, 1, 5))
 
 
-def vf2_protocol_automorphism(g: Graph) -> AutomorphismReport:
-    """Reference for `find_protocol_automorphism`: networkx's VF2 search
+def vf2_protocol_automorphism(g: Graph, role_perm=SWAP_CHARLIE) -> AutomorphismReport:
+    """Reference for `find_protocol_automorphism(g, role_perm)`: networkx's VF2 search
     (Cordella et al., IEEE TPAMI 26, 1367 (2004)) from a role-coloured copy
-    of the graph to a copy with Charlie's colours exchanged, so every match
-    it returns is a protocol automorphism."""
-    r = g.roles
-    fixed = {r.alice: "a", r.bob: "b"}
+    of the graph to a copy where role role_perm[k] wears role k's colour, so
+    every match it returns moves role k onto role role_perm[k]."""
+    roles = g.roles.as_tuple()
     copies = []
-    for colours in ({r.charlie_plus: "c+", r.charlie_minus: "c-", **fixed},
-                    {r.charlie_plus: "c-", r.charlie_minus: "c+", **fixed}):
+    for colours in ({roles[k]: k for k in range(4)},
+                    {roles[role_perm[k]]: k for k in range(4)}):
         nxg = nx.Graph()
         nxg.add_nodes_from(range(1, g.n_vertices + 1))
         nxg.add_edges_from(g.edges)

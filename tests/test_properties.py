@@ -28,10 +28,12 @@ from qutrit_bell import (Graph, Roles, assemble_hamiltonian, build_cross, build_
                          protocol1_required, spectral_decompose)
 from qutrit_bell.cli import main
 from qutrit_bell.dynamics import (DEFAULT_REFINE_TOL, FULL_STATE_BLOCK, Wavefunction,
-                                  _c_block_states, _index_groups, _pairs, pair_index)
+                                  _c_block_states, _index_groups, _pairs, _role_block,
+                                  _unordered_position, pair_index)
 from qutrit_bell.measurement import ZERO_PROB, Outcome, outcome_curves, post_state
 from qutrit_bell.oracle import full_evolve_compare
 from qutrit_bell.protocols import Strategy, _planner_rows
+from qutrit_bell.topology import ROLE_SWAPS, SWAP_CHARLIE, SWAP_ENDS
 from test_acceptance import (QUANTILES, REPEAT_RESET_COLUMNS, TABLE_CROSS_COUNTS,
                              TABLE_LOOP_COUNTS, _count_marks, _repeat_marks)
 
@@ -40,29 +42,37 @@ ORACLE_GRID = [0.0, 0.37, 1.3, 2.9, 6.1]
 
 
 @st.composite
-def protocol_graphs(draw, symmetric=None, max_sites=7):
+def protocol_graphs(draw, symmetric=None, max_sites=7, swaps=(SWAP_CHARLIE,)):
     """(graph, symmetric): a connected graph on 4..max_sites sites with
     random roles.
 
     A random spanning tree plus random extra edges; when symmetric, both
-    are closed under a random involution that exchanges Charlie's sites.
+    are closed under one random involution per role permutation in `swaps`
+    (by default one that exchanges Charlie's sites and fixes Alice's and
+    Bob's), which also pairs some of the other sites.
     """
     n = draw(st.integers(4, max_sites))
     sites = draw(st.permutations(range(1, n + 1)))
     c_plus, c_minus, alice, bob = sites[:4]
     if symmetric is None:
         symmetric = draw(st.booleans())
-    mirror = {v: v for v in range(1, n + 1)}
-    mirror[c_plus], mirror[c_minus] = c_minus, c_plus
-    rest = sites[4:]
-    for k in range(draw(st.integers(0, len(rest) // 2))):
-        u, v = rest[2 * k], rest[2 * k + 1]
-        mirror[u], mirror[v] = v, u
+    mirrors = []
+    for swap in swaps:
+        mirror = {v: v for v in range(1, n + 1)}
+        mirror.update({sites[k]: sites[swap[k]] for k in range(4)})
+        rest = sites[4:] if not mirrors else draw(st.permutations(sites[4:]))
+        for k in range(draw(st.integers(0, len(rest) // 2))):
+            u, v = rest[2 * k], rest[2 * k + 1]
+            mirror[u], mirror[v] = v, u
+        mirrors.append(mirror)
     edges = {(sites[k], sites[draw(st.integers(0, k - 1))]) for k in range(1, n)}
     pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
     edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=n)))
-    if symmetric:
-        edges |= {(mirror[u], mirror[v]) for u, v in edges}
+    while symmetric:  # until closed under the group the mirrors generate
+        closed = edges | {(m[u], m[v]) for m in mirrors for u, v in edges}
+        if closed == edges:
+            break
+        edges = closed
     edges = frozenset((min(u, v), max(u, v)) for u, v in edges if u != v)
     return Graph(n, edges, Roles(c_plus, c_minus, alice, bob)), symmetric
 
@@ -211,12 +221,85 @@ def test_c_blocks_evolve_any_state_as_the_full_space_does(drawn, seed):
         assert np.max(np.abs(curves[:, k] - want)) <= 1e-12
 
 
+def pair_orbits(g):
+    """The orbits of the unordered pairs {i,j}, i < j, under the role
+    exchanges the graph has, as sets of lexicographic positions, by a
+    breadth-first closure of each pair under the searched mappings."""
+    pairs = list(combinations(range(1, g.n_vertices + 1), 2))
+    where = {pair: k for k, pair in enumerate(pairs)}
+    maps = [rep.mapping for rep in (find_protocol_automorphism(g, swap) for swap in ROLE_SWAPS)
+            if rep.exists]
+    orbits, seen = [], set()
+    for k in range(len(pairs)):
+        if k in seen:
+            continue
+        orbit = [k]
+        for q in orbit:
+            for m in maps:
+                i, j = pairs[q]
+                image = where[tuple(sorted((m[i - 1], m[j - 1])))]
+                if image not in orbit:
+                    orbit.append(image)
+        seen.update(orbit)
+        orbits.append(set(orbit))
+    return orbits
+
+
+def assert_role_block_is_the_folded_c_even_block(g):
+    h_plus = assemble_hamiltonian(g, c_parity=1).matrix
+    block, label = _role_block(g)
+    fold = block.matrix
+    assert np.array_equal(fold, fold.T)
+    orbits = pair_orbits(g)
+    assert sorted(orbits, key=min) == [set(np.flatnonzero(label == o)) for o in range(len(orbits))]
+    b = np.zeros((h_plus.shape[0], len(orbits)))  # the orbit isometry, unscaled
+    b[np.arange(label.size), label] = 1.0
+    s = 1.0 / np.sqrt(b.sum(axis=0))
+    # B^T H+ B with B = b diag(s): integer sums, then one exact scaling each
+    assert np.array_equal(fold, (b.T @ h_plus @ b) * np.outer(s, s))
+    assert np.max(np.abs(fold - (b * s).T @ h_plus @ (b * s))) <= 1e-14
+    r = g.roles
+    for u, v in ((r.charlie_plus, r.charlie_minus), (r.alice, r.bob)):
+        assert np.sum(label == label[_unordered_position(g.n_vertices, u, v)]) == 1
+    return fold, h_plus
+
+
+@given(st.one_of(protocol_graphs(), protocol_graphs(symmetric=True,
+                                                    swaps=(SWAP_CHARLIE, SWAP_ENDS))))
+@settings(max_examples=100, deadline=None)
+def test_role_block_is_the_c_even_block_on_pair_orbits(drawn):
+    g, _ = drawn
+    fold, h_plus = assert_role_block_is_the_folded_c_even_block(g)
+    if fold.shape == h_plus.shape:  # no role exchange: no fold, to the bit
+        assert np.array_equal(fold, h_plus)
+
+
+@pytest.mark.parametrize("family,n,dim", [("loop", 36, 171), ("cross", 35, 290),
+                                          ("loop", 8, 10), ("cross", 9, 17)])
+def test_role_block_of_the_built_in_families(family, n, dim):
+    # Burnside over {1, P, Q, PQ}: the pairs each fixes, averaged. The loop's
+    # P and Q are reflections and PQ the half turn, each fixing N/2 pairs; on
+    # the cross P = (1 2) fixes C(N-2, 2) + 1 pairs, Q (the arm swap) 3 + (N-3)/2
+    # and PQ (N-1)/2. loop-36: (630 + 3*18)/4; cross-35: (595 + 529 + 19 + 17)/4.
+    g = build_cross(n) if family == "cross" else build_loop(n)
+    fold, _ = assert_role_block_is_the_folded_c_even_block(g)
+    assert fold.shape == (dim, dim)
+
+
+def test_role_block_without_a_role_exchange_is_the_c_even_block():
+    from test_topology import named_graph  # the seeded 36-site graph of `scan`
+    g = named_graph("random-36")
+    assert not any(find_protocol_automorphism(g, swap).exists for swap in ROLE_SWAPS)
+    assert np.array_equal(_role_block(g)[0].matrix, assemble_hamiltonian(g, c_parity=1).matrix)
+
+
 def assert_block_peak_matches_find_peak(block, full, refine_tol=DEFAULT_REFINE_TOL):
     assert abs(block[1] - full[1]) <= 1e-12
     assert abs(block[0] - full[0]) <= refine_tol
 
 
-@given(protocol_graphs())
+@given(st.one_of(protocol_graphs(), protocol_graphs(symmetric=True,
+                                                    swaps=(SWAP_CHARLIE, SWAP_ENDS))))
 @settings(max_examples=60, deadline=None)
 def test_block_peak_matches_the_full_space_peak(drawn):
     g, _ = drawn

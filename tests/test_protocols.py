@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import peak, prepared, random_graph_with_moved_roles
-from qutrit_bell import (Strategy, enumerate_outcome_tree, monte_carlo, plan_protocol2,
-                         plan_regular, protocol1_cumulative, protocol1_required,
-                         protocol2_limit_check, protocol2_no_reset, protocol2_total)
+from qutrit_bell import (Outcome, Strategy, enumerate_outcome_tree, evolve, monte_carlo,
+                         outcome_distribution, plan_protocol2, plan_regular, post_state,
+                         protocol1_cumulative, protocol1_required, protocol2_limit_check,
+                         protocol2_no_reset, protocol2_total)
 from qutrit_bell import protocols
 from qutrit_bell.dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, PHASE_BLOCK,
                                   TIE_TOL, _index_groups, _SpectralKernel, _time_grid,
@@ -376,6 +377,27 @@ class TestRegularSchedule:
         g, e, _ = prepared("cross", 5)
         with pytest.raises(ValueError):
             plan_regular(g, e, tau=0.0, n_max=3)
+
+    def test_chain_ends_where_the_survival_product_underflows(self):
+        # loop-4 at tau = 1: prod p_1 reaches exactly 0 at step 566, after
+        # which no step weighs in either series
+        g, e, psi = prepared("loop", 4)
+        n = 5000
+        sched = plan_regular(g, e, 1.0, n)
+        assert len(sched) == 566
+        survival = protocols._survival(protocols._padded(sched, n)[1])
+        assert survival[565] > 0.0 and survival[566] == 0.0
+        steps = []  # the chain stepped on to n, as it was before it ended there
+        for _ in range(n):
+            phi = evolve(e, psi, 1.0)
+            d = outcome_distribution(phi, g)
+            psi = post_state(phi, Outcome.PSI1, g)
+            steps.append(ScheduleStep(time=1.0, p_success=d.pS_bell, p1=d.p1, p2=d.p2,
+                                      p3=d.p3, pS_projection=d.pS_projection))
+        stepped_on = Schedule("regular", g.n_vertices, steps)
+        assert stepped_on.steps[:566] == sched.steps
+        assert np.array_equal(protocol2_no_reset(sched, n), protocol2_no_reset(stepped_on, n))
+        assert np.array_equal(protocol2_total(sched, n), protocol2_total(stepped_on, n))
 
 
 class TestCumulativeSeries:

@@ -5,9 +5,12 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings
 
+from hypothesis import strategies as st
+
 from conftest import vf2_protocol_automorphism
 from qutrit_bell import (Graph, Roles, build_cross, build_loop,
                          find_protocol_automorphism, path_distance)
+from qutrit_bell.topology import ROLE_SWAPS, SWAP_CHARLIE, SWAP_ENDS
 from test_properties import brute_force_automorphisms, protocol_graphs
 
 
@@ -108,16 +111,13 @@ class TestProtocolAutomorphism:
             self._check_mapping(g, rep.mapping)
 
     @staticmethod
-    def _check_mapping(g, mapping):
+    def _check_mapping(g, mapping, swap=SWAP_CHARLIE):
         perm = {v: mapping[v - 1] for v in range(1, g.n_vertices + 1)}
         assert sorted(perm.values()) == list(range(1, g.n_vertices + 1))
         mapped = {tuple(sorted((perm[u], perm[v]))) for (u, v) in g.edges}
         assert mapped == set(g.edges)
-        r = g.roles
-        assert perm[r.charlie_plus] == r.charlie_minus
-        assert perm[r.charlie_minus] == r.charlie_plus
-        assert perm[r.alice] == r.alice
-        assert perm[r.bob] == r.bob
+        roles = g.roles.as_tuple()
+        assert [perm[roles[k]] for k in range(4)] == [roles[k] for k in swap]
 
     def test_cross5_swaps_only_the_stubs(self):
         rep = find_protocol_automorphism(build_cross(5))
@@ -149,27 +149,32 @@ class TestProtocolAutomorphism:
         assert rep.mapping == (7, 3, 2, 4, 5, 8, 1, 6)
         self._check_mapping(g, rep.mapping)
 
-    @given(protocol_graphs(max_sites=14))
+    @given(st.sampled_from([(swap,) for swap in ROLE_SWAPS] + [(SWAP_CHARLIE, SWAP_ENDS)])
+           .flatmap(lambda swaps: st.tuples(st.just(swaps),
+                                            protocol_graphs(max_sites=14, swaps=swaps))))
     @settings(max_examples=150, deadline=None)
     def test_agrees_with_vf2_past_brute_force_reach(self, drawn):
-        g, symmetric = drawn
-        rep = find_protocol_automorphism(g)
-        assert rep.exists == vf2_protocol_automorphism(g).exists
-        if symmetric:
-            assert rep.exists
-        if rep.exists:
-            self._check_mapping(g, rep.mapping)
-        else:
-            assert rep.mapping is None
+        # graphs closed under P, Q, PQ or both P and Q; each searched for all three
+        built, (g, symmetric) = drawn
+        for swap in ROLE_SWAPS:
+            rep = find_protocol_automorphism(g, swap)
+            assert rep.exists == vf2_protocol_automorphism(g, swap).exists
+            if symmetric and (swap in built or len(built) == 2):
+                assert rep.exists
+            if rep.exists:
+                self._check_mapping(g, rep.mapping, swap)
+            else:
+                assert rep.mapping is None
 
     @pytest.mark.parametrize("name", ["K12", "Q5", "rook-6x6", "random-36"])
     def test_agrees_with_vf2_on_named_graphs(self, name):
         g = named_graph(name)
-        rep = find_protocol_automorphism(g)
-        assert rep.exists == vf2_protocol_automorphism(g).exists
-        assert rep.exists == (name != "random-36")
-        if rep.exists:
-            self._check_mapping(g, rep.mapping)
+        for swap in ROLE_SWAPS:
+            rep = find_protocol_automorphism(g, swap)
+            assert rep.exists == vf2_protocol_automorphism(g, swap).exists
+            if rep.exists:
+                self._check_mapping(g, rep.mapping, swap)
+        assert find_protocol_automorphism(g).exists == (name != "random-36")
 
     @pytest.mark.parametrize("g", [build_cross(9), build_loop(8)], ids=["cross-9", "loop-8"])
     def test_demo_graphs_have_exactly_one_automorphism(self, g):
@@ -177,6 +182,13 @@ class TestProtocolAutomorphism:
         [perm] = brute_force_automorphisms(g)
         assert find_protocol_automorphism(g).mapping == tuple(
             perm[v] for v in range(1, g.n_vertices + 1))
+
+    @pytest.mark.parametrize("g", [build_cross(9), build_loop(8)], ids=["cross-9", "loop-8"])
+    @pytest.mark.parametrize("swap", ROLE_SWAPS, ids=["charlie", "ends", "both"])
+    def test_built_in_families_have_every_role_exchange(self, g, swap):
+        rep = find_protocol_automorphism(g, swap)
+        assert rep.exists and vf2_protocol_automorphism(g, swap).exists
+        self._check_mapping(g, rep.mapping, swap)
 
 
 def named_graph(name):
