@@ -16,10 +16,10 @@ exchanges the two excitations sitting on it (swap). Equal-state terms are
 excluded, so the matrix has zero diagonal and 0/1 off-diagonal entries.
 The exchange C|i,j> = |j,i> commutes with H on every graph, so H splits
 into an even block H+ and an odd block H-, each on the N(N-1)/2 unordered
-pairs (`assemble_hamiltonian(g, c_parity=+1 or -1)`). The Bell amplitude
-lies in H+, and there in the part invariant under the automorphisms that keep
-{c+,c-} and {A,B}: `one_shot_peak` reads it from one row of H+ on pair orbits
-(`_role_block`), and the full state along a grid comes from both C blocks.
+pairs (`assemble_hamiltonian(g, c_parity=+1 or -1)`). `_role_fold` folds H+ or
+H onto the pair orbits of the automorphisms that keep {c+,c-} and {A,B}: the
+Bell amplitude of `one_shot_peak` and the protocol-2 planner's grid are read
+there; the full state along a grid comes from both C blocks.
 The propagator exp(-iHt) is evaluated through the dense eigendecomposition;
 for N <= 36 the dimension stays at or below 1260, where this is both exact
 and cheap to re-evaluate at many times. One private kernel,
@@ -68,11 +68,13 @@ GRID_END_SLACK = 1e-9
 
 
 def _time_grid(t_max: float, step: float) -> np.ndarray:
-    """0, step, 2 step, ... up to t_max, end point included.
+    """0, step, 2 step, ... up to t_max > 0, end point included.
 
     The points are those of np.arange(0.0, t_max + step, step), whose last
     point passes t_max for some windows (0.71 for t_max = 0.7, step 0.01).
     """
+    if t_max <= 0:
+        raise ValueError(f"t_max must be positive, got {t_max}")
     grid = np.arange(0.0, t_max + step, step)
     return grid[grid <= t_max + GRID_END_SLACK]
 
@@ -388,6 +390,7 @@ def refine_maximum(f, lo: float, hi: float, tol: float,
 CANDIDATE_TOL = 1e-6
 #: refined heights within this distance count as an exact tie
 TIE_TOL = 1e-9
+HERALD_FLOOR = 1e-15  # p_S grid maximum below which nothing is left to herald
 
 
 def _peak_candidates(curve: np.ndarray) -> np.ndarray:
@@ -428,14 +431,11 @@ def select_peak(curve: np.ndarray, grid: np.ndarray, objective, grid_step: float
 
 def _peak(g: Graph, e: Eigensystem, psi0: Wavefunction, rows, p_success,
           t_max: float | None, grid_step: float, refine_tol: float) -> tuple[float, float]:
-    """`select_peak` of p_success(row amplitudes) on [0, t_max]; (0, 0) if it is all zero."""
-    if t_max is None:
-        t_max = PEAK_WINDOW_FACTOR * g.n_vertices
-    if t_max <= 0:
-        raise ValueError(f"t_max must be positive, got {t_max}")
+    """`select_peak` of p_success(row amplitudes) on [0, t_max]; (0, 0) below HERALD_FLOOR."""
+    t_max = PEAK_WINDOW_FACTOR * g.n_vertices if t_max is None else t_max
     grid = _time_grid(t_max, grid_step)
     curve = p_success(amplitude_rows(e, psi0, rows, grid))
-    if curve.max() < 1e-15:
+    if curve.max() < HERALD_FLOOR:
         logger.warning("success probability identically zero over [0, %g]", t_max)
         return 0.0, 0.0
     kernel = _SpectralKernel(e, psi0, rows)
@@ -451,29 +451,32 @@ def find_peak(e: Eigensystem, psi0: Wavefunction, g: Graph,
 
     Grid scan followed by local parabolic refinement. On exact ties the
     earliest time wins (less-dispersed post-measurement states).
-    Returns (0.0, 0.0) with a warning if the curve is identically zero.
+    Returns (0.0, 0.0) with a warning if the grid curve stays below HERALD_FLOOR.
     """
     return _peak(g, e, psi0, _index_groups(g)["success"],
                  lambda amp: 0.5 * np.abs(amp[0] + amp[1]) ** 2, t_max, grid_step, refine_tol)
 
 
-def _role_block(g: Graph) -> tuple[Hamiltonian, np.ndarray]:
-    """H+ on the orbit states |O> = sum_{p in O} |{p}+> / sqrt|O|, and each pair's orbit.
+def _role_fold(g: Graph, ordered: bool = False) -> tuple[Hamiltonian, np.ndarray, np.ndarray]:
+    """(S^T H S, each pair's orbit, s = 1/sqrt|O|): H+ on the unordered pairs, or H on
+    the ordered ones, on the orbit states |O> = sum_{p in O} |p> / sqrt|O|.
 
-    Orbits under one automorphism per `ROLE_SWAPS` entry, numbered by least pair.
-    Entry (O', O) is S s_O' s_O, S the integer sum of H+ over O' x O, s = 1/sqrt|O|.
-    """
+    Orbits of one automorphism P per `ROLE_SWAPS` entry, numbered by least pair:
+    |i,j> -> |Pi,Pj>, or |Pj,Pi> (P then C) where P exchanges c+ and c-. Entry (O', O)
+    is s_O' s_O times the integer sum of H over O' x O: with no exchange, H to the bit."""
     n = g.n_vertices
-    lo, hi = _unordered_pairs(n)
-    position = partial(_unordered_position, n)
-    maps = (find_protocol_automorphism(g, swap).mapping for swap in ROLE_SWAPS)
-    moves = [position(p[lo], p[hi]) for p in (np.array((0, *m)) for m in maps if m)]
-    label = np.arange(lo.size)
+    i, j = (_pairs if ordered else _unordered_pairs)(n)
+    position = partial(_pair_position if ordered else _unordered_position, n)
+    maps = [(swap, np.array((0, *m))) for swap in ROLE_SWAPS
+            if (m := find_protocol_automorphism(g, swap).mapping)]
+    moves = [position(p[i], p[j]) if swap[0] == 0 else position(p[j], p[i]) for swap, p in maps]
+    label = np.arange(i.size)
     while not all(np.array_equal(label, label[move]) for move in moves):
         label = reduce(np.minimum, (label[move] for move in moves), label)  # to orbit minima
-    _, label, size = np.unique(label, return_inverse=True, return_counts=True)
-    s = 1.0 / np.sqrt(size)
-    return Hamiltonian(_exchange_matrix(g, lo, hi, position, 1, label) * np.outer(s, s)), label
+    # numbered by least pair with no sort: np.unique's sort code would stay resident
+    label = (np.cumsum(label == np.arange(i.size)) - 1)[label]
+    s = 1.0 / np.sqrt(np.bincount(label))
+    return Hamiltonian(_exchange_matrix(g, i, j, position, 1, label) * np.outer(s, s)), label, s
 
 
 def one_shot_peak(g: Graph, t_max: float | None = None,
@@ -483,11 +486,11 @@ def one_shot_peak(g: Graph, t_max: float | None = None,
 
     (a_BA + a_AB)/sqrt2 = <{A,B}+|psi(t)>, and |c+,c-> has C-even part
     |{c+,c-}+>/sqrt2, so p_S = |<{A,B}+|exp(-iH+ t)|{c+,c-}+>|^2 / 2, and both
-    pairs are orbits of one in `_role_block`. The peak differs from
+    pairs are orbits of one in `_role_fold`. The peak differs from
     `find_peak`'s by rounding only, within refine_tol in t*.
     """
     n, r = g.n_vertices, g.roles
-    h, label = _role_block(g)
+    h, label, _ = _role_fold(g)
     e = spectral_decompose(h)
     start = np.zeros(e.eigenvalues.size, dtype=complex)
     start[label[_unordered_position(n, r.charlie_plus, r.charlie_minus)]] = 1.0

@@ -17,8 +17,8 @@ makes the cumulative recursion tractable:
 with p_U = p_2 + p_3 the per-step reset probability. Every series reads one
 per-step table, `_padded`, where a chain that ended early pads as dead steps.
 
-Every strategy plans a step alike (`_step_chooser`): a grid scan of (p_S,
-p_U) from the conditional state, its score, then `dynamics.select_peak`.
+Every strategy plans a step alike (`_step_chooser`): a `_grid_scan` of
+(p_S, p_U) on the role-folded H, its score, then `dynamics.select_peak`.
 
 An explicit outcome-tree enumeration and a Monte Carlo sampler provide two
 independent checks of the recursions.
@@ -33,11 +33,11 @@ from itertools import islice
 
 import numpy as np
 
-from .dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, Eigensystem,
-                       Wavefunction, _index_groups, _pairs, _SpectralKernel,
-                       _time_grid, evolve, initial_state, select_peak)
-from .measurement import ZERO_PROB, Outcome, outcome_distribution, post_state
-from .topology import Graph, find_protocol_automorphism
+from .dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, HERALD_FLOOR, Eigensystem,
+                       Wavefunction, _index_groups, _role_fold, _SpectralKernel, _time_grid,
+                       evolve, initial_state, select_peak, spectral_decompose)
+from .measurement import NORM_TOL, ZERO_PROB, Outcome, outcome_distribution, post_state
+from .topology import Graph
 
 #: fraction of the window-max success probability below which a time is not
 #: considered a meaningful measurement opportunity for the MinLoss strategy
@@ -144,69 +144,67 @@ def _score(strategy: Strategy, p_success, p_unusable):
     return p_success - p_unusable
 
 
-def _step_curve(amp: np.ndarray, weight: float = 1.0):
-    """(p_S, p_U) from the amplitudes of the success rows then the psi2/psi3 rows.
+def _step_curve(amp: np.ndarray, scale=(1.0, 1.0)):
+    """(p_S, p_U) from the amplitudes of the success rows |B,A>, |A,B> (times scale),
+    then the psi2/psi3 rows: (rows,) at one time or (rows, B) on a block of times.
 
-    amp is (rows,) at one time or (rows, B) on a block of times; each
-    psi2/psi3 row counts `weight` times in p_U. A block is summed row after
-    row, as numpy sums a whole grid matrix along axis 0; np.sum would sum a
-    one-time block pairwise, which rounds differently.
+    A block is summed row after row, as numpy sums a whole grid matrix along
+    axis 0; np.sum would sum a one-time block pairwise, which rounds differently.
     """
     sq = np.abs(amp[2:]) ** 2
     p_u = np.sum(sq, axis=0) if amp.ndim == 1 else reduce(np.add, sq, np.zeros(amp.shape[1]))
-    return 0.5 * np.abs(amp[0] + amp[1]) ** 2, weight * p_u
+    return 0.5 * np.abs(scale[0] * amp[0] + scale[1] * amp[1]) ** 2, p_u
 
 
-def _planner_rows(g: Graph, strategy: Strategy) -> tuple[np.ndarray, np.ndarray, float]:
-    """(rows the objective reads, rows the grid scan reads, weight of a scanned psi2/psi3 row).
+def _grid_scan(g: Graph, e: Eigensystem, rows: np.ndarray, t_grid: np.ndarray):
+    """psi -> (p_S, p_U) along t_grid from `_step_curve`'s rows, scanned on H folded
+    by the role exchanges (`_role_fold`, one eigh; without an exchange e itself).
 
-    Peak-success reads the two success rows only; the others every psi2/psi3
-    row too, but with a protocol automorphism P the scan reads only those
-    where Alice or Bob holds the +1, counted twice. H, the initial state and
-    the psi1 projector commute with PC (C exchanges the +1 and -1), so every
-    planned state has PC psi = psi: a_{j,A} = a_{A,P^-1 j}, as P fixes Alice
-    (and Bob), whether or not P is an involution.
-    """
-    grp = _index_groups(g)
-    if strategy is Strategy.PEAK_SUCCESS:
-        return grp["success"], grp["success"], 1.0
-    unusable = np.concatenate([grp["g2"], grp["g3"]])
-    every = np.concatenate([grp["success"], unusable])
-    if not find_protocol_automorphism(g).exists:
-        return every, every, 1.0
-    plus = _pairs(g.n_vertices)[0][unusable]
-    held = unusable[(plus == g.roles.alice) | (plus == g.roles.bob)]
-    return every, np.concatenate([grp["success"], held]), 2.0
+    They commute with H and the outcome projectors (one that swaps A and B swaps
+    psi2 and psi3) and keep psi0: every planned state is S S^T psi = psi, amplitude
+    s_O a_O on each pair of orbit O. So p_S = |s_BA a_[BA] + s_AB a_[AB]|^2 / 2,
+    p_U = sum of |a_O|^2 over the psi2/psi3 orbits, and ||S^T psi|| must be 1 to NORM_TOL."""
+    h, label, s = _role_fold(g, ordered=True)
+    fold = spectral_decompose(h) if s.size < label.size else e
+    orbits = label[rows].tolist()  # then each psi2/psi3 orbit once, in order
+    scan_rows, scale = orbits[:2] + list(dict.fromkeys(orbits[2:])), s[orbits[:2]]
+
+    def scan(psi: Wavefunction) -> tuple[np.ndarray, np.ndarray]:
+        a = psi.amplitudes
+        if fold is not e:
+            a = s * (np.bincount(label, a.real, s.size) + 1j * np.bincount(label, a.imag, s.size))
+            if abs(np.linalg.norm(a) - 1.0) > NORM_TOL:
+                raise ValueError("conditional state is not invariant under the role exchanges")
+        p_s, p_u = np.empty(t_grid.size), np.empty(t_grid.size)
+        for cols, amp in _SpectralKernel(fold, Wavefunction(a), scan_rows)._blocks(t_grid):
+            p_s[cols], p_u[cols] = _step_curve(amp, scale)
+        return p_s, p_u
+
+    return scan
 
 
 def _step_chooser(g: Graph, e: Eigensystem, strategy: Strategy, t_max: float | None,
                   grid_step: float, refine_tol: float):
-    """Conditional state -> measurement time, or None, from a scan of [0, t_max].
+    """Conditional state -> measurement time, or None (p_S below HERALD_FLOOR), on [0, t_max].
 
-    One path for every strategy: (p_S, p_U) on the grid, one phase block at
-    a time, scored by `_score` (min-loss only where p_S reaches MINLOSS_FLOOR
-    of its maximum: p_U is least at t=0, where nothing can be measured),
-    then `select_peak`, refined on the scalar path of the objective rows.
-    None when p_S stays below 1e-15 over the window: nothing is left to
-    herald.
-    """
-    t_max = PLAN_WINDOW_FACTOR * g.n_vertices if t_max is None else t_max
-    if t_max <= 0:
-        raise ValueError(f"t_max must be positive, got {t_max}")
-    rows, scan_rows, weight = _planner_rows(g, strategy)
-    t_grid = _time_grid(t_max, grid_step)
+    One path for every strategy: `_grid_scan`, scored by `_score` (min-loss only
+    where p_S reaches MINLOSS_FLOOR of its maximum: p_U is least at t=0, where
+    nothing can be measured), then `select_peak` on e's scalar path of its rows."""
+    t_grid = _time_grid(PLAN_WINDOW_FACTOR * g.n_vertices if t_max is None else t_max, grid_step)
+    grp = _index_groups(g)
+    rows = grp["success"]
+    if strategy is not Strategy.PEAK_SUCCESS:  # the score reads p_U too
+        rows = np.concatenate([rows, grp["g2"], grp["g3"]])
+    scan = _grid_scan(g, e, rows, t_grid)
 
     def choose(psi: Wavefunction) -> float | None:
-        kernel = _SpectralKernel(e, psi, rows)
-        scan = kernel if scan_rows is rows else _SpectralKernel(e, psi, scan_rows)
-        p_s, p_u = np.empty(t_grid.size), np.empty(t_grid.size)
-        for cols, amp in scan._blocks(t_grid):
-            p_s[cols], p_u[cols] = _step_curve(amp, weight)
-        if p_s.max() < 1e-15:
+        p_s, p_u = scan(psi)
+        if p_s.max() < HERALD_FLOOR:
             return None
         score = _score(strategy, p_s, p_u)
         if strategy is Strategy.MIN_LOSS:
             score = np.where(p_s >= MINLOSS_FLOOR * p_s.max(), score, -np.inf)
+        kernel = _SpectralKernel(e, psi, rows)
         return select_peak(score, t_grid,
                            lambda t: float(_score(strategy, *_step_curve(kernel(t)))),
                            grid_step, refine_tol)[0]
@@ -390,8 +388,7 @@ def protocol2_limit_check(g: Graph, e: Eigensystem, q: float,
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"target q must lie in (0,1), got {q}")
-    steps = _protocol2_steps(g, e, _step_chooser(g, e, strategy, t_max, grid_step,
-                                                 refine_tol))
+    steps = _protocol2_steps(g, e, _step_chooser(g, e, strategy, t_max, grid_step, refine_tol))
     schedule = Schedule(strategy=strategy.value, n_vertices=g.n_vertices,
                         steps=[next(steps)])
     n = 1

@@ -27,12 +27,12 @@ from qutrit_bell import (Graph, Roles, assemble_hamiltonian, build_cross, build_
                          one_shot_peak, outcome_distribution, protocol1_cumulative,
                          protocol1_required, spectral_decompose)
 from qutrit_bell.cli import main
-from qutrit_bell.dynamics import (DEFAULT_REFINE_TOL, FULL_STATE_BLOCK, Wavefunction,
-                                  _c_block_states, _index_groups, _pairs, _role_block,
-                                  _unordered_position, pair_index)
+from qutrit_bell.dynamics import (DEFAULT_REFINE_TOL, FULL_STATE_BLOCK, PHASE_BLOCK,
+                                  Wavefunction, _c_block_states, _index_groups, _pairs,
+                                  _role_fold, _unordered_position, amplitude_rows, pair_index)
 from qutrit_bell.measurement import ZERO_PROB, Outcome, outcome_curves, post_state
 from qutrit_bell.oracle import full_evolve_compare
-from qutrit_bell.protocols import Strategy, _planner_rows
+from qutrit_bell.protocols import _grid_scan
 from qutrit_bell.topology import ROLE_SWAPS, SWAP_CHARLIE, SWAP_ENDS
 from test_acceptance import (QUANTILES, REPEAT_RESET_COLUMNS, TABLE_CROSS_COUNTS,
                              TABLE_LOOP_COUNTS, _count_marks, _repeat_marks)
@@ -126,28 +126,34 @@ def test_bell_amplitudes_equal_and_match_the_oracle_under_the_symmetry(drawn):
     assert result.max_amplitude_deviation <= 1e-9
 
 
-@given(protocol_graphs(symmetric=True), st.floats(0.0, 50.0))
+@given(st.one_of(protocol_graphs(), protocol_graphs(symmetric=True,
+                                                    swaps=(SWAP_CHARLIE, SWAP_ENDS))),
+       st.floats(0.0, 50.0))
 @settings(max_examples=40, deadline=None)
-def test_doubled_rows_with_the_plus_at_alice_or_bob_give_p_u(drawn, t):
-    # PC psi = psi for whatever protocol automorphism P the search returns,
-    # involution or not, so it needs no mapping
+def test_planner_fold_keeps_the_planned_states_and_their_grid(drawn, t):
     g, _ = drawn
+    h = assemble_hamiltonian(g).matrix
+    fold, label, s = _role_fold(g, ordered=True)
+    assert np.array_equal(fold.matrix, fold.matrix.T)
+    iso = np.zeros((label.size, s.size))  # S: column O is |O> on the ordered pairs
+    iso[np.arange(label.size), label] = s[label]
+    assert np.max(np.abs(fold.matrix - iso.T @ h @ iso)) <= 1e-14
+    e = spectral_decompose(assemble_hamiltonian(g))
     grp = _index_groups(g)
-    unusable = np.concatenate([grp["g2"], grp["g3"]])
-    plus = _pairs(g.n_vertices)[0][unusable]
-    held = unusable[(plus == g.roles.alice) | (plus == g.roles.bob)]
-    _, scanned, weight = _planner_rows(g, Strategy.MIN_LOSS)
-    assert weight == 2.0
-    assert np.array_equal(scanned, np.concatenate([grp["success"], held]))
-    assert 2 * held.size == unusable.size
-    psi = evolve(spectral_decompose(assemble_hamiltonian(g)), initial_state(g), t)
-    states = [psi]
+    rows = np.concatenate([grp["success"], grp["g2"], grp["g3"]])
+    grid = 0.37 * np.arange(PHASE_BLOCK + 2)  # two kernel blocks, the last of two times
+    scan = _grid_scan(g, e, rows, grid)
+    psi = evolve(e, initial_state(g), t)
+    states = [initial_state(g)]
     if outcome_distribution(psi, g).p1 >= ZERO_PROB:
         states.append(post_state(psi, Outcome.PSI1, g))  # what the planner conditions on
     for state in states:
         a = state.amplitudes
-        full = np.sum(np.abs(a[grp["g2"]]) ** 2) + np.sum(np.abs(a[grp["g3"]]) ** 2)
-        assert abs(weight * np.sum(np.abs(a[held]) ** 2) - full) <= 1e-12
+        assert np.max(np.abs(iso @ (iso.T @ a) - a)) <= 1e-12
+        amp = amplitude_rows(e, state, rows, grid)
+        p_s, p_u = scan(state)
+        assert np.max(np.abs(p_s - 0.5 * np.abs(amp[0] + amp[1]) ** 2)) <= 1e-12
+        assert np.max(np.abs(p_u - np.sum(np.abs(amp[2:]) ** 2, axis=0))) <= 1e-12
 
 
 @given(protocol_graphs(), st.floats(0.0, 50.0))
@@ -247,7 +253,7 @@ def pair_orbits(g):
 
 def assert_role_block_is_the_folded_c_even_block(g):
     h_plus = assemble_hamiltonian(g, c_parity=1).matrix
-    block, label = _role_block(g)
+    block, label, _ = _role_fold(g)
     fold = block.matrix
     assert np.array_equal(fold, fold.T)
     orbits = pair_orbits(g)
@@ -286,11 +292,20 @@ def test_role_block_of_the_built_in_families(family, n, dim):
     assert fold.shape == (dim, dim)
 
 
+@pytest.mark.parametrize("family,n,dim", [("loop", 36, 333), ("cross", 35, 308),
+                                          ("loop", 8, 18), ("cross", 5, 8), ("loop", 4, 5)])
+def test_planner_fold_of_the_built_in_families(family, n, dim):
+    g = build_cross(n) if family == "cross" else build_loop(n)
+    fold, label, s = _role_fold(g, ordered=True)
+    assert fold.matrix.shape == (dim, dim) == (s.size, s.size)
+    assert label.size == n * (n - 1)
+
+
 def test_role_block_without_a_role_exchange_is_the_c_even_block():
     from test_topology import named_graph  # the seeded 36-site graph of `scan`
     g = named_graph("random-36")
     assert not any(find_protocol_automorphism(g, swap).exists for swap in ROLE_SWAPS)
-    assert np.array_equal(_role_block(g)[0].matrix, assemble_hamiltonian(g, c_parity=1).matrix)
+    assert np.array_equal(_role_fold(g)[0].matrix, assemble_hamiltonian(g, c_parity=1).matrix)
 
 
 def assert_block_peak_matches_find_peak(block, full, refine_tol=DEFAULT_REFINE_TOL):

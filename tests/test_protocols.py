@@ -1,6 +1,8 @@
+import os
 import signal
 import tracemalloc
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,17 +10,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import peak, prepared, random_graph_with_moved_roles
-from qutrit_bell import (Outcome, Strategy, enumerate_outcome_tree, evolve, monte_carlo,
-                         outcome_distribution, plan_protocol2, plan_regular, post_state,
-                         protocol1_cumulative, protocol1_required, protocol2_limit_check,
-                         protocol2_no_reset, protocol2_total)
-from qutrit_bell import protocols
+from qutrit_bell import (Outcome, Strategy, assemble_hamiltonian, enumerate_outcome_tree,
+                         evolve, monte_carlo, outcome_distribution, plan_protocol2,
+                         plan_regular, post_state, protocol1_cumulative, protocol1_required,
+                         protocol2_limit_check, protocol2_no_reset, protocol2_total,
+                         spectral_decompose)
+from qutrit_bell import cli, dynamics, protocols
+from qutrit_bell.cli import main
 from qutrit_bell.dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, PHASE_BLOCK,
-                                  TIE_TOL, _index_groups, _SpectralKernel, _time_grid,
-                                  amplitude_rows, find_peak)
-from qutrit_bell.protocols import (Schedule, ScheduleStep, _planner_rows, _protocol2_steps,
+                                  TIE_TOL, Wavefunction, _index_groups, _SpectralKernel,
+                                  _time_grid, amplitude_rows, find_peak, pair_index)
+from qutrit_bell.protocols import (Schedule, ScheduleStep, _grid_scan, _protocol2_steps,
                                    _step_chooser, _step_curve)
-from qutrit_bell.topology import find_protocol_automorphism
+from qutrit_bell.topology import ROLE_SWAPS, find_protocol_automorphism
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def synthetic_schedule(rows, n_vertices=5, strategy="synthetic"):
@@ -260,68 +266,96 @@ def planned_chain(family, n, strategy, steps):
     return g, e, states, times
 
 
+def objective_rows(g, strategy):
+    """The rows a strategy's objective reads: the success rows, then every psi2/psi3 row."""
+    grp = _index_groups(g)
+    if strategy is Strategy.PEAK_SUCCESS:
+        return grp["success"]
+    return np.concatenate([grp["success"], grp["g2"], grp["g3"]])
+
+
 def scanned_curves(e, psi, g, t, strategy=Strategy.MIN_LOSS):
     """(p_S, p_U) on grid t as the planner scans them from psi."""
-    _, rows, weight = _planner_rows(g, strategy)
-    p_s, p_u = np.empty(t.size), np.empty(t.size)
-    for cols, amp in _SpectralKernel(e, psi, rows)._blocks(t):
-        p_s[cols], p_u[cols] = _step_curve(amp, weight)
-    return p_s, p_u
+    return _grid_scan(g, e, objective_rows(g, strategy), t)(psi)
 
 
 class TestMirrorRows:
-    """The min-loss/max-margin grid scan projects the psi2/psi3 rows where
-    Alice or Bob holds the +1, each counted twice."""
+    """The grid scan reads the success orbits and each psi2/psi3 orbit once,
+    on H folded by the role exchanges; the refinement reads the pair rows."""
 
     @pytest.fixture
     def built(self, monkeypatch):
-        """Row count of each kernel the planner builds, in order."""
+        """(row count, dimension) of each kernel the planner builds, in order."""
         built = []
 
         class Recording(_SpectralKernel):
             def __init__(self, e, psi0, rows=None):
-                built.append(len(rows))
+                built.append((len(rows), e.eigenvalues.size))
                 super().__init__(e, psi0, rows)
 
         monkeypatch.setattr(protocols, "_SpectralKernel", Recording)
         return built
 
-    def test_loop36_scans_68_of_136_unusable_rows(self, built):
+    def test_loop36_scans_34_orbits_for_136_unusable_rows(self, built):
         g, e, psi0 = prepared("loop", 36)
         grp = _index_groups(g)
         assert len(grp["g2"]) + len(grp["g3"]) == 136
         plan_protocol2(g, e, Strategy.MIN_LOSS, n_max=1, t_max=20.0)
-        # the refinement reads all 2 + 136 rows, the grid scan 2 + 68
-        assert built == [138, 70]
+        # the grid scan reads both success rows of the 333-orbit fold and 34
+        # psi2/psi3 orbits, the refinement all 2 + 136 rows of the full space
+        assert built == [(36, 333), (138, 1260)]
 
     @pytest.mark.parametrize("family,n", [("loop", 36), ("cross", 35)])
     def test_chain_curves_equal_full_row_curves(self, family, n):
         g, e, states, _ = planned_chain(family, n, Strategy.MIN_LOSS, 3)
-        grp = _index_groups(g)
-        rows = np.concatenate([grp["g2"], grp["g3"]])
-        assert _planner_rows(g, Strategy.MIN_LOSS)[2] == 2.0
+        rows = objective_rows(g, Strategy.MIN_LOSS)
         t = 0.01 * np.arange(2 * PHASE_BLOCK + 1)
         for psi in states:
-            _, p_u = scanned_curves(e, psi, g, t)
-            full = np.abs(_SpectralKernel(e, psi, rows)(t)) ** 2
-            assert np.max(np.abs(p_u - full.sum(axis=0))) <= 1e-13
+            p_s, p_u = scanned_curves(e, psi, g, t)
+            full = _SpectralKernel(e, psi, rows)(t)
+            assert np.max(np.abs(p_s - 0.5 * np.abs(full[0] + full[1]) ** 2)) <= 1e-13
+            assert np.max(np.abs(p_u - np.sum(np.abs(full[2:]) ** 2, axis=0))) <= 1e-13
 
-    def test_graph_without_the_symmetry_scans_every_row(self):
+    def test_graph_without_the_symmetry_scans_every_row(self, built):
         g = random_graph_with_moved_roles()
-        grp = _index_groups(g)
-        every = np.concatenate([grp["success"], grp["g2"], grp["g3"]])
-        for strategy in (Strategy.MIN_LOSS, Strategy.MAX_MARGIN):
-            rows, scanned, weight = _planner_rows(g, strategy)
-            assert weight == 1.0
-            assert np.array_equal(rows, every) and np.array_equal(scanned, every)
+        assert not any(find_protocol_automorphism(g, swap).exists for swap in ROLE_SWAPS)
+        e = spectral_decompose(assemble_hamiltonian(g))
+        every = 2 + len(_index_groups(g)["g2"]) + len(_index_groups(g)["g3"])
+        plan_protocol2(g, e, Strategy.MAX_MARGIN, n_max=1)
+        assert built == [(every, 90), (every, 90)]  # the fold is H: e scans
 
     def test_peak_success_reads_only_the_success_rows(self, built):
         g, e, _ = prepared("loop", 8)
-        success = _index_groups(g)["success"]
-        rows, scanned, weight = _planner_rows(g, Strategy.PEAK_SUCCESS)
-        assert np.array_equal(rows, success) and scanned is rows and weight == 1.0
         plan_protocol2(g, e, Strategy.PEAK_SUCCESS, n_max=2)
-        assert built == [2, 2]  # one kernel per step, for the scan and the refinement
+        # per step, the grid scan on the 18-orbit fold and the refinement
+        assert built == [(2, 18), (2, 56)] * 2
+
+    def test_a_state_off_the_fold_is_refused(self):
+        g, e, psi0 = prepared("loop", 8)
+        choose = _step_chooser(g, e, Strategy.MIN_LOSS, None, DEFAULT_GRID_STEP,
+                               DEFAULT_REFINE_TOL)
+        assert choose(psi0) is not None
+        n, r = g.n_vertices, g.roles
+        a = np.zeros_like(psi0.amplitudes)
+        a[pair_index(n, r.charlie_plus, r.alice)] = 1.0  # A <-> B moves it to |c+,B>
+        with pytest.raises(ValueError, match="not invariant"):
+            choose(Wavefunction(a))
+
+    def test_graph_without_a_role_exchange_diagonalises_once(self, monkeypatch):
+        calls = []
+
+        def counting(h):
+            calls.append(h.matrix.shape[0])
+            return spectral_decompose(h)
+
+        for module in (cli, protocols):
+            monkeypatch.setattr(module, "spectral_decompose", counting)
+        for name, dims in (("no-role-exchange.txt", [42]), ("cross5.txt", [20, 8])):
+            calls.clear()
+            assert main(["protocol2", "--topology", "custom", "--topology-file",
+                         str(DATA / name), "--n-max", "3", "--no-timestamp",
+                         "--output", os.devnull]) == 0
+            assert calls == dims  # the full space, then the fold where there is one
 
 
 class TestOnePlannerStep:
@@ -340,7 +374,7 @@ class TestOnePlannerStep:
     def test_step_objective_reaches_the_grid_maximum(self, family, n, strategy):
         g, e, states, times = planned_chain(family, n, strategy, 6)
         grid = _time_grid(protocols.PLAN_WINDOW_FACTOR * n, DEFAULT_GRID_STEP)
-        rows = _planner_rows(g, strategy)[0]
+        rows = objective_rows(g, strategy)
         for psi, t in zip(states, times):
             p_s, p_u = scanned_curves(e, psi, g, grid, strategy)
             score = protocols._score(strategy, p_s, p_u)
@@ -354,14 +388,14 @@ class TestOnePlannerStep:
         g, e, _ = prepared("loop", 8)
         calls = []
 
-        def counting(graph):
-            calls.append(graph)
-            return find_protocol_automorphism(graph)
+        def counting(graph, role_perm):
+            calls.append(role_perm)
+            return find_protocol_automorphism(graph, role_perm)
 
-        monkeypatch.setattr(protocols, "find_protocol_automorphism", counting)
+        monkeypatch.setattr(dynamics, "find_protocol_automorphism", counting)
         plan_protocol2(g, e, strategy, n_max=4)
-        # peak-success reads no psi2/psi3 row, so it needs no automorphism
-        assert len(calls) == (strategy is not Strategy.PEAK_SUCCESS)
+        # each role swap once, for the fold every strategy's grid scan runs on
+        assert sorted(calls) == sorted(ROLE_SWAPS)
 
 
 class TestRegularSchedule:
