@@ -32,7 +32,7 @@ from qutrit_bell.dynamics import (DEFAULT_REFINE_TOL, FULL_STATE_BLOCK, PHASE_BL
                                   _role_fold, _unordered_position, amplitude_rows, pair_index)
 from qutrit_bell.measurement import ZERO_PROB, Outcome, outcome_curves, post_state
 from qutrit_bell.oracle import full_evolve_compare
-from qutrit_bell.protocols import _grid_scan
+from qutrit_bell.protocols import PLAN_WINDOW_FACTOR, _grid_scan
 from qutrit_bell.topology import ROLE_SWAPS, SWAP_CHARLIE, SWAP_ENDS
 from test_acceptance import (QUANTILES, REPEAT_RESET_COLUMNS, TABLE_CROSS_COUNTS,
                              TABLE_LOOP_COUNTS, _count_marks, _repeat_marks)
@@ -141,7 +141,8 @@ def test_planner_fold_keeps_the_planned_states_and_their_grid(drawn, t):
     e = spectral_decompose(assemble_hamiltonian(g))
     grp = _index_groups(g)
     rows = np.concatenate([grp["success"], grp["g2"], grp["g3"]])
-    grid = 0.37 * np.arange(PHASE_BLOCK + 2)  # two kernel blocks, the last of two times
+    # the planner's window [0, 8N] in two kernel blocks, the last of two times
+    grid = PLAN_WINDOW_FACTOR * g.n_vertices / (PHASE_BLOCK + 1) * np.arange(PHASE_BLOCK + 2)
     scan = _grid_scan(g, e, rows, grid)
     psi = evolve(e, initial_state(g), t)
     states = [initial_state(g)]
