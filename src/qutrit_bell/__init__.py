@@ -12,8 +12,7 @@ __version__ = "0.1.0"
 from .dynamics import (Eigensystem, Hamiltonian, Wavefunction, assemble_hamiltonian,
                        evolve, find_peak, initial_state, one_shot_peak,
                        spectral_decompose)
-from .measurement import (Outcome, OutcomeDistribution, bell_fidelity,
-                          outcome_distribution, post_state)
+from .measurement import Outcome, OutcomeDistribution, outcome_distribution, post_state
 from .protocols import (Schedule, Strategy, TrajectoryStats, enumerate_outcome_tree,
                         monte_carlo, plan_protocol2, plan_regular, protocol1_cumulative,
                         protocol1_required, protocol2_limit_check,
@@ -25,7 +24,7 @@ __all__ = [
     "AutomorphismReport", "Eigensystem", "Graph", "Hamiltonian",
     "Outcome", "OutcomeDistribution", "Roles", "Schedule",
     "Strategy", "TrajectoryStats", "Wavefunction",
-    "assemble_hamiltonian", "bell_fidelity", "build_cross", "build_loop",
+    "assemble_hamiltonian", "build_cross", "build_loop",
     "enumerate_outcome_tree", "evolve", "find_peak", "find_protocol_automorphism", "initial_state",
     "monte_carlo", "one_shot_peak", "outcome_distribution", "path_distance", "plan_protocol2",
     "plan_regular", "post_state", "protocol1_cumulative", "protocol1_required",

@@ -40,9 +40,10 @@ VERIFICATION_ERROR = 3
 #: Peak memory of building and checking the dense eigensystem, in d x d float
 #: arrays; the RSS rise measured 5.2-5.3 of them at loop-36 and loop-60.
 EIGENSYSTEM_ARRAYS = 6
-#: Peak memory of `scan`'s two C blocks, in D x D float arrays, D = N(N-1)/2: one
-#: block's kernel is held while the other is built and checked. The RSS rise of
-#: `outcome_curves` measured 7.2 of them at loop-36 and 6.3 at loop-60 (2 grid points).
+#: Peak memory of `scan`'s two C blocks, in D x D float arrays, D = N(N-1)/2 an
+#: upper bound on a block folded by the role exchanges: one block is built, checked
+#: and stepped at a time. The RSS rise of `outcome_curves` measured 7.1 of them on a
+#: 36-site graph without a role exchange and 5.5 on a 60-site one (2 grid points).
 C_BLOCKS_ARRAYS = 8
 #: Float arrays of grid length a command holds besides amplitude rows: a scan's
 #: grid and its five outcome curves.

@@ -16,17 +16,17 @@ exchanges the two excitations sitting on it (swap). Equal-state terms are
 excluded, so the matrix has zero diagonal and 0/1 off-diagonal entries.
 The exchange C|i,j> = |j,i> commutes with H on every graph, so H splits
 into an even block H+ and an odd block H-, each on the N(N-1)/2 unordered
-pairs (`assemble_hamiltonian(g, c_parity=+1 or -1)`). `_role_fold` folds H+ or
-H onto the pair orbits of the automorphisms that keep {c+,c-} and {A,B}: the
-Bell amplitude of `one_shot_peak` and the protocol-2 planner's grid are read
-there; the full state along a grid comes from both C blocks.
+pairs. `_role_fold(g, parity)` folds either block onto the pair orbits of the
+automorphisms that keep {c+,c-} and {A,B}, signed on H-: the Bell amplitude
+of `one_shot_peak` is read on the folded H+, and `scan` and the protocol-2
+planner read their grids on both folds (`measurement._fold_scan`).
 The propagator exp(-iHt) is evaluated through the dense eigendecomposition;
 for N <= 36 the dimension stays at or below 1260, where this is both exact
 and cheap to re-evaluate at many times. One private kernel,
 `_SpectralKernel`, holds the only exp(-i lambda t): it serves a scalar time
 (`evolve`, peak refinement), a few rows along a grid (`amplitude_rows`,
-the peak searches, the protocol-2 planner), and every row of a C block along
-a grid one block of times at a time (the outcome curves of
+the peak searches, the protocol-2 planner), and every row of a folded C block
+along a grid one block of times at a time (the outcome curves of
 `measurement.outcome_curves`). The scalar path is bit-exact; the grid path
 takes only arithmetic grids from 0, such as those of `_time_grid`, which
 ends at t_max, and agrees with the scalar path to within 1e-13.
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial, reduce
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -57,10 +57,11 @@ PEAK_WINDOW_FACTOR = 6.4
 #: times per phase block on a grid: the exp(-i lambda t) block holds at most
 #: d * PHASE_BLOCK complex numbers (20 MB at d = 1260), whatever the grid length
 PHASE_BLOCK = 1024
-#: times per block when every row is wanted: on a loop-36 C block (d = 630)
-#: the block's phases are 2.6 MB and the d x B state put together from the two
-#: blocks 5.2 MB. A loop-36 `scan` peaks at 77 MB of RSS at 256 for 1001 points
-#: and at 78 MB for the default 23,041; at 1024 it reached 130 and 132 MB.
+#: times per block when every row is wanted (`scan`): on a C block with no fold
+#: (d = 630, the seeded 36-site graph without a role exchange) a block's phases
+#: are 2.6 MB. That graph's `scan` peaks at 52.5 MB of RSS at 256 for 1001 points
+#: and at 56.0 MB for the default 23,041; at 1024 it reached 77.0 and 85.5 MB.
+#: On loop-36's folds (171 and 162 orbits) the peaks are 36.0 and 38.5 MB.
 FULL_STATE_BLOCK = 256
 #: a grid point may pass t_max by this much and still count as <= t_max: it
 #: absorbs the rounding of k * step, not a further step
@@ -136,42 +137,36 @@ class Hamiltonian:
 
 
 def _exchange_matrix(g: Graph, plus: np.ndarray, minus: np.ndarray, position,
-                     parity: int = 1, label: np.ndarray | None = None) -> np.ndarray:
+                     parity: int = 1, label: np.ndarray | None = None,
+                     sign: np.ndarray | None = None) -> np.ndarray:
     """The edges' exchange operator on a pair list, each pair (plus[k], minus[k]).
 
     For each edge (m,n) and pair (i,j): if the edge touches exactly one of
     the excitations, that excitation hops to the other endpoint; if the
     edge is {i,j}, the two excitations swap. Edges disjoint from {i,j}
     contribute nothing. An image (k,l) with k > l enters with the sign `parity`
-    (-1 only for the C-odd block). Each edge scatters onto label[image], label[pair]
-    (default label[k] = k): with orbit labels, entry (O', O) sums H over O' x O.
+    (-1 only for the C-odd block), times sign[image] sign[pair] (default 1). Each
+    edge scatters onto label[image], label[pair] (default label[k] = k): with orbit
+    labels, entry (O', O) sums +-H over O' x O.
     """
     label = np.arange(plus.size) if label is None else label
+    sign = np.ones(plus.size) if sign is None else sign
     h = np.zeros((label.max() + 1,) * 2)
     for (m, mm) in g.edges:
         ti = np.where(plus == m, mm, np.where(plus == mm, m, plus))
         tj = np.where(minus == m, mm, np.where(minus == mm, m, minus))
         moved = (ti != plus) | (tj != minus)
         ti, tj = ti[moved], tj[moved]
-        np.add.at(h, (label[position(ti, tj)], label[moved]), np.where(ti > tj, parity, 1.0))
+        image = position(ti, tj)
+        np.add.at(h, (label[image], label[moved]),
+                  np.where(ti > tj, parity, 1.0) * sign[image] * sign[moved])
     return h
 
 
-def assemble_hamiltonian(g: Graph, c_parity: int | None = None) -> Hamiltonian:
-    """H = sum over edges of the equal-state-free exchange operator (zero diagonal).
-
-    With c_parity = +1 or -1, H's block of that parity under C instead, on
-    |{i,j}+-> = (|i,j> +- |j,i>)/sqrt2, i < j: in H+ every term enters with +1 (a
-    swap lands on the diagonal); in H- a hop that lands on (k,l) with k > l,
-    and so every swap, enters with -1.
-    """
+def assemble_hamiltonian(g: Graph) -> Hamiltonian:
+    """H = sum over edges of the equal-state-free exchange operator (zero diagonal)."""
     n = g.n_vertices
-    if c_parity is None:
-        return Hamiltonian(_exchange_matrix(g, *_pairs(n), partial(_pair_position, n)))
-    if c_parity not in (1, -1):
-        raise ValueError(f"c_parity must be None, +1 or -1, got {c_parity!r}")
-    return Hamiltonian(_exchange_matrix(g, *_unordered_pairs(n),
-                                        partial(_unordered_position, n), c_parity))
+    return Hamiltonian(_exchange_matrix(g, *_pairs(n), partial(_pair_position, n)))
 
 
 @dataclass(frozen=True)
@@ -328,35 +323,6 @@ def amplitude_rows(e: Eigensystem, psi0: Wavefunction, rows, t_grid: np.ndarray)
     return _SpectralKernel(e, psi0, rows)(t_grid)
 
 
-def _c_block_states(g: Graph, psi0: Wavefunction, t_grid):
-    """(column slice, d x B amplitudes) of exp(-iHt) psi0 along a grid step * arange(T).
-
-    psi0's C-even and C-odd parts psi+- = (a_ij +- a_ji)/sqrt2, i < j, evolve
-    under H+ and H-; both kernels step B times together, and a_ij, a_ji =
-    (a+ +- a-)/sqrt2 are set in one d x B buffer, which the next block
-    overwrites. The two 1/sqrt2 are one exact 1/2 on the split.
-    """
-    n = g.n_vertices
-    a = psi0.amplitudes
-    if a.shape != (n * (n - 1),):
-        raise ValueError("wavefunction and pair-space dimensions differ")
-    lo, hi = _unordered_pairs(n)
-    ij, ji = _pair_position(n, lo, hi), _pair_position(n, hi, lo)
-    # one block's kernel is held while the other block is decomposed
-    kernels = [_SpectralKernel(spectral_decompose(assemble_hamiltonian(g, c_parity=parity)),
-                               Wavefunction(0.5 * (a[ij] + parity * a[ji])))
-               for parity in (1, -1)]
-    state = np.empty((a.size, min(FULL_STATE_BLOCK, np.size(t_grid))), dtype=complex)
-    even_blocks, odd_blocks = (k._blocks(t_grid) for k in kernels)
-    for cols, even in even_blocks:
-        _, odd = next(odd_blocks)
-        block = state[:, :even.shape[1]]
-        block[ij] = even + odd
-        block[ji] = even - odd
-        del even, odd  # nothing else holds the half blocks: free them before the caller's work
-        yield cols, block
-
-
 def refine_maximum(f, lo: float, hi: float, tol: float,
                    max_iter: int = 200) -> tuple[float, float]:
     """Locate the maximum of a smooth scalar f on [lo, hi] to |dt| < tol.
@@ -457,26 +423,42 @@ def find_peak(e: Eigensystem, psi0: Wavefunction, g: Graph,
                  lambda amp: 0.5 * np.abs(amp[0] + amp[1]) ** 2, t_max, grid_step, refine_tol)
 
 
-def _role_fold(g: Graph, ordered: bool = False) -> tuple[Hamiltonian, np.ndarray, np.ndarray]:
-    """(S^T H S, each pair's orbit, s = 1/sqrt|O|): H+ on the unordered pairs, or H on
-    the ordered ones, on the orbit states |O> = sum_{p in O} |p> / sqrt|O|.
+def _role_fold(g: Graph, parity: int) -> tuple[Hamiltonian, np.ndarray, np.ndarray]:
+    """(S^T H_parity S, each pair's orbit, u): the C block of that parity on the unordered
+    pairs |{i,j}+-> = (|i,j> +- |j,i>)/sqrt2, i < j, folded onto the orbit states
+    |O> = sum_{p in O} u_p |p> of the automorphisms that keep {c+,c-} and {A,B}.
 
-    Orbits of one automorphism P per `ROLE_SWAPS` entry, numbered by least pair:
-    |i,j> -> |Pi,Pj>, or |Pj,Pi> (P then C) where P exchanges c+ and c-. Entry (O', O)
-    is s_O' s_O times the integer sum of H over O' x O: with no exchange, H to the bit."""
+    One automorphism P per `ROLE_SWAPS` entry acts as |i,j> -> |Pi,Pj>, then C where P
+    exchanges c+ and c-, so it keeps psi0 and commutes with H, C and the outcomes. It
+    maps |{i,j}+-> to sigma |{Pi,Pj}+->, where sigma is parity to the number of sign
+    flips: Pi > Pj, and the C. An invariant state has a_P(p) = sigma a_p, so on an orbit
+    numbered by its least pair r, u_p = sign_p / sqrt|O| with a_p = sign_p a_r; an orbit
+    that the P map onto its own negative holds no invariant state and drops out (u = 0,
+    label 0). Entry (O', O) is s_O' s_O times the integer sum of +-H over O' x O, so with
+    no exchange it is the C block to the bit.
+    """
     n = g.n_vertices
-    i, j = (_pairs if ordered else _unordered_pairs)(n)
-    position = partial(_pair_position if ordered else _unordered_position, n)
+    i, j = _unordered_pairs(n)
+    position = partial(_unordered_position, n)
     maps = [(swap, np.array((0, *m))) for swap in ROLE_SWAPS
             if (m := find_protocol_automorphism(g, swap).mapping)]
-    moves = [position(p[i], p[j]) if swap[0] == 0 else position(p[j], p[i]) for swap, p in maps]
-    label = np.arange(i.size)
-    while not all(np.array_equal(label, label[move]) for move in moves):
-        label = reduce(np.minimum, (label[move] for move in moves), label)  # to orbit minima
+    moves = [(position(p[i], p[j]), np.where((p[i] > p[j]) != (swap[0] != 0), parity, 1.0))
+             for swap, p in maps]
+    label, sign = np.arange(i.size), np.ones(i.size)
+    while not all(np.array_equal(label, label[move]) for move, _ in moves):
+        for move, sigma in moves:  # a_p = sigma a_P(p): take the lesser root, with its sign
+            lower = label[move] < label
+            label[lower], sign[lower] = label[move][lower], (sigma * sign[move])[lower]
+    clash = np.zeros(i.size, dtype=bool)  # at orbit roots
+    for move, sigma in moves:
+        clash[label[sign != sigma * sign[move]]] = True
+    kept = ~clash[label]
     # numbered by least pair with no sort: np.unique's sort code would stay resident
-    label = (np.cumsum(label == np.arange(i.size)) - 1)[label]
-    s = 1.0 / np.sqrt(np.bincount(label))
-    return Hamiltonian(_exchange_matrix(g, i, j, position, 1, label) * np.outer(s, s)), label, s
+    label = np.where(kept, (np.cumsum(kept & (label == np.arange(i.size))) - 1)[label], 0)
+    sign[~kept] = 0.0
+    s = 1.0 / np.sqrt(np.bincount(label[kept]))
+    h = _exchange_matrix(g, i, j, position, parity, label, sign) * np.outer(s, s)
+    return Hamiltonian(h), label, sign * s[label]
 
 
 def one_shot_peak(g: Graph, t_max: float | None = None,
@@ -490,7 +472,7 @@ def one_shot_peak(g: Graph, t_max: float | None = None,
     `find_peak`'s by rounding only, within refine_tol in t*.
     """
     n, r = g.n_vertices, g.roles
-    h, label, _ = _role_fold(g)
+    h, label, _ = _role_fold(g, 1)
     e = spectral_decompose(h)
     start = np.zeros(e.eigenvalues.size, dtype=complex)
     start[label[_unordered_position(n, r.charlie_plus, r.charlie_minus)]] = 1.0

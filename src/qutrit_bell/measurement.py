@@ -12,11 +12,13 @@ On graphs with the protocol symmetry the two projected amplitudes are
 equal, so the heralded state is exactly the Bell combination and the
 heralded probability equals the projection probability.
 
-`outcome_distribution` measures one state; `outcome_curves` gives the same
-probabilities along a time grid, from full-state amplitudes put together
-one kernel block at a time from the C-even and C-odd blocks of H, so it
-never builds the full eigensystem. Both reduce through `_outcomes`, which
-checks the norm of every state it is given.
+`outcome_distribution` measures one state of the pair space. `outcome_curves`
+gives the same probabilities along a time grid without the full space: the
+C-even and C-odd parts of psi0, each folded by the role exchanges
+(`dynamics._role_fold`), are stepped along the grid, and every outcome is read
+as W |a|^2, W holding each orbit's share of pairs in each outcome
+(`_fold_scan`). The protocol-2 planner reads its grids through `_fold_scan`
+too. Both functions check the norm of every state they measure.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import Wavefunction, _c_block_states, _index_groups
+from .dynamics import (Wavefunction, _index_groups, _pair_position, _role_fold,
+                       _SpectralKernel, _unordered_pairs, _unordered_position,
+                       spectral_decompose)
 from .topology import Graph
 
 NORM_TOL = 1e-8
@@ -61,46 +65,95 @@ class OutcomeDistribution:
         return self.p2 + self.p3
 
 
-def _outcomes(a: np.ndarray, g: Graph):
-    """(pS_bell, p1, p2, p3, pS_projection) of amplitudes a, reduced along axis 0.
-
-    a is one state, shape (d,), or a block of states, shape (d, B); each
-    state's norm must be 1 to NORM_TOL.
-    """
-    # squares summed over the real and imaginary views: np.linalg.norm would
-    # hold a d x B complex temporary, as large as the block itself
-    norm = np.sqrt(np.einsum("i...,i...->...", a.real, a.real)
-                   + np.einsum("i...,i...->...", a.imag, a.imag))
+def _check_norm(norm) -> None:
     if np.any(np.abs(norm - 1.0) > NORM_TOL):
         raise ValueError(f"wavefunction norm deviates from 1 by more than {NORM_TOL}")
-    grp = _index_groups(g)
-    i_ba, i_ab = grp["success"]
-    p2 = np.sum(np.abs(a[grp["g2"]]) ** 2, axis=0)
-    p3 = np.sum(np.abs(a[grp["g3"]]) ** 2, axis=0)
-    p_success = np.abs(a[i_ba]) ** 2 + np.abs(a[i_ab]) ** 2
-    p1 = np.maximum(0.0, 1.0 - p2 - p3 - p_success)
-    p_bell = 0.5 * np.abs(a[i_ba] + a[i_ab]) ** 2
-    return p_bell, p1, p2, p3, p_success
 
 
 def outcome_distribution(psi: Wavefunction, g: Graph) -> OutcomeDistribution:
-    p_bell, p1, p2, p3, p_success = map(float, _outcomes(psi.amplitudes, g))
-    return OutcomeDistribution(p1=p1, p2=p2, p3=p3,
-                               pS_projection=p_success, pS_bell=p_bell)
+    a = psi.amplitudes
+    _check_norm(np.linalg.norm(a))
+    grp = _index_groups(g)
+    i_ba, i_ab = grp["success"]
+    p2 = float(np.sum(np.abs(a[grp["g2"]]) ** 2))
+    p3 = float(np.sum(np.abs(a[grp["g3"]]) ** 2))
+    p_success = float(np.abs(a[i_ba]) ** 2 + np.abs(a[i_ab]) ** 2)
+    return OutcomeDistribution(p1=max(0.0, 1.0 - p2 - p3 - p_success), p2=p2, p3=p3,
+                               pS_projection=p_success,
+                               pS_bell=float(0.5 * np.abs(a[i_ba] + a[i_ab]) ** 2))
+
+
+def _weighted_squares(w: np.ndarray, amp: np.ndarray) -> np.ndarray:
+    """w @ |amp|^2 for a block amp of shape (rows, B), summed over the real and
+    imaginary views: |amp|^2 would be a temporary half the size of the block."""
+    return (np.einsum("gk,kb,kb->gb", w, amp.real, amp.real)
+            + np.einsum("gk,kb,kb->gb", w, amp.imag, amp.imag))
+
+
+def _fold_scan(g: Graph, t_grid: np.ndarray, readout: np.ndarray, parities=(1, -1)):
+    """psi -> readout @ (pS_bell, p1, p2, p3, pS_projection) of exp(-iHt) psi along
+    t_grid, shape (m, T) for an m x 5 readout, from psi's parts in the C blocks of
+    the given parities; p1 here is psi1's own weight.
+
+    psi's C parts (a_ij +- a_ji)/sqrt2, i < j, are folded onto the orbits of
+    `dynamics._role_fold`; a part whose fold loses norm (beyond NORM_TOL) is not
+    invariant under the role exchanges and is refused. Each outcome is a union of
+    pairs, so its probability is W |a_O|^2, W[g, O] the share of orbit O's pairs in
+    outcome g; pS_bell = |a_O|^2 at the C-even orbit O = {A,B}. Each block is
+    diagonalised once, and only the orbits the readout reads are stepped.
+    """
+    n, r = g.n_vertices, g.roles
+    lo, hi = _unordered_pairs(n)
+    ij, ji = _pair_position(n, lo, hi), _pair_position(n, hi, lo)
+    on_a, on_b = (lo == r.alice) | (hi == r.alice), (lo == r.bob) | (hi == r.bob)
+    outcome = 1 + on_a + 2 * on_b  # the row of p1, p2, p3 or pS_projection
+    blocks = []
+    for parity in parities:
+        h, label, u = _role_fold(g, parity)
+        w = np.zeros((5, h.matrix.shape[0]))
+        np.add.at(w, (outcome, label), u != 0)
+        w /= w.sum(axis=0)
+        if parity == 1:
+            w[0, label[_unordered_position(n, r.alice, r.bob)]] = 1.0
+        w = readout @ w
+        rows = np.flatnonzero(w.any(axis=0))
+        if rows.size:
+            blocks.append((parity, label, u, spectral_decompose(h), rows, w[:, rows]))
+
+    def scan(psi: Wavefunction) -> np.ndarray:
+        a = psi.amplitudes
+        if a.shape != (n * (n - 1),):
+            raise ValueError("wavefunction and pair-space dimensions differ")
+        curves = np.zeros((readout.shape[0], t_grid.size))
+        for parity, label, u, e, rows, w in blocks:
+            part = np.sqrt(0.5) * (a[ij] + parity * a[ji])
+            folded = (np.bincount(label, u * part.real, e.eigenvalues.size)
+                      + 1j * np.bincount(label, u * part.imag, e.eigenvalues.size))
+            if abs(np.linalg.norm(folded) - np.linalg.norm(part)) > NORM_TOL:
+                raise ValueError("state is not invariant under the role exchanges")
+            kernel = _SpectralKernel(e, Wavefunction(folded),
+                                     None if rows.size == folded.size else rows)
+            for cols, amp in kernel._blocks(t_grid):
+                curves[:, cols] += _weighted_squares(w, amp)
+        return curves
+
+    return scan
 
 
 def outcome_curves(g: Graph, psi0: Wavefunction, t_grid) -> tuple[np.ndarray, ...]:
     """(pS_bell, p1, p2, p3, pS_projection) of exp(-iHt) psi0 along a time grid.
 
-    The full state comes one block of times at a time from the two C blocks
-    (`dynamics._c_block_states`), so neither a d x T matrix nor the d x d
-    eigensystem is held, and every grid point's norm is checked.
+    Read on the folded C blocks by `_fold_scan`, so neither a d x T matrix nor
+    the d x d eigensystem is held; every grid point's norm is checked, and p1 is
+    the remainder, as in `outcome_distribution`. psi0 must be invariant under
+    the role exchanges, as every state the protocols prepare is.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    curves = np.empty((5, t_grid.size))
-    for cols, block in _c_block_states(g, psi0, t_grid):
-        curves[:, cols] = _outcomes(block, g)
-    return tuple(curves)
+    # one C block at a time: a block's eigensystem is freed before the next is built
+    p_bell, p1, p2, p3, p_success = sum(_fold_scan(g, t_grid, np.eye(5), (parity,))(psi0)
+                                        for parity in (1, -1))
+    _check_norm(np.sqrt(p1 + p2 + p3 + p_success))
+    return p_bell, np.maximum(0.0, 1.0 - p2 - p3 - p_success), p2, p3, p_success
 
 
 def post_state(psi: Wavefunction, outcome: Outcome, g: Graph) -> Wavefunction:
@@ -119,17 +172,3 @@ def post_state(psi: Wavefunction, outcome: Outcome, g: Graph) -> Wavefunction:
         raise ValueError(f"outcome {outcome.name} has probability {weight:.3e} < {ZERO_PROB}; "
                          "refusing to condition on it")
     return Wavefunction(amplitudes=projected / np.sqrt(weight), time_stamp=0.0)
-
-
-def bell_fidelity(psi: Wavefunction, g: Graph) -> float:
-    """Overlap of the success-projected state with the Bell combination.
-
-    Returns |a_BA + a_AB|^2 / (2 (|a_BA|^2 + |a_AB|^2)), or 0 when the
-    projection carries no weight.
-    """
-    i_ba, i_ab = _index_groups(g)["success"]
-    a_ba, a_ab = psi.amplitudes[i_ba], psi.amplitudes[i_ab]
-    denom = float(np.abs(a_ba) ** 2 + np.abs(a_ab) ** 2)
-    if denom < 1e-14:
-        return 0.0
-    return 0.5 * float(np.abs(a_ba + a_ab) ** 2) / denom

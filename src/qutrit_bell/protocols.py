@@ -18,7 +18,8 @@ with p_U = p_2 + p_3 the per-step reset probability. Every series reads one
 per-step table, `_padded`, where a chain that ended early pads as dead steps.
 
 Every strategy plans a step alike (`_step_chooser`): a `_grid_scan` of
-(p_S, p_U) on the role-folded H, its score, then `dynamics.select_peak`.
+(p_S, p_U) on the C blocks folded by the role exchanges, read as `scan` reads
+them (`measurement._fold_scan`), its score, then `dynamics.select_peak`.
 
 An explicit outcome-tree enumeration and a Monte Carlo sampler provide two
 independent checks of the recursions.
@@ -28,15 +29,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import reduce
 from itertools import islice
 
 import numpy as np
 
 from .dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, HERALD_FLOOR, Eigensystem,
-                       Wavefunction, _index_groups, _role_fold, _SpectralKernel, _time_grid,
-                       evolve, initial_state, select_peak, spectral_decompose)
-from .measurement import NORM_TOL, ZERO_PROB, Outcome, outcome_distribution, post_state
+                       Wavefunction, _index_groups, _SpectralKernel, _time_grid, evolve,
+                       initial_state, select_peak)
+from .measurement import ZERO_PROB, Outcome, _fold_scan, outcome_distribution, post_state
 from .topology import Graph
 
 #: fraction of the window-max success probability below which a time is not
@@ -144,43 +144,19 @@ def _score(strategy: Strategy, p_success, p_unusable):
     return p_success - p_unusable
 
 
-def _step_curve(amp: np.ndarray, scale=(1.0, 1.0)):
-    """(p_S, p_U) from the amplitudes of the success rows |B,A>, |A,B> (times scale),
-    then the psi2/psi3 rows: (rows,) at one time or (rows, B) on a block of times.
-
-    A block is summed row after row, as numpy sums a whole grid matrix along
-    axis 0; np.sum would sum a one-time block pairwise, which rounds differently.
-    """
-    sq = np.abs(amp[2:]) ** 2
-    p_u = np.sum(sq, axis=0) if amp.ndim == 1 else reduce(np.add, sq, np.zeros(amp.shape[1]))
-    return 0.5 * np.abs(scale[0] * amp[0] + scale[1] * amp[1]) ** 2, p_u
+def _step_curve(amp: np.ndarray) -> tuple[float, float]:
+    """(p_S, p_U) at one time from the amplitudes of the success rows |B,A>, |A,B>,
+    then the psi2/psi3 rows."""
+    return 0.5 * np.abs(amp[0] + amp[1]) ** 2, np.sum(np.abs(amp[2:]) ** 2)
 
 
-def _grid_scan(g: Graph, e: Eigensystem, rows: np.ndarray, t_grid: np.ndarray):
-    """psi -> (p_S, p_U) along t_grid from `_step_curve`'s rows, scanned on H folded
-    by the role exchanges (`_role_fold`, one eigh; without an exchange e itself).
-
-    They commute with H and the outcome projectors (one that swaps A and B swaps
-    psi2 and psi3) and keep psi0: every planned state is S S^T psi = psi, amplitude
-    s_O a_O on each pair of orbit O. So p_S = |s_BA a_[BA] + s_AB a_[AB]|^2 / 2,
-    p_U = sum of |a_O|^2 over the psi2/psi3 orbits, and ||S^T psi|| must be 1 to NORM_TOL."""
-    h, label, s = _role_fold(g, ordered=True)
-    fold = spectral_decompose(h) if s.size < label.size else e
-    orbits = label[rows].tolist()  # then each psi2/psi3 orbit once, in order
-    scan_rows, scale = orbits[:2] + list(dict.fromkeys(orbits[2:])), s[orbits[:2]]
-
-    def scan(psi: Wavefunction) -> tuple[np.ndarray, np.ndarray]:
-        a = psi.amplitudes
-        if fold is not e:
-            a = s * (np.bincount(label, a.real, s.size) + 1j * np.bincount(label, a.imag, s.size))
-            if abs(np.linalg.norm(a) - 1.0) > NORM_TOL:
-                raise ValueError("conditional state is not invariant under the role exchanges")
-        p_s, p_u = np.empty(t_grid.size), np.empty(t_grid.size)
-        for cols, amp in _SpectralKernel(fold, Wavefunction(a), scan_rows)._blocks(t_grid):
-            p_s[cols], p_u[cols] = _step_curve(amp, scale)
-        return p_s, p_u
-
-    return scan
+def _grid_scan(g: Graph, strategy: Strategy, t_grid: np.ndarray):
+    """psi -> (p_S, p_U) along t_grid, read by `measurement._fold_scan` on the C blocks
+    folded by the role exchanges. p_S lies in the C-even block; peak-success, whose
+    score reads p_S alone, scans that block only and gets p_U = 0."""
+    if strategy is Strategy.PEAK_SUCCESS:
+        return _fold_scan(g, t_grid, np.array([[1, 0, 0, 0, 0], [0, 0, 0, 0, 0]]), (1,))
+    return _fold_scan(g, t_grid, np.array([[1, 0, 0, 0, 0], [0, 0, 1, 1, 0]]))
 
 
 def _step_chooser(g: Graph, e: Eigensystem, strategy: Strategy, t_max: float | None,
@@ -195,7 +171,7 @@ def _step_chooser(g: Graph, e: Eigensystem, strategy: Strategy, t_max: float | N
     rows = grp["success"]
     if strategy is not Strategy.PEAK_SUCCESS:  # the score reads p_U too
         rows = np.concatenate([rows, grp["g2"], grp["g3"]])
-    scan = _grid_scan(g, e, rows, t_grid)
+    scan = _grid_scan(g, strategy, t_grid)
 
     def choose(psi: Wavefunction) -> float | None:
         p_s, p_u = scan(psi)

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import peak, prepared, random_graph_with_moved_roles
-from qutrit_bell import (Outcome, assemble_hamiltonian, bell_fidelity, build_loop, evolve,
-                         initial_state, outcome_distribution, post_state,
-                         spectral_decompose)
+from qutrit_bell import (Outcome, assemble_hamiltonian, evolve, initial_state,
+                         outcome_distribution, post_state, spectral_decompose)
 from qutrit_bell.dynamics import FULL_STATE_BLOCK, Wavefunction, pair_index
-from qutrit_bell.measurement import _outcomes, outcome_curves
+from qutrit_bell.measurement import _weighted_squares, outcome_curves
 
 
 def evolved(family, n, t):
@@ -111,18 +110,16 @@ class TestOutcomeCurves:
         assert peak_bytes < d * d * 16 + 2 ** 20
 
     def test_norm_check_holds_no_block_sized_temporary(self):
-        # one loop-36 block of FULL_STATE_BLOCK states (5.16 MB): the call
-        # peaked at 5.17 MB with np.linalg.norm's d x B complex temporary, and
-        # at 0.43 MB with squares summed over the real and imaginary views
-        g = build_loop(36)
+        # one kernel block of FULL_STATE_BLOCK states on the 171 orbits of loop-36's
+        # C-even fold (0.70 MB), read by all five rows of W: |amp|^2 would be a
+        # temporary half the block's size; summed over the real and imaginary views,
+        # the readout holds none
         rng = np.random.default_rng(3)
-        block = (rng.normal(size=(36 * 35, FULL_STATE_BLOCK))
-                 + 1j * rng.normal(size=(36 * 35, FULL_STATE_BLOCK)))
-        block /= np.linalg.norm(block, axis=0)
-        _outcomes(block, g)  # builds the cached row groups outside the trace
+        block = rng.normal(size=(171, FULL_STATE_BLOCK)) + 1j * rng.normal(size=(171, FULL_STATE_BLOCK))
+        w = rng.random((5, 171))
         tracemalloc.start()
         try:
-            _outcomes(block, g)
+            _weighted_squares(w, block)
             _, peak_bytes = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -174,13 +171,18 @@ class TestPostState:
 
 
 class TestBellFidelity:
+    """The heralded state's Bell fidelity, |a_BA + a_AB|^2 / (2 (|a_BA|^2 + |a_AB|^2)),
+    is pS_bell / pS_projection of `outcome_distribution`."""
+
     def test_exact_bell_state(self):
         g, _, _ = prepared("cross", 5)
         n = g.n_vertices
         a = np.zeros(n * (n - 1), dtype=complex)
         a[pair_index(n, n - 1, n)] = 1 / np.sqrt(2)
         a[pair_index(n, n, n - 1)] = 1 / np.sqrt(2)
-        assert bell_fidelity(Wavefunction(a), g) == pytest.approx(1.0, abs=1e-14)
+        d = outcome_distribution(Wavefunction(a), g)
+        assert d.pS_bell == pytest.approx(1.0, abs=1e-14)
+        assert d.pS_projection == pytest.approx(1.0, abs=1e-14)
 
     def test_orthogonal_combination(self):
         g, _, _ = prepared("cross", 5)
@@ -188,24 +190,28 @@ class TestBellFidelity:
         a = np.zeros(n * (n - 1), dtype=complex)
         a[pair_index(n, n, n - 1)] = 1 / np.sqrt(2)
         a[pair_index(n, n - 1, n)] = -1 / np.sqrt(2)
-        assert bell_fidelity(Wavefunction(a), g) == 0.0
+        d = outcome_distribution(Wavefunction(a), g)
+        assert d.pS_bell == 0.0
+        assert d.pS_projection == pytest.approx(1.0, abs=1e-14)
 
     def test_zero_weight_defaults_to_zero(self):
         g, _, psi0 = prepared("cross", 5)
-        assert bell_fidelity(psi0, g) == 0.0
+        d = outcome_distribution(psi0, g)
+        assert d.pS_bell == d.pS_projection == 0.0
 
     def test_unity_along_builtin_evolutions(self):
         for family, n in (("cross", 7), ("loop", 8)):
             g, e, psi0 = prepared(family, n)
             for t in (1.0, 4.2, 17.0):
-                psi = evolve(e, psi0, t)
-                d = outcome_distribution(psi, g)
-                if d.pS_projection > 1e-8:
-                    assert bell_fidelity(psi, g) == pytest.approx(1.0, abs=1e-10)
+                d = outcome_distribution(evolve(e, psi0, t), g)
+                assert d.pS_projection > 1e-8
+                assert d.pS_bell == pytest.approx(d.pS_projection, abs=1e-10)
 
     def test_consistency_with_distribution(self):
         g, psi = evolved("loop", 8, 12.0)
         d = outcome_distribution(psi, g)
-        if d.pS_projection > 0:
-            assert d.pS_bell == pytest.approx(
-                d.pS_projection * bell_fidelity(psi, g), abs=1e-12)
+        n = g.n_vertices
+        a_ba, a_ab = (psi.amplitudes[pair_index(n, i, j)] for i, j in ((n, n - 1), (n - 1, n)))
+        assert d.pS_projection > 0
+        fidelity = 0.5 * abs(a_ba + a_ab) ** 2 / (abs(a_ba) ** 2 + abs(a_ab) ** 2)
+        assert d.pS_bell == pytest.approx(d.pS_projection * fidelity, abs=1e-12)

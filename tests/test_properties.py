@@ -6,9 +6,10 @@ fixes Alice's and Bob's and pairs some of the other sites at random. The
 rest are plain random graphs, which rarely have it.
 
 The C-even block of the one-shot peak is checked on the same graphs and on
-the 25 systems of the protocol-1 tables; both C blocks, and the states and
-outcome curves that `scan` takes from them, on the same graphs. The last
-property fuzzes the CLI's numeric flags on loop-4 and cross-5.
+the 25 systems of the protocol-1 tables; both C blocks folded by the role
+exchanges, the states they hold and the outcome curves that `scan` and the
+planner read from them, on the same graphs. The last property fuzzes the
+CLI's numeric flags on loop-4 and cross-5.
 """
 
 import io
@@ -28,11 +29,11 @@ from qutrit_bell import (Graph, Roles, assemble_hamiltonian, build_cross, build_
                          protocol1_required, spectral_decompose)
 from qutrit_bell.cli import main
 from qutrit_bell.dynamics import (DEFAULT_REFINE_TOL, FULL_STATE_BLOCK, PHASE_BLOCK,
-                                  Wavefunction, _c_block_states, _index_groups, _pairs,
-                                  _role_fold, _unordered_position, amplitude_rows, pair_index)
+                                  Wavefunction, _index_groups, _pairs, _role_fold,
+                                  _unordered_position, amplitude_rows, pair_index)
 from qutrit_bell.measurement import ZERO_PROB, Outcome, outcome_curves, post_state
 from qutrit_bell.oracle import full_evolve_compare
-from qutrit_bell.protocols import PLAN_WINDOW_FACTOR, _grid_scan
+from qutrit_bell.protocols import PLAN_WINDOW_FACTOR, Strategy, _grid_scan
 from qutrit_bell.topology import ROLE_SWAPS, SWAP_CHARLIE, SWAP_ENDS
 from test_acceptance import (QUANTILES, REPEAT_RESET_COLUMNS, TABLE_CROSS_COUNTS,
                              TABLE_LOOP_COUNTS, _count_marks, _repeat_marks)
@@ -126,24 +127,36 @@ def test_bell_amplitudes_equal_and_match_the_oracle_under_the_symmetry(drawn):
     assert result.max_amplitude_deviation <= 1e-9
 
 
-@given(st.one_of(protocol_graphs(), protocol_graphs(symmetric=True,
-                                                    swaps=(SWAP_CHARLIE, SWAP_ENDS))),
-       st.floats(0.0, 50.0))
+#: random graphs, half of them closed under an exchange of Charlie's sites and one of
+#: Alice's and Bob's: graphs with a trivial fold, and folds with signed and dropped orbits
+ANY_OR_BOTH_SWAPS = st.one_of(protocol_graphs(),
+                              protocol_graphs(symmetric=True, swaps=(SWAP_CHARLIE, SWAP_ENDS)))
+
+
+def fold_isometry(g, parity):
+    """S for `_role_fold(g, parity)` on the ordered pairs: column O is the orbit state
+    sum_p u_p (|i,j> + parity |j,i>)/sqrt2, from the fold's own signed indicator."""
+    _, label, u = _role_fold(g, parity)
+    b = np.zeros((label.size, label.max() + 1))
+    b[np.arange(label.size), label] = u
+    return c_isometry_unscaled(g.n_vertices, parity) @ b / np.sqrt(2)
+
+
+def both_folds_isometry(g):
+    return np.hstack([fold_isometry(g, parity) for parity in (1, -1)])
+
+
+@given(ANY_OR_BOTH_SWAPS, st.floats(0.0, 50.0))
 @settings(max_examples=40, deadline=None)
 def test_planner_fold_keeps_the_planned_states_and_their_grid(drawn, t):
     g, _ = drawn
-    h = assemble_hamiltonian(g).matrix
-    fold, label, s = _role_fold(g, ordered=True)
-    assert np.array_equal(fold.matrix, fold.matrix.T)
-    iso = np.zeros((label.size, s.size))  # S: column O is |O> on the ordered pairs
-    iso[np.arange(label.size), label] = s[label]
-    assert np.max(np.abs(fold.matrix - iso.T @ h @ iso)) <= 1e-14
+    iso = both_folds_isometry(g)
     e = spectral_decompose(assemble_hamiltonian(g))
     grp = _index_groups(g)
     rows = np.concatenate([grp["success"], grp["g2"], grp["g3"]])
     # the planner's window [0, 8N] in two kernel blocks, the last of two times
     grid = PLAN_WINDOW_FACTOR * g.n_vertices / (PHASE_BLOCK + 1) * np.arange(PHASE_BLOCK + 2)
-    scan = _grid_scan(g, e, rows, grid)
+    scan = _grid_scan(g, Strategy.MIN_LOSS, grid)
     psi = evolve(e, initial_state(g), t)
     states = [initial_state(g)]
     if outcome_distribution(psi, g).p1 >= ZERO_PROB:
@@ -180,52 +193,97 @@ def c_isometry_unscaled(n, parity):
     return b
 
 
-@given(protocol_graphs())
+def role_exchanges(g):
+    """The ordered-pair permutation U of each role exchange P the graph has:
+    |i,j> -> |Pi,Pj>, then C where P exchanges Charlie's sites."""
+    n, r = g.n_vertices, g.roles
+    plus, minus = _pairs(n)
+    exchanges = []
+    for rep in (find_protocol_automorphism(g, swap) for swap in ROLE_SWAPS):
+        if rep.exists:
+            p = np.array((0, *rep.mapping))
+            i, j = ((p[minus], p[plus]) if p[r.charlie_plus] == r.charlie_minus
+                    else (p[plus], p[minus]))
+            u = np.zeros((plus.size, plus.size))
+            u[[pair_index(n, k, l) for k, l in zip(i, j)], np.arange(plus.size)] = 1.0
+            exchanges.append(u)
+    return exchanges
+
+
+def assert_fold_is_the_projected_hamiltonian(g, parity):
+    """`_role_fold(g, parity)` is exactly symmetric and is B^T H_parity B, H_parity =
+    D^T H D formed here from the full H, for its signed indicator B, whose columns are
+    orthonormal, invariant under every role exchange and span every invariant state
+    of the block. With no exchange it is H_parity to the bit."""
+    h = assemble_hamiltonian(g).matrix
+    d = c_isometry_unscaled(g.n_vertices, parity)
+    # D = d / sqrt2, d of +-1 entries: the two 1/sqrt2 make an exact 1/2
+    h_block = 0.5 * (d.T @ h @ d)
+    fold, label, u = _role_fold(g, parity)
+    m = fold.matrix
+    assert np.array_equal(m, m.T)
+    b = np.zeros((label.size, m.shape[0]))
+    b[np.arange(label.size), label] = u
+    assert np.max(np.abs(b.T @ b - np.eye(m.shape[0]))) <= 1e-14
+    exchanges = role_exchanges(g)
+    for ex in exchanges:
+        assert np.max(np.abs(ex @ d @ b - d @ b)) <= 1e-14
+    if exchanges:
+        assert m.shape[0] == label.size - np.linalg.matrix_rank(np.vstack([ex @ d - d
+                                                                           for ex in exchanges]))
+    else:
+        assert np.array_equal(m, h_block)
+    assert np.max(np.abs(m - b.T @ h_block @ b)) <= 1e-14
+
+
+@given(ANY_OR_BOTH_SWAPS)
 @settings(max_examples=100, deadline=None)
 def test_c_even_block_is_the_projected_hamiltonian_and_c_commutes(drawn):
     g, _ = drawn
     n = g.n_vertices
+    assert_fold_is_the_projected_hamiltonian(g, 1)
     h = assemble_hamiltonian(g).matrix
-    b = c_isometry_unscaled(n, 1)
-    # B^T H B with B = b / sqrt2: the two 1/sqrt2 make an exact 1/2
-    assert np.array_equal(assemble_hamiltonian(g, c_parity=1).matrix,
-                          0.5 * (b.T @ h @ b))
     plus, minus = _pairs(n)
     c = np.array([pair_index(n, j, i) for i, j in zip(plus, minus)])
     assert np.array_equal(h[np.ix_(c, c)], h)
 
 
-@given(protocol_graphs())
+@given(ANY_OR_BOTH_SWAPS)
 @settings(max_examples=100, deadline=None)
 def test_c_odd_block_is_the_projected_hamiltonian(drawn):
     g, _ = drawn
-    h = assemble_hamiltonian(g).matrix
-    d = c_isometry_unscaled(g.n_vertices, -1)
-    # D^T H D with D = d / sqrt2, d of +-1 entries: an exact 1/2 again
-    assert np.array_equal(assemble_hamiltonian(g, c_parity=-1).matrix,
-                          0.5 * (d.T @ h @ d))
+    assert_fold_is_the_projected_hamiltonian(g, -1)
 
 
-@given(protocol_graphs(), st.integers(0, 2 ** 32 - 1))
+@given(ANY_OR_BOTH_SWAPS, st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_c_blocks_evolve_any_state_as_the_full_space_does(drawn, seed):
     g, _ = drawn
     n = g.n_vertices
     rng = np.random.default_rng(seed)
     a = rng.normal(size=n * (n - 1)) + 1j * rng.normal(size=n * (n - 1))
+    iso = both_folds_isometry(g)
+    a = iso @ (iso.T @ a)  # a random state the role exchanges keep
     psi0 = Wavefunction(a / np.linalg.norm(a))
     grid = 0.37 * np.arange(FULL_STATE_BLOCK + 2)  # two kernel blocks, the last of two times
     e = spectral_decompose(assemble_hamiltonian(g))
-    per_point = [evolve(e, psi0, float(t)) for t in grid]
-    # every outcome is C-invariant, so only the states tell |i,j> from |j,i>
-    for cols, block in _c_block_states(g, psi0, grid):
-        want = np.array([psi.amplitudes for psi in per_point[cols]]).T
-        assert np.max(np.abs(block - want)) <= 1e-12
     curves = np.array(outcome_curves(g, psi0, grid))
-    for k, psi in enumerate(per_point):
-        d = outcome_distribution(psi, g)
+    for k, t in enumerate(grid):
+        d = outcome_distribution(evolve(e, psi0, float(t)), g)
         want = (d.pS_bell, d.p1, d.p2, d.p3, d.pS_projection)
         assert np.max(np.abs(curves[:, k] - want)) <= 1e-12
+
+
+@given(protocol_graphs(symmetric=True, swaps=(SWAP_CHARLIE, SWAP_ENDS)),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_outcome_curves_refuse_a_state_the_folds_cannot_hold(drawn, seed):
+    g, _ = drawn
+    n = g.n_vertices
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=n * (n - 1)) + 1j * rng.normal(size=n * (n - 1))
+    with pytest.raises(ValueError, match="not invariant"):
+        outcome_curves(g, Wavefunction(a / np.linalg.norm(a)), [0.0, 0.1])
 
 
 def pair_orbits(g):
@@ -253,8 +311,9 @@ def pair_orbits(g):
 
 
 def assert_role_block_is_the_folded_c_even_block(g):
-    h_plus = assemble_hamiltonian(g, c_parity=1).matrix
-    block, label, _ = _role_fold(g)
+    b = c_isometry_unscaled(g.n_vertices, 1)
+    h_plus = 0.5 * (b.T @ assemble_hamiltonian(g).matrix @ b)  # exact, as above
+    block, label, _ = _role_fold(g, 1)
     fold = block.matrix
     assert np.array_equal(fold, fold.T)
     orbits = pair_orbits(g)
@@ -271,8 +330,7 @@ def assert_role_block_is_the_folded_c_even_block(g):
     return fold, h_plus
 
 
-@given(st.one_of(protocol_graphs(), protocol_graphs(symmetric=True,
-                                                    swaps=(SWAP_CHARLIE, SWAP_ENDS))))
+@given(ANY_OR_BOTH_SWAPS)
 @settings(max_examples=100, deadline=None)
 def test_role_block_is_the_c_even_block_on_pair_orbits(drawn):
     g, _ = drawn
@@ -293,20 +351,33 @@ def test_role_block_of_the_built_in_families(family, n, dim):
     assert fold.shape == (dim, dim)
 
 
+#: (C-even, C-odd) fold sizes of the planner's and `scan`'s two blocks
+C_FOLD_SIZES = {("loop", 36): (171, 162), ("cross", 35): (290, 18), ("loop", 8): (10, 8),
+                ("cross", 5): (5, 3), ("loop", 4): (3, 2)}
+
+
 @pytest.mark.parametrize("family,n,dim", [("loop", 36, 333), ("cross", 35, 308),
                                           ("loop", 8, 18), ("cross", 5, 8), ("loop", 4, 5)])
 def test_planner_fold_of_the_built_in_families(family, n, dim):
+    # dim is the size of the fold of H on the ordered pairs, which the two C folds
+    # split exactly
     g = build_cross(n) if family == "cross" else build_loop(n)
-    fold, label, s = _role_fold(g, ordered=True)
-    assert fold.matrix.shape == (dim, dim) == (s.size, s.size)
-    assert label.size == n * (n - 1)
+    sizes = []
+    for parity in (1, -1):
+        fold, label, u = _role_fold(g, parity)
+        assert label.size == u.size == n * (n - 1) // 2
+        sizes.append(fold.matrix.shape[0])
+    assert tuple(sizes) == C_FOLD_SIZES[(family, n)]
+    assert sum(sizes) == dim
 
 
 def test_role_block_without_a_role_exchange_is_the_c_even_block():
     from test_topology import named_graph  # the seeded 36-site graph of `scan`
     g = named_graph("random-36")
     assert not any(find_protocol_automorphism(g, swap).exists for swap in ROLE_SWAPS)
-    assert np.array_equal(_role_fold(g)[0].matrix, assemble_hamiltonian(g, c_parity=1).matrix)
+    b = c_isometry_unscaled(g.n_vertices, 1)
+    assert np.array_equal(_role_fold(g, 1)[0].matrix,
+                          0.5 * (b.T @ assemble_hamiltonian(g).matrix @ b))
 
 
 def assert_block_peak_matches_find_peak(block, full, refine_tol=DEFAULT_REFINE_TOL):

@@ -15,7 +15,7 @@ from qutrit_bell import (Outcome, Strategy, assemble_hamiltonian, enumerate_outc
                          plan_regular, post_state, protocol1_cumulative, protocol1_required,
                          protocol2_limit_check, protocol2_no_reset, protocol2_total,
                          spectral_decompose)
-from qutrit_bell import cli, dynamics, protocols
+from qutrit_bell import cli, dynamics, measurement, protocols
 from qutrit_bell.cli import main
 from qutrit_bell.dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, PHASE_BLOCK,
                                   TIE_TOL, Wavefunction, _index_groups, _SpectralKernel,
@@ -222,21 +222,6 @@ class TestPlanProtocol2:
                    for s in sched.steps]
         assert printed == self.PINNED_SCHEDULES[(family, n, strategy)]
 
-    def test_blocked_curves_equal_whole_grid_curves(self):
-        # the last block holds one time, the case np.sum would round pairwise
-        g, e, psi0 = prepared("loop", 8)
-        grp = _index_groups(g)
-        rows = np.concatenate([grp["success"], grp["g2"], grp["g3"]])
-        t = 0.01 * np.arange(2 * PHASE_BLOCK + 1)
-        amps = amplitude_rows(e, psi0, rows, t)
-        whole = (0.5 * np.abs(amps[0] + amps[1]) ** 2,
-                 np.sum(np.abs(amps[2:]) ** 2, axis=0))
-        p_s, p_u = np.empty(t.size), np.empty(t.size)
-        for cols, amp in _SpectralKernel(e, psi0, rows)._blocks(t):
-            p_s[cols], p_u[cols] = _step_curve(amp)
-        assert np.array_equal(p_s, whole[0])
-        assert np.array_equal(p_u, whole[1])
-
     def test_planning_holds_no_rows_by_grid_matrix(self):
         g, e, _ = prepared("loop", 16)
         # one rows x T complex matrix over the 8N planning grid: 11.9 MB
@@ -274,14 +259,14 @@ def objective_rows(g, strategy):
     return np.concatenate([grp["success"], grp["g2"], grp["g3"]])
 
 
-def scanned_curves(e, psi, g, t, strategy=Strategy.MIN_LOSS):
+def scanned_curves(psi, g, t, strategy=Strategy.MIN_LOSS):
     """(p_S, p_U) on grid t as the planner scans them from psi."""
-    return _grid_scan(g, e, objective_rows(g, strategy), t)(psi)
+    return _grid_scan(g, strategy, t)(psi)
 
 
 class TestMirrorRows:
-    """The grid scan reads the success orbits and each psi2/psi3 orbit once,
-    on H folded by the role exchanges; the refinement reads the pair rows."""
+    """The grid scan reads the {A,B} orbit and each psi2/psi3 orbit once, on the
+    C blocks folded by the role exchanges; the refinement reads the pair rows."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -293,7 +278,8 @@ class TestMirrorRows:
                 built.append((len(rows), e.eigenvalues.size))
                 super().__init__(e, psi0, rows)
 
-        monkeypatch.setattr(protocols, "_SpectralKernel", Recording)
+        for module in (measurement, protocols):
+            monkeypatch.setattr(module, "_SpectralKernel", Recording)
         return built
 
     def test_loop36_scans_34_orbits_for_136_unusable_rows(self, built):
@@ -301,9 +287,10 @@ class TestMirrorRows:
         grp = _index_groups(g)
         assert len(grp["g2"]) + len(grp["g3"]) == 136
         plan_protocol2(g, e, Strategy.MIN_LOSS, n_max=1, t_max=20.0)
-        # the grid scan reads both success rows of the 333-orbit fold and 34
-        # psi2/psi3 orbits, the refinement all 2 + 136 rows of the full space
-        assert built == [(36, 333), (138, 1260)]
+        # the grid scan reads the {A,B} orbit and 17 psi2/psi3 orbits of the
+        # 171-orbit C-even fold, 17 of the 162-orbit C-odd fold; the refinement
+        # all 2 + 136 rows of the full space
+        assert built == [(18, 171), (17, 162), (138, 1260)]
 
     @pytest.mark.parametrize("family,n", [("loop", 36), ("cross", 35)])
     def test_chain_curves_equal_full_row_curves(self, family, n):
@@ -311,7 +298,7 @@ class TestMirrorRows:
         rows = objective_rows(g, Strategy.MIN_LOSS)
         t = 0.01 * np.arange(2 * PHASE_BLOCK + 1)
         for psi in states:
-            p_s, p_u = scanned_curves(e, psi, g, t)
+            p_s, p_u = scanned_curves(psi, g, t)
             full = _SpectralKernel(e, psi, rows)(t)
             assert np.max(np.abs(p_s - 0.5 * np.abs(full[0] + full[1]) ** 2)) <= 1e-13
             assert np.max(np.abs(p_u - np.sum(np.abs(full[2:]) ** 2, axis=0))) <= 1e-13
@@ -322,13 +309,17 @@ class TestMirrorRows:
         e = spectral_decompose(assemble_hamiltonian(g))
         every = 2 + len(_index_groups(g)["g2"]) + len(_index_groups(g)["g3"])
         plan_protocol2(g, e, Strategy.MAX_MARGIN, n_max=1)
-        assert built == [(every, 90), (every, 90)]  # the fold is H: e scans
+        # no fold: {A,B} and the 16 psi2/psi3 pairs of the C-even block, the same
+        # 16 pairs of the C-odd block (each two psi2/psi3 rows), then every row
+        assert every == 2 + 2 * 16
+        assert built == [(17, 45), (16, 45), (every, 90)]
 
     def test_peak_success_reads_only_the_success_rows(self, built):
         g, e, _ = prepared("loop", 8)
         plan_protocol2(g, e, Strategy.PEAK_SUCCESS, n_max=2)
-        # per step, the grid scan on the 18-orbit fold and the refinement
-        assert built == [(2, 18), (2, 56)] * 2
+        # per step, the grid scan of the {A,B} orbit on the 10-orbit C-even fold,
+        # then the refinement
+        assert built == [(1, 10), (2, 56)] * 2
 
     def test_a_state_off_the_fold_is_refused(self):
         g, e, psi0 = prepared("loop", 8)
@@ -348,14 +339,16 @@ class TestMirrorRows:
             calls.append(h.matrix.shape[0])
             return spectral_decompose(h)
 
-        for module in (cli, protocols):
+        for module in (cli, measurement):
             monkeypatch.setattr(module, "spectral_decompose", counting)
-        for name, dims in (("no-role-exchange.txt", [42]), ("cross5.txt", [20, 8])):
+        for name, dims in (("no-role-exchange.txt", [42, 21]), ("cross5.txt", [20, 5])):
             calls.clear()
             assert main(["protocol2", "--topology", "custom", "--topology-file",
                          str(DATA / name), "--n-max", "3", "--no-timestamp",
                          "--output", os.devnull]) == 0
-            assert calls == dims  # the full space, then the fold where there is one
+            # the full space, then the C-even fold peak-success scans (with no
+            # role exchange, the C-even block itself)
+            assert calls == dims
 
 
 class TestOnePlannerStep:
@@ -376,7 +369,7 @@ class TestOnePlannerStep:
         grid = _time_grid(protocols.PLAN_WINDOW_FACTOR * n, DEFAULT_GRID_STEP)
         rows = objective_rows(g, strategy)
         for psi, t in zip(states, times):
-            p_s, p_u = scanned_curves(e, psi, g, grid, strategy)
+            p_s, p_u = scanned_curves(psi, g, grid, strategy)
             score = protocols._score(strategy, p_s, p_u)
             if strategy is Strategy.MIN_LOSS:
                 score = np.where(p_s >= protocols.MINLOSS_FLOOR * p_s.max(), score, -np.inf)
@@ -394,8 +387,10 @@ class TestOnePlannerStep:
 
         monkeypatch.setattr(dynamics, "find_protocol_automorphism", counting)
         plan_protocol2(g, e, strategy, n_max=4)
-        # each role swap once, for the fold every strategy's grid scan runs on
-        assert sorted(calls) == sorted(ROLE_SWAPS)
+        # each role swap once per C block the grid scan folds, not once per step:
+        # the C-even block for peak-success, both blocks for the others
+        folds = 1 if strategy is Strategy.PEAK_SUCCESS else 2
+        assert sorted(calls) == sorted(ROLE_SWAPS * folds)
 
 
 class TestRegularSchedule:
