@@ -17,8 +17,8 @@ for name, g in (("cross N=9", build_cross(9)), ("loop N=8", build_loop(8))):
     print(f"  roles: charlie +/- at {r.charlie_plus},{r.charlie_minus}, "
           f"alice at {r.alice}, bob at {r.bob}")
     print(f"  alice-bob separation: {path_distance(g, r.alice, r.bob)} edges")
-    rep = find_protocol_automorphism(g)
-    print(f"  protocol symmetry exists: {rep.exists}; mapping {rep.mapping}")
+    mapping = find_protocol_automorphism(g)
+    print(f"  protocol symmetry: {'none' if mapping is None else mapping}")
     print()
 
 # the headline configuration: a 35-site cross separates the entangled pair

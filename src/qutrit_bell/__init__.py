@@ -9,21 +9,19 @@ together with a full-Hilbert-space brute-force oracle for validation.
 
 __version__ = "0.1.0"
 
-from .dynamics import (Eigensystem, Hamiltonian, Wavefunction, assemble_hamiltonian,
-                       evolve, find_peak, initial_state, one_shot_peak,
-                       spectral_decompose)
+from .dynamics import (Eigensystem, Hamiltonian, assemble_hamiltonian, evolve, find_peak,
+                       initial_state, one_shot_peak, spectral_decompose)
 from .measurement import Outcome, OutcomeDistribution, outcome_distribution, post_state
 from .protocols import (Schedule, Strategy, TrajectoryStats, enumerate_outcome_tree,
                         monte_carlo, plan_protocol2, plan_regular, protocol1_cumulative,
                         protocol1_required, protocol2_limit_check,
                         protocol2_no_reset, protocol2_total)
-from .topology import (AutomorphismReport, Graph, Roles, build_cross, build_loop,
-                       find_protocol_automorphism, path_distance)
+from .topology import (Graph, Roles, build_cross, build_loop, find_protocol_automorphism,
+                       path_distance)
 
 __all__ = [
-    "AutomorphismReport", "Eigensystem", "Graph", "Hamiltonian",
-    "Outcome", "OutcomeDistribution", "Roles", "Schedule",
-    "Strategy", "TrajectoryStats", "Wavefunction",
+    "Eigensystem", "Graph", "Hamiltonian", "Outcome", "OutcomeDistribution", "Roles",
+    "Schedule", "Strategy", "TrajectoryStats",
     "assemble_hamiltonian", "build_cross", "build_loop",
     "enumerate_outcome_tree", "evolve", "find_peak", "find_protocol_automorphism", "initial_state",
     "monte_carlo", "one_shot_peak", "outcome_distribution", "path_distance", "plan_protocol2",

@@ -317,7 +317,7 @@ def cmd_protocol2(args, run: _Run) -> int:
         except RuntimeError as exc:  # a search window without success
             raise PreconditionError(str(exc)) from exc
     series = zip(protocol2_no_reset(schedule, args.n_max), protocol2_total(schedule, args.n_max))
-    rows = ((k + 1, pbar, ptot, protocol1_cumulative(schedule.steps[0].p_success, k + 1),
+    rows = ((k + 1, pbar, ptot, protocol1_cumulative(schedule.steps[0].pS_bell, k + 1),
              schedule.strategy, schedule.steps[k].time if k < len(schedule) else 0.0)
             for k, (pbar, ptot) in enumerate(series))
     extra = {}
@@ -337,7 +337,7 @@ def cmd_verify(args, run: _Run) -> int:
                (f"{label}_full_vs_reduced_max_amplitude_dev",
                 cmp_res.max_amplitude_deviation, 1e-9),
                (f"{label}_sector_leakage", cmp_res.max_sector_leakage, 1e-12)]
-    if find_protocol_automorphism(g).exists:
+    if find_protocol_automorphism(g) is not None:
         checks.append((f"{label}_bell_amplitude_asymmetry", cmp_res.max_bell_asymmetry, 1e-10))
     rows = [(name, value, bound, "pass" if value < bound else "FAIL")
             for name, value, bound in checks]

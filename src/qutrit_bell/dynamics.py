@@ -112,21 +112,25 @@ def pair_index(n: int, i: int, j: int) -> int:
     return _pair_position(n, i, j)
 
 
+def _outcome(g: Graph, i, j):
+    """Measurement outcome of the pair {i,j} from Alice's and Bob's sites; elementwise
+    on site arrays: 1 psi1 (neither site), 2 psi2 (only Alice's), 3 psi3 (only
+    Bob's), 4 success (both)."""
+    a, b = g.roles.alice, g.roles.bob
+    return 1 + ((i == a) | (j == a)) + 2 * ((i == b) | (j == b))
+
+
 @lru_cache(maxsize=64)
 def _index_groups(g: Graph) -> dict[str, np.ndarray]:
-    """Pair-basis rows of the four measurement outcomes, from Alice's and Bob's sites.
+    """Pair-basis rows of the four measurement outcomes (`_outcome`).
 
-    ``success`` holds |bob,alice> then |alice,bob>; ``g2``/``g3`` the pairs
-    touching only Alice/only Bob; ``g1`` the pairs touching neither.
+    ``success`` holds |bob,alice> then |alice,bob>; ``g1``, ``g2`` and ``g3``
+    the pairs of psi1, psi2 and psi3.
     """
     n, a, b = g.n_vertices, g.roles.alice, g.roles.bob
-    plus, minus = _pairs(n)
-    on_a = (plus == a) | (minus == a)
-    on_b = (plus == b) | (minus == b)
+    outcome = _outcome(g, *_pairs(n))
     return {"success": np.array([pair_index(n, b, a), pair_index(n, a, b)]),
-            "g1": np.flatnonzero(~on_a & ~on_b),
-            "g2": np.flatnonzero(on_a & ~on_b),
-            "g3": np.flatnonzero(on_b & ~on_a)}
+            **{f"g{k}": np.flatnonzero(outcome == k) for k in (1, 2, 3)}}
 
 
 @dataclass(frozen=True)
@@ -205,23 +209,13 @@ def spectral_decompose(h: Hamiltonian) -> Eigensystem:
     return Eigensystem(eigenvalues=lam, eigenvectors=vec)
 
 
-@dataclass(frozen=True)
-class Wavefunction:
-    """Unit-norm amplitude vector over the pair basis, with a time stamp."""
-
-    amplitudes: np.ndarray
-    time_stamp: float = 0.0
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
-def initial_state(g: Graph) -> Wavefunction:
-    """|charlie_plus, charlie_minus>: +1 at Charlie's plus site, -1 at the other."""
+def initial_state(g: Graph) -> np.ndarray:
+    """|charlie_plus, charlie_minus>, a new complex amplitude vector over the pair basis:
+    +1 at Charlie's plus site, -1 at the other."""
     n = g.n_vertices
     a = np.zeros(n * (n - 1), dtype=complex)
     a[pair_index(n, g.roles.charlie_plus, g.roles.charlie_minus)] = 1.0
-    return Wavefunction(amplitudes=a, time_stamp=0.0)
+    return a
 
 
 class _SpectralKernel:
@@ -247,11 +241,11 @@ class _SpectralKernel:
     (measured: at most 7e-15 on the 8N grid at loop-36).
     """
 
-    def __init__(self, e: Eigensystem, psi0: Wavefunction, rows=None):
-        if psi0.amplitudes.shape[0] != e.eigenvalues.shape[0]:
-            raise ValueError("wavefunction and eigensystem dimensions differ")
+    def __init__(self, e: Eigensystem, psi0: np.ndarray, rows=None):
+        if psi0.shape[0] != e.eigenvalues.shape[0]:
+            raise ValueError("state and eigensystem dimensions differ")
         self._neg_lam = -e.eigenvalues
-        self._coeff = e._vt @ psi0.amplitudes
+        self._coeff = e._vt @ psi0
         self._full = rows is None
         self._v = e.eigenvectors if self._full else e.eigenvectors[list(rows), :]
         self._block = FULL_STATE_BLOCK if self._full else PHASE_BLOCK
@@ -307,13 +301,12 @@ class _SpectralKernel:
         return out
 
 
-def evolve(e: Eigensystem, psi0: Wavefunction, t: float) -> Wavefunction:
-    """Apply exp(-iHt) through the spectral form; norm is preserved."""
-    return Wavefunction(amplitudes=_SpectralKernel(e, psi0)(t),
-                        time_stamp=psi0.time_stamp + t)
+def evolve(e: Eigensystem, psi0: np.ndarray, t: float) -> np.ndarray:
+    """exp(-iHt) psi0 through the spectral form, as a new array; norm is preserved."""
+    return _SpectralKernel(e, psi0)(t)
 
 
-def amplitude_rows(e: Eigensystem, psi0: Wavefunction, rows, t_grid: np.ndarray) -> np.ndarray:
+def amplitude_rows(e: Eigensystem, psi0: np.ndarray, rows, t_grid: np.ndarray) -> np.ndarray:
     """Selected amplitude components along a time grid, shape (len(rows), T).
 
     Much cheaper than evolving the full vector when only a few components
@@ -395,7 +388,7 @@ def select_peak(curve: np.ndarray, grid: np.ndarray, objective, grid_step: float
     return float(t_star), float(p_star)
 
 
-def _peak(g: Graph, e: Eigensystem, psi0: Wavefunction, rows, p_success,
+def _peak(g: Graph, e: Eigensystem, psi0: np.ndarray, rows, p_success,
           t_max: float | None, grid_step: float, refine_tol: float) -> tuple[float, float]:
     """`select_peak` of p_success(row amplitudes) on [0, t_max]; (0, 0) below HERALD_FLOOR."""
     t_max = PEAK_WINDOW_FACTOR * g.n_vertices if t_max is None else t_max
@@ -409,7 +402,7 @@ def _peak(g: Graph, e: Eigensystem, psi0: Wavefunction, rows, p_success,
                        grid_step, refine_tol)
 
 
-def find_peak(e: Eigensystem, psi0: Wavefunction, g: Graph,
+def find_peak(e: Eigensystem, psi0: np.ndarray, g: Graph,
               t_max: float | None = None,
               grid_step: float = DEFAULT_GRID_STEP,
               refine_tol: float = DEFAULT_REFINE_TOL) -> tuple[float, float]:
@@ -441,7 +434,7 @@ def _role_fold(g: Graph, parity: int) -> tuple[Hamiltonian, np.ndarray, np.ndarr
     i, j = _unordered_pairs(n)
     position = partial(_unordered_position, n)
     maps = [(swap, np.array((0, *m))) for swap in ROLE_SWAPS
-            if (m := find_protocol_automorphism(g, swap).mapping)]
+            if (m := find_protocol_automorphism(g, swap))]
     moves = [(position(p[i], p[j]), np.where((p[i] > p[j]) != (swap[0] != 0), parity, 1.0))
              for swap, p in maps]
     label, sign = np.arange(i.size), np.ones(i.size)
@@ -476,5 +469,5 @@ def one_shot_peak(g: Graph, t_max: float | None = None,
     e = spectral_decompose(h)
     start = np.zeros(e.eigenvalues.size, dtype=complex)
     start[label[_unordered_position(n, r.charlie_plus, r.charlie_minus)]] = 1.0
-    return _peak(g, e, Wavefunction(start), [label[_unordered_position(n, r.alice, r.bob)]],
+    return _peak(g, e, start, [label[_unordered_position(n, r.alice, r.bob)]],
                  lambda amp: 0.5 * np.abs(amp[0]) ** 2, t_max, grid_step, refine_tol)

@@ -28,9 +28,8 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import (Wavefunction, _index_groups, _pair_position, _role_fold,
-                       _SpectralKernel, _unordered_pairs, _unordered_position,
-                       spectral_decompose)
+from .dynamics import (_index_groups, _outcome, _pair_position, _role_fold, _SpectralKernel,
+                       _unordered_pairs, _unordered_position, spectral_decompose)
 from .topology import Graph
 
 NORM_TOL = 1e-8
@@ -67,20 +66,19 @@ class OutcomeDistribution:
 
 def _check_norm(norm) -> None:
     if np.any(np.abs(norm - 1.0) > NORM_TOL):
-        raise ValueError(f"wavefunction norm deviates from 1 by more than {NORM_TOL}")
+        raise ValueError(f"state norm deviates from 1 by more than {NORM_TOL}")
 
 
-def outcome_distribution(psi: Wavefunction, g: Graph) -> OutcomeDistribution:
-    a = psi.amplitudes
-    _check_norm(np.linalg.norm(a))
+def outcome_distribution(psi: np.ndarray, g: Graph) -> OutcomeDistribution:
+    _check_norm(np.linalg.norm(psi))
     grp = _index_groups(g)
     i_ba, i_ab = grp["success"]
-    p2 = float(np.sum(np.abs(a[grp["g2"]]) ** 2))
-    p3 = float(np.sum(np.abs(a[grp["g3"]]) ** 2))
-    p_success = float(np.abs(a[i_ba]) ** 2 + np.abs(a[i_ab]) ** 2)
-    return OutcomeDistribution(p1=max(0.0, 1.0 - p2 - p3 - p_success), p2=p2, p3=p3,
-                               pS_projection=p_success,
-                               pS_bell=float(0.5 * np.abs(a[i_ba] + a[i_ab]) ** 2))
+    p2 = float(np.sum(np.abs(psi[grp["g2"]]) ** 2))
+    p3 = float(np.sum(np.abs(psi[grp["g3"]]) ** 2))
+    p_proj = float(np.abs(psi[i_ba]) ** 2 + np.abs(psi[i_ab]) ** 2)
+    return OutcomeDistribution(p1=max(0.0, 1.0 - p2 - p3 - p_proj), p2=p2, p3=p3,
+                               pS_projection=p_proj,
+                               pS_bell=float(0.5 * np.abs(psi[i_ba] + psi[i_ab]) ** 2))
 
 
 def _weighted_squares(w: np.ndarray, amp: np.ndarray) -> np.ndarray:
@@ -105,8 +103,7 @@ def _fold_scan(g: Graph, t_grid: np.ndarray, readout: np.ndarray, parities=(1, -
     n, r = g.n_vertices, g.roles
     lo, hi = _unordered_pairs(n)
     ij, ji = _pair_position(n, lo, hi), _pair_position(n, hi, lo)
-    on_a, on_b = (lo == r.alice) | (hi == r.alice), (lo == r.bob) | (hi == r.bob)
-    outcome = 1 + on_a + 2 * on_b  # the row of p1, p2, p3 or pS_projection
+    outcome = _outcome(g, lo, hi)  # the row of p1, p2, p3 or pS_projection
     blocks = []
     for parity in parities:
         h, label, u = _role_fold(g, parity)
@@ -120,10 +117,9 @@ def _fold_scan(g: Graph, t_grid: np.ndarray, readout: np.ndarray, parities=(1, -
         if rows.size:
             blocks.append((parity, label, u, spectral_decompose(h), rows, w[:, rows]))
 
-    def scan(psi: Wavefunction) -> np.ndarray:
-        a = psi.amplitudes
+    def scan(a: np.ndarray) -> np.ndarray:
         if a.shape != (n * (n - 1),):
-            raise ValueError("wavefunction and pair-space dimensions differ")
+            raise ValueError("state and pair-space dimensions differ")
         curves = np.zeros((readout.shape[0], t_grid.size))
         for parity, label, u, e, rows, w in blocks:
             part = np.sqrt(0.5) * (a[ij] + parity * a[ji])
@@ -131,8 +127,7 @@ def _fold_scan(g: Graph, t_grid: np.ndarray, readout: np.ndarray, parities=(1, -
                       + 1j * np.bincount(label, u * part.imag, e.eigenvalues.size))
             if abs(np.linalg.norm(folded) - np.linalg.norm(part)) > NORM_TOL:
                 raise ValueError("state is not invariant under the role exchanges")
-            kernel = _SpectralKernel(e, Wavefunction(folded),
-                                     None if rows.size == folded.size else rows)
+            kernel = _SpectralKernel(e, folded, None if rows.size == folded.size else rows)
             for cols, amp in kernel._blocks(t_grid):
                 curves[:, cols] += _weighted_squares(w, amp)
         return curves
@@ -140,7 +135,7 @@ def _fold_scan(g: Graph, t_grid: np.ndarray, readout: np.ndarray, parities=(1, -
     return scan
 
 
-def outcome_curves(g: Graph, psi0: Wavefunction, t_grid) -> tuple[np.ndarray, ...]:
+def outcome_curves(g: Graph, psi0: np.ndarray, t_grid) -> tuple[np.ndarray, ...]:
     """(pS_bell, p1, p2, p3, pS_projection) of exp(-iHt) psi0 along a time grid.
 
     Read on the folded C blocks by `_fold_scan`, so neither a d x T matrix nor
@@ -150,25 +145,21 @@ def outcome_curves(g: Graph, psi0: Wavefunction, t_grid) -> tuple[np.ndarray, ..
     """
     t_grid = np.asarray(t_grid, dtype=float)
     # one C block at a time: a block's eigensystem is freed before the next is built
-    p_bell, p1, p2, p3, p_success = sum(_fold_scan(g, t_grid, np.eye(5), (parity,))(psi0)
-                                        for parity in (1, -1))
-    _check_norm(np.sqrt(p1 + p2 + p3 + p_success))
-    return p_bell, np.maximum(0.0, 1.0 - p2 - p3 - p_success), p2, p3, p_success
+    p_bell, p1, p2, p3, p_proj = sum(_fold_scan(g, t_grid, np.eye(5), (parity,))(psi0)
+                                     for parity in (1, -1))
+    _check_norm(np.sqrt(p1 + p2 + p3 + p_proj))
+    return p_bell, np.maximum(0.0, 1.0 - p2 - p3 - p_proj), p2, p3, p_proj
 
 
-def post_state(psi: Wavefunction, outcome: Outcome, g: Graph) -> Wavefunction:
-    """Renormalized projection of psi onto the requested outcome's support.
-
-    The time stamp restarts at zero: schedule times are measured relative
-    to the most recent measurement.
-    """
+def post_state(psi: np.ndarray, outcome: Outcome, g: Graph) -> np.ndarray:
+    """Renormalized projection of psi onto the requested outcome's support, as a new array."""
     grp = _index_groups(g)
     keep = {Outcome.PSI1: grp["g1"], Outcome.PSI2: grp["g2"],
             Outcome.PSI3: grp["g3"], Outcome.SUCCESS: grp["success"]}[outcome]
-    projected = np.zeros_like(psi.amplitudes)
-    projected[keep] = psi.amplitudes[keep]
+    projected = np.zeros_like(psi)
+    projected[keep] = psi[keep]
     weight = float(np.sum(np.abs(projected) ** 2))
     if weight < ZERO_PROB:
         raise ValueError(f"outcome {outcome.name} has probability {weight:.3e} < {ZERO_PROB}; "
                          "refusing to condition on it")
-    return Wavefunction(amplitudes=projected / np.sqrt(weight), time_stamp=0.0)
+    return projected / np.sqrt(weight)

@@ -239,7 +239,6 @@ class OracleComparison:
     #: max |a_{B,A}(t) - a_{A,B}(t)| of the reduced engine (Alice at A, Bob
     #: at B); it stays at roundoff on graphs with the protocol automorphism
     max_bell_asymmetry: float
-    times: np.ndarray
 
 
 def full_evolve_compare(g: Graph, t_grid) -> OracleComparison:
@@ -279,4 +278,4 @@ def full_evolve_compare(g: Graph, t_grid) -> OracleComparison:
     return OracleComparison(max_restriction_deviation=restriction,
                             max_amplitude_deviation=float(np.max(deviations)),
                             max_sector_leakage=float(np.max(leakages)),
-                            max_bell_asymmetry=asymmetry, times=t_grid)
+                            max_bell_asymmetry=asymmetry)

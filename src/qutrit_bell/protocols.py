@@ -34,9 +34,10 @@ from itertools import islice
 import numpy as np
 
 from .dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, HERALD_FLOOR, Eigensystem,
-                       Wavefunction, _index_groups, _SpectralKernel, _time_grid, evolve,
-                       initial_state, select_peak)
-from .measurement import ZERO_PROB, Outcome, _fold_scan, outcome_distribution, post_state
+                       _index_groups, _SpectralKernel, _time_grid, evolve, initial_state,
+                       select_peak)
+from .measurement import (ZERO_PROB, Outcome, OutcomeDistribution, _fold_scan,
+                          outcome_distribution, post_state)
 from .topology import Graph
 
 #: fraction of the window-max success probability below which a time is not
@@ -57,24 +58,18 @@ class Strategy(Enum):
 
 
 @dataclass(frozen=True)
-class ScheduleStep:
-    """One planned measurement: relative time and outcome probabilities."""
+class ScheduleStep(OutcomeDistribution):
+    """One planned measurement: its outcome probabilities and relative time.
+
+    ``pS_bell``, the Bell-heralded probability, is the success of all accounting.
+    """
 
     time: float
-    p_success: float       # Bell-heralded probability used in all accounting
-    p1: float
-    p2: float
-    p3: float
-    pS_projection: float
-
-    @property
-    def p_unusable(self) -> float:
-        return self.p2 + self.p3
 
     @property
     def reset_weight(self) -> float:
         """Probability that this measurement forces a restart."""
-        return self.p_unusable + max(0.0, self.pS_projection - self.p_success)
+        return self.p_unusable + max(0.0, self.pS_projection - self.pS_bell)
 
 
 @dataclass
@@ -101,7 +96,7 @@ class Schedule:
 
     @property
     def success_deficit(self) -> float:
-        return max(max(0.0, s.pS_projection - s.p_success) for s in self.steps)
+        return max(max(0.0, s.pS_projection - s.pS_bell) for s in self.steps)
 
 
 def protocol1_cumulative(p: float, n: int) -> float:
@@ -173,7 +168,7 @@ def _step_chooser(g: Graph, e: Eigensystem, strategy: Strategy, t_max: float | N
         rows = np.concatenate([rows, grp["g2"], grp["g3"]])
     scan = _grid_scan(g, strategy, t_grid)
 
-    def choose(psi: Wavefunction) -> float | None:
+    def choose(psi: np.ndarray) -> float | None:
         p_s, p_u = scan(psi)
         if p_s.max() < HERALD_FLOOR:
             return None
@@ -209,8 +204,7 @@ def _protocol2_steps(g: Graph, e: Eigensystem, choose_time):
         dist = outcome_distribution(phi, g)
         survival *= dist.p1
         psi = None if dist.p1 < ZERO_PROB or not survival else post_state(phi, Outcome.PSI1, g)
-        yield ScheduleStep(time=float(t), p_success=dist.pS_bell, p1=dist.p1, p2=dist.p2,
-                           p3=dist.p3, pS_projection=dist.pS_projection)
+        yield ScheduleStep(**vars(dist), time=float(t))
 
 
 def _schedule(g: Graph, e: Eigensystem, strategy: str, choose_time, n_max: int) -> Schedule:
@@ -249,7 +243,7 @@ def _padded(schedule: Schedule, n: int) -> np.ndarray:
     Steps past the end of the chain are dead, (0, 1, 0): nothing ever
     happens there, so an ended chain adds nothing to any series.
     """
-    rows = [(s.p_success, s.p1, s.reset_weight) for s in schedule.steps[:n]]
+    rows = [(s.pS_bell, s.p1, s.reset_weight) for s in schedule.steps[:n]]
     table = np.tile([0.0, 1.0, 0.0], (n, 1))
     table[:len(rows)] = np.reshape(rows, (-1, 3))
     return table.T
@@ -375,7 +369,7 @@ def protocol2_limit_check(g: Graph, e: Eigensystem, q: float,
         series = protocol2_total(schedule, n)
     n_reached = n if series[-1] >= q else None
 
-    p_peak = schedule.steps[0].p_success
+    p_peak = schedule.steps[0].pS_bell
     pbar = protocol2_no_reset(schedule, n)
     _, p1, reset = _padded(schedule, n)
     reset_mass = sum(_survival(p1) * reset)

@@ -70,19 +70,6 @@ class Graph:
             raise ValueError("graph is not connected")
 
 
-@dataclass(frozen=True)
-class AutomorphismReport:
-    """Result of a role-symmetry search.
-
-    When ``exists``, ``mapping[v-1]`` is the image of vertex v under a graph
-    automorphism that moves the role sites as the searched role permutation
-    says (by default: it exchanges c+ and c-, fixes A and B).
-    """
-
-    exists: bool
-    mapping: tuple[int, ...] | None = None
-
-
 def _neighbours(g: Graph) -> list[set[int]]:
     """Neighbour sets indexed by vertex (entry 0 unused)."""
     nbrs: list[set[int]] = [set() for _ in range(g.n_vertices + 1)]
@@ -175,7 +162,7 @@ SWAP_CHARLIE, SWAP_ENDS, SWAP_BOTH = ROLE_SWAPS = (1, 0, 2, 3), (0, 1, 3, 2), (1
 
 
 def find_protocol_automorphism(g: Graph,
-                               role_perm: tuple[int, ...] = SWAP_CHARLIE) -> AutomorphismReport:
+                               role_perm: tuple[int, ...] = SWAP_CHARLIE) -> tuple[int, ...] | None:
     """Search for a graph automorphism P that moves role k onto role role_perm[k];
     by default the symmetry the protocol relies on, which exchanges Charlie's
     two sites and fixes Alice's and Bob's.
@@ -185,7 +172,8 @@ def find_protocol_automorphism(g: Graph,
     v's colour so permuted (which pins the role sites). A backtracking search
     on an explicit stack assigns vertices in breadth-first order from Alice;
     each choice must map the edges to already-assigned neighbours onto edges,
-    which makes a complete bijection an automorphism. Nonexistence is a valid
+    which makes a complete bijection an automorphism. Returns the mapping,
+    mapping[v-1] the image of vertex v, or None: nonexistence is a valid
     result, not an error.
     """
     n, roles = g.n_vertices, g.roles.as_tuple()
@@ -214,9 +202,9 @@ def find_protocol_automorphism(g: Graph,
             continue
         image[v], used[w] = w, True
         if len(stack) == n:
-            return AutomorphismReport(True, tuple(image[1:]))
+            return tuple(image[1:])
         stack.append(iter(candidates[len(stack)]))
-    return AutomorphismReport(False)
+    return None
 
 
 def path_distance(g: Graph, u: int, v: int) -> int:

@@ -8,14 +8,14 @@ from functools import lru_cache
 
 import networkx as nx
 
-from qutrit_bell import (AutomorphismReport, Graph, Roles, assemble_hamiltonian, build_cross,
-                         build_loop, find_peak, initial_state, spectral_decompose)
+from qutrit_bell import (Graph, Roles, assemble_hamiltonian, build_cross, build_loop,
+                         find_peak, initial_state, spectral_decompose)
 from qutrit_bell.topology import SWAP_CHARLIE
 
 
 @lru_cache(maxsize=None)
 def prepared(family: str, n: int):
-    """(graph, eigensystem, initial wavefunction) for a built-in system."""
+    """(graph, eigensystem, initial state) for a built-in system."""
     g = build_cross(n) if family == "cross" else build_loop(n)
     return g, spectral_decompose(assemble_hamiltonian(g)), initial_state(g)
 
@@ -33,7 +33,7 @@ def random_graph_with_moved_roles():
                  Roles(3, 7, 1, 5))
 
 
-def vf2_protocol_automorphism(g: Graph, role_perm=SWAP_CHARLIE) -> AutomorphismReport:
+def vf2_protocol_automorphism(g: Graph, role_perm=SWAP_CHARLIE) -> tuple[int, ...] | None:
     """Reference for `find_protocol_automorphism(g, role_perm)`: networkx's VF2 search
     (Cordella et al., IEEE TPAMI 26, 1367 (2004)) from a role-coloured copy
     of the graph to a copy where role role_perm[k] wears role k's colour, so
@@ -50,8 +50,7 @@ def vf2_protocol_automorphism(g: Graph, role_perm=SWAP_CHARLIE) -> AutomorphismR
     matcher = nx.algorithms.isomorphism.GraphMatcher(
         *copies, node_match=lambda a, b: a.get("role") == b.get("role"))
     iso = next(matcher.isomorphisms_iter(), None)
-    mapping = None if iso is None else tuple(iso[v] for v in range(1, g.n_vertices + 1))
-    return AutomorphismReport(mapping is not None, mapping)
+    return None if iso is None else tuple(iso[v] for v in range(1, g.n_vertices + 1))
 
 
 @contextlib.contextmanager

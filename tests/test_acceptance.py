@@ -207,9 +207,9 @@ def test_criterion_4_degraded_first_entry(family, n):
     # fallback property: the first entry always matches the reference peak
     sched = schedule_for(family, n)
     want = CONDITIONAL_RESET_COLUMNS[(family, n)][0]
-    ok = abs(sched.steps[0].p_success - want) < 5e-3
+    ok = abs(sched.steps[0].pS_bell - want) < 5e-3
     report(4, f"{family} N={n} first entry", ok,
-           f"P1={sched.steps[0].p_success:.4f} reference={want}")
+           f"P1={sched.steps[0].pS_bell:.4f} reference={want}")
     assert ok
 
 

@@ -392,6 +392,17 @@ class TestVerify:
             f"N{n}_bell_amplitude_asymmetry"]
         assert all(r[-1] == "pass" for r in rows)
 
+    @pytest.mark.parametrize("name,has_row", [("no-role-exchange.txt", False),
+                                              ("cross5.txt", True)])
+    def test_bell_asymmetry_row_only_under_the_symmetry(self, name, has_row, capsys):
+        # the Bell amplitudes are equal only where an automorphism exchanges c+ and c-
+        code, out, _ = run_cli(["verify", "--topology", "custom", "--topology-file",
+                                str(DATA / name), "--no-timestamp"], capsys)
+        assert code == 0
+        names = [r[0] for r in parse_csv(out)[1]]
+        assert any(r.endswith("_bell_amplitude_asymmetry") for r in names) == has_row
+        assert "su3_algebra_max_violation" in names
+
 
 class TestSizeGuard:
     @pytest.mark.parametrize("argv", EIGENSYSTEM_REFUSALS)
@@ -648,19 +659,37 @@ class TestOutputHandling:
 
 
 class TestRuntimeImports:
+    #: one command of each kind, on the folds without a role exchange (scan, protocol2)
+    #: and with signed and dropped orbits (cross-5 as a custom file)
+    NETWORKX_FREE = [
+        ["scan", "--topology", "loop", "--n", "8", "--t-max", "5"],
+        ["scan", "--topology", "custom", "--topology-file", str(DATA / "no-role-exchange.txt"),
+         "--t-max", "5"],
+        ["scan", "--topology", "custom", "--topology-file", CROSS5, "--t-max", "5"],
+        ["peaks", "--topology", "cross", "--n-list", "5,7"],
+        ["peaks", "--topology", "custom", "--topology-file", CROSS5],
+        ["protocol1", "--topology", "loop", "--n-list", "4,8"],
+        ["protocol2", "--topology", "loop", "--n", "8", "--strategy", "min-loss"],
+        ["protocol2", "--topology", "custom", "--topology-file",
+         str(DATA / "no-role-exchange.txt"), "--n-max", "3"],
+        ["protocol2", "--topology", "custom", "--topology-file", CROSS5, "--n-max", "3"],
+        ["verify", "--topology", "cross", "--n", "5"],
+    ]
+
     def test_no_command_imports_networkx(self):
-        # in a fresh interpreter: this session has networkx loaded (conftest)
+        # networkx is a test dependency only. In a fresh interpreter (this session
+        # has it loaded through conftest) with its import blocked, a command that
+        # imports it ends in an ImportError
         script = "\n".join([
             "import sys",
+            "sys.modules['networkx'] = None",
             "from qutrit_bell import cli",
-            "for argv in (['protocol2', '--topology', 'loop', '--n', '8',",
-            "              '--strategy', 'min-loss'],",
-            "             ['verify', '--topology', 'loop', '--n', '4']):",
-            "    assert cli.main(argv) == 0, argv",
-            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'networkx'))",
+            f"for argv in {self.NETWORKX_FREE!r}:",
+            "    code = cli.main(argv + ['--no-timestamp', '--output', '/dev/null'])",
+            "    if code != 0:",
+            "        sys.exit(f'{argv}: exit {code}')",
         ])
         env = {**os.environ, "PYTHONPATH": str(DATA.parent.parent / "src")}
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                              text=True, env=env, timeout=120)
+                              text=True, env=env, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[]"

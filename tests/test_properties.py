@@ -14,8 +14,8 @@ CLI's numeric flags on loop-4 and cross-5.
 
 import io
 import math
-from contextlib import redirect_stderr, redirect_stdout
-from itertools import combinations, permutations
+from contextlib import redirect_stderr, redirect_stdout, suppress
+from itertools import combinations, islice, permutations
 
 import numpy as np
 import pytest
@@ -28,12 +28,13 @@ from qutrit_bell import (Graph, Roles, assemble_hamiltonian, build_cross, build_
                          one_shot_peak, outcome_distribution, protocol1_cumulative,
                          protocol1_required, spectral_decompose)
 from qutrit_bell.cli import main
-from qutrit_bell.dynamics import (DEFAULT_REFINE_TOL, FULL_STATE_BLOCK, PHASE_BLOCK,
-                                  Wavefunction, _index_groups, _pairs, _role_fold,
+from qutrit_bell.dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, FULL_STATE_BLOCK,
+                                  PHASE_BLOCK, _index_groups, _pairs, _role_fold,
                                   _unordered_position, amplitude_rows, pair_index)
 from qutrit_bell.measurement import ZERO_PROB, Outcome, outcome_curves, post_state
 from qutrit_bell.oracle import full_evolve_compare
-from qutrit_bell.protocols import PLAN_WINDOW_FACTOR, Strategy, _grid_scan
+from qutrit_bell.protocols import (PLAN_WINDOW_FACTOR, Strategy, _grid_scan, _protocol2_steps,
+                                   _step_chooser)
 from qutrit_bell.topology import ROLE_SWAPS, SWAP_CHARLIE, SWAP_ENDS
 from test_acceptance import (QUANTILES, REPEAT_RESET_COLUMNS, TABLE_CROSS_COUNTS,
                              TABLE_LOOP_COUNTS, _count_marks, _repeat_marks)
@@ -106,16 +107,14 @@ def brute_force_automorphisms(g):
 @settings(max_examples=100, deadline=None)
 def test_automorphism_search_agrees_with_brute_force(drawn):
     g, symmetric = drawn
-    rep = find_protocol_automorphism(g)
-    assert rep.exists == bool(brute_force_automorphisms(g))
+    mapping = find_protocol_automorphism(g)
+    assert (mapping is not None) == bool(brute_force_automorphisms(g))
     if symmetric:
-        assert rep.exists
-    if rep.exists:
-        perm = {v: rep.mapping[v - 1] for v in range(1, g.n_vertices + 1)}
+        assert mapping is not None
+    if mapping is not None:
+        perm = {v: mapping[v - 1] for v in range(1, g.n_vertices + 1)}
         assert sorted(perm.values()) == list(range(1, g.n_vertices + 1))
         assert is_protocol_automorphism(g, perm)
-    else:
-        assert rep.mapping is None
 
 
 @given(protocol_graphs(symmetric=True))
@@ -162,8 +161,7 @@ def test_planner_fold_keeps_the_planned_states_and_their_grid(drawn, t):
     if outcome_distribution(psi, g).p1 >= ZERO_PROB:
         states.append(post_state(psi, Outcome.PSI1, g))  # what the planner conditions on
     for state in states:
-        a = state.amplitudes
-        assert np.max(np.abs(iso @ (iso.T @ a) - a)) <= 1e-12
+        assert np.max(np.abs(iso @ (iso.T @ state) - state)) <= 1e-12
         amp = amplitude_rows(e, state, rows, grid)
         p_s, p_u = scan(state)
         assert np.max(np.abs(p_s - 0.5 * np.abs(amp[0] + amp[1]) ** 2)) <= 1e-12
@@ -180,8 +178,44 @@ def test_outcome_probabilities_sum_to_one(drawn, t):
     assert all(0.0 <= p <= 1.0 + 1e-12 for p in probs)
     assert sum(probs) == pytest.approx(1.0, abs=1e-12)
     # p1 is the remainder of the other three; it must also be psi1's own weight
-    weight_g1 = float(np.sum(np.abs(psi.amplitudes[_index_groups(g)["g1"]]) ** 2))
+    weight_g1 = float(np.sum(np.abs(psi[_index_groups(g)["g1"]]) ** 2))
     assert d.p1 == pytest.approx(weight_g1, abs=1e-12)
+
+
+
+@given(protocol_graphs(), st.floats(0.0, 50.0))
+@settings(max_examples=30, deadline=None)
+def test_no_call_changes_the_state_it_is_given(drawn, t):
+    # states are plain arrays, so any in-place write would reach the caller
+    g, _ = drawn
+    e = spectral_decompose(assemble_hamiltonian(g))
+    psi0 = initial_state(g)
+    initial_state(g)[:] = np.nan  # each call builds a new array
+    assert initial_state(g) is not psi0 and np.array_equal(initial_state(g), psi0)
+    grid = 0.1 * np.arange(50)
+    for state in (psi0, evolve(e, psi0, t)):
+        kept = state.copy()
+        evolve(e, state, t)
+        if outcome_distribution(state, g).p1 >= ZERO_PROB:
+            post_state(state, Outcome.PSI1, g)
+        outcome_curves(g, state, grid)
+        amplitude_rows(e, state, _index_groups(g)["success"], grid)
+        assert state.tobytes() == kept.tobytes()
+    # the chain of `plan_protocol2`: each conditional state is scanned, evolved,
+    # measured and conditioned on, and must reach its chooser as it was made
+    chooser = _step_chooser(g, e, Strategy.MAX_MARGIN, None, DEFAULT_GRID_STEP,
+                            DEFAULT_REFINE_TOL)
+    given_states = []
+
+    def choose(psi):
+        given_states.append((psi, psi.copy()))
+        return chooser(psi)
+
+    with suppress(RuntimeError):  # no success within the window at the first step
+        list(islice(_protocol2_steps(g, e, choose), 3))
+    assert given_states
+    for psi, kept in given_states:
+        assert psi.tobytes() == kept.tobytes()
 
 
 def c_isometry_unscaled(n, parity):
@@ -199,9 +233,9 @@ def role_exchanges(g):
     n, r = g.n_vertices, g.roles
     plus, minus = _pairs(n)
     exchanges = []
-    for rep in (find_protocol_automorphism(g, swap) for swap in ROLE_SWAPS):
-        if rep.exists:
-            p = np.array((0, *rep.mapping))
+    for mapping in (find_protocol_automorphism(g, swap) for swap in ROLE_SWAPS):
+        if mapping is not None:
+            p = np.array((0, *mapping))
             i, j = ((p[minus], p[plus]) if p[r.charlie_plus] == r.charlie_minus
                     else (p[plus], p[minus]))
             u = np.zeros((plus.size, plus.size))
@@ -264,7 +298,7 @@ def test_c_blocks_evolve_any_state_as_the_full_space_does(drawn, seed):
     a = rng.normal(size=n * (n - 1)) + 1j * rng.normal(size=n * (n - 1))
     iso = both_folds_isometry(g)
     a = iso @ (iso.T @ a)  # a random state the role exchanges keep
-    psi0 = Wavefunction(a / np.linalg.norm(a))
+    psi0 = a / np.linalg.norm(a)
     grid = 0.37 * np.arange(FULL_STATE_BLOCK + 2)  # two kernel blocks, the last of two times
     e = spectral_decompose(assemble_hamiltonian(g))
     curves = np.array(outcome_curves(g, psi0, grid))
@@ -283,7 +317,7 @@ def test_outcome_curves_refuse_a_state_the_folds_cannot_hold(drawn, seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=n * (n - 1)) + 1j * rng.normal(size=n * (n - 1))
     with pytest.raises(ValueError, match="not invariant"):
-        outcome_curves(g, Wavefunction(a / np.linalg.norm(a)), [0.0, 0.1])
+        outcome_curves(g, a / np.linalg.norm(a), [0.0, 0.1])
 
 
 def pair_orbits(g):
@@ -292,8 +326,8 @@ def pair_orbits(g):
     breadth-first closure of each pair under the searched mappings."""
     pairs = list(combinations(range(1, g.n_vertices + 1), 2))
     where = {pair: k for k, pair in enumerate(pairs)}
-    maps = [rep.mapping for rep in (find_protocol_automorphism(g, swap) for swap in ROLE_SWAPS)
-            if rep.exists]
+    maps = [m for m in (find_protocol_automorphism(g, swap) for swap in ROLE_SWAPS)
+            if m is not None]
     orbits, seen = [], set()
     for k in range(len(pairs)):
         if k in seen:
@@ -374,7 +408,7 @@ def test_planner_fold_of_the_built_in_families(family, n, dim):
 def test_role_block_without_a_role_exchange_is_the_c_even_block():
     from test_topology import named_graph  # the seeded 36-site graph of `scan`
     g = named_graph("random-36")
-    assert not any(find_protocol_automorphism(g, swap).exists for swap in ROLE_SWAPS)
+    assert all(find_protocol_automorphism(g, swap) is None for swap in ROLE_SWAPS)
     b = c_isometry_unscaled(g.n_vertices, 1)
     assert np.array_equal(_role_fold(g, 1)[0].matrix,
                           0.5 * (b.T @ assemble_hamiltonian(g).matrix @ b))

@@ -18,7 +18,7 @@ from qutrit_bell import (Outcome, Strategy, assemble_hamiltonian, enumerate_outc
 from qutrit_bell import cli, dynamics, measurement, protocols
 from qutrit_bell.cli import main
 from qutrit_bell.dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, PHASE_BLOCK,
-                                  TIE_TOL, Wavefunction, _index_groups, _SpectralKernel,
+                                  TIE_TOL, _index_groups, _SpectralKernel,
                                   _time_grid, amplitude_rows, find_peak, pair_index)
 from qutrit_bell.protocols import (Schedule, ScheduleStep, _grid_scan, _protocol2_steps,
                                    _step_chooser, _step_curve)
@@ -28,9 +28,8 @@ DATA = Path(__file__).resolve().parent / "data"
 
 
 def synthetic_schedule(rows, n_vertices=5, strategy="synthetic"):
-    """Schedule stub from (p_success, p1, p2, p3) rows; projection = bell."""
-    steps = [ScheduleStep(time=1.0, p_success=ps, p1=p1, p2=p2, p3=p3,
-                          pS_projection=ps)
+    """Schedule stub from (pS_bell, p1, p2, p3) rows; projection = bell."""
+    steps = [ScheduleStep(p1=p1, p2=p2, p3=p3, pS_projection=ps, pS_bell=ps, time=1.0)
              for (ps, p1, p2, p3) in rows]
     return Schedule(strategy=strategy, n_vertices=n_vertices, steps=steps)
 
@@ -102,14 +101,14 @@ class TestPlanProtocol2:
     def test_first_step_matches_one_shot_peak(self, cross5_schedule):
         t_star, p_star = peak("cross", 5)
         assert cross5_schedule.steps[0].time == pytest.approx(t_star, abs=1e-5)
-        assert cross5_schedule.steps[0].p_success == pytest.approx(p_star, abs=1e-9)
-        assert cross5_schedule.steps[0].p_success == pytest.approx(0.3429, abs=5e-3)
+        assert cross5_schedule.steps[0].pS_bell == pytest.approx(p_star, abs=1e-9)
+        assert cross5_schedule.steps[0].pS_bell == pytest.approx(0.3429, abs=5e-3)
 
     def test_later_peaks_diminish(self, cross5_schedule, loop4_schedule):
         for sched in (cross5_schedule, loop4_schedule):
-            first = sched.steps[0].p_success
+            first = sched.steps[0].pS_bell
             for k in range(1, len(sched)):
-                assert sched.steps[k].p_success <= first + 1e-12
+                assert sched.steps[k].pS_bell <= first + 1e-12
 
     def test_step_probabilities_are_consistent(self, cross5_schedule):
         for s in cross5_schedule.steps:
@@ -138,7 +137,7 @@ class TestPlanProtocol2:
             with pytest.raises(ValueError, match="t_max must be positive"):
                 plan_protocol2(g, e, strategy, n_max=2, t_max=t_max)
 
-    # (time, p_success, p1) of each step as the CLI prints them. The loop-4
+    # (time, pS_bell, p1) of each step as the CLI prints them. The loop-4
     # tail plans on curves of height ~1e-13, and cross-7 moved when the
     # rounding of V^T psi0 changed: both pin the kernel's scalar path.
     # Min-loss and max-margin also scan p_U on the grid; max-margin stalls
@@ -218,7 +217,7 @@ class TestPlanProtocol2:
     def test_printed_schedule_is_pinned(self, family, n, strategy):
         g, e, _ = prepared(family, n)
         sched = plan_protocol2(g, e, Strategy(strategy), n_max=10)
-        printed = [(f"{s.time:.10g}", f"{s.p_success:.10g}", f"{s.p1:.10g}")
+        printed = [(f"{s.time:.10g}", f"{s.pS_bell:.10g}", f"{s.p1:.10g}")
                    for s in sched.steps]
         assert printed == self.PINNED_SCHEDULES[(family, n, strategy)]
 
@@ -305,7 +304,7 @@ class TestMirrorRows:
 
     def test_graph_without_the_symmetry_scans_every_row(self, built):
         g = random_graph_with_moved_roles()
-        assert not any(find_protocol_automorphism(g, swap).exists for swap in ROLE_SWAPS)
+        assert all(find_protocol_automorphism(g, swap) is None for swap in ROLE_SWAPS)
         e = spectral_decompose(assemble_hamiltonian(g))
         every = 2 + len(_index_groups(g)["g2"]) + len(_index_groups(g)["g3"])
         plan_protocol2(g, e, Strategy.MAX_MARGIN, n_max=1)
@@ -327,10 +326,10 @@ class TestMirrorRows:
                                DEFAULT_REFINE_TOL)
         assert choose(psi0) is not None
         n, r = g.n_vertices, g.roles
-        a = np.zeros_like(psi0.amplitudes)
+        a = np.zeros_like(psi0)
         a[pair_index(n, r.charlie_plus, r.alice)] = 1.0  # A <-> B moves it to |c+,B>
         with pytest.raises(ValueError, match="not invariant"):
-            choose(Wavefunction(a))
+            choose(a)
 
     def test_graph_without_a_role_exchange_diagonalises_once(self, monkeypatch):
         calls = []
@@ -421,8 +420,7 @@ class TestRegularSchedule:
             phi = evolve(e, psi, 1.0)
             d = outcome_distribution(phi, g)
             psi = post_state(phi, Outcome.PSI1, g)
-            steps.append(ScheduleStep(time=1.0, p_success=d.pS_bell, p1=d.p1, p2=d.p2,
-                                      p3=d.p3, pS_projection=d.pS_projection))
+            steps.append(ScheduleStep(**vars(d), time=1.0))
         stepped_on = Schedule("regular", g.n_vertices, steps)
         assert stepped_on.steps[:566] == sched.steps
         assert np.array_equal(protocol2_no_reset(sched, n), protocol2_no_reset(stepped_on, n))
@@ -432,7 +430,7 @@ class TestRegularSchedule:
 class TestCumulativeSeries:
     def test_single_term(self, cross5_schedule):
         pbar = protocol2_no_reset(cross5_schedule, 1)
-        assert pbar[0] == pytest.approx(cross5_schedule.steps[0].p_success, abs=1e-14)
+        assert pbar[0] == pytest.approx(cross5_schedule.steps[0].pS_bell, abs=1e-14)
         ptot = protocol2_total(cross5_schedule, 1)
         assert ptot[0] == pbar[0]
 
@@ -505,7 +503,7 @@ class TestCumulativeSeries:
 
 def triple_loop_reset_count_masses(schedule, n, m_max):
     """The reset-count recursion as a loop over steps, positions and counts."""
-    rows = [(s.p_success, s.p1, s.reset_weight) for s in schedule.steps[:n]]
+    rows = [(s.pS_bell, s.p1, s.reset_weight) for s in schedule.steps[:n]]
     rows += [(0.0, 1.0, 0.0)] * (n - len(rows))
     alive = np.zeros((n + 1, m_max + 1))
     alive[0, 0] = 1.0
