@@ -19,6 +19,7 @@ import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import cache
 from itertools import chain
 from pathlib import Path
 
@@ -256,6 +257,8 @@ def _checked_run(args) -> _Run:
             # GRID_ARRAYS floats a point, plus a complex amplitude per row held along the grid
             rows = d if command == "verify" else int(peak_table)
             points = t_max / args.grid_step + 1
+            if (peak_table or command == "protocol2") and args.grid_step > t_max:
+                raise PreconditionError(f"--grid-step exceeds the window [0, {t_max:g}]")
             _check_memory(f"the time grid over [0, {t_max:g}] at step {args.grid_step:g} "
                           f"({points:.3g} points)", points * 8 * (GRID_ARRAYS + 2 * rows))
         if command == "verify" and len(g.edges) * t_max > VERIFY_MAX_EDGE_TIME:
@@ -360,6 +363,7 @@ def _add_common(p: argparse.ArgumentParser, n_single=True):
                    help="omit the timestamp header line (byte-stable output)")
 
 
+@cache  # one parser per process, built at the first `main` call; parsing leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="qutrit-bell",
                   description="Bell-state distribution on exchange-coupled qutrit graphs")

@@ -24,12 +24,12 @@ The propagator exp(-iHt) is evaluated through the dense eigendecomposition;
 for N <= 36 the dimension stays at or below 1260, where this is both exact
 and cheap to re-evaluate at many times. One private kernel,
 `_SpectralKernel`, holds the only exp(-i lambda t): it serves a scalar time
-(`evolve`, peak refinement), a few rows along a grid (`amplitude_rows`,
-the peak searches, the protocol-2 planner), and every row of a folded C block
-along a grid one block of times at a time (the outcome curves of
-`measurement.outcome_curves`). The scalar path is bit-exact; the grid path
-takes only arithmetic grids from 0, such as those of `_time_grid`, which
-ends at t_max, and agrees with the scalar path to within 1e-13.
+(`evolve`, peak refinement, protocol-2 steps), a few rows along a grid
+(`amplitude_rows`, the peak searches, the protocol-2 planner), and every row
+of a folded C block along a grid (`measurement.outcome_curves`). The scalar
+path is bit-exact; the grid path takes only arithmetic grids from 0, such as
+`_time_grid`'s, steps blocks of times that share one phase table (about
+sqrt(T) wide on a row subset) and agrees with the scalar path to within 1e-13.
 `select_peak` picks the peak time of a sampled curve, for the peak searches
 and for every protocol-2 planning strategy. Units: hbar = 1, J = 1.
 """
@@ -54,8 +54,8 @@ DEFAULT_REFINE_TOL = 1e-6
 #: tabulated peak on the 32-site loop (from 6.42 N); any factor in between
 #: reproduces the reference tables, 6.4 is used.
 PEAK_WINDOW_FACTOR = 6.4
-#: times per phase block on a grid: the exp(-i lambda t) block holds at most
-#: d * PHASE_BLOCK complex numbers (20 MB at d = 1260), whatever the grid length
+#: times per block of a row subset's amplitudes along a grid (and of `oracle`'s
+#: Chebyshev table), whatever the grid length; a power of two, as the kernel needs
 PHASE_BLOCK = 1024
 #: times per block when every row is wanted (`scan`): on a C block with no fold
 #: (d = 630, the seeded 36-site graph without a role exchange) a block's phases
@@ -149,22 +149,21 @@ def _exchange_matrix(g: Graph, plus: np.ndarray, minus: np.ndarray, position,
     the excitations, that excitation hops to the other endpoint; if the
     edge is {i,j}, the two excitations swap. Edges disjoint from {i,j}
     contribute nothing. An image (k,l) with k > l enters with the sign `parity`
-    (-1 only for the C-odd block), times sign[image] sign[pair] (default 1). Each
-    edge scatters onto label[image], label[pair] (default label[k] = k): with orbit
-    labels, entry (O', O) sums +-H over O' x O.
+    (-1 only for the C-odd block), times sign[image] sign[pair] (default 1). One
+    bincount scatters every edge onto label[image], label[pair] (default label[k] = k):
+    with orbit labels, entry (O', O) sums +-H over O' x O, exactly in any order.
     """
     label = np.arange(plus.size) if label is None else label
     sign = np.ones(plus.size) if sign is None else sign
-    h = np.zeros((label.max() + 1,) * 2)
-    for (m, mm) in g.edges:
-        ti = np.where(plus == m, mm, np.where(plus == mm, m, plus))
-        tj = np.where(minus == m, mm, np.where(minus == mm, m, minus))
-        moved = (ti != plus) | (tj != minus)
-        ti, tj = ti[moved], tj[moved]
-        image = position(ti, tj)
-        np.add.at(h, (label[image], label[moved]),
-                  np.where(ti > tj, parity, 1.0) * sign[image] * sign[moved])
-    return h
+    d = label.max() + 1
+    m, mm = np.array(sorted(g.edges)).T[:, :, None]
+    ti = np.where(plus == m, mm, np.where(plus == mm, m, plus))
+    tj = np.where(minus == m, mm, np.where(minus == mm, m, minus))
+    moved = (ti != plus) | (tj != minus)
+    pair, ti, tj = np.nonzero(moved)[1], ti[moved], tj[moved]
+    image = position(ti, tj)
+    weight = np.where(ti > tj, parity, 1.0) * sign[image] * sign[pair]
+    return np.bincount(label[image] * d + label[pair], weight, d * d).reshape(d, d)
 
 
 def assemble_hamiltonian(g: Graph) -> Hamiltonian:
@@ -221,24 +220,25 @@ def initial_state(g: Graph) -> np.ndarray:
 class _SpectralKernel:
     """Amplitudes <r|exp(-iHt)|psi0> on a fixed row set (every row by default).
 
-    V^T psi0 is formed once. A scalar time gives shape (rows,) and is
-    bit-exact: it rounds as exp(-1j * lambda t) * V^T psi0 followed by one
-    complex product would. Protocol-2 schedules planned on curves of height
-    ~1e-13 move with any one-ulp change there, so that path never moves.
-    Its complex copy of V is built at the first scalar time: numpy's
-    real-by-complex product gives the same bits, but took 1.0 ms against
-    0.05 ms for the 138 rows the min-loss planner reads at loop-36.
+    V^T psi0 is formed once (`on_rows` shares it). A scalar time gives shape
+    (rows,) and is bit-exact: it rounds as exp(-1j * lambda t) * V^T psi0
+    followed by one complex product would. Protocol-2 schedules planned on
+    curves of height ~1e-13 move with any one-ulp change there, so that path
+    never moves. Its complex copy of V is built at the first scalar time: numpy's
+    real-by-complex product gives the same bits, but took 1.0 ms against 0.05 ms
+    for the 138 rows the min-loss planner reads at loop-36.
 
-    A 1-D grid gives (rows, T) and must be arithmetic from 0, exactly
-    h * arange(T) as `_time_grid` builds it; any other grid is a ValueError.
-    Since exp(-i lambda t_{s+m}) = exp(-i lambda t_s) exp(-i lambda t_m), one
-    offset table E = exp(-i lambda t_m), m < block, is built per call, and a
-    block starting at t_s needs only the d-vector exp(-i lambda t_s) V^T psi0:
-    no sin or cos is taken per grid point. Blocks hold PHASE_BLOCK times for a
-    row subset and FULL_STATE_BLOCK for every row. The split phase rounds
-    differently: a grid column agrees with the scalar time, and with
-    exp(-1j * outer(lambda, t)) in one piece, to within 1e-13 for a unit psi0
-    (measured: at most 7e-15 on the 8N grid at loop-36).
+    A 1-D grid gives (rows, T) and must be arithmetic from 0, exactly h * arange(T)
+    as `_time_grid` builds it; any other grid is a ValueError. As exp(-i lambda
+    t_{s+m}) = exp(-i lambda t_s) exp(-i lambda t_m), blocks of w times share one
+    table E = exp(-i lambda t_m), m < w, and a block from t_s needs only
+    exp(-i lambda t_s) V^T psi0. Every row takes w = FULL_STATE_BLOCK, one real
+    product per block. A row subset takes w the largest power of two <= sqrt(T),
+    at most PHASE_BLOCK (about 2 d sqrt(T) sines and cosines), and yields
+    PHASE_BLOCK / w blocks as one product ((rows * blocks) x d) @ (d x w). The
+    split phase rounds differently: a grid column agrees with the scalar time, and
+    with exp(-1j * outer(lambda, t)) in one piece, to within 1e-13 for a unit psi0
+    (measured: at most 8.4e-15 on the 8N grid at loop-36).
     """
 
     def __init__(self, e: Eigensystem, psi0: np.ndarray, rows=None):
@@ -248,7 +248,13 @@ class _SpectralKernel:
         self._coeff = e._vt @ psi0
         self._full = rows is None
         self._v = e.eigenvectors if self._full else e.eigenvectors[list(rows), :]
-        self._block = FULL_STATE_BLOCK if self._full else PHASE_BLOCK
+
+    def on_rows(self, rows) -> _SpectralKernel:
+        """This kernel on a subset of its rows: V^T psi0 is shared, a complex copy of V is not."""
+        sub = object.__new__(type(self))
+        sub._neg_lam, sub._coeff = self._neg_lam, self._coeff
+        sub._full, sub._v = False, self._v[list(rows), :]
+        return sub
 
     @cached_property
     def _v_complex(self) -> np.ndarray:
@@ -279,18 +285,22 @@ class _SpectralKernel:
         step = t[1] if t.ndim == 1 and t.size > 1 else 0.0
         if t.ndim != 1 or not np.array_equal(t, step * np.arange(t.size)):
             raise ValueError("a time grid must be exactly step * arange(T), starting at 0")
-        offsets = self._phases(t[:self._block])
-        for s in range(0, t.size, self._block):
-            n = min(self._block, t.size - s)
-            shift = self._phased(t[s])
-            # each block is made in the yield, so this frame keeps no block
-            # alive while the caller works on it
-            if self._full:
-                # V is real: one real product over the (re, im) column pairs
+        # each block is made in the yield: this frame keeps none alive while the caller works
+        if self._full:  # V is real: one real product over the (re, im) column pairs
+            offsets = self._phases(t[:FULL_STATE_BLOCK])
+            for s in range(0, t.size, FULL_STATE_BLOCK):
+                n = min(FULL_STATE_BLOCK, t.size - s)
+                shift = self._phased(t[s])
                 yield slice(s, s + n), (self._v @ (offsets[:, :n] * shift[:, None])
                                         .view(np.float64)).view(np.complex128)
-            else:
-                yield slice(s, s + n), (self._v * shift) @ offsets[:, :n]
+            return
+        w = min(PHASE_BLOCK, 1 << ((max(t.size, 1).bit_length() - 1) // 2))  # 2^k <= sqrt(T)
+        offsets, starts = self._phases(t[:w]), self._phases(t[::w]) * self._coeff[:, None]
+        for s in range(0, t.size, PHASE_BLOCK):
+            shifts = starts[:, s // w:(s + PHASE_BLOCK) // w].T
+            yield slice(s, min(s + PHASE_BLOCK, t.size)), (
+                ((self._v[:, None, :] * shifts).reshape(-1, self._coeff.size) @ offsets)
+                .reshape(self._v.shape[0], -1)[:, :t.size - s])
 
     def __call__(self, t) -> np.ndarray:
         if np.ndim(t) == 0:

@@ -34,8 +34,7 @@ from itertools import islice
 import numpy as np
 
 from .dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, HERALD_FLOOR, Eigensystem,
-                       _index_groups, _SpectralKernel, _time_grid, evolve, initial_state,
-                       select_peak)
+                       _index_groups, _SpectralKernel, _time_grid, initial_state, select_peak)
 from .measurement import (ZERO_PROB, Outcome, OutcomeDistribution, _fold_scan,
                           outcome_distribution, post_state)
 from .topology import Graph
@@ -154,13 +153,13 @@ def _grid_scan(g: Graph, strategy: Strategy, t_grid: np.ndarray):
     return _fold_scan(g, t_grid, np.array([[1, 0, 0, 0, 0], [0, 0, 1, 1, 0]]))
 
 
-def _step_chooser(g: Graph, e: Eigensystem, strategy: Strategy, t_max: float | None,
-                  grid_step: float, refine_tol: float):
-    """Conditional state -> measurement time, or None (p_S below HERALD_FLOOR), on [0, t_max].
+def _step_chooser(g: Graph, strategy: Strategy, t_max: float | None, grid_step: float,
+                  refine_tol: float):
+    """(state, its `_SpectralKernel`) -> measurement time, or None (p_S < HERALD_FLOOR).
 
-    One path for every strategy: `_grid_scan`, scored by `_score` (min-loss only
-    where p_S reaches MINLOSS_FLOOR of its maximum: p_U is least at t=0, where
-    nothing can be measured), then `select_peak` on e's scalar path of its rows."""
+    One path for every strategy on [0, t_max]: `_grid_scan`, scored by `_score`
+    (min-loss only where p_S reaches MINLOSS_FLOOR of its maximum: p_U is least at
+    t=0, where nothing can be measured), then `select_peak` on the kernel's rows."""
     t_grid = _time_grid(PLAN_WINDOW_FACTOR * g.n_vertices if t_max is None else t_max, grid_step)
     grp = _index_groups(g)
     rows = grp["success"]
@@ -168,16 +167,16 @@ def _step_chooser(g: Graph, e: Eigensystem, strategy: Strategy, t_max: float | N
         rows = np.concatenate([rows, grp["g2"], grp["g3"]])
     scan = _grid_scan(g, strategy, t_grid)
 
-    def choose(psi: np.ndarray) -> float | None:
+    def choose(psi: np.ndarray, kernel: _SpectralKernel) -> float | None:
         p_s, p_u = scan(psi)
         if p_s.max() < HERALD_FLOOR:
             return None
         score = _score(strategy, p_s, p_u)
         if strategy is Strategy.MIN_LOSS:
             score = np.where(p_s >= MINLOSS_FLOOR * p_s.max(), score, -np.inf)
-        kernel = _SpectralKernel(e, psi, rows)
+        refine = kernel.on_rows(rows)
         return select_peak(score, t_grid,
-                           lambda t: float(_score(strategy, *_step_curve(kernel(t)))),
+                           lambda t: float(_score(strategy, *_step_curve(refine(t)))),
                            grid_step, refine_tol)[0]
 
     return choose
@@ -186,21 +185,23 @@ def _step_chooser(g: Graph, e: Eigensystem, strategy: Strategy, t_max: float | N
 def _protocol2_steps(g: Graph, e: Eigensystem, choose_time):
     """The protocol-2 chain, one ScheduleStep per measurement, lazily.
 
-    Each step evolves the current conditional state for choose_time(state),
-    measures, and conditions on psi1. The chain ends after a step that leaves
-    psi1 or the product of p_1 (`_survival`) no weight, or where choose_time
-    finds no success in its window; at the first step that is an error.
+    Each step evolves the current conditional state for choose_time(state, kernel),
+    through its one kernel on e (one V^T psi), measures, and conditions on psi1. The
+    chain ends after a step that leaves psi1 or the product of p_1 (`_survival`) no
+    weight, or where choose_time finds no success in its window (an error at first).
     """
     psi = first = initial_state(g)
     survival = 1.0
     while psi is not None:
-        t = choose_time(psi)
+        kernel = _SpectralKernel(e, psi)
+        t = choose_time(psi, kernel)
         if t is None:
             if psi is first:
                 raise RuntimeError("success probability identically zero over the "
                                    "search window; cannot plan further measurements")
             return
-        phi = evolve(e, psi, float(t))
+        phi = kernel(float(t))
+        del kernel  # its complex copy of V (25 MB at d = 1260) goes now, as `evolve`'s would
         dist = outcome_distribution(phi, g)
         survival *= dist.p1
         psi = None if dist.p1 < ZERO_PROB or not survival else post_state(phi, Outcome.PSI1, g)
@@ -227,14 +228,14 @@ def plan_protocol2(g: Graph, e: Eigensystem, strategy: Strategy = Strategy.PEAK_
     The schedule is reused verbatim after every reset.
     """
     return _schedule(g, e, strategy.value,
-                     _step_chooser(g, e, strategy, t_max, grid_step, refine_tol), n_max)
+                     _step_chooser(g, strategy, t_max, grid_step, refine_tol), n_max)
 
 
 def plan_regular(g: Graph, e: Eigensystem, tau: float, n_max: int) -> Schedule:
     """Fixed-interval fallback schedule: every measurement after time tau."""
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    return _schedule(g, e, "regular", lambda psi: tau, n_max)
+    return _schedule(g, e, "regular", lambda psi, kernel: tau, n_max)
 
 
 def _padded(schedule: Schedule, n: int) -> np.ndarray:
@@ -358,7 +359,7 @@ def protocol2_limit_check(g: Graph, e: Eigensystem, q: float,
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"target q must lie in (0,1), got {q}")
-    steps = _protocol2_steps(g, e, _step_chooser(g, e, strategy, t_max, grid_step, refine_tol))
+    steps = _protocol2_steps(g, e, _step_chooser(g, strategy, t_max, grid_step, refine_tol))
     schedule = Schedule(strategy=strategy.value, n_vertices=g.n_vertices,
                         steps=[next(steps)])
     n = 1

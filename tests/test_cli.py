@@ -74,9 +74,18 @@ EMPTY_LISTS = [
     ["protocol1", "--topology", "cross", "--n-list", "5", "--targets", ","],
 ]
 
+# a peak search needs a grid beyond t = 0: a --grid-step past the window (6.4N,
+# 8N for protocol2, or --t-max) leaves only that one point
+GRID_STEP_REFUSALS = [
+    ["peaks", "--topology", "loop", "--n-list", "8", "--grid-step", "60"],
+    ["protocol1", "--topology", "loop", "--n-list", "4,8", "--grid-step", "30"],
+    ["protocol2", "--topology", "loop", "--n", "4", "--grid-step", "50"],
+    ["protocol2", "--topology", "loop", "--n", "4", "--t-max", "0.001"],
+]
+
 # every refusal that the flags decide, whatever test above checks its message
 REFUSALS = (EIGENSYSTEM_REFUSALS + GRID_REFUSALS + SERIES_REFUSALS + INVALID_FLAGS
-            + EMPTY_LISTS
+            + EMPTY_LISTS + GRID_STEP_REFUSALS
             + [["scan", "--topology", "loop", "--n", "4"] + flags for flags in JSON_SCAN_FLAGS]
             + [["verify", "--topology", "loop", "--n", "4", "--t-max", "1e300",
                 "--grid-step", "1e300"],
@@ -288,7 +297,11 @@ class TestProtocol2:
         assert [r[5] for r in rows[10:]] == ["0"] * 10
         assert rows[-1][2] == "0.9999964653"
 
-    @pytest.mark.parametrize("flags", [["--t-max", "0.001"], ["--grid-step", "50"]])
+    # windows of several grid points, on all of which p_S stays below HERALD_FLOOR
+    # (about 20 t^4 on loop-4); a step beyond the window is refused earlier, by
+    # GRID_STEP_REFUSALS
+    @pytest.mark.parametrize("flags", [["--t-max", "0.00005", "--grid-step", "0.00001"],
+                                       ["--t-max", "0.00003", "--grid-step", "0.00001"]])
     def test_window_without_success_is_exit_2(self, flags, capsys):
         code, out, err = run_cli(["protocol2", "--topology", "loop", "--n", "4"] + flags,
                                  capsys)
@@ -656,6 +669,41 @@ class TestOutputHandling:
     def test_missing_custom_file_is_usage_error(self, capsys):
         code = main(["scan", "--topology", "custom"])
         assert code == 1
+
+    @pytest.mark.parametrize("argv", GRID_STEP_REFUSALS)
+    def test_grid_step_beyond_the_window_is_exit_2(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "exceeds the window" in err and "identically zero" not in err
+
+    def test_scan_accepts_a_one_point_grid(self, capsys):
+        code, out, _ = run_cli(["scan", "--topology", "loop", "--n", "8",
+                                "--grid-step", "60", "--no-timestamp"], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [row[0] for row in rows] == ["0"]
+
+    def test_in_process_calls_match_fresh_processes(self, tmp_path):
+        # the parser is built once per process: no call may leave a default, a
+        # config flag or a subcommand's own default (verify's grid step) to the next
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid_step": 0.02, "targets": [0.5, 0.9], "n_max": 3}))
+        runs = [["scan", "--topology", "loop", "--n", "4", "--t-max", "2"],
+                ["verify", "--topology", "loop", "--n", "4", "--t-max", "2"],
+                ["protocol1", "--config", str(cfg), "--topology", "loop", "--n-list", "4,8"],
+                ["protocol1", "--topology", "loop", "--n-list", "4,8"]]
+        env = {**os.environ, "PYTHONPATH": str(DATA.parent.parent / "src")}
+        for k, argv in enumerate(runs):
+            argv = argv + ["--no-timestamp", "--output"]
+            assert main(argv + [str(tmp_path / f"in-{k}.csv")]) == 0
+            subprocess.run([sys.executable, "-m", "qutrit_bell.cli", *argv,
+                            str(tmp_path / f"fresh-{k}.csv")], env=env, check=True, timeout=120)
+        for k in range(len(runs)):
+            assert (tmp_path / f"in-{k}.csv").read_bytes() == \
+                (tmp_path / f"fresh-{k}.csv").read_bytes()
+        assert "grid_step=0.1 " in (tmp_path / "in-1.csv").read_text()
+        assert "grid_step=0.01 " in (tmp_path / "in-3.csv").read_text()
 
 
 class TestRuntimeImports:

@@ -16,6 +16,7 @@ import io
 import math
 from contextlib import redirect_stderr, redirect_stdout, suppress
 from itertools import combinations, islice, permutations
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -24,9 +25,9 @@ from hypothesis import strategies as st
 
 from conftest import peak, time_budget
 from qutrit_bell import (Graph, Roles, assemble_hamiltonian, build_cross, build_loop,
-                         evolve, find_peak, find_protocol_automorphism, initial_state,
-                         one_shot_peak, outcome_distribution, protocol1_cumulative,
-                         protocol1_required, spectral_decompose)
+                         dynamics, evolve, find_peak, find_protocol_automorphism,
+                         initial_state, one_shot_peak, outcome_distribution,
+                         protocol1_cumulative, protocol1_required, spectral_decompose)
 from qutrit_bell.cli import main
 from qutrit_bell.dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, FULL_STATE_BLOCK,
                                   PHASE_BLOCK, _index_groups, _pairs, _role_fold,
@@ -203,13 +204,13 @@ def test_no_call_changes_the_state_it_is_given(drawn, t):
         assert state.tobytes() == kept.tobytes()
     # the chain of `plan_protocol2`: each conditional state is scanned, evolved,
     # measured and conditioned on, and must reach its chooser as it was made
-    chooser = _step_chooser(g, e, Strategy.MAX_MARGIN, None, DEFAULT_GRID_STEP,
+    chooser = _step_chooser(g, Strategy.MAX_MARGIN, None, DEFAULT_GRID_STEP,
                             DEFAULT_REFINE_TOL)
     given_states = []
 
-    def choose(psi):
+    def choose(psi, kernel):
         given_states.append((psi, psi.copy()))
-        return chooser(psi)
+        return chooser(psi, kernel)
 
     with suppress(RuntimeError):  # no success within the window at the first step
         list(islice(_protocol2_steps(g, e, choose), 3))
@@ -287,6 +288,37 @@ def test_c_even_block_is_the_projected_hamiltonian_and_c_commutes(drawn):
 def test_c_odd_block_is_the_projected_hamiltonian(drawn):
     g, _ = drawn
     assert_fold_is_the_projected_hamiltonian(g, -1)
+
+
+def exchange_matrix_edge_by_edge(g, plus, minus, position, parity=1, label=None, sign=None):
+    """`dynamics._exchange_matrix` as a loop over the edges, one np.add.at scatter each."""
+    label = np.arange(plus.size) if label is None else label
+    sign = np.ones(plus.size) if sign is None else sign
+    h = np.zeros((label.max() + 1,) * 2)
+    for (m, mm) in g.edges:
+        ti = np.where(plus == m, mm, np.where(plus == mm, m, plus))
+        tj = np.where(minus == m, mm, np.where(minus == mm, m, minus))
+        moved = (ti != plus) | (tj != minus)
+        ti, tj = ti[moved], tj[moved]
+        image = position(ti, tj)
+        np.add.at(h, (label[image], label[moved]),
+                  np.where(ti > tj, parity, 1.0) * sign[image] * sign[moved])
+    return h
+
+
+@given(ANY_OR_BOTH_SWAPS)
+@settings(max_examples=100, deadline=None)
+def test_exchange_matrix_is_the_edge_by_edge_scatter_to_the_bit(drawn):
+    # the entries are integer sums (then scaled alike), so the order of the
+    # scatter cannot show: the full H and both signed folds match bit for bit
+    g, _ = drawn
+    built = [assemble_hamiltonian(g).matrix, *(_role_fold(g, p) for p in (1, -1))]
+    with patch.object(dynamics, "_exchange_matrix", exchange_matrix_edge_by_edge):
+        reference = [assemble_hamiltonian(g).matrix, *(_role_fold(g, p) for p in (1, -1))]
+    assert np.array_equal(built[0], reference[0])
+    for (h, label, u), (h_ref, label_ref, u_ref) in zip(built[1:], reference[1:]):
+        assert np.array_equal(h.matrix, h_ref.matrix)
+        assert np.array_equal(label, label_ref) and np.array_equal(u, u_ref)
 
 
 @given(ANY_OR_BOTH_SWAPS, st.integers(0, 2 ** 32 - 1))

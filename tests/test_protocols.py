@@ -238,12 +238,12 @@ class TestPlanProtocol2:
 def planned_chain(family, n, strategy, steps):
     """(graph, eigensystem, the conditional states a plan scans from, the times it chose)."""
     g, e, _ = prepared(family, n)
-    choose = _step_chooser(g, e, strategy, None, DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL)
+    choose = _step_chooser(g, strategy, None, DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL)
     states, times = [], []
 
-    def recording(psi):
+    def recording(psi, kernel):
         states.append(psi)
-        times.append(choose(psi))
+        times.append(choose(psi, kernel))
         return times[-1]
 
     list(islice(_protocol2_steps(g, e, recording), steps))
@@ -269,13 +269,19 @@ class TestMirrorRows:
 
     @pytest.fixture
     def built(self, monkeypatch):
-        """(row count, dimension) of each kernel the planner builds, in order."""
+        """(row count, dimension) of each kernel the planner builds or reads on a
+        row subset, in order."""
         built = []
 
         class Recording(_SpectralKernel):
             def __init__(self, e, psi0, rows=None):
-                built.append((len(rows), e.eigenvalues.size))
+                d = e.eigenvalues.size
+                built.append((d if rows is None else len(rows), d))
                 super().__init__(e, psi0, rows)
+
+            def on_rows(self, rows):
+                built.append((len(rows), self._v.shape[1]))
+                return super().on_rows(rows)
 
         for module in (measurement, protocols):
             monkeypatch.setattr(module, "_SpectralKernel", Recording)
@@ -286,10 +292,11 @@ class TestMirrorRows:
         grp = _index_groups(g)
         assert len(grp["g2"]) + len(grp["g3"]) == 136
         plan_protocol2(g, e, Strategy.MIN_LOSS, n_max=1, t_max=20.0)
-        # the grid scan reads the {A,B} orbit and 17 psi2/psi3 orbits of the
-        # 171-orbit C-even fold, 17 of the 162-orbit C-odd fold; the refinement
-        # all 2 + 136 rows of the full space
-        assert built == [(18, 171), (17, 162), (138, 1260)]
+        # the step's kernel on every row of the full space (its V^T psi also serves
+        # the refinement); the grid scan reads the {A,B} orbit and 17 psi2/psi3
+        # orbits of the 171-orbit C-even fold, 17 of the 162-orbit C-odd fold; the
+        # refinement all 2 + 136 rows of the full space
+        assert built == [(1260, 1260), (18, 171), (17, 162), (138, 1260)]
 
     @pytest.mark.parametrize("family,n", [("loop", 36), ("cross", 35)])
     def test_chain_curves_equal_full_row_curves(self, family, n):
@@ -308,28 +315,29 @@ class TestMirrorRows:
         e = spectral_decompose(assemble_hamiltonian(g))
         every = 2 + len(_index_groups(g)["g2"]) + len(_index_groups(g)["g3"])
         plan_protocol2(g, e, Strategy.MAX_MARGIN, n_max=1)
-        # no fold: {A,B} and the 16 psi2/psi3 pairs of the C-even block, the same
-        # 16 pairs of the C-odd block (each two psi2/psi3 rows), then every row
+        # the step's kernel; no fold: {A,B} and the 16 psi2/psi3 pairs of the
+        # C-even block, the same 16 pairs of the C-odd block (each two psi2/psi3
+        # rows), then every row
         assert every == 2 + 2 * 16
-        assert built == [(17, 45), (16, 45), (every, 90)]
+        assert built == [(90, 90), (17, 45), (16, 45), (every, 90)]
 
     def test_peak_success_reads_only_the_success_rows(self, built):
         g, e, _ = prepared("loop", 8)
         plan_protocol2(g, e, Strategy.PEAK_SUCCESS, n_max=2)
-        # per step, the grid scan of the {A,B} orbit on the 10-orbit C-even fold,
-        # then the refinement
-        assert built == [(1, 10), (2, 56)] * 2
+        # per step, the step's kernel, the grid scan of the {A,B} orbit on the
+        # 10-orbit C-even fold, then the refinement
+        assert built == [(56, 56), (1, 10), (2, 56)] * 2
 
     def test_a_state_off_the_fold_is_refused(self):
         g, e, psi0 = prepared("loop", 8)
-        choose = _step_chooser(g, e, Strategy.MIN_LOSS, None, DEFAULT_GRID_STEP,
+        choose = _step_chooser(g, Strategy.MIN_LOSS, None, DEFAULT_GRID_STEP,
                                DEFAULT_REFINE_TOL)
-        assert choose(psi0) is not None
+        assert choose(psi0, _SpectralKernel(e, psi0)) is not None
         n, r = g.n_vertices, g.roles
         a = np.zeros_like(psi0)
         a[pair_index(n, r.charlie_plus, r.alice)] = 1.0  # A <-> B moves it to |c+,B>
         with pytest.raises(ValueError, match="not invariant"):
-            choose(a)
+            choose(a, _SpectralKernel(e, a))
 
     def test_graph_without_a_role_exchange_diagonalises_once(self, monkeypatch):
         calls = []
