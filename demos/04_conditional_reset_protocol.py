@@ -18,7 +18,7 @@ print("== greedy schedules under the three timing strategies (loop N=4) ==")
 for strategy in Strategy:
     sched = plan_protocol2(g, eig, strategy, n_max=8)
     total = protocol2_total(sched)
-    print(f"  {strategy.value:13s} t1={sched.steps[0].time:6.3f}  "
+    print(f"  {strategy.value:13s} t1={sched[0].time:6.3f}  "
           f"P_n: " + " ".join(f"{x:.4f}" for x in total))
 
 print()
@@ -26,7 +26,7 @@ print("== strategy (i) in detail ==")
 sched = plan_protocol2(g, eig, Strategy.PEAK_SUCCESS, n_max=8)
 pbar = protocol2_no_reset(sched)
 ptot = protocol2_total(sched)
-p1shot = sched.steps[0].pS_bell
+p1shot = sched[0].pS_bell
 print("   n   no-reset   with-restarts   simple-repetition")
 for k in range(8):
     print(f"  {k + 1:2d}   {pbar[k]:.4f}     {ptot[k]:.4f}          "
@@ -34,7 +34,7 @@ for k in range(8):
 
 print()
 print("== fixed-interval fallback (tau = one-shot peak time) ==")
-regular = plan_regular(g, eig, tau=sched.steps[0].time, n_max=8)
+regular = plan_regular(g, eig, tau=sched[0].time, n_max=8)
 print("  P_n:", " ".join(f"{x:.4f}" for x in protocol2_total(regular)))
 
 print()

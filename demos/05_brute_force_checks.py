@@ -18,7 +18,7 @@ print(f"generator algebra, worst violation over 81 combinations: "
       f"{su3_algebra_check():.3e}")
 
 for name, g in (("loop N=4", build_loop(4)), ("cross N=5", build_cross(5))):
-    reduced = assemble_hamiltonian(g).matrix
+    reduced = assemble_hamiltonian(g)
     restricted = sector_restriction(g)
     grid = np.arange(0.0, 10.0 + 1e-9, 0.1)
     cmp_result = full_evolve_compare(g, grid)
@@ -41,7 +41,7 @@ worst = max(abs(analytic[n - 1] - enumerate_outcome_tree(sched, n)[1])
             for n in range(1, 7))
 print(f"  recursion vs explicit outcome-tree enumeration: {worst:.3e}")
 
-stats = monte_carlo(g, sched, trials=100_000, seed=1, max_steps=5)
+stats = monte_carlo(sched, trials=100_000, seed=1, max_steps=5)
 print("  Monte Carlo vs analytic cumulative success:")
 for n in range(1, 6):
     p = analytic[n - 1]

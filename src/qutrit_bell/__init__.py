@@ -9,10 +9,10 @@ together with a full-Hilbert-space brute-force oracle for validation.
 
 __version__ = "0.1.0"
 
-from .dynamics import (Eigensystem, Hamiltonian, assemble_hamiltonian, evolve, find_peak,
-                       initial_state, one_shot_peak, spectral_decompose)
+from .dynamics import (Eigensystem, assemble_hamiltonian, evolve, find_peak, initial_state,
+                       one_shot_peak, spectral_decompose)
 from .measurement import Outcome, OutcomeDistribution, outcome_distribution, post_state
-from .protocols import (Schedule, Strategy, TrajectoryStats, enumerate_outcome_tree,
+from .protocols import (ScheduleStep, Strategy, TrajectoryStats, enumerate_outcome_tree,
                         monte_carlo, plan_protocol2, plan_regular, protocol1_cumulative,
                         protocol1_required, protocol2_limit_check,
                         protocol2_no_reset, protocol2_total)
@@ -20,8 +20,8 @@ from .topology import (Graph, Roles, build_cross, build_loop, find_protocol_auto
                        path_distance)
 
 __all__ = [
-    "Eigensystem", "Graph", "Hamiltonian", "Outcome", "OutcomeDistribution", "Roles",
-    "Schedule", "Strategy", "TrajectoryStats",
+    "Eigensystem", "Graph", "Outcome", "OutcomeDistribution", "Roles",
+    "ScheduleStep", "Strategy", "TrajectoryStats",
     "assemble_hamiltonian", "build_cross", "build_loop",
     "enumerate_outcome_tree", "evolve", "find_peak", "find_protocol_automorphism", "initial_state",
     "monte_carlo", "one_shot_peak", "outcome_distribution", "path_distance", "plan_protocol2",

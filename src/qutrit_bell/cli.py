@@ -58,6 +58,9 @@ VERIFY_GRID_STEP = 0.1  # default step of the grid on which `verify` compares th
 #: t_max = 400), so some 9 s at the cap; a grid step dt beyond
 #: CHEBYSHEV_SPAN / |E| takes one recurrence of order about 1.4 |E| dt.
 VERIFY_MAX_EDGE_TIME = 1e4
+#: Cap on protocol 2's planning window: the rounding of lambda t breaks the role-exchange
+#: symmetry the planner reads (cross-5 failed from t_max = 1e9, cross-9 from 1e11; none at 1e8).
+PLAN_MAX_TIME = 1e6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -146,9 +149,8 @@ def _json_rows(rows):
     return [] if first is None else _Rows(chain([first], rows))
 
 
-def _write_table(args, columns: list[str], rows,
-                 extra_config: dict | None = None, sections=None) -> None:
-    """Emit one table (or several named sections) as CSV or JSON.
+def _write_table(args, sections, extra_config: dict | None = None) -> None:
+    """Emit (name, columns, rows) sections as CSV or JSON; an unnamed one alone is a table.
 
     Rows may be any iterable. Both formats format rows as they are written,
     so a long scan never holds its table as text.
@@ -157,17 +159,16 @@ def _write_table(args, columns: list[str], rows,
         payload = {"config": _config_echo(args, extra_config)}
         if not args.no_timestamp:
             payload["generated"] = datetime.now(timezone.utc).isoformat()
-        if sections is None:
-            payload["columns"] = columns
-            payload["rows"] = _json_rows(rows)
+        if len(sections) == 1 and sections[0][0] is None:
+            [(_, columns, rows)] = sections
+            payload["columns"], payload["rows"] = columns, _json_rows(rows)
         else:
             payload["sections"] = {name: {"columns": cols, "rows": _json_rows(rws)}
                                    for name, cols, rws in sections}
         # indent=2, as json.dumps(payload, indent=2) would write it
         chunks = chain(json.JSONEncoder(indent=2).iterencode(payload), ["\n"])
     else:
-        chunks = _csv_lines(args, extra_config,
-                            [(None, columns, rows)] if sections is None else sections)
+        chunks = _csv_lines(args, extra_config, sections)
     if args.output:
         with open(args.output, "w") as out:
             out.writelines(chunks)
@@ -200,7 +201,7 @@ def _checked_run(args) -> _Run:
     Sizes each command's dense eigensystem (d = N(N-1); at most the C-even
     block's N(N-1)/2 for the peak tables; the two C blocks of `scan`), time
     grid (none with --tau) and protocol-2 series, resolves the default window
-    and applies `verify`'s caps.
+    and applies `verify`'s caps and the protocol-2 planning cap.
     A graph is built once N fits.
     """
     for name in ("t_max", "grid_step", "refine_tol", "tau"):
@@ -259,6 +260,8 @@ def _checked_run(args) -> _Run:
             points = t_max / args.grid_step + 1
             if (peak_table or command == "protocol2") and args.grid_step > t_max:
                 raise PreconditionError(f"--grid-step exceeds the window [0, {t_max:g}]")
+            if command == "protocol2" and t_max > PLAN_MAX_TIME:
+                raise PreconditionError(f"--t-max exceeds the planning cap of {PLAN_MAX_TIME:g}")
             _check_memory(f"the time grid over [0, {t_max:g}] at step {args.grid_step:g} "
                           f"({points:.3g} points)", points * 8 * (GRID_ARRAYS + 2 * rows))
         if command == "verify" and len(g.edges) * t_max > VERIFY_MAX_EDGE_TIME:
@@ -274,7 +277,7 @@ def cmd_scan(args, run: _Run) -> int:
     grid = _time_grid(t_max, args.grid_step)
     curves = outcome_curves(g, initial_state(g), grid)
     rows = zip(*(map(float, column) for column in (grid, *curves)))
-    _write_table(args, ["t", "p_success", "p1", "p2", "p3", "pS_projection"], rows)
+    _write_table(args, [(None, ["t", "p_success", "p1", "p2", "p3", "pS_projection"], rows)])
     return 0
 
 
@@ -286,7 +289,7 @@ def _peaks(args, run: _Run) -> list[tuple[int, float, float]]:
 
 
 def cmd_peaks(args, run: _Run) -> int:
-    _write_table(args, ["N", "t_peak", "p_peak"], _peaks(args, run))
+    _write_table(args, [(None, ["N", "t_peak", "p_peak"], _peaks(args, run))])
     return 0
 
 
@@ -301,9 +304,8 @@ def cmd_protocol1(args, run: _Run) -> int:
     # made as they are written, so memory does not grow with --n-max
     series_rows = ((n, k, protocol1_cumulative(p_star, k))
                    for n, _, p_star in peaks for k in range(1, args.n_max + 1))
-    _write_table(args, [], [], sections=[
-        ("required_measurements", ["N", "q", "n_required"], required_rows),
-        ("cumulative_series", ["N", "n", "P_n"], series_rows)])
+    _write_table(args, [("required_measurements", ["N", "q", "n_required"], required_rows),
+                        ("cumulative_series", ["N", "n", "P_n"], series_rows)])
     return 0
 
 
@@ -319,15 +321,15 @@ def cmd_protocol2(args, run: _Run) -> int:
                                       refine_tol=args.refine_tol)
         except RuntimeError as exc:  # a search window without success
             raise PreconditionError(str(exc)) from exc
+    strategy = "regular" if args.tau is not None else args.strategy
     series = zip(protocol2_no_reset(schedule, args.n_max), protocol2_total(schedule, args.n_max))
-    rows = ((k + 1, pbar, ptot, protocol1_cumulative(schedule.steps[0].pS_bell, k + 1),
-             schedule.strategy, schedule.steps[k].time if k < len(schedule) else 0.0)
+    rows = ((k + 1, pbar, ptot, protocol1_cumulative(schedule[0].pS_bell, k + 1),
+             strategy, schedule[k].time if k < len(schedule) else 0.0)
             for k, (pbar, ptot) in enumerate(series))
-    extra = {}
-    if schedule.success_deficit > 1e-12:
-        extra["asymmetric_success_deficit"] = _fmt(schedule.success_deficit)
-    _write_table(args, ["n", "P_bar_n", "P_n", "P_protocol1_n", "strategy", "t_n"],
-                 rows, extra_config=extra)
+    deficit = max(s.pS_projection - s.pS_bell for s in schedule)
+    extra = {"asymmetric_success_deficit": _fmt(deficit)} if deficit > 1e-12 else {}
+    _write_table(args, [(None, ["n", "P_bar_n", "P_n", "P_protocol1_n", "strategy", "t_n"],
+                         rows)], extra)
     return 0
 
 
@@ -344,7 +346,7 @@ def cmd_verify(args, run: _Run) -> int:
         checks.append((f"{label}_bell_amplitude_asymmetry", cmp_res.max_bell_asymmetry, 1e-10))
     rows = [(name, value, bound, "pass" if value < bound else "FAIL")
             for name, value, bound in checks]
-    _write_table(args, ["check", "measured", "bound", "status"], rows)
+    _write_table(args, [(None, ["check", "measured", "bound", "status"], rows)])
     return 0 if all(row[3] == "pass" for row in rows) else VERIFICATION_ERROR
 
 

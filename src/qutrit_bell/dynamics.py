@@ -133,13 +133,6 @@ def _index_groups(g: Graph) -> dict[str, np.ndarray]:
             **{f"g{k}": np.flatnonzero(outcome == k) for k in (1, 2, 3)}}
 
 
-@dataclass(frozen=True)
-class Hamiltonian:
-    """Real symmetric exchange matrix in a pair basis (units of J)."""
-
-    matrix: np.ndarray
-
-
 def _exchange_matrix(g: Graph, plus: np.ndarray, minus: np.ndarray, position,
                      parity: int = 1, label: np.ndarray | None = None,
                      sign: np.ndarray | None = None) -> np.ndarray:
@@ -166,10 +159,11 @@ def _exchange_matrix(g: Graph, plus: np.ndarray, minus: np.ndarray, position,
     return np.bincount(label[image] * d + label[pair], weight, d * d).reshape(d, d)
 
 
-def assemble_hamiltonian(g: Graph) -> Hamiltonian:
-    """H = sum over edges of the equal-state-free exchange operator (zero diagonal)."""
+def assemble_hamiltonian(g: Graph) -> np.ndarray:
+    """H = sum over edges of the equal-state-free exchange operator (zero diagonal):
+    the real symmetric matrix in the pair basis, in units of J."""
     n = g.n_vertices
-    return Hamiltonian(_exchange_matrix(g, *_pairs(n), partial(_pair_position, n)))
+    return _exchange_matrix(g, *_pairs(n), partial(_pair_position, n))
 
 
 @dataclass(frozen=True)
@@ -189,21 +183,20 @@ class Eigensystem:
         object.__setattr__(self, "_vt", np.ascontiguousarray(self.eigenvectors.T))
 
 
-def spectral_decompose(h: Hamiltonian) -> Eigensystem:
-    """Full eigendecomposition of the (symmetric) Hamiltonian.
+def spectral_decompose(h: np.ndarray) -> Eigensystem:
+    """Full eigendecomposition of a real symmetric Hamiltonian matrix.
 
     The matrix must be exactly symmetric. Verifies orthogonality and
     reconstruction to 1e-10 before returning; a violation indicates an
     eigensolver failure and is fatal.
     """
-    m = h.matrix
-    if not np.array_equal(m, m.T):  # eigh reads one triangle only
+    if not np.array_equal(h, h.T):  # eigh reads one triangle only
         raise ValueError("Hamiltonian matrix is not symmetric")
-    lam, vec = np.linalg.eigh(m)
-    d = m.shape[0]
+    lam, vec = np.linalg.eigh(h)
+    d = h.shape[0]
     if np.max(np.abs(vec.T @ vec - np.eye(d))) > 1e-10:
         raise RuntimeError("eigenvector matrix is not orthogonal to 1e-10")
-    if np.max(np.abs((vec * lam) @ vec.T - m)) > 1e-10:
+    if np.max(np.abs((vec * lam) @ vec.T - h)) > 1e-10:
         raise RuntimeError("spectral reconstruction exceeds 1e-10")
     return Eigensystem(eigenvalues=lam, eigenvectors=vec)
 
@@ -413,20 +406,19 @@ def _peak(g: Graph, e: Eigensystem, psi0: np.ndarray, rows, p_success,
 
 
 def find_peak(e: Eigensystem, psi0: np.ndarray, g: Graph,
-              t_max: float | None = None,
-              grid_step: float = DEFAULT_GRID_STEP,
-              refine_tol: float = DEFAULT_REFINE_TOL) -> tuple[float, float]:
+              t_max: float | None = None) -> tuple[float, float]:
     """Global maximum of the success probability over [0, t_max].
 
-    Grid scan followed by local parabolic refinement. On exact ties the
-    earliest time wins (less-dispersed post-measurement states).
+    Grid scan at DEFAULT_GRID_STEP, parabolic refinement to DEFAULT_REFINE_TOL.
+    On exact ties the earliest time wins (less-dispersed post-measurement states).
     Returns (0.0, 0.0) with a warning if the grid curve stays below HERALD_FLOOR.
     """
     return _peak(g, e, psi0, _index_groups(g)["success"],
-                 lambda amp: 0.5 * np.abs(amp[0] + amp[1]) ** 2, t_max, grid_step, refine_tol)
+                 lambda amp: 0.5 * np.abs(amp[0] + amp[1]) ** 2, t_max,
+                 DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL)
 
 
-def _role_fold(g: Graph, parity: int) -> tuple[Hamiltonian, np.ndarray, np.ndarray]:
+def _role_fold(g: Graph, parity: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(S^T H_parity S, each pair's orbit, u): the C block of that parity on the unordered
     pairs |{i,j}+-> = (|i,j> +- |j,i>)/sqrt2, i < j, folded onto the orbit states
     |O> = sum_{p in O} u_p |p> of the automorphisms that keep {c+,c-} and {A,B}.
@@ -461,7 +453,7 @@ def _role_fold(g: Graph, parity: int) -> tuple[Hamiltonian, np.ndarray, np.ndarr
     sign[~kept] = 0.0
     s = 1.0 / np.sqrt(np.bincount(label[kept]))
     h = _exchange_matrix(g, i, j, position, parity, label, sign) * np.outer(s, s)
-    return Hamiltonian(h), label, sign * s[label]
+    return h, label, sign * s[label]
 
 
 def one_shot_peak(g: Graph, t_max: float | None = None,

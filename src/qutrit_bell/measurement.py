@@ -107,7 +107,7 @@ def _fold_scan(g: Graph, t_grid: np.ndarray, readout: np.ndarray, parities=(1, -
     blocks = []
     for parity in parities:
         h, label, u = _role_fold(g, parity)
-        w = np.zeros((5, h.matrix.shape[0]))
+        w = np.zeros((5, h.shape[0]))
         np.add.at(w, (outcome, label), u != 0)
         w /= w.sum(axis=0)
         if parity == 1:

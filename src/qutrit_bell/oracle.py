@@ -265,7 +265,7 @@ def full_evolve_compare(g: Graph, t_grid) -> OracleComparison:
         red[k] = kernel(t)
 
     full = FullHamiltonian(g)
-    restriction = float(np.max(np.abs(_restriction(full) - h.matrix)))
+    restriction = float(np.max(np.abs(_restriction(full) - h)))
     psi = np.zeros(full.dimension, dtype=complex)
     psi[full_initial_index(g)] = 1.0
     # np.max, unlike max(), keeps a NaN, so the check that reads it fails

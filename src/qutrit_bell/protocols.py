@@ -7,9 +7,9 @@ P(n) = 1 - (1-p)^n.
 Protocol 2: after the symmetric failure outcome psi1 keep the conditional
 state and measure again; reset only on the asymmetric outcomes psi2/psi3.
 The measurement times t_1..t_n are chosen greedily, one step at a time,
-according to one of three strategies; after a reset the same schedule is
-replayed from the top (the run statistics are stationary), which is what
-makes the cumulative recursion tractable:
+according to one of three strategies. A schedule, the list of its `ScheduleStep`s,
+is replayed from step 1 after a reset (the run statistics are stationary),
+which is what makes the cumulative recursion tractable:
 
     Pbar_n = p_S(1) + sum_j p_S(j) prod_{i<j} p_1(i)          (no reset)
     P_n    = Pbar_n + sum_j [prod_{i<j} p_1(i)] p_U(j) P_{n-j}
@@ -27,7 +27,7 @@ independent checks of the recursions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 
@@ -58,9 +58,12 @@ class Strategy(Enum):
 
 @dataclass(frozen=True)
 class ScheduleStep(OutcomeDistribution):
-    """One planned measurement: its outcome probabilities and relative time.
+    """One planned measurement of a schedule: its outcome probabilities and its time.
 
-    ``pS_bell``, the Bell-heralded probability, is the success of all accounting.
+    ``time`` runs from the previous measurement, or from the last reset, after which the
+    schedule restarts from step 1. ``pS_bell``, the Bell-heralded probability, is the
+    success of all accounting; on graphs without the protocol symmetry the projection
+    probability exceeds it, and the excess is one more way to lose the run (``reset_weight``).
     """
 
     time: float
@@ -69,33 +72,6 @@ class ScheduleStep(OutcomeDistribution):
     def reset_weight(self) -> float:
         """Probability that this measurement forces a restart."""
         return self.p_unusable + max(0.0, self.pS_projection - self.pS_bell)
-
-
-@dataclass
-class Schedule:
-    """Measurement plan for protocol 2 on a fixed graph.
-
-    Times are relative to the previous measurement (or to the last reset);
-    after a reset the schedule restarts from step 1. ``success_deficit``
-    is nonzero only on graphs without the protocol symmetry, where the
-    projection probability exceeds the Bell-heralded one; that excess is
-    treated as one more way to lose the run (``ScheduleStep.reset_weight``).
-    """
-
-    strategy: str
-    n_vertices: int
-    steps: list[ScheduleStep] = field(default_factory=list)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.time for s in self.steps])
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    @property
-    def success_deficit(self) -> float:
-        return max(max(0.0, s.pS_projection - s.pS_bell) for s in self.steps)
 
 
 def protocol1_cumulative(p: float, n: int) -> float:
@@ -208,18 +184,17 @@ def _protocol2_steps(g: Graph, e: Eigensystem, choose_time):
         yield ScheduleStep(**vars(dist), time=float(t))
 
 
-def _schedule(g: Graph, e: Eigensystem, strategy: str, choose_time, n_max: int) -> Schedule:
+def _schedule(g: Graph, e: Eigensystem, choose_time, n_max: int) -> list[ScheduleStep]:
     """The chain's first n_max steps, or all of them if it ends sooner."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    return Schedule(strategy=strategy, n_vertices=g.n_vertices,
-                    steps=list(islice(_protocol2_steps(g, e, choose_time), n_max)))
+    return list(islice(_protocol2_steps(g, e, choose_time), n_max))
 
 
 def plan_protocol2(g: Graph, e: Eigensystem, strategy: Strategy = Strategy.PEAK_SUCCESS,
                    n_max: int = 10, t_max: float | None = None,
                    grid_step: float = DEFAULT_GRID_STEP,
-                   refine_tol: float = DEFAULT_REFINE_TOL) -> Schedule:
+                   refine_tol: float = DEFAULT_REFINE_TOL) -> list[ScheduleStep]:
     """Greedy per-step schedule for the conditional-reset protocol.
 
     Each step evolves the current conditional state from relative time 0,
@@ -227,24 +202,23 @@ def plan_protocol2(g: Graph, e: Eigensystem, strategy: Strategy = Strategy.PEAK_
     extremum, records the outcome probabilities and conditions on psi1.
     The schedule is reused verbatim after every reset.
     """
-    return _schedule(g, e, strategy.value,
-                     _step_chooser(g, strategy, t_max, grid_step, refine_tol), n_max)
+    return _schedule(g, e, _step_chooser(g, strategy, t_max, grid_step, refine_tol), n_max)
 
 
-def plan_regular(g: Graph, e: Eigensystem, tau: float, n_max: int) -> Schedule:
+def plan_regular(g: Graph, e: Eigensystem, tau: float, n_max: int) -> list[ScheduleStep]:
     """Fixed-interval fallback schedule: every measurement after time tau."""
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    return _schedule(g, e, "regular", lambda psi, kernel: tau, n_max)
+    return _schedule(g, e, lambda psi, kernel: tau, n_max)
 
 
-def _padded(schedule: Schedule, n: int) -> np.ndarray:
+def _padded(schedule: list[ScheduleStep], n: int) -> np.ndarray:
     """The per-step table over n steps: rows p_S, p_1 and reset weight.
 
     Steps past the end of the chain are dead, (0, 1, 0): nothing ever
     happens there, so an ended chain adds nothing to any series.
     """
-    rows = [(s.pS_bell, s.p1, s.reset_weight) for s in schedule.steps[:n]]
+    rows = [(s.pS_bell, s.p1, s.reset_weight) for s in schedule[:n]]
     table = np.tile([0.0, 1.0, 0.0], (n, 1))
     table[:len(rows)] = np.reshape(rows, (-1, 3))
     return table.T
@@ -255,14 +229,14 @@ def _survival(p1: np.ndarray) -> np.ndarray:
     return np.cumprod(np.concatenate(([1.0], p1[:-1])))
 
 
-def protocol2_no_reset(schedule: Schedule, n: int | None = None) -> np.ndarray:
+def protocol2_no_reset(schedule: list[ScheduleStep], n: int | None = None) -> np.ndarray:
     """Cumulative success probabilities Pbar_1..Pbar_n along one run."""
     n = len(schedule) if n is None else n
     ps, p1, _ = _padded(schedule, n)
     return np.cumsum(ps * _survival(p1))
 
 
-def protocol2_total(schedule: Schedule, n: int | None = None) -> np.ndarray:
+def protocol2_total(schedule: list[ScheduleStep], n: int | None = None) -> np.ndarray:
     """Total success probabilities P_1..P_n including restart branches.
 
     The weight of a restart at step j, w_j = [prod_{i<j} p_1(i)] times the
@@ -284,7 +258,7 @@ def protocol2_total(schedule: Schedule, n: int | None = None) -> np.ndarray:
     return p
 
 
-def enumerate_outcome_tree(schedule: Schedule, n: int) -> tuple[float, float]:
+def enumerate_outcome_tree(schedule: list[ScheduleStep], n: int) -> tuple[float, float]:
     """Brute-force check of the recursions: walk every outcome sequence.
 
     Returns (Pbar_n, P_n) by explicit depth-first enumeration of all
@@ -311,11 +285,9 @@ def enumerate_outcome_tree(schedule: Schedule, n: int) -> tuple[float, float]:
 class LimitCheckReport:
     """Outcome of extending protocol 2 until a success target is reached."""
 
-    target: float
-    n_reached: int | None        # smallest n with P_n >= target, None if capped
+    n_reached: int | None        # smallest n with P_n >= q, None if capped
     series: np.ndarray           # P_1..P_horizon
-    schedule: Schedule
-    one_shot_peak: float
+    schedule: list[ScheduleStep]
     run_success_ok: bool         # per-run conditional success >= one-shot peak
     reset_bound_ok: bool         # geometric lower bound per reset count
 
@@ -324,7 +296,7 @@ class LimitCheckReport:
         return self.n_reached is not None
 
 
-def _reset_count_masses(schedule: Schedule, n: int, m_max: int):
+def _reset_count_masses(schedule: list[ScheduleStep], n: int, m_max: int):
     """Distribution over (resets used) after n measurements.
 
     Returns (success_by_resets, alive_by_resets): cumulative success mass
@@ -345,12 +317,8 @@ def _reset_count_masses(schedule: Schedule, n: int, m_max: int):
 
 
 def protocol2_limit_check(g: Graph, e: Eigensystem, q: float,
-                          strategy: Strategy = Strategy.PEAK_SUCCESS,
-                          max_measurements: int = 500,
-                          t_max: float | None = None,
-                          grid_step: float = DEFAULT_GRID_STEP,
-                          refine_tol: float = DEFAULT_REFINE_TOL) -> LimitCheckReport:
-    """Extend the schedule lazily until P_n >= q or the cap is hit.
+                          max_measurements: int = 500) -> LimitCheckReport:
+    """Extend the peak-success schedule lazily until P_n >= q or the cap is hit.
 
     Also asserts the numerically checkable form of the convergence
     argument: every completed run succeeds with conditional probability at
@@ -359,18 +327,18 @@ def protocol2_limit_check(g: Graph, e: Eigensystem, q: float,
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"target q must lie in (0,1), got {q}")
-    steps = _protocol2_steps(g, e, _step_chooser(g, strategy, t_max, grid_step, refine_tol))
-    schedule = Schedule(strategy=strategy.value, n_vertices=g.n_vertices,
-                        steps=[next(steps)])
+    steps = _protocol2_steps(g, e, _step_chooser(g, Strategy.PEAK_SUCCESS, None,
+                                                 DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL))
+    schedule = [next(steps)]
     n = 1
     series = protocol2_total(schedule, n)
     while series[-1] < q and n < max_measurements:
-        schedule.steps.extend(islice(steps, 1))  # nothing once the chain has ended
+        schedule.extend(islice(steps, 1))  # nothing once the chain has ended
         n += 1
         series = protocol2_total(schedule, n)
     n_reached = n if series[-1] >= q else None
 
-    p_peak = schedule.steps[0].pS_bell
+    p_peak = schedule[0].pS_bell
     pbar = protocol2_no_reset(schedule, n)
     _, p1, reset = _padded(schedule, n)
     reset_mass = sum(_survival(p1) * reset)
@@ -380,8 +348,7 @@ def protocol2_limit_check(g: Graph, e: Eigensystem, q: float,
     reset_bound_ok = all(
         succ_m[m] + alive_m[m] + 1e-9 >= 1.0 - (1.0 - p_peak) ** (m + 1)
         for m in range(LIMIT_CHECK_RESETS + 1))
-    return LimitCheckReport(target=q, n_reached=n_reached, series=series,
-                            schedule=schedule, one_shot_peak=p_peak,
+    return LimitCheckReport(n_reached=n_reached, series=series, schedule=schedule,
                             run_success_ok=run_success_ok,
                             reset_bound_ok=reset_bound_ok)
 
@@ -393,7 +360,6 @@ class TrajectoryStats:
     trials: int
     successes_by_step: np.ndarray   # count of first successes at step k+1
     resets: int
-    seed: int
 
     def cumulative_success(self) -> np.ndarray:
         return np.cumsum(self.successes_by_step)
@@ -402,7 +368,7 @@ class TrajectoryStats:
         return float(self.cumulative_success()[n - 1]) / self.trials
 
 
-def monte_carlo(g: Graph, schedule: Schedule, trials: int, seed: int,
+def monte_carlo(schedule: list[ScheduleStep], trials: int, seed: int,
                 max_steps: int | None = None) -> TrajectoryStats:
     """Sample trajectories of protocol 2 from the planned schedule.
 
@@ -414,10 +380,8 @@ def monte_carlo(g: Graph, schedule: Schedule, trials: int, seed: int,
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if len(schedule) == 0:
+    if not schedule:
         raise ValueError("schedule has no steps")
-    if schedule.n_vertices != g.n_vertices:
-        raise ValueError("schedule was planned for a different graph size")
     n_steps = len(schedule) if max_steps is None else max_steps
     ps, p1, _ = _padded(schedule, n_steps)
 
@@ -438,6 +402,5 @@ def monte_carlo(g: Graph, schedule: Schedule, trials: int, seed: int,
         active &= ~win
         pos[cont] += 1
         pos[lose] = 0
-    return TrajectoryStats(trials=trials, successes_by_step=successes,
-                           resets=resets, seed=seed)
+    return TrajectoryStats(trials=trials, successes_by_step=successes, resets=resets)
 

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from conftest import time_budget
-from qutrit_bell import cli, oracle
+from qutrit_bell import (Strategy, assemble_hamiltonian, cli, oracle, plan_protocol2,
+                         spectral_decompose)
 from qutrit_bell.cli import _config_echo, _fmt, _write_table, build_parser, main
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -88,6 +89,8 @@ REFUSALS = (EIGENSYSTEM_REFUSALS + GRID_REFUSALS + SERIES_REFUSALS + INVALID_FLA
             + EMPTY_LISTS + GRID_STEP_REFUSALS
             + [["scan", "--topology", "loop", "--n", "4"] + flags for flags in JSON_SCAN_FLAGS]
             + [["verify", "--topology", "loop", "--n", "4", "--t-max", "1e300",
+                "--grid-step", "1e300"],
+               ["protocol2", "--topology", "cross", "--n", "5", "--t-max", "1e300",
                 "--grid-step", "1e300"],
                ["verify", "--topology", "loop", "--n", "4", "--t-max", "2600",
                 "--grid-step", "100"],
@@ -239,6 +242,29 @@ class TestProtocol2:
         assert code == 0
         _, rows = parse_csv(out)
         assert all(r[4] == "regular" for r in rows)
+
+    @pytest.mark.parametrize("argv,strategy,deficit", [
+        (["--topology", "custom", "--topology-file", str(DATA / "no-role-exchange.txt"),
+          "--strategy", "min-loss", "--n-max", "3"], "min-loss", "0.06083789811"),
+        (["--topology", "loop", "--n", "4"], "peak-success", None)],
+        ids=["no-role-exchange", "loop-4"])
+    def test_asymmetric_success_deficit_header(self, argv, strategy, deficit, capsys):
+        # the largest excess of pS_projection over pS_bell among the planned steps,
+        # echoed only where it passes 1e-12: on graphs without the protocol symmetry
+        argv = ["protocol2", *argv, "--no-timestamp"]
+        _, out, _ = run_cli(argv, capsys)
+        _, out_json, _ = run_cli(argv + ["--format", "json"], capsys)
+        config = dict(item.split("=", 1)
+                      for item in out.splitlines()[1].removeprefix("# config: ").split())
+        assert config.get("asymmetric_success_deficit") == deficit
+        assert json.loads(out_json)["config"].get("asymmetric_success_deficit") == deficit
+        assert {r[4] for r in parse_csv(out)[1]} == {strategy}
+        args = build_parser().parse_args(argv)
+        [(_, g, t_max)] = cli._checked_run(args).systems
+        sched = plan_protocol2(g, spectral_decompose(assemble_hamiltonian(g)),
+                               Strategy(strategy), args.n_max, t_max=t_max)
+        excess = max(s.pS_projection - s.pS_bell for s in sched)
+        assert (_fmt(excess) if excess > 1e-12 else None) == deficit
 
     def test_long_regular_series_within_budget(self, capsys):
         # 0.6 s on 2 cores: the chain ends at step 566, where the survival
@@ -477,7 +503,7 @@ class TestSizeGuard:
         # rows are made as they are written, so memory does not grow with --n-max
         written = {}
 
-        def first_rows(args, columns, rows, extra_config=None, sections=None):
+        def first_rows(args, sections, extra_config=None):
             written.update((name, list(islice(rws, 3))) for name, _, rws in sections)
 
         monkeypatch.setattr(cli, "_write_table", first_rows)
@@ -535,7 +561,7 @@ class TestOutputHandling:
         args = build_parser().parse_args(["scan", "--n", "4", "--format", "json",
                                           "--no-timestamp", "--output",
                                           str(tmp_path / "t.json")])
-        _write_table(args, ["a", "b"], (row for row in rows))
+        _write_table(args, [(None, ["a", "b"], (row for row in rows))])
         payload = {"config": _config_echo(args, None), "columns": ["a", "b"],
                    "rows": [[_fmt(x) for x in row] for row in rows]}
         assert (tmp_path / "t.json").read_text() == json.dumps(payload, indent=2) + "\n"

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import peak, prepared, random_graph_with_moved_roles, time_budget
-from qutrit_bell import (Graph, Hamiltonian, Roles, assemble_hamiltonian,
+from qutrit_bell import (Graph, Roles, assemble_hamiltonian,
                          build_cross, build_loop, evolve,
                          find_protocol_automorphism, find_peak, initial_state,
                          outcome_distribution, spectral_decompose)
@@ -102,25 +102,25 @@ class TestHamiltonian:
     def test_loop4_diagonal_is_zero(self):
         g, _, _ = prepared("loop", 4)
         h = assemble_hamiltonian(g)
-        assert np.all(np.diag(h.matrix) == 0.0)
+        assert np.all(np.diag(h) == 0.0)
 
     def test_loop4_swap_element_on_an_edge(self):
         g, _, _ = prepared("loop", 4)
         h = assemble_hamiltonian(g)
         assert (1, 3) in g.edges
-        assert h.matrix[pair_index(4, 3, 1), pair_index(4, 1, 3)] == 1.0
+        assert h[pair_index(4, 3, 1), pair_index(4, 1, 3)] == 1.0
 
     def test_entries_and_symmetry(self):
         for family, n in (("cross", 7), ("loop", 8)):
             g, _, _ = prepared(family, n)
-            m = assemble_hamiltonian(g).matrix
+            m = assemble_hamiltonian(g)
             assert np.array_equal(m, m.T)
             assert set(np.unique(m)) <= {0.0, 1.0}
 
     def test_commutes_with_protocol_automorphism(self):
         for family, n in (("cross", 5), ("cross", 9), ("loop", 8)):
             g, _, _ = prepared(family, n)
-            m = assemble_hamiltonian(g).matrix
+            m = assemble_hamiltonian(g)
             perm = find_protocol_automorphism(g)
             p = np.zeros_like(m)
             for k, (i, j) in enumerate(sorted_pairs(n)):
@@ -129,7 +129,7 @@ class TestHamiltonian:
 
     @pytest.mark.parametrize("g", REGRESSION_GRAPHS.values(), ids=REGRESSION_GRAPHS)
     def test_equals_pair_by_pair_assembly(self, g):
-        assert np.array_equal(assemble_hamiltonian(g).matrix, reference_hamiltonian(g))
+        assert np.array_equal(assemble_hamiltonian(g), reference_hamiltonian(g))
 
     @pytest.mark.parametrize("g", REGRESSION_GRAPHS.values(), ids=REGRESSION_GRAPHS)
     def test_index_groups_equal_pair_by_pair_groups(self, g):
@@ -140,14 +140,14 @@ class TestHamiltonian:
 
 class TestSpectralDecompose:
     def test_two_level_swap_block(self):
-        e = spectral_decompose(Hamiltonian(np.array([[0.0, 1.0], [1.0, 0.0]])))
+        e = spectral_decompose(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert np.allclose(sorted(e.eigenvalues), [-1.0, 1.0])
 
     def test_trace_identity(self):
         for family, n in (("cross", 7), ("loop", 8)):
             g, e, _ = prepared(family, n)
             h = assemble_hamiltonian(g)
-            assert abs(np.trace(h.matrix) - e.eigenvalues.sum()) < 1e-8
+            assert abs(np.trace(h) - e.eigenvalues.sum()) < 1e-8
 
     def test_loop4_spectrum_snapshot(self):
         _, e, _ = prepared("loop", 4)
@@ -155,20 +155,20 @@ class TestSpectralDecompose:
 
     def test_reconstruction(self):
         g, e, _ = prepared("cross", 5)
-        h = assemble_hamiltonian(g).matrix
+        h = assemble_hamiltonian(g)
         rebuilt = (e.eigenvectors * e.eigenvalues) @ e.eigenvectors.T
         assert np.max(np.abs(rebuilt - h)) < 1e-10
 
     def test_asymmetric_matrix_rejected(self):
         with pytest.raises(ValueError):
-            spectral_decompose(Hamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]])))
+            spectral_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_roundoff_asymmetry_rejected(self):
         # eigh reads one triangle, so even a 1e-12 asymmetry would be dropped
-        h = assemble_hamiltonian(prepared("loop", 4)[0]).matrix.copy()
+        h = assemble_hamiltonian(prepared("loop", 4)[0])
         h[0, 1] += 1e-12
         with pytest.raises(ValueError, match="not symmetric"):
-            spectral_decompose(Hamiltonian(h))
+            spectral_decompose(h)
 
 
 class TestInitialState:
@@ -370,7 +370,7 @@ class TestScanAndPeaks:
 
     def test_find_peak_degenerate_flat_curve(self):
         g, _, psi0 = prepared("cross", 5)
-        frozen = spectral_decompose(Hamiltonian(np.zeros((20, 20))))
+        frozen = spectral_decompose(np.zeros((20, 20)))
         t_star, p_star = find_peak(frozen, psi0, g, t_max=5.0)
         assert (t_star, p_star) == (0.0, 0.0)
 

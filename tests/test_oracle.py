@@ -80,7 +80,7 @@ class TestSectorRestriction:
     @pytest.mark.parametrize("builder,n", [(build_loop, 4), (build_cross, 5)])
     def test_equals_reduced_hamiltonian(self, builder, n):
         g = builder(n)
-        reduced = assemble_hamiltonian(g).matrix
+        reduced = assemble_hamiltonian(g)
         restricted = sector_restriction(g)
         assert np.array_equal(restricted, reduced)
 

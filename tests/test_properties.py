@@ -250,12 +250,11 @@ def assert_fold_is_the_projected_hamiltonian(g, parity):
     D^T H D formed here from the full H, for its signed indicator B, whose columns are
     orthonormal, invariant under every role exchange and span every invariant state
     of the block. With no exchange it is H_parity to the bit."""
-    h = assemble_hamiltonian(g).matrix
+    h = assemble_hamiltonian(g)
     d = c_isometry_unscaled(g.n_vertices, parity)
     # D = d / sqrt2, d of +-1 entries: the two 1/sqrt2 make an exact 1/2
     h_block = 0.5 * (d.T @ h @ d)
-    fold, label, u = _role_fold(g, parity)
-    m = fold.matrix
+    m, label, u = _role_fold(g, parity)
     assert np.array_equal(m, m.T)
     b = np.zeros((label.size, m.shape[0]))
     b[np.arange(label.size), label] = u
@@ -277,7 +276,7 @@ def test_c_even_block_is_the_projected_hamiltonian_and_c_commutes(drawn):
     g, _ = drawn
     n = g.n_vertices
     assert_fold_is_the_projected_hamiltonian(g, 1)
-    h = assemble_hamiltonian(g).matrix
+    h = assemble_hamiltonian(g)
     plus, minus = _pairs(n)
     c = np.array([pair_index(n, j, i) for i, j in zip(plus, minus)])
     assert np.array_equal(h[np.ix_(c, c)], h)
@@ -312,12 +311,12 @@ def test_exchange_matrix_is_the_edge_by_edge_scatter_to_the_bit(drawn):
     # the entries are integer sums (then scaled alike), so the order of the
     # scatter cannot show: the full H and both signed folds match bit for bit
     g, _ = drawn
-    built = [assemble_hamiltonian(g).matrix, *(_role_fold(g, p) for p in (1, -1))]
+    built = [assemble_hamiltonian(g), *(_role_fold(g, p) for p in (1, -1))]
     with patch.object(dynamics, "_exchange_matrix", exchange_matrix_edge_by_edge):
-        reference = [assemble_hamiltonian(g).matrix, *(_role_fold(g, p) for p in (1, -1))]
+        reference = [assemble_hamiltonian(g), *(_role_fold(g, p) for p in (1, -1))]
     assert np.array_equal(built[0], reference[0])
     for (h, label, u), (h_ref, label_ref, u_ref) in zip(built[1:], reference[1:]):
-        assert np.array_equal(h.matrix, h_ref.matrix)
+        assert np.array_equal(h, h_ref)
         assert np.array_equal(label, label_ref) and np.array_equal(u, u_ref)
 
 
@@ -378,9 +377,8 @@ def pair_orbits(g):
 
 def assert_role_block_is_the_folded_c_even_block(g):
     b = c_isometry_unscaled(g.n_vertices, 1)
-    h_plus = 0.5 * (b.T @ assemble_hamiltonian(g).matrix @ b)  # exact, as above
-    block, label, _ = _role_fold(g, 1)
-    fold = block.matrix
+    h_plus = 0.5 * (b.T @ assemble_hamiltonian(g) @ b)  # exact, as above
+    fold, label, _ = _role_fold(g, 1)
     assert np.array_equal(fold, fold.T)
     orbits = pair_orbits(g)
     assert sorted(orbits, key=min) == [set(np.flatnonzero(label == o)) for o in range(len(orbits))]
@@ -432,7 +430,7 @@ def test_planner_fold_of_the_built_in_families(family, n, dim):
     for parity in (1, -1):
         fold, label, u = _role_fold(g, parity)
         assert label.size == u.size == n * (n - 1) // 2
-        sizes.append(fold.matrix.shape[0])
+        sizes.append(fold.shape[0])
     assert tuple(sizes) == C_FOLD_SIZES[(family, n)]
     assert sum(sizes) == dim
 
@@ -442,8 +440,8 @@ def test_role_block_without_a_role_exchange_is_the_c_even_block():
     g = named_graph("random-36")
     assert all(find_protocol_automorphism(g, swap) is None for swap in ROLE_SWAPS)
     b = c_isometry_unscaled(g.n_vertices, 1)
-    assert np.array_equal(_role_fold(g, 1)[0].matrix,
-                          0.5 * (b.T @ assemble_hamiltonian(g).matrix @ b))
+    assert np.array_equal(_role_fold(g, 1)[0],
+                          0.5 * (b.T @ assemble_hamiltonian(g) @ b))
 
 
 def assert_block_peak_matches_find_peak(block, full, refine_tol=DEFAULT_REFINE_TOL):

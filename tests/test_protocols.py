@@ -20,18 +20,17 @@ from qutrit_bell.cli import main
 from qutrit_bell.dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, PHASE_BLOCK,
                                   TIE_TOL, _index_groups, _SpectralKernel,
                                   _time_grid, amplitude_rows, find_peak, pair_index)
-from qutrit_bell.protocols import (Schedule, ScheduleStep, _grid_scan, _protocol2_steps,
-                                   _step_chooser, _step_curve)
+from qutrit_bell.protocols import (ScheduleStep, _grid_scan, _protocol2_steps, _step_chooser,
+                                   _step_curve)
 from qutrit_bell.topology import ROLE_SWAPS, find_protocol_automorphism
 
 DATA = Path(__file__).resolve().parent / "data"
 
 
-def synthetic_schedule(rows, n_vertices=5, strategy="synthetic"):
+def synthetic_schedule(rows):
     """Schedule stub from (pS_bell, p1, p2, p3) rows; projection = bell."""
-    steps = [ScheduleStep(p1=p1, p2=p2, p3=p3, pS_projection=ps, pS_bell=ps, time=1.0)
-             for (ps, p1, p2, p3) in rows]
-    return Schedule(strategy=strategy, n_vertices=n_vertices, steps=steps)
+    return [ScheduleStep(p1=p1, p2=p2, p3=p3, pS_projection=ps, pS_bell=ps, time=1.0)
+            for (ps, p1, p2, p3) in rows]
 
 
 @pytest.fixture(scope="module")
@@ -100,18 +99,18 @@ class TestProtocol1:
 class TestPlanProtocol2:
     def test_first_step_matches_one_shot_peak(self, cross5_schedule):
         t_star, p_star = peak("cross", 5)
-        assert cross5_schedule.steps[0].time == pytest.approx(t_star, abs=1e-5)
-        assert cross5_schedule.steps[0].pS_bell == pytest.approx(p_star, abs=1e-9)
-        assert cross5_schedule.steps[0].pS_bell == pytest.approx(0.3429, abs=5e-3)
+        assert cross5_schedule[0].time == pytest.approx(t_star, abs=1e-5)
+        assert cross5_schedule[0].pS_bell == pytest.approx(p_star, abs=1e-9)
+        assert cross5_schedule[0].pS_bell == pytest.approx(0.3429, abs=5e-3)
 
     def test_later_peaks_diminish(self, cross5_schedule, loop4_schedule):
         for sched in (cross5_schedule, loop4_schedule):
-            first = sched.steps[0].pS_bell
+            first = sched[0].pS_bell
             for k in range(1, len(sched)):
-                assert sched.steps[k].pS_bell <= first + 1e-12
+                assert sched[k].pS_bell <= first + 1e-12
 
     def test_step_probabilities_are_consistent(self, cross5_schedule):
-        for s in cross5_schedule.steps:
+        for s in cross5_schedule:
             total = s.p1 + s.p2 + s.p3 + s.pS_projection
             assert total == pytest.approx(1.0, abs=1e-10)
             assert s.time > 0
@@ -121,7 +120,6 @@ class TestPlanProtocol2:
         for strategy in Strategy:
             sched = plan_protocol2(g, e, strategy, n_max=3)
             assert len(sched) == 3
-            assert sched.strategy == strategy.value
             series = protocol2_total(sched)
             assert np.all(np.diff(series) >= -1e-12)
 
@@ -218,7 +216,7 @@ class TestPlanProtocol2:
         g, e, _ = prepared(family, n)
         sched = plan_protocol2(g, e, Strategy(strategy), n_max=10)
         printed = [(f"{s.time:.10g}", f"{s.pS_bell:.10g}", f"{s.p1:.10g}")
-                   for s in sched.steps]
+                   for s in sched]
         assert printed == self.PINNED_SCHEDULES[(family, n, strategy)]
 
     def test_planning_holds_no_rows_by_grid_matrix(self):
@@ -343,7 +341,7 @@ class TestMirrorRows:
         calls = []
 
         def counting(h):
-            calls.append(h.matrix.shape[0])
+            calls.append(h.shape[0])
             return spectral_decompose(h)
 
         for module in (cli, measurement):
@@ -404,8 +402,7 @@ class TestRegularSchedule:
     def test_fixed_interval(self):
         g, e, _ = prepared("cross", 5)
         sched = plan_regular(g, e, tau=2.3, n_max=6)
-        assert sched.strategy == "regular"
-        assert np.allclose(sched.times, 2.3)
+        assert np.allclose([s.time for s in sched], 2.3)
         series = protocol2_total(sched)
         assert np.all(np.diff(series) >= -1e-12)
 
@@ -429,16 +426,15 @@ class TestRegularSchedule:
             d = outcome_distribution(phi, g)
             psi = post_state(phi, Outcome.PSI1, g)
             steps.append(ScheduleStep(**vars(d), time=1.0))
-        stepped_on = Schedule("regular", g.n_vertices, steps)
-        assert stepped_on.steps[:566] == sched.steps
-        assert np.array_equal(protocol2_no_reset(sched, n), protocol2_no_reset(stepped_on, n))
-        assert np.array_equal(protocol2_total(sched, n), protocol2_total(stepped_on, n))
+        assert steps[:566] == sched
+        assert np.array_equal(protocol2_no_reset(sched, n), protocol2_no_reset(steps, n))
+        assert np.array_equal(protocol2_total(sched, n), protocol2_total(steps, n))
 
 
 class TestCumulativeSeries:
     def test_single_term(self, cross5_schedule):
         pbar = protocol2_no_reset(cross5_schedule, 1)
-        assert pbar[0] == pytest.approx(cross5_schedule.steps[0].pS_bell, abs=1e-14)
+        assert pbar[0] == pytest.approx(cross5_schedule[0].pS_bell, abs=1e-14)
         ptot = protocol2_total(cross5_schedule, 1)
         assert ptot[0] == pbar[0]
 
@@ -471,7 +467,7 @@ class TestCumulativeSeries:
         raw /= raw.sum(axis=1, keepdims=True)
         for sched in (cross5_schedule, loop4_schedule, synthetic_schedule(raw)):
             n = len(sched) + 5  # padded with dead steps
-            rows = [(s.p1, s.reset_weight) for s in sched.steps]
+            rows = [(s.p1, s.reset_weight) for s in sched]
             rows += [(1.0, 0.0)] * 5
             pbar = protocol2_no_reset(sched, n)
             direct = np.empty(n)
@@ -511,7 +507,7 @@ class TestCumulativeSeries:
 
 def triple_loop_reset_count_masses(schedule, n, m_max):
     """The reset-count recursion as a loop over steps, positions and counts."""
-    rows = [(s.pS_bell, s.p1, s.reset_weight) for s in schedule.steps[:n]]
+    rows = [(s.pS_bell, s.p1, s.reset_weight) for s in schedule[:n]]
     rows += [(0.0, 1.0, 0.0)] * (n - len(rows))
     alive = np.zeros((n + 1, m_max + 1))
     alive[0, 0] = 1.0
@@ -572,7 +568,7 @@ class TestChainEnd:
     def test_loop4_chain_ends_after_ten_steps(self, loop4_schedule):
         g, e, _ = prepared("loop", 4)
         sched = plan_protocol2(g, e, n_max=20)
-        assert sched.steps == loop4_schedule.steps
+        assert sched == loop4_schedule
         assert f"{protocol2_total(sched, 20)[-1]:.10g}" == "0.9999964653"
 
 
@@ -608,7 +604,7 @@ class TestLimitCheck:
         report = protocol2_limit_check(g, e, q=0.99, max_measurements=12)
         planned = plan_protocol2(g, e, n_max=len(report.schedule))
         assert len(report.schedule) > 1
-        assert report.schedule.steps == planned.steps
+        assert report.schedule == planned
 
     def test_rejects_bad_target(self):
         g, e, _ = prepared("cross", 5)
@@ -618,23 +614,20 @@ class TestLimitCheck:
 
 class TestMonteCarlo:
     def test_deterministic_given_seed(self, cross5_schedule):
-        g, *_ = prepared("cross", 5)
-        a = monte_carlo(g, cross5_schedule, trials=2000, seed=42)
-        b = monte_carlo(g, cross5_schedule, trials=2000, seed=42)
+        a = monte_carlo(cross5_schedule, trials=2000, seed=42)
+        b = monte_carlo(cross5_schedule, trials=2000, seed=42)
         assert np.array_equal(a.successes_by_step, b.successes_by_step)
         assert a.resets == b.resets
 
     def test_certain_success(self):
-        g, *_ = prepared("cross", 5)
         sched = synthetic_schedule([(1.0, 0.0, 0.0, 0.0)] * 3)
-        stats = monte_carlo(g, sched, trials=500, seed=1)
+        stats = monte_carlo(sched, trials=500, seed=1)
         assert stats.successes_by_step[0] == 500
         assert stats.cumulative_success()[-1] == 500
 
     def test_matches_analytic_series(self, cross5_schedule):
-        g, *_ = prepared("cross", 5)
         trials = 100_000
-        stats = monte_carlo(g, cross5_schedule, trials=trials, seed=7,
+        stats = monte_carlo(cross5_schedule, trials=trials, seed=7,
                             max_steps=5)
         analytic = protocol2_total(cross5_schedule, 5)
         for n in range(1, 6):
@@ -643,12 +636,10 @@ class TestMonteCarlo:
             assert abs(stats.empirical_p(n) - p) <= 3 * sigma
 
     def test_counts_bounded_by_trials(self, cross5_schedule):
-        g, *_ = prepared("cross", 5)
-        stats = monte_carlo(g, cross5_schedule, trials=3000, seed=3)
+        stats = monte_carlo(cross5_schedule, trials=3000, seed=3)
         assert np.all(stats.cumulative_success() <= 3000)
 
     def test_rejects_bad_trials(self, cross5_schedule):
-        g, *_ = prepared("cross", 5)
         with pytest.raises(ValueError):
-            monte_carlo(g, cross5_schedule, trials=0, seed=1)
+            monte_carlo(cross5_schedule, trials=0, seed=1)
 
