@@ -24,14 +24,14 @@ The propagator exp(-iHt) is evaluated through the dense eigendecomposition;
 for N <= 36 the dimension stays at or below 1260, where this is both exact
 and cheap to re-evaluate at many times. One private kernel,
 `_SpectralKernel`, holds the only exp(-i lambda t): it serves a scalar time
-(`evolve`, peak refinement, protocol-2 steps), a few rows along a grid
-(`amplitude_rows`, the peak searches, the protocol-2 planner), and every row
-of a folded C block along a grid (`measurement.outcome_curves`). The scalar
-path is bit-exact; the grid path takes only arithmetic grids from 0, such as
-`_time_grid`'s, steps blocks of times that share one phase table (about
-sqrt(T) wide on a row subset) and agrees with the scalar path to within 1e-13.
-`select_peak` picks the peak time of a sampled curve, for the peak searches
-and for every protocol-2 planning strategy. Units: hbar = 1, J = 1.
+(`evolve`, peak refinement, protocol-2 steps), a few rows along a grid (the
+peak searches, which refine on the same kernel, and the protocol-2 planner),
+and every row of a folded C block along a grid (`measurement.outcome_curves`).
+The scalar path is bit-exact; the grid path takes only arithmetic grids from
+0, such as `_time_grid`'s, steps blocks of times that share one phase table
+(about sqrt(T) wide on a row subset) and agrees with the scalar path to within
+1e-13. `select_peak` picks the peak time of a sampled curve, for the peak
+searches and for every protocol-2 planning strategy. Units: hbar = 1, J = 1.
 """
 
 from __future__ import annotations
@@ -69,13 +69,14 @@ GRID_END_SLACK = 1e-9
 
 
 def _time_grid(t_max: float, step: float) -> np.ndarray:
-    """0, step, 2 step, ... up to t_max > 0, end point included.
+    """0, step, 2 step, ... up to t_max, end point included; both finite and > 0.
 
     The points are those of np.arange(0.0, t_max + step, step), whose last
     point passes t_max for some windows (0.71 for t_max = 0.7, step 0.01).
     """
-    if t_max <= 0:
-        raise ValueError(f"t_max must be positive, got {t_max}")
+    for name, value in (("t_max", t_max), ("step", step)):
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     grid = np.arange(0.0, t_max + step, step)
     return grid[grid <= t_max + GRID_END_SLACK]
 
@@ -309,16 +310,6 @@ def evolve(e: Eigensystem, psi0: np.ndarray, t: float) -> np.ndarray:
     return _SpectralKernel(e, psi0)(t)
 
 
-def amplitude_rows(e: Eigensystem, psi0: np.ndarray, rows, t_grid: np.ndarray) -> np.ndarray:
-    """Selected amplitude components along a time grid, shape (len(rows), T).
-
-    Much cheaper than evolving the full vector when only a few components
-    are needed (peak searches use the two Bell-channel rows). The grid must
-    be step * arange(T), as `_time_grid` builds it.
-    """
-    return _SpectralKernel(e, psi0, rows)(t_grid)
-
-
 def refine_maximum(f, lo: float, hi: float, tol: float,
                    max_iter: int = 200) -> tuple[float, float]:
     """Locate the maximum of a smooth scalar f on [lo, hi] to |dt| < tol.
@@ -369,19 +360,20 @@ def _peak_candidates(curve: np.ndarray) -> np.ndarray:
     return np.flatnonzero(tall & at_least_left & at_least_right)
 
 
-def select_peak(curve: np.ndarray, grid: np.ndarray, objective, grid_step: float,
+def select_peak(curve: np.ndarray, grid: np.ndarray, objective,
                 refine_tol: float) -> tuple[float, float]:
-    """Earliest among the (refined) tallest local maxima of a sampled curve.
+    """Earliest among the (refined) tallest local maxima of a curve on a `_time_grid` grid.
 
-    All sampled local maxima within CANDIDATE_TOL of the grid maximum are
-    refined; among refined heights within TIE_TOL of the best, the earliest
-    time wins. Exactly periodic curves (common on these graphs) therefore
-    resolve to their first recurrence.
+    All sampled local maxima within CANDIDATE_TOL of the grid maximum are refined
+    within grid[1], the step (0 on a one-point grid), of their point; among refined
+    heights within TIE_TOL of the best, the earliest time wins. Exactly periodic
+    curves (common on these graphs) therefore resolve to their first recurrence.
     """
+    step = float(grid[1]) if grid.size > 1 else 0.0
     refined = []
     for k in _peak_candidates(curve):
-        lo = max(float(grid[0]), float(grid[k]) - grid_step)
-        hi = min(float(grid[-1]), float(grid[k]) + grid_step)
+        lo = max(float(grid[0]), float(grid[k]) - step)
+        hi = min(float(grid[-1]), float(grid[k]) + step)
         t_r, p_r = refine_maximum(objective, lo, hi, refine_tol)
         if curve[k] >= p_r:
             t_r, p_r = float(grid[k]), float(curve[k])
@@ -396,13 +388,12 @@ def _peak(g: Graph, e: Eigensystem, psi0: np.ndarray, rows, p_success,
     """`select_peak` of p_success(row amplitudes) on [0, t_max]; (0, 0) below HERALD_FLOOR."""
     t_max = PEAK_WINDOW_FACTOR * g.n_vertices if t_max is None else t_max
     grid = _time_grid(t_max, grid_step)
-    curve = p_success(amplitude_rows(e, psi0, rows, grid))
+    kernel = _SpectralKernel(e, psi0, rows)
+    curve = p_success(kernel(grid))
     if curve.max() < HERALD_FLOOR:
         logger.warning("success probability identically zero over [0, %g]", t_max)
         return 0.0, 0.0
-    kernel = _SpectralKernel(e, psi0, rows)
-    return select_peak(curve, grid, lambda t: float(p_success(kernel(t))),
-                       grid_step, refine_tol)
+    return select_peak(curve, grid, lambda t: float(p_success(kernel(t))), refine_tol)
 
 
 def find_peak(e: Eigensystem, psi0: np.ndarray, g: Graph,

@@ -65,7 +65,7 @@ class OutcomeDistribution:
 
 
 def _check_norm(norm) -> None:
-    if np.any(np.abs(norm - 1.0) > NORM_TOL):
+    if not np.all(np.abs(norm - 1.0) <= NORM_TOL):  # NaN fails too
         raise ValueError(f"state norm deviates from 1 by more than {NORM_TOL}")
 
 
@@ -125,7 +125,7 @@ def _fold_scan(g: Graph, t_grid: np.ndarray, readout: np.ndarray, parities=(1, -
             part = np.sqrt(0.5) * (a[ij] + parity * a[ji])
             folded = (np.bincount(label, u * part.real, e.eigenvalues.size)
                       + 1j * np.bincount(label, u * part.imag, e.eigenvalues.size))
-            if abs(np.linalg.norm(folded) - np.linalg.norm(part)) > NORM_TOL:
+            if not abs(np.linalg.norm(folded) - np.linalg.norm(part)) <= NORM_TOL:
                 raise ValueError("state is not invariant under the role exchanges")
             kernel = _SpectralKernel(e, folded, None if rows.size == folded.size else rows)
             for cols, amp in kernel._blocks(t_grid):
@@ -159,7 +159,7 @@ def post_state(psi: np.ndarray, outcome: Outcome, g: Graph) -> np.ndarray:
     projected = np.zeros_like(psi)
     projected[keep] = psi[keep]
     weight = float(np.sum(np.abs(projected) ** 2))
-    if weight < ZERO_PROB:
+    if not weight >= ZERO_PROB:
         raise ValueError(f"outcome {outcome.name} has probability {weight:.3e} < {ZERO_PROB}; "
                          "refusing to condition on it")
     return projected / np.sqrt(weight)

@@ -153,7 +153,7 @@ def _step_chooser(g: Graph, strategy: Strategy, t_max: float | None, grid_step: 
         refine = kernel.on_rows(rows)
         return select_peak(score, t_grid,
                            lambda t: float(_score(strategy, *_step_curve(refine(t)))),
-                           grid_step, refine_tol)[0]
+                           refine_tol)[0]
 
     return choose
 
@@ -207,8 +207,8 @@ def plan_protocol2(g: Graph, e: Eigensystem, strategy: Strategy = Strategy.PEAK_
 
 def plan_regular(g: Graph, e: Eigensystem, tau: float, n_max: int) -> list[ScheduleStep]:
     """Fixed-interval fallback schedule: every measurement after time tau."""
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not (np.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     return _schedule(g, e, lambda psi, kernel: tau, n_max)
 
 

@@ -19,7 +19,7 @@ from qutrit_bell import (Strategy, enumerate_outcome_tree, monte_carlo,
                          plan_protocol2, protocol1_cumulative,
                          protocol1_required, protocol2_limit_check,
                          protocol2_no_reset, protocol2_total)
-from qutrit_bell.dynamics import amplitude_rows, assemble_hamiltonian, pair_index
+from qutrit_bell.dynamics import _SpectralKernel, assemble_hamiltonian, pair_index
 from qutrit_bell.measurement import outcome_distribution
 from qutrit_bell.oracle import (full_evolve_compare, sector_restriction,
                                 su3_algebra_check)
@@ -304,7 +304,7 @@ def test_criterion_8_symmetry_invariant(family, n):
     rows = (pair_index(n, g.roles.bob, g.roles.alice),
             pair_index(n, g.roles.alice, g.roles.bob))
     grid = np.arange(0.0, 8.0 * n, 0.01)
-    amps = amplitude_rows(e, psi0, rows, grid)
+    amps = _SpectralKernel(e, psi0, rows)(grid)
     asym = float(np.max(np.abs(amps[0] - amps[1])))
     ok = asym < 1e-10
     report(8, f"{family} N={n}", ok, f"max asymmetry {asym:.2e}")

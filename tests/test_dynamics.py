@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 
 from conftest import peak, prepared, random_graph_with_moved_roles, time_budget
 from qutrit_bell import (Graph, Roles, assemble_hamiltonian,
-                         build_cross, build_loop, evolve,
+                         build_cross, build_loop, dynamics, evolve, one_shot_peak,
                          find_protocol_automorphism, find_peak, initial_state,
                          outcome_distribution, spectral_decompose)
 from qutrit_bell.dynamics import (CANDIDATE_TOL, DEFAULT_GRID_STEP, GRID_END_SLACK,
                                   PEAK_WINDOW_FACTOR, PHASE_BLOCK,
                                   _peak_candidates, _SpectralKernel, _index_groups, _pairs,
-                                  _time_grid, amplitude_rows, pair_index, refine_maximum)
+                                  _time_grid, pair_index, refine_maximum)
 from qutrit_bell.measurement import outcome_curves
 
 
@@ -211,7 +211,7 @@ class TestSpectralKernel:
     def test_blocked_grid_matches_evolve_at_block_boundaries(self):
         _, e, psi0 = prepared("loop", 8)
         t = 0.01 * np.arange(2 * PHASE_BLOCK + 100)  # three phase blocks
-        amps = amplitude_rows(e, psi0, self.ROWS, t)
+        amps = _SpectralKernel(e, psi0, self.ROWS)(t)
         for k in (0, PHASE_BLOCK - 1, PHASE_BLOCK, 2 * PHASE_BLOCK - 1,
                   2 * PHASE_BLOCK, t.size - 1):
             full = evolve(e, psi0, float(t[k]))
@@ -293,7 +293,7 @@ class TestSpectralKernel:
         t = _time_grid(factor * 36, DEFAULT_GRID_STEP)
         rows = _index_groups(g)["success"]
         sample = np.arange(0, t.size, 97)
-        got = amplitude_rows(e, psi0, rows, t)[:, sample]
+        got = _SpectralKernel(e, psi0, rows)(t)[:, sample]
         dev = np.max(np.abs(got - self.dense(e, psi0, rows, t[sample])))
         assert dev < self.GRID_TOL
 
@@ -379,13 +379,30 @@ class TestScanAndPeaks:
         with pytest.raises(ValueError):
             find_peak(e, psi0, g, t_max=-1.0)
 
+    def test_each_peak_search_builds_one_kernel(self, monkeypatch):
+        # the grid curve and every refinement time are read from the same kernel
+        built = []
+
+        class Recording(_SpectralKernel):
+            def __init__(self, e, psi0, rows=None):
+                built.append(len(rows))
+                super().__init__(e, psi0, rows)
+
+        monkeypatch.setattr(dynamics, "_SpectralKernel", Recording)
+        g, e, psi0 = prepared("loop", 8)
+        find_peak(e, psi0, g)
+        assert built == [2]  # |B,A> and |A,B>
+        built.clear()
+        one_shot_peak(g)
+        assert built == [1]  # the {A,B} orbit of the folded C-even block
+
     def test_loop36_peak_window_scan_within_budget(self):
         # 23,041 points at d = 1260, 2 cores: 1.1-1.4 s with a sin and a cos
         # per grid point, 0.11-0.12 s with one offset table per call
         g, e, psi0 = prepared("loop", 36)
         grid = _time_grid(PEAK_WINDOW_FACTOR * 36, DEFAULT_GRID_STEP)
         with time_budget(0.5):
-            amplitude_rows(e, psi0, _index_groups(g)["success"], grid)
+            _SpectralKernel(e, psi0, _index_groups(g)["success"])(grid)
 
     @given(st.lists(st.integers(0, 4), min_size=1, max_size=40),
            st.sampled_from([1.0, 0.4 * CANDIDATE_TOL]))
@@ -433,7 +450,7 @@ class TestSymmetryInvariant:
         g, e, psi0 = prepared(family, n)
         rows = (pair_index(n, g.roles.bob, g.roles.alice),
                 pair_index(n, g.roles.alice, g.roles.bob))
-        amps = amplitude_rows(e, psi0, rows, np.arange(0.0, 2.0 * n, 0.01))
+        amps = _SpectralKernel(e, psi0, rows)(np.arange(0.0, 2.0 * n, 0.01))
         assert np.max(np.abs(amps[0] - amps[1])) < 1e-10
 
 

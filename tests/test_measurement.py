@@ -51,9 +51,9 @@ class TestOutcomeDistribution:
 
     def test_non_normalized_rejected(self):
         g, _, psi0 = prepared("cross", 5)
-        bad = psi0 * 1.5
-        with pytest.raises(ValueError, match="norm"):
-            outcome_distribution(bad, g)
+        for bad in (psi0 * 1.5, np.full_like(psi0, np.nan)):
+            with pytest.raises(ValueError, match="norm"):
+                outcome_distribution(bad, g)
 
     def test_p_unusable_accessor(self):
         g, psi = evolved("cross", 5, 2.3)
@@ -92,6 +92,12 @@ class TestOutcomeCurves:
         with pytest.raises(ValueError, match="norm") as on_grid:
             outcome_curves(g, doubled, self.GRID)
         assert str(on_grid.value) == str(one_state.value)
+
+    def test_nan_state_rejected(self):
+        # the fold's invariance check is the first to read the state
+        g, _, _ = prepared("loop", 4)
+        with pytest.raises(ValueError, match="invariant"):
+            outcome_curves(g, np.full(12, np.nan, dtype=complex), self.GRID)
 
     def test_loop36_grid_holds_no_wide_block(self):
         g, e, psi0 = prepared("loop", 36)
@@ -161,6 +167,11 @@ class TestPostState:
         g, _, psi0 = prepared("cross", 5)
         with pytest.raises(ValueError, match="probability"):
             post_state(psi0, Outcome.SUCCESS, g)
+
+    def test_nan_state_refused(self):
+        g, _, _ = prepared("loop", 4)
+        with pytest.raises(ValueError, match="probability nan"):
+            post_state(np.full(12, np.nan, dtype=complex), Outcome.PSI1, g)
 
     def test_measurement_is_idempotent_on_psi1(self):
         g, psi = evolved("cross", 5, 2.3)

@@ -31,7 +31,7 @@ from qutrit_bell import (Graph, Roles, assemble_hamiltonian, build_cross, build_
 from qutrit_bell.cli import main
 from qutrit_bell.dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, FULL_STATE_BLOCK,
                                   PHASE_BLOCK, _index_groups, _pairs, _role_fold,
-                                  _unordered_position, amplitude_rows, pair_index)
+                                  _SpectralKernel, _unordered_position, pair_index)
 from qutrit_bell.measurement import ZERO_PROB, Outcome, outcome_curves, post_state
 from qutrit_bell.oracle import full_evolve_compare
 from qutrit_bell.protocols import (PLAN_WINDOW_FACTOR, Strategy, _grid_scan, _protocol2_steps,
@@ -163,7 +163,7 @@ def test_planner_fold_keeps_the_planned_states_and_their_grid(drawn, t):
         states.append(post_state(psi, Outcome.PSI1, g))  # what the planner conditions on
     for state in states:
         assert np.max(np.abs(iso @ (iso.T @ state) - state)) <= 1e-12
-        amp = amplitude_rows(e, state, rows, grid)
+        amp = _SpectralKernel(e, state, rows)(grid)
         p_s, p_u = scan(state)
         assert np.max(np.abs(p_s - 0.5 * np.abs(amp[0] + amp[1]) ** 2)) <= 1e-12
         assert np.max(np.abs(p_u - np.sum(np.abs(amp[2:]) ** 2, axis=0))) <= 1e-12
@@ -200,7 +200,7 @@ def test_no_call_changes_the_state_it_is_given(drawn, t):
         if outcome_distribution(state, g).p1 >= ZERO_PROB:
             post_state(state, Outcome.PSI1, g)
         outcome_curves(g, state, grid)
-        amplitude_rows(e, state, _index_groups(g)["success"], grid)
+        _SpectralKernel(e, state, _index_groups(g)["success"])(grid)
         assert state.tobytes() == kept.tobytes()
     # the chain of `plan_protocol2`: each conditional state is scanned, evolved,
     # measured and conditioned on, and must reach its chooser as it was made

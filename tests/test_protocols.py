@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import peak, prepared, random_graph_with_moved_roles
 from qutrit_bell import (Outcome, Strategy, assemble_hamiltonian, enumerate_outcome_tree,
-                         evolve, monte_carlo, outcome_distribution, plan_protocol2,
+                         evolve, monte_carlo, one_shot_peak, outcome_distribution, plan_protocol2,
                          plan_regular, post_state, protocol1_cumulative, protocol1_required,
                          protocol2_limit_check, protocol2_no_reset, protocol2_total,
                          spectral_decompose)
@@ -19,7 +19,7 @@ from qutrit_bell import cli, dynamics, measurement, protocols
 from qutrit_bell.cli import main
 from qutrit_bell.dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, PHASE_BLOCK,
                                   TIE_TOL, _index_groups, _SpectralKernel,
-                                  _time_grid, amplitude_rows, find_peak, pair_index)
+                                  _time_grid, find_peak, pair_index)
 from qutrit_bell.protocols import (ScheduleStep, _grid_scan, _protocol2_steps, _step_chooser,
                                    _step_curve)
 from qutrit_bell.topology import ROLE_SWAPS, find_protocol_automorphism
@@ -134,6 +134,17 @@ class TestPlanProtocol2:
         for t_max in (0.0, -1.0):
             with pytest.raises(ValueError, match="t_max must be positive"):
                 plan_protocol2(g, e, strategy, n_max=2, t_max=t_max)
+
+    @pytest.mark.parametrize("t_max,grid_step,bad", [
+        (None, 0.0, "step"), (None, -1.0, "step"), (None, np.nan, "step"),
+        (None, np.inf, "step"), (np.inf, DEFAULT_GRID_STEP, "t_max"),
+        (np.nan, DEFAULT_GRID_STEP, "t_max")])
+    def test_window_and_step_must_be_finite_and_positive(self, t_max, grid_step, bad):
+        g, e, _ = prepared("loop", 4)
+        with pytest.raises(ValueError, match=f"^{bad} must be positive and finite"):
+            one_shot_peak(g, t_max=t_max, grid_step=grid_step)
+        with pytest.raises(ValueError, match=f"^{bad} must be positive and finite"):
+            plan_protocol2(g, e, n_max=2, t_max=t_max, grid_step=grid_step)
 
     # (time, pS_bell, p1) of each step as the CLI prints them. The loop-4
     # tail plans on curves of height ~1e-13, and cross-7 moved when the
@@ -408,8 +419,9 @@ class TestRegularSchedule:
 
     def test_rejects_bad_tau(self):
         g, e, _ = prepared("cross", 5)
-        with pytest.raises(ValueError):
-            plan_regular(g, e, tau=0.0, n_max=3)
+        for tau in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="tau must be positive and finite"):
+                plan_regular(g, e, tau=tau, n_max=3)
 
     def test_chain_ends_where_the_survival_product_underflows(self):
         # loop-4 at tau = 1: prod p_1 reaches exactly 0 at step 566, after
