@@ -19,19 +19,16 @@ into an even block H+ and an odd block H-, each on the N(N-1)/2 unordered
 pairs. `_role_fold(g, parity)` folds either block onto the pair orbits of the
 automorphisms that keep {c+,c-} and {A,B}, signed on H-: the Bell amplitude
 of `one_shot_peak` is read on the folded H+, and `scan` and the protocol-2
-planner read their grids on both folds (`measurement._fold_scan`).
-The propagator exp(-iHt) is evaluated through the dense eigendecomposition;
-for N <= 36 the dimension stays at or below 1260, where this is both exact
-and cheap to re-evaluate at many times. One private kernel,
-`_SpectralKernel`, holds the only exp(-i lambda t): it serves a scalar time
-(`evolve`, peak refinement, protocol-2 steps), a few rows along a grid (the
-peak searches, which refine on the same kernel, and the protocol-2 planner),
-and every row of a folded C block along a grid (`measurement.outcome_curves`).
-The scalar path is bit-exact; the grid path takes only arithmetic grids from
-0, such as `_time_grid`'s, steps blocks of times that share one phase table
-(about sqrt(T) wide on a row subset) and agrees with the scalar path to within
-1e-13. `select_peak` picks the peak time of a sampled curve, for the peak
-searches and for every protocol-2 planning strategy. Units: hbar = 1, J = 1.
+planner read their grids on both folds (`measurement`).
+There are two propagators. `_SpectralKernel` holds the only exp(-i lambda t)
+of a dense eigendecomposition (d <= 1260 for N <= 36): it serves a scalar time
+(`evolve`, peak refinement, protocol-2 steps), bit-exact, and rows along an
+arithmetic grid from 0 (the peak searches and the protocol-2 planner), within
+1e-13 of the scalar path. The Chebyshev recurrence `_chebyshev_spans` needs only
+products H v and a bound R >= ||H||: `scan` runs it on the folds
+(`measurement.outcome_curves`), `verify` on the 3^N state (`oracle`).
+`select_peak` picks the peak time of a sampled curve, for the peak searches and
+for every protocol-2 planning strategy. Units: hbar = 1, J = 1.
 """
 
 from __future__ import annotations
@@ -54,15 +51,11 @@ DEFAULT_REFINE_TOL = 1e-6
 #: tabulated peak on the 32-site loop (from 6.42 N); any factor in between
 #: reproduces the reference tables, 6.4 is used.
 PEAK_WINDOW_FACTOR = 6.4
-#: times per block of a row subset's amplitudes along a grid (and of `oracle`'s
-#: Chebyshev table), whatever the grid length; a power of two, as the kernel needs
+#: times per block of the kernel's rows along a grid (and grid points per Chebyshev
+#: span), whatever the grid length; a power of two, as the kernel needs
 PHASE_BLOCK = 1024
-#: times per block when every row is wanted (`scan`): on a C block with no fold
-#: (d = 630, the seeded 36-site graph without a role exchange) a block's phases
-#: are 2.6 MB. That graph's `scan` peaks at 52.5 MB of RSS at 256 for 1001 points
-#: and at 56.0 MB for the default 23,041; at 1024 it reached 77.0 and 85.5 MB.
-#: On loop-36's folds (171 and 162 orbits) the peaks are 36.0 and 38.5 MB.
-FULL_STATE_BLOCK = 256
+CHEBYSHEV_TAIL = 1e-17  # a-priori bound on the first dropped Bessel coefficient
+CHEBYSHEV_SPAN = 32.0  # largest R |t - t0| a recurrence started at t0 reaches
 #: a grid point may pass t_max by this much and still count as <= t_max: it
 #: absorbs the rounding of k * step, not a further step
 GRID_END_SLACK = 1e-9
@@ -226,8 +219,7 @@ class _SpectralKernel:
     as `_time_grid` builds it; any other grid is a ValueError. As exp(-i lambda
     t_{s+m}) = exp(-i lambda t_s) exp(-i lambda t_m), blocks of w times share one
     table E = exp(-i lambda t_m), m < w, and a block from t_s needs only
-    exp(-i lambda t_s) V^T psi0. Every row takes w = FULL_STATE_BLOCK, one real
-    product per block. A row subset takes w the largest power of two <= sqrt(T),
+    exp(-i lambda t_s) V^T psi0. The kernel takes w the largest power of two <= sqrt(T),
     at most PHASE_BLOCK (about 2 d sqrt(T) sines and cosines), and yields
     PHASE_BLOCK / w blocks as one product ((rows * blocks) x d) @ (d x w). The
     split phase rounds differently: a grid column agrees with the scalar time, and
@@ -240,14 +232,12 @@ class _SpectralKernel:
             raise ValueError("state and eigensystem dimensions differ")
         self._neg_lam = -e.eigenvalues
         self._coeff = e._vt @ psi0
-        self._full = rows is None
-        self._v = e.eigenvectors if self._full else e.eigenvectors[list(rows), :]
+        self._v = e.eigenvectors if rows is None else e.eigenvectors[list(rows), :]
 
     def on_rows(self, rows) -> _SpectralKernel:
         """This kernel on a subset of its rows: V^T psi0 is shared, a complex copy of V is not."""
         sub = object.__new__(type(self))
-        sub._neg_lam, sub._coeff = self._neg_lam, self._coeff
-        sub._full, sub._v = False, self._v[list(rows), :]
+        sub._neg_lam, sub._coeff, sub._v = self._neg_lam, self._coeff, self._v[list(rows), :]
         return sub
 
     @cached_property
@@ -267,12 +257,6 @@ class _SpectralKernel:
         np.cos(out.real, out=out.real)
         return out
 
-    def _phased(self, t: float) -> np.ndarray:
-        """exp(-i lambda t) V^T psi0 at a scalar t, shape (d,)."""
-        out = self._phases(t)
-        out *= self._coeff
-        return out
-
     def _blocks(self, t: np.ndarray):
         """(column slice, amplitudes) for each block of an arithmetic grid from 0."""
         t = np.asarray(t, dtype=float)
@@ -280,14 +264,6 @@ class _SpectralKernel:
         if t.ndim != 1 or not np.array_equal(t, step * np.arange(t.size)):
             raise ValueError("a time grid must be exactly step * arange(T), starting at 0")
         # each block is made in the yield: this frame keeps none alive while the caller works
-        if self._full:  # V is real: one real product over the (re, im) column pairs
-            offsets = self._phases(t[:FULL_STATE_BLOCK])
-            for s in range(0, t.size, FULL_STATE_BLOCK):
-                n = min(FULL_STATE_BLOCK, t.size - s)
-                shift = self._phased(t[s])
-                yield slice(s, s + n), (self._v @ (offsets[:, :n] * shift[:, None])
-                                        .view(np.float64)).view(np.complex128)
-            return
         w = min(PHASE_BLOCK, 1 << ((max(t.size, 1).bit_length() - 1) // 2))  # 2^k <= sqrt(T)
         offsets, starts = self._phases(t[:w]), self._phases(t[::w]) * self._coeff[:, None]
         for s in range(0, t.size, PHASE_BLOCK):
@@ -298,7 +274,9 @@ class _SpectralKernel:
 
     def __call__(self, t) -> np.ndarray:
         if np.ndim(t) == 0:
-            return self._v_complex @ self._phased(t)
+            phased = self._phases(t)
+            phased *= self._coeff
+            return self._v_complex @ phased
         out = np.empty((self._v.shape[0], np.size(t)), dtype=complex)
         for cols, amp in self._blocks(t):
             out[:, cols] = amp
@@ -310,13 +288,93 @@ def evolve(e: Eigensystem, psi0: np.ndarray, t: float) -> np.ndarray:
     return _SpectralKernel(e, psi0)(t)
 
 
+def _chebyshev_order(x: float) -> int:
+    """Orders kept for an argument of magnitude x = R |dt|: every order up to the first
+    one past |x|/2 whose bound |J_k(x)| <= (|x|/2)^k / k! falls below CHEBYSHEV_TAIL."""
+    order, log_bound = 0, 0.0
+    while x > 0 and (order <= x / 2 or log_bound > np.log(CHEBYSHEV_TAIL)):
+        order += 1
+        log_bound += np.log(x / 2 / order)
+    return order
+
+
+def _chebyshev_coefficients(order: int, x: np.ndarray) -> np.ndarray:
+    """c_0 .. c_order at each x = R dt, as an (order + 1, len(x)) table.
+
+    By Jacobi-Anger, exp(-i x cos theta) = sum_k (-i)^k J_k(x) e^{ik theta}
+    over every integer k, so one DFT of it at m = 2 (order + 1) equal angles,
+    divided by m, gives (-i)^k J_k(x) for k <= order: c_0, and half of every
+    other c_k. The orders that fold onto them lie past `order`, below
+    CHEBYSHEV_TAIL.
+    """
+    m = 2 * (order + 1)
+    angles = np.cos(2 * np.pi / m * np.arange(m))
+    coeffs = np.fft.fft(np.exp(-1j * np.multiply.outer(angles, x)), axis=0)[:order + 1] / m
+    coeffs[1:] *= 2
+    return coeffs
+
+
+def _chebyshev_span(apply, radius: float, psi: np.ndarray, offsets: np.ndarray, rows,
+                    memo: dict):
+    """exp(-iH dt) psi at every dt in offsets, from one Chebyshev recurrence.
+
+    With ||H|| <= R, exp(-iH dt) = sum_k c_k(dt) T_k(H/R) with c_0 = J_0(R dt) and
+    c_k = 2 (-i)^k J_k(R dt) (Tal-Ezer & Kosloff, JCP 81, 3967 (1984)), to the order
+    of the largest |R dt|. Returns the `rows` of every state (offsets x rows), the
+    bound sum_k |c_k(dt)| max|T_k psi| outside `rows` on the largest magnitude there,
+    and the state at the last offset; `memo` keeps the table for equal offsets."""
+    x = radius * np.asarray(offsets, dtype=float)
+    order = _chebyshev_order(float(np.max(np.abs(x))))
+    seed = _chebyshev_coefficients(order, x[-1:])[:, 0]
+    amps, outside = np.empty((order + 1, len(rows)), dtype=complex), np.empty(order + 1)
+    last, prev, vec = np.zeros_like(psi), psi, psi
+    for k in range(order + 1):  # vec = T_k(H/R) psi by the three-term recurrence
+        if k:
+            prev, vec = vec, apply(vec) / radius if k == 1 else (2.0 / radius) * apply(vec) - prev
+        amps[k] = vec[rows]
+        mag = np.abs(vec)
+        mag[rows] = 0.0
+        outside[k] = mag.max()
+        last += seed[k] * vec
+    if memo.get("x") != (order, x.tobytes()):
+        memo.update(x=(order, x.tobytes()), coeffs=_chebyshev_coefficients(order, x))
+    return memo["coeffs"].T @ amps, np.abs(memo["coeffs"]).T @ outside, last
+
+
+def _chebyshev_spans(apply, radius: float, psi: np.ndarray, t_grid: np.ndarray, rows):
+    """(grid slice, rows of the state, leakage bound) for each span of the grid.
+
+    psi is the state at t = 0. A span starts at t0, the time of the state that
+    seeds it, and runs over at most PHASE_BLOCK consecutive grid points t with
+    R |t - t0| <= CHEBYSHEV_SPAN; its last point's state seeds the next. A point
+    further from t0 is approached by spans of no point first. The grid may be
+    uneven; spans whose offsets t - t0 agree to the bit (every full span of
+    h * arange(T) taken in units of h) share one coefficient table.
+    """
+    t0, start, memo = 0.0, 0, {}
+    while start < t_grid.size:
+        if radius * abs(t_grid[start] - t0) > CHEBYSHEV_SPAN:
+            t1 = t0 + np.copysign(CHEBYSHEV_SPAN / radius, t_grid[start] - t0)
+            t0, psi = t1, _chebyshev_span(apply, radius, psi, np.array([t1 - t0]), rows, memo)[2]
+            continue
+        far = np.flatnonzero(radius * np.abs(t_grid[start + 1:start + PHASE_BLOCK] - t0)
+                             > CHEBYSHEV_SPAN)
+        stop = start + 1 + far[0] if far.size else min(start + PHASE_BLOCK, t_grid.size)
+        amps, leak, psi = _chebyshev_span(apply, radius, psi, t_grid[start:stop] - t0, rows, memo)
+        yield slice(start, stop), amps, leak
+        del amps, leak  # this frame keeps no span alive while the next is made
+        t0, start = t_grid[stop - 1], stop
+
+
 def refine_maximum(f, lo: float, hi: float, tol: float,
                    max_iter: int = 200) -> tuple[float, float]:
     """Locate the maximum of a smooth scalar f on [lo, hi] to |dt| < tol.
 
     Iterated three-point parabolic steps with interval shrinking; falls
-    back to trisection when the parabola degenerates.
+    back to trisection when the parabola degenerates. tol must be > 0.
     """
+    if not tol > 0:  # NaN fails too
+        raise ValueError(f"refine_tol must be positive, got {tol}")
     a, b = float(lo), float(hi)
     m = 0.5 * (a + b)
     fm = f(m)
@@ -386,6 +444,8 @@ def select_peak(curve: np.ndarray, grid: np.ndarray, objective,
 def _peak(g: Graph, e: Eigensystem, psi0: np.ndarray, rows, p_success,
           t_max: float | None, grid_step: float, refine_tol: float) -> tuple[float, float]:
     """`select_peak` of p_success(row amplitudes) on [0, t_max]; (0, 0) below HERALD_FLOOR."""
+    if not np.all(np.isfinite(psi0)):  # a NaN curve has no candidate peak
+        raise ValueError("the state to search for a peak is not finite")
     t_max = PEAK_WINDOW_FACTOR * g.n_vertices if t_max is None else t_max
     grid = _time_grid(t_max, grid_step)
     kernel = _SpectralKernel(e, psi0, rows)

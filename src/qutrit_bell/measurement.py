@@ -15,10 +15,11 @@ heralded probability equals the projection probability.
 `outcome_distribution` measures one state of the pair space. `outcome_curves`
 gives the same probabilities along a time grid without the full space: the
 C-even and C-odd parts of psi0, each folded by the role exchanges
-(`dynamics._role_fold`), are stepped along the grid, and every outcome is read
-as W |a|^2, W holding each orbit's share of pairs in each outcome
-(`_fold_scan`). The protocol-2 planner reads its grids through `_fold_scan`
-too. Both functions check the norm of every state they measure.
+(`dynamics._role_fold`), are stepped along the grid by the Chebyshev
+recurrence on the folds' nonzeros, and every outcome is read as W |a|^2, W
+holding each orbit's share of pairs in each outcome (`_folds`). The protocol-2
+planner reads its grids on the same folds through their eigensystems
+(`_fold_scan`). Both functions check the norm of every state they measure.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import (_index_groups, _outcome, _pair_position, _role_fold, _SpectralKernel,
-                       _unordered_pairs, _unordered_position, spectral_decompose)
+from .dynamics import (_chebyshev_spans, _index_groups, _outcome, _pair_position, _role_fold,
+                       _SpectralKernel, _unordered_pairs, _unordered_position,
+                       spectral_decompose)
 from .topology import Graph
 
 NORM_TOL = 1e-8
@@ -88,23 +90,14 @@ def _weighted_squares(w: np.ndarray, amp: np.ndarray) -> np.ndarray:
             + np.einsum("gk,kb,kb->gb", w, amp.imag, amp.imag))
 
 
-def _fold_scan(g: Graph, t_grid: np.ndarray, readout: np.ndarray, parities=(1, -1)):
-    """psi -> readout @ (pS_bell, p1, p2, p3, pS_projection) of exp(-iHt) psi along
-    t_grid, shape (m, T) for an m x 5 readout, from psi's parts in the C blocks of
-    the given parities; p1 here is psi1's own weight.
-
-    psi's C parts (a_ij +- a_ji)/sqrt2, i < j, are folded onto the orbits of
-    `dynamics._role_fold`; a part whose fold loses norm (beyond NORM_TOL) is not
-    invariant under the role exchanges and is refused. Each outcome is a union of
-    pairs, so its probability is W |a_O|^2, W[g, O] the share of orbit O's pairs in
-    outcome g; pS_bell = |a_O|^2 at the C-even orbit O = {A,B}. Each block is
-    diagonalised once, and only the orbits the readout reads are stepped.
-    """
+def _folds(g: Graph, readout: np.ndarray, parities):
+    """(parity, fold H, label, u, orbits read, W on them) per C block of the given
+    parities (`dynamics._role_fold`) that an m x 5 readout of (pS_bell, p1, p2, p3,
+    pS_projection) reads. Each outcome is a union of pairs, so its probability is
+    W |a_O|^2, W[g, O] the share of orbit O's pairs in outcome g (p1 here psi1's own
+    weight); pS_bell = |a_O|^2 at the C-even orbit O = {A,B}."""
     n, r = g.n_vertices, g.roles
-    lo, hi = _unordered_pairs(n)
-    ij, ji = _pair_position(n, lo, hi), _pair_position(n, hi, lo)
-    outcome = _outcome(g, lo, hi)  # the row of p1, p2, p3 or pS_projection
-    blocks = []
+    outcome = _outcome(g, *_unordered_pairs(n))  # the row of p1, p2, p3 or pS_projection
     for parity in parities:
         h, label, u = _role_fold(g, parity)
         w = np.zeros((5, h.shape[0]))
@@ -115,20 +108,37 @@ def _fold_scan(g: Graph, t_grid: np.ndarray, readout: np.ndarray, parities=(1, -
         w = readout @ w
         rows = np.flatnonzero(w.any(axis=0))
         if rows.size:
-            blocks.append((parity, label, u, spectral_decompose(h), rows, w[:, rows]))
+            yield parity, h, label, u, rows, w[:, rows]
+
+
+def _fold_state(g: Graph, a: np.ndarray, parity: int, label: np.ndarray, u: np.ndarray,
+                d: int) -> np.ndarray:
+    """a's C part of that parity, (a_ij + parity a_ji)/sqrt2 over i < j, folded onto
+    the d orbits of `_folds`; a part whose fold loses norm (beyond NORM_TOL) is not
+    invariant under the role exchanges and is refused."""
+    n = g.n_vertices
+    if a.shape != (n * (n - 1),):
+        raise ValueError("state and pair-space dimensions differ")
+    lo, hi = _unordered_pairs(n)
+    part = np.sqrt(0.5) * (a[_pair_position(n, lo, hi)] + parity * a[_pair_position(n, hi, lo)])
+    folded = np.bincount(label, u * part.real, d) + 1j * np.bincount(label, u * part.imag, d)
+    if not abs(np.linalg.norm(folded) - np.linalg.norm(part)) <= NORM_TOL:
+        raise ValueError("state is not invariant under the role exchanges")
+    return folded
+
+
+def _fold_scan(g: Graph, t_grid: np.ndarray, readout: np.ndarray, parities=(1, -1)):
+    """psi -> readout @ (pS_bell, p1, p2, p3, pS_projection) of exp(-iHt) psi along
+    t_grid, shape (m, T), on the `_folds` of the given parities: each is diagonalised
+    once, and only the orbits read are stepped (`dynamics._SpectralKernel`)."""
+    blocks = [(parity, label, u, spectral_decompose(h), rows, w)
+              for parity, h, label, u, rows, w in _folds(g, readout, parities)]
 
     def scan(a: np.ndarray) -> np.ndarray:
-        if a.shape != (n * (n - 1),):
-            raise ValueError("state and pair-space dimensions differ")
         curves = np.zeros((readout.shape[0], t_grid.size))
         for parity, label, u, e, rows, w in blocks:
-            part = np.sqrt(0.5) * (a[ij] + parity * a[ji])
-            folded = (np.bincount(label, u * part.real, e.eigenvalues.size)
-                      + 1j * np.bincount(label, u * part.imag, e.eigenvalues.size))
-            if not abs(np.linalg.norm(folded) - np.linalg.norm(part)) <= NORM_TOL:
-                raise ValueError("state is not invariant under the role exchanges")
-            kernel = _SpectralKernel(e, folded, None if rows.size == folded.size else rows)
-            for cols, amp in kernel._blocks(t_grid):
+            folded = _fold_state(g, a, parity, label, u, e.eigenvalues.size)
+            for cols, amp in _SpectralKernel(e, folded, rows)._blocks(t_grid):
                 curves[:, cols] += _weighted_squares(w, amp)
         return curves
 
@@ -138,15 +148,39 @@ def _fold_scan(g: Graph, t_grid: np.ndarray, readout: np.ndarray, parities=(1, -
 def outcome_curves(g: Graph, psi0: np.ndarray, t_grid) -> tuple[np.ndarray, ...]:
     """(pS_bell, p1, p2, p3, pS_projection) of exp(-iHt) psi0 along a time grid.
 
-    Read on the folded C blocks by `_fold_scan`, so neither a d x T matrix nor
-    the d x d eigensystem is held; every grid point's norm is checked, and p1 is
-    the remainder, as in `outcome_distribution`. psi0 must be invariant under
-    the role exchanges, as every state the protocols prepare is.
-    """
+    psi0's folded C parts (`_folds`) are stepped together by `dynamics._chebyshev_spans`
+    on the folds' nonzeros, R their largest absolute row sum (>= ||H||, H symmetric).
+    The grid may be uneven; one exactly h * arange(T) is stepped in units of h. psi0's
+    norm and every point's are checked, p1 is the remainder as in `outcome_distribution`,
+    and psi0 must be invariant under the role exchanges, as every state the protocols
+    prepare is."""
     t_grid = np.asarray(t_grid, dtype=float)
-    # one C block at a time: a block's eigensystem is freed before the next is built
-    p_bell, p1, p2, p3, p_proj = sum(_fold_scan(g, t_grid, np.eye(5), (parity,))(psi0)
-                                     for parity in (1, -1))
+    if t_grid.ndim != 1 or not np.all(np.isfinite(t_grid)):  # no span reaches an infinite time
+        raise ValueError("a time grid must be 1-D and finite")
+    _check_norm(np.linalg.norm(psi0))
+    step = t_grid[1] if t_grid.size > 1 and t_grid[1] > 0 else 1.0
+    arithmetic = np.array_equal(t_grid, step * np.arange(t_grid.size))
+    unit, times = (step, np.arange(t_grid.size, dtype=float)) if arithmetic else (1.0, t_grid)
+    # both folds as one direct sum, from the nonzeros of each: one recurrence steps both
+    parts, d = [], 0
+    for parity, h, label, u, _, w in _folds(g, np.eye(5), (1, -1)):  # every orbit is read
+        i, j = np.nonzero(h)
+        parts.append((i + d, j + d, h[i, j], w, _fold_state(g, psi0, parity, label, u, len(h))))
+        d += len(h)
+        del h  # before the next fold is built
+    i, j, h_ij, w, folded = (np.concatenate(x, axis=-1) for x in zip(*parts))
+    slot = np.arange(i.size) - np.searchsorted(i, i)  # H v = sum over slots of vals * v[cols]
+    cols = np.zeros((slot.max(initial=-1) + 1, d), dtype=np.intp)
+    vals = np.zeros(cols.shape, dtype=complex)
+    cols[slot, i], vals[slot, i] = j, unit * h_ij
+    w = np.repeat(w, 2, axis=1).T  # on the (re, im) view of the amplitudes
+    curves = np.zeros((5, t_grid.size))
+    for points, amps, _ in _chebyshev_spans(lambda v: (vals * v[cols]).sum(axis=0),
+                                            np.abs(vals).sum(axis=0).max(), folded, times,
+                                            np.arange(d)):
+        curves[:, points] = (np.square(amps.view(float), out=amps.view(float)) @ w).T
+        del amps  # the span's states, squared in place, before the next span is made
+    p_bell, p1, p2, p3, p_proj = curves
     _check_norm(np.sqrt(p1 + p2 + p3 + p_proj))
     return p_bell, np.maximum(0.0, 1.0 - p2 - p3 - p_proj), p2, p3, p_proj
 

@@ -5,12 +5,12 @@ per site (digit = state + 1, site n is digit position n-1). The full
 Hamiltonian applies, per edge, the two-site exchange with equal-state
 terms dropped, exactly mirroring the reduced assembly, so restricting it
 to the one-(+1)-one-(-1) sector must reproduce the reduced matrix entry
-for entry. Time evolution never forms a matrix: one Chebyshev recurrence
-T_k(H/R) psi, built on `FullHamiltonian.apply`, serves every grid point of a
-span of consecutive points, and the state at the span's last point seeds the
-next span. Its coefficients, Bessel values J_k(R dt), come from one FFT of
-exp(-i R dt cos theta) (the Jacobi-Anger expansion), so no Bessel function
-is evaluated. Capped at N <= 9.
+for entry. Time evolution never forms a matrix: `dynamics._chebyshev_spans`,
+the propagator that `scan` runs on its folds, steps the 3^N state on
+`FullHamiltonian.apply` with R = |E|, one recurrence per span of consecutive
+grid points. So the check sets two independent methods side by side: that
+recurrence on the full space, and the reduced engine's eigendecomposition.
+Capped at N <= 9.
 """
 
 from __future__ import annotations
@@ -19,14 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (PHASE_BLOCK, _index_groups, _pairs, _SpectralKernel,
+from .dynamics import (_chebyshev_spans, _index_groups, _pairs, _SpectralKernel,
                        assemble_hamiltonian, initial_state, spectral_decompose)
 from .topology import Graph
 
 ORACLE_MAX_SITES = 9
-CHEBYSHEV_TAIL = 1e-17  # a-priori bound on the first dropped Bessel coefficient
-#: largest |E| * |t - t0| of a grid point served by the recurrence started at t0
-CHEBYSHEV_SPAN = 32.0
 
 STATES = (-1, 0, +1)
 
@@ -133,101 +130,6 @@ def _restriction(full: FullHamiltonian) -> np.ndarray:
     return out
 
 
-def _chebyshev_order(x: float) -> int:
-    """Orders kept for an argument of magnitude x = R |dt|.
-
-    Every order up to the first one past |x|/2 whose bound
-    |J_k(x)| <= (|x|/2)^k / k! falls below CHEBYSHEV_TAIL.
-    """
-    order, log_bound = 0, 0.0
-    while x > 0 and (order <= x / 2 or log_bound > np.log(CHEBYSHEV_TAIL)):
-        order += 1
-        log_bound += np.log(x / 2 / order)
-    return order
-
-
-def _chebyshev_vectors(full: FullHamiltonian, psi: np.ndarray, order: int):
-    """T_0(H/R) psi, ..., T_order(H/R) psi with R = |E|, by the three-term recurrence."""
-    radius = float(len(full.graph.edges))
-    yield psi
-    if order:
-        prev, cur = psi, full.apply(psi) / radius
-        yield cur
-        for _ in range(order - 1):
-            prev, cur = cur, (2.0 / radius) * full.apply(cur) - prev
-            yield cur
-
-
-def _chebyshev_coefficients(order: int, x: np.ndarray) -> np.ndarray:
-    """c_0 .. c_order at each x = R dt, as an (order + 1, len(x)) table.
-
-    By Jacobi-Anger, exp(-i x cos theta) = sum_k (-i)^k J_k(x) e^{ik theta}
-    over every integer k, so one DFT of it at m = 2 (order + 1) equal angles,
-    divided by m, gives (-i)^k J_k(x) for k <= order: c_0, and half of every
-    other c_k. The orders that fold onto them lie past `order`, below
-    CHEBYSHEV_TAIL.
-    """
-    m = 2 * (order + 1)
-    angles = np.cos(2 * np.pi / m * np.arange(m))
-    coeffs = np.fft.fft(np.exp(-1j * np.multiply.outer(angles, x)), axis=0)[:order + 1] / m
-    coeffs[1:] *= 2
-    return coeffs
-
-
-def _chebyshev_span(full: FullHamiltonian, psi: np.ndarray, offsets: np.ndarray,
-                    rows: np.ndarray):
-    """exp(-iH dt) psi at every dt in offsets, from one Chebyshev recurrence.
-
-    Each edge term is a partial permutation, so ||H|| <= |E| = R, and
-    exp(-iH dt) = sum_k c_k(dt) T_k(H/R) with c_0 = J_0(R dt) and
-    c_k = 2 (-i)^k J_k(R dt) (Tal-Ezer & Kosloff, JCP 81, 3967 (1984)); the
-    order is that of the largest |R dt|. Returns the `rows` of every
-    propagated state (offsets x rows), the bound sum_k |c_k(dt)| max|T_k psi|
-    outside `rows` on the largest magnitude there at each offset, and the
-    full state at the last offset. The coefficients are tabulated PHASE_BLOCK
-    offsets at a time, so a fine grid never holds an offsets x orders table.
-    """
-    x = len(full.graph.edges) * np.asarray(offsets, dtype=float)
-    order = _chebyshev_order(float(np.max(np.abs(x))))
-    seed = _chebyshev_coefficients(order, x[-1:])[:, 0]
-    amps = np.empty((order + 1, len(rows)), dtype=complex)
-    outside = np.empty(order + 1)
-    last = np.zeros_like(psi)
-    for k, vec in enumerate(_chebyshev_vectors(full, psi, order)):
-        amps[k] = vec[rows]
-        mag = np.abs(vec)
-        mag[rows] = 0.0
-        outside[k] = mag.max()
-        last += seed[k] * vec
-    states = np.empty((x.size, len(rows)), dtype=complex)
-    leak = np.empty(x.size)
-    for s in range(0, x.size, PHASE_BLOCK):
-        coeffs = _chebyshev_coefficients(order, x[s:s + PHASE_BLOCK])
-        states[s:s + PHASE_BLOCK] = coeffs.T @ amps
-        leak[s:s + PHASE_BLOCK] = np.abs(coeffs).T @ outside
-    return states, leak, last
-
-
-def _spans(full: FullHamiltonian, psi: np.ndarray, t_grid: np.ndarray, rows: np.ndarray):
-    """(grid slice, rows of the state, leakage bound) for each span of the grid.
-
-    psi is the state at t = 0. A span starts at t0, the time of the state
-    that seeds it, and runs over the consecutive grid points t with
-    |E| |t - t0| <= CHEBYSHEV_SPAN, taking at least one point; its last
-    point's state seeds the next span. The grid may be uneven.
-    """
-    radius = len(full.graph.edges)
-    times = t_grid.tolist()
-    t0, start = 0.0, 0
-    while start < len(times):
-        stop = start + 1
-        while stop < len(times) and radius * abs(times[stop] - t0) <= CHEBYSHEV_SPAN:
-            stop += 1
-        amps, leak, psi = _chebyshev_span(full, psi, t_grid[start:stop] - t0, rows)
-        yield slice(start, stop), amps, leak
-        t0, start = times[stop - 1], stop
-
-
 @dataclass(frozen=True)
 class OracleComparison:
     #: max |entry| of the sector restriction of the full H minus the reduced H
@@ -249,7 +151,7 @@ def full_evolve_compare(g: Graph, t_grid) -> OracleComparison:
     amplitude difference within the sector, a bound on the worst amplitude
     magnitude outside it and the worst Bell-channel asymmetry of the reduced
     amplitudes. The full state is propagated one span of grid points at a
-    time (see `_spans`).
+    time (see `dynamics._chebyshev_spans`).
     """
     _check_oracle_size(g.n_vertices)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -270,7 +172,8 @@ def full_evolve_compare(g: Graph, t_grid) -> OracleComparison:
     psi[full_initial_index(g)] = 1.0
     # np.max, unlike max(), keeps a NaN, so the check that reads it fails
     deviations, leakages = [0.0], [0.0]
-    for points, amps, leak in _spans(full, psi, t_grid, sect):
+    # each edge term is a partial permutation, so ||H|| <= |E|
+    for points, amps, leak in _chebyshev_spans(full.apply, len(g.edges), psi, t_grid, sect):
         deviations.append(np.max(np.abs(amps - red[points])))
         leakages.append(np.max(leak))
     i_ba, i_ab = _index_groups(g)["success"]

@@ -50,6 +50,10 @@ SERIES_REFUSALS = [
     ["protocol2", "--topology", "loop", "--n", "4", "--n-max", "10000000000", "--tau", "1"],
 ]
 
+# grids of two points and of 21, so the grid guard passes them
+SCAN_WINDOW_REFUSALS = [["--t-max", "1e300", "--grid-step", "1e300"],
+                        ["--t-max", "2e6", "--grid-step", "1e5"]]
+
 JSON_SCAN_FLAGS = [["--grid-step", "1e-12"], ["--t-max", "1e300"],
                    ["--t-max", "1e15", "--grid-step", "1e3"]]
 
@@ -87,7 +91,8 @@ GRID_STEP_REFUSALS = [
 # every refusal that the flags decide, whatever test above checks its message
 REFUSALS = (EIGENSYSTEM_REFUSALS + GRID_REFUSALS + SERIES_REFUSALS + INVALID_FLAGS
             + EMPTY_LISTS + GRID_STEP_REFUSALS
-            + [["scan", "--topology", "loop", "--n", "4"] + flags for flags in JSON_SCAN_FLAGS]
+            + [["scan", "--topology", "loop", "--n", "4"] + flags
+               for flags in JSON_SCAN_FLAGS + SCAN_WINDOW_REFUSALS]
             + [["verify", "--topology", "loop", "--n", "4", "--t-max", "1e300",
                 "--grid-step", "1e300"],
                ["protocol2", "--topology", "cross", "--n", "5", "--t-max", "1e300",
@@ -709,6 +714,16 @@ class TestOutputHandling:
         assert code == 0
         _, rows = parse_csv(out)
         assert [row[0] for row in rows] == ["0"]
+
+    @pytest.mark.parametrize("flags", SCAN_WINDOW_REFUSALS)
+    def test_scan_window_beyond_the_cap_is_exit_2(self, flags, capsys):
+        # the recurrence runs over R t_max whatever the step: the two-point grid
+        # t_max = step = 1e300 would never end
+        with time_budget(1):
+            code, out, err = run_cli(["scan", "--topology", "loop", "--n", "4"] + flags, capsys)
+        assert code == 2
+        assert out == ""
+        assert "--t-max exceeds the scan window cap of 1e+06" in err
 
     def test_in_process_calls_match_fresh_processes(self, tmp_path):
         # the parser is built once per process: no call may leave a default, a

@@ -225,6 +225,14 @@ class TestSpectralKernel:
         for k in (3, PHASE_BLOCK, 2 * PHASE_BLOCK + 99):
             assert np.max(np.abs(kernel(float(t[k])) - grid[:, k])) < 1e-15
 
+    def test_every_grid_column_equals_the_scalar_time(self):
+        # the grid path's documented agreement, GRID_TOL, at each of the 2148 columns
+        _, e, psi0 = prepared("loop", 8)
+        t = 0.01 * np.arange(2 * PHASE_BLOCK + 100)
+        kernel = _SpectralKernel(e, psi0, self.ROWS)
+        scalar = np.array([kernel(float(tk)) for tk in t]).T
+        assert np.max(np.abs(kernel(t) - scalar)) < self.GRID_TOL
+
     @staticmethod
     def dense(e, psi, rows, t):
         """The kernel's formula in one piece: complex exp, then one product."""
@@ -374,6 +382,15 @@ class TestScanAndPeaks:
         t_star, p_star = find_peak(frozen, psi0, g, t_max=5.0)
         assert (t_star, p_star) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_find_peak_refuses_a_non_finite_state(self, bad):
+        # one_shot_peak makes its own start state; both search through dynamics._peak
+        g, e, _ = prepared("loop", 4)
+        state = np.zeros(12, dtype=complex)
+        state[3] = bad
+        with pytest.raises(ValueError, match="state to search for a peak is not finite"):
+            find_peak(e, state, g)
+
     def test_find_peak_rejects_bad_window(self):
         g, e, psi0 = prepared("cross", 5)
         with pytest.raises(ValueError):
@@ -473,6 +490,15 @@ class TestRefineMaximum:
             calls.append(x)
             return x
 
-        t, v = refine_maximum(f, 0.0, 1.0, tol=0.0, max_iter=10)
+        # the interval is still 2^-10 wide after 10 iterations, so this tol never ends it
+        t, v = refine_maximum(f, 0.0, 1.0, tol=1e-12, max_iter=10)
         assert len(calls) == 1 + 3 * 10
         assert t == v == 1.0 - 2.0 ** -11
+
+    @pytest.mark.parametrize("tol", [np.nan, 0.0, -1e-6])
+    def test_refuses_a_tolerance_that_never_ends_the_search(self, tol):
+        # b - a < tol never holds, so every candidate would run all max_iter iterations
+        with pytest.raises(ValueError, match="refine_tol must be positive"):
+            refine_maximum(np.cos, 5.0, 8.0, tol)
+        with pytest.raises(ValueError, match="refine_tol must be positive"):
+            one_shot_peak(build_loop(4), refine_tol=tol)

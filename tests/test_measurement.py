@@ -1,13 +1,18 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import peak, prepared, random_graph_with_moved_roles
-from qutrit_bell import (Outcome, assemble_hamiltonian, evolve, initial_state,
+from conftest import peak, prepared, random_graph_with_moved_roles, time_budget
+from qutrit_bell import (Graph, Outcome, assemble_hamiltonian, evolve, initial_state,
                          outcome_distribution, post_state, spectral_decompose)
-from qutrit_bell.dynamics import FULL_STATE_BLOCK, pair_index
+from qutrit_bell.cli import _load_topology_file
+from qutrit_bell.dynamics import (CHEBYSHEV_SPAN, PHASE_BLOCK, _chebyshev_order, _chebyshev_spans,
+                                  _role_fold, pair_index)
 from qutrit_bell.measurement import _weighted_squares, outcome_curves
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def evolved(family, n, t):
@@ -62,8 +67,9 @@ class TestOutcomeDistribution:
 
 
 class TestOutcomeCurves:
-    # three full-state blocks, the last of them a single time
-    GRID = 0.01 * np.arange(2 * FULL_STATE_BLOCK + 1)
+    # up to t = 20: three or more Chebyshev spans (R |t - t0| <= CHEBYSHEV_SPAN, R <= 8
+    # on these folds), the last of them shorter than the others
+    GRID = 0.01 * np.arange(2001)
 
     @staticmethod
     def system(name):
@@ -84,6 +90,63 @@ class TestOutcomeCurves:
         assert curves.shape == (5, self.GRID.size)
         assert np.max(np.abs(curves - np.array(per_point).T)) < 1e-12
 
+    #: a first step of 1 that the rest does not keep, sorted points, repeats, reversals,
+    #: and two points a long way past the others, reached through spans of no point
+    UNEVEN = np.concatenate([[0.0, 1.0, 3.0],
+                             np.sort(np.random.default_rng(5).uniform(0.0, 60.0, 300)),
+                             [3.0, 3.0, 1.5, 0.0, 2600.0, 2599.5]])
+
+    @staticmethod
+    def roundoff_bound(g, psi0, t_max):
+        """A bound on |p_curve - p_per_point| over [0, t_max], from the two methods' rounding.
+
+        On a unit state, the recurrence rounds each of its order + 1 terms in each of
+        its ceil(R t_max / CHEBYSHEV_SPAN) spans at about eps per component, and each
+        span carries the error before it on; the spectral form rounds lambda t at
+        about eps R t_max, |lambda| <= R. Over the D components of the pair space
+        that is at most sqrt(D) eps (spans (order + 1) + R t_max) in the 2-norm, and a
+        probability moves by at most twice the change of a unit state.
+        """
+        radius = max(np.abs(_role_fold(g, parity)[0]).sum(axis=1).max() for parity in (1, -1))
+        spans = np.ceil(radius * t_max / CHEBYSHEV_SPAN)
+        terms = spans * (_chebyshev_order(CHEBYSHEV_SPAN) + 1) + radius * t_max
+        return 2 * np.finfo(float).eps * np.sqrt(psi0.size) * terms
+
+    @pytest.mark.parametrize("name", ["loop-4", "cross-5", "no-role-exchange"])
+    @pytest.mark.parametrize("grid", [0.5 * np.arange(4001), UNEVEN], ids=["to-2000", "uneven"])
+    def test_long_and_uneven_grids_agree_with_the_spectral_form(self, name, grid):
+        # loop-4's folds, of 3 and 2 orbits, are the smallest any 4-site graph has
+        if name == "no-role-exchange":
+            g = Graph(*_load_topology_file(str(DATA / "no-role-exchange.txt")))
+            e, psi0 = spectral_decompose(assemble_hamiltonian(g)), initial_state(g)
+        else:
+            g, e, psi0 = self.system(name)
+        curves = np.array(outcome_curves(g, psi0, grid))
+        want = []
+        for t in grid:
+            d = outcome_distribution(evolve(e, psi0, float(t)), g)
+            want.append((d.pS_bell, d.p1, d.p2, d.p3, d.pS_projection))
+        assert np.max(np.abs(curves - np.array(want).T)) < self.roundoff_bound(g, psi0, grid.max())
+
+    @pytest.mark.parametrize("lam", [2.0, -0.5, 0.0])
+    def test_one_orbit_fold_turns_by_its_phase(self, lam):
+        # no 4-site graph has a one-orbit fold, so the recurrence takes a 1 x 1 one
+        # here: [[lam]] with R = |lam|, R = 0 (a state that never moves) included
+        t = 0.25 * np.arange(8001)
+        spans = _chebyshev_spans(lambda v: lam * v, abs(lam), np.ones(1, dtype=complex), t,
+                                 np.arange(1))
+        got = np.concatenate([amps[:, 0] for _, amps, _ in spans])
+        terms = np.ceil(abs(lam) * t[-1] / CHEBYSHEV_SPAN) * (_chebyshev_order(CHEBYSHEV_SPAN) + 1)
+        assert np.max(np.abs(got - np.exp(-1j * lam * t))) < np.finfo(float).eps * (
+            terms + abs(lam) * t[-1] + 1)
+
+    @pytest.mark.parametrize("grid", [[0.0, np.inf], [0.0, np.nan, 1.0], [[0.0, 0.1], [0.2, 0.3]]])
+    def test_grid_must_be_one_dimensional_and_finite(self, grid):
+        # spans of no point would step towards an infinite time for ever
+        g, _, psi0 = prepared("loop", 4)
+        with time_budget(1), pytest.raises(ValueError, match="1-D and finite"):
+            outcome_curves(g, psi0, grid)
+
     def test_non_unit_start_state_rejected_like_one_state(self):
         g, e, psi0 = prepared("cross", 5)
         doubled = 2.0 * psi0
@@ -94,9 +157,9 @@ class TestOutcomeCurves:
         assert str(on_grid.value) == str(one_state.value)
 
     def test_nan_state_rejected(self):
-        # the fold's invariance check is the first to read the state
+        # the start state's norm is checked before its folds
         g, _, _ = prepared("loop", 4)
-        with pytest.raises(ValueError, match="invariant"):
+        with pytest.raises(ValueError, match="norm"):
             outcome_curves(g, np.full(12, np.nan, dtype=complex), self.GRID)
 
     def test_loop36_grid_holds_no_wide_block(self):
@@ -108,20 +171,18 @@ class TestOutcomeCurves:
             _, peak_bytes = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the bound is evolve's complex cast of the full V^T (d x d, 25.4 MB);
-        # the call builds both C blocks and peaks at 24.6 MB: two half-size V,
-        # two offset tables, the d x 256 state and the two half blocks. At 512
-        # times per block it is 42.6 MB, and with kernel frames that kept each
-        # yielded block alive it was 32.4 MB
+        # the bound is evolve's complex cast of the full V^T (d x d, 25.4 MB); the
+        # call diagonalises nothing and peaks at 7.3 MB: one span's 549 states of
+        # both folds (333 orbits, 2.9 MB), its recurrence terms and coefficients
         assert peak_bytes < d * d * 16 + 2 ** 20
 
     def test_norm_check_holds_no_block_sized_temporary(self):
-        # one kernel block of FULL_STATE_BLOCK states on the 171 orbits of loop-36's
-        # C-even fold (0.70 MB), read by all five rows of W: |amp|^2 would be a
+        # one kernel block of PHASE_BLOCK times on the 171 orbits of loop-36's
+        # C-even fold (2.8 MB), read by all five rows of W: |amp|^2 would be a
         # temporary half the block's size; summed over the real and imaginary views,
         # the readout holds none
         rng = np.random.default_rng(3)
-        block = rng.normal(size=(171, FULL_STATE_BLOCK)) + 1j * rng.normal(size=(171, FULL_STATE_BLOCK))
+        block = rng.normal(size=(171, PHASE_BLOCK)) + 1j * rng.normal(size=(171, PHASE_BLOCK))
         w = rng.random((5, 171))
         tracemalloc.start()
         try:

@@ -4,9 +4,9 @@ import pytest
 from conftest import prepared
 from qutrit_bell import assemble_hamiltonian, build_cross, build_loop
 from qutrit_bell.cli import main
-from qutrit_bell.dynamics import _time_grid
-from qutrit_bell.oracle import (FullHamiltonian, _chebyshev_coefficients, _chebyshev_order,
-                                _chebyshev_span, _sector_indices, _site_digit, _spans,
+from qutrit_bell.dynamics import (_chebyshev_coefficients, _chebyshev_order, _chebyshev_span,
+                                  _chebyshev_spans, _time_grid)
+from qutrit_bell.oracle import (FullHamiltonian, _sector_indices, _site_digit,
                                 full_evolve_compare, full_initial_index, generator_matrix,
                                 sector_restriction, su3_algebra_check)
 from qutrit_bell.topology import Graph, Roles
@@ -123,14 +123,16 @@ class TestFullEvolveCompare:
         psi = _random_state(full.dimension)
         offsets = np.array([0.0, 0.1, -0.5, 7.3, 0.1, 0.0, dt])
         everything = np.arange(full.dimension)
-        states, leak, last = _chebyshev_span(full, psi, offsets, everything)
+        states, leak, last = _chebyshev_span(full.apply, len(g.edges), psi, offsets, everything,
+                                             {})
         reference = _dense_states(full, psi, offsets)
         assert np.max(np.abs(states - reference)) < 1e-12
         assert np.max(np.abs(last - reference[-1])) < 1e-12
         assert not leak.any()  # no state has a component outside all rows
 
-    # an uneven grid over 4 spans, ending in a lone point beyond a span; and a
-    # fine grid whose first span has 2001 points, more than one PHASE_BLOCK
+    # an uneven grid over 4 spans, ending in a lone point reached through a
+    # span of no point; and a fine grid of 2001 points in reach of t = 0,
+    # which spans cut at PHASE_BLOCK points
     @pytest.mark.parametrize("t_grid", [
         np.concatenate([np.arange(0.0, 30.0, 0.7), [29.4, 3.0, 3.0, 41.0]]),
         np.arange(0.0, 24.0, 0.004)])
@@ -139,7 +141,7 @@ class TestFullEvolveCompare:
         full = FullHamiltonian(g)
         psi = _random_state(full.dimension)
         everything = np.arange(full.dimension)
-        spans = list(_spans(full, psi, t_grid, everything))
+        spans = list(_chebyshev_spans(full.apply, len(g.edges), psi, t_grid, everything))
         assert len(spans) >= 3
         assert [p.start for p, *_ in spans[1:]] == [p.stop for p, *_ in spans[:-1]]
         assert spans[-1][0].stop == t_grid.size
@@ -158,7 +160,7 @@ class TestFullEvolveCompare:
         t_grid = np.arange(0.0, 12.0, 0.3)
         reference = _dense_states(full, psi, t_grid)
         reference[:, sect] = 0.0
-        for points, _, leak in _spans(full, psi, t_grid, sect):
+        for points, _, leak in _chebyshev_spans(full.apply, len(g.edges), psi, t_grid, sect):
             assert np.all(leak >= np.max(np.abs(reference[points]), axis=1) - 1e-13)
 
     @pytest.mark.parametrize("x", [0.0, 1e-300, -1e-300, 1e-9, 0.8, -29.2, 32.0])

@@ -29,8 +29,8 @@ from qutrit_bell import (Graph, Roles, assemble_hamiltonian, build_cross, build_
                          initial_state, one_shot_peak, outcome_distribution,
                          protocol1_cumulative, protocol1_required, spectral_decompose)
 from qutrit_bell.cli import main
-from qutrit_bell.dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, FULL_STATE_BLOCK,
-                                  PHASE_BLOCK, _index_groups, _pairs, _role_fold,
+from qutrit_bell.dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, PHASE_BLOCK,
+                                  _index_groups, _pairs, _role_fold,
                                   _SpectralKernel, _unordered_position, pair_index)
 from qutrit_bell.measurement import ZERO_PROB, Outcome, outcome_curves, post_state
 from qutrit_bell.oracle import full_evolve_compare
@@ -330,7 +330,7 @@ def test_c_blocks_evolve_any_state_as_the_full_space_does(drawn, seed):
     iso = both_folds_isometry(g)
     a = iso @ (iso.T @ a)  # a random state the role exchanges keep
     psi0 = a / np.linalg.norm(a)
-    grid = 0.37 * np.arange(FULL_STATE_BLOCK + 2)  # two kernel blocks, the last of two times
+    grid = 0.37 * np.arange(258)  # up to t = 95: many Chebyshev spans, R |t - t0| <= 32 each
     e = spectral_decompose(assemble_hamiltonian(g))
     curves = np.array(outcome_curves(g, psi0, grid))
     for k, t in enumerate(grid):
