@@ -24,10 +24,10 @@ from itertools import chain
 from pathlib import Path
 
 from . import __version__
-from .dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL,
+from .dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, GRID_END_SLACK,
                        PEAK_WINDOW_FACTOR, _time_grid, assemble_hamiltonian,
                        initial_state, one_shot_peak, spectral_decompose)
-from .measurement import outcome_curves
+from .measurement import _check_scan_cost, outcome_curves
 from .oracle import ORACLE_MAX_SITES, full_evolve_compare, su3_algebra_check
 from .protocols import (PLAN_WINDOW_FACTOR, Strategy, plan_protocol2, plan_regular,
                         protocol1_cumulative, protocol1_required, protocol2_no_reset,
@@ -43,9 +43,10 @@ VERIFICATION_ERROR = 3
 EIGENSYSTEM_ARRAYS = 6
 #: Peak memory of `scan`'s two C blocks, in D x D float arrays, D = N(N-1)/2 an upper
 #: bound on a folded block: each is built dense, kept as its nonzeros. Without a role
-#: exchange, the RSS rise of `outcome_curves` measured 3.4 at N = 36 and 3.05 at N = 60
-#: and 80; its spans' states reach 6 more at N = 36 with --grid-step 1e-4, none from 60.
-C_BLOCKS_ARRAYS = 4
+#: exchange, the RSS rise of `outcome_curves` measured 2.45 at N = 36 and 2.05 at N = 60
+#: and 80 (2 grid points); a span's 1024 states at --grid-step 1e-4 add 6.6 at N = 36
+#: (21 MB) and 0.7 at N = 60.
+C_BLOCKS_ARRAYS = 3
 #: Float arrays of grid length a command holds besides amplitude rows: a scan's
 #: grid and its five outcome curves.
 GRID_ARRAYS = 6
@@ -55,13 +56,12 @@ SERIES_FLOATS = 60
 VERIFY_GRID_STEP = 0.1  # default step of the grid on which `verify` compares the engines
 #: Cap on |E| t_max, the Chebyshev argument over which `verify` propagates the
 #: 3^N state. At cross-9 a unit costs about 0.9 ms on 2 cores (2.9 s for
-#: t_max = 400), so some 9 s at the cap; a grid step dt beyond
-#: CHEBYSHEV_SPAN / |E| is crossed by spans of no point (`dynamics._chebyshev_spans`).
+#: t_max = 400), so some 9 s at the cap; a grid step dt beyond CHEBYSHEV_SPAN / |E|
+#: is crossed in steps of CHEBYSHEV_GAP / |E| (`dynamics._chebyshev_spans`).
 VERIFY_MAX_EDGE_TIME = 1e4
 #: Cap on protocol 2's planning window: the rounding of lambda t breaks the role-exchange
 #: symmetry the planner reads (cross-5 failed from t_max = 1e9, cross-9 from 1e11; none at 1e8).
-#: And on `scan`'s, whose Chebyshev recurrence costs R t_max whatever the grid step.
-MAX_WINDOW = 1e6
+PLAN_MAX_TIME = 1e6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -202,7 +202,7 @@ def _checked_run(args) -> _Run:
     Sizes each command's dense eigensystem (d = N(N-1); at most the C-even
     block's N(N-1)/2 for the peak tables; the two C blocks of `scan`), time
     grid (none with --tau) and protocol-2 series, resolves the default window
-    and applies `verify`'s caps and the window cap of `scan` and protocol-2 planning.
+    and applies `verify`'s caps, the cost cap of `scan` and the protocol-2 planning cap.
     A graph is built once N fits.
     """
     for name in ("t_max", "grid_step", "refine_tol", "tau"):
@@ -261,11 +261,15 @@ def _checked_run(args) -> _Run:
             points = t_max / args.grid_step + 1
             if (peak_table or command == "protocol2") and args.grid_step > t_max:
                 raise PreconditionError(f"--grid-step exceeds the window [0, {t_max:g}]")
+            if command == "protocol2" and t_max > PLAN_MAX_TIME:
+                raise PreconditionError(f"--t-max exceeds the planning cap of {PLAN_MAX_TIME:g}")
             _check_memory(f"the time grid over [0, {t_max:g}] at step {args.grid_step:g} "
                           f"({points:.3g} points)", points * 8 * (GRID_ARRAYS + 2 * rows))
-            if command in ("protocol2", "scan") and t_max > MAX_WINDOW:
-                raise PreconditionError(f"--t-max exceeds the {command} window cap "
-                                        f"of {MAX_WINDOW:g}")
+            if command == "scan":
+                try:
+                    _check_scan_cost(g, t_max + GRID_END_SLACK)
+                except ValueError as exc:
+                    raise PreconditionError(str(exc)) from exc
         if command == "verify" and len(g.edges) * t_max > VERIFY_MAX_EDGE_TIME:
             raise PreconditionError(f"verify propagates the 3^N state over |E| t_max = "
                                     f"{len(g.edges) * t_max:.3g}, beyond the cap of "

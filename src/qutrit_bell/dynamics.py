@@ -56,6 +56,7 @@ PEAK_WINDOW_FACTOR = 6.4
 PHASE_BLOCK = 1024
 CHEBYSHEV_TAIL = 1e-17  # a-priori bound on the first dropped Bessel coefficient
 CHEBYSHEV_SPAN = 32.0  # largest R |t - t0| a recurrence started at t0 reaches
+CHEBYSHEV_GAP = 1024.0  # largest R |dt| of a step with no grid point: 1.39 orders a unit
 #: a grid point may pass t_max by this much and still count as <= t_max: it
 #: absorbs the rounding of k * step, not a further step
 GRID_END_SLACK = 1e-9
@@ -314,6 +315,15 @@ def _chebyshev_coefficients(order: int, x: np.ndarray) -> np.ndarray:
     return coeffs
 
 
+def _chebyshev_terms(apply, radius: float, psi: np.ndarray, order: int):
+    """T_k(H/R) psi for k = 0 .. order, by the three-term recurrence."""
+    prev, vec = psi, psi
+    for k in range(order + 1):
+        if k:
+            prev, vec = vec, apply(vec) / radius if k == 1 else (2.0 / radius) * apply(vec) - prev
+        yield vec
+
+
 def _chebyshev_span(apply, radius: float, psi: np.ndarray, offsets: np.ndarray, rows,
                     memo: dict):
     """exp(-iH dt) psi at every dt in offsets, from one Chebyshev recurrence.
@@ -321,24 +331,30 @@ def _chebyshev_span(apply, radius: float, psi: np.ndarray, offsets: np.ndarray, 
     With ||H|| <= R, exp(-iH dt) = sum_k c_k(dt) T_k(H/R) with c_0 = J_0(R dt) and
     c_k = 2 (-i)^k J_k(R dt) (Tal-Ezer & Kosloff, JCP 81, 3967 (1984)), to the order
     of the largest |R dt|. Returns the `rows` of every state (offsets x rows), the
-    bound sum_k |c_k(dt)| max|T_k psi| outside `rows` on the largest magnitude there,
-    and the state at the last offset; `memo` keeps the table for equal offsets."""
+    bound sum_k |c_k(dt)| max|T_k psi| outside `rows` on the largest magnitude there
+    (zeros if rows is None, every entry), and the state at the last offset; `memo`
+    keeps the table for equal offsets."""
     x = radius * np.asarray(offsets, dtype=float)
     order = _chebyshev_order(float(np.max(np.abs(x))))
     seed = _chebyshev_coefficients(order, x[-1:])[:, 0]
-    amps, outside = np.empty((order + 1, len(rows)), dtype=complex), np.empty(order + 1)
-    last, prev, vec = np.zeros_like(psi), psi, psi
-    for k in range(order + 1):  # vec = T_k(H/R) psi by the three-term recurrence
-        if k:
-            prev, vec = vec, apply(vec) / radius if k == 1 else (2.0 / radius) * apply(vec) - prev
-        amps[k] = vec[rows]
-        mag = np.abs(vec)
-        mag[rows] = 0.0
-        outside[k] = mag.max()
+    amps = np.empty((order + 1, psi.size if rows is None else len(rows)), dtype=complex)
+    outside, last = np.zeros(order + 1), np.zeros_like(psi)
+    for k, vec in enumerate(_chebyshev_terms(apply, radius, psi, order)):
+        amps[k] = vec if rows is None else vec[rows]
+        if rows is not None:
+            mag = np.abs(vec)
+            mag[rows] = 0.0
+            outside[k] = mag.max()
         last += seed[k] * vec
     if memo.get("x") != (order, x.tobytes()):
         memo.update(x=(order, x.tobytes()), coeffs=_chebyshev_coefficients(order, x))
     return memo["coeffs"].T @ amps, np.abs(memo["coeffs"]).T @ outside, last
+
+
+def _chebyshev_step(apply, radius: float, psi: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-iH dt) psi alone, from one recurrence to the order of R |dt|."""
+    c = _chebyshev_coefficients(_chebyshev_order(abs(radius * dt)), np.array([radius * dt]))
+    return sum(map(np.multiply, c[:, 0], _chebyshev_terms(apply, radius, psi, len(c) - 1)))
 
 
 def _chebyshev_spans(apply, radius: float, psi: np.ndarray, t_grid: np.ndarray, rows):
@@ -347,15 +363,18 @@ def _chebyshev_spans(apply, radius: float, psi: np.ndarray, t_grid: np.ndarray, 
     psi is the state at t = 0. A span starts at t0, the time of the state that
     seeds it, and runs over at most PHASE_BLOCK consecutive grid points t with
     R |t - t0| <= CHEBYSHEV_SPAN; its last point's state seeds the next. A point
-    further from t0 is approached by spans of no point first. The grid may be
-    uneven; spans whose offsets t - t0 agree to the bit (every full span of
-    h * arange(T) taken in units of h) share one coefficient table.
+    further from t0 is approached by steps of at most CHEBYSHEV_GAP / R first, the
+    last of them onto the point. The grid may be uneven; spans whose offsets
+    t - t0 agree to the bit (every full span of h * arange(T) taken in units of h)
+    share one coefficient table.
     """
     t0, start, memo = 0.0, 0, {}
     while start < t_grid.size:
-        if radius * abs(t_grid[start] - t0) > CHEBYSHEV_SPAN:
-            t1 = t0 + np.copysign(CHEBYSHEV_SPAN / radius, t_grid[start] - t0)
-            t0, psi = t1, _chebyshev_span(apply, radius, psi, np.array([t1 - t0]), rows, memo)[2]
+        gap = t_grid[start] - t0
+        if radius * abs(gap) > CHEBYSHEV_SPAN:
+            reach = CHEBYSHEV_GAP / radius
+            t1 = t_grid[start] if abs(gap) <= reach else t0 + np.copysign(reach, gap)
+            t0, psi = t1, _chebyshev_step(apply, radius, psi, t1 - t0)
             continue
         far = np.flatnonzero(radius * np.abs(t_grid[start + 1:start + PHASE_BLOCK] - t0)
                              > CHEBYSHEV_SPAN)

@@ -16,16 +16,19 @@ heralded probability equals the projection probability.
 gives the same probabilities along a time grid without the full space: the
 C-even and C-odd parts of psi0, each folded by the role exchanges
 (`dynamics._role_fold`), are stepped along the grid by the Chebyshev
-recurrence on the folds' nonzeros, and every outcome is read as W |a|^2, W
-holding each orbit's share of pairs in each outcome (`_folds`). The protocol-2
-planner reads its grids on the same folds through their eigensystems
-(`_fold_scan`). Both functions check the norm of every state they measure.
+recurrence on the folds' nonzeros (`_fold_sum`), and every outcome is read as
+W |a|^2, W holding each orbit's share of pairs in each outcome (`_folds`). The
+recurrence costs about R max|t| products whatever the grid step, so a grid past
+SCAN_MAX_WORK is refused. The protocol-2 planner reads its grids on the same
+folds through their eigensystems (`_fold_scan`). Both functions check the norm
+of every state they measure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,6 +39,9 @@ from .topology import Graph
 
 NORM_TOL = 1e-8
 ZERO_PROB = 1e-12
+#: Cap on R max|t| (slot entries + 2048), the cost of a scan's recurrence (`_fold_sum`):
+#: 4-7 ns a unit on 2 cores from loop-4 to 80 sites, so 4-7 s at the cap
+SCAN_MAX_WORK = 1e9
 
 
 class Outcome(Enum):
@@ -109,6 +115,7 @@ def _folds(g: Graph, readout: np.ndarray, parities):
         rows = np.flatnonzero(w.any(axis=0))
         if rows.size:
             yield parity, h, label, u, rows, w[:, rows]
+        del h  # the consumer's fold is the only one held while the next is built
 
 
 def _fold_state(g: Graph, a: np.ndarray, parity: int, label: np.ndarray, u: np.ndarray,
@@ -145,39 +152,64 @@ def _fold_scan(g: Graph, t_grid: np.ndarray, readout: np.ndarray, parities=(1, -
     return scan
 
 
-def outcome_curves(g: Graph, psi0: np.ndarray, t_grid) -> tuple[np.ndarray, ...]:
-    """(pS_bell, p1, p2, p3, pS_projection) of exp(-iHt) psi0 along a time grid.
-
-    psi0's folded C parts (`_folds`) are stepped together by `dynamics._chebyshev_spans`
-    on the folds' nonzeros, R their largest absolute row sum (>= ||H||, H symmetric).
-    The grid may be uneven; one exactly h * arange(T) is stepped in units of h. psi0's
-    norm and every point's are checked, p1 is the remainder as in `outcome_distribution`,
-    and psi0 must be invariant under the role exchanges, as every state the protocols
-    prepare is."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or not np.all(np.isfinite(t_grid)):  # no span reaches an infinite time
-        raise ValueError("a time grid must be 1-D and finite")
-    _check_norm(np.linalg.norm(psi0))
-    step = t_grid[1] if t_grid.size > 1 and t_grid[1] > 0 else 1.0
-    arithmetic = np.array_equal(t_grid, step * np.arange(t_grid.size))
-    unit, times = (step, np.arange(t_grid.size, dtype=float)) if arithmetic else (1.0, t_grid)
-    # both folds as one direct sum, from the nonzeros of each: one recurrence steps both
+@lru_cache(maxsize=1)
+def _fold_sum(g: Graph):
+    """Both `_folds` as one direct sum H, H v = sum over slots of vals * v[cols]: (cols,
+    vals), R, (parity, label, u, orbits) per fold and W. R is the Collatz-Wielandt bound
+    max_i (|H| v)_i / v_i >= rho(|H|) >= ||H|| at a v > 0 from powers of |H|: 7.7 on the
+    seeded 36-site graph, whose ||H|| is 6.46 and largest absolute row sum 12."""
     parts, d = [], 0
     for parity, h, label, u, _, w in _folds(g, np.eye(5), (1, -1)):  # every orbit is read
         i, j = np.nonzero(h)
-        parts.append((i + d, j + d, h[i, j], w, _fold_state(g, psi0, parity, label, u, len(h))))
+        parts.append((i + d, j + d, h[i, j], w, (parity, label, u, len(h))))
         d += len(h)
         del h  # before the next fold is built
-    i, j, h_ij, w, folded = (np.concatenate(x, axis=-1) for x in zip(*parts))
-    slot = np.arange(i.size) - np.searchsorted(i, i)  # H v = sum over slots of vals * v[cols]
+    i, j, h_ij, w = (np.concatenate(x, axis=-1) for x in list(zip(*parts))[:4])
+    slot = np.arange(i.size) - np.searchsorted(i, i)
     cols = np.zeros((slot.max(initial=-1) + 1, d), dtype=np.intp)
-    vals = np.zeros(cols.shape, dtype=complex)
-    cols[slot, i], vals[slot, i] = j, unit * h_ij
+    vals = np.zeros(cols.shape)
+    cols[slot, i], vals[slot, i] = j, h_ij
+    power = v = np.ones(d)
+    for _ in range(7):
+        power = np.add.reduce(np.abs(vals) * power[cols])
+        power /= max(power.max(initial=0.0), 1.0)
+        v = v + power
+    radius = float(np.max(np.add.reduce(np.abs(vals) * v[cols]) / v, initial=0.0))
     w = np.repeat(w, 2, axis=1).T  # on the (re, im) view of the amplitudes
+    for cached in (cols, vals, w):  # every caller gets these same arrays
+        cached.setflags(write=False)
+    return cols, vals, radius, tuple(part[4] for part in parts), w
+
+
+def _check_scan_cost(g: Graph, t_max: float) -> None:
+    cols, _, radius, _, _ = _fold_sum(g)
+    if not (work := radius * t_max * (cols.size + 2048)) <= SCAN_MAX_WORK:
+        raise ValueError(f"a scan to t = {t_max:g} takes {work:.3g} entry steps (R t = "
+                         f"{radius * t_max:.3g}), beyond the cap of {SCAN_MAX_WORK:g}")
+
+
+def outcome_curves(g: Graph, psi0: np.ndarray, t_grid) -> tuple[np.ndarray, ...]:
+    """(pS_bell, p1, p2, p3, pS_projection) of exp(-iHt) psi0 along a time grid.
+
+    psi0's folded C parts are stepped together by `dynamics._chebyshev_spans` on
+    `_fold_sum`, up to SCAN_MAX_WORK. The grid may be uneven; one exactly h * arange(T)
+    is stepped in units of h. psi0's norm and every point's are checked, p1 is the
+    remainder as in `outcome_distribution`, and psi0 must be invariant under the role
+    exchanges, as every state the protocols prepare is."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or not np.all(np.isfinite(t_grid)):
+        raise ValueError("a time grid must be 1-D and finite")
+    _check_norm(np.linalg.norm(psi0))
+    _check_scan_cost(g, float(np.max(np.abs(t_grid), initial=0.0)))
+    cols, vals, radius, folds, w = _fold_sum(g)
+    folded = np.concatenate([_fold_state(g, psi0, *fold) for fold in folds])
+    step = t_grid[1] if t_grid.size > 1 and t_grid[1] > 0 else 1.0
+    arithmetic = np.array_equal(t_grid, step * np.arange(t_grid.size))
+    unit, times = (step, np.arange(t_grid.size, dtype=float)) if arithmetic else (1.0, t_grid)
+    vals = (unit * vals).astype(complex)
     curves = np.zeros((5, t_grid.size))
-    for points, amps, _ in _chebyshev_spans(lambda v: (vals * v[cols]).sum(axis=0),
-                                            np.abs(vals).sum(axis=0).max(), folded, times,
-                                            np.arange(d)):
+    for points, amps, _ in _chebyshev_spans(lambda v: np.add.reduce(vals * v[cols]),
+                                            unit * radius, folded, times, None):
         curves[:, points] = (np.square(amps.view(float), out=amps.view(float)) @ w).T
         del amps  # the span's states, squared in place, before the next span is made
     p_bell, p1, p2, p3, p_proj = curves

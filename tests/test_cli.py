@@ -50,9 +50,10 @@ SERIES_REFUSALS = [
     ["protocol2", "--topology", "loop", "--n", "4", "--n-max", "10000000000", "--tau", "1"],
 ]
 
-# grids of two points and of 21, so the grid guard passes them
-SCAN_WINDOW_REFUSALS = [["--t-max", "1e300", "--grid-step", "1e300"],
-                        ["--t-max", "2e6", "--grid-step", "1e5"]]
+# grids of two points and of 21, so the grid guard passes them; loop-4 costs about
+# 2e3 entry steps per unit of R t_max (`measurement._check_scan_cost`)
+SCAN_COST_REFUSALS = [["--t-max", "1e300", "--grid-step", "1e300"],
+                      ["--t-max", "2e6", "--grid-step", "1e5"]]
 
 JSON_SCAN_FLAGS = [["--grid-step", "1e-12"], ["--t-max", "1e300"],
                    ["--t-max", "1e15", "--grid-step", "1e3"]]
@@ -92,7 +93,7 @@ GRID_STEP_REFUSALS = [
 REFUSALS = (EIGENSYSTEM_REFUSALS + GRID_REFUSALS + SERIES_REFUSALS + INVALID_FLAGS
             + EMPTY_LISTS + GRID_STEP_REFUSALS
             + [["scan", "--topology", "loop", "--n", "4"] + flags
-               for flags in JSON_SCAN_FLAGS + SCAN_WINDOW_REFUSALS]
+               for flags in JSON_SCAN_FLAGS + SCAN_COST_REFUSALS]
             + [["verify", "--topology", "loop", "--n", "4", "--t-max", "1e300",
                 "--grid-step", "1e300"],
                ["protocol2", "--topology", "cross", "--n", "5", "--t-max", "1e300",
@@ -715,15 +716,23 @@ class TestOutputHandling:
         _, rows = parse_csv(out)
         assert [row[0] for row in rows] == ["0"]
 
-    @pytest.mark.parametrize("flags", SCAN_WINDOW_REFUSALS)
-    def test_scan_window_beyond_the_cap_is_exit_2(self, flags, capsys):
+    @pytest.mark.parametrize("flags", SCAN_COST_REFUSALS)
+    def test_scan_beyond_the_cost_cap_is_exit_2(self, flags, capsys):
         # the recurrence runs over R t_max whatever the step: the two-point grid
         # t_max = step = 1e300 would never end
         with time_budget(1):
             code, out, err = run_cli(["scan", "--topology", "loop", "--n", "4"] + flags, capsys)
         assert code == 2
         assert out == ""
-        assert "--t-max exceeds the scan window cap of 1e+06" in err
+        assert "beyond the cap of 1e+09" in err
+
+    def test_scan_below_the_cost_cap_runs(self, capsys):
+        # R t_max = 3.5e4 on loop-4's 15 slot entries: 7.3e7 entry steps, under the cap
+        code, out, _ = run_cli(["scan", "--topology", "loop", "--n", "4", "--t-max", "1e4",
+                                "--grid-step", "2500", "--no-timestamp"], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [row[0] for row in rows] == ["0", "2500", "5000", "7500", "10000"]
 
     def test_in_process_calls_match_fresh_processes(self, tmp_path):
         # the parser is built once per process: no call may leave a default, a

@@ -10,7 +10,7 @@ from qutrit_bell import (Graph, Outcome, assemble_hamiltonian, evolve, initial_s
 from qutrit_bell.cli import _load_topology_file
 from qutrit_bell.dynamics import (CHEBYSHEV_SPAN, PHASE_BLOCK, _chebyshev_order, _chebyshev_spans,
                                   _role_fold, pair_index)
-from qutrit_bell.measurement import _weighted_squares, outcome_curves
+from qutrit_bell.measurement import _fold_sum, _weighted_squares, outcome_curves
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -67,8 +67,9 @@ class TestOutcomeDistribution:
 
 
 class TestOutcomeCurves:
-    # up to t = 20: three or more Chebyshev spans (R |t - t0| <= CHEBYSHEV_SPAN, R <= 8
-    # on these folds), the last of them shorter than the others
+    # up to t = 20: two or more Chebyshev spans, the last shorter than the others;
+    # loop-8's 3 and random-10's 6 end at R |t - t0| = CHEBYSHEV_SPAN, cross-5's 2
+    # at PHASE_BLOCK points
     GRID = 0.01 * np.arange(2001)
 
     @staticmethod
@@ -146,6 +147,27 @@ class TestOutcomeCurves:
         g, _, psi0 = prepared("loop", 4)
         with time_budget(1), pytest.raises(ValueError, match="1-D and finite"):
             outcome_curves(g, psi0, grid)
+
+    @pytest.mark.parametrize("name", ["loop-4", "loop-36", "cross-35", "random-10",
+                                      "no-role-exchange"])
+    def test_radius_bounds_the_norm_below_the_row_sums(self, name):
+        # the recurrence diverges if R < ||H||; a loose R costs orders
+        if name == "no-role-exchange":
+            g = Graph(*_load_topology_file(str(DATA / "no-role-exchange.txt")))
+        else:
+            g = self.system(name)[0]
+        folds = [_role_fold(g, parity)[0] for parity in (1, -1)]
+        norm = max(np.abs(np.linalg.eigvalsh(h)).max() for h in folds)
+        row_sum = max(np.abs(h).sum(axis=1).max() for h in folds)
+        assert norm <= _fold_sum(g)[2] < row_sum
+
+    def test_grid_beyond_the_cost_cap_is_refused_before_any_step(self):
+        # the CLI refuses the same scans through the same check
+        g, _, psi0 = prepared("loop", 4)
+        with time_budget(1), pytest.raises(ValueError, match="beyond the cap"):
+            outcome_curves(g, psi0, [0.0, 1e300])
+        with pytest.raises(ValueError, match="beyond the cap"):
+            outcome_curves(g, psi0, [0.0, -2e6, 3.0])
 
     def test_non_unit_start_state_rejected_like_one_state(self):
         g, e, psi0 = prepared("cross", 5)
