@@ -34,7 +34,7 @@ for k in range(8):
 
 print()
 print("== fixed-interval fallback (tau = one-shot peak time) ==")
-regular = plan_regular(g, eig, tau=sched[0].time, n_max=8)
+regular = plan_regular(g, tau=sched[0].time, n_max=8)
 print("  P_n:", " ".join(f"{x:.4f}" for x in protocol2_total(regular)))
 
 print()

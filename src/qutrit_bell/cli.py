@@ -59,8 +59,10 @@ VERIFY_GRID_STEP = 0.1  # default step of the grid on which `verify` compares th
 #: t_max = 400), so some 9 s at the cap; a grid step dt beyond CHEBYSHEV_SPAN / |E|
 #: is crossed in steps of CHEBYSHEV_GAP / |E| (`dynamics._chebyshev_spans`).
 VERIFY_MAX_EDGE_TIME = 1e4
-#: Cap on protocol 2's planning window: the rounding of lambda t breaks the role-exchange
-#: symmetry the planner reads (cross-5 failed from t_max = 1e9, cross-9 from 1e11; none at 1e8).
+#: Cap on protocol 2's planning window and on --tau: the rounding of lambda t breaks the
+#: role-exchange symmetry the planner reads (cross-5 failed from t_max = 1e9, cross-9 from
+#: 1e11; none at 1e8), and a one-ulp change of tau moves the 9th printed digit of the
+#: cross-5 --n-max 2 series at tau = 1e6, the 6th at 1e9 and the 3rd at 1e12.
 PLAN_MAX_TIME = 1e6
 
 
@@ -270,6 +272,8 @@ def _checked_run(args) -> _Run:
                     _check_scan_cost(g, t_max + GRID_END_SLACK)
                 except ValueError as exc:
                     raise PreconditionError(str(exc)) from exc
+        elif args.tau > PLAN_MAX_TIME:
+            raise PreconditionError(f"--tau exceeds the planning cap of {PLAN_MAX_TIME:g}")
         if command == "verify" and len(g.edges) * t_max > VERIFY_MAX_EDGE_TIME:
             raise PreconditionError(f"verify propagates the 3^N state over |E| t_max = "
                                     f"{len(g.edges) * t_max:.3g}, beyond the cap of "
@@ -317,10 +321,10 @@ def cmd_protocol1(args, run: _Run) -> int:
 
 def cmd_protocol2(args, run: _Run) -> int:
     [(_, g, t_max)] = run.systems
-    eig = spectral_decompose(assemble_hamiltonian(g))
     if args.tau is not None:
-        schedule = plan_regular(g, eig, args.tau, args.n_max)
+        schedule = plan_regular(g, args.tau, args.n_max)
     else:
+        eig = spectral_decompose(assemble_hamiltonian(g))  # only planning reads the full space
         try:
             schedule = plan_protocol2(g, eig, Strategy(args.strategy), args.n_max,
                                       t_max=t_max, grid_step=args.grid_step,

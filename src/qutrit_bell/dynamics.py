@@ -22,9 +22,10 @@ of `one_shot_peak` is read on the folded H+, and `scan` and the protocol-2
 planner read their grids on both folds (`measurement`).
 There are two propagators. `_SpectralKernel` holds the only exp(-i lambda t)
 of a dense eigendecomposition (d <= 1260 for N <= 36): it serves a scalar time
-(`evolve`, peak refinement, protocol-2 steps), bit-exact, and rows along an
-arithmetic grid from 0 (the peak searches and the protocol-2 planner), within
-1e-13 of the scalar path. The Chebyshev recurrence `_chebyshev_spans` needs only
+(`evolve`, peak refinement, the planned protocol-2 steps on the full space, the
+fixed-interval ones on both folds), bit-exact, and rows along an arithmetic grid
+from 0 (the peak searches and the protocol-2 planner), within 1e-13 of the
+scalar path. The Chebyshev recurrence `_chebyshev_spans` needs only
 products H v and a bound R >= ||H||: `scan` runs it on the folds
 (`measurement.outcome_curves`), `verify` on the 3^N state (`oracle`).
 `select_peak` picks the peak time of a sampled curve, for the peak searches and
@@ -245,14 +246,14 @@ class _SpectralKernel:
     def _v_complex(self) -> np.ndarray:
         return self._v.astype(complex)
 
-    def _phases(self, t) -> np.ndarray:
-        """exp(-i lambda t): shape (d,) at a scalar t, (d, T) on a grid.
+    def _phases(self, t: np.ndarray) -> np.ndarray:
+        """exp(-i lambda t), shape (d, T), at the T times of a 1-D t.
 
         cos and sin of (-lambda) t are written into the real and imaginary
         parts of one buffer, which equals numpy's exp of the imaginary
         argument to the bit without its complex temporaries.
         """
-        out = np.empty(self._neg_lam.shape + np.shape(t), dtype=complex)
+        out = np.empty((self._neg_lam.size, t.size), dtype=complex)
         np.multiply.outer(self._neg_lam, t, out=out.real)
         np.sin(out.real, out=out.imag)
         np.cos(out.real, out=out.real)
@@ -274,8 +275,11 @@ class _SpectralKernel:
                 .reshape(self._v.shape[0], -1)[:, :t.size - s])
 
     def __call__(self, t) -> np.ndarray:
-        if np.ndim(t) == 0:
-            phased = self._phases(t)
+        if isinstance(t, float) or np.ndim(t) == 0:  # a refinement's float skips np.ndim
+            theta = self._neg_lam * t  # the phases as `_phases` rounds them
+            phased = np.empty(theta.size, dtype=complex)
+            np.sin(theta, out=phased.imag)
+            np.cos(theta, out=phased.real)
             phased *= self._coeff
             return self._v_complex @ phased
         out = np.empty((self._v.shape[0], np.size(t)), dtype=complex)
@@ -403,11 +407,10 @@ def refine_maximum(f, lo: float, hi: float, tol: float,
         fa, fb = f(a), f(b)
         denom = (fa - 2.0 * fm + fb)
         if denom < -1e-18 * max(1.0, abs(fm)):
-            step = 0.25 * (b - a) * (fa - fb) / denom
-            cand = np.clip(m + step, a, b)
+            cand = m + 0.25 * (b - a) * (fa - fb) / denom
         else:
             cand = m + 0.25 * (b - a) * (1 if fb > fa else -1)
-            cand = np.clip(cand, a, b)
+        cand = min(max(cand, a), b)
         fc = f(cand)
         if fc >= fm:
             m, fm = float(cand), fc
@@ -447,11 +450,18 @@ def select_peak(curve: np.ndarray, grid: np.ndarray, objective,
     curves (common on these graphs) therefore resolve to their first recurrence.
     """
     step = float(grid[1]) if grid.size > 1 else 0.0
+    memo = {}  # refine_maximum asks again for ends it has kept: each time is evaluated once
+
+    def remembered(t: float) -> float:
+        if t not in memo:
+            memo[t] = objective(t)
+        return memo[t]
+
     refined = []
     for k in _peak_candidates(curve):
         lo = max(float(grid[0]), float(grid[k]) - step)
         hi = min(float(grid[-1]), float(grid[k]) + step)
-        t_r, p_r = refine_maximum(objective, lo, hi, refine_tol)
+        t_r, p_r = refine_maximum(remembered, lo, hi, refine_tol)
         if curve[k] >= p_r:
             t_r, p_r = float(grid[k]), float(curve[k])
         refined.append((t_r, p_r))

@@ -20,8 +20,9 @@ recurrence on the folds' nonzeros (`_fold_sum`), and every outcome is read as
 W |a|^2, W holding each orbit's share of pairs in each outcome (`_folds`). The
 recurrence costs about R max|t| products whatever the grid step, so a grid past
 SCAN_MAX_WORK is refused. The protocol-2 planner reads its grids on the same
-folds through their eigensystems (`_fold_scan`). Both functions check the norm
-of every state they measure.
+folds through their eigensystems (`_fold_scan`), and a fixed-interval protocol-2
+schedule evolves its states on them (`_fold_kernel`). `outcome_distribution`
+and `outcome_curves` check the norm of every state they measure.
 """
 
 from __future__ import annotations
@@ -150,6 +151,37 @@ def _fold_scan(g: Graph, t_grid: np.ndarray, readout: np.ndarray, parities=(1, -
         return curves
 
     return scan
+
+
+def _fold_kernel(g: Graph):
+    """psi -> (t -> exp(-iHt) psi), a new pair-space array, stepped on both `_folds`.
+
+    Each fold is diagonalised once. A state's two C parts are folded by `_fold_state`,
+    which refuses a state off the folds, and each evolves by a `dynamics._SpectralKernel`
+    on its fold: at a time, orbit O's amplitude a_O gives the C part u_p a_O of its every
+    pair p = {i,j}, i < j, and the parts sum to a_ij and a_ji as psi's were split."""
+    n = g.n_vertices
+    lo, hi = _unordered_pairs(n)
+    ij, ji = _pair_position(n, lo, hi), _pair_position(n, hi, lo)
+    blocks = [(parity, label, u, spectral_decompose(h))
+              for parity, h, label, u, _, _ in _folds(g, np.eye(5), (1, -1))]
+
+    def kernel(psi: np.ndarray):
+        parts = [(parity, label, np.sqrt(0.5) * u,
+                  _SpectralKernel(e, _fold_state(g, psi, parity, label, u, e.eigenvalues.size)))
+                 for parity, label, u, e in blocks]
+
+        def at(t: float) -> np.ndarray:
+            phi = np.zeros_like(psi)
+            for parity, label, scale, fold in parts:
+                part = scale * fold(t)[label]
+                phi[ij] += part
+                phi[ji] += parity * part
+            return phi
+
+        return at
+
+    return kernel
 
 
 @lru_cache(maxsize=1)

@@ -20,6 +20,8 @@ per-step table, `_padded`, where a chain that ended early pads as dead steps.
 Every strategy plans a step alike (`_step_chooser`): a `_grid_scan` of
 (p_S, p_U) on the C blocks folded by the role exchanges, read as `scan` reads
 them (`measurement._fold_scan`), its score, then `dynamics.select_peak`.
+A planned step evolves on the full pair space's eigensystem, a fixed-interval
+one (`plan_regular`) on the two folds (`measurement._fold_kernel`).
 
 An explicit outcome-tree enumeration and a Monte Carlo sampler provide two
 independent checks of the recursions.
@@ -29,13 +31,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from itertools import islice
 
 import numpy as np
 
 from .dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, HERALD_FLOOR, Eigensystem,
                        _index_groups, _SpectralKernel, _time_grid, initial_state, select_peak)
-from .measurement import (ZERO_PROB, Outcome, OutcomeDistribution, _fold_scan,
+from .measurement import (ZERO_PROB, Outcome, OutcomeDistribution, _fold_kernel, _fold_scan,
                           outcome_distribution, post_state)
 from .topology import Graph
 
@@ -114,10 +117,15 @@ def _score(strategy: Strategy, p_success, p_unusable):
     return p_success - p_unusable
 
 
+def _success(amp: np.ndarray) -> float:
+    """p_S at one time from the amplitudes of the success rows |B,A>, |A,B>."""
+    return 0.5 * np.abs(amp[0] + amp[1]) ** 2
+
+
 def _step_curve(amp: np.ndarray) -> tuple[float, float]:
     """(p_S, p_U) at one time from the amplitudes of the success rows |B,A>, |A,B>,
     then the psi2/psi3 rows."""
-    return 0.5 * np.abs(amp[0] + amp[1]) ** 2, np.sum(np.abs(amp[2:]) ** 2)
+    return _success(amp), np.sum(np.abs(amp[2:]) ** 2)
 
 
 def _grid_scan(g: Graph, strategy: Strategy, t_grid: np.ndarray):
@@ -151,25 +159,27 @@ def _step_chooser(g: Graph, strategy: Strategy, t_max: float | None, grid_step: 
         if strategy is Strategy.MIN_LOSS:
             score = np.where(p_s >= MINLOSS_FLOOR * p_s.max(), score, -np.inf)
         refine = kernel.on_rows(rows)
-        return select_peak(score, t_grid,
-                           lambda t: float(_score(strategy, *_step_curve(refine(t)))),
-                           refine_tol)[0]
+        at = (_success if strategy is Strategy.PEAK_SUCCESS  # p_S alone: no p_U sum to make
+              else lambda amp: _score(strategy, *_step_curve(amp)))
+        return select_peak(score, t_grid, lambda t: float(at(refine(t))), refine_tol)[0]
 
     return choose
 
 
-def _protocol2_steps(g: Graph, e: Eigensystem, choose_time):
+def _protocol2_steps(g: Graph, kernel_of, choose_time):
     """The protocol-2 chain, one ScheduleStep per measurement, lazily.
 
     Each step evolves the current conditional state for choose_time(state, kernel),
-    through its one kernel on e (one V^T psi), measures, and conditions on psi1. The
-    chain ends after a step that leaves psi1 or the product of p_1 (`_survival`) no
-    weight, or where choose_time finds no success in its window (an error at first).
+    through its one kernel = kernel_of(state), a map from a time to the evolved state
+    (a `_SpectralKernel` of the full space, or `measurement._fold_kernel`'s), measures,
+    and conditions on psi1. The chain ends after a step that leaves psi1 or the product
+    of p_1 (`_survival`) no weight, or where choose_time finds no success in its window
+    (an error at first).
     """
     psi = first = initial_state(g)
     survival = 1.0
     while psi is not None:
-        kernel = _SpectralKernel(e, psi)
+        kernel = kernel_of(psi)
         t = choose_time(psi, kernel)
         if t is None:
             if psi is first:
@@ -177,18 +187,18 @@ def _protocol2_steps(g: Graph, e: Eigensystem, choose_time):
                                    "search window; cannot plan further measurements")
             return
         phi = kernel(float(t))
-        del kernel  # its complex copy of V (25 MB at d = 1260) goes now, as `evolve`'s would
+        del kernel  # a full kernel's complex copy of V (25 MB at d = 1260) goes now
         dist = outcome_distribution(phi, g)
         survival *= dist.p1
         psi = None if dist.p1 < ZERO_PROB or not survival else post_state(phi, Outcome.PSI1, g)
         yield ScheduleStep(**vars(dist), time=float(t))
 
 
-def _schedule(g: Graph, e: Eigensystem, choose_time, n_max: int) -> list[ScheduleStep]:
+def _schedule(g: Graph, kernel_of, choose_time, n_max: int) -> list[ScheduleStep]:
     """The chain's first n_max steps, or all of them if it ends sooner."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    return list(islice(_protocol2_steps(g, e, choose_time), n_max))
+    return list(islice(_protocol2_steps(g, kernel_of, choose_time), n_max))
 
 
 def plan_protocol2(g: Graph, e: Eigensystem, strategy: Strategy = Strategy.PEAK_SUCCESS,
@@ -201,15 +211,22 @@ def plan_protocol2(g: Graph, e: Eigensystem, strategy: Strategy = Strategy.PEAK_
     scans the strategy's objective over [0, t_max], refines the chosen
     extremum, records the outcome probabilities and conditions on psi1.
     The schedule is reused verbatim after every reset.
+
+    Each step evolves on e, the full space: refined on curves of height ~1e-13, the
+    later steps of a chain move with any one-ulp change of the kernel, and the printed
+    protocol-2 outputs rest on this one's rounding. Once they are regenerated, planning
+    steps on `measurement._fold_kernel`, as `plan_regular` does, and the full kernel goes.
     """
-    return _schedule(g, e, _step_chooser(g, strategy, t_max, grid_step, refine_tol), n_max)
+    return _schedule(g, partial(_SpectralKernel, e),
+                     _step_chooser(g, strategy, t_max, grid_step, refine_tol), n_max)
 
 
-def plan_regular(g: Graph, e: Eigensystem, tau: float, n_max: int) -> list[ScheduleStep]:
-    """Fixed-interval fallback schedule: every measurement after time tau."""
+def plan_regular(g: Graph, tau: float, n_max: int) -> list[ScheduleStep]:
+    """Fixed-interval fallback schedule: every measurement after time tau. Nothing is
+    refined, so each step evolves on the two C folds (`measurement._fold_kernel`)."""
     if not (np.isfinite(tau) and tau > 0):
         raise ValueError(f"tau must be positive and finite, got {tau}")
-    return _schedule(g, e, lambda psi, kernel: tau, n_max)
+    return _schedule(g, _fold_kernel(g), lambda psi, kernel: tau, n_max)
 
 
 def _padded(schedule: list[ScheduleStep], n: int) -> np.ndarray:
@@ -327,8 +344,9 @@ def protocol2_limit_check(g: Graph, e: Eigensystem, q: float,
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"target q must lie in (0,1), got {q}")
-    steps = _protocol2_steps(g, e, _step_chooser(g, Strategy.PEAK_SUCCESS, None,
-                                                 DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL))
+    steps = _protocol2_steps(g, partial(_SpectralKernel, e),
+                             _step_chooser(g, Strategy.PEAK_SUCCESS, None,
+                                           DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL))
     schedule = [next(steps)]
     n = 1
     series = protocol2_total(schedule, n)

@@ -98,6 +98,7 @@ REFUSALS = (EIGENSYSTEM_REFUSALS + GRID_REFUSALS + SERIES_REFUSALS + INVALID_FLA
                 "--grid-step", "1e300"],
                ["protocol2", "--topology", "cross", "--n", "5", "--t-max", "1e300",
                 "--grid-step", "1e300"],
+               ["protocol2", "--topology", "loop", "--n", "4", "--tau", "1e7"],
                ["verify", "--topology", "loop", "--n", "4", "--t-max", "2600",
                 "--grid-step", "100"],
                ["verify", "--topology", "cross", "--n", "0"],
@@ -346,6 +347,17 @@ class TestProtocol2:
                                 "--n-max", "0"], capsys)
         assert code == 2
 
+    def test_tau_beyond_the_planning_cap_is_exit_2(self, capsys):
+        # a one-ulp change of tau moves the 9th printed digit of cross-5 at 1e6,
+        # the 6th at 1e9: past the cap the digits would mean nothing
+        argv = ["protocol2", "--topology", "cross", "--n", "5", "--n-max", "2", "--no-timestamp"]
+        code, out, err = run_cli(argv + ["--tau", "1e7"], capsys)
+        assert code == 2 and out == ""
+        assert f"--tau exceeds the planning cap of {cli.PLAN_MAX_TIME:g}" in err
+        code, out, _ = run_cli(argv + ["--tau", repr(cli.PLAN_MAX_TIME)], capsys)
+        assert code == 0
+        assert [r[5] for r in parse_csv(out)[1]] == ["1000000"] * 2
+
 
 class TestVerify:
     def test_default_cross5_passes(self, capsys):
@@ -525,7 +537,8 @@ class TestSizeGuard:
             pytest.fail("the run started work before it was refused")
 
         for name in ("spectral_decompose", "one_shot_peak", "outcome_curves",
-                     "su3_algebra_check", "full_evolve_compare"):
+                     "su3_algebra_check", "full_evolve_compare", "plan_protocol2",
+                     "plan_regular"):
             monkeypatch.setattr(cli, name, work)
         with time_budget(1):
             code, out, _ = run_cli(argv, capsys)

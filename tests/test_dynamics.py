@@ -11,7 +11,7 @@ from qutrit_bell import (Graph, Roles, assemble_hamiltonian,
 from qutrit_bell.dynamics import (CANDIDATE_TOL, DEFAULT_GRID_STEP, GRID_END_SLACK,
                                   PEAK_WINDOW_FACTOR, PHASE_BLOCK,
                                   _peak_candidates, _SpectralKernel, _index_groups, _pairs,
-                                  _time_grid, pair_index, refine_maximum)
+                                  _time_grid, pair_index, refine_maximum, select_peak)
 from qutrit_bell.measurement import outcome_curves
 
 
@@ -232,6 +232,12 @@ class TestSpectralKernel:
         kernel = _SpectralKernel(e, psi0, self.ROWS)
         scalar = np.array([kernel(float(tk)) for tk in t]).T
         assert np.max(np.abs(kernel(t) - scalar)) < self.GRID_TOL
+
+    def test_every_scalar_type_is_the_float_time(self):
+        _, e, psi0 = prepared("loop", 8)
+        kernel = _SpectralKernel(e, psi0, self.ROWS)
+        for t in (2, np.int64(2), np.float64(2.0), np.array(2.0)):
+            assert np.array_equal(kernel(t), kernel(2.0))
 
     @staticmethod
     def dense(e, psi, rows, t):
@@ -494,6 +500,19 @@ class TestRefineMaximum:
         t, v = refine_maximum(f, 0.0, 1.0, tol=1e-12, max_iter=10)
         assert len(calls) == 1 + 3 * 10
         assert t == v == 1.0 - 2.0 ** -11
+
+    def test_select_peak_evaluates_each_time_once(self):
+        # refine_maximum asks again for the ends it keeps (43 calls for 16 times here);
+        # select_peak remembers them, outside refine_maximum
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return float(np.cos(t) ** 2)
+
+        grid = _time_grid(10.0, 0.1)
+        assert select_peak(np.cos(grid) ** 2, grid, f, 1e-9) == (0.0, 1.0)
+        assert calls and len(calls) == len(set(calls))
 
     @pytest.mark.parametrize("tol", [np.nan, 0.0, -1e-6])
     def test_refuses_a_tolerance_that_never_ends_the_search(self, tol):

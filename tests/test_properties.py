@@ -15,7 +15,10 @@ CLI's numeric flags on loop-4 and cross-5.
 import io
 import math
 from contextlib import redirect_stderr, redirect_stdout, suppress
+from dataclasses import fields
+from functools import partial
 from itertools import combinations, islice, permutations
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -26,13 +29,14 @@ from hypothesis import strategies as st
 from conftest import peak, time_budget
 from qutrit_bell import (Graph, Roles, assemble_hamiltonian, build_cross, build_loop,
                          dynamics, evolve, find_peak, find_protocol_automorphism,
-                         initial_state, one_shot_peak, outcome_distribution,
+                         initial_state, one_shot_peak, outcome_distribution, plan_regular,
                          protocol1_cumulative, protocol1_required, spectral_decompose)
-from qutrit_bell.cli import main
+from qutrit_bell.cli import _load_topology_file, main
 from qutrit_bell.dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, PHASE_BLOCK,
                                   _index_groups, _pairs, _role_fold,
                                   _SpectralKernel, _unordered_position, pair_index)
-from qutrit_bell.measurement import ZERO_PROB, Outcome, outcome_curves, post_state
+from qutrit_bell.measurement import (ZERO_PROB, Outcome, OutcomeDistribution, outcome_curves,
+                                     post_state)
 from qutrit_bell.oracle import full_evolve_compare
 from qutrit_bell.protocols import (PLAN_WINDOW_FACTOR, Strategy, _grid_scan, _protocol2_steps,
                                    _step_chooser)
@@ -40,6 +44,7 @@ from qutrit_bell.topology import ROLE_SWAPS, SWAP_CHARLIE, SWAP_ENDS
 from test_acceptance import (QUANTILES, REPEAT_RESET_COLUMNS, TABLE_CROSS_COUNTS,
                              TABLE_LOOP_COUNTS, _count_marks, _repeat_marks)
 
+DATA = Path(__file__).resolve().parent / "data"
 #: a few uneven times; the oracle reaches them in one or two Chebyshev spans
 ORACLE_GRID = [0.0, 0.37, 1.3, 2.9, 6.1]
 
@@ -213,7 +218,7 @@ def test_no_call_changes_the_state_it_is_given(drawn, t):
         return chooser(psi, kernel)
 
     with suppress(RuntimeError):  # no success within the window at the first step
-        list(islice(_protocol2_steps(g, e, choose), 3))
+        list(islice(_protocol2_steps(g, partial(_SpectralKernel, e), choose), 3))
     assert given_states
     for psi, kept in given_states:
         assert psi.tobytes() == kept.tobytes()
@@ -337,6 +342,44 @@ def test_c_blocks_evolve_any_state_as_the_full_space_does(drawn, seed):
         d = outcome_distribution(evolve(e, psi0, float(t)), g)
         want = (d.pS_bell, d.p1, d.p2, d.p3, d.pS_projection)
         assert np.max(np.abs(curves[:, k] - want)) <= 1e-12
+
+
+def full_space_regular_chain(g, tau, n_max):
+    """`plan_regular`'s chain stepped on the full space: `evolve`, `outcome_distribution`
+    and `post_state` on psi1, up to n_max steps or one that leaves psi1 no weight."""
+    e = spectral_decompose(assemble_hamiltonian(g))
+    psi, steps = initial_state(g), []
+    while len(steps) < n_max:
+        phi = evolve(e, psi, tau)
+        steps.append(outcome_distribution(phi, g))
+        if steps[-1].p1 < ZERO_PROB:
+            break
+        psi = post_state(phi, Outcome.PSI1, g)
+    return steps
+
+
+def assert_regular_schedule_is_the_full_space_chain(g, tau, n_max):
+    sched = plan_regular(g, tau, n_max)
+    full = full_space_regular_chain(g, tau, n_max)
+    assert len(sched) == len(full)
+    for step, want in zip(sched, full):
+        assert step.time == tau
+        assert max(abs(getattr(step, f.name) - getattr(want, f.name))
+                   for f in fields(OutcomeDistribution)) <= 1e-12
+
+
+@given(ANY_OR_BOTH_SWAPS, st.floats(0.05, 50.0), st.integers(1, 4))
+@settings(max_examples=40, deadline=None)
+def test_regular_schedule_on_the_folds_is_the_full_space_chain(drawn, tau, n_max):
+    g, _ = drawn
+    assert_regular_schedule_is_the_full_space_chain(g, tau, n_max)
+
+
+def test_regular_schedule_without_a_role_exchange_is_the_full_space_chain():
+    g = Graph(*_load_topology_file(str(DATA / "no-role-exchange.txt")))
+    assert all(find_protocol_automorphism(g, swap) is None for swap in ROLE_SWAPS)
+    for tau in (0.7, 2.5, 9.1):
+        assert_regular_schedule_is_the_full_space_chain(g, tau, 10)
 
 
 @given(protocol_graphs(symmetric=True, swaps=(SWAP_CHARLIE, SWAP_ENDS)),

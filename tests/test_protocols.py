@@ -1,6 +1,7 @@
 import os
 import signal
 import tracemalloc
+from functools import partial
 from itertools import islice
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import peak, prepared, random_graph_with_moved_roles
 from qutrit_bell import (Outcome, Strategy, assemble_hamiltonian, enumerate_outcome_tree,
-                         evolve, monte_carlo, one_shot_peak, outcome_distribution, plan_protocol2,
+                         monte_carlo, one_shot_peak, outcome_distribution, plan_protocol2,
                          plan_regular, post_state, protocol1_cumulative, protocol1_required,
                          protocol2_limit_check, protocol2_no_reset, protocol2_total,
                          spectral_decompose)
@@ -255,7 +256,7 @@ def planned_chain(family, n, strategy, steps):
         times.append(choose(psi, kernel))
         return times[-1]
 
-    list(islice(_protocol2_steps(g, e, recording), steps))
+    list(islice(_protocol2_steps(g, partial(_SpectralKernel, e), recording), steps))
     return g, e, states, times
 
 
@@ -411,36 +412,60 @@ class TestOnePlannerStep:
 
 class TestRegularSchedule:
     def test_fixed_interval(self):
-        g, e, _ = prepared("cross", 5)
-        sched = plan_regular(g, e, tau=2.3, n_max=6)
+        g, _, _ = prepared("cross", 5)
+        sched = plan_regular(g, tau=2.3, n_max=6)
         assert np.allclose([s.time for s in sched], 2.3)
         series = protocol2_total(sched)
         assert np.all(np.diff(series) >= -1e-12)
 
     def test_rejects_bad_tau(self):
-        g, e, _ = prepared("cross", 5)
+        g, _, _ = prepared("cross", 5)
         for tau in (0.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="tau must be positive and finite"):
-                plan_regular(g, e, tau=tau, n_max=3)
+                plan_regular(g, tau=tau, n_max=3)
 
     def test_chain_ends_where_the_survival_product_underflows(self):
         # loop-4 at tau = 1: prod p_1 reaches exactly 0 at step 566, after
         # which no step weighs in either series
-        g, e, psi = prepared("loop", 4)
+        g, _, psi = prepared("loop", 4)
         n = 5000
-        sched = plan_regular(g, e, 1.0, n)
+        sched = plan_regular(g, 1.0, n)
         assert len(sched) == 566
         survival = protocols._survival(protocols._padded(sched, n)[1])
         assert survival[565] > 0.0 and survival[566] == 0.0
-        steps = []  # the chain stepped on to n, as it was before it ended there
+        # the chain stepped on to n, as it was before it ended there, through the
+        # same fold kernel (the full space agrees to 1e-12: tests/test_properties.py)
+        kernel_of = measurement._fold_kernel(g)
+        steps = []
         for _ in range(n):
-            phi = evolve(e, psi, 1.0)
+            phi = kernel_of(psi)(1.0)
             d = outcome_distribution(phi, g)
             psi = post_state(phi, Outcome.PSI1, g)
             steps.append(ScheduleStep(**vars(d), time=1.0))
         assert steps[:566] == sched
         assert np.array_equal(protocol2_no_reset(sched, n), protocol2_no_reset(steps, n))
         assert np.array_equal(protocol2_total(sched, n), protocol2_total(steps, n))
+
+    @pytest.mark.parametrize("argv,n,dims", [
+        (["--topology", "loop", "--n", "8"], 8, [10, 8]),
+        (["--topology", "cross", "--n", "7"], 7, [10, 4]),
+        (["--topology", "custom", "--topology-file", str(DATA / "no-role-exchange.txt")], 7,
+         [21, 21])], ids=["loop-8", "cross-7", "no-role-exchange"])
+    def test_steps_on_the_folds_alone(self, argv, n, dims, monkeypatch):
+        calls = []
+
+        def counting(h):
+            calls.append(h.shape[0])
+            return spectral_decompose(h)
+
+        for module in (cli, measurement):
+            monkeypatch.setattr(module, "spectral_decompose", counting)
+        assert main(["protocol2", *argv, "--tau", "2.5", "--n-max", "5", "--no-timestamp",
+                     "--output", os.devnull]) == 0
+        # each C fold once per run (without a role exchange, each C block), never
+        # the N(N-1) pair space
+        assert calls == dims
+        assert max(calls) <= n * (n - 1) // 2
 
 
 class TestCumulativeSeries:
@@ -497,9 +522,9 @@ class TestCumulativeSeries:
     def test_reads_restart_weights_only_up_to_the_last_nonzero_one(self):
         # loop-4 at tau = 1: the survival product underflows to 0 after 566
         # steps, so the weights past it add exact zeros to the full recursion
-        g, e, _ = prepared("loop", 4)
+        g, _, _ = prepared("loop", 4)
         n = 5000
-        sched = plan_regular(g, e, 1.0, n)
+        sched = plan_regular(g, 1.0, n)
         _, p1, reset = protocols._padded(sched, n)
         w = protocols._survival(p1) * reset
         assert np.flatnonzero(w)[-1] < 1000
