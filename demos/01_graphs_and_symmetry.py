@@ -6,9 +6,16 @@ places the four special sites at quarter positions around a ring. In both
 cases a reflection fixes Alice's and Bob's sites while exchanging
 Charlie's, and that symmetry is what pins the heralded state to the Bell
 combination.
+
+The dynamics do not search for that reflection. They split the ordered pairs
+|i,j> (+1 excitation at i, -1 at j) into cells by colour refinement, and every
+state the protocols prepare has one amplitude per cell. Pairs that a symmetry
+maps onto each other share a cell, so |A,B> and |B,A> sharing one is what
+keeps the two Bell-channel amplitudes equal.
 """
 
-from qutrit_bell import build_cross, build_loop, find_protocol_automorphism, path_distance
+from qutrit_bell import build_cross, build_loop, path_distance
+from qutrit_bell.dynamics import _pair_cells, _pairs, pair_index
 
 for name, g in (("cross N=9", build_cross(9)), ("loop N=8", build_loop(8))):
     print(f"== {name} ==")
@@ -17,8 +24,14 @@ for name, g in (("cross N=9", build_cross(9)), ("loop N=8", build_loop(8))):
     print(f"  roles: charlie +/- at {r.charlie_plus},{r.charlie_minus}, "
           f"alice at {r.alice}, bob at {r.bob}")
     print(f"  alice-bob separation: {path_distance(g, r.alice, r.bob)} edges")
-    mapping = find_protocol_automorphism(g)
-    print(f"  protocol symmetry: {'none' if mapping is None else mapping}")
+    n, cells = g.n_vertices, _pair_cells(g)
+    plus, minus = _pairs(n)
+    print(f"  {n * (n - 1)} ordered pairs in {cells.max() + 1} cells:")
+    for c in dict.fromkeys(cells.tolist()):  # in the order of each cell's first pair
+        members = " ".join(f"{i},{j}" for i, j in zip(plus[cells == c], minus[cells == c]))
+        print(f"    {members}")
+    shared = cells[pair_index(n, r.alice, r.bob)] == cells[pair_index(n, r.bob, r.alice)]
+    print(f"  |A,B> and |B,A> share a cell: {shared}")
     print()
 
 # the headline configuration: a 35-site cross separates the entangled pair

@@ -16,14 +16,13 @@ from .protocols import (ScheduleStep, Strategy, TrajectoryStats, enumerate_outco
                         monte_carlo, plan_protocol2, plan_regular, protocol1_cumulative,
                         protocol1_required, protocol2_limit_check,
                         protocol2_no_reset, protocol2_total)
-from .topology import (Graph, Roles, build_cross, build_loop, find_protocol_automorphism,
-                       path_distance)
+from .topology import Graph, Roles, build_cross, build_loop, path_distance
 
 __all__ = [
     "Eigensystem", "Graph", "Outcome", "OutcomeDistribution", "Roles",
     "ScheduleStep", "Strategy", "TrajectoryStats",
     "assemble_hamiltonian", "build_cross", "build_loop",
-    "enumerate_outcome_tree", "evolve", "find_peak", "find_protocol_automorphism", "initial_state",
+    "enumerate_outcome_tree", "evolve", "find_peak", "initial_state",
     "monte_carlo", "one_shot_peak", "outcome_distribution", "path_distance", "plan_protocol2",
     "plan_regular", "post_state", "protocol1_cumulative", "protocol1_required",
     "protocol2_limit_check", "protocol2_no_reset", "protocol2_total",

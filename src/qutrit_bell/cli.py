@@ -25,14 +25,15 @@ from pathlib import Path
 
 from . import __version__
 from .dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, GRID_END_SLACK,
-                       PEAK_WINDOW_FACTOR, _time_grid, assemble_hamiltonian,
-                       initial_state, one_shot_peak, spectral_decompose)
+                       PEAK_WINDOW_FACTOR, _index_groups, _pair_cells, _time_grid,
+                       assemble_hamiltonian, initial_state, one_shot_peak,
+                       spectral_decompose)
 from .measurement import _check_scan_cost, outcome_curves
 from .oracle import ORACLE_MAX_SITES, full_evolve_compare, su3_algebra_check
 from .protocols import (PLAN_WINDOW_FACTOR, Strategy, plan_protocol2, plan_regular,
                         protocol1_cumulative, protocol1_required, protocol2_no_reset,
                         protocol2_total)
-from .topology import Graph, Roles, build_cross, build_loop, find_protocol_automorphism
+from .topology import Graph, Roles, build_cross, build_loop
 
 USAGE_ERROR = 1
 PRECONDITION_ERROR = 2
@@ -201,10 +202,10 @@ class _Run:
 def _checked_run(args) -> _Run:
     """Make every exit-2 refusal that the flags decide, before any work starts.
 
-    Sizes each command's dense eigensystem (d = N(N-1); at most the C-even
-    block's N(N-1)/2 for the peak tables; the two C blocks of `scan`), time
-    grid (none with --tau) and protocol-2 series, resolves the default window
-    and applies `verify`'s caps, the cost cap of `scan` and the protocol-2 planning cap.
+    Sizes each command's dense eigensystem (d = N(N-1); at most N(N-1)/2 for the
+    C-even block of the peak tables, the two C blocks of `scan` and each of the two
+    folds of --tau), time grid (none with --tau) and protocol-2 series, resolves the
+    default window and applies `verify`'s caps, `scan`'s cost cap and the planning cap.
     A graph is built once N fits.
     """
     for name in ("t_max", "grid_step", "refine_tol", "tau"):
@@ -237,9 +238,11 @@ def _checked_run(args) -> _Run:
                 raise PreconditionError(f"{where}N must be the file's N={n_file}, got N={n}")
         ns = [n_file] * len(ns)
     systems = []
+    tau = getattr(args, "tau", None) is not None  # protocol2 on the two folds, both held
     for n in ns:
-        d = n * (n - 1) // (2 if peak_table or command == "scan" else 1)
+        d = n * (n - 1) // (2 if peak_table or command == "scan" or tau else 1)
         what, arrays = (("the two C blocks", C_BLOCKS_ARRAYS) if command == "scan" else
+                        ("the two fold eigensystems", 2 * EIGENSYSTEM_ARRAYS) if tau else
                         ("the dense eigensystem", EIGENSYSTEM_ARRAYS))
         _check_memory(f"N={n}: {what} (d = {d})", arrays * 8 * d * d)
         try:
@@ -257,7 +260,7 @@ def _checked_run(args) -> _Run:
         else:
             default = PEAK_WINDOW_FACTOR * g.n_vertices
         t_max = args.t_max or default
-        if getattr(args, "tau", None) is None:
+        if not tau:
             # GRID_ARRAYS floats a point, plus a complex amplitude per row held along the grid
             rows = d if command == "verify" else int(peak_table)
             points = t_max / args.grid_step + 1
@@ -352,7 +355,8 @@ def cmd_verify(args, run: _Run) -> int:
                (f"{label}_full_vs_reduced_max_amplitude_dev",
                 cmp_res.max_amplitude_deviation, 1e-9),
                (f"{label}_sector_leakage", cmp_res.max_sector_leakage, 1e-12)]
-    if find_protocol_automorphism(g) is not None:
+    ba, ab = _pair_cells(g)[_index_groups(g)["success"]]
+    if ba == ab:  # the fold makes the two Bell-channel amplitudes equal
         checks.append((f"{label}_bell_amplitude_asymmetry", cmp_res.max_bell_asymmetry, 1e-10))
     rows = [(name, value, bound, "pass" if value < bound else "FAIL")
             for name, value, bound in checks]

@@ -16,10 +16,10 @@ exchanges the two excitations sitting on it (swap). Equal-state terms are
 excluded, so the matrix has zero diagonal and 0/1 off-diagonal entries.
 The exchange C|i,j> = |j,i> commutes with H on every graph, so H splits
 into an even block H+ and an odd block H-, each on the N(N-1)/2 unordered
-pairs. `_role_fold(g, parity)` folds either block onto the pair orbits of the
-automorphisms that keep {c+,c-} and {A,B}, signed on H-: the Bell amplitude
-of `one_shot_peak` is read on the folded H+, and `scan` and the protocol-2
-planner read their grids on both folds (`measurement`).
+pairs. `_role_fold(g, parity)` folds either block onto the cells of the colour
+refinement `_pair_cells`, whose span holds every state the protocols prepare: the
+Bell amplitude of `one_shot_peak` is read on the folded H+, and `scan` and the
+protocol-2 planner read their grids on both folds (`measurement`).
 There are two propagators. `_SpectralKernel` holds the only exp(-i lambda t)
 of a dense eigendecomposition (d <= 1260 for N <= 36): it serves a scalar time
 (`evolve`, peak refinement, the planned protocol-2 steps on the full space, the
@@ -35,12 +35,13 @@ for every protocol-2 planning strategy. Units: hbar = 1, J = 1.
 from __future__ import annotations
 
 import logging
+import random
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
-from .topology import ROLE_SWAPS, Graph, find_protocol_automorphism
+from .topology import Graph
 
 logger = logging.getLogger(__name__)
 
@@ -129,29 +130,38 @@ def _index_groups(g: Graph) -> dict[str, np.ndarray]:
             **{f"g{k}": np.flatnonzero(outcome == k) for k in (1, 2, 3)}}
 
 
+def _pair_images(g: Graph, plus: np.ndarray, minus: np.ndarray, position):
+    """(pair, image, flipped) per nonzero of the edges' exchange operator on pairs k =
+    (plus[k], minus[k]), in order of k: along each edge at an excitation's site it hops
+    to the other end, or the two swap (once, from the plus site) if the other sits there.
+    H moves pair k to position(image sites), whose plus site is larger where flipped."""
+    arcs = np.array(sorted(g.edges | {(v, u) for u, v in g.edges}))  # (site, neighbour)
+    first = np.searchsorted(arcs[:, 0], np.arange(g.n_vertices + 2))
+    site = np.column_stack([plus, minus]).ravel()  # each pair's plus site, then its minus site
+    count = first[site + 1] - first[site]
+    end = np.repeat(np.arange(site.size), count)
+    to = arcs[np.arange(end.size) + np.repeat(first[site] + count - np.cumsum(count), count), 1]
+    pair, from_plus = end // 2, end % 2 == 0
+    i, j = plus[pair], minus[pair]
+    keep = from_plus | (to != i)
+    ti = np.where(from_plus, to, i)[keep]
+    tj = np.where(from_plus, np.where(to == j, i, j), to)[keep]
+    return pair[keep], position(ti, tj), ti > tj
+
+
 def _exchange_matrix(g: Graph, plus: np.ndarray, minus: np.ndarray, position,
                      parity: int = 1, label: np.ndarray | None = None,
                      sign: np.ndarray | None = None) -> np.ndarray:
-    """The edges' exchange operator on a pair list, each pair (plus[k], minus[k]).
-
-    For each edge (m,n) and pair (i,j): if the edge touches exactly one of
-    the excitations, that excitation hops to the other endpoint; if the
-    edge is {i,j}, the two excitations swap. Edges disjoint from {i,j}
-    contribute nothing. An image (k,l) with k > l enters with the sign `parity`
-    (-1 only for the C-odd block), times sign[image] sign[pair] (default 1). One
-    bincount scatters every edge onto label[image], label[pair] (default label[k] = k):
-    with orbit labels, entry (O', O) sums +-H over O' x O, exactly in any order.
-    """
+    """The edges' exchange operator on a pair list (`_pair_images`). An image (k,l) with
+    k > l enters with the sign `parity` (-1 only for the C-odd block), times sign[image]
+    sign[pair] (default 1). One bincount scatters every edge onto label[image],
+    label[pair] (default label[k] = k): with cell labels, entry (O', O) sums +-H over
+    O' x O, exactly in any order."""
     label = np.arange(plus.size) if label is None else label
     sign = np.ones(plus.size) if sign is None else sign
     d = label.max() + 1
-    m, mm = np.array(sorted(g.edges)).T[:, :, None]
-    ti = np.where(plus == m, mm, np.where(plus == mm, m, plus))
-    tj = np.where(minus == m, mm, np.where(minus == mm, m, minus))
-    moved = (ti != plus) | (tj != minus)
-    pair, ti, tj = np.nonzero(moved)[1], ti[moved], tj[moved]
-    image = position(ti, tj)
-    weight = np.where(ti > tj, parity, 1.0) * sign[image] * sign[pair]
+    pair, image, flipped = _pair_images(g, plus, minus, position)
+    weight = np.where(flipped, parity, 1.0) * sign[image] * sign[pair]
     return np.bincount(label[image] * d + label[pair], weight, d * d).reshape(d, d)
 
 
@@ -303,6 +313,19 @@ def _chebyshev_order(x: float) -> int:
     return order
 
 
+def _kapteyn_order(x: float) -> int:
+    """Orders kept for a step of no grid point, x = R |dt|: up to the first k >= x whose
+    bound |J_k(x)| <= (z e^w / (1 + w))^k, z = x/k, w = sqrt(1 - z^2) (Kapteyn, DLMF 10.14.8),
+    falling in k, is below CHEBYSHEV_TAIL: 1146 at CHEBYSHEV_GAP, `_chebyshev_order` 1426."""
+    order = int(np.ceil(x))
+    while x > 0:
+        w = np.sqrt(1.0 - (x / order) ** 2)
+        if order * (np.log(x / order) + w - np.log1p(w)) <= np.log(CHEBYSHEV_TAIL):
+            return order
+        order += 1
+    return 0
+
+
 def _chebyshev_coefficients(order: int, x: np.ndarray) -> np.ndarray:
     """c_0 .. c_order at each x = R dt, as an (order + 1, len(x)) table.
 
@@ -356,8 +379,8 @@ def _chebyshev_span(apply, radius: float, psi: np.ndarray, offsets: np.ndarray, 
 
 
 def _chebyshev_step(apply, radius: float, psi: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-iH dt) psi alone, from one recurrence to the order of R |dt|."""
-    c = _chebyshev_coefficients(_chebyshev_order(abs(radius * dt)), np.array([radius * dt]))
+    """exp(-iH dt) psi alone, from one recurrence to the `_kapteyn_order` of R |dt|."""
+    c = _chebyshev_coefficients(_kapteyn_order(abs(radius * dt)), np.array([radius * dt]))
     return sum(map(np.multiply, c[:, 0], _chebyshev_terms(apply, radius, psi, len(c) - 1)))
 
 
@@ -498,53 +521,80 @@ def find_peak(e: Eigensystem, psi0: np.ndarray, g: Graph,
                  DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL)
 
 
-def _role_fold(g: Graph, parity: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(S^T H_parity S, each pair's orbit, u): the C block of that parity on the unordered
-    pairs |{i,j}+-> = (|i,j> +- |j,i>)/sqrt2, i < j, folded onto the orbit states
-    |O> = sum_{p in O} u_p |p> of the automorphisms that keep {c+,c-} and {A,B}.
+@lru_cache(maxsize=1)
+def _pair_cells(g: Graph) -> np.ndarray:
+    """Cell of each ordered pair |i,j> (lexicographic; read-only, cached so both C blocks
+    refine once) in the coarsest equitable partition of H's pair graph that separates
+    |c+,c->, |c-,c+>, the other psi1 pairs, psi2 and psi3, and success (Godsil & Royle,
+    Algebraic Graph Theory, ch. 9): H keeps the span of the cells, and an automorphism
+    keeping psi0 and the outcomes maps each cell onto itself. Colour refinement: a round
+    hashes each pair's cell and its images' cells (random 64-bit weights summed modulo
+    2^64) until no cell splits. A hash only merges, so the result is not finer than the
+    coarsest; checked exactly equitable and finer than the seeds (a collision raises),
+    it is not coarser either."""
+    n, r = g.n_vertices, g.roles
+    plus, minus = _pairs(n)
+    pair, image, _ = _pair_images(g, plus, minus, partial(_pair_position, n))
+    starts = np.searchsorted(pair, np.arange(plus.size))  # on a connected graph all move
+    seed = np.minimum(_outcome(g, plus, minus), 2)  # psi1 1; psi2, psi3 and success 2
+    seed[_index_groups(g)["success"]] = 3
+    seed[_pair_position(n, np.array([r.charlie_plus, r.charlie_minus]),
+                        np.array([r.charlie_minus, r.charlie_plus]))] = 4, 5
+    weights = random.Random(0).randbytes(16 * plus.size)  # numpy.random's import: +6.5 MB RSS
+    own, other = np.frombuffer(weights, np.uint64).reshape(2, -1)
+    cell, cells = seed, np.unique(seed).size
+    while True:
+        key = own[cell] + np.add.reduceat(other[cell[image]], starts)
+        cell = np.unique(key, return_inverse=True)[1]
+        if cell.max() + 1 == cells:
+            break
+        cells = cell.max() + 1
+    images = np.full((plus.size, np.bincount(pair).max()), -1)
+    images[pair, np.arange(pair.size) - starts[pair]] = cell[image]
+    images.sort(axis=1)
+    first = np.unique(cell, return_index=True)[1][cell]  # the first pair of each cell
+    if not (np.array_equal(seed, seed[first]) and np.array_equal(images, images[first])):
+        raise RuntimeError("colour refinement merged pairs of unequal cells (hash collision)")
+    cell.setflags(write=False)
+    return cell
 
-    One automorphism P per `ROLE_SWAPS` entry acts as |i,j> -> |Pi,Pj>, then C where P
-    exchanges c+ and c-, so it keeps psi0 and commutes with H, C and the outcomes. It
-    maps |{i,j}+-> to sigma |{Pi,Pj}+->, where sigma is parity to the number of sign
-    flips: Pi > Pj, and the C. An invariant state has a_P(p) = sigma a_p, so on an orbit
-    numbered by its least pair r, u_p = sign_p / sqrt|O| with a_p = sign_p a_r; an orbit
-    that the P map onto its own negative holds no invariant state and drops out (u = 0,
-    label 0). Entry (O', O) is s_O' s_O times the integer sum of +-H over O' x O, so with
-    no exchange it is the C block to the bit.
+
+def _role_fold(g: Graph, parity: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S^T H_parity S, each unordered pair's label, u): the C block of that parity on
+    |{i,j}+-> = (|i,j> +- |j,i>)/sqrt2, i < j, folded onto |O> = sum_{p in O} u_p |p>.
+
+    C maps each cell X of `_pair_cells` onto a cell CX: the C-even fold has one state per
+    {X, CX}, the C-odd one 1_X - 1_CX per X != CX, X the cell of its least pair's |lo,hi>,
+    so u_p = +-1/sqrt|O|, + where p's |lo,hi> lies in X; a cell with CX = X drops out
+    (u = 0, label 0). States are numbered by least pair. Entry (O', O) is s_O' s_O times
+    the integer sum of +-H over O' x O: where nothing folds, the C block to the bit.
     """
     n = g.n_vertices
     i, j = _unordered_pairs(n)
-    position = partial(_unordered_position, n)
-    maps = [(swap, np.array((0, *m))) for swap in ROLE_SWAPS
-            if (m := find_protocol_automorphism(g, swap))]
-    moves = [(position(p[i], p[j]), np.where((p[i] > p[j]) != (swap[0] != 0), parity, 1.0))
-             for swap, p in maps]
-    label, sign = np.arange(i.size), np.ones(i.size)
-    while not all(np.array_equal(label, label[move]) for move, _ in moves):
-        for move, sigma in moves:  # a_p = sigma a_P(p): take the lesser root, with its sign
-            lower = label[move] < label
-            label[lower], sign[lower] = label[move][lower], (sigma * sign[move])[lower]
-    clash = np.zeros(i.size, dtype=bool)  # at orbit roots
-    for move, sigma in moves:
-        clash[label[sign != sigma * sign[move]]] = True
-    kept = ~clash[label]
-    # numbered by least pair with no sort: np.unique's sort code would stay resident
+    cells = _pair_cells(g)
+    forward, backward = cells[_pair_position(n, i, j)], cells[_pair_position(n, j, i)]
+    _, root, key = np.unique(np.minimum(forward, backward), return_index=True,
+                             return_inverse=True)  # one key per cell pair {X, CX}
+    label = root[key]  # its least pair
+    sign = np.where(forward == forward[label], 1.0, parity)
+    kept = (forward != backward) | (parity == 1)
     label = np.where(kept, (np.cumsum(kept & (label == np.arange(i.size))) - 1)[label], 0)
     sign[~kept] = 0.0
     s = 1.0 / np.sqrt(np.bincount(label[kept]))
-    h = _exchange_matrix(g, i, j, position, parity, label, sign) * np.outer(s, s)
+    h = _exchange_matrix(g, i, j, partial(_unordered_position, n), parity, label,
+                         sign) * np.outer(s, s)
     return h, label, sign * s[label]
 
 
 def one_shot_peak(g: Graph, t_max: float | None = None,
                   grid_step: float = DEFAULT_GRID_STEP,
                   refine_tol: float = DEFAULT_REFINE_TOL) -> tuple[float, float]:
-    """`find_peak` from the initial state, on the role-symmetric part of the C-even block.
+    """`find_peak` from the initial state, on the folded C-even block (`_role_fold`).
 
     (a_BA + a_AB)/sqrt2 = <{A,B}+|psi(t)>, and |c+,c-> has C-even part
-    |{c+,c-}+>/sqrt2, so p_S = |<{A,B}+|exp(-iH+ t)|{c+,c-}+>|^2 / 2, and both
-    pairs are orbits of one in `_role_fold`. The peak differs from
-    `find_peak`'s by rounding only, within refine_tol in t*.
+    |{c+,c-}+>/sqrt2, so p_S = |<{A,B}+|exp(-iH+ t)|{c+,c-}+>|^2 / 2, and each of
+    the two pairs is a fold state of its own (a seed of `_pair_cells`). The peak
+    differs from `find_peak`'s by rounding only, within refine_tol in t*.
     """
     n, r = g.n_vertices, g.roles
     h, label, _ = _role_fold(g, 1)

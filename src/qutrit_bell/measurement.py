@@ -14,10 +14,11 @@ heralded probability equals the projection probability.
 
 `outcome_distribution` measures one state of the pair space. `outcome_curves`
 gives the same probabilities along a time grid without the full space: the
-C-even and C-odd parts of psi0, each folded by the role exchanges
-(`dynamics._role_fold`), are stepped along the grid by the Chebyshev
-recurrence on the folds' nonzeros (`_fold_sum`), and every outcome is read as
-W |a|^2, W holding each orbit's share of pairs in each outcome (`_folds`). The
+C-even and C-odd parts of psi0, each folded onto the cells of the pair space's
+coarsest equitable partition (`dynamics._role_fold`), are stepped along the grid
+by the Chebyshev recurrence on the folds' nonzeros (`_fold_sum`), and every
+outcome is read as W |a|^2, W holding each fold state's share of pairs in each
+outcome (`_folds`). The
 recurrence costs about R max|t| products whatever the grid step, so a grid past
 SCAN_MAX_WORK is refused. The protocol-2 planner reads its grids on the same
 folds through their eigensystems (`_fold_scan`), and a fixed-interval protocol-2
@@ -98,11 +99,11 @@ def _weighted_squares(w: np.ndarray, amp: np.ndarray) -> np.ndarray:
 
 
 def _folds(g: Graph, readout: np.ndarray, parities):
-    """(parity, fold H, label, u, orbits read, W on them) per C block of the given
+    """(parity, fold H, label, u, states read, W on them) per C block of the given
     parities (`dynamics._role_fold`) that an m x 5 readout of (pS_bell, p1, p2, p3,
-    pS_projection) reads. Each outcome is a union of pairs, so its probability is
-    W |a_O|^2, W[g, O] the share of orbit O's pairs in outcome g (p1 here psi1's own
-    weight); pS_bell = |a_O|^2 at the C-even orbit O = {A,B}."""
+    pS_projection) reads. A fold state has one |amplitude| on all its pairs, so an
+    outcome's probability is W |a_O|^2, W[g, O] the share of state O's pairs in outcome
+    g (p1 here psi1's own weight); pS_bell = |a_O|^2 at the C-even state O of {A,B}."""
     n, r = g.n_vertices, g.roles
     outcome = _outcome(g, *_unordered_pairs(n))  # the row of p1, p2, p3 or pS_projection
     for parity in parities:
@@ -122,8 +123,8 @@ def _folds(g: Graph, readout: np.ndarray, parities):
 def _fold_state(g: Graph, a: np.ndarray, parity: int, label: np.ndarray, u: np.ndarray,
                 d: int) -> np.ndarray:
     """a's C part of that parity, (a_ij + parity a_ji)/sqrt2 over i < j, folded onto
-    the d orbits of `_folds`; a part whose fold loses norm (beyond NORM_TOL) is not
-    invariant under the role exchanges and is refused."""
+    the d states of `_folds`; a part whose fold loses norm (beyond NORM_TOL) lies off
+    the folds and is refused."""
     n = g.n_vertices
     if a.shape != (n * (n - 1),):
         raise ValueError("state and pair-space dimensions differ")
@@ -131,14 +132,14 @@ def _fold_state(g: Graph, a: np.ndarray, parity: int, label: np.ndarray, u: np.n
     part = np.sqrt(0.5) * (a[_pair_position(n, lo, hi)] + parity * a[_pair_position(n, hi, lo)])
     folded = np.bincount(label, u * part.real, d) + 1j * np.bincount(label, u * part.imag, d)
     if not abs(np.linalg.norm(folded) - np.linalg.norm(part)) <= NORM_TOL:
-        raise ValueError("state is not invariant under the role exchanges")
+        raise ValueError("state is not invariant on the fold's cells")
     return folded
 
 
 def _fold_scan(g: Graph, t_grid: np.ndarray, readout: np.ndarray, parities=(1, -1)):
     """psi -> readout @ (pS_bell, p1, p2, p3, pS_projection) of exp(-iHt) psi along
     t_grid, shape (m, T), on the `_folds` of the given parities: each is diagonalised
-    once, and only the orbits read are stepped (`dynamics._SpectralKernel`)."""
+    once, and only the states read are stepped (`dynamics._SpectralKernel`)."""
     blocks = [(parity, label, u, spectral_decompose(h), rows, w)
               for parity, h, label, u, rows, w in _folds(g, readout, parities)]
 
@@ -158,7 +159,7 @@ def _fold_kernel(g: Graph):
 
     Each fold is diagonalised once. A state's two C parts are folded by `_fold_state`,
     which refuses a state off the folds, and each evolves by a `dynamics._SpectralKernel`
-    on its fold: at a time, orbit O's amplitude a_O gives the C part u_p a_O of its every
+    on its fold: at a time, state O's amplitude a_O gives the C part u_p a_O of its every
     pair p = {i,j}, i < j, and the parts sum to a_ij and a_ji as psi's were split."""
     n = g.n_vertices
     lo, hi = _unordered_pairs(n)
@@ -187,11 +188,11 @@ def _fold_kernel(g: Graph):
 @lru_cache(maxsize=1)
 def _fold_sum(g: Graph):
     """Both `_folds` as one direct sum H, H v = sum over slots of vals * v[cols]: (cols,
-    vals), R, (parity, label, u, orbits) per fold and W. R is the Collatz-Wielandt bound
+    vals), R, (parity, label, u, states) per fold and W. R is the Collatz-Wielandt bound
     max_i (|H| v)_i / v_i >= rho(|H|) >= ||H|| at a v > 0 from powers of |H|: 7.7 on the
     seeded 36-site graph, whose ||H|| is 6.46 and largest absolute row sum 12."""
     parts, d = [], 0
-    for parity, h, label, u, _, w in _folds(g, np.eye(5), (1, -1)):  # every orbit is read
+    for parity, h, label, u, _, w in _folds(g, np.eye(5), (1, -1)):  # every state is read
         i, j = np.nonzero(h)
         parts.append((i + d, j + d, h[i, j], w, (parity, label, u, len(h))))
         d += len(h)
@@ -226,8 +227,8 @@ def outcome_curves(g: Graph, psi0: np.ndarray, t_grid) -> tuple[np.ndarray, ...]
     psi0's folded C parts are stepped together by `dynamics._chebyshev_spans` on
     `_fold_sum`, up to SCAN_MAX_WORK. The grid may be uneven; one exactly h * arange(T)
     is stepped in units of h. psi0's norm and every point's are checked, p1 is the
-    remainder as in `outcome_distribution`, and psi0 must be invariant under the role
-    exchanges, as every state the protocols prepare is."""
+    remainder as in `outcome_distribution`, and psi0 must lie on the folds, as every
+    state the protocols prepare does."""
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or not np.all(np.isfinite(t_grid)):
         raise ValueError("a time grid must be 1-D and finite")

@@ -139,7 +139,7 @@ class OracleComparison:
     #: sum_k |c_k(t)| max|T_k psi outside the sector|, worst over the grid
     max_sector_leakage: float
     #: max |a_{B,A}(t) - a_{A,B}(t)| of the reduced engine (Alice at A, Bob
-    #: at B); it stays at roundoff on graphs with the protocol automorphism
+    #: at B); at roundoff where |A,B> and |B,A> share a `dynamics._pair_cells` cell
     max_bell_asymmetry: float
 
 

@@ -18,7 +18,7 @@ with p_U = p_2 + p_3 the per-step reset probability. Every series reads one
 per-step table, `_padded`, where a chain that ended early pads as dead steps.
 
 Every strategy plans a step alike (`_step_chooser`): a `_grid_scan` of
-(p_S, p_U) on the C blocks folded by the role exchanges, read as `scan` reads
+(p_S, p_U) on the two folded C blocks, read as `scan` reads
 them (`measurement._fold_scan`), its score, then `dynamics.select_peak`.
 A planned step evolves on the full pair space's eigensystem, a fixed-interval
 one (`plan_regular`) on the two folds (`measurement._fold_kernel`).
@@ -129,8 +129,8 @@ def _step_curve(amp: np.ndarray) -> tuple[float, float]:
 
 
 def _grid_scan(g: Graph, strategy: Strategy, t_grid: np.ndarray):
-    """psi -> (p_S, p_U) along t_grid, read by `measurement._fold_scan` on the C blocks
-    folded by the role exchanges. p_S lies in the C-even block; peak-success, whose
+    """psi -> (p_S, p_U) along t_grid, read by `measurement._fold_scan` on the two
+    folded C blocks. p_S lies in the C-even block; peak-success, whose
     score reads p_S alone, scans that block only and gets p_U = 0."""
     if strategy is Strategy.PEAK_SUCCESS:
         return _fold_scan(g, t_grid, np.array([[1, 0, 0, 0, 0], [0, 0, 0, 0, 0]]), (1,))

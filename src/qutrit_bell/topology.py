@@ -14,7 +14,8 @@ Both families possess the reflection that fixes Alice's and Bob's sites
 while exchanging Charlie's two sites; this symmetry is what guarantees the
 two Bell-channel amplitudes stay equal during the evolution. Both also have
 the reflection that fixes Charlie's sites and exchanges Alice's with Bob's
-(the cross's arm swap, the loop's mirror through Charlie's sites).
+(the cross's arm swap, the loop's mirror through Charlie's sites). No
+automorphism is searched for: the dynamics fold by colour refinement.
 
 Vertices are 1-based throughout.
 """
@@ -70,19 +71,13 @@ class Graph:
             raise ValueError("graph is not connected")
 
 
-def _neighbours(g: Graph) -> list[set[int]]:
-    """Neighbour sets indexed by vertex (entry 0 unused)."""
+def _distances(g: Graph, source: int) -> list[int]:
+    """Edge counts from source by breadth-first search, indexed by vertex
+    (entry 0 unused); -1 marks a vertex source cannot reach."""
     nbrs: list[set[int]] = [set() for _ in range(g.n_vertices + 1)]
     for (u, v) in g.edges:
         nbrs[u].add(v)
         nbrs[v].add(u)
-    return nbrs
-
-
-def _distances(g: Graph, source: int) -> list[int]:
-    """Edge counts from source by breadth-first search, indexed by vertex
-    (entry 0 unused); -1 marks a vertex source cannot reach."""
-    nbrs = _neighbours(g)
     dist = [-1] * (g.n_vertices + 1)
     dist[source] = 0
     queue = [source]
@@ -154,57 +149,6 @@ def build_loop(n: int) -> Graph:
     edges = frozenset(_normalize(order[k], order[(k + 1) % n]) for k in range(n))
     roles = Roles(charlie_plus=n // 2, charlie_minus=n // 2 - 1, alice=n - 1, bob=n)
     return Graph(n_vertices=n, edges=edges, roles=roles)
-
-
-#: the role permutations that keep the sets {c+, c-} and {A, B}: position k of
-#: `Roles.as_tuple()` (c+, c-, A, B) moves to position perm[k]
-SWAP_CHARLIE, SWAP_ENDS, SWAP_BOTH = ROLE_SWAPS = (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2)
-
-
-def find_protocol_automorphism(g: Graph,
-                               role_perm: tuple[int, ...] = SWAP_CHARLIE) -> tuple[int, ...] | None:
-    """Search for a graph automorphism P that moves role k onto role role_perm[k];
-    by default the symmetry the protocol relies on, which exchanges Charlie's
-    two sites and fixes Alice's and Bob's.
-
-    P keeps each vertex's degree and permutes its distances to the four role
-    sites as it permutes the roles, so P(v) is drawn only from vertices with
-    v's colour so permuted (which pins the role sites). A backtracking search
-    on an explicit stack assigns vertices in breadth-first order from Alice;
-    each choice must map the edges to already-assigned neighbours onto edges,
-    which makes a complete bijection an automorphism. Returns the mapping,
-    mapping[v-1] the image of vertex v, or None: nonexistence is a valid
-    result, not an error.
-    """
-    n, roles = g.n_vertices, g.roles.as_tuple()
-    nbrs = _neighbours(g)
-    dist = [_distances(g, s) for s in roles]
-    by_colour: dict[tuple[int, ...], list[int]] = {}
-    for w in range(1, n + 1):
-        colour = (len(nbrs[w]), *(dist[k][w] for k in role_perm))
-        by_colour.setdefault(colour, []).append(w)
-    order = sorted(range(1, n + 1), key=dist[2].__getitem__)  # breadth-first from Alice
-    candidates = [by_colour.get((len(nbrs[v]), *(d[v] for d in dist)), []) for v in order]
-    image = [0] * (n + 1)
-    used = [False] * (n + 1)
-
-    def fits(v: int, w: int) -> bool:
-        return not used[w] and all(image[u] in nbrs[w] for u in nbrs[v] if image[u])
-
-    stack = [iter(candidates[0])]
-    while stack:
-        v = order[len(stack) - 1]
-        if image[v]:
-            used[image[v]], image[v] = False, 0
-        w = next((w for w in stack[-1] if fits(v, w)), 0)
-        if not w:
-            stack.pop()
-            continue
-        image[v], used[w] = w, True
-        if len(stack) == n:
-            return tuple(image[1:])
-        stack.append(iter(candidates[len(stack)]))
-    return None
 
 
 def path_distance(g: Graph, u: int, v: int) -> int:

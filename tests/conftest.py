@@ -5,12 +5,16 @@ from __future__ import annotations
 import contextlib
 import signal
 from functools import lru_cache
+from itertools import islice
 
 import networkx as nx
 
 from qutrit_bell import (Graph, Roles, assemble_hamiltonian, build_cross, build_loop,
                          find_peak, initial_state, spectral_decompose)
-from qutrit_bell.topology import SWAP_CHARLIE
+
+#: the role permutations that keep the sets {c+, c-} and {A, B}: position k of
+#: `Roles.as_tuple()` (c+, c-, A, B) moves to position perm[k]
+SWAP_CHARLIE, SWAP_ENDS, SWAP_BOTH = ROLE_SWAPS = (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2)
 
 
 @lru_cache(maxsize=None)
@@ -33,11 +37,11 @@ def random_graph_with_moved_roles():
                  Roles(3, 7, 1, 5))
 
 
-def vf2_protocol_automorphism(g: Graph, role_perm=SWAP_CHARLIE) -> tuple[int, ...] | None:
-    """Reference for `find_protocol_automorphism(g, role_perm)`: networkx's VF2 search
-    (Cordella et al., IEEE TPAMI 26, 1367 (2004)) from a role-coloured copy
-    of the graph to a copy where role role_perm[k] wears role k's colour, so
-    every match it returns moves role k onto role role_perm[k]."""
+def vf2_automorphisms(g: Graph, role_perm=SWAP_CHARLIE):
+    """Every automorphism that moves role k onto role role_perm[k], each as a tuple
+    mapping[v-1] = image of v: networkx's VF2 search (Cordella et al., IEEE TPAMI
+    26, 1367 (2004)) from a role-coloured copy of the graph to a copy where role
+    role_perm[k] wears role k's colour."""
     roles = g.roles.as_tuple()
     copies = []
     for colours in ({roles[k]: k for k in range(4)},
@@ -49,8 +53,45 @@ def vf2_protocol_automorphism(g: Graph, role_perm=SWAP_CHARLIE) -> tuple[int, ..
         copies.append(nxg)
     matcher = nx.algorithms.isomorphism.GraphMatcher(
         *copies, node_match=lambda a, b: a.get("role") == b.get("role"))
-    iso = next(matcher.isomorphisms_iter(), None)
-    return None if iso is None else tuple(iso[v] for v in range(1, g.n_vertices + 1))
+    for iso in matcher.isomorphisms_iter():
+        yield tuple(iso[v] for v in range(1, g.n_vertices + 1))
+
+
+def vf2_protocol_automorphism(g: Graph, role_perm=SWAP_CHARLIE) -> tuple[int, ...] | None:
+    """The first of `vf2_automorphisms(g, role_perm)`, or None."""
+    return next(vf2_automorphisms(g, role_perm), None)
+
+
+def pair_map(g: Graph, mapping, role_perm) -> dict:
+    """The ordered-pair permutation of a role automorphism: |i,j> -> |Pi,Pj>, then C
+    where P exchanges Charlie's sites, so that it keeps |c+,c->."""
+    n, swap = g.n_vertices, role_perm[0] != 0
+    image = {(i, j): (mapping[i - 1], mapping[j - 1])
+             for i in range(1, n + 1) for j in range(1, n + 1) if i != j}
+    return {p: q[::-1] if swap else q for p, q in image.items()}
+
+
+def vf2_orbit_fold_sizes(g: Graph, limit: int | None = None) -> tuple[int, int]:
+    """(C-even, C-odd) fold sizes on the ordered-pair orbits of the automorphisms VF2
+    finds for the identity and each of ROLE_SWAPS (at most `limit` each: then a
+    subgroup, whose orbits are never coarser): one C-even state per orbit pair
+    {X, CX}, one C-odd state per X != CX. The reference the colour-refinement folds
+    are never larger than."""
+    n = g.n_vertices
+    parent = {(i, j): (i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j}
+
+    def root(p):
+        while parent[p] != p:
+            p = parent[p]
+        return p
+
+    for role_perm in ((0, 1, 2, 3), *ROLE_SWAPS):
+        for mapping in islice(vf2_automorphisms(g, role_perm), limit):
+            for p, q in pair_map(g, mapping, role_perm).items():
+                parent[root(p)] = root(q)
+    orbits = {root(p) for p in parent}
+    conjugate = sum(root((j, i)) == (i, j) for i, j in orbits)  # orbits X = CX
+    return (len(orbits) + conjugate) // 2, (len(orbits) - conjugate) // 2
 
 
 @contextlib.contextmanager

@@ -452,13 +452,25 @@ class TestVerify:
     @pytest.mark.parametrize("name,has_row", [("no-role-exchange.txt", False),
                                               ("cross5.txt", True)])
     def test_bell_asymmetry_row_only_under_the_symmetry(self, name, has_row, capsys):
-        # the Bell amplitudes are equal only where an automorphism exchanges c+ and c-
+        # the row is checked where |A,B> and |B,A> share a cell of the fold, so that
+        # the two Bell amplitudes are equal
         code, out, _ = run_cli(["verify", "--topology", "custom", "--topology-file",
                                 str(DATA / name), "--no-timestamp"], capsys)
         assert code == 0
         names = [r[0] for r in parse_csv(out)[1]]
         assert any(r.endswith("_bell_amplitude_asymmetry") for r in names) == has_row
         assert "su3_algebra_max_violation" in names
+
+    def test_bell_asymmetry_row_under_an_alice_bob_reflection(self, tmp_path, capsys):
+        # Charlie's sites 1 and 2 differ in degree; the reflection 3 <-> 4 fixes
+        # them and exchanges Alice's and Bob's, which puts |A,B> and |B,A> in one cell
+        path = tmp_path / "ends-only.txt"
+        path.write_text("5\n1 2 3 4\n1 2\n2 5\n3 5\n4 5\n")
+        code, out, _ = run_cli(["verify", "--topology", "custom", "--topology-file",
+                                str(path), "--no-timestamp"], capsys)
+        assert code == 0
+        rows = {r[0]: r for r in parse_csv(out)[1]}
+        assert rows["N5_bell_amplitude_asymmetry"][-1] == "pass"
 
 
 class TestSizeGuard:
@@ -473,8 +485,8 @@ class TestSizeGuard:
     def test_peaks_guard_sizes_the_c_even_block(self, monkeypatch, capsys):
         # physical memory between the loop-8 C-even block (d = 28) and the full
         # pair space (d = 56): peaks diagonalises the block and runs, scan
-        # its two C blocks and runs, protocol2 needs the full eigensystem and
-        # is refused
+        # its two C blocks and runs, protocol2 --tau its two folds and runs;
+        # planned protocol2 needs the full eigensystem and is refused
         block, full = (cli.EIGENSYSTEM_ARRAYS * 8 * d * d for d in (28, 56))
         pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": (block + full) // 2}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
@@ -486,6 +498,10 @@ class TestSizeGuard:
                                   "--t-max", "1"], capsys)
         assert code == 2 and out == ""
         assert "N=8: the dense eigensystem (d = 56)" in err
+        # --tau diagonalises only the two folds, each at most the C-even block's size
+        code, out, err = run_cli(["protocol2", "--topology", "loop", "--n", "8",
+                                  "--tau", "1"], capsys)
+        assert code == 0 and out.count("\n") > 1 and err == ""
 
     @pytest.mark.parametrize("argv", GRID_REFUSALS)
     def test_time_grid_beyond_physical_memory_is_exit_2(self, argv, capsys):
@@ -771,7 +787,7 @@ class TestOutputHandling:
 
 class TestRuntimeImports:
     #: one command of each kind, on the folds without a role exchange (scan, protocol2)
-    #: and with signed and dropped orbits (cross-5 as a custom file)
+    #: and with signed and dropped states (cross-5 as a custom file)
     NETWORKX_FREE = [
         ["scan", "--topology", "loop", "--n", "8", "--t-max", "5"],
         ["scan", "--topology", "custom", "--topology-file", str(DATA / "no-role-exchange.txt"),

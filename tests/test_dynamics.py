@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import peak, prepared, random_graph_with_moved_roles, time_budget
+from conftest import (peak, prepared, random_graph_with_moved_roles, time_budget,
+                      vf2_protocol_automorphism)
 from qutrit_bell import (Graph, Roles, assemble_hamiltonian,
                          build_cross, build_loop, dynamics, evolve, one_shot_peak,
-                         find_protocol_automorphism, find_peak, initial_state,
+                         find_peak, initial_state,
                          outcome_distribution, spectral_decompose)
 from qutrit_bell.dynamics import (CANDIDATE_TOL, DEFAULT_GRID_STEP, GRID_END_SLACK,
                                   PEAK_WINDOW_FACTOR, PHASE_BLOCK,
@@ -121,7 +122,7 @@ class TestHamiltonian:
         for family, n in (("cross", 5), ("cross", 9), ("loop", 8)):
             g, _, _ = prepared(family, n)
             m = assemble_hamiltonian(g)
-            perm = find_protocol_automorphism(g)
+            perm = vf2_protocol_automorphism(g)
             p = np.zeros_like(m)
             for k, (i, j) in enumerate(sorted_pairs(n)):
                 p[pair_index(n, perm[i - 1], perm[j - 1]), k] = 1.0
@@ -417,7 +418,7 @@ class TestScanAndPeaks:
         assert built == [2]  # |B,A> and |A,B>
         built.clear()
         one_shot_peak(g)
-        assert built == [1]  # the {A,B} orbit of the folded C-even block
+        assert built == [1]  # the {A,B} state of the folded C-even block
 
     def test_loop36_peak_window_scan_within_budget(self):
         # 23,041 points at d = 1260, 2 cores: 1.1-1.4 s with a sin and a cos

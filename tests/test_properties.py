@@ -6,10 +6,12 @@ fixes Alice's and Bob's and pairs some of the other sites at random. The
 rest are plain random graphs, which rarely have it.
 
 The C-even block of the one-shot peak is checked on the same graphs and on
-the 25 systems of the protocol-1 tables; both C blocks folded by the role
-exchanges, the states they hold and the outcome curves that `scan` and the
-planner read from them, on the same graphs. The last property fuzzes the
-CLI's numeric flags on loop-4 and cross-5.
+the 25 systems of the protocol-1 tables; both C blocks folded onto the cells
+of the pair space's coarsest equitable partition, the states they hold and the
+outcome curves that `scan` and the planner read from them, on the same graphs
+and on graphs with a symmetry that fixes every role. networkx's VF2 is the
+reference the folds are checked against: never larger than its orbit folds.
+The last property fuzzes the CLI's numeric flags on loop-4 and cross-5.
 """
 
 import io
@@ -17,7 +19,7 @@ import math
 from contextlib import redirect_stderr, redirect_stdout, suppress
 from dataclasses import fields
 from functools import partial
-from itertools import combinations, islice, permutations
+from itertools import combinations, islice
 from pathlib import Path
 from unittest.mock import patch
 
@@ -26,21 +28,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import peak, time_budget
+from conftest import (ROLE_SWAPS, SWAP_CHARLIE, SWAP_ENDS, pair_map, peak, time_budget,
+                      vf2_orbit_fold_sizes, vf2_protocol_automorphism)
 from qutrit_bell import (Graph, Roles, assemble_hamiltonian, build_cross, build_loop,
-                         dynamics, evolve, find_peak, find_protocol_automorphism,
-                         initial_state, one_shot_peak, outcome_distribution, plan_regular,
-                         protocol1_cumulative, protocol1_required, spectral_decompose)
+                         dynamics, evolve, find_peak, initial_state, one_shot_peak,
+                         outcome_distribution, plan_regular, protocol1_cumulative,
+                         protocol1_required, spectral_decompose)
 from qutrit_bell.cli import _load_topology_file, main
 from qutrit_bell.dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, PHASE_BLOCK,
-                                  _index_groups, _pairs, _role_fold,
-                                  _SpectralKernel, _unordered_position, pair_index)
+                                  _index_groups, _pair_cells, _pair_position, _pairs,
+                                  _role_fold, _SpectralKernel, _unordered_position, pair_index)
 from qutrit_bell.measurement import (ZERO_PROB, Outcome, OutcomeDistribution, outcome_curves,
                                      post_state)
-from qutrit_bell.oracle import full_evolve_compare
+from qutrit_bell.oracle import full_evolve_compare, sector_restriction
 from qutrit_bell.protocols import (PLAN_WINDOW_FACTOR, Strategy, _grid_scan, _protocol2_steps,
                                    _step_chooser)
-from qutrit_bell.topology import ROLE_SWAPS, SWAP_CHARLIE, SWAP_ENDS
 from test_acceptance import (QUANTILES, REPEAT_RESET_COLUMNS, TABLE_CROSS_COUNTS,
                              TABLE_LOOP_COUNTS, _count_marks, _repeat_marks)
 
@@ -85,44 +87,6 @@ def protocol_graphs(draw, symmetric=None, max_sites=7, swaps=(SWAP_CHARLIE,)):
     return Graph(n, edges, Roles(c_plus, c_minus, alice, bob)), symmetric
 
 
-def is_protocol_automorphism(g, perm):
-    r = g.roles
-    return ({(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in g.edges}
-            == set(g.edges)
-            and (perm[r.charlie_plus], perm[r.charlie_minus]) == (r.charlie_minus,
-                                                                  r.charlie_plus)
-            and perm[r.alice] == r.alice and perm[r.bob] == r.bob)
-
-
-def brute_force_automorphisms(g):
-    """Every vertex map that exchanges Charlie's sites, fixes Alice's and Bob's
-    and is a graph automorphism, by trying all maps of the other sites."""
-    r = g.roles
-    others = [v for v in range(1, g.n_vertices + 1) if v not in r.as_tuple()]
-    found = []
-    for image in permutations(others):
-        perm = dict(zip(others, image))
-        perm.update({r.charlie_plus: r.charlie_minus, r.charlie_minus: r.charlie_plus,
-                     r.alice: r.alice, r.bob: r.bob})
-        if is_protocol_automorphism(g, perm):
-            found.append(perm)
-    return found
-
-
-@given(protocol_graphs())
-@settings(max_examples=100, deadline=None)
-def test_automorphism_search_agrees_with_brute_force(drawn):
-    g, symmetric = drawn
-    mapping = find_protocol_automorphism(g)
-    assert (mapping is not None) == bool(brute_force_automorphisms(g))
-    if symmetric:
-        assert mapping is not None
-    if mapping is not None:
-        perm = {v: mapping[v - 1] for v in range(1, g.n_vertices + 1)}
-        assert sorted(perm.values()) == list(range(1, g.n_vertices + 1))
-        assert is_protocol_automorphism(g, perm)
-
-
 @given(protocol_graphs(symmetric=True))
 @settings(max_examples=30, deadline=None)
 def test_bell_amplitudes_equal_and_match_the_oracle_under_the_symmetry(drawn):
@@ -133,13 +97,16 @@ def test_bell_amplitudes_equal_and_match_the_oracle_under_the_symmetry(drawn):
 
 
 #: random graphs, half of them closed under an exchange of Charlie's sites and one of
-#: Alice's and Bob's: graphs with a trivial fold, and folds with signed and dropped orbits
+#: Alice's and Bob's: graphs with a trivial fold, and folds with signed and dropped states
 ANY_OR_BOTH_SWAPS = st.one_of(protocol_graphs(),
                               protocol_graphs(symmetric=True, swaps=(SWAP_CHARLIE, SWAP_ENDS)))
+#: graphs closed under an involution that fixes every role and pairs other sites: a
+#: symmetry that moves no role, which the cells fold too
+ROLE_FIXING = protocol_graphs(symmetric=True, swaps=((0, 1, 2, 3),))
 
 
 def fold_isometry(g, parity):
-    """S for `_role_fold(g, parity)` on the ordered pairs: column O is the orbit state
+    """S for `_role_fold(g, parity)` on the ordered pairs: column O is the fold state
     sum_p u_p (|i,j> + parity |j,i>)/sqrt2, from the fold's own signed indicator."""
     _, label, u = _role_fold(g, parity)
     b = np.zeros((label.size, label.max() + 1))
@@ -149,6 +116,58 @@ def fold_isometry(g, parity):
 
 def both_folds_isometry(g):
     return np.hstack([fold_isometry(g, parity) for parity in (1, -1)])
+
+
+def fold_sizes(g):
+    return tuple(_role_fold(g, parity)[0].shape[0] for parity in (1, -1))
+
+
+@given(st.one_of(ANY_OR_BOTH_SWAPS, ROLE_FIXING))
+@settings(max_examples=60, deadline=None)
+def test_folds_are_invariant_subspaces_of_the_oracle_restriction(drawn):
+    # R, the 3^N Hamiltonian restricted to the pair sector (independent of the
+    # reduced engine), keeps the span of each fold: R S = S (S^T R S); and C maps
+    # each cell onto one cell
+    g, _ = drawn
+    r = sector_restriction(g)
+    for parity in (1, -1):
+        s = fold_isometry(g, parity)
+        assert np.max(np.abs(r @ s - s @ (s.T @ r @ s))) <= 1e-12
+    plus, minus = _pairs(g.n_vertices)
+    cells = _pair_cells(g)
+    images = cells[_pair_position(g.n_vertices, minus, plus)]
+    assert len(set(zip(cells, images))) == cells.max() + 1
+
+
+@given(st.one_of(ANY_OR_BOTH_SWAPS, ROLE_FIXING))
+@settings(max_examples=60, deadline=None)
+def test_folds_are_never_larger_than_the_vf2_orbit_fold(drawn):
+    g, _ = drawn
+    (even, odd), (orbit_even, orbit_odd) = fold_sizes(g), vf2_orbit_fold_sizes(g)
+    assert even <= orbit_even and odd <= orbit_odd
+
+
+#: two leaves, 6 and 7, on the non-role site 5 of the path 1-2-3-5-4; Charlie's
+#: sites differ in degree, and so do Alice's and Bob's
+TWO_LEAVES = Graph(7, frozenset({(1, 2), (2, 3), (3, 5), (4, 5), (5, 6), (5, 7)}),
+                   Roles(1, 2, 3, 4))
+
+
+def test_a_role_fixing_leaf_swap_folds_below_the_c_blocks():
+    g = TWO_LEAVES
+    assert all(vf2_protocol_automorphism(g, swap) is None for swap in ROLE_SWAPS)
+    even, odd = fold_sizes(g)
+    assert even < 21 and odd < 21  # N(N-1)/2: the C blocks unfolded
+    assert (even, odd) == vf2_orbit_fold_sizes(g)
+    e, psi0 = spectral_decompose(assemble_hamiltonian(g)), initial_state(g)
+    grid = 0.37 * np.arange(200)
+    curves = np.array(outcome_curves(g, psi0, grid))
+    for k, t in enumerate(grid):
+        d = outcome_distribution(evolve(e, psi0, float(t)), g)
+        want = (d.pS_bell, d.p1, d.p2, d.p3, d.pS_projection)
+        assert np.max(np.abs(curves[:, k] - want)) <= 1e-12
+    t_star, p_star = one_shot_peak(g)
+    assert abs(outcome_distribution(evolve(e, psi0, t_star), g).pS_bell - p_star) <= 1e-12
 
 
 @given(ANY_OR_BOTH_SWAPS, st.floats(0.0, 50.0))
@@ -234,18 +253,17 @@ def c_isometry_unscaled(n, parity):
 
 
 def role_exchanges(g):
-    """The ordered-pair permutation U of each role exchange P the graph has:
-    |i,j> -> |Pi,Pj>, then C where P exchanges Charlie's sites."""
-    n, r = g.n_vertices, g.roles
+    """The ordered-pair permutation U of one role exchange P per role permutation, as
+    VF2 finds it: |i,j> -> |Pi,Pj>, then C where P exchanges Charlie's sites."""
+    n = g.n_vertices
     plus, minus = _pairs(n)
     exchanges = []
-    for mapping in (find_protocol_automorphism(g, swap) for swap in ROLE_SWAPS):
+    for swap in ROLE_SWAPS:
+        mapping = vf2_protocol_automorphism(g, swap)
         if mapping is not None:
-            p = np.array((0, *mapping))
-            i, j = ((p[minus], p[plus]) if p[r.charlie_plus] == r.charlie_minus
-                    else (p[plus], p[minus]))
             u = np.zeros((plus.size, plus.size))
-            u[[pair_index(n, k, l) for k, l in zip(i, j)], np.arange(plus.size)] = 1.0
+            for (i, j), (k, m) in pair_map(g, mapping, swap).items():
+                u[pair_index(n, k, m), pair_index(n, i, j)] = 1.0
             exchanges.append(u)
     return exchanges
 
@@ -253,8 +271,8 @@ def role_exchanges(g):
 def assert_fold_is_the_projected_hamiltonian(g, parity):
     """`_role_fold(g, parity)` is exactly symmetric and is B^T H_parity B, H_parity =
     D^T H D formed here from the full H, for its signed indicator B, whose columns are
-    orthonormal, invariant under every role exchange and span every invariant state
-    of the block. With no exchange it is H_parity to the bit."""
+    orthonormal and invariant under every role exchange, so they span no more than
+    the block's invariant states. Unfolded, it is H_parity to the bit."""
     h = assemble_hamiltonian(g)
     d = c_isometry_unscaled(g.n_vertices, parity)
     # D = d / sqrt2, d of +-1 entries: the two 1/sqrt2 make an exact 1/2
@@ -268,9 +286,9 @@ def assert_fold_is_the_projected_hamiltonian(g, parity):
     for ex in exchanges:
         assert np.max(np.abs(ex @ d @ b - d @ b)) <= 1e-14
     if exchanges:
-        assert m.shape[0] == label.size - np.linalg.matrix_rank(np.vstack([ex @ d - d
+        assert m.shape[0] <= label.size - np.linalg.matrix_rank(np.vstack([ex @ d - d
                                                                            for ex in exchanges]))
-    else:
+    if m.shape == h_block.shape:
         assert np.array_equal(m, h_block)
     assert np.max(np.abs(m - b.T @ h_block @ b)) <= 1e-14
 
@@ -333,7 +351,7 @@ def test_c_blocks_evolve_any_state_as_the_full_space_does(drawn, seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=n * (n - 1)) + 1j * rng.normal(size=n * (n - 1))
     iso = both_folds_isometry(g)
-    a = iso @ (iso.T @ a)  # a random state the role exchanges keep
+    a = iso @ (iso.T @ a)  # a random state on the folds
     psi0 = a / np.linalg.norm(a)
     grid = 0.37 * np.arange(258)  # up to t = 95: many Chebyshev spans, R |t - t0| <= 32 each
     e = spectral_decompose(assemble_hamiltonian(g))
@@ -377,7 +395,7 @@ def test_regular_schedule_on_the_folds_is_the_full_space_chain(drawn, tau, n_max
 
 def test_regular_schedule_without_a_role_exchange_is_the_full_space_chain():
     g = Graph(*_load_topology_file(str(DATA / "no-role-exchange.txt")))
-    assert all(find_protocol_automorphism(g, swap) is None for swap in ROLE_SWAPS)
+    assert all(vf2_protocol_automorphism(g, swap) is None for swap in ROLE_SWAPS)
     for tau in (0.7, 2.5, 9.1):
         assert_regular_schedule_is_the_full_space_chain(g, tau, 10)
 
@@ -395,12 +413,12 @@ def test_outcome_curves_refuse_a_state_the_folds_cannot_hold(drawn, seed):
 
 
 def pair_orbits(g):
-    """The orbits of the unordered pairs {i,j}, i < j, under the role
-    exchanges the graph has, as sets of lexicographic positions, by a
-    breadth-first closure of each pair under the searched mappings."""
+    """The orbits of the unordered pairs {i,j}, i < j, under one role exchange per
+    role permutation, as VF2 finds them, as sets of lexicographic positions, by a
+    breadth-first closure of each pair under the mappings."""
     pairs = list(combinations(range(1, g.n_vertices + 1), 2))
     where = {pair: k for k, pair in enumerate(pairs)}
-    maps = [m for m in (find_protocol_automorphism(g, swap) for swap in ROLE_SWAPS)
+    maps = [m for m in (vf2_protocol_automorphism(g, swap) for swap in ROLE_SWAPS)
             if m is not None]
     orbits, seen = [], set()
     for k in range(len(pairs)):
@@ -418,14 +436,19 @@ def pair_orbits(g):
     return orbits
 
 
-def assert_role_block_is_the_folded_c_even_block(g):
+def assert_role_block_is_the_folded_c_even_block(g, on_the_orbits=False):
+    """The C-even fold is B^T H+ B on its own states, each a union of the role
+    exchanges' pair orbits (exactly those orbits if on_the_orbits)."""
     b = c_isometry_unscaled(g.n_vertices, 1)
     h_plus = 0.5 * (b.T @ assemble_hamiltonian(g) @ b)  # exact, as above
     fold, label, _ = _role_fold(g, 1)
     assert np.array_equal(fold, fold.T)
+    states = [set(np.flatnonzero(label == o)) for o in range(fold.shape[0])]
     orbits = pair_orbits(g)
-    assert sorted(orbits, key=min) == [set(np.flatnonzero(label == o)) for o in range(len(orbits))]
-    b = np.zeros((h_plus.shape[0], len(orbits)))  # the orbit isometry, unscaled
+    assert all(len({label[k] for k in orbit}) == 1 for orbit in orbits)
+    if on_the_orbits:
+        assert sorted(orbits, key=min) == states
+    b = np.zeros((h_plus.shape[0], len(states)))  # the fold's isometry, unscaled
     b[np.arange(label.size), label] = 1.0
     s = 1.0 / np.sqrt(b.sum(axis=0))
     # B^T H+ B with B = b diag(s): integer sums, then one exact scaling each
@@ -437,12 +460,12 @@ def assert_role_block_is_the_folded_c_even_block(g):
     return fold, h_plus
 
 
-@given(ANY_OR_BOTH_SWAPS)
+@given(st.one_of(ANY_OR_BOTH_SWAPS, ROLE_FIXING))
 @settings(max_examples=100, deadline=None)
 def test_role_block_is_the_c_even_block_on_pair_orbits(drawn):
     g, _ = drawn
     fold, h_plus = assert_role_block_is_the_folded_c_even_block(g)
-    if fold.shape == h_plus.shape:  # no role exchange: no fold, to the bit
+    if fold.shape == h_plus.shape:  # nothing folds: the block, to the bit
         assert np.array_equal(fold, h_plus)
 
 
@@ -454,7 +477,7 @@ def test_role_block_of_the_built_in_families(family, n, dim):
     # the cross P = (1 2) fixes C(N-2, 2) + 1 pairs, Q (the arm swap) 3 + (N-3)/2
     # and PQ (N-1)/2. loop-36: (630 + 3*18)/4; cross-35: (595 + 529 + 19 + 17)/4.
     g = build_cross(n) if family == "cross" else build_loop(n)
-    fold, _ = assert_role_block_is_the_folded_c_even_block(g)
+    fold, _ = assert_role_block_is_the_folded_c_even_block(g, on_the_orbits=True)
     assert fold.shape == (dim, dim)
 
 
@@ -479,12 +502,23 @@ def test_planner_fold_of_the_built_in_families(family, n, dim):
 
 
 def test_role_block_without_a_role_exchange_is_the_c_even_block():
-    from test_topology import named_graph  # the seeded 36-site graph of `scan`
-    g = named_graph("random-36")
-    assert all(find_protocol_automorphism(g, swap) is None for swap in ROLE_SWAPS)
+    # no automorphism of the 7-site graph moves a role or fixes them all: no fold
+    g = Graph(*_load_topology_file(str(DATA / "no-role-exchange.txt")))
+    assert vf2_orbit_fold_sizes(g) == (21, 21)
     b = c_isometry_unscaled(g.n_vertices, 1)
     assert np.array_equal(_role_fold(g, 1)[0],
                           0.5 * (b.T @ assemble_hamiltonian(g) @ b))
+
+
+def test_folds_of_the_seeded_36_site_graph_are_invariant():
+    # the graph of `scan`'s second op: no role exchange, two role-fixing leaf swaps
+    from test_topology import named_graph
+    g = named_graph("random-36")
+    assert fold_sizes(g) == (563, 561)
+    h = assemble_hamiltonian(g)
+    for parity in (1, -1):
+        s = fold_isometry(g, parity)
+        assert np.max(np.abs(h @ s - s @ (s.T @ h @ s))) <= 1e-12
 
 
 def assert_block_peak_matches_find_peak(block, full, refine_tol=DEFAULT_REFINE_TOL):

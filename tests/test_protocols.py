@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import peak, prepared, random_graph_with_moved_roles
+from conftest import (ROLE_SWAPS, peak, prepared, random_graph_with_moved_roles,
+                      vf2_protocol_automorphism)
 from qutrit_bell import (Outcome, Strategy, assemble_hamiltonian, enumerate_outcome_tree,
                          monte_carlo, one_shot_peak, outcome_distribution, plan_protocol2,
                          plan_regular, post_state, protocol1_cumulative, protocol1_required,
@@ -23,7 +24,6 @@ from qutrit_bell.dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, PHASE_B
                                   _time_grid, find_peak, pair_index)
 from qutrit_bell.protocols import (ScheduleStep, _grid_scan, _protocol2_steps, _step_chooser,
                                    _step_curve)
-from qutrit_bell.topology import ROLE_SWAPS, find_protocol_automorphism
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -321,7 +321,7 @@ class TestMirrorRows:
 
     def test_graph_without_the_symmetry_scans_every_row(self, built):
         g = random_graph_with_moved_roles()
-        assert all(find_protocol_automorphism(g, swap) is None for swap in ROLE_SWAPS)
+        assert all(vf2_protocol_automorphism(g, swap) is None for swap in ROLE_SWAPS)
         e = spectral_decompose(assemble_hamiltonian(g))
         every = 2 + len(_index_groups(g)["g2"]) + len(_index_groups(g)["g3"])
         plan_protocol2(g, e, Strategy.MAX_MARGIN, n_max=1)
@@ -394,20 +394,15 @@ class TestOnePlannerStep:
             assert objective >= score.max() - TIE_TOL
 
     @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
-    def test_automorphism_searched_at_most_once_per_plan(self, strategy, monkeypatch):
+    def test_cells_refined_once_per_plan(self, strategy):
         g, e, _ = prepared("loop", 8)
-        calls = []
-
-        def counting(graph, role_perm):
-            calls.append(role_perm)
-            return find_protocol_automorphism(graph, role_perm)
-
-        monkeypatch.setattr(dynamics, "find_protocol_automorphism", counting)
+        dynamics._pair_cells.cache_clear()
         plan_protocol2(g, e, strategy, n_max=4)
-        # each role swap once per C block the grid scan folds, not once per step:
+        # one refinement, read by each C block the grid scan folds, not once per step:
         # the C-even block for peak-success, both blocks for the others
         folds = 1 if strategy is Strategy.PEAK_SUCCESS else 2
-        assert sorted(calls) == sorted(ROLE_SWAPS * folds)
+        info = dynamics._pair_cells.cache_info()
+        assert (info.misses, info.hits) == (1, folds - 1)
 
 
 class TestRegularSchedule:

@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import permutations, product
 
 import networkx as nx
 import pytest
@@ -7,11 +7,11 @@ from hypothesis import given, settings
 
 from hypothesis import strategies as st
 
-from conftest import vf2_protocol_automorphism
-from qutrit_bell import (Graph, Roles, build_cross, build_loop,
-                         find_protocol_automorphism, path_distance)
-from qutrit_bell.topology import ROLE_SWAPS, SWAP_CHARLIE, SWAP_ENDS
-from test_properties import brute_force_automorphisms, protocol_graphs
+from conftest import (ROLE_SWAPS, SWAP_CHARLIE, SWAP_ENDS, pair_map, vf2_orbit_fold_sizes,
+                      vf2_protocol_automorphism)
+from qutrit_bell import Graph, Roles, build_cross, build_loop, path_distance
+from qutrit_bell.dynamics import _pair_cells, pair_index
+from test_properties import fold_sizes, protocol_graphs
 
 
 def edges_of(g):
@@ -95,39 +95,85 @@ class TestGraphValidation:
             Graph(4, frozenset({(1, 2), (2, 3), (3, 4)}), Roles(1, 1, 3, 4))
 
 
+def is_protocol_automorphism(g, perm):
+    r = g.roles
+    return ({(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in g.edges}
+            == set(g.edges)
+            and (perm[r.charlie_plus], perm[r.charlie_minus]) == (r.charlie_minus,
+                                                                  r.charlie_plus)
+            and perm[r.alice] == r.alice and perm[r.bob] == r.bob)
+
+
+def brute_force_automorphisms(g):
+    """Every vertex map that exchanges Charlie's sites, fixes Alice's and Bob's
+    and is a graph automorphism, by trying all maps of the other sites."""
+    r = g.roles
+    others = [v for v in range(1, g.n_vertices + 1) if v not in r.as_tuple()]
+    found = []
+    for image in permutations(others):
+        perm = dict(zip(others, image))
+        perm.update({r.charlie_plus: r.charlie_minus, r.charlie_minus: r.charlie_plus,
+                     r.alice: r.alice, r.bob: r.bob})
+        if is_protocol_automorphism(g, perm):
+            found.append(perm)
+    return found
+
+
+def bell_pairs_share_a_cell(g):
+    n, r = g.n_vertices, g.roles
+    cells = _pair_cells(g)
+    return cells[pair_index(n, r.alice, r.bob)] == cells[pair_index(n, r.bob, r.alice)]
+
+
 class TestProtocolAutomorphism:
+    """The role exchanges that networkx's VF2 finds, against the cells of
+    `dynamics._pair_cells`: each exchange maps every cell onto itself, so a fold is
+    never larger than the fold on the exchanges' orbits."""
+
     def test_cross_families(self):
         for n in (5, 7, 9, 13):
             g = build_cross(n)
-            mapping = find_protocol_automorphism(g)
+            mapping = vf2_protocol_automorphism(g)
             assert mapping is not None
             self._check_mapping(g, mapping)
+            assert bell_pairs_share_a_cell(g)
+            assert fold_sizes(g) == vf2_orbit_fold_sizes(g)
 
     def test_loop_families(self):
         for n in (4, 8, 12, 16):
             g = build_loop(n)
-            mapping = find_protocol_automorphism(g)
+            mapping = vf2_protocol_automorphism(g)
             assert mapping is not None
             self._check_mapping(g, mapping)
+            assert bell_pairs_share_a_cell(g)
+            assert fold_sizes(g) == vf2_orbit_fold_sizes(g)
 
     @staticmethod
     def _check_mapping(g, mapping, swap=SWAP_CHARLIE):
+        """mapping is an automorphism moving role k onto role swap[k], and its
+        ordered-pair map keeps every cell."""
         perm = {v: mapping[v - 1] for v in range(1, g.n_vertices + 1)}
         assert sorted(perm.values()) == list(range(1, g.n_vertices + 1))
         mapped = {tuple(sorted((perm[u], perm[v]))) for (u, v) in g.edges}
         assert mapped == set(g.edges)
         roles = g.roles.as_tuple()
         assert [perm[roles[k]] for k in range(4)] == [roles[k] for k in swap]
+        n, cells = g.n_vertices, _pair_cells(g)
+        for (i, j), (k, m) in pair_map(g, mapping, swap).items():
+            assert cells[pair_index(n, i, j)] == cells[pair_index(n, k, m)]
 
     def test_cross5_swaps_only_the_stubs(self):
-        mapping = find_protocol_automorphism(build_cross(5))
+        g = build_cross(5)
+        mapping = vf2_protocol_automorphism(g)
         assert mapping == (2, 1, 3, 4, 5)
+        self._check_mapping(g, mapping)
 
     def test_asymmetric_graph_has_none(self):
-        # a lopsided tree: nothing can exchange charlie's sites
+        # a lopsided path: nothing can exchange charlie's sites, and nothing folds
         g = Graph(5, frozenset({(1, 2), (2, 3), (3, 4), (4, 5)}), Roles(1, 3, 4, 5))
-        mapping = find_protocol_automorphism(g)
-        assert mapping is None
+        assert all(vf2_protocol_automorphism(g, swap) is None for swap in ROLE_SWAPS)
+        assert not bell_pairs_share_a_cell(g)
+        assert fold_sizes(g) == vf2_orbit_fold_sizes(g) == (10, 10)
 
     def test_custom_symmetric_graph_found_by_generic_search(self):
         # 6-cycle with charlie's sites mirror-placed about the alice-bob axis,
@@ -135,18 +181,10 @@ class TestProtocolAutomorphism:
         ring = {(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)}
         g = Graph(6, frozenset(ring), Roles(charlie_plus=1, charlie_minus=3,
                                             alice=2, bob=5))
-        mapping = find_protocol_automorphism(g)
+        mapping = vf2_protocol_automorphism(g)
         assert mapping is not None
         self._check_mapping(g, mapping)
-
-    def test_backtracks_past_a_first_choice_that_fails(self):
-        # 6 and 8 share every role colour, so 6 is first tried on itself;
-        # 2 then finds no image, and only P = (1 7)(2 3)(6 8) works
-        g = Graph(8, frozenset({(1, 2), (1, 5), (1, 7), (2, 8), (3, 6), (3, 7), (4, 5),
-                                (5, 6), (5, 7), (5, 8)}), Roles(1, 7, 5, 4))
-        mapping = find_protocol_automorphism(g)
-        assert mapping == (7, 3, 2, 4, 5, 8, 1, 6)
-        self._check_mapping(g, mapping)
+        assert bell_pairs_share_a_cell(g)
 
     @given(st.sampled_from([(swap,) for swap in ROLE_SWAPS] + [(SWAP_CHARLIE, SWAP_ENDS)])
            .flatmap(lambda swaps: st.tuples(st.just(swaps),
@@ -156,35 +194,50 @@ class TestProtocolAutomorphism:
         # graphs closed under P, Q, PQ or both P and Q; each searched for all three
         built, (g, symmetric) = drawn
         for swap in ROLE_SWAPS:
-            mapping = find_protocol_automorphism(g, swap)
-            assert (mapping is None) == (vf2_protocol_automorphism(g, swap) is None)
+            mapping = vf2_protocol_automorphism(g, swap)
             if symmetric and (swap in built or len(built) == 2):
                 assert mapping is not None
             if mapping is not None:
                 self._check_mapping(g, mapping, swap)
+        even, odd = fold_sizes(g)
+        reference = vf2_orbit_fold_sizes(g, limit=24)
+        assert even <= reference[0] and odd <= reference[1]
 
     @pytest.mark.parametrize("name", ["K12", "Q5", "rook-6x6", "random-36"])
     def test_agrees_with_vf2_on_named_graphs(self, name):
         g = named_graph(name)
         for swap in ROLE_SWAPS:
-            mapping = find_protocol_automorphism(g, swap)
-            assert (mapping is None) == (vf2_protocol_automorphism(g, swap) is None)
+            mapping = vf2_protocol_automorphism(g, swap)
             if mapping is not None:
                 self._check_mapping(g, mapping, swap)
-        assert (find_protocol_automorphism(g) is not None) == (name != "random-36")
+        symmetric = vf2_protocol_automorphism(g) is not None
+        assert symmetric == (name != "random-36") == bell_pairs_share_a_cell(g)
+        even, odd = fold_sizes(g)
+        reference = vf2_orbit_fold_sizes(g, limit=8)
+        assert even <= reference[0] and odd <= reference[1]
+
+    def test_random_36_folds_its_role_fixing_leaf_swaps(self):
+        # no automorphism moves a role, but two pairs of leaves share a neighbour
+        # (17, 28 on 31; 30, 32 on 6): each swap folds the pair space
+        g = named_graph("random-36")
+        assert all(vf2_protocol_automorphism(g, swap) is None for swap in ROLE_SWAPS)
+        assert fold_sizes(g) == vf2_orbit_fold_sizes(g) == (563, 561)
 
     @pytest.mark.parametrize("g", [build_cross(9), build_loop(8)], ids=["cross-9", "loop-8"])
     def test_demo_graphs_have_exactly_one_automorphism(self, g):
-        # demo 01 prints the mapping, so it must not depend on the search order
+        # demo 01 prints the cells: with one Charlie exchange, and one arm or mirror
+        # exchange, they are exactly the orbits of the group the two generate
         [perm] = brute_force_automorphisms(g)
-        assert find_protocol_automorphism(g) == tuple(
-            perm[v] for v in range(1, g.n_vertices + 1))
+        mapping = tuple(perm[v] for v in range(1, g.n_vertices + 1))
+        assert vf2_protocol_automorphism(g) == mapping
+        self._check_mapping(g, mapping)
+        assert fold_sizes(g) == vf2_orbit_fold_sizes(g)
 
     @pytest.mark.parametrize("g", [build_cross(9), build_loop(8)], ids=["cross-9", "loop-8"])
     @pytest.mark.parametrize("swap", ROLE_SWAPS, ids=["charlie", "ends", "both"])
     def test_built_in_families_have_every_role_exchange(self, g, swap):
-        mapping = find_protocol_automorphism(g, swap)
-        assert mapping is not None and vf2_protocol_automorphism(g, swap) is not None
+        mapping = vf2_protocol_automorphism(g, swap)
+        assert mapping is not None
         self._check_mapping(g, mapping, swap)
 
 
