@@ -14,8 +14,8 @@ maps onto each other share a cell, so |A,B> and |B,A> sharing one is what
 keeps the two Bell-channel amplitudes equal.
 """
 
-from qutrit_bell import build_cross, build_loop, path_distance
-from qutrit_bell.dynamics import _pair_cells, _pairs, pair_index
+from qutrit_bell import (bell_pairs_share_a_cell, build_cross, build_loop, pair_cells,
+                         path_distance)
 
 for name, g in (("cross N=9", build_cross(9)), ("loop N=8", build_loop(8))):
     print(f"== {name} ==")
@@ -24,14 +24,11 @@ for name, g in (("cross N=9", build_cross(9)), ("loop N=8", build_loop(8))):
     print(f"  roles: charlie +/- at {r.charlie_plus},{r.charlie_minus}, "
           f"alice at {r.alice}, bob at {r.bob}")
     print(f"  alice-bob separation: {path_distance(g, r.alice, r.bob)} edges")
-    n, cells = g.n_vertices, _pair_cells(g)
-    plus, minus = _pairs(n)
-    print(f"  {n * (n - 1)} ordered pairs in {cells.max() + 1} cells:")
-    for c in dict.fromkeys(cells.tolist()):  # in the order of each cell's first pair
-        members = " ".join(f"{i},{j}" for i, j in zip(plus[cells == c], minus[cells == c]))
-        print(f"    {members}")
-    shared = cells[pair_index(n, r.alice, r.bob)] == cells[pair_index(n, r.bob, r.alice)]
-    print(f"  |A,B> and |B,A> share a cell: {shared}")
+    n, cells = g.n_vertices, pair_cells(g)
+    print(f"  {n * (n - 1)} ordered pairs in {len(cells)} cells:")
+    for cell in cells:
+        print("    " + " ".join(f"{i},{j}" for i, j in cell))
+    print(f"  |A,B> and |B,A> share a cell: {bell_pairs_share_a_cell(g)}")
     print()
 
 # the headline configuration: a 35-site cross separates the entangled pair

@@ -9,8 +9,8 @@ together with a full-Hilbert-space brute-force oracle for validation.
 
 __version__ = "0.1.0"
 
-from .dynamics import (Eigensystem, assemble_hamiltonian, evolve, find_peak, initial_state,
-                       one_shot_peak, spectral_decompose)
+from .dynamics import (Eigensystem, assemble_hamiltonian, bell_pairs_share_a_cell, evolve,
+                       find_peak, initial_state, one_shot_peak, pair_cells, spectral_decompose)
 from .measurement import Outcome, OutcomeDistribution, outcome_distribution, post_state
 from .protocols import (ScheduleStep, Strategy, TrajectoryStats, enumerate_outcome_tree,
                         monte_carlo, plan_protocol2, plan_regular, protocol1_cumulative,
@@ -19,12 +19,10 @@ from .protocols import (ScheduleStep, Strategy, TrajectoryStats, enumerate_outco
 from .topology import Graph, Roles, build_cross, build_loop, path_distance
 
 __all__ = [
-    "Eigensystem", "Graph", "Outcome", "OutcomeDistribution", "Roles",
-    "ScheduleStep", "Strategy", "TrajectoryStats",
-    "assemble_hamiltonian", "build_cross", "build_loop",
-    "enumerate_outcome_tree", "evolve", "find_peak", "initial_state",
-    "monte_carlo", "one_shot_peak", "outcome_distribution", "path_distance", "plan_protocol2",
+    "Eigensystem", "Graph", "Outcome", "OutcomeDistribution", "Roles", "ScheduleStep", "Strategy",
+    "TrajectoryStats", "assemble_hamiltonian", "bell_pairs_share_a_cell", "build_cross",
+    "build_loop", "enumerate_outcome_tree", "evolve", "find_peak", "initial_state", "monte_carlo",
+    "one_shot_peak", "outcome_distribution", "pair_cells", "path_distance", "plan_protocol2",
     "plan_regular", "post_state", "protocol1_cumulative", "protocol1_required",
-    "protocol2_limit_check", "protocol2_no_reset", "protocol2_total",
-    "spectral_decompose",
+    "protocol2_limit_check", "protocol2_no_reset", "protocol2_total", "spectral_decompose",
 ]

@@ -25,8 +25,8 @@ from pathlib import Path
 
 from . import __version__
 from .dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, GRID_END_SLACK,
-                       PEAK_WINDOW_FACTOR, _index_groups, _pair_cells, _time_grid,
-                       assemble_hamiltonian, initial_state, one_shot_peak,
+                       PEAK_WINDOW_FACTOR, _time_grid, assemble_hamiltonian,
+                       bell_pairs_share_a_cell, initial_state, one_shot_peak,
                        spectral_decompose)
 from .measurement import _check_scan_cost, outcome_curves
 from .oracle import ORACLE_MAX_SITES, full_evolve_compare, su3_algebra_check
@@ -355,8 +355,7 @@ def cmd_verify(args, run: _Run) -> int:
                (f"{label}_full_vs_reduced_max_amplitude_dev",
                 cmp_res.max_amplitude_deviation, 1e-9),
                (f"{label}_sector_leakage", cmp_res.max_sector_leakage, 1e-12)]
-    ba, ab = _pair_cells(g)[_index_groups(g)["success"]]
-    if ba == ab:  # the fold makes the two Bell-channel amplitudes equal
+    if bell_pairs_share_a_cell(g):  # the fold makes the two Bell-channel amplitudes equal
         checks.append((f"{label}_bell_amplitude_asymmetry", cmp_res.max_bell_asymmetry, 1e-10))
     rows = [(name, value, bound, "pass" if value < bound else "FAIL")
             for name, value, bound in checks]

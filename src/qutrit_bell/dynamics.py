@@ -17,9 +17,11 @@ excluded, so the matrix has zero diagonal and 0/1 off-diagonal entries.
 The exchange C|i,j> = |j,i> commutes with H on every graph, so H splits
 into an even block H+ and an odd block H-, each on the N(N-1)/2 unordered
 pairs. `_role_fold(g, parity)` folds either block onto the cells of the colour
-refinement `_pair_cells`, whose span holds every state the protocols prepare: the
-Bell amplitude of `one_shot_peak` is read on the folded H+, and `scan` and the
-protocol-2 planner read their grids on both folds (`measurement`).
+refinement `_pair_cells` (listed by `pair_cells`; `bell_pairs_share_a_cell`
+says whether |A,B> and |B,A> share one), whose span holds every state the
+protocols prepare: the Bell amplitude of `one_shot_peak` is read on the folded
+H+, and `scan` and the protocol-2 planner read their grids on both folds
+(`measurement`).
 There are two propagators. `_SpectralKernel` holds the only exp(-i lambda t)
 of a dense eigendecomposition (d <= 1260 for N <= 36): it serves a scalar time
 (`evolve`, peak refinement, the planned protocol-2 steps on the full space, the
@@ -35,9 +37,8 @@ for every protocol-2 planning strategy. Units: hbar = 1, J = 1.
 from __future__ import annotations
 
 import logging
-import random
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cache, cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -313,19 +314,6 @@ def _chebyshev_order(x: float) -> int:
     return order
 
 
-def _kapteyn_order(x: float) -> int:
-    """Orders kept for a step of no grid point, x = R |dt|: up to the first k >= x whose
-    bound |J_k(x)| <= (z e^w / (1 + w))^k, z = x/k, w = sqrt(1 - z^2) (Kapteyn, DLMF 10.14.8),
-    falling in k, is below CHEBYSHEV_TAIL: 1146 at CHEBYSHEV_GAP, `_chebyshev_order` 1426."""
-    order = int(np.ceil(x))
-    while x > 0:
-        w = np.sqrt(1.0 - (x / order) ** 2)
-        if order * (np.log(x / order) + w - np.log1p(w)) <= np.log(CHEBYSHEV_TAIL):
-            return order
-        order += 1
-    return 0
-
-
 def _chebyshev_coefficients(order: int, x: np.ndarray) -> np.ndarray:
     """c_0 .. c_order at each x = R dt, as an (order + 1, len(x)) table.
 
@@ -379,8 +367,8 @@ def _chebyshev_span(apply, radius: float, psi: np.ndarray, offsets: np.ndarray, 
 
 
 def _chebyshev_step(apply, radius: float, psi: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-iH dt) psi alone, from one recurrence to the `_kapteyn_order` of R |dt|."""
-    c = _chebyshev_coefficients(_kapteyn_order(abs(radius * dt)), np.array([radius * dt]))
+    """exp(-iH dt) psi alone, from one recurrence to the order of R |dt|."""
+    c = _chebyshev_coefficients(_chebyshev_order(abs(radius * dt)), np.array([radius * dt]))
     return sum(map(np.multiply, c[:, 0], _chebyshev_terms(apply, radius, psi, len(c) - 1)))
 
 
@@ -455,10 +443,8 @@ def _peak_candidates(curve: np.ndarray) -> np.ndarray:
     A point is a local maximum when it is >= each neighbour it has, so
     plateau points and maxima at either end count.
     """
-    at_least_left = np.ones(curve.size, dtype=bool)
-    at_least_left[1:] = curve[1:] >= curve[:-1]
-    at_least_right = np.ones(curve.size, dtype=bool)
-    at_least_right[:-1] = curve[:-1] >= curve[1:]
+    at_least_left = np.concatenate([[True], curve[1:] >= curve[:-1]])
+    at_least_right = np.concatenate([curve[:-1] >= curve[1:], [True]])
     tall = curve >= float(curve.max()) - CANDIDATE_TOL
     return np.flatnonzero(tall & at_least_left & at_least_right)
 
@@ -473,13 +459,7 @@ def select_peak(curve: np.ndarray, grid: np.ndarray, objective,
     curves (common on these graphs) therefore resolve to their first recurrence.
     """
     step = float(grid[1]) if grid.size > 1 else 0.0
-    memo = {}  # refine_maximum asks again for ends it has kept: each time is evaluated once
-
-    def remembered(t: float) -> float:
-        if t not in memo:
-            memo[t] = objective(t)
-        return memo[t]
-
+    remembered = cache(objective)  # refine_maximum asks again for ends it has kept
     refined = []
     for k in _peak_candidates(curve):
         lo = max(float(grid[0]), float(grid[k]) - step)
@@ -521,6 +501,11 @@ def find_peak(e: Eigensystem, psi0: np.ndarray, g: Graph,
                  DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL)
 
 
+#: (shift, odd multiplier) steps of splitmix64's finaliser, a bijection of uint64 keys
+_MIX = [(np.uint64(s), np.uint64(m)) for s, m in ((30, 0xBF58476D1CE4E5B9),
+                                                  (27, 0x94D049BB133111EB), (31, 1))]
+
+
 @lru_cache(maxsize=1)
 def _pair_cells(g: Graph) -> np.ndarray:
     """Cell of each ordered pair |i,j> (lexicographic; read-only, cached so both C blocks
@@ -528,35 +513,53 @@ def _pair_cells(g: Graph) -> np.ndarray:
     |c+,c->, |c-,c+>, the other psi1 pairs, psi2 and psi3, and success (Godsil & Royle,
     Algebraic Graph Theory, ch. 9): H keeps the span of the cells, and an automorphism
     keeping psi0 and the outcomes maps each cell onto itself. Colour refinement: a round
-    hashes each pair's cell and its images' cells (random 64-bit weights summed modulo
-    2^64) until no cell splits. A hash only merges, so the result is not finer than the
+    adds to each pair's key, times an odd factor, its images' keys mixed by `_MIX`, modulo
+    2^64, until no cell splits. A hash only merges, so the result is not finer than the
     coarsest; checked exactly equitable and finer than the seeds (a collision raises),
     it is not coarser either."""
-    n, r = g.n_vertices, g.roles
-    plus, minus = _pairs(n)
-    pair, image, _ = _pair_images(g, plus, minus, partial(_pair_position, n))
-    starts = np.searchsorted(pair, np.arange(plus.size))  # on a connected graph all move
-    seed = np.minimum(_outcome(g, plus, minus), 2)  # psi1 1; psi2, psi3 and success 2
-    seed[_index_groups(g)["success"]] = 3
-    seed[_pair_position(n, np.array([r.charlie_plus, r.charlie_minus]),
-                        np.array([r.charlie_minus, r.charlie_plus]))] = 4, 5
-    weights = random.Random(0).randbytes(16 * plus.size)  # numpy.random's import: +6.5 MB RSS
-    own, other = np.frombuffer(weights, np.uint64).reshape(2, -1)
-    cell, cells = seed, np.unique(seed).size
+    n, r, (plus, minus) = g.n_vertices, g.roles, _pairs(g.n_vertices)
+    d = plus.size
+    pair, moved, _ = _pair_images(g, plus, minus, partial(_pair_position, n))
+    slot = np.arange(pair.size) - np.searchsorted(pair, pair)  # pair k's images, in slots
+    image = np.full((slot.max() + 1, d), -1)
+    image[slot, pair] = moved
+    key = np.zeros(d + 1, dtype=np.uint64)  # slot -1 (no edge) reads key[d] = 0
+    key[:d] = np.minimum(_outcome(g, plus, minus), 2)  # psi1 1; psi2, psi3 and success 2
+    key[_index_groups(g)["success"]] = 3
+    key[_pair_position(n, np.array([r.charlie_plus, r.charlie_minus]),
+                       np.array([r.charlie_minus, r.charlie_plus]))] = 4, 5
+    seed, cells = key[:d].copy(), 0
     while True:
-        key = own[cell] + np.add.reduceat(other[cell[image]], starts)
-        cell = np.unique(key, return_inverse=True)[1]
-        if cell.max() + 1 == cells:
+        ranked = np.sort(key[:d])
+        if cells == (cells := 1 + np.count_nonzero(ranked[1:] != ranked[:-1])):
             break
-        cells = cell.max() + 1
-    images = np.full((plus.size, np.bincount(pair).max()), -1)
-    images[pair, np.arange(pair.size) - starts[pair]] = cell[image]
-    images.sort(axis=1)
-    first = np.unique(cell, return_index=True)[1][cell]  # the first pair of each cell
-    if not (np.array_equal(seed, seed[first]) and np.array_equal(images, images[first])):
+        mixed = key
+        for shift, multiplier in _MIX:
+            mixed = (mixed ^ (mixed >> shift)) * multiplier
+        key[:d] = key[:d] * _MIX[0][1] + mixed[image].sum(axis=0)  # own key: an odd factor
+    _, first, cell = np.unique(key[:d], return_index=True, return_inverse=True)
+    first = first[cell]  # the first pair of each pair's cell
+    images = np.append(cell, -1)[image]
+    images.sort(axis=0)
+    if not (np.array_equal(seed, seed[first]) and np.array_equal(images, images[:, first])):
         raise RuntimeError("colour refinement merged pairs of unequal cells (hash collision)")
     cell.setflags(write=False)
     return cell
+
+
+def pair_cells(g: Graph) -> list[list[tuple[int, int]]]:
+    """The cells of `_pair_cells` as lists of ordered pairs (i, j), the +1 excitation at
+    i and the -1 at j; the cells and the pairs in each in lexicographic order of pairs."""
+    cells, (plus, minus) = _pair_cells(g), _pairs(g.n_vertices)
+    return [list(zip(plus[cells == c].tolist(), minus[cells == c].tolist()))
+            for c in dict.fromkeys(cells.tolist())]
+
+
+def bell_pairs_share_a_cell(g: Graph) -> bool:
+    """Whether |A,B> and |B,A> lie in one cell of `_pair_cells`, so that every state the
+    protocols prepare holds equal amplitudes on the two."""
+    ba, ab = _pair_cells(g)[_index_groups(g)["success"]]
+    return bool(ba == ab)
 
 
 def _role_fold(g: Graph, parity: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

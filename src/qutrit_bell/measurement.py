@@ -18,12 +18,12 @@ C-even and C-odd parts of psi0, each folded onto the cells of the pair space's
 coarsest equitable partition (`dynamics._role_fold`), are stepped along the grid
 by the Chebyshev recurrence on the folds' nonzeros (`_fold_sum`), and every
 outcome is read as W |a|^2, W holding each fold state's share of pairs in each
-outcome (`_folds`). The
-recurrence costs about R max|t| products whatever the grid step, so a grid past
-SCAN_MAX_WORK is refused. The protocol-2 planner reads its grids on the same
-folds through their eigensystems (`_fold_scan`), and a fixed-interval protocol-2
-schedule evolves its states on them (`_fold_kernel`). `outcome_distribution`
-and `outcome_curves` check the norm of every state they measure.
+outcome (`_folds`). The recurrence costs about R max|t| products whatever the grid
+step, so a grid past SCAN_MAX_WORK is refused. The protocol-2 planner reads its
+grids on the same folds through their eigensystems (`_fold_scan`), and a
+fixed-interval protocol-2 schedule evolves its states on them (`_fold_kernel`).
+`outcome_distribution` and `outcome_curves` check the norm of every state they
+measure.
 """
 
 from __future__ import annotations

@@ -4,9 +4,9 @@ import pytest
 from conftest import prepared
 from qutrit_bell import assemble_hamiltonian, build_cross, build_loop
 from qutrit_bell.cli import main
-from qutrit_bell.dynamics import (CHEBYSHEV_GAP, CHEBYSHEV_TAIL, _chebyshev_coefficients,
-                                  _chebyshev_order, _chebyshev_span, _chebyshev_spans,
-                                  _chebyshev_step, _kapteyn_order, _time_grid)
+from qutrit_bell.dynamics import (CHEBYSHEV_GAP, _chebyshev_coefficients, _chebyshev_order,
+                                  _chebyshev_span, _chebyshev_spans, _chebyshev_step,
+                                  _time_grid)
 from qutrit_bell.oracle import (FullHamiltonian, _sector_indices, _site_digit,
                                 full_evolve_compare, full_initial_index, generator_matrix,
                                 sector_restriction, su3_algebra_check)
@@ -176,19 +176,6 @@ class TestFullEvolveCompare:
     def test_coefficient_table_at_zero_is_exactly_one(self):
         assert np.array_equal(_chebyshev_coefficients(_chebyshev_order(0.0), [0.0]), [[1.0]])
 
-    @pytest.mark.parametrize("x", [0.8, 33.0, 300.0, CHEBYSHEV_GAP])
-    def test_kapteyn_order_drops_only_orders_below_the_tail(self, x):
-        # past x, |J_k(x)| falls with k, so the 60 orders after the last kept one
-        # stand for every dropped order
-        order = _kapteyn_order(x)
-        j = _bessel_j(x, order + 60)
-        assert np.all(np.abs(j[order + 1:]) < CHEBYSHEV_TAIL)
-        assert order >= x and np.abs(j[order - 1]) >= 1e-3 * CHEBYSHEV_TAIL
-
-    def test_kapteyn_order_at_the_widest_step(self):
-        assert (_kapteyn_order(CHEBYSHEV_GAP), _chebyshev_order(CHEBYSHEV_GAP)) == (1146, 1426)
-        assert _kapteyn_order(0.0) == 0
-
     @pytest.mark.parametrize("family,n", [("loop", 4), ("cross", 5)])
     @pytest.mark.parametrize("reach", [0.5, 1.0])
     def test_lone_step_matches_dense_eigh(self, family, n, reach):
@@ -199,22 +186,6 @@ class TestFullEvolveCompare:
         dt = reach * CHEBYSHEV_GAP / len(g.edges)
         state = _chebyshev_step(full.apply, len(g.edges), psi, dt)
         assert np.max(np.abs(state - _dense_states(full, psi, [dt])[0])) < 1e-12
-
-
-def _bessel_j(x: float, orders: int) -> np.ndarray:
-    """J_0(x) .. J_{orders-1}(x), x > 0, by Miller's backward recurrence
-    J_{k-1} = (2k/x) J_k - J_{k+1} from far above, normalised by
-    J_0 + 2 (J_2 + J_4 + ...) = 1 (DLMF 10.74(iv), 10.12.4)."""
-    top = orders + 60
-    j = np.zeros(top + 2)
-    j[top] = 1e-280
-    for k in range(top, 0, -1):
-        j[k - 1] = 2 * k / x * j[k] - j[k + 1]
-        if abs(j[k - 1]) > 1e250:  # rescaled: the recurrence is linear
-            j *= 1e-250
-    j /= j[0] + 2 * j[2::2].sum()
-    assert abs(j[0] ** 2 + 2 * np.sum(j[1:] ** 2) - 1) < 1e-12  # DLMF 10.23.3
-    return j[:orders]
 
 
 def _random_state(dimension: int) -> np.ndarray:

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import (ROLE_SWAPS, SWAP_CHARLIE, SWAP_ENDS, pair_map, vf2_orbit_fold_sizes,
                       vf2_protocol_automorphism)
-from qutrit_bell import Graph, Roles, build_cross, build_loop, path_distance
+from qutrit_bell import (Graph, Roles, bell_pairs_share_a_cell, build_cross, build_loop,
+                         pair_cells, path_distance)
 from qutrit_bell.dynamics import _pair_cells, pair_index
 from test_properties import fold_sizes, protocol_graphs
 
@@ -119,12 +120,6 @@ def brute_force_automorphisms(g):
     return found
 
 
-def bell_pairs_share_a_cell(g):
-    n, r = g.n_vertices, g.roles
-    cells = _pair_cells(g)
-    return cells[pair_index(n, r.alice, r.bob)] == cells[pair_index(n, r.bob, r.alice)]
-
-
 class TestProtocolAutomorphism:
     """The role exchanges that networkx's VF2 finds, against the cells of
     `dynamics._pair_cells`: each exchange maps every cell onto itself, so a fold is
@@ -232,6 +227,24 @@ class TestProtocolAutomorphism:
         assert vf2_protocol_automorphism(g) == mapping
         self._check_mapping(g, mapping)
         assert fold_sizes(g) == vf2_orbit_fold_sizes(g)
+
+    def test_refinement_tells_a_missing_edge_from_an_image_in_its_own_cell(self):
+        # pairs of unequal degree: a round that read a missing edge as the pair's own
+        # key hashed some of them alike, stopped at 31 cells and failed the check
+        edges = {(1, 2), (2, 4), (2, 7), (2, 8), (3, 4), (3, 5), (4, 5), (4, 6), (4, 8), (5, 6)}
+        g = Graph(8, frozenset(edges), Roles(1, 2, 7, 8))
+        assert _pair_cells(g).max() + 1 == 43
+        assert len(pair_cells(g)) == 43
+
+    @pytest.mark.parametrize("g", [build_cross(9), build_loop(8)], ids=["cross-9", "loop-8"])
+    def test_pair_cells_lists_the_refinement(self, g):
+        # the public view demo 01 prints: each ordered pair once, cells as refined
+        n, cells = g.n_vertices, _pair_cells(g)
+        listed = pair_cells(g)
+        assert sorted(p for cell in listed for p in cell) == sorted(
+            (i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j)
+        assert len(listed) == cells.max() + 1
+        assert all(len({cells[pair_index(n, i, j)] for i, j in cell}) == 1 for cell in listed)
 
     @pytest.mark.parametrize("g", [build_cross(9), build_loop(8)], ids=["cross-9", "loop-8"])
     @pytest.mark.parametrize("swap", ROLE_SWAPS, ids=["charlie", "ends", "both"])
