@@ -56,9 +56,10 @@ GRID_ARRAYS = 6
 SERIES_FLOATS = 60
 VERIFY_GRID_STEP = 0.1  # default step of the grid on which `verify` compares the engines
 #: Cap on |E| t_max, the Chebyshev argument over which `verify` propagates the
-#: 3^N state. At cross-9 a unit costs about 0.9 ms on 2 cores (2.9 s for
-#: t_max = 400), so some 9 s at the cap; a grid step dt beyond CHEBYSHEV_SPAN / |E|
-#: is crossed in steps of CHEBYSHEV_GAP / |E| (`dynamics._chebyshev_spans`).
+#: 3^N state. At cross-9 a unit costs about 0.45 ms on 2 cores (4.4 s in process
+#: for t_max = 1250, the cap), so some 5-6 s for the whole command; a grid step dt
+#: beyond CHEBYSHEV_SPAN / |E| is crossed in steps of CHEBYSHEV_GAP / |E|
+#: (`dynamics._chebyshev_spans`).
 VERIFY_MAX_EDGE_TIME = 1e4
 #: Cap on protocol 2's planning window and on --tau: the rounding of lambda t breaks the
 #: role-exchange symmetry the planner reads (cross-5 failed from t_max = 1e9, cross-9 from

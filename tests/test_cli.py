@@ -449,6 +449,26 @@ class TestVerify:
             f"N{n}_bell_amplitude_asymmetry"]
         assert all(r[-1] == "pass" for r in rows)
 
+    def test_image_outside_the_sector_fails_its_rows(self, monkeypatch, capsys):
+        # edge 0 sends the first sector state to index 0 (every site at -1): the
+        # restriction row fails instead of raising, and the propagation, which
+        # scatters column x to its images as the restriction does, shows the leak
+        build = oracle.FullHamiltonian.__init__
+
+        def leaking(full, g):
+            build(full, g)
+            full._partners[0, oracle._sector_indices(g)[0]] = 0
+
+        monkeypatch.setattr(oracle.FullHamiltonian, "__init__", leaking)
+        code, out, err = run_cli(["verify", "--topology", "loop", "--n", "4",
+                                  "--no-timestamp"], capsys)
+        assert code == 3
+        assert err == ""
+        rows = {r[0]: r for r in parse_csv(out)[1]}
+        assert rows["N4_sector_restriction_max_diff"][1:] == ["inf", "1e-12", "FAIL"]
+        assert rows["N4_sector_leakage"][-1] == "FAIL"
+        assert rows["su3_algebra_max_violation"][-1] == "pass"
+
     @pytest.mark.parametrize("name,has_row", [("no-role-exchange.txt", False),
                                               ("cross5.txt", True)])
     def test_bell_asymmetry_row_only_under_the_symmetry(self, name, has_row, capsys):

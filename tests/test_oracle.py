@@ -59,6 +59,28 @@ class TestFullHamiltonian:
         v = rng.normal(size=full.dimension) + 1j * rng.normal(size=full.dimension)
         assert np.allclose(full.dense() @ v, full.apply(v), atol=1e-12)
 
+    @pytest.mark.parametrize("builder,n", [(build_loop, 4), (build_cross, 5)])
+    @pytest.mark.parametrize("state", ["sector basis", "dense random", "outside the sector",
+                                       "zero"])
+    def test_apply_equals_the_whole_vector_gather(self, builder, n, state):
+        # each edge's exchange is an involution, so scattering the nonzero
+        # amplitudes adds the same terms in the same order as gathering the
+        # whole vector per edge: the results agree bit for bit
+        g = builder(n)
+        full = FullHamiltonian(g)
+        sect = _sector_indices(g)
+        vec = np.zeros(full.dimension, dtype=complex)
+        if state == "sector basis":
+            vec[sect[len(sect) // 2]] = 1.0
+        elif state == "dense random":
+            vec = _random_state(full.dimension)
+        elif state == "outside the sector":
+            vec[full_initial_index(g)] = 0.6 - 0.2j
+            vec[np.sum(3 ** np.arange(n)) + 1] = 0.8j  # site 1 at +1, every other at 0
+        padded = np.concatenate([vec, [0.0]])
+        gathered = sum(padded[row] for row in full._partners)
+        assert np.array_equal(full.apply(vec), gathered)
+
     def test_size_cap(self):
         with pytest.raises(ValueError, match="N <= 9"):
             FullHamiltonian(build_cross(11))
