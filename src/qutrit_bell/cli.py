@@ -56,8 +56,8 @@ GRID_ARRAYS = 6
 SERIES_FLOATS = 60
 VERIFY_GRID_STEP = 0.1  # default step of the grid on which `verify` compares the engines
 #: Cap on |E| t_max, the Chebyshev argument over which `verify` propagates the
-#: 3^N state. At cross-9 a unit costs about 0.45 ms on 2 cores (4.4 s in process
-#: for t_max = 1250, the cap), so some 5-6 s for the whole command; a grid step dt
+#: sector's 3^N closure. At cross-9 a unit costs about 0.08 ms on 2 cores (0.84 s in
+#: process for t_max = 1250, the cap), so 1.2-1.8 s for the whole command; a grid step dt
 #: beyond CHEBYSHEV_SPAN / |E| is crossed in steps of CHEBYSHEV_GAP / |E|
 #: (`dynamics._chebyshev_spans`).
 VERIFY_MAX_EDGE_TIME = 1e4
@@ -279,8 +279,8 @@ def _checked_run(args) -> _Run:
         elif args.tau > PLAN_MAX_TIME:
             raise PreconditionError(f"--tau exceeds the planning cap of {PLAN_MAX_TIME:g}")
         if command == "verify" and len(g.edges) * t_max > VERIFY_MAX_EDGE_TIME:
-            raise PreconditionError(f"verify propagates the 3^N state over |E| t_max = "
-                                    f"{len(g.edges) * t_max:.3g}, beyond the cap of "
+            raise PreconditionError(f"verify propagates the sector's 3^N closure over |E| "
+                                    f"t_max = {len(g.edges) * t_max:.3g}, beyond the cap of "
                                     f"{VERIFY_MAX_EDGE_TIME:g}")
         systems.append((n, g, t_max))
     return _Run(tuple(systems), targets)

@@ -29,7 +29,7 @@ fixed-interval ones on both folds), bit-exact, and rows along an arithmetic grid
 from 0 (the peak searches and the protocol-2 planner), within 1e-13 of the
 scalar path. The Chebyshev recurrence `_chebyshev_spans` needs only
 products H v and a bound R >= ||H||: `scan` runs it on the folds
-(`measurement.outcome_curves`), `verify` on the 3^N state (`oracle`).
+(`measurement.outcome_curves`), `verify` on the sector's 3^N closure (`oracle`).
 `select_peak` picks the peak time of a sampled curve, for the peak searches and
 for every protocol-2 planning strategy. Units: hbar = 1, J = 1.
 """

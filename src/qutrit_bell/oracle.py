@@ -6,10 +6,12 @@ Hamiltonian applies, per edge, the two-site exchange with equal-state
 terms dropped, exactly mirroring the reduced assembly, so restricting it
 to the one-(+1)-one-(-1) sector must reproduce the reduced matrix entry
 for entry. Time evolution never forms a matrix: `dynamics._chebyshev_spans`,
-the propagator that `scan` runs on its folds, steps the 3^N state on
-`FullHamiltonian.apply` with R = |E|, one recurrence per span of consecutive
-grid points. So the check sets two independent methods side by side: that
-recurrence on the full space, and the reduced engine's eigendecomposition.
+the propagator that `scan` runs on its folds, steps the full state with
+R = |E|, one recurrence per span of consecutive grid points, on the sector's
+closure under the edges' images (`FullHamiltonian.closure`), outside which the
+3^N state stays exactly 0. So the check sets two independent methods side by
+side: that recurrence on the full space, and the reduced engine's
+eigendecomposition.
 Capped at N <= 9.
 """
 
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -75,18 +78,20 @@ class FullHamiltonian:
             row[:] = np.where(dm != dn, swapped, self.dimension)
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        # Scatter from the nonzero amplitudes only, as `dense` does: column x
-        # puts vec[x] at each image. Each edge's exchange is an involution, so
-        # every entry sums the same nonzero terms, in the same edge order, as a
-        # whole-vector gather per edge would: the values agree bit for bit.
-        # Within one edge no two images coincide but the zero slot, so `+=`
-        # loses no term.
-        nz = np.flatnonzero(vec != 0)
-        amps = vec[nz]
-        out = np.zeros(self.dimension + 1, dtype=complex)
-        for row in self._partners:
-            out[row[nz]] += amps
-        return out[:-1]
+        """H vec on the whole space: `_scatter` with every state as the closure."""
+        return _scatter(self._partners, vec)
+
+    def closure(self, seeds: np.ndarray) -> np.ndarray:
+        """The states reachable from `seeds` by the edges' images, ascending: H
+        maps a vector on them to one on them, a leak out of the sector included."""
+        reached = np.zeros(self.dimension + 1, dtype=bool)
+        reached[self.dimension] = True  # the zero slot is no state
+        frontier = np.unique(seeds)
+        while frontier.size:
+            reached[frontier] = True
+            frontier = np.unique(self._partners[:, frontier])
+            frontier = frontier[~reached[frontier]]
+        return np.flatnonzero(reached[:-1])
 
     def dense(self) -> np.ndarray:
         h = np.zeros((self.dimension + 1, self.dimension))
@@ -94,6 +99,20 @@ class FullHamiltonian:
         for row in self._partners:
             h[row, idx] += 1.0
         return h[:-1]
+
+
+def _scatter(images: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """H vec on a closure C; images[e, x] is the position in C of edge e's image of
+    C's x, len(C) (the zero slot) where the two site states are equal.
+
+    Column x puts vec[x] at each image, in edge order, so every entry sums the
+    same terms in the same order as on the whole space, less exact zeros: the
+    values agree bit for bit. Within one edge no two images coincide but the zero
+    slot (each exchange is an involution), so `+=` loses no term."""
+    out = np.zeros(images.shape[1] + 1, dtype=complex)
+    for row in images:
+        out[row] += vec
+    return out[:-1]
 
 
 def full_initial_index(g: Graph) -> int:
@@ -153,8 +172,8 @@ def full_evolve_compare(g: Graph, t_grid) -> OracleComparison:
     sector restriction and the reduced one; across the grid, the worst
     amplitude difference within the sector, a bound on the worst amplitude
     magnitude outside it and the worst Bell-channel asymmetry of the reduced
-    amplitudes. The full state is propagated one span of grid points at a
-    time (see `dynamics._chebyshev_spans`).
+    amplitudes. The full state is propagated on its closure, one span of grid
+    points at a time (see `dynamics._chebyshev_spans`).
     """
     _check_oracle_size(g.n_vertices)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -176,12 +195,18 @@ def full_evolve_compare(g: Graph, t_grid) -> OracleComparison:
         restriction = math.inf
     else:
         restriction = float(np.max(np.abs(restricted - h)))
-    psi = np.zeros(full.dimension, dtype=complex)
-    psi[full_initial_index(g)] = 1.0
+    # on the closure, the amplitudes and the leakage bound are those of the 3^N run
+    init = full_initial_index(g)
+    closure = full.closure(np.append(sect, init))
+    position = np.full(full.dimension + 1, closure.size)
+    position[closure] = np.arange(closure.size)
+    psi = (closure == init).astype(complex)
+    product = partial(_scatter, position[full._partners[:, closure]])
     # np.max, unlike max(), keeps a NaN, so the check that reads it fails
     deviations, leakages = [0.0], [0.0]
     # each edge term is a partial permutation, so ||H|| <= |E|
-    for points, amps, leak in _chebyshev_spans(full.apply, len(g.edges), psi, t_grid, sect):
+    for points, amps, leak in _chebyshev_spans(product, len(g.edges), psi, t_grid,
+                                               position[sect]):
         deviations.append(np.max(np.abs(amps - red[points])))
         leakages.append(np.max(leak))
     i_ba, i_ab = _index_groups(g)["success"]

@@ -1,16 +1,21 @@
+from functools import partial
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import prepared
-from qutrit_bell import assemble_hamiltonian, build_cross, build_loop
-from qutrit_bell.cli import main
+from qutrit_bell import assemble_hamiltonian, build_cross, build_loop, oracle
+from qutrit_bell.cli import _load_topology_file, main
 from qutrit_bell.dynamics import (CHEBYSHEV_GAP, _chebyshev_coefficients, _chebyshev_order,
                                   _chebyshev_span, _chebyshev_spans, _chebyshev_step,
                                   _time_grid)
-from qutrit_bell.oracle import (FullHamiltonian, _sector_indices, _site_digit,
+from qutrit_bell.oracle import (FullHamiltonian, _scatter, _sector_indices, _site_digit,
                                 full_evolve_compare, full_initial_index, generator_matrix,
                                 sector_restriction, su3_algebra_check)
 from qutrit_bell.topology import Graph, Roles
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 class TestAlgebra:
@@ -63,9 +68,9 @@ class TestFullHamiltonian:
     @pytest.mark.parametrize("state", ["sector basis", "dense random", "outside the sector",
                                        "zero"])
     def test_apply_equals_the_whole_vector_gather(self, builder, n, state):
-        # each edge's exchange is an involution, so scattering the nonzero
-        # amplitudes adds the same terms in the same order as gathering the
-        # whole vector per edge: the results agree bit for bit
+        # each edge's exchange is an involution, so scattering the amplitudes
+        # adds the same terms in the same order as gathering the whole vector
+        # per edge: the results agree bit for bit
         g = builder(n)
         full = FullHamiltonian(g)
         sect = _sector_indices(g)
@@ -222,48 +227,116 @@ def _dense_states(full: FullHamiltonian, psi: np.ndarray, times) -> np.ndarray:
     return (vec @ (np.exp(-1j * np.outer(lam, times)) * (vec.T @ psi)[:, None])).T
 
 
-class _CountedApply:
-    """FullHamiltonian.apply with a call counter."""
+class _CountedScatter:
+    """oracle._scatter, the product of the propagation, with a call counter."""
 
     def __init__(self, monkeypatch):
         self.calls = 0
-        self._apply = FullHamiltonian.apply
-        monkeypatch.setattr(FullHamiltonian, "apply", self)
+        monkeypatch.setattr(oracle, "_scatter", self)
 
-    def __get__(self, full, owner):
-        def counted(vec):
-            self.calls += 1
-            return self._apply(full, vec)
-        return counted
+    def __call__(self, images, vec):
+        self.calls += 1
+        return _scatter(images, vec)
 
 
 class TestCost:
-    def test_apply_counts_on_the_default_verify_grid(self, monkeypatch):
+    def test_product_counts_on_the_default_verify_grid(self, monkeypatch):
         # cross-9, 101 points: one recurrence per span of CHEBYSHEV_SPAN / |E|
-        # = 4 time units; a fresh expansion per point took 1500 applies, and
+        # = 4 time units; a fresh expansion per point took 1500 products, and
         # the restriction one per sector column
         g, *_ = prepared("cross", 9)
-        counter = _CountedApply(monkeypatch)
+        counter = _CountedScatter(monkeypatch)
         sector_restriction(g)
         assert counter.calls == 0
         full_evolve_compare(g, _time_grid(10.0, 0.1))
-        assert counter.calls <= 200
+        assert 0 < counter.calls <= 200
 
-    def test_leaking_apply_fails_verify(self, monkeypatch, capsys):
-        apply = FullHamiltonian.apply
-
-        def leaky(full, vec):
-            out = apply(full, vec)
-            out[0] += 1e-6 * np.linalg.norm(vec)  # every site at -1: outside the sector
+    def test_faulty_product_fails_verify(self, monkeypatch, capsys):
+        # the fault sits in the product the propagation calls: it adds to the
+        # first state of the closure, a sector state
+        def faulty(images, vec):
+            out = _scatter(images, vec)
+            out[0] += 1e-6 * np.linalg.norm(vec)
             return out
 
-        monkeypatch.setattr(FullHamiltonian, "apply", leaky)
+        monkeypatch.setattr(oracle, "_scatter", faulty)
         code = main(["verify", "--topology", "loop", "--n", "4", "--no-timestamp"])
         rows = dict(line.split(",", 1) for line in capsys.readouterr().out.splitlines()
                     if not line.startswith("#"))
         assert code == 3
-        assert rows["N4_sector_leakage"].endswith(",FAIL")
+        assert rows["N4_full_vs_reduced_max_amplitude_dev"].endswith(",FAIL")
         assert rows["N4_sector_restriction_max_diff"].endswith(",pass")
+
+
+def _on_closure(full: FullHamiltonian, seeds):
+    """(closure C, position of every full-space state in C, the product on C)."""
+    closure = full.closure(seeds)
+    position = np.full(full.dimension + 1, closure.size)
+    position[closure] = np.arange(closure.size)
+    return closure, position, partial(_scatter, position[full._partners[:, closure]])
+
+
+def _leaking_loop4() -> FullHamiltonian:
+    """loop-4 whose edge (m, n) exchanges a sector state s, with sites m and n at 0,
+    with the state x that has both at +1: a partial involution still, but one that
+    leaves the sector."""
+    g = build_loop(4)
+    full = FullHamiltonian(g)
+    m, n = next(iter(g.edges))  # the first row of _partners
+    sect = _sector_indices(g)
+    s = next(int(x) for x in sect if _site_digit(x, m) == _site_digit(x, n) == 1)
+    x = s + 3 ** (m - 1) + 3 ** (n - 1)
+    assert full._partners[0, s] == full._partners[0, x] == full.dimension
+    full._partners[0, s], full._partners[0, x] = x, s
+    return full
+
+
+class TestClosure:
+    """The recurrence on the closure of the sector is the 3^N one, bit for bit."""
+
+    SYSTEMS = {
+        "cross-5": lambda: FullHamiltonian(build_cross(5)),
+        "loop-4": lambda: FullHamiltonian(build_loop(4)),
+        "cross-7": lambda: FullHamiltonian(build_cross(7)),
+        "no-role-exchange": lambda: FullHamiltonian(
+            Graph(*_load_topology_file(str(DATA / "no-role-exchange.txt")))),
+        "leaking loop-4": _leaking_loop4,
+    }
+
+    @pytest.mark.parametrize("name", SYSTEMS)
+    def test_spans_equal_the_whole_space_run(self, name):
+        full = self.SYSTEMS[name]()
+        g = full.graph
+        sect, init = _sector_indices(g), full_initial_index(g)
+        closure, position, product = _on_closure(full, np.append(sect, init))
+        leaves = name.startswith("leaking")
+        assert np.isin(sect, closure).all()
+        assert (closure.size > sect.size) == leaves
+        whole = np.zeros(full.dimension, dtype=complex)
+        whole[init] = 1.0
+        local = whole[closure]
+        radius, rows = len(g.edges), position[sect]
+        # the default verify grid, then a point reached through a lone step
+        t_grid = np.append(_time_grid(10.0, 0.1), 10.0 + 1.5 * CHEBYSHEV_GAP / radius)
+        spans = list(_chebyshev_spans(full.apply, radius, whole, t_grid, sect))
+        local_spans = list(_chebyshev_spans(product, radius, local, t_grid, rows))
+        assert len(spans) == len(local_spans) >= 3
+        for (points, amps, leak), (local_points, local_amps, local_leak) in zip(spans,
+                                                                                local_spans):
+            assert points == local_points
+            assert np.array_equal(amps, local_amps)
+            assert np.array_equal(leak, local_leak)
+        leakage = max(np.max(leak) for _, _, leak in spans)
+        assert (leakage > 0) == leaves
+        # the state each span hands on, scattered back to 3^N
+        offsets = t_grid[:40]
+        *head, last = _chebyshev_span(full.apply, radius, whole, offsets, sect, {})
+        *local_head, local_last = _chebyshev_span(product, radius, local, offsets, rows, {})
+        assert all(map(np.array_equal, head, local_head))
+        scattered = np.zeros_like(whole)
+        scattered[closure] = local_last
+        assert np.array_equal(last, scattered)
+        assert not last[np.setdiff1d(np.arange(full.dimension), closure)].any()
 
 
 class TestSymmetryCheck:
