@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import __version__
 from .dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, GRID_END_SLACK,
-                       PEAK_WINDOW_FACTOR, _time_grid, assemble_hamiltonian,
+                       PEAK_WINDOW_FACTOR, PHASE_BLOCK, _time_grid, assemble_hamiltonian,
                        bell_pairs_share_a_cell, initial_state, one_shot_peak,
                        spectral_decompose)
 from .measurement import _check_scan_cost, outcome_curves
@@ -42,12 +42,11 @@ VERIFICATION_ERROR = 3
 #: Peak memory of building and checking the dense eigensystem, in d x d float
 #: arrays; the RSS rise measured 5.2-5.3 of them at loop-36 and loop-60.
 EIGENSYSTEM_ARRAYS = 6
-#: Peak memory of `scan`'s two C blocks, in D x D float arrays, D = N(N-1)/2 an upper
-#: bound on a folded block: each is built dense, kept as its nonzeros. Without a role
-#: exchange, the RSS rise of `outcome_curves` measured 2.45 at N = 36 and 2.05 at N = 60
-#: and 80 (2 grid points); a span's 1024 states at --grid-step 1e-4 add 6.6 at N = 36
-#: (21 MB) and 0.7 at N = 60.
-C_BLOCKS_ARRAYS = 3
+#: Complex vectors of the cell quotient (at most d = N(N-1) cells) that `scan` holds
+#: besides the states of a Chebyshev span, one per grid point, at most PHASE_BLOCK: the
+#: span's recurrence terms (73 at R |dt| = CHEBYSHEV_SPAN) and the rest measured 92-108
+#: (tracemalloc, 36 and 60 sites without a role exchange, grid steps 1e-2 and 1e-4).
+SPAN_VECTORS = 128
 #: Float arrays of grid length a command holds besides amplitude rows: a scan's
 #: grid and its five outcome curves.
 GRID_ARRAYS = 6
@@ -203,11 +202,11 @@ class _Run:
 def _checked_run(args) -> _Run:
     """Make every exit-2 refusal that the flags decide, before any work starts.
 
-    Sizes each command's dense eigensystem (d = N(N-1); at most N(N-1)/2 for the
-    C-even block of the peak tables, the two C blocks of `scan` and each of the two
-    folds of --tau), time grid (none with --tau) and protocol-2 series, resolves the
-    default window and applies `verify`'s caps, `scan`'s cost cap and the planning cap.
-    A graph is built once N fits.
+    Sizes each command's dense eigensystem (d = N(N-1), which bounds the cell quotient of
+    --tau; N(N-1)/2 for the C-even block of the peak tables), the states of `scan`'s
+    Chebyshev span on the quotient, the time grid (none with --tau) and the protocol-2
+    series, resolves the default window and applies `verify`'s caps, `scan`'s cost cap
+    and the planning cap. A graph is built once N fits.
     """
     for name in ("t_max", "grid_step", "refine_tol", "tau"):
         value = getattr(args, name, None)
@@ -239,28 +238,26 @@ def _checked_run(args) -> _Run:
                 raise PreconditionError(f"{where}N must be the file's N={n_file}, got N={n}")
         ns = [n_file] * len(ns)
     systems = []
-    tau = getattr(args, "tau", None) is not None  # protocol2 on the two folds, both held
+    tau = getattr(args, "tau", None) is not None  # protocol2 on the cell quotient
     for n in ns:
-        d = n * (n - 1) // (2 if peak_table or command == "scan" or tau else 1)
-        what, arrays = (("the two C blocks", C_BLOCKS_ARRAYS) if command == "scan" else
-                        ("the two fold eigensystems", 2 * EIGENSYSTEM_ARRAYS) if tau else
-                        ("the dense eigensystem", EIGENSYSTEM_ARRAYS))
-        _check_memory(f"N={n}: {what} (d = {d})", arrays * 8 * d * d)
+        t_max = args.t_max or (10.0 if command == "verify" else n * (
+            PLAN_WINDOW_FACTOR if command == "protocol2" else PEAK_WINDOW_FACTOR))
+        d = n * (n - 1) // (2 if peak_table else 1)  # the cells of scan and --tau: k <= d
+        if command == "scan":  # no eigensystem: the quotient's states along one span
+            span = min(PHASE_BLOCK, t_max / args.grid_step + 1)
+            _check_memory(f"N={n}: a Chebyshev span of the cell quotient (d = {d})",
+                          (SPAN_VECTORS + span) * 16 * d)
+        else:
+            what = "the quotient eigensystem" if tau else "the dense eigensystem"
+            _check_memory(f"N={n}: {what} (d = {d})", EIGENSYSTEM_ARRAYS * 8 * d * d)
         try:
             g = (Graph(n, edges, roles) if custom else
                  build_cross(n) if args.topology == "cross" else build_loop(n))
         except ValueError as exc:
             raise PreconditionError(f"{where}{exc}") from exc
-        if command == "verify":
-            if n > ORACLE_MAX_SITES:
-                raise PreconditionError(f"brute-force verification is capped at "
-                                        f"N <= {ORACLE_MAX_SITES}, got N={n}")
-            default = 10.0
-        elif command == "protocol2":
-            default = PLAN_WINDOW_FACTOR * g.n_vertices
-        else:
-            default = PEAK_WINDOW_FACTOR * g.n_vertices
-        t_max = args.t_max or default
+        if command == "verify" and n > ORACLE_MAX_SITES:
+            raise PreconditionError(f"brute-force verification is capped at "
+                                    f"N <= {ORACLE_MAX_SITES}, got N={n}")
         if not tau:
             # GRID_ARRAYS floats a point, plus a complex amplitude per row held along the grid
             rows = d if command == "verify" else int(peak_table)
@@ -356,7 +353,7 @@ def cmd_verify(args, run: _Run) -> int:
                (f"{label}_full_vs_reduced_max_amplitude_dev",
                 cmp_res.max_amplitude_deviation, 1e-9),
                (f"{label}_sector_leakage", cmp_res.max_sector_leakage, 1e-12)]
-    if bell_pairs_share_a_cell(g):  # the fold makes the two Bell-channel amplitudes equal
+    if bell_pairs_share_a_cell(g):  # one cell makes the two Bell-channel amplitudes equal
         checks.append((f"{label}_bell_amplitude_asymmetry", cmp_res.max_bell_asymmetry, 1e-10))
     rows = [(name, value, bound, "pass" if value < bound else "FAIL")
             for name, value, bound in checks]

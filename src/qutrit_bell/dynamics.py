@@ -14,21 +14,21 @@ Each edge (m,n) contributes the off-diagonal part of the two-site exchange,
 which in the pair basis moves an excitation along the edge (hop) or
 exchanges the two excitations sitting on it (swap). Equal-state terms are
 excluded, so the matrix has zero diagonal and 0/1 off-diagonal entries.
-The exchange C|i,j> = |j,i> commutes with H on every graph, so H splits
-into an even block H+ and an odd block H-, each on the N(N-1)/2 unordered
-pairs. `_role_fold(g, parity)` folds either block onto the cells of the colour
-refinement `_pair_cells` (listed by `pair_cells`; `bell_pairs_share_a_cell`
+The colour refinement `_pair_cells` splits the pairs into the cells of H's
+coarsest equitable partition (listed by `pair_cells`; `bell_pairs_share_a_cell`
 says whether |A,B> and |B,A> share one), whose span holds every state the
-protocols prepare: the Bell amplitude of `one_shot_peak` is read on the folded
-H+, and `scan` and the protocol-2 planner read their grids on both folds
-(`measurement`).
+protocols prepare: `scan`, the protocol-2 planner's grid and a fixed-interval
+schedule read H's quotient on it (`measurement`). The exchange C|i,j> = |j,i>
+commutes with H and maps each cell onto a cell, and the Bell amplitude of
+`one_shot_peak` is read on the C-even block H+ folded onto the cell pairs
+{X, CX} (`_role_fold`).
 There are two propagators. `_SpectralKernel` holds the only exp(-i lambda t)
 of a dense eigendecomposition (d <= 1260 for N <= 36): it serves a scalar time
 (`evolve`, peak refinement, the planned protocol-2 steps on the full space, the
-fixed-interval ones on both folds), bit-exact, and rows along an arithmetic grid
+fixed-interval ones on the quotient), bit-exact, and rows along an arithmetic grid
 from 0 (the peak searches and the protocol-2 planner), within 1e-13 of the
 scalar path. The Chebyshev recurrence `_chebyshev_spans` needs only
-products H v and a bound R >= ||H||: `scan` runs it on the folds
+products H v and a bound R >= ||H||: `scan` runs it on the quotient
 (`measurement.outcome_curves`), `verify` on the sector's 3^N closure (`oracle`).
 `select_peak` picks the peak time of a sampled curve, for the peak searches and
 for every protocol-2 planning strategy. Units: hbar = 1, J = 1.
@@ -47,6 +47,7 @@ from .topology import Graph
 logger = logging.getLogger(__name__)
 
 DEFAULT_GRID_STEP = 0.01
+NORM_TOL = 1e-8  # on a state's norm (`measurement`) and on the norm V^T psi0 keeps
 DEFAULT_REFINE_TOL = 1e-6
 #: default one-shot scan window is [0, PEAK_WINDOW_FACTOR * N]. The window
 #: must reach the latest resonance the peak tables rely on (6.29 N for the
@@ -132,10 +133,10 @@ def _index_groups(g: Graph) -> dict[str, np.ndarray]:
 
 
 def _pair_images(g: Graph, plus: np.ndarray, minus: np.ndarray, position):
-    """(pair, image, flipped) per nonzero of the edges' exchange operator on pairs k =
+    """(pair, image) per nonzero of the edges' exchange operator on pairs k =
     (plus[k], minus[k]), in order of k: along each edge at an excitation's site it hops
     to the other end, or the two swap (once, from the plus site) if the other sits there.
-    H moves pair k to position(image sites), whose plus site is larger where flipped."""
+    H moves pair k to position(image sites)."""
     arcs = np.array(sorted(g.edges | {(v, u) for u, v in g.edges}))  # (site, neighbour)
     first = np.searchsorted(arcs[:, 0], np.arange(g.n_vertices + 2))
     site = np.column_stack([plus, minus]).ravel()  # each pair's plus site, then its minus site
@@ -147,23 +148,18 @@ def _pair_images(g: Graph, plus: np.ndarray, minus: np.ndarray, position):
     keep = from_plus | (to != i)
     ti = np.where(from_plus, to, i)[keep]
     tj = np.where(from_plus, np.where(to == j, i, j), to)[keep]
-    return pair[keep], position(ti, tj), ti > tj
+    return pair[keep], position(ti, tj)
 
 
 def _exchange_matrix(g: Graph, plus: np.ndarray, minus: np.ndarray, position,
-                     parity: int = 1, label: np.ndarray | None = None,
-                     sign: np.ndarray | None = None) -> np.ndarray:
-    """The edges' exchange operator on a pair list (`_pair_images`). An image (k,l) with
-    k > l enters with the sign `parity` (-1 only for the C-odd block), times sign[image]
-    sign[pair] (default 1). One bincount scatters every edge onto label[image],
-    label[pair] (default label[k] = k): with cell labels, entry (O', O) sums +-H over
-    O' x O, exactly in any order."""
+                     label: np.ndarray | None = None) -> np.ndarray:
+    """The edges' exchange operator on a pair list (`_pair_images`). One bincount scatters
+    every edge onto label[image], label[pair] (default label[k] = k): with cell labels,
+    entry (O', O) counts the nonzeros from O to O', exactly in any order."""
     label = np.arange(plus.size) if label is None else label
-    sign = np.ones(plus.size) if sign is None else sign
     d = label.max() + 1
-    pair, image, flipped = _pair_images(g, plus, minus, position)
-    weight = np.where(flipped, parity, 1.0) * sign[image] * sign[pair]
-    return np.bincount(label[image] * d + label[pair], weight, d * d).reshape(d, d)
+    pair, image = _pair_images(g, plus, minus, position)
+    return np.bincount(label[image] * d + label[pair], np.ones(pair.size), d * d).reshape(d, d)
 
 
 def assemble_hamiltonian(g: Graph) -> np.ndarray:
@@ -176,7 +172,7 @@ def assemble_hamiltonian(g: Graph) -> np.ndarray:
 @dataclass(frozen=True)
 class Eigensystem:
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # columns paired with eigenvalues
+    eigenvectors: np.ndarray  # orthonormal columns paired with eigenvalues
 
     #: C-ordered V^T, so V^T psi needs no transposing copy per call. Built
     #: here, it reuses heap the decomposition's checks just freed; built at
@@ -220,9 +216,11 @@ def initial_state(g: Graph) -> np.ndarray:
 class _SpectralKernel:
     """Amplitudes <r|exp(-iHt)|psi0> on a fixed row set (every row by default).
 
-    V^T psi0 is formed once (`on_rows` shares it). A scalar time gives shape
-    (rows,) and is bit-exact: it rounds as exp(-1j * lambda t) * V^T psi0
-    followed by one complex product would. Protocol-2 schedules planned on
+    V^T psi0 is formed once (`on_rows` shares it). V may span only part of the
+    space (the cell quotient's eigenvectors unfolded to the pairs), so a psi0 that
+    loses norm in V^T psi0 (beyond NORM_TOL) lies off that span and is refused. A
+    scalar time gives shape (rows,) and is bit-exact: it rounds as exp(-1j * lambda t)
+    * V^T psi0 followed by one complex product would. Protocol-2 schedules planned on
     curves of height ~1e-13 move with any one-ulp change there, so that path
     never moves. Its complex copy of V is built at the first scalar time: numpy's
     real-by-complex product gives the same bits, but took 1.0 ms against 0.05 ms
@@ -241,10 +239,12 @@ class _SpectralKernel:
     """
 
     def __init__(self, e: Eigensystem, psi0: np.ndarray, rows=None):
-        if psi0.shape[0] != e.eigenvalues.shape[0]:
+        if psi0.shape[0] != e.eigenvectors.shape[0]:
             raise ValueError("state and eigensystem dimensions differ")
         self._neg_lam = -e.eigenvalues
         self._coeff = e._vt @ psi0
+        if not abs(np.linalg.norm(self._coeff) - np.linalg.norm(psi0)) <= NORM_TOL:
+            raise ValueError("state is not invariant on the eigensystem's span")
         self._v = e.eigenvectors if rows is None else e.eigenvectors[list(rows), :]
 
     def on_rows(self, rows) -> _SpectralKernel:
@@ -508,8 +508,8 @@ _MIX = [(np.uint64(s), np.uint64(m)) for s, m in ((30, 0xBF58476D1CE4E5B9),
 
 @lru_cache(maxsize=1)
 def _pair_cells(g: Graph) -> np.ndarray:
-    """Cell of each ordered pair |i,j> (lexicographic; read-only, cached so both C blocks
-    refine once) in the coarsest equitable partition of H's pair graph that separates
+    """Cell of each ordered pair |i,j> (lexicographic; read-only, cached so a command
+    refines once) in the coarsest equitable partition of H's pair graph that separates
     |c+,c->, |c-,c+>, the other psi1 pairs, psi2 and psi3, and success (Godsil & Royle,
     Algebraic Graph Theory, ch. 9): H keeps the span of the cells, and an automorphism
     keeping psi0 and the outcomes maps each cell onto itself. Colour refinement: a round
@@ -519,7 +519,7 @@ def _pair_cells(g: Graph) -> np.ndarray:
     it is not coarser either."""
     n, r, (plus, minus) = g.n_vertices, g.roles, _pairs(g.n_vertices)
     d = plus.size
-    pair, moved, _ = _pair_images(g, plus, minus, partial(_pair_position, n))
+    pair, moved = _pair_images(g, plus, minus, partial(_pair_position, n))
     slot = np.arange(pair.size) - np.searchsorted(pair, pair)  # pair k's images, in slots
     image = np.full((slot.max() + 1, d), -1)
     image[slot, pair] = moved
@@ -562,31 +562,22 @@ def bell_pairs_share_a_cell(g: Graph) -> bool:
     return bool(ba == ab)
 
 
-def _role_fold(g: Graph, parity: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(S^T H_parity S, each unordered pair's label, u): the C block of that parity on
-    |{i,j}+-> = (|i,j> +- |j,i>)/sqrt2, i < j, folded onto |O> = sum_{p in O} u_p |p>.
-
-    C maps each cell X of `_pair_cells` onto a cell CX: the C-even fold has one state per
-    {X, CX}, the C-odd one 1_X - 1_CX per X != CX, X the cell of its least pair's |lo,hi>,
-    so u_p = +-1/sqrt|O|, + where p's |lo,hi> lies in X; a cell with CX = X drops out
-    (u = 0, label 0). States are numbered by least pair. Entry (O', O) is s_O' s_O times
-    the integer sum of +-H over O' x O: where nothing folds, the C block to the bit.
-    """
+def _role_fold(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """(S^T H+ S, each unordered pair's label): the C-even block on |{i,j}+> = (|i,j> +
+    |j,i>)/sqrt2, i < j, folded onto the normalised indicator of each cell pair {X, CX}
+    of `_pair_cells` (C maps each cell X onto a cell CX), numbered by least pair. Entry
+    (O', O) is s_O' s_O times the count of nonzeros over O' x O, s_O = 1/sqrt|O|: where
+    nothing folds, H+ to the bit."""
     n = g.n_vertices
     i, j = _unordered_pairs(n)
     cells = _pair_cells(g)
-    forward, backward = cells[_pair_position(n, i, j)], cells[_pair_position(n, j, i)]
-    _, root, key = np.unique(np.minimum(forward, backward), return_index=True,
-                             return_inverse=True)  # one key per cell pair {X, CX}
-    label = root[key]  # its least pair
-    sign = np.where(forward == forward[label], 1.0, parity)
-    kept = (forward != backward) | (parity == 1)
-    label = np.where(kept, (np.cumsum(kept & (label == np.arange(i.size))) - 1)[label], 0)
-    sign[~kept] = 0.0
-    s = 1.0 / np.sqrt(np.bincount(label[kept]))
-    h = _exchange_matrix(g, i, j, partial(_unordered_position, n), parity, label,
-                         sign) * np.outer(s, s)
-    return h, label, sign * s[label]
+    _, first, key = np.unique(np.minimum(cells[_pair_position(n, i, j)],
+                                         cells[_pair_position(n, j, i)]),
+                              return_index=True, return_inverse=True)
+    label = np.unique(first[key], return_inverse=True)[1]  # numbered by least pair
+    s = 1.0 / np.sqrt(np.bincount(label))
+    h = _exchange_matrix(g, i, j, partial(_unordered_position, n), label) * np.outer(s, s)
+    return h, label
 
 
 def one_shot_peak(g: Graph, t_max: float | None = None,
@@ -600,7 +591,7 @@ def one_shot_peak(g: Graph, t_max: float | None = None,
     differs from `find_peak`'s by rounding only, within refine_tol in t*.
     """
     n, r = g.n_vertices, g.roles
-    h, label, _ = _role_fold(g, 1)
+    h, label = _role_fold(g)
     e = spectral_decompose(h)
     start = np.zeros(e.eigenvalues.size, dtype=complex)
     start[label[_unordered_position(n, r.charlie_plus, r.charlie_minus)]] = 1.0

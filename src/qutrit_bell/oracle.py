@@ -6,7 +6,7 @@ Hamiltonian applies, per edge, the two-site exchange with equal-state
 terms dropped, exactly mirroring the reduced assembly, so restricting it
 to the one-(+1)-one-(-1) sector must reproduce the reduced matrix entry
 for entry. Time evolution never forms a matrix: `dynamics._chebyshev_spans`,
-the propagator that `scan` runs on its folds, steps the full state with
+the propagator that `scan` runs on its cell quotient, steps the full state with
 R = |E|, one recurrence per span of consecutive grid points, on the sector's
 closure under the edges' images (`FullHamiltonian.closure`), outside which the
 3^N state stays exactly 0. So the check sets two independent methods side by
@@ -78,7 +78,8 @@ class FullHamiltonian:
             row[:] = np.where(dm != dn, swapped, self.dimension)
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        """H vec on the whole space: `_scatter` with every state as the closure."""
+        """H vec on the whole space: `_scatter` with every state as the closure, each
+        edge's images as its sources."""
         return _scatter(self._partners, vec)
 
     def closure(self, seeds: np.ndarray) -> np.ndarray:
@@ -101,18 +102,15 @@ class FullHamiltonian:
         return h[:-1]
 
 
-def _scatter(images: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """H vec on a closure C; images[e, x] is the position in C of edge e's image of
-    C's x, len(C) (the zero slot) where the two site states are equal.
+def _scatter(sources: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """H vec on a closure C; sources[e, y] is the position in C of the state that edge
+    e maps to C's y, len(C) (the zero slot) where there is none.
 
-    Column x puts vec[x] at each image, in edge order, so every entry sums the
-    same terms in the same order as on the whole space, less exact zeros: the
-    values agree bit for bit. Within one edge no two images coincide but the zero
-    slot (each exchange is an involution), so `+=` loses no term."""
-    out = np.zeros(images.shape[1] + 1, dtype=complex)
-    for row in images:
-        out[row] += vec
-    return out[:-1]
+    Entry y sums vec over its sources in edge order, the zero slot reading 0: the
+    terms and the order of a scatter of each column to its images, edge by edge, so
+    the values agree with it bit for bit. An exchange is an involution, so an image
+    table is its own source table (`FullHamiltonian.apply`)."""
+    return np.add.accumulate(np.append(vec, 0.0)[sources], axis=0)[-1]
 
 
 def full_initial_index(g: Graph) -> int:
@@ -201,7 +199,12 @@ def full_evolve_compare(g: Graph, t_grid) -> OracleComparison:
     position = np.full(full.dimension + 1, closure.size)
     position[closure] = np.arange(closure.size)
     psi = (closure == init).astype(complex)
-    product = partial(_scatter, position[full._partners[:, closure]])
+    # each edge's images inverted into its sources, so that an image that does not map
+    # back (a leak out of the sector included) still reaches the product
+    images = position[full._partners[:, closure]]
+    sources = np.full((images.shape[0], closure.size + 1), closure.size)
+    sources[np.arange(images.shape[0])[:, None], images] = np.arange(closure.size)
+    product = partial(_scatter, sources[:, :-1])
     # np.max, unlike max(), keeps a NaN, so the check that reads it fails
     deviations, leakages = [0.0], [0.0]
     # each edge term is a partial permutation, so ||H|| <= |E|

@@ -18,10 +18,10 @@ with p_U = p_2 + p_3 the per-step reset probability. Every series reads one
 per-step table, `_padded`, where a chain that ended early pads as dead steps.
 
 Every strategy plans a step alike (`_step_chooser`): a `_grid_scan` of
-(p_S, p_U) on the two folded C blocks, read as `scan` reads
-them (`measurement._fold_scan`), its score, then `dynamics.select_peak`.
-A planned step evolves on the full pair space's eigensystem, a fixed-interval
-one (`plan_regular`) on the two folds (`measurement._fold_kernel`).
+(p_S, p_U) on the cell quotient that `scan` reads (`measurement._quotient`), its
+score, then `dynamics.select_peak`. A planned step evolves on the full pair
+space's eigensystem, a fixed-interval one (`plan_regular`) on the quotient's
+(`measurement._quotient_eigensystem`).
 
 An explicit outcome-tree enumeration and a Monte Carlo sampler provide two
 independent checks of the recursions.
@@ -38,8 +38,9 @@ import numpy as np
 
 from .dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, HERALD_FLOOR, Eigensystem,
                        _index_groups, _SpectralKernel, _time_grid, initial_state, select_peak)
-from .measurement import (ZERO_PROB, Outcome, OutcomeDistribution, _fold_kernel, _fold_scan,
-                          outcome_distribution, post_state)
+from .measurement import (ZERO_PROB, Outcome, OutcomeDistribution, _quotient,
+                          _quotient_eigensystem, _weighted_squares, outcome_distribution,
+                          post_state)
 from .topology import Graph
 
 #: fraction of the window-max success probability below which a time is not
@@ -118,7 +119,8 @@ def _score(strategy: Strategy, p_success, p_unusable):
 
 
 def _success(amp: np.ndarray) -> float:
-    """p_S at one time from the amplitudes of the success rows |B,A>, |A,B>."""
+    """p_S from the amplitudes of the success rows |B,A>, |A,B>, at one time or along
+    a block of times."""
     return 0.5 * np.abs(amp[0] + amp[1]) ** 2
 
 
@@ -129,12 +131,24 @@ def _step_curve(amp: np.ndarray) -> tuple[float, float]:
 
 
 def _grid_scan(g: Graph, strategy: Strategy, t_grid: np.ndarray):
-    """psi -> (p_S, p_U) along t_grid, read by `measurement._fold_scan` on the two
-    folded C blocks. p_S lies in the C-even block; peak-success, whose
-    score reads p_S alone, scans that block only and gets p_U = 0."""
-    if strategy is Strategy.PEAK_SUCCESS:
-        return _fold_scan(g, t_grid, np.array([[1, 0, 0, 0, 0], [0, 0, 0, 0, 0]]), (1,))
-    return _fold_scan(g, t_grid, np.array([[1, 0, 0, 0, 0], [0, 0, 1, 1, 0]]))
+    """psi -> (p_S, p_U) along t_grid on the cell quotient's eigensystem, diagonalised
+    once (`measurement._quotient_eigensystem`). A cell's pairs share one amplitude, so
+    it reads one pair per cell of |B,A>, |A,B> and, where the score reads p_U, of the
+    psi2 and psi3 pairs, each weighted by its count there. Peak-success gets p_U = 0."""
+    e, cells, grp = _quotient_eigensystem(g), _quotient(g)[0], _index_groups(g)
+    read = (grp["success"] if strategy is Strategy.PEAK_SUCCESS
+            else np.concatenate([grp["success"], grp["g2"], grp["g3"]]))
+    _, first, where = np.unique(cells[read], return_index=True, return_inverse=True)
+    rows, unusable = read[first], np.bincount(where[2:], minlength=first.size)[None]
+
+    def scan(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        p_s, p_u = np.zeros((2, t_grid.size))
+        for cols, amp in _SpectralKernel(e, psi, rows)._blocks(t_grid):
+            p_s[cols] = _success(amp[where[:2]])
+            p_u[cols] = _weighted_squares(unusable, amp)[0]
+        return p_s, p_u
+
+    return scan
 
 
 def _step_chooser(g: Graph, strategy: Strategy, t_max: float | None, grid_step: float,
@@ -171,7 +185,7 @@ def _protocol2_steps(g: Graph, kernel_of, choose_time):
 
     Each step evolves the current conditional state for choose_time(state, kernel),
     through its one kernel = kernel_of(state), a map from a time to the evolved state
-    (a `_SpectralKernel` of the full space, or `measurement._fold_kernel`'s), measures,
+    (a `_SpectralKernel` of the full space or of the cell quotient), measures,
     and conditions on psi1. The chain ends after a step that leaves psi1 or the product
     of p_1 (`_survival`) no weight, or where choose_time finds no success in its window
     (an error at first).
@@ -215,7 +229,8 @@ def plan_protocol2(g: Graph, e: Eigensystem, strategy: Strategy = Strategy.PEAK_
     Each step evolves on e, the full space: refined on curves of height ~1e-13, the
     later steps of a chain move with any one-ulp change of the kernel, and the printed
     protocol-2 outputs rest on this one's rounding. Once they are regenerated, planning
-    steps on `measurement._fold_kernel`, as `plan_regular` does, and the full kernel goes.
+    steps on `measurement._quotient_eigensystem`, as `plan_regular` does, and the full
+    kernel goes.
     """
     return _schedule(g, partial(_SpectralKernel, e),
                      _step_chooser(g, strategy, t_max, grid_step, refine_tol), n_max)
@@ -223,10 +238,12 @@ def plan_protocol2(g: Graph, e: Eigensystem, strategy: Strategy = Strategy.PEAK_
 
 def plan_regular(g: Graph, tau: float, n_max: int) -> list[ScheduleStep]:
     """Fixed-interval fallback schedule: every measurement after time tau. Nothing is
-    refined, so each step evolves on the two C folds (`measurement._fold_kernel`)."""
+    refined, so each step evolves on the cell quotient's eigensystem
+    (`measurement._quotient_eigensystem`)."""
     if not (np.isfinite(tau) and tau > 0):
         raise ValueError(f"tau must be positive and finite, got {tau}")
-    return _schedule(g, _fold_kernel(g), lambda psi, kernel: tau, n_max)
+    return _schedule(g, partial(_SpectralKernel, _quotient_eigensystem(g)),
+                     lambda psi, kernel: tau, n_max)
 
 
 def _padded(schedule: list[ScheduleStep], n: int) -> np.ndarray:

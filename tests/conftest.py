@@ -8,9 +8,11 @@ from functools import lru_cache
 from itertools import islice
 
 import networkx as nx
+import numpy as np
 
 from qutrit_bell import (Graph, Roles, assemble_hamiltonian, build_cross, build_loop,
                          find_peak, initial_state, spectral_decompose)
+from qutrit_bell.measurement import _quotient
 
 #: the role permutations that keep the sets {c+, c-} and {A, B}: position k of
 #: `Roles.as_tuple()` (c+, c-, A, B) moves to position perm[k]
@@ -28,6 +30,15 @@ def prepared(family: str, n: int):
 def peak(family: str, n: int, t_max: float | None = None):
     g, eig, psi0 = prepared(family, n)
     return find_peak(eig, psi0, g, t_max=t_max)
+
+
+def quotient_matrix(g: Graph) -> np.ndarray:
+    """The cell quotient H_q of `measurement._quotient` as a k x k array, from its
+    gather table (an empty slot adds 0)."""
+    _, s, cols, vals, _ = _quotient(g)
+    h = np.zeros((s.size, s.size))
+    np.add.at(h, (np.arange(s.size), cols), vals)
+    return h
 
 
 def random_graph_with_moved_roles():

@@ -12,6 +12,7 @@ from conftest import time_budget
 from qutrit_bell import (Strategy, assemble_hamiltonian, cli, oracle, plan_protocol2,
                          spectral_decompose)
 from qutrit_bell.cli import _config_echo, _fmt, _write_table, build_parser, main
+from qutrit_bell.dynamics import PHASE_BLOCK
 
 DATA = Path(__file__).resolve().parent / "data"
 CROSS5 = str(DATA / "cross5.txt")  # cross-5 as a custom topology file
@@ -504,24 +505,41 @@ class TestSizeGuard:
 
     def test_peaks_guard_sizes_the_c_even_block(self, monkeypatch, capsys):
         # physical memory between the loop-8 C-even block (d = 28) and the full
-        # pair space (d = 56): peaks diagonalises the block and runs, scan
-        # its two C blocks and runs, protocol2 --tau its two folds and runs;
-        # planned protocol2 needs the full eigensystem and is refused
+        # pair space (d = 56): peaks diagonalises the block and runs; planned
+        # protocol2 needs the full eigensystem and --tau the cell quotient's, whose
+        # cells only d = N(N-1) bounds before the graph is built: both are refused
         block, full = (cli.EIGENSYSTEM_ARRAYS * 8 * d * d for d in (28, 56))
         pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": (block + full) // 2}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
-        for argv in (["peaks", "--topology", "loop", "--n-list", "8", "--t-max", "1"],
-                     ["scan", "--topology", "loop", "--n", "8", "--t-max", "1"]):
-            code, out, err = run_cli(argv, capsys)
-            assert code == 0 and out.count("\n") > 1 and err == ""
-        code, out, err = run_cli(["protocol2", "--topology", "loop", "--n", "8",
+        code, out, err = run_cli(["peaks", "--topology", "loop", "--n-list", "8",
                                   "--t-max", "1"], capsys)
-        assert code == 2 and out == ""
-        assert "N=8: the dense eigensystem (d = 56)" in err
-        # --tau diagonalises only the two folds, each at most the C-even block's size
-        code, out, err = run_cli(["protocol2", "--topology", "loop", "--n", "8",
-                                  "--tau", "1"], capsys)
         assert code == 0 and out.count("\n") > 1 and err == ""
+        for flags, what in ((["--t-max", "1"], "the dense eigensystem"),
+                            (["--tau", "1"], "the quotient eigensystem")):
+            code, out, err = run_cli(["protocol2", "--topology", "loop", "--n", "8"] + flags,
+                                     capsys)
+            assert code == 2 and out == ""
+            assert f"N=8: {what} (d = 56)" in err
+
+    # scan holds the quotient's states along one Chebyshev span (a point each, at most
+    # PHASE_BLOCK) and SPAN_VECTORS more; --tau one eigensystem of the quotient; each
+    # runs at exactly its bound and is refused a byte below it
+    @pytest.mark.parametrize("argv,need", [
+        (["scan", "--topology", "loop", "--n", "8", "--t-max", "1"],
+         (cli.SPAN_VECTORS + 101) * 16 * 56),
+        (["scan", "--topology", "loop", "--n", "8", "--t-max", "1", "--grid-step", "1e-4"],
+         (cli.SPAN_VECTORS + PHASE_BLOCK) * 16 * 56),
+        (["protocol2", "--topology", "loop", "--n", "8", "--tau", "1"],
+         cli.EIGENSYSTEM_ARRAYS * 8 * 56 * 56),
+    ])
+    def test_scan_and_tau_run_at_their_bound(self, argv, need, monkeypatch, capsys):
+        for memory, want in ((need, 0), (need - 1, 2)):
+            pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}
+            monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+            code, out, err = run_cli(argv, capsys)
+            assert code == want
+            assert (out.count("\n") > 1 and err == "") if want == 0 else (
+                out == "" and "N=8:" in err)
 
     @pytest.mark.parametrize("argv", GRID_REFUSALS)
     def test_time_grid_beyond_physical_memory_is_exit_2(self, argv, capsys):
@@ -806,8 +824,8 @@ class TestOutputHandling:
 
 
 class TestRuntimeImports:
-    #: one command of each kind, on the folds without a role exchange (scan, protocol2)
-    #: and with signed and dropped states (cross-5 as a custom file)
+    #: one command of each kind, on the cell quotient without a role exchange (scan,
+    #: protocol2) and with one (cross-5 as a custom file)
     NETWORKX_FREE = [
         ["scan", "--topology", "loop", "--n", "8", "--t-max", "5"],
         ["scan", "--topology", "custom", "--topology-file", str(DATA / "no-role-exchange.txt"),

@@ -4,13 +4,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import peak, prepared, random_graph_with_moved_roles, time_budget
+from conftest import peak, prepared, quotient_matrix, random_graph_with_moved_roles, time_budget
 from qutrit_bell import (Graph, Outcome, assemble_hamiltonian, evolve, initial_state,
                          outcome_distribution, post_state, spectral_decompose)
 from qutrit_bell.cli import _load_topology_file
 from qutrit_bell.dynamics import (CHEBYSHEV_SPAN, PHASE_BLOCK, _chebyshev_order, _chebyshev_spans,
-                                  _role_fold, pair_index)
-from qutrit_bell.measurement import _fold_sum, _weighted_squares, outcome_curves
+                                  pair_index)
+from qutrit_bell.measurement import _quotient, _weighted_squares, outcome_curves
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -108,7 +108,7 @@ class TestOutcomeCurves:
         that is at most sqrt(D) eps (spans (order + 1) + R t_max) in the 2-norm, and a
         probability moves by at most twice the change of a unit state.
         """
-        radius = max(np.abs(_role_fold(g, parity)[0]).sum(axis=1).max() for parity in (1, -1))
+        radius = np.abs(quotient_matrix(g)).sum(axis=1).max()
         spans = np.ceil(radius * t_max / CHEBYSHEV_SPAN)
         terms = spans * (_chebyshev_order(CHEBYSHEV_SPAN) + 1) + radius * t_max
         return 2 * np.finfo(float).eps * np.sqrt(psi0.size) * terms
@@ -116,7 +116,7 @@ class TestOutcomeCurves:
     @pytest.mark.parametrize("name", ["loop-4", "cross-5", "no-role-exchange"])
     @pytest.mark.parametrize("grid", [0.5 * np.arange(4001), UNEVEN], ids=["to-2000", "uneven"])
     def test_long_and_uneven_grids_agree_with_the_spectral_form(self, name, grid):
-        # loop-4's folds, of 3 and 2 orbits, are the smallest any 4-site graph has
+        # loop-4's quotient, of 5 cells, is the smallest any 4-site graph has
         if name == "no-role-exchange":
             g = Graph(*_load_topology_file(str(DATA / "no-role-exchange.txt")))
             e, psi0 = spectral_decompose(assemble_hamiltonian(g)), initial_state(g)
@@ -131,7 +131,7 @@ class TestOutcomeCurves:
 
     @pytest.mark.parametrize("lam", [2.0, -0.5, 0.0])
     def test_one_orbit_fold_turns_by_its_phase(self, lam):
-        # no 4-site graph has a one-orbit fold, so the recurrence takes a 1 x 1 one
+        # no 4-site graph has a one-cell quotient, so the recurrence takes a 1 x 1 one
         # here: [[lam]] with R = |lam|, R = 0 (a state that never moves) included
         t = 0.25 * np.arange(8001)
         spans = _chebyshev_spans(lambda v: lam * v, abs(lam), np.ones(1, dtype=complex), t,
@@ -156,10 +156,10 @@ class TestOutcomeCurves:
             g = Graph(*_load_topology_file(str(DATA / "no-role-exchange.txt")))
         else:
             g = self.system(name)[0]
-        folds = [_role_fold(g, parity)[0] for parity in (1, -1)]
-        norm = max(np.abs(np.linalg.eigvalsh(h)).max() for h in folds)
-        row_sum = max(np.abs(h).sum(axis=1).max() for h in folds)
-        assert norm <= _fold_sum(g)[2] < row_sum
+        h = quotient_matrix(g)
+        norm = np.abs(np.linalg.eigvalsh(h)).max()
+        row_sum = np.abs(h).sum(axis=1).max()
+        assert norm <= _quotient(g)[4] < row_sum
 
     def test_grid_beyond_the_cost_cap_is_refused_before_any_step(self):
         # the CLI refuses the same scans through the same check
@@ -179,7 +179,7 @@ class TestOutcomeCurves:
         assert str(on_grid.value) == str(one_state.value)
 
     def test_nan_state_rejected(self):
-        # the start state's norm is checked before its folds
+        # the start state's norm is checked before it is folded onto the cells
         g, _, _ = prepared("loop", 4)
         with pytest.raises(ValueError, match="norm"):
             outcome_curves(g, np.full(12, np.nan, dtype=complex), self.GRID)
@@ -194,13 +194,13 @@ class TestOutcomeCurves:
         finally:
             tracemalloc.stop()
         # the bound is evolve's complex cast of the full V^T (d x d, 25.4 MB); the
-        # call diagonalises nothing and peaks at 7.3 MB: one span's 549 states of
-        # both folds (333 orbits, 2.9 MB), its recurrence terms and coefficients
+        # call diagonalises nothing and peaks at 6.1 MB: one span's 549 states of
+        # the quotient (333 cells, 2.9 MB), its recurrence terms and coefficients
         assert peak_bytes < d * d * 16 + 2 ** 20
 
     def test_norm_check_holds_no_block_sized_temporary(self):
-        # one kernel block of PHASE_BLOCK times on the 171 orbits of loop-36's
-        # C-even fold (2.8 MB), read by all five rows of W: |amp|^2 would be a
+        # one kernel block of PHASE_BLOCK times on 171 rows (2.8 MB), read by five
+        # rows of weights (the planner's p_U reads one): |amp|^2 would be a
         # temporary half the block's size; summed over the real and imaginary views,
         # the readout holds none
         rng = np.random.default_rng(3)

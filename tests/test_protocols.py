@@ -274,8 +274,8 @@ def scanned_curves(psi, g, t, strategy=Strategy.MIN_LOSS):
 
 
 class TestMirrorRows:
-    """The grid scan reads the {A,B} orbit and each psi2/psi3 orbit once, on the
-    C blocks folded by the role exchanges; the refinement reads the pair rows."""
+    """The grid scan reads the Bell cells and each psi2/psi3 cell once, on the cell
+    quotient; the refinement reads the pair rows."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -293,8 +293,7 @@ class TestMirrorRows:
                 built.append((len(rows), self._v.shape[1]))
                 return super().on_rows(rows)
 
-        for module in (measurement, protocols):
-            monkeypatch.setattr(module, "_SpectralKernel", Recording)
+        monkeypatch.setattr(protocols, "_SpectralKernel", Recording)
         return built
 
     def test_loop36_scans_34_orbits_for_136_unusable_rows(self, built):
@@ -303,10 +302,10 @@ class TestMirrorRows:
         assert len(grp["g2"]) + len(grp["g3"]) == 136
         plan_protocol2(g, e, Strategy.MIN_LOSS, n_max=1, t_max=20.0)
         # the step's kernel on every row of the full space (its V^T psi also serves
-        # the refinement); the grid scan reads the {A,B} orbit and 17 psi2/psi3
-        # orbits of the 171-orbit C-even fold, 17 of the 162-orbit C-odd fold; the
-        # refinement all 2 + 136 rows of the full space
-        assert built == [(1260, 1260), (18, 171), (17, 162), (138, 1260)]
+        # the refinement); the grid scan reads one pair of the {A,B} cell and of each
+        # of 34 psi2/psi3 cells of the 333-cell quotient; the refinement all 2 + 136
+        # rows of the full space
+        assert built == [(1260, 1260), (35, 333), (138, 1260)]
 
     @pytest.mark.parametrize("family,n", [("loop", 36), ("cross", 35)])
     def test_chain_curves_equal_full_row_curves(self, family, n):
@@ -325,18 +324,17 @@ class TestMirrorRows:
         e = spectral_decompose(assemble_hamiltonian(g))
         every = 2 + len(_index_groups(g)["g2"]) + len(_index_groups(g)["g3"])
         plan_protocol2(g, e, Strategy.MAX_MARGIN, n_max=1)
-        # the step's kernel; no fold: {A,B} and the 16 psi2/psi3 pairs of the
-        # C-even block, the same 16 pairs of the C-odd block (each two psi2/psi3
-        # rows), then every row
+        # the step's kernel; every pair a cell of its own: the two Bell pairs and
+        # the 32 psi2/psi3 pairs, then every row
         assert every == 2 + 2 * 16
-        assert built == [(90, 90), (17, 45), (16, 45), (every, 90)]
+        assert built == [(90, 90), (every, 90), (every, 90)]
 
     def test_peak_success_reads_only_the_success_rows(self, built):
         g, e, _ = prepared("loop", 8)
         plan_protocol2(g, e, Strategy.PEAK_SUCCESS, n_max=2)
-        # per step, the step's kernel, the grid scan of the {A,B} orbit on the
-        # 10-orbit C-even fold, then the refinement
-        assert built == [(56, 56), (1, 10), (2, 56)] * 2
+        # per step, the step's kernel, the grid scan of the {A,B} cell of the
+        # 18-cell quotient, then the refinement
+        assert built == [(56, 56), (1, 18), (2, 56)] * 2
 
     def test_a_state_off_the_fold_is_refused(self):
         g, e, psi0 = prepared("loop", 8)
@@ -358,13 +356,13 @@ class TestMirrorRows:
 
         for module in (cli, measurement):
             monkeypatch.setattr(module, "spectral_decompose", counting)
-        for name, dims in (("no-role-exchange.txt", [42, 21]), ("cross5.txt", [20, 5])):
+        for name, dims in (("no-role-exchange.txt", [42, 42]), ("cross5.txt", [20, 8])):
             calls.clear()
             assert main(["protocol2", "--topology", "custom", "--topology-file",
                          str(DATA / name), "--n-max", "3", "--no-timestamp",
                          "--output", os.devnull]) == 0
-            # the full space, then the C-even fold peak-success scans (with no
-            # role exchange, the C-even block itself)
+            # the full space, then once the cell quotient the grid scans read (with
+            # no role exchange, every pair a cell: the pair space's size)
             assert calls == dims
 
 
@@ -397,12 +395,12 @@ class TestOnePlannerStep:
     def test_cells_refined_once_per_plan(self, strategy):
         g, e, _ = prepared("loop", 8)
         dynamics._pair_cells.cache_clear()
+        measurement._quotient.cache_clear()
         plan_protocol2(g, e, strategy, n_max=4)
-        # one refinement, read by each C block the grid scan folds, not once per step:
-        # the C-even block for peak-success, both blocks for the others
-        folds = 1 if strategy is Strategy.PEAK_SUCCESS else 2
+        # one refinement, read by the cell quotient of the grid scan, not once per step
         info = dynamics._pair_cells.cache_info()
-        assert (info.misses, info.hits) == (1, folds - 1)
+        assert (info.misses, info.hits) == (1, 0)
+        assert measurement._quotient.cache_info().misses == 1
 
 
 class TestRegularSchedule:
@@ -429,8 +427,8 @@ class TestRegularSchedule:
         survival = protocols._survival(protocols._padded(sched, n)[1])
         assert survival[565] > 0.0 and survival[566] == 0.0
         # the chain stepped on to n, as it was before it ended there, through the
-        # same fold kernel (the full space agrees to 1e-12: tests/test_properties.py)
-        kernel_of = measurement._fold_kernel(g)
+        # same quotient kernel (the full space agrees to 1e-12: tests/test_properties.py)
+        kernel_of = partial(_SpectralKernel, measurement._quotient_eigensystem(g))
         steps = []
         for _ in range(n):
             phi = kernel_of(psi)(1.0)
@@ -442,10 +440,10 @@ class TestRegularSchedule:
         assert np.array_equal(protocol2_total(sched, n), protocol2_total(steps, n))
 
     @pytest.mark.parametrize("argv,n,dims", [
-        (["--topology", "loop", "--n", "8"], 8, [10, 8]),
-        (["--topology", "cross", "--n", "7"], 7, [10, 4]),
+        (["--topology", "loop", "--n", "8"], 8, [18]),
+        (["--topology", "cross", "--n", "7"], 7, [14]),
         (["--topology", "custom", "--topology-file", str(DATA / "no-role-exchange.txt")], 7,
-         [21, 21])], ids=["loop-8", "cross-7", "no-role-exchange"])
+         [42])], ids=["loop-8", "cross-7", "no-role-exchange"])
     def test_steps_on_the_folds_alone(self, argv, n, dims, monkeypatch):
         calls = []
 
@@ -457,10 +455,10 @@ class TestRegularSchedule:
             monkeypatch.setattr(module, "spectral_decompose", counting)
         assert main(["protocol2", *argv, "--tau", "2.5", "--n-max", "5", "--no-timestamp",
                      "--output", os.devnull]) == 0
-        # each C fold once per run (without a role exchange, each C block), never
-        # the N(N-1) pair space
+        # the cell quotient once per run, never the N(N-1) pair space itself but
+        # where every pair is a cell (no role exchange)
         assert calls == dims
-        assert max(calls) <= n * (n - 1) // 2
+        assert max(calls) <= n * (n - 1)
 
 
 class TestCumulativeSeries:
