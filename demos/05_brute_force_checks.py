@@ -2,7 +2,11 @@
 
 The reduced basis covers only the one-(+1)-one-(-1) sector; here the same
 systems are evolved in the complete 3^N product space and compared
-amplitude by amplitude. The generator algebra, the sector restriction of
+amplitude by amplitude with the cell quotient that `scan`, `--tau` and the
+protocol-2 planner's grid run. The full-space run touches only the states
+the sector reaches through the edges' exchanges, so it builds no array of
+3^N entries and reaches the paper's sizes (N <= 39, the int64 index of a
+product state). The generator algebra, the sector restriction of
 the full Hamiltonian, the outcome-tree enumeration and a Monte Carlo run
 all cross-check independent parts of the machinery.
 """

@@ -29,7 +29,7 @@ from .dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, GRID_END_SLACK,
                        bell_pairs_share_a_cell, initial_state, one_shot_peak,
                        spectral_decompose)
 from .measurement import _check_scan_cost, outcome_curves
-from .oracle import ORACLE_MAX_SITES, full_evolve_compare, su3_algebra_check
+from .oracle import _check_verify_cost, full_evolve_compare, su3_algebra_check
 from .protocols import (PLAN_WINDOW_FACTOR, Strategy, plan_protocol2, plan_regular,
                         protocol1_cumulative, protocol1_required, protocol2_no_reset,
                         protocol2_total)
@@ -54,12 +54,6 @@ GRID_ARRAYS = 6
 #: table and the series arrays (475 bytes, tracemalloc, loop-4 --tau 1 --n-max 20000).
 SERIES_FLOATS = 60
 VERIFY_GRID_STEP = 0.1  # default step of the grid on which `verify` compares the engines
-#: Cap on |E| t_max, the Chebyshev argument over which `verify` propagates the
-#: sector's 3^N closure. At cross-9 a unit costs about 0.08 ms on 2 cores (0.84 s in
-#: process for t_max = 1250, the cap), so 1.2-1.8 s for the whole command; a grid step dt
-#: beyond CHEBYSHEV_SPAN / |E| is crossed in steps of CHEBYSHEV_GAP / |E|
-#: (`dynamics._chebyshev_spans`).
-VERIFY_MAX_EDGE_TIME = 1e4
 #: Cap on protocol 2's planning window and on --tau: the rounding of lambda t breaks the
 #: role-exchange symmetry the planner reads (cross-5 failed from t_max = 1e9, cross-9 from
 #: 1e11; none at 1e8), and a one-ulp change of tau moves the 9th printed digit of the
@@ -205,8 +199,8 @@ def _checked_run(args) -> _Run:
     Sizes each command's dense eigensystem (d = N(N-1), which bounds the cell quotient of
     --tau; N(N-1)/2 for the C-even block of the peak tables), the states of `scan`'s
     Chebyshev span on the quotient, the time grid (none with --tau) and the protocol-2
-    series, resolves the default window and applies `verify`'s caps, `scan`'s cost cap
-    and the planning cap. A graph is built once N fits.
+    series, resolves the default window and applies the cost caps of `scan` and `verify`
+    (with the oracle's bound on N) and the planning cap. A graph is built once N fits.
     """
     for name in ("t_max", "grid_step", "refine_tol", "tau"):
         value = getattr(args, name, None)
@@ -255,9 +249,6 @@ def _checked_run(args) -> _Run:
                  build_cross(n) if args.topology == "cross" else build_loop(n))
         except ValueError as exc:
             raise PreconditionError(f"{where}{exc}") from exc
-        if command == "verify" and n > ORACLE_MAX_SITES:
-            raise PreconditionError(f"brute-force verification is capped at "
-                                    f"N <= {ORACLE_MAX_SITES}, got N={n}")
         if not tau:
             # GRID_ARRAYS floats a point, plus a complex amplitude per row held along the grid
             rows = d if command == "verify" else int(peak_table)
@@ -268,17 +259,14 @@ def _checked_run(args) -> _Run:
                 raise PreconditionError(f"--t-max exceeds the planning cap of {PLAN_MAX_TIME:g}")
             _check_memory(f"the time grid over [0, {t_max:g}] at step {args.grid_step:g} "
                           f"({points:.3g} points)", points * 8 * (GRID_ARRAYS + 2 * rows))
-            if command == "scan":
+            if command in ("scan", "verify"):  # the propagation's cost; the oracle's N too
+                check = _check_scan_cost if command == "scan" else _check_verify_cost
                 try:
-                    _check_scan_cost(g, t_max + GRID_END_SLACK)
+                    check(g, t_max + GRID_END_SLACK)
                 except ValueError as exc:
                     raise PreconditionError(str(exc)) from exc
         elif args.tau > PLAN_MAX_TIME:
             raise PreconditionError(f"--tau exceeds the planning cap of {PLAN_MAX_TIME:g}")
-        if command == "verify" and len(g.edges) * t_max > VERIFY_MAX_EDGE_TIME:
-            raise PreconditionError(f"verify propagates the sector's 3^N closure over |E| "
-                                    f"t_max = {len(g.edges) * t_max:.3g}, beyond the cap of "
-                                    f"{VERIFY_MAX_EDGE_TIME:g}")
         systems.append((n, g, t_max))
     return _Run(tuple(systems), targets)
 

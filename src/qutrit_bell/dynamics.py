@@ -27,9 +27,9 @@ of a dense eigendecomposition (d <= 1260 for N <= 36): it serves a scalar time
 (`evolve`, peak refinement, the planned protocol-2 steps on the full space, the
 fixed-interval ones on the quotient), bit-exact, and rows along an arithmetic grid
 from 0 (the peak searches and the protocol-2 planner), within 1e-13 of the
-scalar path. The Chebyshev recurrence `_chebyshev_spans` needs only
-products H v and a bound R >= ||H||: `scan` runs it on the quotient
-(`measurement.outcome_curves`), `verify` on the sector's 3^N closure (`oracle`).
+scalar path. The Chebyshev recurrence `_chebyshev_spans` needs only products H v
+and a bound R >= ||H||: `scan` runs it on the quotient (`measurement.outcome_curves`),
+`verify` on the sector's closure in the 3^N product space (`oracle`).
 `select_peak` picks the peak time of a sampled curve, for the peak searches and
 for every protocol-2 planning strategy. Units: hbar = 1, J = 1.
 """

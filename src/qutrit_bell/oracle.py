@@ -1,18 +1,19 @@
 """Brute-force full-Hilbert-space checks for the reduced-basis engine.
 
 Everything here works in the full 3^N product space, with one base-3 digit
-per site (digit = state + 1, site n is digit position n-1). The full
-Hamiltonian applies, per edge, the two-site exchange with equal-state
-terms dropped, exactly mirroring the reduced assembly, so restricting it
-to the one-(+1)-one-(-1) sector must reproduce the reduced matrix entry
-for entry. Time evolution never forms a matrix: `dynamics._chebyshev_spans`,
-the propagator that `scan` runs on its cell quotient, steps the full state with
-R = |E|, one recurrence per span of consecutive grid points, on the sector's
-closure under the edges' images (`FullHamiltonian.closure`), outside which the
-3^N state stays exactly 0. So the check sets two independent methods side by
-side: that recurrence on the full space, and the reduced engine's
-eigendecomposition.
-Capped at N <= 9.
+per site (digit = state + 1, site n is digit position n-1) and each state its
+int64 index, so N <= ORACLE_MAX_SITES. The full Hamiltonian applies, per edge,
+the two-site exchange with equal-state terms dropped, exactly mirroring the
+reduced assembly, so restricting it to the one-(+1)-one-(-1) sector must
+reproduce the reduced matrix entry for entry. No array spans the 3^N space:
+`_images` swaps two digits of the states it is given, and time evolution never
+forms a matrix. `dynamics._chebyshev_spans`, the propagator that `scan` runs on
+its cell quotient, steps the full state with R = |E|, one recurrence per span of
+consecutive grid points, on the sector's closure under the edges' images
+(`_closure`, a breadth-first search), outside which the full state stays exactly
+0. So the check sets two independent methods side by side: that recurrence on
+the full space, and the eigendecomposition of the cell quotient that `scan`,
+`--tau` and the protocol-2 planner's grid read.
 """
 
 from __future__ import annotations
@@ -24,10 +25,17 @@ from functools import partial
 import numpy as np
 
 from .dynamics import (_chebyshev_spans, _index_groups, _pairs, _SpectralKernel,
-                       assemble_hamiltonian, initial_state, spectral_decompose)
+                       assemble_hamiltonian, initial_state)
+from .measurement import _quotient_eigensystem
 from .topology import Graph
 
-ORACLE_MAX_SITES = 9
+#: a state's index lies below 3^N, and 3^39 < 2^63 < 3^40
+ORACLE_MAX_SITES = 39
+#: Cap on |E| t_max (|E| N(N-1) + 2048), the cost of `verify`'s recurrence: about |E|
+#: t_max products, each gathering |E| sources for each of the sector's N(N-1) states.
+#: 17-21 ns a unit on 2 cores (loop-36 over its 6.4N window, 230.4: 3.9e8 units, 8.2 s
+#: for the command), so 17-18 s at the cap for cross-5, cross-9 and loop-36.
+VERIFY_MAX_WORK = 1e9
 
 STATES = (-1, 0, +1)
 
@@ -53,53 +61,45 @@ def su3_algebra_check() -> float:
 
 def _check_oracle_size(n: int) -> None:
     if n > ORACLE_MAX_SITES:
-        raise ValueError(f"oracle is capped at N <= {ORACLE_MAX_SITES} "
-                         f"(3^{n} = {3 ** n} states); requested N = {n}")
+        raise ValueError(f"the oracle indexes the 3^N product states in int64, so N <= "
+                         f"{ORACLE_MAX_SITES} (3^39 < 2^63); requested N = {n}")
+
+
+def _check_verify_cost(g: Graph, t_max: float) -> None:
+    _check_oracle_size(g.n_vertices)
+    edges, d = len(g.edges), g.n_vertices * (g.n_vertices - 1)
+    if not (work := edges * t_max * (edges * d + 2048)) <= VERIFY_MAX_WORK:
+        raise ValueError(f"verify propagates the sector's closure over |E| t_max = "
+                         f"{edges * t_max:.3g}, {work:.3g} entry steps, beyond the cap of "
+                         f"{VERIFY_MAX_WORK:g}")
 
 
 def _site_digit(indices: np.ndarray, site: int) -> np.ndarray:
     return (indices // 3 ** (site - 1)) % 3
 
 
-class FullHamiltonian:
-    """Matrix-free full-space Hamiltonian; dense form on demand."""
+def _images(g: Graph, states) -> np.ndarray:
+    """Row e: each of the given states' image under edge e's exchange (the two site
+    digits swapped), -1 where the two site states are equal."""
+    _check_oracle_size(g.n_vertices)
+    states = np.asarray(states, dtype=np.int64)
+    out = np.empty((len(g.edges), states.size), dtype=np.int64)
+    for row, (m, n) in zip(out, g.edges):
+        dm, dn = _site_digit(states, m), _site_digit(states, n)
+        swapped = states + (dn - dm) * 3 ** (m - 1) + (dm - dn) * 3 ** (n - 1)
+        row[:] = np.where(dm != dn, swapped, -1)
+    return out
 
-    def __init__(self, g: Graph):
-        _check_oracle_size(g.n_vertices)
-        self.graph = g
-        self.dimension = 3 ** g.n_vertices
-        idx = np.arange(self.dimension)
-        # Row e maps each state to its image under edge e's exchange, or to
-        # the zero slot `dimension` where the two site states are equal.
-        self._partners = np.empty((len(g.edges), self.dimension), dtype=np.int64)
-        for row, (m, n) in zip(self._partners, g.edges):
-            dm, dn = _site_digit(idx, m), _site_digit(idx, n)
-            swapped = idx + (dn - dm) * 3 ** (m - 1) + (dm - dn) * 3 ** (n - 1)
-            row[:] = np.where(dm != dn, swapped, self.dimension)
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        """H vec on the whole space: `_scatter` with every state as the closure, each
-        edge's images as its sources."""
-        return _scatter(self._partners, vec)
-
-    def closure(self, seeds: np.ndarray) -> np.ndarray:
-        """The states reachable from `seeds` by the edges' images, ascending: H
-        maps a vector on them to one on them, a leak out of the sector included."""
-        reached = np.zeros(self.dimension + 1, dtype=bool)
-        reached[self.dimension] = True  # the zero slot is no state
-        frontier = np.unique(seeds)
-        while frontier.size:
-            reached[frontier] = True
-            frontier = np.unique(self._partners[:, frontier])
-            frontier = frontier[~reached[frontier]]
-        return np.flatnonzero(reached[:-1])
-
-    def dense(self) -> np.ndarray:
-        h = np.zeros((self.dimension + 1, self.dimension))
-        idx = np.arange(self.dimension)
-        for row in self._partners:
-            h[row, idx] += 1.0
-        return h[:-1]
+def _closure(g: Graph, seeds) -> np.ndarray:
+    """The states reachable from `seeds` by the edges' images, ascending: H maps a
+    vector on them to one on them, a leak out of the sector included."""
+    closure = frontier = np.unique(seeds)
+    while frontier.size:
+        images = _images(g, frontier)
+        frontier = np.setdiff1d(images[images >= 0], closure)
+        closure = np.union1d(closure, frontier)
+    return closure
 
 
 def _scatter(sources: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -108,8 +108,7 @@ def _scatter(sources: np.ndarray, vec: np.ndarray) -> np.ndarray:
 
     Entry y sums vec over its sources in edge order, the zero slot reading 0: the
     terms and the order of a scatter of each column to its images, edge by edge, so
-    the values agree with it bit for bit. An exchange is an involution, so an image
-    table is its own source table (`FullHamiltonian.apply`)."""
+    the values agree with it bit for bit."""
     return np.add.accumulate(np.append(vec, 0.0)[sources], axis=0)[-1]
 
 
@@ -129,22 +128,20 @@ def _sector_indices(g: Graph) -> np.ndarray:
 
 def sector_restriction(g: Graph) -> np.ndarray:
     """Full Hamiltonian restricted to the one-(+1)-one-(-1) sector."""
-    return _restriction(FullHamiltonian(g))
+    sect = _sector_indices(g)
+    return _restriction(sect, _images(g, sect))
 
 
-def _restriction(full: FullHamiltonian) -> np.ndarray:
-    sect = _sector_indices(full.graph)
-    d = len(sect)
-    # position of each full-space state in the sector, -1 outside it; images
-    # in the zero slot `dimension` (an equal-state pair) are dropped
-    position = np.full(full.dimension + 1, -1)
-    position[sect] = np.arange(d)
-    images = full._partners[:, sect]
-    edge, col = np.nonzero(images != full.dimension)
-    row = position[images[edge, col]]
-    if np.any(row < 0):
+def _restriction(sect: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """Entry (i, j) counts the edges whose image of sect[j] is sect[i]; images -1 (an
+    equal-state pair) are dropped."""
+    order = np.argsort(sect)
+    edge, col = np.nonzero(images >= 0)
+    image = images[edge, col]
+    row = order[np.searchsorted(sect, image, sorter=order).clip(max=sect.size - 1)]
+    if not np.array_equal(sect[row], image):
         raise ValueError("the full Hamiltonian maps a sector state out of the sector")
-    out = np.zeros((d, d))
+    out = np.zeros((sect.size, sect.size))
     np.add.at(out, (row, col), 1.0)
     return out
 
@@ -158,7 +155,7 @@ class OracleComparison:
     #: an upper bound on the largest full-space magnitude outside the sector:
     #: sum_k |c_k(t)| max|T_k psi outside the sector|, worst over the grid
     max_sector_leakage: float
-    #: max |a_{B,A}(t) - a_{A,B}(t)| of the reduced engine (Alice at A, Bob
+    #: max |a_{B,A}(t) - a_{A,B}(t)| of the full-space amplitudes (Alice at A, Bob
     #: at B); at roundoff where |A,B> and |B,A> share a `dynamics._pair_cells` cell
     max_bell_asymmetry: float
 
@@ -166,55 +163,54 @@ class OracleComparison:
 def full_evolve_compare(g: Graph, t_grid) -> OracleComparison:
     """Evolve in the full space and compare with the reduced engine.
 
-    Returns the worst entry difference between the full Hamiltonian's
-    sector restriction and the reduced one; across the grid, the worst
-    amplitude difference within the sector, a bound on the worst amplitude
-    magnitude outside it and the worst Bell-channel asymmetry of the reduced
-    amplitudes. The full state is propagated on its closure, one span of grid
+    Returns the worst entry difference between the full Hamiltonian's sector
+    restriction and `assemble_hamiltonian`, the matrix planned protocol-2 steps
+    diagonalise; across the grid, the worst difference within the sector between the
+    full-space amplitudes and those of the cell quotient (`measurement._quotient`), a
+    bound on the worst amplitude magnitude outside the sector and the worst
+    Bell-channel asymmetry of the full-space amplitudes (on the quotient it is 0 by
+    construction). The full state is propagated on its closure, one span of grid
     points at a time (see `dynamics._chebyshev_spans`).
     """
-    _check_oracle_size(g.n_vertices)
     t_grid = np.asarray(t_grid, dtype=float)
-    # The grid may be uneven (repeats, reversals), so the reduced amplitudes
-    # come from the kernel's scalar path, one time at a time (d <= 72). They
-    # are computed before the full-space loop: interleaved with it, each
-    # call took 0.4 ms instead of 0.05 ms at cross-9.
-    h = assemble_hamiltonian(g)
-    kernel = _SpectralKernel(spectral_decompose(h), initial_state(g))
     sect = _sector_indices(g)
+    init = full_initial_index(g)
+    closure = _closure(g, np.append(sect, init))
+    # The grid may be uneven (repeats, reversals), so the reduced amplitudes come from
+    # the kernel's scalar path, one time at a time. They are computed before the
+    # full-space loop: interleaved with it, each call took 0.4 ms instead of 0.05 ms
+    # at cross-9.
+    kernel = _SpectralKernel(_quotient_eigensystem(g), initial_state(g))
     red = np.empty((t_grid.size, sect.size), dtype=complex)
     for k, t in enumerate(t_grid.tolist()):
         red[k] = kernel(t)
 
-    full = FullHamiltonian(g)
+    images = _images(g, closure)
+    rows = np.searchsorted(closure, sect)
     try:
-        restricted = _restriction(full)
+        restricted = _restriction(sect, images[:, rows])
     except ValueError:  # an image outside the sector: the propagation shows the leak
         restriction = math.inf
     else:
-        restriction = float(np.max(np.abs(restricted - h)))
-    # on the closure, the amplitudes and the leakage bound are those of the 3^N run
-    init = full_initial_index(g)
-    closure = full.closure(np.append(sect, init))
-    position = np.full(full.dimension + 1, closure.size)
-    position[closure] = np.arange(closure.size)
-    psi = (closure == init).astype(complex)
-    # each edge's images inverted into its sources, so that an image that does not map
-    # back (a leak out of the sector included) still reaches the product
-    images = position[full._partners[:, closure]]
+        restriction = float(np.max(np.abs(restricted - assemble_hamiltonian(g))))
+    # on the closure, the amplitudes and the leakage bound are those of the 3^N run;
+    # each edge's images, as positions in C (the zero slot for -1), are inverted into
+    # its sources, so that an image that does not map back (a leak out of the sector
+    # included) still reaches the product
+    position = np.where(images < 0, closure.size, np.searchsorted(closure, images))
     sources = np.full((images.shape[0], closure.size + 1), closure.size)
-    sources[np.arange(images.shape[0])[:, None], images] = np.arange(closure.size)
+    sources[np.arange(images.shape[0])[:, None], position] = np.arange(closure.size)
     product = partial(_scatter, sources[:, :-1])
+    psi = (closure == init).astype(complex)
     # np.max, unlike max(), keeps a NaN, so the check that reads it fails
-    deviations, leakages = [0.0], [0.0]
+    deviations, leakages, asymmetries = [0.0], [0.0], [0.0]
+    i_ba, i_ab = _index_groups(g)["success"]
     # each edge term is a partial permutation, so ||H|| <= |E|
-    for points, amps, leak in _chebyshev_spans(product, len(g.edges), psi, t_grid,
-                                               position[sect]):
+    for points, amps, leak in _chebyshev_spans(product, len(g.edges), psi, t_grid, rows):
         deviations.append(np.max(np.abs(amps - red[points])))
         leakages.append(np.max(leak))
-    i_ba, i_ab = _index_groups(g)["success"]
-    asymmetry = float(np.max(np.abs(red[:, i_ba] - red[:, i_ab]), initial=0.0))
+        asymmetries.append(np.max(np.abs(amps[:, i_ba] - amps[:, i_ab])))
     return OracleComparison(max_restriction_deviation=restriction,
                             max_amplitude_deviation=float(np.max(deviations)),
                             max_sector_leakage=float(np.max(leakages)),
-                            max_bell_asymmetry=asymmetry)
+                            max_bell_asymmetry=float(np.max(asymmetries)))

@@ -13,9 +13,12 @@ from qutrit_bell import (Strategy, assemble_hamiltonian, cli, oracle, plan_proto
                          spectral_decompose)
 from qutrit_bell.cli import _config_echo, _fmt, _write_table, build_parser, main
 from qutrit_bell.dynamics import PHASE_BLOCK
+from qutrit_bell.oracle import _check_verify_cost
+from qutrit_bell.topology import build_cross, build_loop
 
 DATA = Path(__file__).resolve().parent / "data"
 CROSS5 = str(DATA / "cross5.txt")  # cross-5 as a custom topology file
+SITES_40 = str(DATA / "sites-40.txt")  # one site past the oracle's int64 state index
 
 # N = 10^6 would take seconds and hundreds of MB to build: the guard
 # must refuse it before the graph exists. A custom file's N is sized the
@@ -100,11 +103,11 @@ REFUSALS = (EIGENSYSTEM_REFUSALS + GRID_REFUSALS + SERIES_REFUSALS + INVALID_FLA
                ["protocol2", "--topology", "cross", "--n", "5", "--t-max", "1e300",
                 "--grid-step", "1e300"],
                ["protocol2", "--topology", "loop", "--n", "4", "--tau", "1e7"],
-               ["verify", "--topology", "loop", "--n", "4", "--t-max", "2600",
-                "--grid-step", "100"],
+               ["verify", "--topology", "loop", "--n", "4", "--t-max", "2e5",
+                "--grid-step", "1e4"],
                ["verify", "--topology", "cross", "--n", "0"],
                ["verify", "--topology", "loop", "--n", "0"],
-               ["verify", "--topology", "cross", "--n", "13"],
+               ["verify", "--topology", "custom", "--topology-file", SITES_40],
                ["scan", "--topology", "cross", "--n", "4"],
                ["peaks", "--topology", "cross", "--n-list", "5,banana"],
                ["protocol1", "--topology", "cross", "--n-list", "5", "--targets", "0"],
@@ -376,7 +379,9 @@ class TestVerify:
         assert code == 0
 
     def test_builds_each_engine_once(self, monkeypatch, capsys):
-        builds = {"FullHamiltonian": 0, "assemble_hamiltonian": 0}
+        # the full space's closure, the restriction row's reduced matrix and the cell
+        # quotient's eigensystem
+        builds = {"_closure": 0, "assemble_hamiltonian": 0, "_quotient_eigensystem": 0}
 
         def counted(module, name):
             original = getattr(module, name)
@@ -389,11 +394,12 @@ class TestVerify:
 
         for module in (cli, oracle):
             counted(module, "assemble_hamiltonian")
-        counted(oracle, "FullHamiltonian")
+        counted(oracle, "_closure")
+        counted(oracle, "_quotient_eigensystem")
         code, _, _ = run_cli(["verify", "--topology", "cross", "--n", "7",
                               "--no-timestamp"], capsys)
         assert code == 0
-        assert builds == {"FullHamiltonian": 1, "assemble_hamiltonian": 1}
+        assert builds == {"_closure": 1, "assemble_hamiltonian": 1, "_quotient_eigensystem": 1}
 
     def test_t_max_includes_its_end_point(self, capsys):
         argv = ["verify", "--topology", "loop", "--n", "4", "--no-timestamp"]
@@ -413,15 +419,30 @@ class TestVerify:
         assert measured != {r[0]: r[1] for r in parse_csv(coarse)[1]}
 
     def test_oversize_refused(self, capsys):
-        code, _, err = run_cli(["verify", "--topology", "cross", "--n", "13"],
-                               capsys)
+        # a state's int64 index holds 3^39 - 1, not 3^40 - 1
+        code, out, err = run_cli(["verify", "--topology", "custom", "--topology-file", SITES_40],
+                                 capsys)
         assert code == 2
-        assert "N <= 9" in err
+        assert out == ""
+        assert "int64" in err and "N <= 39" in err and "N = 40" in err
+        assert "Traceback" not in err
+
+    # the paper's largest systems over their 6.4N table windows: each run takes 7-9 s
+    # on 2 cores, so only the cap is checked here (CI runs loop-36's)
+    @pytest.mark.parametrize("topology,n,t_max", [("cross", 35, 224.0), ("loop", 36, 230.4)])
+    def test_cost_cap_admits_the_table_windows(self, topology, n, t_max):
+        g = build_cross(n) if topology == "cross" else build_loop(n)
+        _check_verify_cost(g, t_max)
+        edges, d = len(g.edges), n * (n - 1)
+        beyond = oracle.VERIFY_MAX_WORK / (edges * (edges * d + 2048)) * (1 + 1e-9)
+        with pytest.raises(ValueError, match="beyond the cap"):
+            _check_verify_cost(g, beyond)
 
     # t_max = step = 1e300 is a two-point grid whose second point needed a
-    # Chebyshev recurrence of order ~1e301: it ran forever
+    # Chebyshev recurrence of order ~1e301: it ran forever. loop-4 costs 8384 units of
+    # work per unit of t_max, so 2e5 is past the cap of 1e9
     @pytest.mark.parametrize("flags", [["--t-max", "1e300", "--grid-step", "1e300"],
-                                       ["--t-max", "2600", "--grid-step", "100"]])
+                                       ["--t-max", "2e5", "--grid-step", "1e4"]])
     def test_propagation_beyond_the_cap_is_exit_2(self, flags, capsys):
         with time_budget(1):
             code, out, err = run_cli(["verify", "--topology", "loop", "--n", "4"] + flags,
@@ -437,7 +458,8 @@ class TestVerify:
         assert out == ""
         assert "got 0" in err
 
-    @pytest.mark.parametrize("topology,n", [("cross", 9), ("loop", 8)])
+    @pytest.mark.parametrize("topology,n", [("cross", 9), ("loop", 8), ("cross", 35),
+                                            ("loop", 36)])
     def test_finishes_at_the_oracle_cap(self, topology, n, capsys):
         with time_budget(10):
             code, out, _ = run_cli(["verify", "--topology", topology, "--n", str(n),
@@ -454,13 +476,14 @@ class TestVerify:
         # edge 0 sends the first sector state to index 0 (every site at -1): the
         # restriction row fails instead of raising, and the propagation, which
         # scatters column x to its images as the restriction does, shows the leak
-        build = oracle.FullHamiltonian.__init__
+        images = oracle._images
 
-        def leaking(full, g):
-            build(full, g)
-            full._partners[0, oracle._sector_indices(g)[0]] = 0
+        def leaking(g, states):
+            out = images(g, states)
+            out[0, np.asarray(states) == oracle._sector_indices(g)[0]] = 0
+            return out
 
-        monkeypatch.setattr(oracle.FullHamiltonian, "__init__", leaking)
+        monkeypatch.setattr(oracle, "_images", leaking)
         code, out, err = run_cli(["verify", "--topology", "loop", "--n", "4",
                                   "--no-timestamp"], capsys)
         assert code == 3

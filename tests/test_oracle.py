@@ -5,17 +5,41 @@ import numpy as np
 import pytest
 
 from conftest import prepared
-from qutrit_bell import assemble_hamiltonian, build_cross, build_loop, oracle
+from qutrit_bell import assemble_hamiltonian, build_cross, build_loop, measurement, oracle
 from qutrit_bell.cli import _load_topology_file, main
 from qutrit_bell.dynamics import (CHEBYSHEV_GAP, _chebyshev_coefficients, _chebyshev_order,
                                   _chebyshev_span, _chebyshev_spans, _chebyshev_step,
-                                  _time_grid)
-from qutrit_bell.oracle import (FullHamiltonian, _scatter, _sector_indices, _site_digit,
+                                  _time_grid, pair_index)
+from qutrit_bell.oracle import (_closure, _images, _scatter, _sector_indices, _site_digit,
                                 full_evolve_compare, full_initial_index, generator_matrix,
                                 sector_restriction, su3_algebra_check)
 from qutrit_bell.topology import Graph, Roles
 
 DATA = Path(__file__).resolve().parent / "data"
+
+
+class WholeSpace:
+    """The full Hamiltonian on every one of the 3^N states (N <= 7 here), from `_images`
+    of them all: the reference the oracle's closure is checked against."""
+
+    def __init__(self, g: Graph, images=_images):
+        self.graph = g
+        self.dimension = 3 ** g.n_vertices
+        table = images(g, np.arange(self.dimension))
+        #: row e holds each state's image under edge e's exchange, or the zero slot
+        #: `dimension` where the two site states are equal
+        self.table = np.where(table < 0, self.dimension, table)
+
+    def apply(self, vec: np.ndarray) -> np.ndarray:
+        """H vec: an exchange is an involution, so the image table is its own source table."""
+        return _scatter(self.table, vec)
+
+    def dense(self) -> np.ndarray:
+        h = np.zeros((self.dimension + 1, self.dimension))
+        idx = np.arange(self.dimension)
+        for row in self.table:
+            h[row, idx] += 1.0
+        return h[:-1]
 
 
 class TestAlgebra:
@@ -46,7 +70,7 @@ class TestFullHamiltonian:
         # single edge on a 4-path: the edge term exchanges unequal site
         # states and annihilates equal ones
         g = Graph(4, frozenset({(1, 2), (2, 3), (3, 4)}), Roles(1, 2, 3, 4))
-        full = FullHamiltonian(g)
+        full = WholeSpace(g)
         h = full.dense()
         assert np.array_equal(h, h.T)
         all_zero = np.zeros(full.dimension, dtype=complex)
@@ -59,7 +83,7 @@ class TestFullHamiltonian:
 
     def test_dense_matches_apply(self):
         g = build_loop(4)
-        full = FullHamiltonian(g)
+        full = WholeSpace(g)
         rng = np.random.default_rng(5)
         v = rng.normal(size=full.dimension) + 1j * rng.normal(size=full.dimension)
         assert np.allclose(full.dense() @ v, full.apply(v), atol=1e-12)
@@ -72,7 +96,7 @@ class TestFullHamiltonian:
         # adds the same terms in the same order as gathering the whole vector
         # per edge: the results agree bit for bit
         g = builder(n)
-        full = FullHamiltonian(g)
+        full = WholeSpace(g)
         sect = _sector_indices(g)
         vec = np.zeros(full.dimension, dtype=complex)
         if state == "sector basis":
@@ -83,19 +107,38 @@ class TestFullHamiltonian:
             vec[full_initial_index(g)] = 0.6 - 0.2j
             vec[np.sum(3 ** np.arange(n)) + 1] = 0.8j  # site 1 at +1, every other at 0
         padded = np.concatenate([vec, [0.0]])
-        gathered = sum(padded[row] for row in full._partners)
+        gathered = sum(padded[row] for row in full.table)
         assert np.array_equal(full.apply(vec), gathered)
 
     def test_size_cap(self):
-        with pytest.raises(ValueError, match="N <= 9"):
-            FullHamiltonian(build_cross(11))
+        # a state is an int64 index below 3^N: 3^39 < 2^63 < 3^40
+        with pytest.raises(ValueError, match="int64"):
+            full_evolve_compare(build_loop(40), [0.0])
+        with pytest.raises(ValueError, match="int64"):
+            sector_restriction(build_loop(40))
+
+    def test_images_at_the_int64_bound(self):
+        # at 39 sites the place value 3^38 and the largest index 3^39 - 1 stay exact:
+        # each image is the states' digits, swapped, summed in Python integers
+        g = build_cross(39)
+        digits = np.random.default_rng(3).integers(0, 3, size=(6, 39))
+        digits[0] = 2  # 3^39 - 1, every site at +1
+        digits[1, -1], digits[1, :-1] = 2, 0  # site 39 at +1, every other at -1
+        place = [3 ** k for k in range(39)]
+        images = _images(g, [sum(map(int, row * place)) for row in digits])
+        for e, (m, n) in enumerate(g.edges):
+            for k, row in enumerate(digits):
+                swapped = row.copy()
+                swapped[[m - 1, n - 1]] = row[[n - 1, m - 1]]
+                want = -1 if row[m - 1] == row[n - 1] else sum(map(int, swapped * place))
+                assert images[e, k] == want
 
     @pytest.mark.parametrize("builder,n", [(build_cross, 5), (build_loop, 4)])
     def test_commutes_with_the_plus_minus_relabelling(self, builder, n):
         # on-site +1 <-> -1 on every site: digit d of STATES = (-1, 0, +1)
         # becomes 2 - d. In the two-excitation sector this is C|i,j> = |j,i>,
         # the symmetry the C-even peak block rests on.
-        full = FullHamiltonian(builder(n))
+        full = WholeSpace(builder(n))
         idx = np.arange(full.dimension)
         flipped = sum((2 - _site_digit(idx, site)) * 3 ** (site - 1)
                       for site in range(1, n + 1))
@@ -147,7 +190,7 @@ class TestFullEvolveCompare:
         # last, so the returned full state is the one at dt. 7.3 gives
         # x = |E| dt = 29.2, about 70 Bessel terms
         g, *_ = prepared(family, n)
-        full = FullHamiltonian(g)
+        full = WholeSpace(g)
         psi = _random_state(full.dimension)
         offsets = np.array([0.0, 0.1, -0.5, 7.3, 0.1, 0.0, dt])
         everything = np.arange(full.dimension)
@@ -166,7 +209,7 @@ class TestFullEvolveCompare:
         np.arange(0.0, 24.0, 0.004)])
     def test_grid_across_spans_matches_dense_eigh(self, t_grid):
         g, *_ = prepared("loop", 4)
-        full = FullHamiltonian(g)
+        full = WholeSpace(g)
         psi = _random_state(full.dimension)
         everything = np.arange(full.dimension)
         spans = list(_chebyshev_spans(full.apply, len(g.edges), psi, t_grid, everything))
@@ -182,7 +225,7 @@ class TestFullEvolveCompare:
         # at least the largest outside magnitude at every time (the dense
         # reference itself is good to about 1e-15)
         g, *_ = prepared("cross", 5)
-        full = FullHamiltonian(g)
+        full = WholeSpace(g)
         psi = _random_state(full.dimension)
         sect = _sector_indices(g)
         t_grid = np.arange(0.0, 12.0, 0.3)
@@ -208,7 +251,7 @@ class TestFullEvolveCompare:
     def test_lone_step_matches_dense_eigh(self, family, n, reach):
         # a step of no grid point, up to the widest, R dt = CHEBYSHEV_GAP
         g, *_ = prepared(family, n)
-        full = FullHamiltonian(g)
+        full = WholeSpace(g)
         psi = _random_state(full.dimension)
         dt = reach * CHEBYSHEV_GAP / len(g.edges)
         state = _chebyshev_step(full.apply, len(g.edges), psi, dt)
@@ -221,7 +264,7 @@ def _random_state(dimension: int) -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
-def _dense_states(full: FullHamiltonian, psi: np.ndarray, times) -> np.ndarray:
+def _dense_states(full: WholeSpace, psi: np.ndarray, times) -> np.ndarray:
     """exp(-iHt) psi for each t (times x dimension), from eigh of the dense full H."""
     lam, vec = np.linalg.eigh(full.dense())
     return (vec @ (np.exp(-1j * np.outer(lam, times)) * (vec.T @ psi)[:, None])).T
@@ -267,46 +310,69 @@ class TestCost:
         assert rows["N4_full_vs_reduced_max_amplitude_dev"].endswith(",FAIL")
         assert rows["N4_sector_restriction_max_diff"].endswith(",pass")
 
+    def test_faulty_quotient_fails_verify(self, monkeypatch, capsys):
+        # the fault sits in the cell quotient that scan, --tau and the planner's grid
+        # read: |A,B> relabelled into the cell of |c+,c->, a cell of its own, reads
+        # amplitude 1 at t = 0, where the full space has 0
+        quotient = measurement._quotient
 
-def _on_closure(full: FullHamiltonian, seeds):
+        def faulty(g):
+            cells, *rest = quotient(g)
+            cells = cells.copy()
+            r = g.roles
+            cells[pair_index(g.n_vertices, r.alice, r.bob)] = cells[
+                pair_index(g.n_vertices, r.charlie_plus, r.charlie_minus)]
+            return (cells, *rest)
+
+        monkeypatch.setattr(measurement, "_quotient", faulty)
+        code = main(["verify", "--topology", "cross", "--n", "5", "--no-timestamp"])
+        rows = dict(line.split(",", 1) for line in capsys.readouterr().out.splitlines()
+                    if not line.startswith("#"))
+        assert code == 3
+        assert rows.pop("N5_full_vs_reduced_max_amplitude_dev").endswith(",FAIL")
+        assert all(row.endswith(",pass") for name, row in rows.items() if name != "check")
+
+
+def _on_closure(full: WholeSpace, seeds):
     """(closure C, position of every full-space state in C, the product on C)."""
-    closure = full.closure(seeds)
+    closure = _closure(full.graph, seeds)
     position = np.full(full.dimension + 1, closure.size)
     position[closure] = np.arange(closure.size)
-    return closure, position, partial(_scatter, position[full._partners[:, closure]])
+    return closure, position, partial(_scatter, position[full.table[:, closure]])
 
 
-def _leaking_loop4() -> FullHamiltonian:
-    """loop-4 whose edge (m, n) exchanges a sector state s, with sites m and n at 0,
-    with the state x that has both at +1: a partial involution still, but one that
-    leaves the sector."""
-    g = build_loop(4)
-    full = FullHamiltonian(g)
-    m, n = next(iter(g.edges))  # the first row of _partners
-    sect = _sector_indices(g)
-    s = next(int(x) for x in sect if _site_digit(x, m) == _site_digit(x, n) == 1)
+def _leaking_images(g: Graph, states) -> np.ndarray:
+    """`_images`, except that the first edge (m, n) exchanges a sector state s, with
+    sites m and n at 0, with the state x that has both at +1: a partial involution
+    still, but one that leaves the sector."""
+    m, n = next(iter(g.edges))  # the first row of the images
+    s = next(int(x) for x in _sector_indices(g) if _site_digit(x, m) == _site_digit(x, n) == 1)
     x = s + 3 ** (m - 1) + 3 ** (n - 1)
-    assert full._partners[0, s] == full._partners[0, x] == full.dimension
-    full._partners[0, s], full._partners[0, x] = x, s
-    return full
+    states = np.asarray(states)
+    images = _images(g, states)
+    assert (images[0, (states == s) | (states == x)] == -1).all()
+    images[0, states == s], images[0, states == x] = x, s
+    return images
 
 
 class TestClosure:
     """The recurrence on the closure of the sector is the 3^N one, bit for bit."""
 
     SYSTEMS = {
-        "cross-5": lambda: FullHamiltonian(build_cross(5)),
-        "loop-4": lambda: FullHamiltonian(build_loop(4)),
-        "cross-7": lambda: FullHamiltonian(build_cross(7)),
-        "no-role-exchange": lambda: FullHamiltonian(
-            Graph(*_load_topology_file(str(DATA / "no-role-exchange.txt")))),
-        "leaking loop-4": _leaking_loop4,
+        "cross-5": (lambda: build_cross(5), _images),
+        "loop-4": (lambda: build_loop(4), _images),
+        "cross-7": (lambda: build_cross(7), _images),
+        "no-role-exchange": (
+            lambda: Graph(*_load_topology_file(str(DATA / "no-role-exchange.txt"))), _images),
+        "leaking loop-4": (lambda: build_loop(4), _leaking_images),
     }
 
     @pytest.mark.parametrize("name", SYSTEMS)
-    def test_spans_equal_the_whole_space_run(self, name):
-        full = self.SYSTEMS[name]()
-        g = full.graph
+    def test_spans_equal_the_whole_space_run(self, name, monkeypatch):
+        build, images = self.SYSTEMS[name]
+        g = build()
+        monkeypatch.setattr(oracle, "_images", images)  # the images `_closure` reads
+        full = WholeSpace(g, images)
         sect, init = _sector_indices(g), full_initial_index(g)
         closure, position, product = _on_closure(full, np.append(sect, init))
         leaves = name.startswith("leaking")
