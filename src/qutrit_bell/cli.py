@@ -78,6 +78,13 @@ def _fmt(x) -> str:
     return str(x)
 
 
+@cache
+def _row_format(types: tuple[type, ...]) -> str:
+    """One CSV line's `%` format for a row of these cell types, as `_fmt` formats each
+    cell: '%.10g' prints a float as f"{x:.10g}" does, '%s' anything else as str does."""
+    return ",".join("%.10g" if issubclass(t, float) else "%s" for t in types) + "\n"
+
+
 def _load_topology_file(path: str) -> tuple[int, frozenset, Roles]:
     """Plain-text custom graph: N; four role vertices; one edge per line.
 
@@ -123,7 +130,7 @@ def _csv_lines(args, extra_config: dict | None, sections):
         if name:
             yield f"# table: {name}\n"
         yield ",".join(cols) + "\n"
-        yield from (",".join(_fmt(x) for x in row) + "\n" for row in rws)
+        yield from (_row_format(tuple(map(type, row))) % tuple(row) for row in rws)
 
 
 class _Rows(list):
@@ -402,15 +409,20 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@cache  # as build_parser: one per process, left as it was by parsing
+def _config_parser() -> argparse.ArgumentParser:
+    pre = _Parser(prog="qutrit-bell", add_help=False)
+    pre.add_argument("--config")
+    return pre
+
+
 def _apply_config_file(argv: list[str]) -> list[str]:
     """Insert the flags of --config FILE after the subcommand (command-line flags win).
 
     `--config FILE` and `--config=FILE` are both found, before or after the
     subcommand.
     """
-    pre = _Parser(prog="qutrit-bell", add_help=False)
-    pre.add_argument("--config")
-    known, rest = pre.parse_known_args(argv)
+    known, rest = _config_parser().parse_known_args(argv)
     if known.config is None:
         return argv
     cfg = json.loads(Path(known.config).read_text())

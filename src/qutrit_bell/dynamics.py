@@ -29,7 +29,10 @@ fixed-interval ones on the quotient), bit-exact, and rows along an arithmetic gr
 from 0 (the peak searches and the protocol-2 planner), within 1e-13 of the
 scalar path. The Chebyshev recurrence `_chebyshev_spans` needs only products H v
 and a bound R >= ||H||: `scan` runs it on the quotient (`measurement.outcome_curves`),
-`verify` on the sector's closure in the 3^N product space (`oracle`).
+`verify` on the sector's closure in the 3^N product space (`oracle`), each with R the
+Collatz-Wielandt bound `_norm_bound` of its own matrix, and the Bessel coefficients
+of both come from one DFT of exp(-ix cos theta) on the half-turn of distinct angles
+(`_chebyshev_coefficients`).
 `select_peak` picks the peak time of a sampled curve, for the peak searches and
 for every protocol-2 planning strategy. Units: hbar = 1, J = 1.
 """
@@ -304,6 +307,19 @@ def evolve(e: Eigensystem, psi0: np.ndarray, t: float) -> np.ndarray:
     return _SpectralKernel(e, psi0)(t)
 
 
+def _norm_bound(product, size: int) -> float:
+    """The Collatz-Wielandt bound max_i (A v)_i / v_i >= rho(A) of a nonnegative A,
+    given by its product on nonnegative vectors of `size` entries, at v > 0 the sum of
+    1 and A's first seven powers on it, each scaled to a largest entry <= 1. For a
+    symmetric A, rho(A) = ||A||_2 (Meyer, Matrix Analysis, ch. 8)."""
+    power = v = np.ones(size)
+    for _ in range(7):
+        power = product(power)
+        power /= max(power.max(initial=0.0), 1.0)
+        v = v + power
+    return float(np.max(product(v) / v, initial=0.0))
+
+
 def _chebyshev_order(x: float) -> int:
     """Orders kept for an argument of magnitude x = R |dt|: every order up to the first
     one past |x|/2 whose bound |J_k(x)| <= (|x|/2)^k / k! falls below CHEBYSHEV_TAIL."""
@@ -314,18 +330,36 @@ def _chebyshev_order(x: float) -> int:
     return order
 
 
+@cache
+def _five_smooth(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n: a DFT length that numpy's FFT takes in its fast radices."""
+    for m in range(n, 2 * n):  # 2^a lies in [n, 2n)
+        rest = m
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+
+
 def _chebyshev_coefficients(order: int, x: np.ndarray) -> np.ndarray:
     """c_0 .. c_order at each x = R dt, as an (order + 1, len(x)) table.
 
     By Jacobi-Anger, exp(-i x cos theta) = sum_k (-i)^k J_k(x) e^{ik theta}
-    over every integer k, so one DFT of it at m = 2 (order + 1) equal angles,
-    divided by m, gives (-i)^k J_k(x) for k <= order: c_0, and half of every
-    other c_k. The orders that fold onto them lie past `order`, below
-    CHEBYSHEV_TAIL.
+    over every integer k, so one DFT of it at m >= 2 (order + 1) equal angles,
+    m 5-smooth, divided by m, gives (-i)^k J_k(x) for k <= order: c_0, and half
+    of every other c_k. The orders that fold onto them lie past `order`, below
+    CHEBYSHEV_TAIL. cos theta takes m/2 + 1 distinct values, theta in [0, pi]:
+    their cos and sin of -x cos theta are written into one buffer, as `_phases`
+    writes its phases, and mirrored onto the other angles.
     """
-    m = 2 * (order + 1)
-    angles = np.cos(2 * np.pi / m * np.arange(m))
-    coeffs = np.fft.fft(np.exp(-1j * np.multiply.outer(angles, x)), axis=0)[:order + 1] / m
+    x = np.asarray(x, dtype=float)
+    m = 2 * _five_smooth(order + 1)
+    half = np.empty((m // 2 + 1, x.size), dtype=complex)
+    np.multiply.outer(np.cos(2 * np.pi / m * np.arange(m // 2 + 1)), -x, out=half.real)
+    np.sin(half.real, out=half.imag)
+    np.cos(half.real, out=half.real)
+    coeffs = np.fft.fft(np.concatenate([half, half[-2:0:-1]]), axis=0)[:order + 1] / m
     coeffs[1:] *= 2
     return coeffs
 

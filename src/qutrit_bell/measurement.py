@@ -33,8 +33,9 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .dynamics import (NORM_TOL, Eigensystem, _chebyshev_spans, _index_groups, _outcome,
-                       _pair_cells, _pair_images, _pair_position, _pairs, spectral_decompose)
+from .dynamics import (NORM_TOL, Eigensystem, _chebyshev_spans, _index_groups, _norm_bound,
+                       _outcome, _pair_cells, _pair_images, _pair_position, _pairs,
+                       spectral_decompose)
 from .topology import Graph
 
 ZERO_PROB = 1e-12
@@ -103,8 +104,8 @@ def _quotient(g: Graph):
     O', on coalesced (O', O) keys: no k x k matrix. The partition is equitable, so H
     keeps span(S), which holds every state the protocols prepare (Godsil & Royle,
     Algebraic Graph Theory, ch. 9). R is the Collatz-Wielandt bound max_i (|H_q| v)_i /
-    v_i >= rho(|H_q|) >= ||H_q|| at a v > 0 from powers of |H_q|: 7.7 on the seeded
-    36-site graph, whose ||H|| is 6.46 and largest absolute row sum 12."""
+    v_i >= rho(|H_q|) >= ||H_q|| at a v > 0 from powers of |H_q| (`dynamics._norm_bound`):
+    7.7 on the seeded 36-site graph, whose ||H|| is 6.46 and largest absolute row sum 12."""
     n, cells = g.n_vertices, _pair_cells(g)
     s = 1.0 / np.sqrt(np.bincount(cells))
     pair, image = _pair_images(g, *_pairs(n), partial(_pair_position, n))
@@ -114,12 +115,7 @@ def _quotient(g: Graph):
     cols = np.zeros((slot.max(initial=-1) + 1, s.size), dtype=np.intp)
     vals = np.zeros(cols.shape)
     cols[slot, i], vals[slot, i] = j, count * (s[i] * s[j])  # as count * np.outer(s, s)
-    power = v = np.ones(s.size)
-    for _ in range(7):
-        power = np.add.reduce(np.abs(vals) * power[cols])
-        power /= max(power.max(initial=0.0), 1.0)
-        v = v + power
-    radius = float(np.max(np.add.reduce(np.abs(vals) * v[cols]) / v, initial=0.0))
+    radius = _norm_bound(lambda v: np.add.reduce(np.abs(vals) * v[cols]), s.size)
     for cached in (s, cols, vals):  # every caller gets these same arrays
         cached.setflags(write=False)
     return cells, s, cols, vals, radius

@@ -8,12 +8,13 @@ reduced assembly, so restricting it to the one-(+1)-one-(-1) sector must
 reproduce the reduced matrix entry for entry. No array spans the 3^N space:
 `_images` swaps two digits of the states it is given, and time evolution never
 forms a matrix. `dynamics._chebyshev_spans`, the propagator that `scan` runs on
-its cell quotient, steps the full state with R = |E|, one recurrence per span of
-consecutive grid points, on the sector's closure under the edges' images
-(`_closure`, a breadth-first search), outside which the full state stays exactly
-0. So the check sets two independent methods side by side: that recurrence on
-the full space, and the eigendecomposition of the cell quotient that `scan`,
-`--tau` and the protocol-2 planner's grid read.
+its cell quotient, steps the full state on the sector's closure under the edges'
+images (`_closure`, a breadth-first search), outside which the full state stays
+exactly 0, one recurrence per span of consecutive grid points, with R >= ||H||_2
+read from the closure itself (`_radius`: 3.1 to 4.5 on the paper's graphs, whose
+|E| runs to 36). So the check sets two independent methods side by side: that
+recurrence on the full space, and the eigendecomposition of the cell quotient
+that `scan`, `--tau` and the protocol-2 planner's grid read.
 """
 
 from __future__ import annotations
@@ -24,17 +25,20 @@ from functools import partial
 
 import numpy as np
 
-from .dynamics import (_chebyshev_spans, _index_groups, _pairs, _SpectralKernel,
+from .dynamics import (_chebyshev_spans, _index_groups, _norm_bound, _pairs, _SpectralKernel,
                        assemble_hamiltonian, initial_state)
 from .measurement import _quotient_eigensystem
 from .topology import Graph
 
 #: a state's index lies below 3^N, and 3^39 < 2^63 < 3^40
 ORACLE_MAX_SITES = 39
-#: Cap on |E| t_max (|E| N(N-1) + 2048), the cost of `verify`'s recurrence: about |E|
+#: Cap on |E| t_max (|E| N(N-1) + 2048), the cost model of `verify`'s recurrence: |E|
 #: t_max products, each gathering |E| sources for each of the sector's N(N-1) states.
-#: 17-21 ns a unit on 2 cores (loop-36 over its 6.4N window, 230.4: 3.9e8 units, 8.2 s
-#: for the command), so 17-18 s at the cap for cross-5, cross-9 and loop-36.
+#: The recurrence steps with the closure's R (`_radius`) in place of |E|, so the model
+#: overestimates its products |E| / R times (1.3 at cross-5, 9 at loop-36), and the cap
+#: is kept as the documented exit 2. On 2 cores loop-36 over its 6.4N window, 230.4
+#: (3.9e8 units), takes 1.0-1.5 s for the command; at the cap cross-5 and cross-9 take
+#: 10-14 s, loop-36 (t_max 585) 1.1 s.
 VERIFY_MAX_WORK = 1e9
 
 STATES = (-1, 0, +1)
@@ -106,10 +110,26 @@ def _scatter(sources: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """H vec on a closure C; sources[e, y] is the position in C of the state that edge
     e maps to C's y, len(C) (the zero slot) where there is none.
 
-    Entry y sums vec over its sources in edge order, the zero slot reading 0: the
-    terms and the order of a scatter of each column to its images, edge by edge, so
-    the values agree with it bit for bit."""
-    return np.add.accumulate(np.append(vec, 0.0)[sources], axis=0)[-1]
+    Entry y sums vec over its sources as one running sum in edge order, the zero slot
+    reading 0: the terms and the order of a scatter of each column to its images, edge
+    by edge, so the values agree with it bit for bit, whatever the table's memory order
+    (a reduction over the edges axis sums pairwise along a contiguous axis)."""
+    padded = np.concatenate((vec, [0.0]))
+    out = padded[sources[0]]
+    for row in sources[1:]:
+        out += padded[row]
+    return out
+
+
+def _radius(sources: np.ndarray, images: np.ndarray) -> float:
+    """R >= ||H||_2 for the H that `_scatter` applies from `sources`; images[e, x] is the
+    position in C of edge e's image of C's x, or the zero slot, so `_scatter` applies H^T
+    from it. R is `dynamics._norm_bound` on the dilation [[0, H], [H^T, 0]], nonnegative,
+    symmetric and of norm ||H||_2, so it holds for a table that does not map back; an
+    involutive table is its own sources, and R is then the bound of H alone."""
+    n = sources.shape[1]
+    return _norm_bound(lambda v: np.concatenate([_scatter(sources, v[n:]),
+                                                  _scatter(images, v[:n])]), 2 * n)
 
 
 def full_initial_index(g: Graph) -> int:
@@ -170,7 +190,7 @@ def full_evolve_compare(g: Graph, t_grid) -> OracleComparison:
     bound on the worst amplitude magnitude outside the sector and the worst
     Bell-channel asymmetry of the full-space amplitudes (on the quotient it is 0 by
     construction). The full state is propagated on its closure, one span of grid
-    points at a time (see `dynamics._chebyshev_spans`).
+    points at a time (see `dynamics._chebyshev_spans`), with the closure's R (`_radius`).
     """
     t_grid = np.asarray(t_grid, dtype=float)
     sect = _sector_indices(g)
@@ -200,13 +220,16 @@ def full_evolve_compare(g: Graph, t_grid) -> OracleComparison:
     position = np.where(images < 0, closure.size, np.searchsorted(closure, images))
     sources = np.full((images.shape[0], closure.size + 1), closure.size)
     sources[np.arange(images.shape[0])[:, None], position] = np.arange(closure.size)
-    product = partial(_scatter, sources[:, :-1])
+    sources = sources[:, :-1]
+    product = partial(_scatter, sources)
     psi = (closure == init).astype(complex)
     # np.max, unlike max(), keeps a NaN, so the check that reads it fails
     deviations, leakages, asymmetries = [0.0], [0.0], [0.0]
     i_ba, i_ab = _index_groups(g)["success"]
-    # each edge term is a partial permutation, so ||H|| <= |E|
-    for points, amps, leak in _chebyshev_spans(product, len(g.edges), psi, t_grid, rows):
+    # R near 4 on every closure of the paper's graphs (3.09 at cross-5, 4.50 at cross-35),
+    # where the edges' partial permutations only bound ||H|| by |E|
+    for points, amps, leak in _chebyshev_spans(product, _radius(sources, position), psi,
+                                               t_grid, rows):
         deviations.append(np.max(np.abs(amps - red[points])))
         leakages.append(np.max(leak))
         asymmetries.append(np.max(np.abs(amps[:, i_ba] - amps[:, i_ab])))

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -661,6 +662,19 @@ class TestOutputHandling:
         payload = {"config": _config_echo(args, None), "columns": ["a", "b"],
                    "rows": [[_fmt(x) for x in row] for row in rows]}
         assert (tmp_path / "t.json").read_text() == json.dumps(payload, indent=2) + "\n"
+
+    def test_csv_rows_print_as_fmt(self, tmp_path):
+        # a row's cached % format prints each cell as _fmt does, the float edge values
+        # included; a numpy float is a float
+        edge = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e16, 1e-30, np.float64(2 / 3)]
+        rows = [(x, k, "pass") for k, x in enumerate(edge)]
+        args = build_parser().parse_args(["scan", "--n", "4", "--no-timestamp", "--output",
+                                          str(tmp_path / "t.csv")])
+        _write_table(args, [(None, ["x", "k", "status"], iter(rows))])
+        lines = (tmp_path / "t.csv").read_text().splitlines()[-len(rows):]
+        assert lines == [",".join(map(_fmt, row)) for row in rows]
+        assert [line.split(",")[0] for line in lines] == [
+            "inf", "-inf", "nan", "-0", "4.940656458e-324", "1e+16", "1e-30", "0.6666666667"]
 
     def test_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

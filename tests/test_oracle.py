@@ -7,12 +7,12 @@ import pytest
 from conftest import prepared
 from qutrit_bell import assemble_hamiltonian, build_cross, build_loop, measurement, oracle
 from qutrit_bell.cli import _load_topology_file, main
-from qutrit_bell.dynamics import (CHEBYSHEV_GAP, _chebyshev_coefficients, _chebyshev_order,
-                                  _chebyshev_span, _chebyshev_spans, _chebyshev_step,
-                                  _time_grid, pair_index)
-from qutrit_bell.oracle import (_closure, _images, _scatter, _sector_indices, _site_digit,
-                                full_evolve_compare, full_initial_index, generator_matrix,
-                                sector_restriction, su3_algebra_check)
+from qutrit_bell.dynamics import (CHEBYSHEV_GAP, CHEBYSHEV_SPAN, _chebyshev_coefficients,
+                                  _chebyshev_order, _chebyshev_span, _chebyshev_spans,
+                                  _chebyshev_step, _norm_bound, _time_grid, pair_index)
+from qutrit_bell.oracle import (_closure, _images, _radius, _scatter, _sector_indices,
+                                _site_digit, full_evolve_compare, full_initial_index,
+                                generator_matrix, sector_restriction, su3_algebra_check)
 from qutrit_bell.topology import Graph, Roles
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -334,11 +334,12 @@ class TestCost:
 
 
 def _on_closure(full: WholeSpace, seeds):
-    """(closure C, position of every full-space state in C, the product on C)."""
+    """(closure C, position of every full-space state in C, the image table on C, which
+    is its own source table: the edges' exchanges are involutions)."""
     closure = _closure(full.graph, seeds)
     position = np.full(full.dimension + 1, closure.size)
     position[closure] = np.arange(closure.size)
-    return closure, position, partial(_scatter, position[full.table[:, closure]])
+    return closure, position, position[full.table[:, closure]]
 
 
 def _leaking_images(g: Graph, states) -> np.ndarray:
@@ -356,7 +357,9 @@ def _leaking_images(g: Graph, states) -> np.ndarray:
 
 
 class TestClosure:
-    """The recurrence on the closure of the sector is the 3^N one, bit for bit."""
+    """The recurrence on the closure of the sector is the 3^N one, bit for bit, both at
+    the closure's R: it bounds ||H|| on the closure alone, off which the 3^N state stays
+    exactly 0."""
 
     SYSTEMS = {
         "cross-5": (lambda: build_cross(5), _images),
@@ -374,16 +377,20 @@ class TestClosure:
         monkeypatch.setattr(oracle, "_images", images)  # the images `_closure` reads
         full = WholeSpace(g, images)
         sect, init = _sector_indices(g), full_initial_index(g)
-        closure, position, product = _on_closure(full, np.append(sect, init))
+        closure, position, table = _on_closure(full, np.append(sect, init))
+        product = partial(_scatter, table)
         leaves = name.startswith("leaking")
         assert np.isin(sect, closure).all()
         assert (closure.size > sect.size) == leaves
         whole = np.zeros(full.dimension, dtype=complex)
         whole[init] = 1.0
         local = whole[closure]
-        radius, rows = len(g.edges), position[sect]
-        # the default verify grid, then a point reached through a lone step
-        t_grid = np.append(_time_grid(10.0, 0.1), 10.0 + 1.5 * CHEBYSHEV_GAP / radius)
+        radius, rows = _radius(table, table), position[sect]
+        assert radius < len(g.edges)
+        # the default verify grid's step over three spans' reach, CHEBYSHEV_SPAN / R each,
+        # then a point reached through a lone step
+        t_max = 3 * CHEBYSHEV_SPAN / radius
+        t_grid = np.append(_time_grid(t_max, 0.1), t_max + 1.5 * CHEBYSHEV_GAP / radius)
         spans = list(_chebyshev_spans(full.apply, radius, whole, t_grid, sect))
         local_spans = list(_chebyshev_spans(product, radius, local, t_grid, rows))
         assert len(spans) == len(local_spans) >= 3
@@ -403,6 +410,61 @@ class TestClosure:
         scattered[closure] = local_last
         assert np.array_equal(last, scattered)
         assert not last[np.setdiff1d(np.arange(full.dimension), closure)].any()
+
+
+def _ascending_images(g: Graph, states) -> np.ndarray:
+    """`_images` where an image's index exceeds its state's, -1 elsewhere: each edge maps
+    one way, so H does not map back. It is nilpotent, and at loop-4 the Collatz-Wielandt
+    bound of H alone reads 1.44, below ||H||_2 = 2.56."""
+    images = _images(g, states)
+    return np.where(images > np.asarray(states), images, -1)
+
+
+class TestRadius:
+    """The R that `full_evolve_compare` steps with, read from its closure."""
+
+    SYSTEMS = {**TestClosure.SYSTEMS,
+               "ascending loop-4": (lambda: build_loop(4), _ascending_images)}
+
+    @pytest.mark.parametrize("name", SYSTEMS)
+    def test_radius_bounds_the_norm(self, name, monkeypatch):
+        build, images = self.SYSTEMS[name]
+        monkeypatch.setattr(oracle, "_images", images)
+        seen = []
+
+        def spans(product, radius, psi, t_grid, rows):
+            seen.append((product, radius, psi.size))
+            return iter(())
+
+        monkeypatch.setattr(oracle, "_chebyshev_spans", spans)
+        g = build()
+        full_evolve_compare(g, [0.0])
+        [(product, radius, size)] = seen
+        h = np.column_stack([product(column) for column in np.eye(size)])
+        assert np.linalg.svd(h, compute_uv=False)[0] <= radius < len(g.edges)
+        symmetric = np.array_equal(h, h.T)
+        assert symmetric == (name != "ascending loop-4")
+        if symmetric:  # the dilation's two halves are H's own iteration
+            assert radius == _norm_bound(product, size)
+
+
+class TestScatter:
+    @pytest.mark.parametrize("builder,n", [(build_cross, 9), (build_loop, 36)])
+    def test_running_sum_in_edge_order(self, builder, n):
+        # the reference scatters each column to its images, one edge after the other;
+        # the sum over the edges must keep that order whatever the table's layout
+        g = builder(n)
+        closure = _closure(g, _sector_indices(g))
+        images = _images(g, closure)
+        table = np.where(images < 0, closure.size, np.searchsorted(closure, images))
+        vec = _random_state(closure.size)
+        want = np.zeros(closure.size + 1, dtype=complex)
+        for row in table:
+            want[row] += vec  # a repeated index is the zero slot alone, dropped below
+        for order in ("C", "F"):
+            sources = np.asarray(table, order=order)  # involutive: images are sources
+            assert sources.flags[f"{order}_CONTIGUOUS"]
+            assert np.array_equal(_scatter(sources, vec), want[:-1])
 
 
 class TestSymmetryCheck:
