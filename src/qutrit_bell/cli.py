@@ -44,8 +44,11 @@ VERIFICATION_ERROR = 3
 EIGENSYSTEM_ARRAYS = 6
 #: Complex vectors of the cell quotient (at most d = N(N-1) cells) that `scan` holds
 #: besides the states of a Chebyshev span, one per grid point, at most PHASE_BLOCK: the
-#: span's recurrence terms (73 at R |dt| = CHEBYSHEV_SPAN) and the rest measured 92-108
-#: (tracemalloc, 36 and 60 sites without a role exchange, grid steps 1e-2 and 1e-4).
+#: span's recurrence terms (73 at R |dt| = CHEBYSHEV_SPAN) and the products' buffers.
+#: The states are read on the psi2, psi3 and success cells alone, so the whole call
+#: measured at most 130 with them (tracemalloc, 60 and 80 sites without a role exchange,
+#: 2 to 10001 points at steps 1e-4 to 1), and up to 175 at 36 sites, where a block of
+#: the terms' Gram matrix conjugates nearly every term (73 x PHASE_BLOCK, 1.2 MB).
 SPAN_VECTORS = 128
 #: Float arrays of grid length a command holds besides amplitude rows: a scan's
 #: grid and its five outcome curves.
@@ -282,7 +285,7 @@ def cmd_scan(args, run: _Run) -> int:
     [(_, g, t_max)] = run.systems
     grid = _time_grid(t_max, args.grid_step)
     curves = outcome_curves(g, initial_state(g), grid)
-    rows = zip(*(map(float, column) for column in (grid, *curves)))
+    rows = zip(*(column.tolist() for column in (grid, *curves)))
     _write_table(args, [(None, ["t", "p_success", "p1", "p2", "p3", "pS_projection"], rows)])
     return 0
 

@@ -30,9 +30,10 @@ from 0 (the peak searches and the protocol-2 planner), within 1e-13 of the
 scalar path. The Chebyshev recurrence `_chebyshev_spans` needs only products H v
 and a bound R >= ||H||: `scan` runs it on the quotient (`measurement.outcome_curves`),
 `verify` on the sector's closure in the 3^N product space (`oracle`), each with R the
-Collatz-Wielandt bound `_norm_bound` of its own matrix, and the Bessel coefficients
-of both come from one DFT of exp(-ix cos theta) on the half-turn of distinct angles
-(`_chebyshev_coefficients`).
+Collatz-Wielandt bound `_norm_bound` of its own matrix. Each span gives its Bessel
+table and its terms T_k(H/R) psi, which the caller combines on the entries it reads;
+the spans of an even grid read one table, from one DFT of exp(-ix cos theta) on the
+half-turn of distinct angles (`_chebyshev_coefficients`).
 `select_peak` picks the peak time of a sampled curve, for the peak searches and
 for every protocol-2 planning strategy. Units: hbar = 1, J = 1.
 """
@@ -373,31 +374,24 @@ def _chebyshev_terms(apply, radius: float, psi: np.ndarray, order: int):
         yield vec
 
 
-def _chebyshev_span(apply, radius: float, psi: np.ndarray, offsets: np.ndarray, rows,
-                    memo: dict):
-    """exp(-iH dt) psi at every dt in offsets, from one Chebyshev recurrence.
+def _chebyshev_span(apply, radius: float, psi: np.ndarray, x: np.ndarray, memo: dict):
+    """(table, terms) of exp(-iH dt) psi at every x = R dt, from one Chebyshev recurrence.
 
     With ||H|| <= R, exp(-iH dt) = sum_k c_k(dt) T_k(H/R) with c_0 = J_0(R dt) and
     c_k = 2 (-i)^k J_k(R dt) (Tal-Ezer & Kosloff, JCP 81, 3967 (1984)), to the order
-    of the largest |R dt|. Returns the `rows` of every state (offsets x rows), the
-    bound sum_k |c_k(dt)| max|T_k psi| outside `rows` on the largest magnitude there
-    (zeros if rows is None, every entry), and the state at the last offset; `memo`
-    keeps the table for equal offsets."""
-    x = radius * np.asarray(offsets, dtype=float)
-    order = _chebyshev_order(float(np.max(np.abs(x))))
-    seed = _chebyshev_coefficients(order, x[-1:])[:, 0]
-    amps = np.empty((order + 1, psi.size if rows is None else len(rows)), dtype=complex)
-    outside, last = np.zeros(order + 1), np.zeros_like(psi)
-    for k, vec in enumerate(_chebyshev_terms(apply, radius, psi, order)):
-        amps[k] = vec if rows is None else vec[rows]
-        if rows is not None:
-            mag = np.abs(vec)
-            mag[rows] = 0.0
-            outside[k] = mag.max()
-        last += seed[k] * vec
-    if memo.get("x") != (order, x.tobytes()):
-        memo.update(x=(order, x.tobytes()), coeffs=_chebyshev_coefficients(order, x))
-    return memo["coeffs"].T @ amps, np.abs(memo["coeffs"]).T @ outside, last
+    of the largest |x|: table[k, j] = c_k at x[j] and terms[k] = T_k(H/R) psi, so the
+    state at x[j] is table[:, j] @ terms and a caller combines the terms on the entries
+    it reads. `memo` keeps the last table built: an x that is a bitwise prefix of its x
+    reads its columns at its order."""
+    x = np.asarray(x, dtype=float)
+    if memo.get("x", b"")[:x.nbytes] != x.tobytes():
+        memo.update(x=x.tobytes(),
+                    table=_chebyshev_coefficients(_chebyshev_order(float(np.max(np.abs(x)))), x))
+    table = memo["table"][:, :x.size]
+    terms = np.empty((table.shape[0], psi.size), dtype=complex)
+    for k, vec in enumerate(_chebyshev_terms(apply, radius, psi, table.shape[0] - 1)):
+        terms[k] = vec
+    return table, terms
 
 
 def _chebyshev_step(apply, radius: float, psi: np.ndarray, dt: float) -> np.ndarray:
@@ -406,32 +400,46 @@ def _chebyshev_step(apply, radius: float, psi: np.ndarray, dt: float) -> np.ndar
     return sum(map(np.multiply, c[:, 0], _chebyshev_terms(apply, radius, psi, len(c) - 1)))
 
 
-def _chebyshev_spans(apply, radius: float, psi: np.ndarray, t_grid: np.ndarray, rows):
-    """(grid slice, rows of the state, leakage bound) for each span of the grid.
+def _chebyshev_spans(apply, radius: float, psi: np.ndarray, t_grid):
+    """(grid slice, table, terms) for each span of the grid, as `_chebyshev_span` gives
+    them: the state at the slice's j-th point is table[:, j] @ terms.
 
-    psi is the state at t = 0. A span starts at t0, the time of the state that
-    seeds it, and runs over at most PHASE_BLOCK consecutive grid points t with
-    R |t - t0| <= CHEBYSHEV_SPAN; its last point's state seeds the next. A point
-    further from t0 is approached by steps of at most CHEBYSHEV_GAP / R first, the
-    last of them onto the point. The grid may be uneven; spans whose offsets
-    t - t0 agree to the bit (every full span of h * arange(T) taken in units of h)
-    share one coefficient table.
+    psi is the state at t = 0; a grid exactly h * arange(T), as `_time_grid` builds it,
+    is taken in units of h, so that equal offsets agree to the bit. A span starts at t0,
+    the time of the state that seeds it, and runs over at most PHASE_BLOCK consecutive
+    grid points t with R |t - t0| <= CHEBYSHEV_SPAN, the rest of the grid cut into spans
+    of equal length. Its table also reads the next point where that is in reach, and the
+    table's last column, that point's state or the span's last one, seeds the next span;
+    a point out of reach is approached by steps of at most CHEBYSHEV_GAP / R first, the
+    last of them onto the point. So every span of an even grid reads the first one's
+    table; an uneven grid builds a table wherever its offsets change.
     """
-    t0, start, memo = 0.0, 0, {}
-    while start < t_grid.size:
-        gap = t_grid[start] - t0
-        if radius * abs(gap) > CHEBYSHEV_SPAN:
-            reach = CHEBYSHEV_GAP / radius
-            t1 = t_grid[start] if abs(gap) <= reach else t0 + np.copysign(reach, gap)
-            t0, psi = t1, _chebyshev_step(apply, radius, psi, t1 - t0)
+    t_grid = np.asarray(t_grid, dtype=float)
+    step = t_grid[1] if t_grid.size > 1 and t_grid[1] > 0 else 1.0
+    unit, times = ((step, np.arange(t_grid.size, dtype=float))
+                   if np.array_equal(t_grid, step * np.arange(t_grid.size)) else (1.0, t_grid))
+    scale, t0, start, memo = unit * radius, 0.0, 0, {}
+    while start < times.size:
+        gap = times[start] - t0
+        if scale * abs(gap) > CHEBYSHEV_SPAN:
+            reach = CHEBYSHEV_GAP / scale
+            t1 = times[start] if abs(gap) <= reach else t0 + np.copysign(reach, gap)
+            t0, psi = t1, _chebyshev_step(apply, radius, psi, unit * (t1 - t0))
             continue
-        far = np.flatnonzero(radius * np.abs(t_grid[start + 1:start + PHASE_BLOCK] - t0)
-                             > CHEBYSHEV_SPAN)
-        stop = start + 1 + far[0] if far.size else min(start + PHASE_BLOCK, t_grid.size)
-        amps, leak, psi = _chebyshev_span(apply, radius, psi, t_grid[start:stop] - t0, rows, memo)
-        yield slice(start, stop), amps, leak
-        del amps, leak  # this frame keeps no span alive while the next is made
-        t0, start = t_grid[stop - 1], stop
+        near = scale * np.abs(times[start:start + PHASE_BLOCK + 1] - t0) <= CHEBYSHEV_SPAN
+        inside, rest = np.append(near, False).argmin(), times.size - start  # points in reach
+        if inside == rest <= PHASE_BLOCK:  # the last span
+            points = columns = rest
+        else:  # equal spans of at most inside - 1 points, each with the next point's seed
+            points = -(-rest // -(-rest // max(inside - 1, 1)))
+            columns = points + (points < inside)
+        x = scale * (times[start:start + columns] - t0)
+        table, terms = _chebyshev_span(apply, radius, psi, x, memo)
+        if points < rest:  # each entry summed in term order, the same bits on any subset
+            psi, t0 = np.einsum("k,kn->n", table[:, -1], terms), times[start + columns - 1]
+        yield slice(start, start + points), table[:, :points], terms
+        del table, terms  # this frame keeps no span alive while the next is made
+        start += points
 
 
 def refine_maximum(f, lo: float, hi: float, tol: float,

@@ -18,11 +18,13 @@ equitable partition (`dynamics._pair_cells`), which H keeps: `_quotient` is H on
 it. `outcome_curves` gives the probabilities along a time grid on the quotient
 alone: psi0 folds to a = S^T psi0, the Chebyshev recurrence steps a on the
 quotient's nonzeros, and every outcome is read as W |a|^2, W the share of each
-cell's pairs in it. The recurrence costs about R max|t| products whatever the grid
-step, so a grid past SCAN_MAX_WORK is refused. The protocol-2 planner's grids and a
-fixed-interval protocol-2 schedule read the quotient's eigensystem, unfolded to the
-pairs (`_quotient_eigensystem`). `outcome_distribution` and `outcome_curves` check
-the norm of every state they measure.
+cell's pairs in it, on the cells of the printed outcomes alone (psi1 is the
+remainder, and each point's norm is read from the recurrence terms' Gram matrix).
+The recurrence costs about R max|t| products whatever the grid step, so a grid past
+SCAN_MAX_WORK is refused. The protocol-2 planner's grids and a fixed-interval
+protocol-2 schedule read the quotient's eigensystem, unfolded to the pairs
+(`_quotient_eigensystem`). `outcome_distribution` and `outcome_curves` check the norm
+of every state they measure.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .dynamics import (NORM_TOL, Eigensystem, _chebyshev_spans, _index_groups, _norm_bound,
-                       _outcome, _pair_cells, _pair_images, _pair_position, _pairs,
+from .dynamics import (NORM_TOL, PHASE_BLOCK, Eigensystem, _chebyshev_spans, _index_groups,
+                       _norm_bound, _outcome, _pair_cells, _pair_images, _pair_position, _pairs,
                        spectral_decompose)
 from .topology import Graph
 
@@ -145,9 +147,11 @@ def outcome_curves(g: Graph, psi0: np.ndarray, t_grid) -> tuple[np.ndarray, ...]
     psi0's cell amplitudes a = S^T psi0 are stepped by `dynamics._chebyshev_spans` on
     `_quotient`, up to SCAN_MAX_WORK; a psi0 that loses norm there lies off the cells,
     and is refused. A pair of cell O holds s_O a_O, so an outcome is W |a|^2, W the share
-    of each cell's pairs in it. The grid may be uneven; one exactly h * arange(T) is
-    stepped in units of h. psi0's norm and every point's are checked, and p1 is the
-    remainder as in `outcome_distribution`."""
+    of each cell's pairs in it. Each span's terms T_k psi are combined with its table c
+    on the cells of psi2, psi3 and success alone, the curves printed; the grid may be
+    uneven. psi0's norm is checked, and every point's as c^H G c, G = <T_k psi, T_l psi>
+    the terms' Gram matrix (as kernel-polynomial moments are, Weisse et al., RMP 78, 275
+    (2006)), so p1 is the remainder as in `outcome_distribution`."""
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or not np.all(np.isfinite(t_grid)):
         raise ValueError("a time grid must be 1-D and finite")
@@ -159,21 +163,30 @@ def outcome_curves(g: Graph, psi0: np.ndarray, t_grid) -> tuple[np.ndarray, ...]
     if not abs(np.linalg.norm(folded) - np.linalg.norm(psi0)) <= NORM_TOL:
         raise ValueError("state is not invariant on the quotient's cells")
     outcome = _outcome(g, *_pairs(g.n_vertices)) - 1  # psi1, psi2, psi3, success
-    w = np.bincount(outcome * k + cells, minlength=4 * k).reshape(4, k) * np.square(s)
-    bell = cells[_index_groups(g)["success"]]
-    step = t_grid[1] if t_grid.size > 1 and t_grid[1] > 0 else 1.0
-    arithmetic = np.array_equal(t_grid, step * np.arange(t_grid.size))
-    unit, times = (step, np.arange(t_grid.size, dtype=float)) if arithmetic else (1.0, t_grid)
-    vals, w = (unit * vals).astype(complex), np.repeat(w, 2, axis=1).T  # W on (re, im)
-    curves = np.zeros((5, t_grid.size))
-    for points, amps, _ in _chebyshev_spans(lambda v: np.add.reduce(vals * v[cols]),
-                                            unit * radius, folded, times, None):
-        a_bell = amps[:, bell] @ s[bell]
+    w = np.bincount(outcome * k + cells, minlength=4 * k).reshape(4, k)[1:] * np.square(s)
+    read = np.flatnonzero(w.any(axis=0))  # the cells of psi2, psi3 and success
+    bell = np.searchsorted(read, cells[_index_groups(g)["success"]])
+    w, vals = np.repeat(w[:, read], 2, axis=1).T, vals.astype(complex)  # W on (re, im)
+    # a product's slot terms land in one reused buffer: with the gather, two (slots x k)
+    # temporaries a product could make glibc return the freed top of the heap and fault
+    # it in again each time, 150 against 40 us a product on the seeded 36-site graph
+    slots = np.empty(vals.shape, dtype=complex)
+    curves = np.zeros((5, t_grid.size))  # pS_bell, p2, p3, pS_projection, squared norm
+    for points, table, terms in _chebyshev_spans(
+            lambda v: np.add.reduce(np.multiply(vals, v[cols], out=slots)), radius, folded,
+            t_grid):
+        # G_kl = <T_k psi, T_l psi>, PHASE_BLOCK cells at a time: a conjugate of all the
+        # terms at once would hold as many vectors again as the terms
+        gram = sum(terms[:, c:c + PHASE_BLOCK].conj() @ terms[:, c:c + PHASE_BLOCK].T
+                   for c in range(0, k, PHASE_BLOCK))
+        curves[4, points] = np.einsum("kp,kp->p", table.conj(), gram @ table).real
+        amps = table.T @ terms[:, read]
+        a_bell = amps[:, bell] @ s[read[bell]]
         curves[0, points] = 0.5 * (np.square(a_bell.real) + np.square(a_bell.imag))
-        curves[1:, points] = (np.square(amps.view(float), out=amps.view(float)) @ w).T
-        del amps  # the span's states, squared in place, before the next span is made
-    p_bell, p1, p2, p3, p_proj = curves
-    _check_norm(np.sqrt(p1 + p2 + p3 + p_proj))
+        curves[1:4, points] = (np.square(amps.view(float), out=amps.view(float)) @ w).T
+        del amps, terms  # this span's arrays, before the next span is made
+    p_bell, p2, p3, p_proj, norm = curves
+    _check_norm(np.sqrt(norm))
     return p_bell, np.maximum(0.0, 1.0 - p2 - p3 - p_proj), p2, p3, p_proj
 
 

@@ -12,9 +12,11 @@ its cell quotient, steps the full state on the sector's closure under the edges'
 images (`_closure`, a breadth-first search), outside which the full state stays
 exactly 0, one recurrence per span of consecutive grid points, with R >= ||H||_2
 read from the closure itself (`_radius`: 3.1 to 4.5 on the paper's graphs, whose
-|E| runs to 36). So the check sets two independent methods side by side: that
-recurrence on the full space, and the eigendecomposition of the cell quotient
-that `scan`, `--tau` and the protocol-2 planner's grid read.
+|E| runs to 36). Each span's terms are combined on the sector's rows, and the
+leakage bound is read from their entries outside it in one reduction. So the check
+sets two independent methods side by side: that recurrence on the full space, and
+the eigendecomposition of the cell quotient that `scan`, `--tau` and the protocol-2
+planner's grid read.
 """
 
 from __future__ import annotations
@@ -226,12 +228,16 @@ def full_evolve_compare(g: Graph, t_grid) -> OracleComparison:
     # np.max, unlike max(), keeps a NaN, so the check that reads it fails
     deviations, leakages, asymmetries = [0.0], [0.0], [0.0]
     i_ba, i_ab = _index_groups(g)["success"]
+    outside = np.setdiff1d(np.arange(closure.size), rows)
     # R near 4 on every closure of the paper's graphs (3.09 at cross-5, 4.50 at cross-35),
     # where the edges' partial permutations only bound ||H|| by |E|
-    for points, amps, leak in _chebyshev_spans(product, _radius(sources, position), psi,
-                                               t_grid, rows):
+    for points, table, terms in _chebyshev_spans(product, _radius(sources, position), psi,
+                                                 t_grid):
+        amps = table.T @ terms[:, rows]
         deviations.append(np.max(np.abs(amps - red[points])))
-        leakages.append(np.max(leak))
+        # sum_k |c_k| max|T_k psi outside|, 0 where the closure is the sector
+        leakages.append(np.max(np.abs(table).T
+                               @ np.max(np.abs(terms[:, outside]), axis=1, initial=0.0)))
         asymmetries.append(np.max(np.abs(amps[:, i_ba] - amps[:, i_ab])))
     return OracleComparison(max_restriction_deviation=restriction,
                             max_amplitude_deviation=float(np.max(deviations)),

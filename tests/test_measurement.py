@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import peak, prepared, quotient_matrix, random_graph_with_moved_roles, time_budget
-from qutrit_bell import (Graph, Outcome, assemble_hamiltonian, evolve, initial_state,
-                         outcome_distribution, post_state, spectral_decompose)
+from qutrit_bell import (Graph, Outcome, assemble_hamiltonian, dynamics, evolve, initial_state,
+                         measurement, outcome_distribution, post_state, spectral_decompose)
 from qutrit_bell.cli import _load_topology_file
-from qutrit_bell.dynamics import (CHEBYSHEV_SPAN, PHASE_BLOCK, _chebyshev_order, _chebyshev_spans,
-                                  pair_index)
+from qutrit_bell.dynamics import (CHEBYSHEV_SPAN, DEFAULT_GRID_STEP, PHASE_BLOCK, _chebyshev_order,
+                                  _chebyshev_spans, _time_grid, pair_index)
 from qutrit_bell.measurement import _quotient, _weighted_squares, outcome_curves
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -67,9 +67,9 @@ class TestOutcomeDistribution:
 
 
 class TestOutcomeCurves:
-    # up to t = 20: two or more Chebyshev spans, the last shorter than the others;
-    # loop-8's 3 and random-10's 6 end at R |t - t0| = CHEBYSHEV_SPAN, cross-5's 2
-    # at PHASE_BLOCK points
+    # up to t = 20: two or more Chebyshev spans of equal length, the last at most one
+    # point shorter; loop-8's 3 and random-10's 6 held to R |t - t0| <= CHEBYSHEV_SPAN,
+    # cross-5's 2 to PHASE_BLOCK points
     GRID = 0.01 * np.arange(2001)
 
     @staticmethod
@@ -134,9 +134,8 @@ class TestOutcomeCurves:
         # no 4-site graph has a one-cell quotient, so the recurrence takes a 1 x 1 one
         # here: [[lam]] with R = |lam|, R = 0 (a state that never moves) included
         t = 0.25 * np.arange(8001)
-        spans = _chebyshev_spans(lambda v: lam * v, abs(lam), np.ones(1, dtype=complex), t,
-                                 np.arange(1))
-        got = np.concatenate([amps[:, 0] for _, amps, _ in spans])
+        spans = _chebyshev_spans(lambda v: lam * v, abs(lam), np.ones(1, dtype=complex), t)
+        got = np.concatenate([table.T @ terms[:, 0] for _, table, terms in spans])
         terms = np.ceil(abs(lam) * t[-1] / CHEBYSHEV_SPAN) * (_chebyshev_order(CHEBYSHEV_SPAN) + 1)
         assert np.max(np.abs(got - np.exp(-1j * lam * t))) < np.finfo(float).eps * (
             terms + abs(lam) * t[-1] + 1)
@@ -184,6 +183,32 @@ class TestOutcomeCurves:
         with pytest.raises(ValueError, match="norm"):
             outcome_curves(g, np.full(12, np.nan, dtype=complex), self.GRID)
 
+    def test_norm_check_reads_a_product_that_loses_norm(self, monkeypatch):
+        # the quotient's row of |c+,c->'s cell, a psi1 cell, scaled by 1 + 1e-6: H_q is no
+        # longer symmetric and the state's norm drifts. p1 is printed as the remainder, so
+        # only the per-point norm c^H G c can see it
+        g, _, psi0 = prepared("cross", 5)
+        cells, s, cols, vals, radius = _quotient(g)
+        scaled = vals.copy()
+        scaled[:, cells[np.flatnonzero(psi0)[0]]] *= 1 + 1e-6
+        outcome_curves(g, psi0, self.GRID)
+        monkeypatch.setattr(measurement, "_quotient", lambda _: (cells, s, cols, scaled, radius))
+        with pytest.raises(ValueError, match="norm deviates"):
+            outcome_curves(g, psi0, self.GRID)
+
+    def test_an_even_grid_builds_one_bessel_table(self, monkeypatch):
+        # loop-36's scan over [0, 10]: R t_max = 41 takes two spans of 501 and 500 points,
+        # the second reading the first one's table
+        tables, spans = [], []
+        coefficients, span = dynamics._chebyshev_coefficients, dynamics._chebyshev_span
+        monkeypatch.setattr(dynamics, "_chebyshev_coefficients",
+                            lambda *args: tables.append(args) or coefficients(*args))
+        monkeypatch.setattr(dynamics, "_chebyshev_span",
+                            lambda *args: spans.append(args) or span(*args))
+        g, _, psi0 = prepared("loop", 36)
+        outcome_curves(g, psi0, _time_grid(10.0, DEFAULT_GRID_STEP))
+        assert len(tables) == 1 and len(spans) == 2
+
     def test_loop36_grid_holds_no_wide_block(self):
         g, e, psi0 = prepared("loop", 36)
         d = psi0.size
@@ -194,8 +219,9 @@ class TestOutcomeCurves:
         finally:
             tracemalloc.stop()
         # the bound is evolve's complex cast of the full V^T (d x d, 25.4 MB); the
-        # call diagonalises nothing and peaks at 6.1 MB: one span's 549 states of
-        # the quotient (333 cells, 2.9 MB), its recurrence terms and coefficients
+        # call diagonalises nothing and peaks at 2.5 MB, while it builds the one Bessel
+        # table (502 columns); a span's 73 terms of the 333 cells take 0.4 MB, and its
+        # 501 states on the 35 cells of psi2, psi3 and success 0.3 MB
         assert peak_bytes < d * d * 16 + 2 ** 20
 
     def test_norm_check_holds_no_block_sized_temporary(self):

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import prepared
-from qutrit_bell import assemble_hamiltonian, build_cross, build_loop, measurement, oracle
-from qutrit_bell.cli import _load_topology_file, main
-from qutrit_bell.dynamics import (CHEBYSHEV_GAP, CHEBYSHEV_SPAN, _chebyshev_coefficients,
+from qutrit_bell import (assemble_hamiltonian, build_cross, build_loop, dynamics, measurement,
+                         oracle)
+from qutrit_bell.cli import VERIFY_GRID_STEP, _load_topology_file, main
+from qutrit_bell.dynamics import (CHEBYSHEV_GAP, CHEBYSHEV_SPAN, PHASE_BLOCK,
+                                  _chebyshev_coefficients,
                                   _chebyshev_order, _chebyshev_span, _chebyshev_spans,
                                   _chebyshev_step, _norm_bound, _time_grid, pair_index)
 from qutrit_bell.oracle import (_closure, _images, _radius, _scatter, _sector_indices,
@@ -193,17 +195,16 @@ class TestFullEvolveCompare:
         full = WholeSpace(g)
         psi = _random_state(full.dimension)
         offsets = np.array([0.0, 0.1, -0.5, 7.3, 0.1, 0.0, dt])
-        everything = np.arange(full.dimension)
-        states, leak, last = _chebyshev_span(full.apply, len(g.edges), psi, offsets, everything,
-                                             {})
+        table, terms = _chebyshev_span(full.apply, len(g.edges), psi, len(g.edges) * offsets,
+                                       {})
         reference = _dense_states(full, psi, offsets)
-        assert np.max(np.abs(states - reference)) < 1e-12
-        assert np.max(np.abs(last - reference[-1])) < 1e-12
-        assert not leak.any()  # no state has a component outside all rows
+        assert np.max(np.abs(table.T @ terms - reference)) < 1e-12
+        # the state a span hands on, its table's last column
+        assert np.max(np.abs(table[:, -1] @ terms - reference[-1])) < 1e-12
 
     # an uneven grid over 4 spans, ending in a lone point reached through a
-    # span of no point; and a fine grid of 2001 points in reach of t = 0,
-    # which spans cut at PHASE_BLOCK points
+    # span of no point; and a fine even grid of 6000 points, 2001 of them in
+    # reach of t = 0, which is cut into equal spans of at most PHASE_BLOCK points
     @pytest.mark.parametrize("t_grid", [
         np.concatenate([np.arange(0.0, 30.0, 0.7), [29.4, 3.0, 3.0, 41.0]]),
         np.arange(0.0, 24.0, 0.004)])
@@ -211,14 +212,14 @@ class TestFullEvolveCompare:
         g, *_ = prepared("loop", 4)
         full = WholeSpace(g)
         psi = _random_state(full.dimension)
-        everything = np.arange(full.dimension)
-        spans = list(_chebyshev_spans(full.apply, len(g.edges), psi, t_grid, everything))
+        spans = list(_chebyshev_spans(full.apply, len(g.edges), psi, t_grid))
         assert len(spans) >= 3
         assert [p.start for p, *_ in spans[1:]] == [p.stop for p, *_ in spans[:-1]]
         assert spans[-1][0].stop == t_grid.size
         reference = _dense_states(full, psi, t_grid)
-        for points, states, _ in spans:
-            assert np.max(np.abs(states - reference[points])) < 1e-12
+        for points, table, terms in spans:
+            assert table.shape[1] == points.stop - points.start <= PHASE_BLOCK
+            assert np.max(np.abs(table.T @ terms - reference[points])) < 1e-12
 
     def test_leakage_bound_covers_the_outside(self):
         # a state that starts partly outside the sector: the bound must be
@@ -231,7 +232,9 @@ class TestFullEvolveCompare:
         t_grid = np.arange(0.0, 12.0, 0.3)
         reference = _dense_states(full, psi, t_grid)
         reference[:, sect] = 0.0
-        for points, _, leak in _chebyshev_spans(full.apply, len(g.edges), psi, t_grid, sect):
+        outside = np.setdiff1d(np.arange(full.dimension), sect)
+        for points, table, terms in _chebyshev_spans(full.apply, len(g.edges), psi, t_grid):
+            leak = np.abs(table).T @ np.max(np.abs(terms[:, outside]), axis=1)
             assert np.all(leak >= np.max(np.abs(reference[points]), axis=1) - 1e-13)
 
     @pytest.mark.parametrize("x", [0.0, 1e-300, -1e-300, 1e-9, 0.8, -29.2, 32.0])
@@ -391,25 +394,26 @@ class TestClosure:
         # then a point reached through a lone step
         t_max = 3 * CHEBYSHEV_SPAN / radius
         t_grid = np.append(_time_grid(t_max, 0.1), t_max + 1.5 * CHEBYSHEV_GAP / radius)
-        spans = list(_chebyshev_spans(full.apply, radius, whole, t_grid, sect))
-        local_spans = list(_chebyshev_spans(product, radius, local, t_grid, rows))
+        spans = list(_chebyshev_spans(full.apply, radius, whole, t_grid))
+        local_spans = list(_chebyshev_spans(product, radius, local, t_grid))
         assert len(spans) == len(local_spans) >= 3
-        for (points, amps, leak), (local_points, local_amps, local_leak) in zip(spans,
-                                                                                local_spans):
+        off = np.setdiff1d(np.arange(full.dimension), closure)
+        for (points, table, terms), (local_points, local_table, local_terms) in zip(
+                spans, local_spans):
             assert points == local_points
-            assert np.array_equal(amps, local_amps)
-            assert np.array_equal(leak, local_leak)
-        leakage = max(np.max(leak) for _, _, leak in spans)
-        assert (leakage > 0) == leaves
-        # the state each span hands on, scattered back to 3^N
-        offsets = t_grid[:40]
-        *head, last = _chebyshev_span(full.apply, radius, whole, offsets, sect, {})
-        *local_head, local_last = _chebyshev_span(product, radius, local, offsets, rows, {})
-        assert all(map(np.array_equal, head, local_head))
+            assert np.array_equal(table, local_table)
+            assert np.array_equal(terms[:, closure], local_terms)
+            assert not terms[:, off].any()
+        outside = np.setdiff1d(np.arange(full.dimension), sect)
+        assert any(terms[:, outside].any() for _, _, terms in spans) == leaves
+        # the state a span hands on, scattered back to 3^N
+        x = radius * t_grid[:40]
+        table, terms = _chebyshev_span(full.apply, radius, whole, x, {})
+        local_table, local_terms = _chebyshev_span(product, radius, local, x, {})
+        assert np.array_equal(table, local_table)
         scattered = np.zeros_like(whole)
-        scattered[closure] = local_last
-        assert np.array_equal(last, scattered)
-        assert not last[np.setdiff1d(np.arange(full.dimension), closure)].any()
+        scattered[closure] = np.einsum("k,kn->n", local_table[:, -1], local_terms)
+        assert np.array_equal(np.einsum("k,kn->n", table[:, -1], terms), scattered)
 
 
 def _ascending_images(g: Graph, states) -> np.ndarray:
@@ -432,7 +436,7 @@ class TestRadius:
         monkeypatch.setattr(oracle, "_images", images)
         seen = []
 
-        def spans(product, radius, psi, t_grid, rows):
+        def spans(product, radius, psi, t_grid):
             seen.append((product, radius, psi.size))
             return iter(())
 
@@ -446,6 +450,56 @@ class TestRadius:
         assert symmetric == (name != "ascending loop-4")
         if symmetric:  # the dilation's two halves are H's own iteration
             assert radius == _norm_bound(product, size)
+
+
+class TestLeakage:
+    """`full_evolve_compare`'s leakage bound, sum_k |c_k| max|T_k psi outside the
+    sector|, taken by one reduction over each span's stored terms."""
+
+    SYSTEMS = {"cross-5": (lambda: build_cross(5), _images),
+               "cross-9": (lambda: build_cross(9), _images),
+               "leaking loop-4": (lambda: build_loop(4), _leaking_images)}
+
+    @pytest.mark.parametrize("name", SYSTEMS)
+    def test_bound_is_the_per_term_one(self, name, monkeypatch):
+        # the reference zeroes the sector rows of |T_k psi| and takes its maximum term
+        # by term, as the recurrence once did inside its loop
+        build, images = self.SYSTEMS[name]
+        monkeypatch.setattr(oracle, "_images", images)
+        spans = []
+
+        def recorded(*args):
+            for span in _chebyshev_spans(*args):
+                spans.append(span)
+                yield span
+
+        monkeypatch.setattr(oracle, "_chebyshev_spans", recorded)
+        g = build()
+        result = full_evolve_compare(g, _time_grid(20.0, 0.1))
+        sect = _sector_indices(g)
+        rows = np.searchsorted(_closure(g, np.append(sect, full_initial_index(g))), sect)
+        want = 0.0
+        for _, table, terms in spans:
+            outside = np.zeros(len(terms))
+            for k, vec in enumerate(terms):
+                mag = np.abs(vec)
+                mag[rows] = 0.0
+                outside[k] = mag.max()
+            want = max(want, np.max(np.abs(table).T @ outside))
+        assert len(spans) >= 2
+        assert (want > 0) == name.startswith("leaking")
+        assert np.array_equal(result.max_sector_leakage, want)
+
+    def test_an_even_grid_builds_one_bessel_table(self, monkeypatch):
+        # cross-9 over [0, 100] at the default verify step: R t_max = 411, 13 spans and
+        # no step of no grid point
+        tables = []
+        coefficients = dynamics._chebyshev_coefficients
+        monkeypatch.setattr(dynamics, "_chebyshev_coefficients",
+                            lambda *args: tables.append(args) or coefficients(*args))
+        g, *_ = prepared("cross", 9)
+        full_evolve_compare(g, _time_grid(100.0, VERIFY_GRID_STEP))
+        assert len(tables) == 1
 
 
 class TestScatter:

@@ -462,6 +462,46 @@ def test_outcome_curves_refuse_a_state_the_folds_cannot_hold(drawn, seed):
         outcome_curves(g, a / np.linalg.norm(a), [0.0, 0.1])
 
 
+#: grids of `outcome_curves`: an even one, step 0.05 over [0, 10], and an uneven one
+#: whose last three points lie 50 past the others, reached through a step of no grid point
+CURVE_GRIDS = {"even": dynamics._time_grid(10.0, 0.05),
+               "gap": np.concatenate([np.sort(np.random.default_rng(2).uniform(0.0, 10.0, 60)),
+                                      [60.0, 60.3, 59.9]])}
+
+
+def assert_outcome_curves_are_the_spectral_ones(g):
+    """`outcome_curves` from the initial state against the pair amplitudes of the quotient
+    eigensystem's scalar path, one time at a time: all five curves within 1e-12, p1
+    read on psi1's own pairs, where `outcome_curves` prints the remainder."""
+    kernel = _SpectralKernel(_quotient_eigensystem(g), initial_state(g))
+    grp = _index_groups(g)
+    ba, ab = grp["success"]
+    for name, grid in CURVE_GRIDS.items():
+        with patch.object(dynamics, "_chebyshev_step", wraps=dynamics._chebyshev_step) as step:
+            got = np.array(outcome_curves(g, initial_state(g), grid))
+        assert (step.call_count > 0) == (name == "gap")
+        amps = np.array([kernel(t) for t in grid.tolist()]).T
+        weight = {rows: np.sum(np.abs(amps[grp[rows]]) ** 2, axis=0) for rows in grp}
+        want = [0.5 * np.abs(amps[ba] + amps[ab]) ** 2, weight["g1"], weight["g2"],
+                weight["g3"], weight["success"]]
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@given(ANY_OR_BOTH_SWAPS)
+@settings(max_examples=30, deadline=None)
+def test_outcome_curves_are_the_quotient_eigensystem_curves(drawn):
+    assert_outcome_curves_are_the_spectral_ones(drawn[0])
+
+
+@pytest.mark.parametrize("name", ["no-role-exchange", "random-36"])
+def test_outcome_curves_are_the_quotient_eigensystem_curves_on_named_graphs(name):
+    # random-36 is the seeded graph of the benchmark's second `scan` op
+    from test_topology import named_graph
+    g = (Graph(*_load_topology_file(str(DATA / "no-role-exchange.txt")))
+         if name == "no-role-exchange" else named_graph(name))
+    assert_outcome_curves_are_the_spectral_ones(g)
+
+
 def pair_orbits(g):
     """The orbits of the unordered pairs {i,j}, i < j, under one role exchange per
     role permutation, as VF2 finds them, as sets of lexicographic positions, by a
