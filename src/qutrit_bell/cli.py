@@ -7,7 +7,8 @@ the header; identical configurations and seeds produce byte-identical
 files when --no-timestamp is given.
 
 `main` parses the flags; `_checked_run` makes every exit-2 refusal they decide,
-before any work; the command then only computes and writes.
+before any work, each run's cost among them (its engine counts it, `_admit` caps it);
+the command then only computes and writes, and an output that fails exits 2 as well.
 """
 
 from __future__ import annotations
@@ -16,51 +17,33 @@ import argparse
 import json
 import math
 import os
+import resource
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import cache
+from functools import cache, partial
 from itertools import chain
 from pathlib import Path
 
 from . import __version__
-from .dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, GRID_END_SLACK,
-                       PEAK_WINDOW_FACTOR, PHASE_BLOCK, _time_grid, assemble_hamiltonian,
+from .dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, GRID_END_SLACK, MAX_WORK,
+                       PEAK_WINDOW_FACTOR, _peak_cost, _time_grid, assemble_hamiltonian,
                        bell_pairs_share_a_cell, initial_state, one_shot_peak,
                        spectral_decompose)
-from .measurement import _check_scan_cost, outcome_curves
-from .oracle import _check_verify_cost, full_evolve_compare, su3_algebra_check
-from .protocols import (PLAN_WINDOW_FACTOR, Strategy, plan_protocol2, plan_regular,
-                        protocol1_cumulative, protocol1_required, protocol2_no_reset,
-                        protocol2_total)
+from .measurement import _scan_cost, outcome_curves
+from .oracle import _verify_cost, full_evolve_compare, su3_algebra_check
+from .protocols import (PLAN_WINDOW_FACTOR, Strategy, _plan_cost, plan_protocol2,
+                        plan_regular, protocol1_cumulative, protocol1_required,
+                        protocol2_no_reset, protocol2_total)
 from .topology import Graph, Roles, build_cross, build_loop
 
 USAGE_ERROR = 1
 PRECONDITION_ERROR = 2
 VERIFICATION_ERROR = 3
 
-#: Peak memory of building and checking the dense eigensystem, in d x d float
-#: arrays; the RSS rise measured 5.2-5.3 of them at loop-36 and loop-60.
-EIGENSYSTEM_ARRAYS = 6
-#: Complex vectors of the cell quotient (at most d = N(N-1) cells) that `scan` holds
-#: besides the states of a Chebyshev span, one per grid point, at most PHASE_BLOCK: the
-#: span's recurrence terms (73 at R |dt| = CHEBYSHEV_SPAN) and the products' buffers.
-#: The states are read on the psi2, psi3 and success cells alone, so the whole call
-#: measured at most 130 with them (tracemalloc, 60 and 80 sites without a role exchange,
-#: 2 to 10001 points at steps 1e-4 to 1), and up to 175 at 36 sites, where a block of
-#: the terms' Gram matrix conjugates nearly every term (73 x PHASE_BLOCK, 1.2 MB).
-SPAN_VECTORS = 128
-#: Float arrays of grid length a command holds besides amplitude rows: a scan's
-#: grid and its five outcome curves.
-GRID_ARRAYS = 6
-#: Floats a protocol-2 run holds per step of --n-max: the planned step, the per-step
-#: table and the series arrays (475 bytes, tracemalloc, loop-4 --tau 1 --n-max 20000).
-SERIES_FLOATS = 60
 VERIFY_GRID_STEP = 0.1  # default step of the grid on which `verify` compares the engines
-#: Cap on protocol 2's planning window and on --tau: the rounding of lambda t breaks the
-#: role-exchange symmetry the planner reads (cross-5 failed from t_max = 1e9, cross-9 from
-#: 1e11; none at 1e8), and a one-ulp change of tau moves the 9th printed digit of the
-#: cross-5 --n-max 2 series at tau = 1e6, the 6th at 1e9 and the 3rd at 1e12.
+#: Cap on protocol 2's planning window and on --tau, not a cost: lambda t rounds past the
+#: planner's symmetry from 1e9, and one ulp of tau moves cross-5's 9th digit at 1e6.
 PLAN_MAX_TIME = 1e6
 
 
@@ -105,11 +88,21 @@ def _load_topology_file(path: str) -> tuple[int, frozenset, Roles]:
     return n, edges, Roles(plus, minus, alice, bob)
 
 
-def _check_memory(what: str, need: float) -> None:
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise PreconditionError(f"{what} needs about {need / 1e9:.3g} GB, more than "
-                                f"the {have / 1e9:.3g} GB of physical memory")
+def _admit(what: str, work: float, need: float) -> None:
+    """Refuse a run past the one work cap or the memory budget: physical memory, or the
+    address space left under the process's RLIMIT_AS if that is less."""
+    if not work <= MAX_WORK:
+        raise PreconditionError(f"{what} takes about {work:.3g} entry steps, beyond the "
+                                f"cap of {MAX_WORK:g}")
+    page, limit = os.sysconf("SC_PAGE_SIZE"), resource.getrlimit(resource.RLIMIT_AS)[0]
+    have = page * os.sysconf("SC_PHYS_PAGES")
+    if limit != resource.RLIM_INFINITY:  # less the address space in use, in pages (Linux)
+        statm = Path("/proc/self/statm")
+        used = int(statm.read_text().split()[0]) if statm.exists() else 0
+        have = min(have, limit - page * used)
+    if not need <= have:
+        raise PreconditionError(f"{what} needs about {need / 1e9:.3g} GB, more than the "
+                                f"{have / 1e9:.3g} GB of memory this process can use")
 
 
 def _config_echo(args, extra: dict | None) -> dict:
@@ -159,10 +152,7 @@ def _json_rows(rows):
 
 def _write_table(args, sections, extra_config: dict | None = None) -> None:
     """Emit (name, columns, rows) sections as CSV or JSON; an unnamed one alone is a table.
-
-    Rows may be any iterable. Both formats format rows as they are written,
-    so a long scan never holds its table as text.
-    """
+    Rows, any iterable, are formatted as they are written: a scan holds no table as text."""
     if args.format == "json":
         payload = {"config": _config_echo(args, extra_config)}
         if not args.no_timestamp:
@@ -177,11 +167,17 @@ def _write_table(args, sections, extra_config: dict | None = None) -> None:
         chunks = chain(json.JSONEncoder(indent=2).iterencode(payload), ["\n"])
     else:
         chunks = _csv_lines(args, extra_config, sections)
-    if args.output:
-        with open(args.output, "w") as out:
-            out.writelines(chunks)
-    else:
-        sys.stdout.writelines(chunks)
+    try:
+        if args.output:
+            with open(args.output, "w") as out:
+                out.writelines(chunks)
+        else:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+    except OSError as exc:  # a full device, a closed pipe
+        if isinstance(exc, BrokenPipeError):  # so the interpreter's last flush writes nothing
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise PreconditionError(f"cannot write the output: {exc}") from exc
 
 
 def _parse_list(spec: str, convert, name: str) -> list:
@@ -204,26 +200,19 @@ class _Run:
 
 
 def _checked_run(args) -> _Run:
-    """Make every exit-2 refusal that the flags decide, before any work starts.
-
-    Sizes each command's dense eigensystem (d = N(N-1), which bounds the cell quotient of
-    --tau; N(N-1)/2 for the C-even block of the peak tables), the states of `scan`'s
-    Chebyshev span on the quotient, the time grid (none with --tau) and the protocol-2
-    series, resolves the default window and applies the cost caps of `scan` and `verify`
-    (with the oracle's bound on N) and the planning cap. A graph is built once N fits.
-    """
-    for name in ("t_max", "grid_step", "refine_tol", "tau"):
+    """Make every exit-2 refusal that the flags decide, before any work starts: the
+    flags, --output (creating no file), the planning cap, the grid step, and each system's
+    cost (`_admit`), its bytes at the bound of N alone before its graph is built."""
+    for name in ("t_max", "grid_step", "refine_tol", "tau", "n_max"):
         value = getattr(args, name, None)
         if value is not None and not (math.isfinite(value) and value > 0):
             raise PreconditionError(
                 f"--{name.replace('_', '-')} must be finite and > 0, got {value}")
-    n_max = getattr(args, "n_max", 1)
-    if n_max < 1:
-        raise PreconditionError(f"--n-max must be >= 1, got {n_max}")
+    if args.output:
+        out = Path(args.output)
+        if out.is_dir() or not os.access(out if out.exists() else out.parent, os.W_OK):
+            raise PreconditionError(f"--output {args.output} is not a writable file")
     command = args.command
-    if command == "protocol2":
-        _check_memory(f"--n-max {n_max}: the protocol-2 series", SERIES_FLOATS * 8 * n_max)
-    peak_table = command in ("peaks", "protocol1")  # --n-list; C-even block, one Bell row
     n_list = getattr(args, "n_list", None)
     ns = [getattr(args, "n", None)] if n_list is None else _parse_list(n_list, int, "N")
     targets = tuple(_parse_list(args.targets, float, "target")) if command == "protocol1" else ()
@@ -243,40 +232,28 @@ def _checked_run(args) -> _Run:
         ns = [n_file] * len(ns)
     systems = []
     tau = getattr(args, "tau", None) is not None  # protocol2 on the cell quotient
+    planned = "tau" if tau else "t_max"  # the interval, or the planning window
+    if command == "protocol2" and (getattr(args, planned) or 0) > PLAN_MAX_TIME:
+        raise PreconditionError(f"--{planned.replace('_', '-')} exceeds the planning cap of "
+                                f"{PLAN_MAX_TIME:g}")
+    plan = partial(_plan_cost, steps=getattr(args, "n_max", 1))
+    cost = {"scan": _scan_cost, "verify": _verify_cost, "protocol2": plan}.get(command, _peak_cost)
     for n in ns:
         t_max = args.t_max or (10.0 if command == "verify" else n * (
             PLAN_WINDOW_FACTOR if command == "protocol2" else PEAK_WINDOW_FACTOR))
-        d = n * (n - 1) // (2 if peak_table else 1)  # the cells of scan and --tau: k <= d
-        if command == "scan":  # no eigensystem: the quotient's states along one span
-            span = min(PHASE_BLOCK, t_max / args.grid_step + 1)
-            _check_memory(f"N={n}: a Chebyshev span of the cell quotient (d = {d})",
-                          (SPAN_VECTORS + span) * 16 * d)
-        else:
-            what = "the quotient eigensystem" if tau else "the dense eigensystem"
-            _check_memory(f"N={n}: {what} (d = {d})", EIGENSYSTEM_ARRAYS * 8 * d * d)
+        points = 0.0 if tau else t_max / args.grid_step + 1
+        if not tau and command in ("peaks", "protocol1", "protocol2") and args.grid_step > t_max:
+            raise PreconditionError(f"--grid-step exceeds the window [0, {t_max:g}]")
+        what = f"N={n}: {command}" + (f" on a time grid of {points:.3g} points" if points else "")
+        what += f" with --n-max {args.n_max}" if command == "protocol2" else ""
+        _admit(what, 0.0, cost(n, t_max + GRID_END_SLACK, points)[1])
         try:
             g = (Graph(n, edges, roles) if custom else
                  build_cross(n) if args.topology == "cross" else build_loop(n))
-        except ValueError as exc:
+            work, need = cost(n, t_max + GRID_END_SLACK, points, g)
+        except ValueError as exc:  # a graph that cannot be built; the oracle's bound on N
             raise PreconditionError(f"{where}{exc}") from exc
-        if not tau:
-            # GRID_ARRAYS floats a point, plus a complex amplitude per row held along the grid
-            rows = d if command == "verify" else int(peak_table)
-            points = t_max / args.grid_step + 1
-            if (peak_table or command == "protocol2") and args.grid_step > t_max:
-                raise PreconditionError(f"--grid-step exceeds the window [0, {t_max:g}]")
-            if command == "protocol2" and t_max > PLAN_MAX_TIME:
-                raise PreconditionError(f"--t-max exceeds the planning cap of {PLAN_MAX_TIME:g}")
-            _check_memory(f"the time grid over [0, {t_max:g}] at step {args.grid_step:g} "
-                          f"({points:.3g} points)", points * 8 * (GRID_ARRAYS + 2 * rows))
-            if command in ("scan", "verify"):  # the propagation's cost; the oracle's N too
-                check = _check_scan_cost if command == "scan" else _check_verify_cost
-                try:
-                    check(g, t_max + GRID_END_SLACK)
-                except ValueError as exc:
-                    raise PreconditionError(str(exc)) from exc
-        elif args.tau > PLAN_MAX_TIME:
-            raise PreconditionError(f"--tau exceeds the planning cap of {PLAN_MAX_TIME:g}")
+        _admit(what, work, need)
         systems.append((n, g, t_max))
     return _Run(tuple(systems), targets)
 

@@ -22,18 +22,15 @@ schedule read H's quotient on it (`measurement`). The exchange C|i,j> = |j,i>
 commutes with H and maps each cell onto a cell, and the Bell amplitude of
 `one_shot_peak` is read on the C-even block H+ folded onto the cell pairs
 {X, CX} (`_role_fold`).
-There are two propagators. `_SpectralKernel` holds the only exp(-i lambda t)
-of a dense eigendecomposition (d <= 1260 for N <= 36): it serves a scalar time
-(`evolve`, peak refinement, the planned protocol-2 steps on the full space, the
-fixed-interval ones on the quotient), bit-exact, and rows along an arithmetic grid
-from 0 (the peak searches and the protocol-2 planner), within 1e-13 of the
-scalar path. The Chebyshev recurrence `_chebyshev_spans` needs only products H v
-and a bound R >= ||H||: `scan` runs it on the quotient (`measurement.outcome_curves`),
-`verify` on the sector's closure in the 3^N product space (`oracle`), each with R the
-Collatz-Wielandt bound `_norm_bound` of its own matrix. Each span gives its Bessel
-table and its terms T_k(H/R) psi, which the caller combines on the entries it reads;
-the spans of an even grid read one table, from one DFT of exp(-ix cos theta) on the
-half-turn of distinct angles (`_chebyshev_coefficients`).
+There are two propagators, their costs counted in the entry steps MAX_WORK caps
+(`_spectral_cost`, `_chebyshev_work`). `_SpectralKernel` holds the only exp(-i lambda t)
+of a dense eigendecomposition (d <= 1260 for N <= 36): it serves a scalar time (`evolve`,
+refinement, protocol-2 steps), bit-exact, and rows along an arithmetic grid from 0 (peak
+searches, the planner), within 1e-13 of the scalar path. The Chebyshev recurrence
+`_chebyshev_spans` needs only products H v and R >= ||H|| (`_norm_bound`): `scan` runs
+it on the quotient (`measurement`), `verify` on the sector's closure in the 3^N space
+(`oracle`). A span gives its Bessel table and its terms T_k(H/R) psi, which the caller
+combines on the entries it reads; an even grid reads one table (`_chebyshev_coefficients`).
 `select_peak` picks the peak time of a sampled curve, for the peak searches and
 for every protocol-2 planning strategy. Units: hbar = 1, J = 1.
 """
@@ -68,6 +65,10 @@ CHEBYSHEV_GAP = 1024.0  # largest R |dt| of a step with no grid point: 1.39 orde
 #: a grid point may pass t_max by this much and still count as <= t_max: it
 #: absorbs the rounding of k * step, not a further step
 GRID_END_SLACK = 1e-9
+#: cap on a run's work, in entry steps: an entry that a product H v gathers, 4.5-12 ns
+#: on 2 cores, so 5-10 s at the cap on every engine (README, "Exit codes")
+MAX_WORK = 1e9
+CALL_STEPS = 2048  # entry steps of the numpy calls around one product (about 10 us)
 
 
 def _time_grid(t_max: float, step: float) -> np.ndarray:
@@ -343,6 +344,11 @@ def _five_smooth(n: int) -> int:
             return m
 
 
+def _chebyshev_work(radius: float, t_max: float, entries: int) -> float:
+    """Entry steps of a recurrence to t_max: about R t_max products of `entries` entries."""
+    return radius * t_max * (entries + CALL_STEPS)
+
+
 def _chebyshev_coefficients(order: int, x: np.ndarray) -> np.ndarray:
     """c_0 .. c_order at each x = R dt, as an (order + 1, len(x)) table.
 
@@ -515,6 +521,12 @@ def select_peak(curve: np.ndarray, grid: np.ndarray, objective,
     return float(t_star), float(p_star)
 
 
+def _spectral_cost(dim: int, points: float = 0.0) -> tuple[float, float]:
+    """(work, bytes) of `eigh` and its checks (dim^3 / 16 entry steps, 6 dim^2 floats) and
+    of the kernel's row on a grid of `points` times (dim / 16 + 8 steps, 40 bytes each)."""
+    return dim ** 3 / 16 + points * (dim / 16 + 8), 8 * (6 * dim * dim + 5 * points)
+
+
 def _peak(g: Graph, e: Eigensystem, psi0: np.ndarray, rows, p_success,
           t_max: float | None, grid_step: float, refine_tol: float) -> tuple[float, float]:
     """`select_peak` of p_success(row amplitudes) on [0, t_max]; (0, 0) below HERALD_FLOOR."""
@@ -620,6 +632,12 @@ def _role_fold(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     s = 1.0 / np.sqrt(np.bincount(label))
     h = _exchange_matrix(g, i, j, partial(_unordered_position, n), label) * np.outer(s, s)
     return h, label
+
+
+def _peak_cost(n: int, t_max: float, points: float, g: Graph | None = None):
+    """`_spectral_cost` of `one_shot_peak`'s block, of at most k cells (N(N-1)/2 without g)."""
+    return _spectral_cost(n * (n - 1) // 2 if g is None else int(_pair_cells(g).max()) + 1,
+                          points)
 
 
 def one_shot_peak(g: Graph, t_max: float | None = None,

@@ -16,12 +16,8 @@ heralded probability equals the projection probability.
 protocols prepare lies in the span of the cells of the pair space's coarsest
 equitable partition (`dynamics._pair_cells`), which H keeps: `_quotient` is H on
 it. `outcome_curves` gives the probabilities along a time grid on the quotient
-alone: psi0 folds to a = S^T psi0, the Chebyshev recurrence steps a on the
-quotient's nonzeros, and every outcome is read as W |a|^2, W the share of each
-cell's pairs in it, on the cells of the printed outcomes alone (psi1 is the
-remainder, and each point's norm is read from the recurrence terms' Gram matrix).
-The recurrence costs about R max|t| products whatever the grid step, so a grid past
-SCAN_MAX_WORK is refused. The protocol-2 planner's grids and a fixed-interval
+alone, by the Chebyshev recurrence, whose cost `_scan_cost` counts (about R max|t|
+products whatever the grid step). The protocol-2 planner's grids and a fixed-interval
 protocol-2 schedule read the quotient's eigensystem, unfolded to the pairs
 (`_quotient_eigensystem`). `outcome_distribution` and `outcome_curves` check the norm
 of every state they measure.
@@ -35,15 +31,12 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .dynamics import (NORM_TOL, PHASE_BLOCK, Eigensystem, _chebyshev_spans, _index_groups,
-                       _norm_bound, _outcome, _pair_cells, _pair_images, _pair_position, _pairs,
-                       spectral_decompose)
+from .dynamics import (MAX_WORK, NORM_TOL, PHASE_BLOCK, Eigensystem, _chebyshev_spans,
+                       _chebyshev_work, _index_groups, _norm_bound, _outcome, _pair_cells,
+                       _pair_images, _pair_position, _pairs, spectral_decompose)
 from .topology import Graph
 
 ZERO_PROB = 1e-12
-#: Cap on R max|t| (slot entries + 2048), the cost of a scan's recurrence (`_quotient`):
-#: 4-7 ns a unit on 2 cores from loop-4 to 80 sites, so 4-7 s at the cap
-SCAN_MAX_WORK = 1e9
 
 
 class Outcome(Enum):
@@ -134,18 +127,21 @@ def _quotient_eigensystem(g: Graph) -> Eigensystem:
     return Eigensystem(e.eigenvalues, s[cells, None] * e.eigenvectors[cells])
 
 
-def _check_scan_cost(g: Graph, t_max: float) -> None:
-    _, _, cols, _, radius = _quotient(g)
-    if not (work := radius * t_max * (cols.size + 2048)) <= SCAN_MAX_WORK:
-        raise ValueError(f"a scan to t = {t_max:g} takes {work:.3g} entry steps (R t = "
-                         f"{radius * t_max:.3g}), beyond the cap of {SCAN_MAX_WORK:g}")
+def _scan_cost(n: int, t_max: float, points: float, g: Graph | None = None):
+    """(work, bytes) of `scan`: the recurrence on `_quotient`'s slots; a span's states and
+    128 more of its k cells, 248 bytes a point (the printed columns). k <= N(N-1) without g."""
+    k, work = n * (n - 1), 0.0
+    if g is not None:
+        _, s, cols, _, radius = _quotient(g)
+        k, work = s.size, _chebyshev_work(radius, t_max, cols.size)
+    return work, 16 * k * (128 + min(PHASE_BLOCK, points)) + 248 * points
 
 
 def outcome_curves(g: Graph, psi0: np.ndarray, t_grid) -> tuple[np.ndarray, ...]:
     """(pS_bell, p1, p2, p3, pS_projection) of exp(-iHt) psi0 along a time grid.
 
     psi0's cell amplitudes a = S^T psi0 are stepped by `dynamics._chebyshev_spans` on
-    `_quotient`, up to SCAN_MAX_WORK; a psi0 that loses norm there lies off the cells,
+    `_quotient`, up to `dynamics.MAX_WORK`; a psi0 that loses norm there lies off the cells,
     and is refused. A pair of cell O holds s_O a_O, so an outcome is W |a|^2, W the share
     of each cell's pairs in it. Each span's terms T_k psi are combined with its table c
     on the cells of psi2, psi3 and success alone, the curves printed; the grid may be
@@ -156,7 +152,9 @@ def outcome_curves(g: Graph, psi0: np.ndarray, t_grid) -> tuple[np.ndarray, ...]
     if t_grid.ndim != 1 or not np.all(np.isfinite(t_grid)):
         raise ValueError("a time grid must be 1-D and finite")
     _check_norm(np.linalg.norm(psi0))
-    _check_scan_cost(g, float(np.max(np.abs(t_grid), initial=0.0)))
+    t_max = float(np.max(np.abs(t_grid), initial=0.0))
+    if not (work := _scan_cost(g.n_vertices, t_max, t_grid.size, g)[0]) <= MAX_WORK:
+        raise ValueError(f"a scan to t = {t_max:g}: {work:.3g} entry steps, beyond the cap")
     cells, s, cols, vals, radius = _quotient(g)
     k = s.size
     folded = s * (np.bincount(cells, psi0.real, k) + 1j * np.bincount(cells, psi0.imag, k))

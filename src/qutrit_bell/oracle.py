@@ -9,39 +9,29 @@ reproduce the reduced matrix entry for entry. No array spans the 3^N space:
 `_images` swaps two digits of the states it is given, and time evolution never
 forms a matrix. `dynamics._chebyshev_spans`, the propagator that `scan` runs on
 its cell quotient, steps the full state on the sector's closure under the edges'
-images (`_closure`, a breadth-first search), outside which the full state stays
-exactly 0, one recurrence per span of consecutive grid points, with R >= ||H||_2
-read from the closure itself (`_radius`: 3.1 to 4.5 on the paper's graphs, whose
-|E| runs to 36). Each span's terms are combined on the sector's rows, and the
-leakage bound is read from their entries outside it in one reduction. So the check
-sets two independent methods side by side: that recurrence on the full space, and
-the eigendecomposition of the cell quotient that `scan`, `--tau` and the protocol-2
-planner's grid read.
+images (`_closure_system`), outside which the full state stays exactly 0, with R >=
+||H||_2 read from the closure (`_radius`: 3.1 to 4.5 on the paper's graphs, whose |E|
+runs to 36); `_verify_cost` counts its work. So the check sets two independent
+methods side by side: that recurrence on the full space, and the eigendecomposition
+of the cell quotient that `scan`, `--tau` and the protocol-2 planner's grid read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .dynamics import (_chebyshev_spans, _index_groups, _norm_bound, _pairs, _SpectralKernel,
+from .dynamics import (CALL_STEPS, PHASE_BLOCK, _chebyshev_spans, _chebyshev_work,
+                       _index_groups, _norm_bound, _pairs, _SpectralKernel,
                        assemble_hamiltonian, initial_state)
-from .measurement import _quotient_eigensystem
+from .measurement import _quotient, _quotient_eigensystem
 from .topology import Graph
 
 #: a state's index lies below 3^N, and 3^39 < 2^63 < 3^40
 ORACLE_MAX_SITES = 39
-#: Cap on |E| t_max (|E| N(N-1) + 2048), the cost model of `verify`'s recurrence: |E|
-#: t_max products, each gathering |E| sources for each of the sector's N(N-1) states.
-#: The recurrence steps with the closure's R (`_radius`) in place of |E|, so the model
-#: overestimates its products |E| / R times (1.3 at cross-5, 9 at loop-36), and the cap
-#: is kept as the documented exit 2. On 2 cores loop-36 over its 6.4N window, 230.4
-#: (3.9e8 units), takes 1.0-1.5 s for the command; at the cap cross-5 and cross-9 take
-#: 10-14 s, loop-36 (t_max 585) 1.1 s.
-VERIFY_MAX_WORK = 1e9
 
 STATES = (-1, 0, +1)
 
@@ -65,21 +55,6 @@ def su3_algebra_check() -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def _check_oracle_size(n: int) -> None:
-    if n > ORACLE_MAX_SITES:
-        raise ValueError(f"the oracle indexes the 3^N product states in int64, so N <= "
-                         f"{ORACLE_MAX_SITES} (3^39 < 2^63); requested N = {n}")
-
-
-def _check_verify_cost(g: Graph, t_max: float) -> None:
-    _check_oracle_size(g.n_vertices)
-    edges, d = len(g.edges), g.n_vertices * (g.n_vertices - 1)
-    if not (work := edges * t_max * (edges * d + 2048)) <= VERIFY_MAX_WORK:
-        raise ValueError(f"verify propagates the sector's closure over |E| t_max = "
-                         f"{edges * t_max:.3g}, {work:.3g} entry steps, beyond the cap of "
-                         f"{VERIFY_MAX_WORK:g}")
-
-
 def _site_digit(indices: np.ndarray, site: int) -> np.ndarray:
     return (indices // 3 ** (site - 1)) % 3
 
@@ -87,7 +62,9 @@ def _site_digit(indices: np.ndarray, site: int) -> np.ndarray:
 def _images(g: Graph, states) -> np.ndarray:
     """Row e: each of the given states' image under edge e's exchange (the two site
     digits swapped), -1 where the two site states are equal."""
-    _check_oracle_size(g.n_vertices)
+    if g.n_vertices > ORACLE_MAX_SITES:
+        raise ValueError(f"the oracle indexes the 3^N product states in int64, so N <= "
+                         f"{ORACLE_MAX_SITES} (3^39 < 2^63); requested N = {g.n_vertices}")
     states = np.asarray(states, dtype=np.int64)
     out = np.empty((len(g.edges), states.size), dtype=np.int64)
     for row, (m, n) in zip(out, g.edges):
@@ -132,6 +109,36 @@ def _radius(sources: np.ndarray, images: np.ndarray) -> float:
     n = sources.shape[1]
     return _norm_bound(lambda v: np.concatenate([_scatter(sources, v[n:]),
                                                   _scatter(images, v[:n])]), 2 * n)
+
+
+@lru_cache(maxsize=1)
+def _closure_system(g: Graph):
+    """(C, images, sources, R): the sector's `_closure` C, each edge's `_images` of C and
+    their inverse, `_scatter`'s sources (so an image that does not map back, a leak, still
+    reaches the product), and `_radius`; read-only and cached, as `_quotient` is."""
+    closure = _closure(g, np.append(_sector_indices(g), full_initial_index(g)))
+    images = _images(g, closure)
+    position = np.where(images < 0, closure.size, np.searchsorted(closure, images))
+    sources = np.full((images.shape[0], closure.size + 1), closure.size)
+    sources[np.arange(images.shape[0])[:, None], position] = np.arange(closure.size)
+    for cached in (closure, images, sources):
+        cached.setflags(write=False)
+    return closure, images, sources[:, :-1], _radius(sources[:, :-1], position)
+
+
+def _verify_cost(n: int, t_max: float, points: float, g: Graph | None = None):
+    """(work, bytes) of `full_evolve_compare`: the recurrence on C, d k / 16 + CALL_STEPS a
+    point (its reduced amplitudes), C's span, tables and 16 d + 40 bytes a point; C = the
+    sector without g."""
+    d = size = n * (n - 1)
+    work = edges = 0
+    if g is not None:
+        _, _, sources, radius = _closure_system(g)
+        edges, size = sources.shape
+        work = (_chebyshev_work(radius, t_max, edges * size)
+                + points * (d * _quotient(g)[1].size / 16 + CALL_STEPS))
+    return work, (16 * size * (128 + min(PHASE_BLOCK, points)) + 24 * edges * size
+                  + points * (16 * d + 40))
 
 
 def full_initial_index(g: Graph) -> int:
@@ -183,21 +190,17 @@ class OracleComparison:
 
 
 def full_evolve_compare(g: Graph, t_grid) -> OracleComparison:
-    """Evolve in the full space and compare with the reduced engine.
+    """Evolve in the full space, on the closure (`_closure_system`), and compare.
 
-    Returns the worst entry difference between the full Hamiltonian's sector
-    restriction and `assemble_hamiltonian`, the matrix planned protocol-2 steps
-    diagonalise; across the grid, the worst difference within the sector between the
-    full-space amplitudes and those of the cell quotient (`measurement._quotient`), a
-    bound on the worst amplitude magnitude outside the sector and the worst
-    Bell-channel asymmetry of the full-space amplitudes (on the quotient it is 0 by
-    construction). The full state is propagated on its closure, one span of grid
-    points at a time (see `dynamics._chebyshev_spans`), with the closure's R (`_radius`).
-    """
+    Returns the worst entry difference between the full Hamiltonian's sector restriction
+    and `assemble_hamiltonian`, the matrix planned protocol-2 steps diagonalise; across
+    the grid, the worst difference within the sector between the full-space amplitudes
+    and those of the cell quotient (`measurement._quotient`), a bound on the worst
+    amplitude outside the sector and the worst Bell-channel asymmetry of the full-space
+    amplitudes (on the quotient it is 0 by construction)."""
     t_grid = np.asarray(t_grid, dtype=float)
     sect = _sector_indices(g)
-    init = full_initial_index(g)
-    closure = _closure(g, np.append(sect, init))
+    closure, images, sources, radius = _closure_system(g)
     # The grid may be uneven (repeats, reversals), so the reduced amplitudes come from
     # the kernel's scalar path, one time at a time. They are computed before the
     # full-space loop: interleaved with it, each call took 0.4 ms instead of 0.05 ms
@@ -207,7 +210,6 @@ def full_evolve_compare(g: Graph, t_grid) -> OracleComparison:
     for k, t in enumerate(t_grid.tolist()):
         red[k] = kernel(t)
 
-    images = _images(g, closure)
     rows = np.searchsorted(closure, sect)
     try:
         restricted = _restriction(sect, images[:, rows])
@@ -215,24 +217,14 @@ def full_evolve_compare(g: Graph, t_grid) -> OracleComparison:
         restriction = math.inf
     else:
         restriction = float(np.max(np.abs(restricted - assemble_hamiltonian(g))))
-    # on the closure, the amplitudes and the leakage bound are those of the 3^N run;
-    # each edge's images, as positions in C (the zero slot for -1), are inverted into
-    # its sources, so that an image that does not map back (a leak out of the sector
-    # included) still reaches the product
-    position = np.where(images < 0, closure.size, np.searchsorted(closure, images))
-    sources = np.full((images.shape[0], closure.size + 1), closure.size)
-    sources[np.arange(images.shape[0])[:, None], position] = np.arange(closure.size)
-    sources = sources[:, :-1]
+    # on the closure, the amplitudes and the leakage bound are those of the 3^N run
     product = partial(_scatter, sources)
-    psi = (closure == init).astype(complex)
+    psi = (closure == full_initial_index(g)).astype(complex)
     # np.max, unlike max(), keeps a NaN, so the check that reads it fails
     deviations, leakages, asymmetries = [0.0], [0.0], [0.0]
     i_ba, i_ab = _index_groups(g)["success"]
     outside = np.setdiff1d(np.arange(closure.size), rows)
-    # R near 4 on every closure of the paper's graphs (3.09 at cross-5, 4.50 at cross-35),
-    # where the edges' partial permutations only bound ||H|| by |E|
-    for points, table, terms in _chebyshev_spans(product, _radius(sources, position), psi,
-                                                 t_grid):
+    for points, table, terms in _chebyshev_spans(product, radius, psi, t_grid):
         amps = table.T @ terms[:, rows]
         deviations.append(np.max(np.abs(amps - red[points])))
         # sum_k |c_k| max|T_k psi outside|, 0 where the closure is the sector

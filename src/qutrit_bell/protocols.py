@@ -37,7 +37,8 @@ from itertools import islice
 import numpy as np
 
 from .dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, HERALD_FLOOR, Eigensystem,
-                       _index_groups, _SpectralKernel, _time_grid, initial_state, select_peak)
+                       _index_groups, _spectral_cost, _SpectralKernel, _time_grid,
+                       initial_state, select_peak)
 from .measurement import (ZERO_PROB, Outcome, OutcomeDistribution, _quotient,
                           _quotient_eigensystem, _weighted_squares, outcome_distribution,
                           post_state)
@@ -213,6 +214,19 @@ def _schedule(g: Graph, kernel_of, choose_time, n_max: int) -> list[ScheduleStep
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     return list(islice(_protocol2_steps(g, kernel_of, choose_time), n_max))
+
+
+def _plan_cost(n: int, t_max: float, points: float, g: Graph | None = None, steps: int = 1):
+    """(work, bytes) of `steps` steps, each evolved on m states (the pair space's d = N(N-1)
+    if planned on a grid, else the k cells'): both eigensystems, the cells' one unfolded (32
+    d k bytes), then per step d m / 2 entry steps for its kernel, k / 16 + 8 steps and 96
+    bytes a grid point, and 480 bytes for its series. Without g, k is bounded by d."""
+    d = n * (n - 1)
+    k = d if g is None else _quotient(g)[1].size
+    m = d if points else k
+    cells, full = _spectral_cost(k), _spectral_cost(d if points else 0)
+    return (cells[0] + full[0] + steps * (points * (k / 16 + 8) + d * m / 2),
+            cells[1] + full[1] + 32 * d * k + 96 * points + 480 * steps)
 
 
 def plan_protocol2(g: Graph, e: Eigensystem, strategy: Strategy = Strategy.PEAK_SUCCESS,

@@ -9,14 +9,25 @@ from itertools import islice
 
 import networkx as nx
 import numpy as np
+import pytest
 
 from qutrit_bell import (Graph, Roles, assemble_hamiltonian, build_cross, build_loop,
-                         find_peak, initial_state, spectral_decompose)
+                         find_peak, initial_state, oracle, spectral_decompose)
 from qutrit_bell.measurement import _quotient
 
 #: the role permutations that keep the sets {c+, c-} and {A, B}: position k of
 #: `Roles.as_tuple()` (c+, c-, A, B) moves to position perm[k]
 SWAP_CHARLIE, SWAP_ENDS, SWAP_BOTH = ROLE_SWAPS = (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2)
+
+
+@pytest.fixture(autouse=True)
+def fresh_closure():
+    """`oracle._closure_system` keeps the last graph's closure, built from the `_images`
+    and `_scatter` of its time: a test that patches them must neither read another test's
+    closure nor leave its own."""
+    oracle._closure_system.cache_clear()
+    yield
+    oracle._closure_system.cache_clear()
 
 
 @lru_cache(maxsize=None)

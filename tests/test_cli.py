@@ -13,8 +13,10 @@ from conftest import time_budget
 from qutrit_bell import (Strategy, assemble_hamiltonian, cli, oracle, plan_protocol2,
                          spectral_decompose)
 from qutrit_bell.cli import _config_echo, _fmt, _write_table, build_parser, main
-from qutrit_bell.dynamics import PHASE_BLOCK
-from qutrit_bell.oracle import _check_verify_cost
+from qutrit_bell.dynamics import MAX_WORK, _peak_cost
+from qutrit_bell.measurement import _scan_cost
+from qutrit_bell.oracle import _verify_cost
+from qutrit_bell.protocols import _plan_cost
 from qutrit_bell.topology import build_cross, build_loop
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -56,7 +58,7 @@ SERIES_REFUSALS = [
 ]
 
 # grids of two points and of 21, so the grid guard passes them; loop-4 costs about
-# 2e3 entry steps per unit of R t_max (`measurement._check_scan_cost`)
+# 2e3 entry steps per unit of R t_max (`measurement._scan_cost`)
 SCAN_COST_REFUSALS = [["--t-max", "1e300", "--grid-step", "1e300"],
                       ["--t-max", "2e6", "--grid-step", "1e5"]]
 
@@ -114,7 +116,12 @@ REFUSALS = (EIGENSYSTEM_REFUSALS + GRID_REFUSALS + SERIES_REFUSALS + INVALID_FLA
                ["protocol1", "--topology", "cross", "--n-list", "5", "--targets", "0"],
                ["protocol2", "--topology", "cross", "--n", "5", "--n-max", "0"],
                ["scan", "--topology", "custom", "--topology-file", str(DATA / "sites-1e8.txt")],
-               ["scan", "--topology", "custom", "--topology-file", str(DATA / "missing.txt")]])
+               ["scan", "--topology", "custom", "--topology-file", str(DATA / "missing.txt")],
+               # 10 planned steps over 10^8 grid points: about 10^10 entry steps
+               ["protocol2", "--topology", "cross", "--n", "9", "--t-max", "1e6"],
+               # an output that cannot be opened, refused before the scan is made
+               ["scan", "--topology", "loop", "--n", "4", "--output", str(DATA)],
+               ["scan", "--topology", "loop", "--n", "4", "--output", "/nonexistent/x.csv"]])
 
 
 def run_cli(args, capsys):
@@ -381,7 +388,7 @@ class TestVerify:
 
     def test_builds_each_engine_once(self, monkeypatch, capsys):
         # the full space's closure, the restriction row's reduced matrix and the cell
-        # quotient's eigensystem
+        # quotient's eigensystem; the closure serves the cost check and the run alike
         builds = {"_closure": 0, "assemble_hamiltonian": 0, "_quotient_eigensystem": 0}
 
         def counted(module, name):
@@ -428,20 +435,28 @@ class TestVerify:
         assert "int64" in err and "N <= 39" in err and "N = 40" in err
         assert "Traceback" not in err
 
-    # the paper's largest systems over their 6.4N table windows: each run takes 7-9 s
-    # on 2 cores, so only the cap is checked here (CI runs loop-36's)
+    # the paper's largest systems over their 6.4N table windows: each run takes 1-1.5 s
+    # on 2 cores, so only the cap is checked here (CI runs them)
     @pytest.mark.parametrize("topology,n,t_max", [("cross", 35, 224.0), ("loop", 36, 230.4)])
     def test_cost_cap_admits_the_table_windows(self, topology, n, t_max):
         g = build_cross(n) if topology == "cross" else build_loop(n)
-        _check_verify_cost(g, t_max)
-        edges, d = len(g.edges), n * (n - 1)
-        beyond = oracle.VERIFY_MAX_WORK / (edges * (edges * d + 2048)) * (1 + 1e-9)
-        with pytest.raises(ValueError, match="beyond the cap"):
-            _check_verify_cost(g, beyond)
+
+        def work(t):  # at verify's default step, linear in t
+            return _verify_cost(n, t, t / cli.VERIFY_GRID_STEP + 1, g)[0]
+
+        assert work(t_max) <= MAX_WORK
+        at_cap = t_max * (MAX_WORK - work(0.0)) / (work(t_max) - work(0.0))
+        assert work(at_cap * (1 - 1e-9)) <= MAX_WORK < work(at_cap * (1 + 1e-9))
+
+    def test_loop36_over_586_is_admitted(self):
+        # the |E| t_max model refused it, though 585 took 2.2 s; not run here
+        cli._checked_run(build_parser().parse_args(
+            ["verify", "--topology", "loop", "--n", "36", "--t-max", "586"]))
 
     # t_max = step = 1e300 is a two-point grid whose second point needed a
-    # Chebyshev recurrence of order ~1e301: it ran forever. loop-4 costs 8384 units of
-    # work per unit of t_max, so 2e5 is past the cap of 1e9
+    # Chebyshev recurrence of order ~1e301: it ran forever. loop-4's recurrence costs
+    # about 7200 entry steps per unit of t_max (R = 3.43, 4 x 12 entries a product), so
+    # 2e5 is past the cap of 1e9
     @pytest.mark.parametrize("flags", [["--t-max", "1e300", "--grid-step", "1e300"],
                                        ["--t-max", "2e5", "--grid-step", "1e4"]])
     def test_propagation_beyond_the_cap_is_exit_2(self, flags, capsys):
@@ -450,7 +465,7 @@ class TestVerify:
                                      capsys)
         assert code == 2
         assert out == ""
-        assert "|E| t_max" in err
+        assert "beyond the cap of 1e+09" in err
 
     @pytest.mark.parametrize("topology", ["cross", "loop"])
     def test_zero_n_is_exit_2(self, topology, capsys):
@@ -528,34 +543,35 @@ class TestSizeGuard:
         assert f"N={argv[-1].split(',')[-1]}:" in err and "GB" in err
 
     def test_peaks_guard_sizes_the_c_even_block(self, monkeypatch, capsys):
-        # physical memory between the loop-8 C-even block (d = 28) and the full
-        # pair space (d = 56): peaks diagonalises the block and runs; planned
-        # protocol2 needs the full eigensystem and --tau the cell quotient's, whose
-        # cells only d = N(N-1) bounds before the graph is built: both are refused
-        block, full = (cli.EIGENSYSTEM_ARRAYS * 8 * d * d for d in (28, 56))
+        # physical memory between the loop-8 peak table (a C-even block, d <= 28) and
+        # planned protocol2 (the full pair space, d = 56): peaks diagonalises the block
+        # and runs; planned protocol2 needs the full eigensystem and --tau the cell
+        # quotient's, whose cells only d = N(N-1) bounds before the graph is built: both
+        # are refused
+        block, full = _peak_cost(8, 1.0, 101.0)[1], _plan_cost(8, 1.0, 101.0, steps=10)[1]
+        assert _plan_cost(8, 1.0, 0.0, steps=10)[1] > (block + full) // 2
         pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": (block + full) // 2}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
         code, out, err = run_cli(["peaks", "--topology", "loop", "--n-list", "8",
                                   "--t-max", "1"], capsys)
         assert code == 0 and out.count("\n") > 1 and err == ""
-        for flags, what in ((["--t-max", "1"], "the dense eigensystem"),
-                            (["--tau", "1"], "the quotient eigensystem")):
+        for flags in (["--t-max", "1"], ["--tau", "1"]):
             code, out, err = run_cli(["protocol2", "--topology", "loop", "--n", "8"] + flags,
                                      capsys)
             assert code == 2 and out == ""
-            assert f"N=8: {what} (d = 56)" in err
+            assert "N=8: protocol2" in err and "GB" in err
 
-    # scan holds the quotient's states along one Chebyshev span (a point each, at most
-    # PHASE_BLOCK) and SPAN_VECTORS more; --tau one eigensystem of the quotient; each
-    # runs at exactly its bound and is refused a byte below it
+    # scan holds the quotient's states along one Chebyshev span and its grid's curves;
+    # --tau one eigensystem of the quotient; both sized at the bound k <= d = 56 before
+    # the graph is built; each runs at exactly its bound and is refused a byte below it
     @pytest.mark.parametrize("argv,need", [
         (["scan", "--topology", "loop", "--n", "8", "--t-max", "1"],
-         (cli.SPAN_VECTORS + 101) * 16 * 56),
+         _scan_cost(8, 1.0, 101.0)[1]),
         (["scan", "--topology", "loop", "--n", "8", "--t-max", "1", "--grid-step", "1e-4"],
-         (cli.SPAN_VECTORS + PHASE_BLOCK) * 16 * 56),
+         _scan_cost(8, 1.0, 10001.0)[1]),
         (["protocol2", "--topology", "loop", "--n", "8", "--tau", "1"],
-         cli.EIGENSYSTEM_ARRAYS * 8 * 56 * 56),
-    ])
+         _plan_cost(8, 1.0, 0.0, steps=10)[1]),
+    ], ids=["scan-101-points", "scan-10001-points", "tau"])
     def test_scan_and_tau_run_at_their_bound(self, argv, need, monkeypatch, capsys):
         for memory, want in ((need, 0), (need - 1, 2)):
             pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}
@@ -564,6 +580,18 @@ class TestSizeGuard:
             assert code == want
             assert (out.count("\n") > 1 and err == "") if want == 0 else (
                 out == "" and "N=8:" in err)
+
+    def test_budget_reads_the_address_space_limit(self, monkeypatch):
+        # 10^8 grid points, about 4 GB: admitted with 100 GB of physical memory and no
+        # limit, refused under a 3 GB address space, as `ulimit -v 3000000` sets it
+        args = build_parser().parse_args(["peaks", "--topology", "loop", "--n-list", "4",
+                                          "--t-max", "1e6"])
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 10**11}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        cli._checked_run(args)
+        monkeypatch.setattr(cli.resource, "getrlimit", lambda resource: (3 * 10**9,) * 2)
+        with pytest.raises(cli.PreconditionError, match="memory this process can use"):
+            cli._checked_run(args)
 
     @pytest.mark.parametrize("argv", GRID_REFUSALS)
     def test_time_grid_beyond_physical_memory_is_exit_2(self, argv, capsys):
@@ -592,7 +620,7 @@ class TestSizeGuard:
             code, out, err = run_cli(argv, capsys)
         assert code == 2
         assert out == ""
-        assert "--n-max 10000000000: the protocol-2 series" in err and "GB" in err
+        assert "with --n-max 10000000000 needs" in err and "GB" in err
         assert "Traceback" not in err
 
     def test_protocol1_series_is_made_as_it_is_written(self, monkeypatch):
@@ -795,6 +823,47 @@ class TestOutputHandling:
         assert code == 2
         assert out == ""
         assert str(topo) in err and "Traceback" not in err
+
+    def test_unwritable_output_is_exit_2_before_the_run(self, tmp_path, capsys):
+        code, out, err = run_cli(["scan", "--topology", "loop", "--n", "4", "--output",
+                                  str(tmp_path)], capsys)
+        assert code == 2 and out == ""
+        assert f"--output {tmp_path} is not a writable file" in err
+        # a refused run leaves no file behind
+        path = tmp_path / "x.csv"
+        code, _, _ = run_cli(["scan", "--topology", "loop", "--n", "4", "--t-max", "1e300",
+                              "--output", str(path)], capsys)
+        assert code == 2 and not path.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("to_file", [True, False], ids=["output", "stdout"])
+    def test_full_device_is_exit_2(self, to_file):
+        # a write that fails while the rows stream: one line on stderr, no traceback
+        argv = ["scan", "--topology", "loop", "--n", "4", "--no-timestamp"]
+        env = {**os.environ, "PYTHONPATH": str(DATA.parent.parent / "src")}
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "qutrit_bell.cli", *argv]
+                                  + ["--output", "/dev/full"] * to_file,
+                                  stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+                                  timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "precondition violated: cannot write the output: [Errno 28] No space left on device"]
+
+    def test_closed_pipe_is_exit_2(self):
+        # as `scan ... | head -2`: the reader goes after two lines of some 200,000
+        env = {**os.environ, "PYTHONPATH": str(DATA.parent.parent / "src")}
+        proc = subprocess.Popen([sys.executable, "-m", "qutrit_bell.cli", "scan", "--topology",
+                                 "loop", "--n", "4", "--t-max", "2000"], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True, env=env)
+        lines = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert lines[0] == "# qutrit-bell 0.1.0\n"
+        assert err.splitlines() == [
+            "precondition violated: cannot write the output: [Errno 32] Broken pipe"]
 
     def test_usage_error_is_exit_1(self):
         proc = subprocess.run(
