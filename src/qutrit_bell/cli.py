@@ -27,9 +27,9 @@ from pathlib import Path
 
 from . import __version__
 from .dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, GRID_END_SLACK, MAX_WORK,
-                       PEAK_WINDOW_FACTOR, _peak_cost, _time_grid, assemble_hamiltonian,
-                       bell_pairs_share_a_cell, initial_state, one_shot_peak,
-                       spectral_decompose)
+                       PEAK_WINDOW_FACTOR, PHASE_BLOCK, _peak_cost, _time_grid,
+                       assemble_hamiltonian, bell_pairs_share_a_cell, initial_state,
+                       one_shot_peak, spectral_decompose)
 from .measurement import _scan_cost, outcome_curves
 from .oracle import _verify_cost, full_evolve_compare, su3_algebra_check
 from .protocols import (PLAN_WINDOW_FACTOR, Strategy, _plan_cost, plan_protocol2,
@@ -261,8 +261,10 @@ def _checked_run(args) -> _Run:
 def cmd_scan(args, run: _Run) -> int:
     [(_, g, t_max)] = run.systems
     grid = _time_grid(t_max, args.grid_step)
-    curves = outcome_curves(g, initial_state(g), grid)
-    rows = zip(*(column.tolist() for column in (grid, *curves)))
+    columns = (grid, *outcome_curves(g, initial_state(g), grid))
+    # one block of PHASE_BLOCK points at a time as Python floats, not the whole grid
+    rows = (row for s in range(0, grid.size, PHASE_BLOCK)
+            for row in zip(*(column[s:s + PHASE_BLOCK].tolist() for column in columns)))
     _write_table(args, [(None, ["t", "p_success", "p1", "p2", "p3", "pS_projection"], rows)])
     return 0
 

@@ -23,13 +23,14 @@ commutes with H and maps each cell onto a cell, and the Bell amplitude of
 `one_shot_peak` is read on the C-even block H+ folded onto the cell pairs
 {X, CX} (`_role_fold`).
 There are two propagators, their costs counted in the entry steps MAX_WORK caps
-(`_spectral_cost`, `_chebyshev_work`). `_SpectralKernel` holds the only exp(-i lambda t)
-of a dense eigendecomposition (d <= 1260 for N <= 36): it serves a scalar time (`evolve`,
-refinement, protocol-2 steps), bit-exact, and rows along an arithmetic grid from 0 (peak
-searches, the planner), within 1e-13 of the scalar path. The Chebyshev recurrence
-`_chebyshev_spans` needs only products H v and R >= ||H|| (`_norm_bound`): `scan` runs
-it on the quotient (`measurement`), `verify` on the sector's closure in the 3^N space
-(`oracle`). A span gives its Bessel table and its terms T_k(H/R) psi, which the caller
+(`_spectral_cost`, `_chebyshev_work`; a span's bytes in `_chebyshev_bytes`).
+`_SpectralKernel` holds the only exp(-i lambda t) of a dense eigendecomposition (d <= 1260
+for N <= 36): it serves a scalar time (`evolve`, refinement, protocol-2 steps), bit-exact,
+rows along an arithmetic grid from 0 (peak searches, the planner) and any times in one
+piece (`verify`'s reduced side), both within 1e-13 of the scalar path. The Chebyshev
+recurrence `_chebyshev_spans` needs only products H v and R >= ||H|| (`_norm_bound`):
+`scan` runs it on the quotient (`measurement`), `verify` on the sector's closure in the
+3^N space (`oracle`). A span gives its Bessel table and its terms T_k(H/R) psi, which the caller
 combines on the entries it reads; an even grid reads one table (`_chebyshev_coefficients`).
 `select_peak` picks the peak time of a sampled curve, for the peak searches and
 for every protocol-2 planning strategy. Units: hbar = 1, J = 1.
@@ -290,6 +291,14 @@ class _SpectralKernel:
                 ((self._v[:, None, :] * shifts).reshape(-1, self._coeff.size) @ offsets)
                 .reshape(self._v.shape[0], -1)[:, :t.size - s])
 
+    def at_times(self, t) -> np.ndarray:
+        """(rows, T) at the T times of any 1-D t, from one phase table in one piece: the
+        real V times the table's real and imaginary columns, one real product. Within
+        1e-13 of the scalar path for a unit psi0, which it does not replace."""
+        phased = self._phases(np.asarray(t, dtype=float))
+        phased *= self._coeff[:, None]
+        return (self._v @ phased.view(float)).view(complex)
+
     def __call__(self, t) -> np.ndarray:
         if isinstance(t, float) or np.ndim(t) == 0:  # a refinement's float skips np.ndim
             theta = self._neg_lam * t  # the phases as `_phases` rounds them
@@ -347,6 +356,14 @@ def _five_smooth(n: int) -> int:
 def _chebyshev_work(radius: float, t_max: float, entries: int) -> float:
     """Entry steps of a recurrence to t_max: about R t_max products of `entries` entries."""
     return radius * t_max * (entries + CALL_STEPS)
+
+
+def _chebyshev_bytes(entries: int, points: float) -> float:
+    """Bytes of the largest span of a grid of `points` points, on vectors of `entries`:
+    its terms (at most 128) and its states, 16 bytes an entry, and its Bessel table with
+    the DFT that makes it, 7200 bytes a point (73 orders from 150 angles at CHEBYSHEV_SPAN)."""
+    block = min(PHASE_BLOCK, points)
+    return 16 * entries * (128 + block) + 7200 * block
 
 
 def _chebyshev_coefficients(order: int, x: np.ndarray) -> np.ndarray:

@@ -31,9 +31,10 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .dynamics import (MAX_WORK, NORM_TOL, PHASE_BLOCK, Eigensystem, _chebyshev_spans,
-                       _chebyshev_work, _index_groups, _norm_bound, _outcome, _pair_cells,
-                       _pair_images, _pair_position, _pairs, spectral_decompose)
+from .dynamics import (MAX_WORK, NORM_TOL, PHASE_BLOCK, Eigensystem, _chebyshev_bytes,
+                       _chebyshev_spans, _chebyshev_work, _index_groups, _norm_bound,
+                       _outcome, _pair_cells, _pair_images, _pair_position, _pairs,
+                       spectral_decompose)
 from .topology import Graph
 
 ZERO_PROB = 1e-12
@@ -128,13 +129,13 @@ def _quotient_eigensystem(g: Graph) -> Eigensystem:
 
 
 def _scan_cost(n: int, t_max: float, points: float, g: Graph | None = None):
-    """(work, bytes) of `scan`: the recurrence on `_quotient`'s slots; a span's states and
-    128 more of its k cells, 248 bytes a point (the printed columns). k <= N(N-1) without g."""
+    """(work, bytes) of `scan`: the recurrence on `_quotient`'s slots; a span on its k cells,
+    80 bytes a point (the grid and the five curves). k <= N(N-1) without g."""
     k, work = n * (n - 1), 0.0
     if g is not None:
         _, s, cols, _, radius = _quotient(g)
         k, work = s.size, _chebyshev_work(radius, t_max, cols.size)
-    return work, 16 * k * (128 + min(PHASE_BLOCK, points)) + 248 * points
+    return work, _chebyshev_bytes(k, points) + 80 * points
 
 
 def outcome_curves(g: Graph, psi0: np.ndarray, t_grid) -> tuple[np.ndarray, ...]:

@@ -6,14 +6,16 @@ int64 index, so N <= ORACLE_MAX_SITES. The full Hamiltonian applies, per edge,
 the two-site exchange with equal-state terms dropped, exactly mirroring the
 reduced assembly, so restricting it to the one-(+1)-one-(-1) sector must
 reproduce the reduced matrix entry for entry. No array spans the 3^N space:
-`_images` swaps two digits of the states it is given, and time evolution never
-forms a matrix. `dynamics._chebyshev_spans`, the propagator that `scan` runs on
-its cell quotient, steps the full state on the sector's closure under the edges'
-images (`_closure_system`), outside which the full state stays exactly 0, with R >=
-||H||_2 read from the closure (`_radius`: 3.1 to 4.5 on the paper's graphs, whose |E|
-runs to 36); `_verify_cost` counts its work. So the check sets two independent
+`_images` swaps two digits of the states it is given, every edge's in one array
+expression, and time evolution never forms a matrix. `dynamics._chebyshev_spans`, the
+propagator that `scan` runs on its cell quotient, steps the full state on the sector's
+closure under the edges' images (`_closure_system`), outside which the full state stays
+exactly 0, with R >= ||H||_2 read from the closure (`_radius`: 3.1 to 4.5 on the paper's
+graphs, whose |E| runs to 36); each product is one gather and one sum over the edges
+(`_scatter`), and `_verify_cost` counts the work. So the check sets two independent
 methods side by side: that recurrence on the full space, and the eigendecomposition
-of the cell quotient that `scan`, `--tau` and the protocol-2 planner's grid read.
+of the cell quotient that `scan`, `--tau` and the protocol-2 planner's grid read,
+whose amplitudes are made one Chebyshev span at a time, at that span's times.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .dynamics import (CALL_STEPS, PHASE_BLOCK, _chebyshev_spans, _chebyshev_work,
+from .dynamics import (PHASE_BLOCK, _chebyshev_bytes, _chebyshev_spans, _chebyshev_work,
                        _index_groups, _norm_bound, _pairs, _SpectralKernel,
                        assemble_hamiltonian, initial_state)
 from .measurement import _quotient, _quotient_eigensystem
@@ -55,22 +57,21 @@ def su3_algebra_check() -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def _site_digit(indices: np.ndarray, site: int) -> np.ndarray:
-    return (indices // 3 ** (site - 1)) % 3
-
-
 def _images(g: Graph, states) -> np.ndarray:
     """Row e: each of the given states' image under edge e's exchange (the two site
-    digits swapped), -1 where the two site states are equal."""
+    digits swapped), -1 where the two site states are equal; the rows in `g.edges` order,
+    all made at once."""
     if g.n_vertices > ORACLE_MAX_SITES:
         raise ValueError(f"the oracle indexes the 3^N product states in int64, so N <= "
                          f"{ORACLE_MAX_SITES} (3^39 < 2^63); requested N = {g.n_vertices}")
     states = np.asarray(states, dtype=np.int64)
-    out = np.empty((len(g.edges), states.size), dtype=np.int64)
-    for row, (m, n) in zip(out, g.edges):
-        dm, dn = _site_digit(states, m), _site_digit(states, n)
-        swapped = states + (dn - dm) * 3 ** (m - 1) + (dm - dn) * 3 ** (n - 1)
-        row[:] = np.where(dm != dn, swapped, -1)
+    ends = np.array(list(g.edges), dtype=np.int64).reshape(-1, 2)
+    place_m, place_n = 3 ** (ends[:, :1] - 1), 3 ** (ends[:, 1:] - 1)  # (|E|, 1) each
+    digit_m, digit_n = states // place_m % 3, states // place_n % 3
+    out = digit_n - digit_m
+    out *= place_m - place_n  # the swap moves digit_n to m's place and digit_m to n's
+    out += states
+    out[digit_m == digit_n] = -1
     return out
 
 
@@ -89,15 +90,14 @@ def _scatter(sources: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """H vec on a closure C; sources[e, y] is the position in C of the state that edge
     e maps to C's y, len(C) (the zero slot) where there is none.
 
-    Entry y sums vec over its sources as one running sum in edge order, the zero slot
-    reading 0: the terms and the order of a scatter of each column to its images, edge
-    by edge, so the values agree with it bit for bit, whatever the table's memory order
-    (a reduction over the edges axis sums pairwise along a contiguous axis)."""
-    padded = np.concatenate((vec, [0.0]))
-    out = padded[sources[0]]
-    for row in sources[1:]:
-        out += padded[row]
-    return out
+    One gather reads vec at every source, the zero slot reading 0, and one reduction sums
+    the edges: the terms and the order of a scatter of each column to its images, edge by
+    edge, so the values agree with it bit for bit. The gather takes the memory order of
+    the table, so it reads a C-ordered one (a copy of any other; `_closure_system` caches
+    its table C-ordered): a reduction over the outer axis of a C-ordered array adds its
+    rows one after the other, in edge order, where over an F-ordered one, whose edges axis
+    is contiguous, numpy would sum pairwise."""
+    return np.add.reduce(np.concatenate((vec, [0.0]))[np.ascontiguousarray(sources)], axis=0)
 
 
 def _radius(sources: np.ndarray, images: np.ndarray) -> float:
@@ -121,24 +121,29 @@ def _closure_system(g: Graph):
     position = np.where(images < 0, closure.size, np.searchsorted(closure, images))
     sources = np.full((images.shape[0], closure.size + 1), closure.size)
     sources[np.arange(images.shape[0])[:, None], position] = np.arange(closure.size)
+    sources = np.ascontiguousarray(sources[:, :-1])  # C-ordered, as `_scatter` gathers
     for cached in (closure, images, sources):
         cached.setflags(write=False)
-    return closure, images, sources[:, :-1], _radius(sources[:, :-1], position)
+    return closure, images, sources, _radius(sources, position)
 
 
 def _verify_cost(n: int, t_max: float, points: float, g: Graph | None = None):
-    """(work, bytes) of `full_evolve_compare`: the recurrence on C, d k / 16 + CALL_STEPS a
-    point (its reduced amplitudes), C's span, tables and 16 d + 40 bytes a point; C = the
-    sector without g."""
-    d = size = n * (n - 1)
+    """(work, bytes) of `full_evolve_compare`. Work: the recurrence on C, and d k / 32 + 128
+    a point for the quotient's amplitudes (one real product a span) and the span's
+    arithmetic on them. Bytes: a span on C, its phase and amplitude blocks of the quotient,
+    40 an entry of the edges' tables on C (the cached images and sources, and the larger of
+    `_images`' temporaries and a product's complex gather), the d x d restriction check,
+    the quotient's eigensystem and 40 a point. Without g, C is the sector, k <= d and no
+    table is counted."""
+    d = size = k = n * (n - 1)
     work = edges = 0
     if g is not None:
         _, _, sources, radius = _closure_system(g)
         edges, size = sources.shape
-        work = (_chebyshev_work(radius, t_max, edges * size)
-                + points * (d * _quotient(g)[1].size / 16 + CALL_STEPS))
-    return work, (16 * size * (128 + min(PHASE_BLOCK, points)) + 24 * edges * size
-                  + points * (16 * d + 40))
+        k = _quotient(g)[1].size
+        work = _chebyshev_work(radius, t_max, edges * size) + points * (d * k / 32 + 128)
+    return work, (_chebyshev_bytes(size, points) + 16 * (d + k) * min(PHASE_BLOCK, points)
+                  + 40 * edges * size + 24 * d * (d + k) + 40 * points)
 
 
 def full_initial_index(g: Graph) -> int:
@@ -201,22 +206,13 @@ def full_evolve_compare(g: Graph, t_grid) -> OracleComparison:
     t_grid = np.asarray(t_grid, dtype=float)
     sect = _sector_indices(g)
     closure, images, sources, radius = _closure_system(g)
-    # The grid may be uneven (repeats, reversals), so the reduced amplitudes come from
-    # the kernel's scalar path, one time at a time. They are computed before the
-    # full-space loop: interleaved with it, each call took 0.4 ms instead of 0.05 ms
-    # at cross-9.
     kernel = _SpectralKernel(_quotient_eigensystem(g), initial_state(g))
-    red = np.empty((t_grid.size, sect.size), dtype=complex)
-    for k, t in enumerate(t_grid.tolist()):
-        red[k] = kernel(t)
-
     rows = np.searchsorted(closure, sect)
-    try:
-        restricted = _restriction(sect, images[:, rows])
+    try:  # its d x d arrays are gone before the propagation starts
+        restriction = float(np.max(np.abs(_restriction(sect, images[:, rows])
+                                          - assemble_hamiltonian(g))))
     except ValueError:  # an image outside the sector: the propagation shows the leak
         restriction = math.inf
-    else:
-        restriction = float(np.max(np.abs(restricted - assemble_hamiltonian(g))))
     # on the closure, the amplitudes and the leakage bound are those of the 3^N run
     product = partial(_scatter, sources)
     psi = (closure == full_initial_index(g)).astype(complex)
@@ -226,11 +222,12 @@ def full_evolve_compare(g: Graph, t_grid) -> OracleComparison:
     outside = np.setdiff1d(np.arange(closure.size), rows)
     for points, table, terms in _chebyshev_spans(product, radius, psi, t_grid):
         amps = table.T @ terms[:, rows]
-        deviations.append(np.max(np.abs(amps - red[points])))
+        asymmetries.append(np.max(np.abs(amps[:, i_ba] - amps[:, i_ab])))
+        amps -= kernel.at_times(t_grid[points]).T  # the quotient's, at this span's times
+        deviations.append(np.max(np.abs(amps)))
         # sum_k |c_k| max|T_k psi outside|, 0 where the closure is the sector
         leakages.append(np.max(np.abs(table).T
                                @ np.max(np.abs(terms[:, outside]), axis=1, initial=0.0)))
-        asymmetries.append(np.max(np.abs(amps[:, i_ba] - amps[:, i_ab])))
     return OracleComparison(max_restriction_deviation=restriction,
                             max_amplitude_deviation=float(np.max(deviations)),
                             max_sector_leakage=float(np.max(leakages)),

@@ -9,15 +9,20 @@ from qutrit_bell import (assemble_hamiltonian, build_cross, build_loop, dynamics
                          oracle)
 from qutrit_bell.cli import VERIFY_GRID_STEP, _load_topology_file, main
 from qutrit_bell.dynamics import (CHEBYSHEV_GAP, CHEBYSHEV_SPAN, PHASE_BLOCK,
-                                  _chebyshev_coefficients,
+                                  _chebyshev_coefficients, _SpectralKernel,
                                   _chebyshev_order, _chebyshev_span, _chebyshev_spans,
                                   _chebyshev_step, _norm_bound, _time_grid, pair_index)
-from qutrit_bell.oracle import (_closure, _images, _radius, _scatter, _sector_indices,
-                                _site_digit, full_evolve_compare, full_initial_index,
+from qutrit_bell.oracle import (_closure, _closure_system, _images, _radius, _scatter,
+                                _sector_indices, full_evolve_compare, full_initial_index,
                                 generator_matrix, sector_restriction, su3_algebra_check)
 from qutrit_bell.topology import Graph, Roles
 
 DATA = Path(__file__).resolve().parent / "data"
+
+
+def _site_digit(indices, site: int):
+    """The base-3 digit of site `site` (1-based) in each product state's index."""
+    return (indices // 3 ** (site - 1)) % 3
 
 
 class WholeSpace:
@@ -502,6 +507,60 @@ class TestLeakage:
         assert len(tables) == 1
 
 
+class TestImages:
+    """`_images` against the edge-by-edge digit swap it replaced, on random product states."""
+
+    SYSTEMS = {"cross-7": lambda: build_cross(7), "loop-8": lambda: build_loop(8),
+               "no-role-exchange": lambda: Graph(*_load_topology_file(
+                   str(DATA / "no-role-exchange.txt")))}
+
+    @pytest.mark.parametrize("name", SYSTEMS)
+    def test_equals_the_per_edge_swap(self, name):
+        g = self.SYSTEMS[name]()
+        states = np.random.default_rng(11).integers(0, 3 ** g.n_vertices, size=2000)
+        want = np.empty((len(g.edges), states.size), dtype=np.int64)
+        for row, (m, n) in zip(want, g.edges):  # row e is edge e of `g.edges`
+            dm, dn = _site_digit(states, m), _site_digit(states, n)
+            swapped = states + (dn - dm) * 3 ** (m - 1) + (dm - dn) * 3 ** (n - 1)
+            row[:] = np.where(dm != dn, swapped, -1)
+        images = _images(g, states)
+        assert images.dtype == np.int64
+        assert np.array_equal(images, want)
+
+    def test_beyond_the_int64_bound_raises(self):
+        with pytest.raises(ValueError, match="int64"):
+            _images(build_loop(40), [0])
+
+
+class TestReducedAmplitudes:
+    """`full_evolve_compare`'s reduced side: the quotient kernel's amplitudes at each
+    Chebyshev span's times in one piece (`_SpectralKernel.at_times`), against the kernel's
+    scalar path, one time at a time."""
+
+    @pytest.mark.parametrize("builder,n,t_grid", [
+        (build_loop, 36, _time_grid(230.4, VERIFY_GRID_STEP)),
+        (build_cross, 35, _time_grid(224.0, VERIFY_GRID_STEP)),
+        (build_cross, 5, np.array([0.3, 0.3, 2.0, 1.1, 0.0, 9.7]))],
+        ids=["loop-36", "cross-35", "uneven cross-5"])
+    def test_spans_match_the_scalar_path(self, builder, n, t_grid, monkeypatch):
+        at_times, times, deviations = _SpectralKernel.at_times, [], []
+
+        def compared(kernel, t):
+            out = at_times(kernel, t)
+            times.append(np.array(t))
+            scalar = np.column_stack([kernel(x) for x in np.asarray(t).tolist()])
+            deviations.append(np.max(np.abs(out - scalar)))
+            return out
+
+        monkeypatch.setattr(_SpectralKernel, "at_times", compared)
+        result = full_evolve_compare(builder(n), t_grid)
+        assert len(times) >= (2 if n > 5 else 1)
+        assert np.array_equal(np.concatenate(times), t_grid)  # every point, in grid order
+        assert max(deviations) < 1e-13
+        # the paper's largest systems over their 6.4N table windows, as `verify` runs them
+        assert result.max_amplitude_deviation < 1e-13
+
+
 class TestScatter:
     @pytest.mark.parametrize("builder,n", [(build_cross, 9), (build_loop, 36)])
     def test_running_sum_in_edge_order(self, builder, n):
@@ -519,6 +578,22 @@ class TestScatter:
             sources = np.asarray(table, order=order)  # involutive: images are sources
             assert sources.flags[f"{order}_CONTIGUOUS"]
             assert np.array_equal(_scatter(sources, vec), want[:-1])
+
+    @pytest.mark.parametrize("build,images", [
+        (lambda: build_cross(9), _images), (lambda: build_loop(36), _images),
+        (lambda: build_loop(4), _leaking_images)], ids=["cross-9", "loop-36", "leaking loop-4"])
+    def test_cached_table(self, build, images, monkeypatch):
+        # the table every product of `full_evolve_compare` reads: C-ordered, so no product
+        # copies it, read-only, and summed as the gather's running sum in edge order
+        monkeypatch.setattr(oracle, "_images", images)
+        closure, _, sources, _ = _closure_system(build())
+        assert sources.flags["C_CONTIGUOUS"] and not sources.flags["WRITEABLE"]
+        vec = _random_state(closure.size)
+        padded = np.append(vec, 0.0)
+        want = padded[sources[0]]
+        for row in sources[1:]:
+            want += padded[row]
+        assert np.array_equal(_scatter(sources, vec), want)
 
 
 class TestSymmetryCheck:
