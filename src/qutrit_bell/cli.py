@@ -27,9 +27,8 @@ from pathlib import Path
 
 from . import __version__
 from .dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, GRID_END_SLACK, MAX_WORK,
-                       PEAK_WINDOW_FACTOR, PHASE_BLOCK, _peak_cost, _time_grid,
-                       assemble_hamiltonian, bell_pairs_share_a_cell, initial_state,
-                       one_shot_peak, spectral_decompose)
+                       PEAK_WINDOW_FACTOR, PHASE_BLOCK, _pair_eigensystem, _peak_cost,
+                       _time_grid, bell_pairs_share_a_cell, initial_state, one_shot_peak)
 from .measurement import _scan_cost, outcome_curves
 from .oracle import _verify_cost, full_evolve_compare, su3_algebra_check
 from .protocols import (PLAN_WINDOW_FACTOR, Strategy, _plan_cost, plan_protocol2,
@@ -302,7 +301,7 @@ def cmd_protocol2(args, run: _Run) -> int:
     if args.tau is not None:
         schedule = plan_regular(g, args.tau, args.n_max)
     else:
-        eig = spectral_decompose(assemble_hamiltonian(g))  # only planning reads the full space
+        eig = _pair_eigensystem(g)  # only planning reads the full space
         try:
             schedule = plan_protocol2(g, eig, Strategy(args.strategy), args.n_max,
                                       t_max=t_max, grid_step=args.grid_step,

@@ -190,6 +190,8 @@ class Eigensystem:
 
     def __post_init__(self):
         object.__setattr__(self, "_vt", np.ascontiguousarray(self.eigenvectors.T))
+        for array in (self.eigenvalues, self.eigenvectors, self._vt):  # `_PAIR_MEMO` shares it
+            array.setflags(write=False)
 
 
 def spectral_decompose(h: np.ndarray) -> Eigensystem:
@@ -208,6 +210,23 @@ def spectral_decompose(h: np.ndarray) -> Eigensystem:
     if np.max(np.abs((vec * lam) @ vec.T - h)) > 1e-10:
         raise RuntimeError("spectral reconstruction exceeds 1e-10")
     return Eigensystem(eigenvalues=lam, eigenvectors=vec)
+
+
+#: the last graph's pair-space eigensystem, {graph: eigensystem} of at most one entry
+_PAIR_MEMO: dict[Graph, Eigensystem] = {}
+
+
+def _pair_eigensystem(g: Graph) -> Eigensystem:
+    """`spectral_decompose(assemble_hamiltonian(g))`, the eigensystem protocol 2's planned
+    steps read, kept for the last graph only: a process that plans the same graph again
+    reads the same arrays and builds nothing. The previous graph's entry (2 d^2 floats,
+    25 MB at loop-36) is dropped before the new one is built, so a process never holds two;
+    `lru_cache(maxsize=1)` would keep the old one until the new one exists."""
+    e = _PAIR_MEMO.get(g)
+    if e is None:
+        _PAIR_MEMO.clear()
+        e = _PAIR_MEMO[g] = spectral_decompose(assemble_hamiltonian(g))
+    return e
 
 
 def initial_state(g: Graph) -> np.ndarray:

@@ -220,7 +220,9 @@ def _plan_cost(n: int, t_max: float, points: float, g: Graph | None = None, step
     """(work, bytes) of `steps` steps, each evolved on m states (the pair space's d = N(N-1)
     if planned on a grid, else the k cells'): both eigensystems, the cells' one unfolded (32
     d k bytes), then per step d m / 2 entry steps for its kernel, k / 16 + 8 steps and 96
-    bytes a grid point, and 480 bytes for its series. Without g, k is bounded by d."""
+    bytes a grid point, and 480 bytes for its series. Without g, k is bounded by d. Both
+    eigensystems count on every run: an upper bound where `dynamics._pair_eigensystem`
+    returns the last run's pair space."""
     d = n * (n - 1)
     k = d if g is None else _quotient(g)[1].size
     m = d if points else k

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from conftest import time_budget
-from qutrit_bell import (Strategy, assemble_hamiltonian, cli, oracle, plan_protocol2,
-                         spectral_decompose)
+from qutrit_bell import (Strategy, assemble_hamiltonian, cli, dynamics, oracle,
+                         plan_protocol2, spectral_decompose)
 from qutrit_bell.cli import _config_echo, _fmt, _write_table, build_parser, main
 from qutrit_bell.dynamics import MAX_WORK, _peak_cost
 from qutrit_bell.measurement import _scan_cost
@@ -400,7 +400,7 @@ class TestVerify:
 
             monkeypatch.setattr(module, name, build)
 
-        for module in (cli, oracle):
+        for module in (dynamics, oracle):
             counted(module, "assemble_hamiltonian")
         counted(oracle, "_closure")
         counted(oracle, "_quotient_eigensystem")
@@ -642,7 +642,7 @@ class TestSizeGuard:
         def work(*args, **kwargs):
             pytest.fail("the run started work before it was refused")
 
-        for name in ("spectral_decompose", "one_shot_peak", "outcome_curves",
+        for name in ("_pair_eigensystem", "one_shot_peak", "outcome_curves",
                      "su3_algebra_check", "full_evolve_compare", "plan_protocol2",
                      "plan_regular"):
             monkeypatch.setattr(cli, name, work)

@@ -164,6 +164,14 @@ class TestSpectralDecompose:
         with pytest.raises(ValueError):
             spectral_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_arrays_are_read_only(self):
+        # shared by every caller (the test systems here, the planner's memo), so none
+        # of them can change another's
+        _, e, _ = prepared("cross", 5)
+        for array in (e.eigenvalues, e.eigenvectors, e._vt):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 5.0
+
     def test_roundoff_asymmetry_rejected(self):
         # eigh reads one triangle, so even a 1e-12 asymmetry would be dropped
         h = assemble_hamiltonian(prepared("loop", 4)[0])

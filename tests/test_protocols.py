@@ -1,6 +1,7 @@
 import os
 import signal
 import tracemalloc
+import weakref
 from functools import partial
 from itertools import islice
 from pathlib import Path
@@ -12,12 +13,12 @@ from hypothesis import strategies as st
 
 from conftest import (ROLE_SWAPS, peak, prepared, random_graph_with_moved_roles,
                       vf2_protocol_automorphism)
-from qutrit_bell import (Outcome, Strategy, assemble_hamiltonian, enumerate_outcome_tree,
-                         monte_carlo, one_shot_peak, outcome_distribution, plan_protocol2,
-                         plan_regular, post_state, protocol1_cumulative, protocol1_required,
-                         protocol2_limit_check, protocol2_no_reset, protocol2_total,
-                         spectral_decompose)
-from qutrit_bell import cli, dynamics, measurement, protocols
+from qutrit_bell import (Outcome, Strategy, assemble_hamiltonian, build_cross,
+                         enumerate_outcome_tree, monte_carlo, one_shot_peak,
+                         outcome_distribution, plan_protocol2, plan_regular, post_state,
+                         protocol1_cumulative, protocol1_required, protocol2_limit_check,
+                         protocol2_no_reset, protocol2_total, spectral_decompose)
+from qutrit_bell import dynamics, measurement, protocols
 from qutrit_bell.cli import main
 from qutrit_bell.dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, PHASE_BLOCK,
                                   TIE_TOL, _index_groups, _SpectralKernel,
@@ -354,16 +355,76 @@ class TestMirrorRows:
             calls.append(h.shape[0])
             return spectral_decompose(h)
 
-        for module in (cli, measurement):
+        for module in (dynamics, measurement):
             monkeypatch.setattr(module, "spectral_decompose", counting)
         for name, dims in (("no-role-exchange.txt", [42, 42]), ("cross5.txt", [20, 8])):
-            calls.clear()
-            assert main(["protocol2", "--topology", "custom", "--topology-file",
-                         str(DATA / name), "--n-max", "3", "--no-timestamp",
-                         "--output", os.devnull]) == 0
             # the full space, then once the cell quotient the grid scans read (with
-            # no role exchange, every pair a cell: the pair space's size)
-            assert calls == dims
+            # no role exchange, every pair a cell: the pair space's size); run again
+            # on the same graph, the full space comes from `dynamics._PAIR_MEMO`
+            for expected in (dims, dims[1:]):
+                calls.clear()
+                assert main(["protocol2", "--topology", "custom", "--topology-file",
+                             str(DATA / name), "--n-max", "3", "--no-timestamp",
+                             "--output", os.devnull]) == 0
+                assert calls == expected
+
+
+class PairSpaceBuilds:
+    """`spectral_decompose` as `dynamics` calls it, counting the pair-space eigensystems
+    that protocol-2 planning builds: each build's dimension, whether any earlier build's
+    eigenvectors were still alive when it started, and a weakref to its eigenvectors."""
+
+    def __init__(self, monkeypatch):
+        self.dims, self.overlapped, self.refs = [], [], []
+        monkeypatch.setattr(dynamics, "spectral_decompose", self)
+
+    def __call__(self, h):
+        self.overlapped.append(any(ref() is not None for ref in self.refs))
+        e = spectral_decompose(h)
+        self.dims.append(h.shape[0])
+        self.refs.append(weakref.ref(e.eigenvectors))
+        return e
+
+
+def planned_output(path, strategy, *graph):
+    assert main(["protocol2", *graph, "--n-max", "3", "--strategy", strategy.value,
+                 "--no-timestamp", "--output", str(path)]) == 0
+    return path.read_bytes()
+
+
+class TestPairEigensystemMemo:
+    """`dynamics._pair_eigensystem` keeps the last planned graph's eigensystem only, and
+    drops it before it builds the next graph's."""
+
+    LOOP8 = ("--topology", "loop", "--n", "8")
+    CROSS5 = ("--topology", "cross", "--n", "5")
+
+    def test_strategies_on_one_graph_match_fresh_runs(self, monkeypatch, tmp_path):
+        fresh = []
+        for strategy in Strategy:
+            dynamics._PAIR_MEMO.clear()
+            fresh.append(planned_output(tmp_path / "fresh.csv", strategy, *self.LOOP8))
+        builds = PairSpaceBuilds(monkeypatch)
+        planned_output(tmp_path / "cross.csv", Strategy.PEAK_SUCCESS, *self.CROSS5)
+        reused = [planned_output(tmp_path / "reused.csv", strategy, *self.LOOP8)
+                  for strategy in Strategy]
+        assert reused == fresh
+        # cross-5's pair space, then loop-8's once for all three strategies, built after
+        # cross-5's was freed
+        assert builds.dims == [20, 56]
+        assert builds.overlapped == [False, False]
+
+    def test_a_new_graph_replaces_the_last(self, monkeypatch, tmp_path):
+        builds = PairSpaceBuilds(monkeypatch)
+        for graph in (self.LOOP8, self.CROSS5):
+            planned_output(tmp_path / "out.csv", Strategy.PEAK_SUCCESS, *graph)
+        loop8, cross5 = builds.refs
+        assert builds.dims == [56, 20]
+        # loop-8's eigenvectors were freed before cross-5's build started, and only
+        # cross-5's eigensystem is held once the run has returned
+        assert builds.overlapped == [False, False]
+        assert loop8() is None and cross5() is not None
+        assert list(dynamics._PAIR_MEMO) == [build_cross(5)]
 
 
 class TestOnePlannerStep:
@@ -451,7 +512,7 @@ class TestRegularSchedule:
             calls.append(h.shape[0])
             return spectral_decompose(h)
 
-        for module in (cli, measurement):
+        for module in (dynamics, measurement):
             monkeypatch.setattr(module, "spectral_decompose", counting)
         assert main(["protocol2", *argv, "--tau", "2.5", "--n-max", "5", "--no-timestamp",
                      "--output", os.devnull]) == 0
