@@ -235,7 +235,8 @@ def _checked_run(args) -> _Run:
     if command == "protocol2" and (getattr(args, planned) or 0) > PLAN_MAX_TIME:
         raise PreconditionError(f"--{planned.replace('_', '-')} exceeds the planning cap of "
                                 f"{PLAN_MAX_TIME:g}")
-    plan = partial(_plan_cost, steps=getattr(args, "n_max", 1))
+    plan = partial(_plan_cost, steps=getattr(args, "n_max", 1),
+                   strategy=Strategy(getattr(args, "strategy", Strategy.MIN_LOSS.value)))
     cost = {"scan": _scan_cost, "verify": _verify_cost, "protocol2": plan}.get(command, _peak_cost)
     for n in ns:
         t_max = args.t_max or (10.0 if command == "verify" else n * (

@@ -17,10 +17,12 @@ protocols prepare lies in the span of the cells of the pair space's coarsest
 equitable partition (`dynamics._pair_cells`), which H keeps: `_quotient` is H on
 it. `outcome_curves` gives the probabilities along a time grid on the quotient
 alone, by the Chebyshev recurrence, whose cost `_scan_cost` counts (about R max|t|
-products whatever the grid step). The protocol-2 planner's grids and a fixed-interval
-protocol-2 schedule read the quotient's eigensystem, unfolded to the pairs
-(`_quotient_eigensystem`). `outcome_distribution` and `outcome_curves` check the norm
-of every state they measure.
+products whatever the grid step). The exchange C|i,j> = |j,i> maps each cell onto a
+cell (`_c_orbits`), so the quotient splits exactly into a C-even and a C-odd block,
+each diagonalised on its own and unfolded to the pairs (`_quotient_blocks`): the
+protocol-2 planner's grids read the two blocks, and a fixed-interval protocol-2 schedule
+and `verify` read them side by side (`_quotient_eigensystem`). `outcome_distribution`
+and `outcome_curves` check the norm of every state they measure.
 """
 
 from __future__ import annotations
@@ -117,15 +119,52 @@ def _quotient(g: Graph):
     return cells, s, cols, vals, radius
 
 
+def _c_orbits(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """(orbit, sign) of each ordered pair: C|i,j> = |j,i> maps the pair's cell X of
+    `_quotient` onto a cell CX, orbit is the lesser of X and CX, and sign is +1 where
+    X < CX, -1 where X > CX and 0 where X = CX (a cell with no C-odd state)."""
+    n, cells = g.n_vertices, _quotient(g)[0]
+    mirror = cells[_pair_position(n, *_pairs(n)[::-1])]
+    return np.minimum(cells, mirror), np.sign(mirror - cells)
+
+
+def _quotient_blocks(g: Graph) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(eigenvalues, eigenvectors unfolded to the pairs) of `_quotient`'s C-even block, then
+    of its C-odd block, each diagonalised once. C commutes with H and maps each cell onto
+    a cell, so H_q splits exactly on the orbit states (e_X + e_CX)/sqrt2 (e_X where X =
+    CX) and (e_X - e_CX)/sqrt2, X < CX (`_c_orbits`). Entry (o', o) of a block is s_o' s_o
+    times the count of H's nonzeros from orbit o to o', each signed by its two pairs'
+    signs in the C-odd block, s_o = 1/sqrt(pairs of o): integer sums scaled once, as
+    `_quotient` builds H_q, so each block is exactly symmetric, as `spectral_decompose`
+    requires, and rounded once (T^T H_q T, with its 1/sqrt2 entries, rounds again). The
+    eigenvectors unfold as S T V, S the quotient's cell indicators (its own s_X) and T the
+    orbit states on the cells: a pair of cell X holds s_X V[o] / sqrt2 (s_X V[o] where
+    X = CX), times its sign in the C-odd block."""
+    n = g.n_vertices
+    cells, s, *_ = _quotient(g)
+    orbit, sign = _c_orbits(g)
+    pair, image = _pair_images(g, *_pairs(n), partial(_pair_position, n))
+    unfold = s[cells] * np.where(sign, np.sqrt(0.5), 1.0)
+    blocks = []
+    for weight in (np.ones(sign.size), sign):
+        keep = weight != 0
+        label = np.zeros(sign.size, dtype=np.intp)
+        label[keep] = np.unique(orbit[keep], return_inverse=True)[1]
+        k = label.max() + 1
+        count = np.bincount(label[image] * k + label[pair], weight[image] * weight[pair],
+                            k * k).reshape(k, k)
+        scale = 1.0 / np.sqrt(np.bincount(label[keep], minlength=k))
+        e = spectral_decompose(count * np.outer(scale, scale))
+        blocks.append((e.eigenvalues, (weight * unfold)[:, None] * e.eigenvectors[label]))
+    return blocks
+
+
 def _quotient_eigensystem(g: Graph) -> Eigensystem:
-    """`_quotient`'s eigensystem, its eigenvectors unfolded to the pairs (S V): a
-    `dynamics._SpectralKernel` on it folds psi by (S V)^T psi = V^T S^T psi, refuses a
-    state off the cells, and gives states and rows on the pairs."""
-    cells, s, cols, vals, _ = _quotient(g)
-    h = np.zeros((s.size, s.size))
-    np.add.at(h, (np.arange(s.size), cols), vals)  # the empty slots add 0
-    e = spectral_decompose(h)
-    return Eigensystem(e.eigenvalues, s[cells, None] * e.eigenvectors[cells])
+    """`_quotient`'s eigensystem on the pairs: its two C blocks (`_quotient_blocks`) side
+    by side. A `dynamics._SpectralKernel` on it folds psi by W^T psi, refuses a state off
+    the cells, and gives states and rows on the pairs."""
+    (even, w_even), (odd, w_odd) = _quotient_blocks(g)
+    return Eigensystem(np.concatenate([even, odd]), np.hstack([w_even, w_odd]))
 
 
 def _scan_cost(n: int, t_max: float, points: float, g: Graph | None = None):

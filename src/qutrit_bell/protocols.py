@@ -18,9 +18,10 @@ with p_U = p_2 + p_3 the per-step reset probability. Every series reads one
 per-step table, `_padded`, where a chain that ended early pads as dead steps.
 
 Every strategy plans a step alike (`_step_chooser`): a `_grid_scan` of
-(p_S, p_U) on the cell quotient that `scan` reads (`measurement._quotient`), its
-score, then `dynamics.select_peak`. A planned step evolves on the full pair
-space's eigensystem, a fixed-interval one (`plan_regular`) on the quotient's
+(p_S, p_U) on the C-even and C-odd blocks of the cell quotient that `scan` reads
+(`measurement._quotient_blocks`), its score, then `dynamics.select_peak`. A
+planned step evolves on the full pair space's eigensystem, a fixed-interval one
+(`plan_regular`) on the quotient's, the two blocks side by side
 (`measurement._quotient_eigensystem`).
 
 An explicit outcome-tree enumeration and a Monte Carlo sampler provide two
@@ -29,6 +30,7 @@ independent checks of the recursions.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -37,12 +39,14 @@ from itertools import islice
 import numpy as np
 
 from .dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, HERALD_FLOOR, Eigensystem,
-                       _index_groups, _spectral_cost, _SpectralKernel, _time_grid,
-                       initial_state, select_peak)
-from .measurement import (ZERO_PROB, Outcome, OutcomeDistribution, _quotient,
-                          _quotient_eigensystem, _weighted_squares, outcome_distribution,
-                          post_state)
+                       _index_groups, _pair_position, _pairs, _spectral_cost,
+                       _SpectralKernel, _time_grid, initial_state, select_peak)
+from .measurement import (ZERO_PROB, Outcome, OutcomeDistribution, _c_orbits,
+                          _quotient_blocks, _quotient_eigensystem, _weighted_squares,
+                          outcome_distribution, post_state)
 from .topology import Graph
+
+logger = logging.getLogger(__name__)
 
 #: fraction of the window-max success probability below which a time is not
 #: considered a meaningful measurement opportunity for the MinLoss strategy
@@ -131,22 +135,50 @@ def _step_curve(amp: np.ndarray) -> tuple[float, float]:
     return _success(amp), np.sum(np.abs(amp[2:]) ** 2)
 
 
-def _grid_scan(g: Graph, strategy: Strategy, t_grid: np.ndarray):
-    """psi -> (p_S, p_U) along t_grid on the cell quotient's eigensystem, diagonalised
-    once (`measurement._quotient_eigensystem`). A cell's pairs share one amplitude, so
-    it reads one pair per cell of |B,A>, |A,B> and, where the score reads p_U, of the
-    psi2 and psi3 pairs, each weighted by its count there. Peak-success gets p_U = 0."""
-    e, cells, grp = _quotient_eigensystem(g), _quotient(g)[0], _index_groups(g)
+def _block_rows(g: Graph, strategy: Strategy):
+    """(bell, reads) of `_grid_scan`: per C block of `measurement._quotient_blocks`, the
+    pairs it reads and each one's count of psi2/psi3 pairs, and bell, the C-even block's
+    row of |B,A>, |A,B>. An orbit's pairs share one |amplitude| in each block, so the
+    C-even block reads one pair per C-orbit of the success pairs and, where the score reads
+    p_U, of the psi2 and psi3 pairs; the C-odd block reads those psi2/psi3 orbits with
+    X != CX (`measurement._c_orbits`)."""
+    orbit, sign = _c_orbits(g)
+    grp = _index_groups(g)
     read = (grp["success"] if strategy is Strategy.PEAK_SUCCESS
             else np.concatenate([grp["success"], grp["g2"], grp["g3"]]))
-    _, first, where = np.unique(cells[read], return_index=True, return_inverse=True)
-    rows, unusable = read[first], np.bincount(where[2:], minlength=first.size)[None]
+    _, first, where = np.unique(orbit[read], return_index=True, return_inverse=True)
+    unusable = np.bincount(where[2:], minlength=first.size)
+    odd = (sign[read[first]] != 0) & (unusable > 0)
+    return where[0], [(read[first], unusable), (read[first][odd], unusable[odd])]
+
+
+def _grid_scan(g: Graph, strategy: Strategy, t_grid: np.ndarray):
+    """psi -> (p_S, p_U) along t_grid on the cell quotient's two C blocks, each
+    diagonalised once (`measurement._quotient_blocks`). psi's C-even and C-odd parts
+    (psi +- C psi)/2 each evolve on their block and are read on `_block_rows`: p_S =
+    2 |psi+(B,A)|^2, as psi-(A,B) = -psi-(B,A), and p_U sums both parts' squares on the
+    psi2/psi3 orbits, each weighted by its pair count. Peak-success reads no p_U (p_U = 0)
+    and runs no C-odd kernel."""
+    n = g.n_vertices
+    mirror = _pair_position(n, *_pairs(n)[::-1])  # C|i,j> = |j,i>
+    blocks = [Eigensystem(*block) for block in _quotient_blocks(g)]
+    bell, reads = _block_rows(g, strategy)
+    logger.debug("grid scan on the quotient's C blocks: k+ = %d and k- = %d orbits, "
+                 "%d and %d rows read", *(e.eigenvalues.size for e in blocks),
+                 *(rows.size for rows, _ in reads))
+    parts = [(e, parity, rows, unusable[None])
+             for e, parity, (rows, unusable) in zip(blocks, (1, -1), reads) if rows.size]
 
     def scan(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         p_s, p_u = np.zeros((2, t_grid.size))
-        for cols, amp in _SpectralKernel(e, psi, rows)._blocks(t_grid):
-            p_s[cols] = _success(amp[where[:2]])
-            p_u[cols] = _weighted_squares(unusable, amp)[0]
+        mirrored = psi[mirror]
+        kernels = [_SpectralKernel(e, (psi + parity * mirrored) / 2, rows)._blocks(t_grid)
+                   for e, parity, rows, _ in parts]
+        for amps in zip(*kernels):  # the same columns from each block's kernel
+            cols, even = amps[0]
+            p_s[cols] = 2 * (np.square(even[bell].real) + np.square(even[bell].imag))
+            p_u[cols] = sum(_weighted_squares(unusable, amp)[0]
+                            for (_, amp), (*_, unusable) in zip(amps, parts))
         return p_s, p_u
 
     return scan
@@ -216,19 +248,31 @@ def _schedule(g: Graph, kernel_of, choose_time, n_max: int) -> list[ScheduleStep
     return list(islice(_protocol2_steps(g, kernel_of, choose_time), n_max))
 
 
-def _plan_cost(n: int, t_max: float, points: float, g: Graph | None = None, steps: int = 1):
+def _plan_cost(n: int, t_max: float, points: float, g: Graph | None = None, steps: int = 1,
+               strategy: Strategy = Strategy.MIN_LOSS):
     """(work, bytes) of `steps` steps, each evolved on m states (the pair space's d = N(N-1)
-    if planned on a grid, else the k cells'): both eigensystems, the cells' one unfolded (32
-    d k bytes), then per step d m / 2 entry steps for its kernel, k / 16 + 8 steps and 96
-    bytes a grid point, and 480 bytes for its series. Without g, k is bounded by d. Both
-    eigensystems count on every run: an upper bound where `dynamics._pair_eigensystem`
-    returns the last run's pair space."""
+    if planned on a grid, else the quotient's k = k+ + k-): the pair space's eigensystem if
+    planned and the quotient's two C blocks, unfolded (32 d k bytes); then per step d m / 2
+    entry steps for its kernel, (r+ k+ + r- k-)/16 + 8 steps and 96 bytes a grid point, r+
+    and r- the rows each block reads (`_block_rows`), and 480 bytes for its series. Without
+    g, d/2 bounds k+ and k- (C pairs each pair with another), and 2N - 3 and 2N - 4 bound
+    r+ and r- where the score reads p_U (the orbits of success and of the 4(N-2) psi2/psi3
+    pairs). The pair space's eigensystem counts on every planned run: an upper bound where
+    `dynamics._pair_eigensystem` returns the last run's."""
     d = n * (n - 1)
-    k = d if g is None else _quotient(g)[1].size
-    m = d if points else k
-    cells, full = _spectral_cost(k), _spectral_cost(d if points else 0)
-    return (cells[0] + full[0] + steps * (points * (k / 16 + 8) + d * m / 2),
-            cells[1] + full[1] + 32 * d * k + 96 * points + 480 * steps)
+    if g is None:
+        dims, rows = (d // 2, d // 2), (1, 0)
+        if strategy is not Strategy.PEAK_SUCCESS:
+            rows = max(2 * n - 3, 0), max(2 * n - 4, 0)
+    else:
+        orbit, sign = _c_orbits(g)
+        dims = np.unique(orbit).size, np.unique(orbit[sign != 0]).size
+        rows = [r.size for r, _ in _block_rows(g, strategy)[1]]
+    k, full = sum(dims), _spectral_cost(d if points else 0)
+    blocks = [sum(cost) for cost in zip(*map(_spectral_cost, dims))]
+    grid = sum(r * dim for r, dim in zip(rows, dims)) / 16 + 8
+    return (blocks[0] + full[0] + steps * (points * grid + d * (d if points else k) / 2),
+            blocks[1] + full[1] + 32 * d * k + 96 * points + 480 * steps)
 
 
 def plan_protocol2(g: Graph, e: Eigensystem, strategy: Strategy = Strategy.PEAK_SUCCESS,
@@ -242,11 +286,12 @@ def plan_protocol2(g: Graph, e: Eigensystem, strategy: Strategy = Strategy.PEAK_
     extremum, records the outcome probabilities and conditions on psi1.
     The schedule is reused verbatim after every reset.
 
-    Each step evolves on e, the full space: refined on curves of height ~1e-13, the
-    later steps of a chain move with any one-ulp change of the kernel, and the printed
-    protocol-2 outputs rest on this one's rounding. Once they are regenerated, planning
-    steps on `measurement._quotient_eigensystem`, as `plan_regular` does, and the full
-    kernel goes.
+    The grid is scanned on the cell quotient's two C blocks (`_grid_scan`), but each
+    step is refined and evolves on e, the full space: refined on curves of height
+    ~1e-13, the later steps of a chain move with any one-ulp change of the kernel, and
+    the printed protocol-2 outputs rest on this one's rounding. Once they are
+    regenerated, planning steps on the same blocks (`measurement._quotient_blocks`),
+    as `plan_regular` does, and the full kernel goes.
     """
     return _schedule(g, partial(_SpectralKernel, e),
                      _step_chooser(g, strategy, t_max, grid_step, refine_tol), n_max)
@@ -254,8 +299,8 @@ def plan_protocol2(g: Graph, e: Eigensystem, strategy: Strategy = Strategy.PEAK_
 
 def plan_regular(g: Graph, tau: float, n_max: int) -> list[ScheduleStep]:
     """Fixed-interval fallback schedule: every measurement after time tau. Nothing is
-    refined, so each step evolves on the cell quotient's eigensystem
-    (`measurement._quotient_eigensystem`)."""
+    refined, so each step evolves on the cell quotient's eigensystem, its two C blocks
+    side by side (`measurement._quotient_eigensystem`)."""
     if not (np.isfinite(tau) and tau > 0):
         raise ValueError(f"tau must be positive and finite, got {tau}")
     return _schedule(g, partial(_SpectralKernel, _quotient_eigensystem(g)),

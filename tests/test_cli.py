@@ -544,13 +544,14 @@ class TestSizeGuard:
 
     def test_peaks_guard_sizes_the_c_even_block(self, monkeypatch, capsys):
         # physical memory between the loop-8 peak table (a C-even block, d <= 28) and
-        # planned protocol2 (the full pair space, d = 56): peaks diagonalises the block
-        # and runs; planned protocol2 needs the full eigensystem and --tau the cell
-        # quotient's, whose cells only d = N(N-1) bounds before the graph is built: both
-        # are refused
+        # --tau, the cheaper protocol2 (the cell quotient's two C blocks, each only
+        # bounded by d/2 = 28 before the graph is built, and their unfolding to the d =
+        # 56 pairs): peaks diagonalises the block and runs; --tau and planned protocol2,
+        # which needs the full eigensystem too, are refused
         block, full = _peak_cost(8, 1.0, 101.0)[1], _plan_cost(8, 1.0, 101.0, steps=10)[1]
-        assert _plan_cost(8, 1.0, 0.0, steps=10)[1] > (block + full) // 2
-        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": (block + full) // 2}
+        tau = _plan_cost(8, 1.0, 0.0, steps=10)[1]
+        assert block < tau < full
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": (block + tau) // 2}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
         code, out, err = run_cli(["peaks", "--topology", "loop", "--n-list", "8",
                                   "--t-max", "1"], capsys)

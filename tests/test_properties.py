@@ -38,8 +38,9 @@ from qutrit_bell.cli import _load_topology_file, main
 from qutrit_bell.dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, PHASE_BLOCK,
                                   _index_groups, _pair_cells, _pair_position, _pairs,
                                   _role_fold, _SpectralKernel, _unordered_position, pair_index)
-from qutrit_bell.measurement import (ZERO_PROB, Outcome, OutcomeDistribution, _quotient,
-                                     _quotient_eigensystem, outcome_curves, post_state)
+from qutrit_bell.measurement import (ZERO_PROB, Outcome, OutcomeDistribution, _c_orbits,
+                                     _quotient, _quotient_blocks, _quotient_eigensystem,
+                                     outcome_curves, post_state)
 from qutrit_bell.oracle import full_evolve_compare, sector_restriction
 from qutrit_bell.protocols import (PLAN_WINDOW_FACTOR, Strategy, _grid_scan, _protocol2_steps,
                                    _step_chooser)
@@ -196,6 +197,8 @@ def test_a_role_fixing_leaf_swap_folds_below_the_c_blocks():
 @given(ANY_OR_BOTH_SWAPS, st.floats(0.0, 50.0))
 @settings(max_examples=40, deadline=None)
 def test_planner_fold_keeps_the_planned_states_and_their_grid(drawn, t):
+    # every strategy's grid, on the quotient's C blocks, against the full space's rows;
+    # peak-success reads no p_U and scans p_U = 0
     g, _ = drawn
     iso = cell_isometry(g)
     e = spectral_decompose(assemble_hamiltonian(g))
@@ -203,7 +206,7 @@ def test_planner_fold_keeps_the_planned_states_and_their_grid(drawn, t):
     rows = np.concatenate([grp["success"], grp["g2"], grp["g3"]])
     # the planner's window [0, 8N] in two kernel blocks, the last of two times
     grid = PLAN_WINDOW_FACTOR * g.n_vertices / (PHASE_BLOCK + 1) * np.arange(PHASE_BLOCK + 2)
-    scan = _grid_scan(g, Strategy.MIN_LOSS, grid)
+    scans = {strategy: _grid_scan(g, strategy, grid) for strategy in Strategy}
     psi = evolve(e, initial_state(g), t)
     states = [initial_state(g)]
     if outcome_distribution(psi, g).p1 >= ZERO_PROB:
@@ -211,9 +214,45 @@ def test_planner_fold_keeps_the_planned_states_and_their_grid(drawn, t):
     for state in states:
         assert np.max(np.abs(iso @ (iso.T @ state) - state)) <= 1e-12
         amp = _SpectralKernel(e, state, rows)(grid)
-        p_s, p_u = scan(state)
-        assert np.max(np.abs(p_s - 0.5 * np.abs(amp[0] + amp[1]) ** 2)) <= 1e-12
-        assert np.max(np.abs(p_u - np.sum(np.abs(amp[2:]) ** 2, axis=0))) <= 1e-12
+        p_s, p_u = 0.5 * np.abs(amp[0] + amp[1]) ** 2, np.sum(np.abs(amp[2:]) ** 2, axis=0)
+        for strategy, scan in scans.items():
+            got_s, got_u = scan(state)
+            assert np.max(np.abs(got_s - p_s)) <= 1e-12
+            assert np.max(np.abs(got_u - (0.0 if strategy is Strategy.PEAK_SUCCESS
+                                          else p_u))) <= 1e-12
+
+
+def assert_c_blocks_split_the_quotient(g):
+    """`measurement._quotient_blocks` against the full H: H has no entry between a C-even
+    orbit state and a C-odd one of `measurement._c_orbits` (unnormalised, so the sums are
+    integers and exactly 0), the blocks have one eigenvalue per orbit state, and the
+    concatenated eigenvectors on the pairs are orthonormal and satisfy H W = W Lambda."""
+    orbit, sign = _c_orbits(g)
+    pairs = np.arange(orbit.size)
+    even = np.zeros((orbit.size, np.unique(orbit).size))
+    even[pairs, np.unique(orbit, return_inverse=True)[1]] = 1.0
+    signed = sign != 0
+    odd = np.zeros((orbit.size, np.unique(orbit[signed]).size))
+    odd[pairs[signed], np.unique(orbit[signed], return_inverse=True)[1]] = sign[signed]
+    h = assemble_hamiltonian(g)
+    assert not np.any(odd.T @ h @ even)
+    assert [lam.size for lam, _ in _quotient_blocks(g)] == [even.shape[1], odd.shape[1]]
+    e = _quotient_eigensystem(g)
+    w = e.eigenvectors
+    assert np.max(np.abs(w.T @ w - np.eye(w.shape[1]))) <= 1e-12
+    assert np.max(np.abs(h @ w - w * e.eigenvalues)) <= 1e-12
+
+
+@given(st.one_of(ANY_OR_BOTH_SWAPS, ROLE_FIXING))
+@settings(max_examples=60, deadline=None)
+def test_c_blocks_split_the_quotient(drawn):
+    assert_c_blocks_split_the_quotient(drawn[0])
+
+
+def test_c_blocks_split_the_quotient_without_a_role_exchange():
+    g = Graph(*_load_topology_file(str(DATA / "no-role-exchange.txt")))
+    assert all(vf2_protocol_automorphism(g, swap) is None for swap in ROLE_SWAPS)
+    assert_c_blocks_split_the_quotient(g)
 
 
 @given(protocol_graphs(), st.floats(0.0, 50.0))
@@ -587,6 +626,7 @@ def test_planner_fold_of_the_built_in_families(family, n, dim):
     sizes = fold_sizes(g)
     assert sizes == C_FOLD_SIZES[(family, n)]
     assert sum(sizes) == dim
+    assert tuple(lam.size for lam, _ in _quotient_blocks(g)) == sizes  # the planner's blocks
 
 
 def test_role_block_without_a_role_exchange_is_the_c_even_block():

@@ -1,3 +1,4 @@
+import logging
 import os
 import signal
 import tracemalloc
@@ -275,8 +276,9 @@ def scanned_curves(psi, g, t, strategy=Strategy.MIN_LOSS):
 
 
 class TestMirrorRows:
-    """The grid scan reads the Bell cells and each psi2/psi3 cell once, on the cell
-    quotient; the refinement reads the pair rows."""
+    """The grid scan reads the Bell orbit and each psi2/psi3 C-orbit once on the
+    quotient's C-even block, and each psi2/psi3 orbit of two cells once on its C-odd
+    block; the refinement reads the pair rows."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -304,9 +306,10 @@ class TestMirrorRows:
         plan_protocol2(g, e, Strategy.MIN_LOSS, n_max=1, t_max=20.0)
         # the step's kernel on every row of the full space (its V^T psi also serves
         # the refinement); the grid scan reads one pair of the {A,B} cell and of each
-        # of 34 psi2/psi3 cells of the 333-cell quotient; the refinement all 2 + 136
-        # rows of the full space
-        assert built == [(1260, 1260), (35, 333), (138, 1260)]
+        # of the 17 C-orbits of the 34 psi2/psi3 cells on the 171-orbit C-even block,
+        # and one of each of those 17 orbits on the 162-orbit C-odd block (each is a
+        # pair of cells); the refinement all 2 + 136 rows of the full space
+        assert built == [(1260, 1260), (18, 171), (17, 162), (138, 1260)]
 
     @pytest.mark.parametrize("family,n", [("loop", 36), ("cross", 35)])
     def test_chain_curves_equal_full_row_curves(self, family, n):
@@ -325,17 +328,33 @@ class TestMirrorRows:
         e = spectral_decompose(assemble_hamiltonian(g))
         every = 2 + len(_index_groups(g)["g2"]) + len(_index_groups(g)["g3"])
         plan_protocol2(g, e, Strategy.MAX_MARGIN, n_max=1)
-        # the step's kernel; every pair a cell of its own: the two Bell pairs and
-        # the 32 psi2/psi3 pairs, then every row
+        # the step's kernel; every pair a cell of its own, so C pairs each cell with
+        # another: on the 45-orbit C-even block the orbit of the two Bell pairs and the
+        # 16 orbits of the 32 psi2/psi3 pairs, on the 45-orbit C-odd block those 16,
+        # then every row
         assert every == 2 + 2 * 16
-        assert built == [(90, 90), (every, 90), (every, 90)]
+        assert built == [(90, 90), (1 + 16, 45), (16, 45), (every, 90)]
 
     def test_peak_success_reads_only_the_success_rows(self, built):
         g, e, _ = prepared("loop", 8)
         plan_protocol2(g, e, Strategy.PEAK_SUCCESS, n_max=2)
-        # per step, the step's kernel, the grid scan of the {A,B} cell of the
-        # 18-cell quotient, then the refinement
-        assert built == [(56, 56), (1, 18), (2, 56)] * 2
+        # per step, the step's kernel, the grid scan of the {A,B} cell on the
+        # 10-orbit C-even block of the 18-cell quotient (no C-odd kernel), then the
+        # refinement
+        assert built == [(56, 56), (1, 10), (2, 56)] * 2
+
+    @pytest.mark.parametrize("strategy,rows", [(Strategy.MIN_LOSS, (4, 3)),
+                                               (Strategy.PEAK_SUCCESS, (1, 0))],
+                             ids=lambda x: getattr(x, "value", None))
+    def test_each_plan_logs_its_blocks_and_rows(self, strategy, rows, caplog):
+        # one record per plan, not per step: loop-8's 10 + 8 orbits, and the rows each
+        # block reads (peak-success reads the {A,B} orbit alone and runs no C-odd kernel)
+        g, e, _ = prepared("loop", 8)
+        with caplog.at_level(logging.DEBUG, logger="qutrit_bell.protocols"):
+            plan_protocol2(g, e, strategy, n_max=3)
+        assert [r.getMessage() for r in caplog.records] == [
+            "grid scan on the quotient's C blocks: k+ = 10 and k- = 8 orbits, "
+            f"{rows[0]} and {rows[1]} rows read"]
 
     def test_a_state_off_the_fold_is_refused(self):
         g, e, psi0 = prepared("loop", 8)
@@ -357,10 +376,11 @@ class TestMirrorRows:
 
         for module in (dynamics, measurement):
             monkeypatch.setattr(module, "spectral_decompose", counting)
-        for name, dims in (("no-role-exchange.txt", [42, 42]), ("cross5.txt", [20, 8])):
-            # the full space, then once the cell quotient the grid scans read (with
-            # no role exchange, every pair a cell: the pair space's size); run again
-            # on the same graph, the full space comes from `dynamics._PAIR_MEMO`
+        for name, dims in (("no-role-exchange.txt", [42, 21, 21]), ("cross5.txt", [20, 5, 3])):
+            # the full space, then once each C block of the cell quotient the grid
+            # scans read (with no role exchange, every pair a cell: half the pair
+            # space's size each); run again on the same graph, the full space comes
+            # from `dynamics._PAIR_MEMO`
             for expected in (dims, dims[1:]):
                 calls.clear()
                 assert main(["protocol2", "--topology", "custom", "--topology-file",
@@ -501,10 +521,10 @@ class TestRegularSchedule:
         assert np.array_equal(protocol2_total(sched, n), protocol2_total(steps, n))
 
     @pytest.mark.parametrize("argv,n,dims", [
-        (["--topology", "loop", "--n", "8"], 8, [18]),
-        (["--topology", "cross", "--n", "7"], 7, [14]),
+        (["--topology", "loop", "--n", "8"], 8, [10, 8]),
+        (["--topology", "cross", "--n", "7"], 7, [10, 4]),
         (["--topology", "custom", "--topology-file", str(DATA / "no-role-exchange.txt")], 7,
-         [42])], ids=["loop-8", "cross-7", "no-role-exchange"])
+         [21, 21])], ids=["loop-8", "cross-7", "no-role-exchange"])
     def test_steps_on_the_folds_alone(self, argv, n, dims, monkeypatch):
         calls = []
 
@@ -516,10 +536,11 @@ class TestRegularSchedule:
             monkeypatch.setattr(module, "spectral_decompose", counting)
         assert main(["protocol2", *argv, "--tau", "2.5", "--n-max", "5", "--no-timestamp",
                      "--output", os.devnull]) == 0
-        # the cell quotient once per run, never the N(N-1) pair space itself but
-        # where every pair is a cell (no role exchange)
+        # each C block of the cell quotient once per run, its two halves (18 = 10 + 8
+        # cells at loop-8, 14 at cross-7, 42 without a role exchange), never the
+        # N(N-1) pair space itself
         assert calls == dims
-        assert max(calls) <= n * (n - 1)
+        assert max(calls) <= n * (n - 1) // 2
 
 
 class TestCumulativeSeries:
