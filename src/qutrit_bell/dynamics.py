@@ -19,9 +19,11 @@ coarsest equitable partition (listed by `pair_cells`; `bell_pairs_share_a_cell`
 says whether |A,B> and |B,A> share one), whose span holds every state the
 protocols prepare: `scan`, the protocol-2 planner's grid and a fixed-interval
 schedule read H's quotient on it (`measurement`). The exchange C|i,j> = |j,i>
-commutes with H and maps each cell onto a cell, and the Bell amplitude of
-`one_shot_peak` is read on the C-even block H+ folded onto the cell pairs
-{X, CX} (`_role_fold`).
+commutes with H and maps each cell X onto a cell CX, so the quotient splits into a
+C-even and a C-odd block on the orbit states of {X, CX} (`_c_orbits`). `_c_blocks` is
+their one builder: `one_shot_peak` reads the Bell amplitude on the C-even block, and the
+planner's grid, a fixed-interval schedule and `verify` read the blocks unfolded to the
+pairs (`measurement._quotient_blocks`).
 There are two propagators, their costs counted in the entry steps MAX_WORK caps
 (`_spectral_cost`, `_chebyshev_work`; a span's bytes in `_chebyshev_bytes`).
 `_SpectralKernel` holds the only exp(-i lambda t) of a dense eigendecomposition (d <= 1260
@@ -98,18 +100,6 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return plus, minus + (minus >= plus)
 
 
-def _unordered_position(n: int, i, j):
-    """Lexicographic position of {i,j} among the pairs i < j; elementwise on site arrays."""
-    lo, hi = np.minimum(i, j), np.maximum(i, j)
-    return (lo - 1) * (2 * n - lo) // 2 + (hi - lo - 1)
-
-
-def _unordered_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sites i < j of every unordered pair {i,j}, in lexicographic order."""
-    lo, hi = np.triu_indices(n, 1)
-    return lo + 1, hi + 1
-
-
 def pair_index(n: int, i: int, j: int) -> int:
     """Dense position of |i,j> in the lexicographic basis, O(1)."""
     if i == j or not (1 <= i <= n and 1 <= j <= n):
@@ -157,22 +147,14 @@ def _pair_images(g: Graph, plus: np.ndarray, minus: np.ndarray, position):
     return pair[keep], position(ti, tj)
 
 
-def _exchange_matrix(g: Graph, plus: np.ndarray, minus: np.ndarray, position,
-                     label: np.ndarray | None = None) -> np.ndarray:
-    """The edges' exchange operator on a pair list (`_pair_images`). One bincount scatters
-    every edge onto label[image], label[pair] (default label[k] = k): with cell labels,
-    entry (O', O) counts the nonzeros from O to O', exactly in any order."""
-    label = np.arange(plus.size) if label is None else label
-    d = label.max() + 1
-    pair, image = _pair_images(g, plus, minus, position)
-    return np.bincount(label[image] * d + label[pair], np.ones(pair.size), d * d).reshape(d, d)
-
-
 def assemble_hamiltonian(g: Graph) -> np.ndarray:
     """H = sum over edges of the equal-state-free exchange operator (zero diagonal):
-    the real symmetric matrix in the pair basis, in units of J."""
+    the real symmetric matrix in the pair basis, in units of J. One bincount scatters
+    every nonzero of `_pair_images` onto (image, pair), exactly in any order."""
     n = g.n_vertices
-    return _exchange_matrix(g, *_pairs(n), partial(_pair_position, n))
+    d = n * (n - 1)
+    pair, image = _pair_images(g, *_pairs(n), partial(_pair_position, n))
+    return np.bincount(image * d + pair, np.ones(pair.size), d * d).reshape(d, d)
 
 
 @dataclass(frozen=True)
@@ -652,44 +634,60 @@ def bell_pairs_share_a_cell(g: Graph) -> bool:
     return bool(ba == ab)
 
 
-def _role_fold(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """(S^T H+ S, each unordered pair's label): the C-even block on |{i,j}+> = (|i,j> +
-    |j,i>)/sqrt2, i < j, folded onto the normalised indicator of each cell pair {X, CX}
-    of `_pair_cells` (C maps each cell X onto a cell CX), numbered by least pair. Entry
-    (O', O) is s_O' s_O times the count of nonzeros over O' x O, s_O = 1/sqrt|O|: where
-    nothing folds, H+ to the bit."""
+def _c_orbits(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """(orbit, sign) of each ordered pair: C|i,j> = |j,i> maps the pair's cell X of
+    `_pair_cells` onto a cell CX, orbit is the lesser of X and CX, and sign is +1 where
+    X < CX, -1 where X > CX and 0 where X = CX (a cell with no C-odd state)."""
+    n, cells = g.n_vertices, _pair_cells(g)
+    mirror = cells[_pair_position(n, *_pairs(n)[::-1])]
+    return np.minimum(cells, mirror), np.sign(mirror - cells)
+
+
+def _c_blocks(g: Graph, parities=(1, -1)):
+    """(block, label, weight) of the cell quotient's C-even (parity 1) and C-odd (-1)
+    blocks, in the order asked, from one `_c_orbits` and one `_pair_images` pass. C
+    commutes with H and maps each cell onto a cell, so H's quotient on the cells splits
+    exactly on the orbit states (e_X + e_CX)/sqrt2 (e_X where X = CX) and (e_X -
+    e_CX)/sqrt2, X < CX: label is each pair's orbit state, numbered by orbit, and weight
+    the pair's coefficient on it, 1 in the C-even block and its sign in the C-odd one (0
+    drops a cell with X = CX). Entry (o', o) is s_o' s_o times the weighted count of H's
+    nonzeros from orbit o to o', s_o = 1/sqrt(pairs of o): integer sums scaled once, so
+    each block is exactly symmetric, as `spectral_decompose` requires."""
     n = g.n_vertices
-    i, j = _unordered_pairs(n)
-    cells = _pair_cells(g)
-    _, first, key = np.unique(np.minimum(cells[_pair_position(n, i, j)],
-                                         cells[_pair_position(n, j, i)]),
-                              return_index=True, return_inverse=True)
-    label = np.unique(first[key], return_inverse=True)[1]  # numbered by least pair
-    s = 1.0 / np.sqrt(np.bincount(label))
-    h = _exchange_matrix(g, i, j, partial(_unordered_position, n), label) * np.outer(s, s)
-    return h, label
+    orbit, sign = _c_orbits(g)
+    pair, image = _pair_images(g, *_pairs(n), partial(_pair_position, n))
+    for parity in parities:
+        weight = np.ones(sign.size) if parity == 1 else sign
+        keep = weight != 0
+        label = np.zeros(sign.size, dtype=np.intp)
+        label[keep] = np.unique(orbit[keep], return_inverse=True)[1]
+        k = label.max() + 1
+        count = np.bincount(label[image] * k + label[pair], weight[image] * weight[pair],
+                            k * k).reshape(k, k)
+        scale = 1.0 / np.sqrt(np.bincount(label[keep], minlength=k))
+        yield count * np.outer(scale, scale), label, weight
 
 
 def _peak_cost(n: int, t_max: float, points: float, g: Graph | None = None):
-    """`_spectral_cost` of `one_shot_peak`'s block, of at most k cells (N(N-1)/2 without g)."""
-    return _spectral_cost(n * (n - 1) // 2 if g is None else int(_pair_cells(g).max()) + 1,
-                          points)
+    """`_spectral_cost` of `one_shot_peak`'s block, of k+ orbit states (N(N-1)/2 without g)."""
+    return _spectral_cost(n * (n - 1) // 2 if g is None
+                          else np.count_nonzero(np.bincount(_c_orbits(g)[0])), points)
 
 
 def one_shot_peak(g: Graph, t_max: float | None = None,
                   grid_step: float = DEFAULT_GRID_STEP,
                   refine_tol: float = DEFAULT_REFINE_TOL) -> tuple[float, float]:
-    """`find_peak` from the initial state, on the folded C-even block (`_role_fold`).
+    """`find_peak` from the initial state, on the C-even block of `_c_blocks`.
 
-    (a_BA + a_AB)/sqrt2 = <{A,B}+|psi(t)>, and |c+,c-> has C-even part
-    |{c+,c-}+>/sqrt2, so p_S = |<{A,B}+|exp(-iH+ t)|{c+,c-}+>|^2 / 2, and each of
-    the two pairs is a fold state of its own (a seed of `_pair_cells`). The peak
-    differs from `find_peak`'s by rounding only, within refine_tol in t*.
+    (a_BA + a_AB)/sqrt2 = <o_AB|psi(t)>, o_AB the orbit state of |A,B> and |B,A>, and
+    |c+,c-> has C-even part |o_C>/sqrt2, so p_S = |<o_AB|exp(-iH+ t)|o_C>|^2 / 2; each
+    orbit holds its two pairs alone (seeds of `_pair_cells`). The peak differs from
+    `find_peak`'s by rounding only, within refine_tol in t*.
     """
     n, r = g.n_vertices, g.roles
-    h, label = _role_fold(g)
+    [(h, label, _)] = _c_blocks(g, (1,))
     e = spectral_decompose(h)
     start = np.zeros(e.eigenvalues.size, dtype=complex)
-    start[label[_unordered_position(n, r.charlie_plus, r.charlie_minus)]] = 1.0
-    return _peak(g, e, start, [label[_unordered_position(n, r.alice, r.bob)]],
+    start[label[pair_index(n, r.charlie_plus, r.charlie_minus)]] = 1.0
+    return _peak(g, e, start, [label[pair_index(n, r.alice, r.bob)]],
                  lambda amp: 0.5 * np.abs(amp[0]) ** 2, t_max, grid_step, refine_tol)

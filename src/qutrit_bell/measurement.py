@@ -18,11 +18,12 @@ equitable partition (`dynamics._pair_cells`), which H keeps: `_quotient` is H on
 it. `outcome_curves` gives the probabilities along a time grid on the quotient
 alone, by the Chebyshev recurrence, whose cost `_scan_cost` counts (about R max|t|
 products whatever the grid step). The exchange C|i,j> = |j,i> maps each cell onto a
-cell (`_c_orbits`), so the quotient splits exactly into a C-even and a C-odd block,
-each diagonalised on its own and unfolded to the pairs (`_quotient_blocks`): the
-protocol-2 planner's grids read the two blocks, and a fixed-interval protocol-2 schedule
-and `verify` read them side by side (`_quotient_eigensystem`). `outcome_distribution`
-and `outcome_curves` check the norm of every state they measure.
+cell, so the quotient splits exactly into a C-even and a C-odd block, built by
+`dynamics._c_blocks`; `_quotient_blocks` diagonalises the blocks asked for and unfolds
+them to the pairs: the protocol-2 planner's grids read the blocks they need, and a
+fixed-interval protocol-2 schedule and `verify` read both side by side
+(`_quotient_eigensystem`). `outcome_distribution` and `outcome_curves` check the norm of
+every state they measure.
 """
 
 from __future__ import annotations
@@ -33,10 +34,10 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .dynamics import (MAX_WORK, NORM_TOL, PHASE_BLOCK, Eigensystem, _chebyshev_bytes,
-                       _chebyshev_spans, _chebyshev_work, _index_groups, _norm_bound,
-                       _outcome, _pair_cells, _pair_images, _pair_position, _pairs,
-                       spectral_decompose)
+from .dynamics import (MAX_WORK, NORM_TOL, PHASE_BLOCK, Eigensystem, _c_blocks, _c_orbits,
+                       _chebyshev_bytes, _chebyshev_spans, _chebyshev_work, _index_groups,
+                       _norm_bound, _outcome, _pair_cells, _pair_images, _pair_position,
+                       _pairs, spectral_decompose)
 from .topology import Graph
 
 ZERO_PROB = 1e-12
@@ -119,42 +120,18 @@ def _quotient(g: Graph):
     return cells, s, cols, vals, radius
 
 
-def _c_orbits(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """(orbit, sign) of each ordered pair: C|i,j> = |j,i> maps the pair's cell X of
-    `_quotient` onto a cell CX, orbit is the lesser of X and CX, and sign is +1 where
-    X < CX, -1 where X > CX and 0 where X = CX (a cell with no C-odd state)."""
-    n, cells = g.n_vertices, _quotient(g)[0]
-    mirror = cells[_pair_position(n, *_pairs(n)[::-1])]
-    return np.minimum(cells, mirror), np.sign(mirror - cells)
-
-
-def _quotient_blocks(g: Graph) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(eigenvalues, eigenvectors unfolded to the pairs) of `_quotient`'s C-even block, then
-    of its C-odd block, each diagonalised once. C commutes with H and maps each cell onto
-    a cell, so H_q splits exactly on the orbit states (e_X + e_CX)/sqrt2 (e_X where X =
-    CX) and (e_X - e_CX)/sqrt2, X < CX (`_c_orbits`). Entry (o', o) of a block is s_o' s_o
-    times the count of H's nonzeros from orbit o to o', each signed by its two pairs'
-    signs in the C-odd block, s_o = 1/sqrt(pairs of o): integer sums scaled once, as
-    `_quotient` builds H_q, so each block is exactly symmetric, as `spectral_decompose`
-    requires, and rounded once (T^T H_q T, with its 1/sqrt2 entries, rounds again). The
-    eigenvectors unfold as S T V, S the quotient's cell indicators (its own s_X) and T the
-    orbit states on the cells: a pair of cell X holds s_X V[o] / sqrt2 (s_X V[o] where
-    X = CX), times its sign in the C-odd block."""
-    n = g.n_vertices
-    cells, s, *_ = _quotient(g)
-    orbit, sign = _c_orbits(g)
-    pair, image = _pair_images(g, *_pairs(n), partial(_pair_position, n))
-    unfold = s[cells] * np.where(sign, np.sqrt(0.5), 1.0)
+def _quotient_blocks(g: Graph, parities=(1, -1)) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(eigenvalues, eigenvectors unfolded to the pairs) of each C block of
+    `dynamics._c_blocks` asked for, in that order, each diagonalised once. The
+    eigenvectors unfold as S T V, S the cell indicators (s_X = 1/sqrt|X|, as `_quotient`
+    scales them) and T the orbit states on the cells: a pair of cell X holds s_X V[o] /
+    sqrt2 (s_X V[o] where X = CX), times its weight in the block. T^T H_q T, with its
+    1/sqrt2 entries, would round the blocks twice."""
+    cells, (_, sign) = _pair_cells(g), _c_orbits(g)
+    unfold = (1.0 / np.sqrt(np.bincount(cells)))[cells] * np.where(sign, np.sqrt(0.5), 1.0)
     blocks = []
-    for weight in (np.ones(sign.size), sign):
-        keep = weight != 0
-        label = np.zeros(sign.size, dtype=np.intp)
-        label[keep] = np.unique(orbit[keep], return_inverse=True)[1]
-        k = label.max() + 1
-        count = np.bincount(label[image] * k + label[pair], weight[image] * weight[pair],
-                            k * k).reshape(k, k)
-        scale = 1.0 / np.sqrt(np.bincount(label[keep], minlength=k))
-        e = spectral_decompose(count * np.outer(scale, scale))
+    for h, label, weight in _c_blocks(g, parities):
+        e = spectral_decompose(h)
         blocks.append((e.eigenvalues, (weight * unfold)[:, None] * e.eigenvectors[label]))
     return blocks
 

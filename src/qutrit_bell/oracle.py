@@ -200,9 +200,9 @@ def full_evolve_compare(g: Graph, t_grid) -> OracleComparison:
     Returns the worst entry difference between the full Hamiltonian's sector restriction
     and `assemble_hamiltonian`, the matrix planned protocol-2 steps diagonalise; across
     the grid, the worst difference within the sector between the full-space amplitudes
-    and those of the cell quotient (`measurement._quotient`), a bound on the worst
-    amplitude outside the sector and the worst Bell-channel asymmetry of the full-space
-    amplitudes (on the quotient it is 0 by construction)."""
+    and those of the cell quotient's C blocks (`measurement._quotient_eigensystem`), a
+    bound on the worst amplitude outside the sector and the worst Bell-channel asymmetry
+    of the full-space amplitudes (on the quotient it is 0 by construction)."""
     t_grid = np.asarray(t_grid, dtype=float)
     sect = _sector_indices(g)
     closure, images, sources, radius = _closure_system(g)

@@ -18,11 +18,11 @@ with p_U = p_2 + p_3 the per-step reset probability. Every series reads one
 per-step table, `_padded`, where a chain that ended early pads as dead steps.
 
 Every strategy plans a step alike (`_step_chooser`): a `_grid_scan` of
-(p_S, p_U) on the C-even and C-odd blocks of the cell quotient that `scan` reads
-(`measurement._quotient_blocks`), its score, then `dynamics.select_peak`. A
-planned step evolves on the full pair space's eigensystem, a fixed-interval one
-(`plan_regular`) on the quotient's, the two blocks side by side
-(`measurement._quotient_eigensystem`).
+(p_S, p_U) on the C blocks of the cell quotient that `scan` reads, only those the
+score reads (`measurement._quotient_blocks`, from the one builder
+`dynamics._c_blocks`), its score, then `dynamics.select_peak`. A planned step evolves
+on the full pair space's eigensystem, a fixed-interval one (`plan_regular`) on the
+quotient's, the two blocks side by side (`measurement._quotient_eigensystem`).
 
 An explicit outcome-tree enumeration and a Monte Carlo sampler provide two
 independent checks of the recursions.
@@ -39,11 +39,11 @@ from itertools import islice
 import numpy as np
 
 from .dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, HERALD_FLOOR, Eigensystem,
-                       _index_groups, _pair_position, _pairs, _spectral_cost,
+                       _c_orbits, _index_groups, _pair_position, _pairs, _spectral_cost,
                        _SpectralKernel, _time_grid, initial_state, select_peak)
-from .measurement import (ZERO_PROB, Outcome, OutcomeDistribution, _c_orbits,
-                          _quotient_blocks, _quotient_eigensystem, _weighted_squares,
-                          outcome_distribution, post_state)
+from .measurement import (ZERO_PROB, Outcome, OutcomeDistribution, _quotient_blocks,
+                          _quotient_eigensystem, _weighted_squares, outcome_distribution,
+                          post_state)
 from .topology import Graph
 
 logger = logging.getLogger(__name__)
@@ -136,12 +136,12 @@ def _step_curve(amp: np.ndarray) -> tuple[float, float]:
 
 
 def _block_rows(g: Graph, strategy: Strategy):
-    """(bell, reads) of `_grid_scan`: per C block of `measurement._quotient_blocks`, the
-    pairs it reads and each one's count of psi2/psi3 pairs, and bell, the C-even block's
-    row of |B,A>, |A,B>. An orbit's pairs share one |amplitude| in each block, so the
-    C-even block reads one pair per C-orbit of the success pairs and, where the score reads
-    p_U, of the psi2 and psi3 pairs; the C-odd block reads those psi2/psi3 orbits with
-    X != CX (`measurement._c_orbits`)."""
+    """(bell, reads) of `_grid_scan`: {parity: (pairs, counts)} for each C block of
+    `measurement._quotient_blocks` that reads a pair, each pair's count of psi2/psi3 pairs,
+    and bell, the C-even block's row of |B,A>, |A,B>. An orbit's pairs share one
+    |amplitude| in each block, so the C-even block (1) reads one pair per C-orbit of the
+    success pairs and, where the score reads p_U, of the psi2 and psi3 pairs; the C-odd
+    block (-1) those psi2/psi3 orbits with X != CX (`dynamics._c_orbits`)."""
     orbit, sign = _c_orbits(g)
     grp = _index_groups(g)
     read = (grp["success"] if strategy is Strategy.PEAK_SUCCESS
@@ -149,25 +149,26 @@ def _block_rows(g: Graph, strategy: Strategy):
     _, first, where = np.unique(orbit[read], return_index=True, return_inverse=True)
     unusable = np.bincount(where[2:], minlength=first.size)
     odd = (sign[read[first]] != 0) & (unusable > 0)
-    return where[0], [(read[first], unusable), (read[first][odd], unusable[odd])]
+    reads = {1: (read[first], unusable), -1: (read[first][odd], unusable[odd])}
+    return where[0], {parity: rows for parity, rows in reads.items() if rows[0].size}
 
 
 def _grid_scan(g: Graph, strategy: Strategy, t_grid: np.ndarray):
-    """psi -> (p_S, p_U) along t_grid on the cell quotient's two C blocks, each
-    diagonalised once (`measurement._quotient_blocks`). psi's C-even and C-odd parts
-    (psi +- C psi)/2 each evolve on their block and are read on `_block_rows`: p_S =
+    """psi -> (p_S, p_U) along t_grid on the cell quotient's C blocks that `_block_rows`
+    reads, each diagonalised once (`measurement._quotient_blocks`). psi's C-even and C-odd
+    parts (psi +- C psi)/2 each evolve on their block and are read on `_block_rows`: p_S =
     2 |psi+(B,A)|^2, as psi-(A,B) = -psi-(B,A), and p_U sums both parts' squares on the
     psi2/psi3 orbits, each weighted by its pair count. Peak-success reads no p_U (p_U = 0)
-    and runs no C-odd kernel."""
+    and builds no C-odd block."""
     n = g.n_vertices
     mirror = _pair_position(n, *_pairs(n)[::-1])  # C|i,j> = |j,i>
-    blocks = [Eigensystem(*block) for block in _quotient_blocks(g)]
     bell, reads = _block_rows(g, strategy)
-    logger.debug("grid scan on the quotient's C blocks: k+ = %d and k- = %d orbits, "
-                 "%d and %d rows read", *(e.eigenvalues.size for e in blocks),
-                 *(rows.size for rows, _ in reads))
-    parts = [(e, parity, rows, unusable[None])
-             for e, parity, (rows, unusable) in zip(blocks, (1, -1), reads) if rows.size]
+    blocks = _quotient_blocks(g, tuple(reads))
+    parts = [(Eigensystem(*block), parity, rows, unusable[None])
+             for block, (parity, (rows, unusable)) in zip(blocks, reads.items())]
+    logger.debug("grid scan on the quotient's C blocks: %s", "; ".join(
+        f"k{'+' if parity == 1 else '-'} = {e.eigenvalues.size} orbits, {rows.size} rows read"
+        for e, parity, rows, _ in parts))
 
     def scan(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         p_s, p_u = np.zeros((2, t_grid.size))
@@ -251,26 +252,29 @@ def _schedule(g: Graph, kernel_of, choose_time, n_max: int) -> list[ScheduleStep
 def _plan_cost(n: int, t_max: float, points: float, g: Graph | None = None, steps: int = 1,
                strategy: Strategy = Strategy.MIN_LOSS):
     """(work, bytes) of `steps` steps, each evolved on m states (the pair space's d = N(N-1)
-    if planned on a grid, else the quotient's k = k+ + k-): the pair space's eigensystem if
-    planned and the quotient's two C blocks, unfolded (32 d k bytes); then per step d m / 2
-    entry steps for its kernel, (r+ k+ + r- k-)/16 + 8 steps and 96 bytes a grid point, r+
-    and r- the rows each block reads (`_block_rows`), and 480 bytes for its series. Without
-    g, d/2 bounds k+ and k- (C pairs each pair with another), and 2N - 3 and 2N - 4 bound
-    r+ and r- where the score reads p_U (the orbits of success and of the 4(N-2) psi2/psi3
-    pairs). The pair space's eigensystem counts on every planned run: an upper bound where
+    if planned on a grid, else the quotient's k+ + k-): the pair space's eigensystem if
+    planned and the C blocks built (both with --tau, else those `_block_rows` reads),
+    unfolded (32 d k bytes, k their states); then per step d m / 2 entry steps for its
+    kernel, (r+ k+ + r- k-)/16 + 8 steps and 96 bytes a grid point, r+ and r- the rows each
+    block reads, and 480 bytes for its series. Without g, d/2 bounds k+ and k- (C pairs
+    each pair with another), and 2N - 3 and 2N - 4 bound r+ and r- where the score reads
+    p_U (the orbits of success and of the 4(N-2) psi2/psi3 pairs). The pair space's
+    eigensystem counts on every planned run: an upper bound where
     `dynamics._pair_eigensystem` returns the last run's."""
     d = n * (n - 1)
     if g is None:
-        dims, rows = (d // 2, d // 2), (1, 0)
+        dims, rows = {1: d // 2, -1: d // 2}, {1: 1}
         if strategy is not Strategy.PEAK_SUCCESS:
-            rows = max(2 * n - 3, 0), max(2 * n - 4, 0)
+            rows = {1: max(2 * n - 3, 0), -1: max(2 * n - 4, 0)}
     else:
         orbit, sign = _c_orbits(g)
-        dims = np.unique(orbit).size, np.unique(orbit[sign != 0]).size
-        rows = [r.size for r, _ in _block_rows(g, strategy)[1]]
-    k, full = sum(dims), _spectral_cost(d if points else 0)
-    blocks = [sum(cost) for cost in zip(*map(_spectral_cost, dims))]
-    grid = sum(r * dim for r, dim in zip(rows, dims)) / 16 + 8
+        dims = {1: np.count_nonzero(np.bincount(orbit)),
+                -1: np.count_nonzero(np.bincount(orbit[sign != 0]))}
+        rows = {parity: r.size for parity, (r, _) in _block_rows(g, strategy)[1].items()}
+    built = [dims[parity] for parity in (rows if points else dims)]
+    k, full = sum(built), _spectral_cost(d if points else 0)
+    blocks = [sum(cost) for cost in zip(*map(_spectral_cost, built))]
+    grid = sum(r * dims[parity] for parity, r in rows.items()) / 16 + 8
     return (blocks[0] + full[0] + steps * (points * grid + d * (d if points else k) / 2),
             blocks[1] + full[1] + 32 * d * k + 96 * points + 480 * steps)
 
@@ -286,12 +290,12 @@ def plan_protocol2(g: Graph, e: Eigensystem, strategy: Strategy = Strategy.PEAK_
     extremum, records the outcome probabilities and conditions on psi1.
     The schedule is reused verbatim after every reset.
 
-    The grid is scanned on the cell quotient's two C blocks (`_grid_scan`), but each
-    step is refined and evolves on e, the full space: refined on curves of height
-    ~1e-13, the later steps of a chain move with any one-ulp change of the kernel, and
-    the printed protocol-2 outputs rest on this one's rounding. Once they are
-    regenerated, planning steps on the same blocks (`measurement._quotient_blocks`),
-    as `plan_regular` does, and the full kernel goes.
+    The grid is scanned on the cell quotient's C blocks that the strategy reads
+    (`_grid_scan`), but each step is refined and evolves on e, the full space: refined on
+    curves of height ~1e-13, the later steps of a chain move with any one-ulp change of
+    the kernel, and the printed protocol-2 outputs rest on this one's rounding. Once they
+    are regenerated, planning steps on both blocks (`measurement._quotient_blocks`), as
+    `plan_regular` does, and the full kernel goes.
     """
     return _schedule(g, partial(_SpectralKernel, e),
                      _step_chooser(g, strategy, t_max, grid_step, refine_tol), n_max)

@@ -13,7 +13,7 @@ from conftest import time_budget
 from qutrit_bell import (Strategy, assemble_hamiltonian, cli, dynamics, oracle,
                          plan_protocol2, spectral_decompose)
 from qutrit_bell.cli import _config_echo, _fmt, _write_table, build_parser, main
-from qutrit_bell.dynamics import MAX_WORK, _peak_cost
+from qutrit_bell.dynamics import MAX_WORK, _peak_cost, _spectral_cost
 from qutrit_bell.measurement import _scan_cost
 from qutrit_bell.oracle import _verify_cost
 from qutrit_bell.protocols import _plan_cost
@@ -561,6 +561,27 @@ class TestSizeGuard:
                                      capsys)
             assert code == 2 and out == ""
             assert "N=8: protocol2" in err and "GB" in err
+
+    def test_costs_charge_the_c_blocks_built(self):
+        # loop-36: the peak tables diagonalise the C-even block alone, k+ = 171 orbit
+        # states (of 333 cells); peak-success planning builds no C-odd block (k- = 162),
+        # which min-loss reads and --tau steps on
+        g, d, points = build_loop(36), 1260, 101.0
+        even, odd, full = _spectral_cost(171), _spectral_cost(162), _spectral_cost(d)
+        assert _peak_cost(36, 1.0, points, g) == _spectral_cost(171, points)
+        work, need = _plan_cost(36, 1.0, points, g, strategy=Strategy.PEAK_SUCCESS)
+        assert work == pytest.approx(even[0] + full[0] + points * (171 / 16 + 8) + d * d / 2,
+                                     rel=1e-12)
+        assert need == pytest.approx(even[1] + full[1] + 32 * d * 171 + 96 * points + 480,
+                                     rel=1e-12)
+        work, need = _plan_cost(36, 1.0, points, g, strategy=Strategy.MIN_LOSS)
+        grid = (18 * 171 + 17 * 162) / 16 + 8  # the rows each block reads
+        assert work == pytest.approx(even[0] + odd[0] + full[0] + points * grid + d * d / 2,
+                                     rel=1e-12)
+        for strategy in Strategy:  # --tau: both blocks, whatever the strategy
+            work, need = _plan_cost(36, 1.0, 0.0, g, strategy=strategy)
+            assert work == pytest.approx(even[0] + odd[0] + d * 333 / 2, rel=1e-12)
+            assert need == pytest.approx(even[1] + odd[1] + 32 * d * 333 + 480, rel=1e-12)
 
     # scan holds the quotient's states along one Chebyshev span and its grid's curves;
     # --tau one eigensystem of the quotient; both sized at the bound k <= d = 56 before

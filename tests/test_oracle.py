@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import prepared
-from qutrit_bell import (assemble_hamiltonian, build_cross, build_loop, dynamics, measurement,
-                         oracle)
+from qutrit_bell import assemble_hamiltonian, build_cross, build_loop, dynamics, oracle
 from qutrit_bell.cli import VERIFY_GRID_STEP, _load_topology_file, main
 from qutrit_bell.dynamics import (CHEBYSHEV_GAP, CHEBYSHEV_SPAN, PHASE_BLOCK,
                                   _chebyshev_coefficients, _SpectralKernel,
@@ -319,20 +318,20 @@ class TestCost:
         assert rows["N4_sector_restriction_max_diff"].endswith(",pass")
 
     def test_faulty_quotient_fails_verify(self, monkeypatch, capsys):
-        # the fault sits in the cell quotient that scan, --tau and the planner's grid
-        # read: |A,B> relabelled into the cell of |c+,c->, a cell of its own, reads
-        # amplitude 1 at t = 0, where the full space has 0
-        quotient = measurement._quotient
+        # the fault sits in the cells that the C blocks' one builder reads (`dynamics`),
+        # whose blocks --tau, the planner's grid and the peak tables read: |A,B>
+        # relabelled into the cell of |c+,c->, a cell of its own, reads amplitude 1 at
+        # t = 0, where the full space has 0
+        pair_cells = dynamics._pair_cells
 
         def faulty(g):
-            cells, *rest = quotient(g)
-            cells = cells.copy()
+            cells = pair_cells(g).copy()
             r = g.roles
             cells[pair_index(g.n_vertices, r.alice, r.bob)] = cells[
                 pair_index(g.n_vertices, r.charlie_plus, r.charlie_minus)]
-            return (cells, *rest)
+            return cells
 
-        monkeypatch.setattr(measurement, "_quotient", faulty)
+        monkeypatch.setattr(dynamics, "_pair_cells", faulty)
         code = main(["verify", "--topology", "cross", "--n", "5", "--no-timestamp"])
         rows = dict(line.split(",", 1) for line in capsys.readouterr().out.splitlines()
                     if not line.startswith("#"))

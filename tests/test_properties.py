@@ -36,11 +36,11 @@ from qutrit_bell import (Graph, Roles, assemble_hamiltonian, build_cross, build_
                          protocol1_required, spectral_decompose)
 from qutrit_bell.cli import _load_topology_file, main
 from qutrit_bell.dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, PHASE_BLOCK,
-                                  _index_groups, _pair_cells, _pair_position, _pairs,
-                                  _role_fold, _SpectralKernel, _unordered_position, pair_index)
-from qutrit_bell.measurement import (ZERO_PROB, Outcome, OutcomeDistribution, _c_orbits,
-                                     _quotient, _quotient_blocks, _quotient_eigensystem,
-                                     outcome_curves, post_state)
+                                  _c_blocks, _c_orbits, _index_groups, _pair_cells,
+                                  _pair_position, _pairs, _SpectralKernel, pair_index)
+from qutrit_bell.measurement import (ZERO_PROB, Outcome, OutcomeDistribution, _quotient,
+                                     _quotient_blocks, _quotient_eigensystem, outcome_curves,
+                                     post_state)
 from qutrit_bell.oracle import full_evolve_compare, sector_restriction
 from qutrit_bell.protocols import (PLAN_WINDOW_FACTOR, Strategy, _grid_scan, _protocol2_steps,
                                    _step_chooser)
@@ -116,17 +116,19 @@ def cell_isometry(g):
 
 
 def c_folds(g):
-    """{parity: (fold, b)} of the two C blocks on the cells: the C-even fold
-    `_role_fold(g)`, and the C-odd one read off the quotient as T^T H_q T, T's column
+    """{parity: (fold, b)} of the two C blocks on the cells: the C-even block of
+    `_c_blocks(g)`, and the C-odd one read off the quotient as T^T H_q T, T's column
     (e_X - e_CX)/sqrt2 per cell pair {X, CX} with X != CX (C maps each cell X onto a
     cell CX), X the cell of its least pair's |lo,hi>. b holds each
-    fold's states on the unordered pairs of the C block: u_p = 1/sqrt|O| (C-even), or
-    +-1/sqrt|X|, + where p's |lo,hi> lies in X (C-odd)."""
+    fold's states on the unordered pairs of the C block: u_p = 1/sqrt|O| (C-even, |O| the
+    unordered pairs of p's orbit state), or +-1/sqrt|X|, + where p's |lo,hi> lies in X
+    (C-odd)."""
     n = g.n_vertices
     lo, hi = (np.array(x) for x in zip(*combinations(range(1, n + 1), 2)))
     cells, s, *_ = _quotient(g)
     forward, backward = cells[_pair_position(n, lo, hi)], cells[_pair_position(n, hi, lo)]
-    even, label = _role_fold(g)
+    [(even, label, _)] = _c_blocks(g, (1,))
+    label = label[_pair_position(n, lo, hi)]  # each unordered pair's orbit state
     b_even = np.zeros((lo.size, even.shape[0]))
     b_even[np.arange(lo.size), label] = 1.0 / np.sqrt(np.bincount(label))[label]
     least = {}  # each cell pair {X, CX}, X != CX, by its least pair: (X, CX)
@@ -335,7 +337,7 @@ def assert_fold_is_the_projected_hamiltonian(g, parity):
     D^T H D formed here from the full H, for its states B, whose columns are
     orthonormal and invariant under every role exchange, so they span no more than
     the block's invariant states. The C-even fold is exactly symmetric, and where
-    nothing folds it is H+ to the bit."""
+    nothing folds it is H+ in its orbit states' order, to the bit (`assert_unfolded`)."""
     h = assemble_hamiltonian(g)
     d = c_isometry_unscaled(g.n_vertices, parity)
     # D = d / sqrt2, d of +-1 entries: the two 1/sqrt2 make an exact 1/2
@@ -350,7 +352,7 @@ def assert_fold_is_the_projected_hamiltonian(g, parity):
         assert m.shape[0] <= b.shape[0] - np.linalg.matrix_rank(np.vstack([ex @ d - d
                                                                            for ex in exchanges]))
     if parity == 1 and m.shape == h_block.shape:
-        assert np.array_equal(m, h_block)
+        assert_unfolded(m, h_block, b)
     assert np.max(np.abs(m - b.T @ h_block @ b), initial=0.0) <= 1e-14
 
 
@@ -373,35 +375,39 @@ def test_c_odd_block_is_the_projected_hamiltonian(drawn):
     assert_fold_is_the_projected_hamiltonian(g, -1)
 
 
-def exchange_matrix_edge_by_edge(g, plus, minus, position, label=None):
-    """`dynamics._exchange_matrix` as a loop over the edges, one np.add.at scatter each."""
+def exchange_matrix_edge_by_edge(g, label=None, weight=None):
+    """H's nonzeros on the ordered pairs as a loop over the edges, one np.add.at scatter
+    each, onto label[image], label[pair] (default the pairs themselves), each weighted by
+    weight[image] weight[pair] (default 1)."""
+    n = g.n_vertices
+    plus, minus = _pairs(n)
     label = np.arange(plus.size) if label is None else label
+    weight = np.ones(plus.size) if weight is None else weight
     h = np.zeros((label.max() + 1,) * 2)
     for (m, mm) in g.edges:
         ti = np.where(plus == m, mm, np.where(plus == mm, m, plus))
         tj = np.where(minus == m, mm, np.where(minus == mm, m, minus))
         moved = (ti != plus) | (tj != minus)
-        image = position(ti[moved], tj[moved])
-        np.add.at(h, (label[image], label[moved]), 1.0)
+        image = _pair_position(n, ti[moved], tj[moved])
+        np.add.at(h, (label[image], label[moved]), weight[image] * weight[moved])
     return h
 
 
 @given(ANY_OR_BOTH_SWAPS)
 @settings(max_examples=100, deadline=None)
 def test_exchange_matrix_is_the_edge_by_edge_scatter_to_the_bit(drawn):
-    # the entries are integer sums (then scaled alike), so the order of the
-    # scatter cannot show: the full H, the C-even fold and the cell quotient, built
-    # on coalesced keys, match the edge-by-edge scatter bit for bit
+    # the entries are integer sums, signed in the C-odd block (then scaled alike), so the
+    # order of the scatter cannot show: the full H, both C blocks of `_c_blocks` and the
+    # cell quotient, built on coalesced keys, match the edge-by-edge scatter bit for bit
     g, _ = drawn
-    n = g.n_vertices
-    built = [assemble_hamiltonian(g), *_role_fold(g)]
-    with patch.object(dynamics, "_exchange_matrix", exchange_matrix_edge_by_edge):
-        reference = [assemble_hamiltonian(g), *_role_fold(g)]
-    for h, h_ref in zip(built, reference):
-        assert np.array_equal(h, h_ref)
+    assert np.array_equal(assemble_hamiltonian(g), exchange_matrix_edge_by_edge(g))
+    for block, label, weight in _c_blocks(g):
+        scale = 1.0 / np.sqrt(np.bincount(label[weight != 0]))
+        by_edge = exchange_matrix_edge_by_edge(g, label, weight)
+        assert np.array_equal(block, by_edge * np.outer(scale, scale))
     cells, s, *_ = _quotient(g)
-    by_edge = exchange_matrix_edge_by_edge(g, *_pairs(n), partial(_pair_position, n), cells)
-    assert np.array_equal(quotient_matrix(g), by_edge * np.outer(s, s))
+    assert np.array_equal(quotient_matrix(g), exchange_matrix_edge_by_edge(g, cells)
+                          * np.outer(s, s))
 
 
 @given(ANY_OR_BOTH_SWAPS, st.integers(0, 2 ** 32 - 1))
@@ -565,37 +571,53 @@ def pair_orbits(g):
     return orbits
 
 
+def assert_unfolded(fold, h_plus, b):
+    """Where nothing folds, b (unordered pairs x orbit states) is a permutation and each
+    orbit state holds one pair's |i,j> and |j,i>: the C-even block is H+ in the states'
+    order, to the bit, as the builder rounds it, its counts 2 H+ (exact) scaled once by
+    s^2, s = 1/sqrt2 of the state's two pairs."""
+    s = 1.0 / np.sqrt(2.0)
+    assert np.array_equal(fold, 2 * (b.T @ h_plus @ b) * (s * s))
+
+
 def assert_role_block_is_the_folded_c_even_block(g, on_the_orbits=False):
-    """The C-even fold is B^T H+ B on its own states, each a union of the role
-    exchanges' pair orbits (exactly those orbits if on_the_orbits)."""
-    b = c_isometry_unscaled(g.n_vertices, 1)
-    h_plus = 0.5 * (b.T @ assemble_hamiltonian(g) @ b)  # exact, as above
-    fold, label = _role_fold(g)
+    """The C-even block of `_c_blocks` is B^T H+ B on its own states, each a union of the
+    role exchanges' pair orbits (exactly those orbits if on_the_orbits)."""
+    n = g.n_vertices
+    b = c_isometry_unscaled(n, 1)
+    h = assemble_hamiltonian(g)
+    h_plus = 0.5 * (b.T @ h @ b)  # exact, as above
+    [(fold, label, _)] = _c_blocks(g, (1,))
     assert np.array_equal(fold, fold.T)
-    states = [set(np.flatnonzero(label == o)) for o in range(fold.shape[0])]
+    plus, minus = _pairs(n)
+    assert np.array_equal(label, label[_pair_position(n, minus, plus)])  # C keeps each state
+    unordered = label[[pair_index(n, i, j) for i, j in combinations(range(1, n + 1), 2)]]
+    states = [set(np.flatnonzero(unordered == o)) for o in range(fold.shape[0])]
     orbits = pair_orbits(g)
-    assert all(len({label[k] for k in orbit}) == 1 for orbit in orbits)
+    assert all(len({unordered[k] for k in orbit}) == 1 for orbit in orbits)
     if on_the_orbits:
-        assert sorted(orbits, key=min) == states
-    b = np.zeros((h_plus.shape[0], len(states)))  # the fold's isometry, unscaled
-    b[np.arange(label.size), label] = 1.0
+        assert sorted(orbits, key=min) == sorted(states, key=min)
+    ordered = np.zeros((label.size, fold.shape[0]))  # the states on the pairs, unscaled
+    ordered[np.arange(label.size), label] = 1.0
+    s = 1.0 / np.sqrt(ordered.sum(axis=0))
+    # B^T H B with B = ordered diag(s): integer sums, then one exact scaling each
+    assert np.array_equal(fold, (ordered.T @ h @ ordered) * np.outer(s, s))
+    b = np.zeros((h_plus.shape[0], len(states)))  # the states on the pairs {i,j}, unscaled
+    b[np.arange(unordered.size), unordered] = 1.0
     s = 1.0 / np.sqrt(b.sum(axis=0))
-    # B^T H+ B with B = b diag(s): integer sums, then one exact scaling each
-    assert np.array_equal(fold, (b.T @ h_plus @ b) * np.outer(s, s))
     assert np.max(np.abs(fold - (b * s).T @ h_plus @ (b * s))) <= 1e-14
+    if fold.shape == h_plus.shape:  # nothing folds
+        assert_unfolded(fold, h_plus, b)
     r = g.roles
     for u, v in ((r.charlie_plus, r.charlie_minus), (r.alice, r.bob)):
-        assert np.sum(label == label[_unordered_position(g.n_vertices, u, v)]) == 1
+        assert np.sum(label == label[pair_index(n, u, v)]) == 2  # |u,v> and |v,u> alone
     return fold, h_plus
 
 
 @given(st.one_of(ANY_OR_BOTH_SWAPS, ROLE_FIXING))
 @settings(max_examples=100, deadline=None)
 def test_role_block_is_the_c_even_block_on_pair_orbits(drawn):
-    g, _ = drawn
-    fold, h_plus = assert_role_block_is_the_folded_c_even_block(g)
-    if fold.shape == h_plus.shape:  # nothing folds: the block, to the bit
-        assert np.array_equal(fold, h_plus)
+    assert_role_block_is_the_folded_c_even_block(drawn[0])
 
 
 @pytest.mark.parametrize("family,n,dim", [("loop", 36, 171), ("cross", 35, 290),
@@ -630,11 +652,40 @@ def test_planner_fold_of_the_built_in_families(family, n, dim):
 
 
 def test_role_block_without_a_role_exchange_is_the_c_even_block():
-    # no automorphism of the 7-site graph moves a role or fixes them all: no fold
+    # no automorphism of the 7-site graph moves a role or fixes them all: no fold, so
+    # the block is H+ in its states' order, to the bit (`assert_unfolded`)
     g = Graph(*_load_topology_file(str(DATA / "no-role-exchange.txt")))
     assert vf2_orbit_fold_sizes(g) == (21, 21)
-    b = c_isometry_unscaled(g.n_vertices, 1)
-    assert np.array_equal(_role_fold(g)[0], 0.5 * (b.T @ assemble_hamiltonian(g) @ b))
+    fold, h_plus = assert_role_block_is_the_folded_c_even_block(g)
+    assert fold.shape == h_plus.shape == (21, 21)
+
+
+def assert_one_builder(g):
+    """`one_shot_peak` diagonalises the C-even block of `measurement._quotient_blocks`,
+    which the planner's grid, --tau and `verify` read: the same eigenvalues, to the bit."""
+    built = []
+
+    def recording(h):
+        built.append(spectral_decompose(h))
+        return built[-1]
+
+    with patch.object(dynamics, "spectral_decompose", recording):
+        one_shot_peak(g)
+    [(even, _)] = _quotient_blocks(g, (1,))
+    assert len(built) == 1
+    assert np.array_equal(built[0].eigenvalues, even)
+    assert np.array_equal(_quotient_eigensystem(g).eigenvalues[:even.size], even)
+
+
+@given(st.one_of(ANY_OR_BOTH_SWAPS, ROLE_FIXING))
+@settings(max_examples=60, deadline=None)
+def test_one_shot_peak_reads_the_planners_c_even_block(drawn):
+    assert_one_builder(drawn[0])
+
+
+@pytest.mark.parametrize("family,n", [("loop", 36), ("cross", 35)])
+def test_one_shot_peak_reads_the_planners_c_even_block_of_the_largest_systems(family, n):
+    assert_one_builder(build_cross(n) if family == "cross" else build_loop(n))
 
 
 def test_folds_of_the_seeded_36_site_graph_are_invariant():

@@ -343,18 +343,19 @@ class TestMirrorRows:
         # refinement
         assert built == [(56, 56), (1, 10), (2, 56)] * 2
 
-    @pytest.mark.parametrize("strategy,rows", [(Strategy.MIN_LOSS, (4, 3)),
-                                               (Strategy.PEAK_SUCCESS, (1, 0))],
-                             ids=lambda x: getattr(x, "value", None))
+    @pytest.mark.parametrize("strategy,rows", [
+        (Strategy.MIN_LOSS, ("k+ = 10 orbits, 4 rows read", "k- = 8 orbits, 3 rows read")),
+        (Strategy.PEAK_SUCCESS, ("k+ = 10 orbits, 1 rows read",))],
+        ids=lambda x: getattr(x, "value", None))
     def test_each_plan_logs_its_blocks_and_rows(self, strategy, rows, caplog):
-        # one record per plan, not per step: loop-8's 10 + 8 orbits, and the rows each
-        # block reads (peak-success reads the {A,B} orbit alone and runs no C-odd kernel)
+        # one record per plan, not per step, naming the blocks built: loop-8's 10 + 8
+        # orbits, and the rows each block reads (peak-success reads the {A,B} orbit alone
+        # and builds no C-odd block)
         g, e, _ = prepared("loop", 8)
         with caplog.at_level(logging.DEBUG, logger="qutrit_bell.protocols"):
             plan_protocol2(g, e, strategy, n_max=3)
         assert [r.getMessage() for r in caplog.records] == [
-            "grid scan on the quotient's C blocks: k+ = 10 and k- = 8 orbits, "
-            f"{rows[0]} and {rows[1]} rows read"]
+            "grid scan on the quotient's C blocks: " + "; ".join(rows)]
 
     def test_a_state_off_the_fold_is_refused(self):
         g, e, psi0 = prepared("loop", 8)
@@ -376,11 +377,11 @@ class TestMirrorRows:
 
         for module in (dynamics, measurement):
             monkeypatch.setattr(module, "spectral_decompose", counting)
-        for name, dims in (("no-role-exchange.txt", [42, 21, 21]), ("cross5.txt", [20, 5, 3])):
-            # the full space, then once each C block of the cell quotient the grid
-            # scans read (with no role exchange, every pair a cell: half the pair
-            # space's size each); run again on the same graph, the full space comes
-            # from `dynamics._PAIR_MEMO`
+        for name, dims in (("no-role-exchange.txt", [42, 21]), ("cross5.txt", [20, 5])):
+            # the full space, then once the C-even block of the cell quotient, the only
+            # block the default peak-success grid scan reads (with no role exchange,
+            # every pair a cell: half the pair space's size); run again on the same
+            # graph, the full space comes from `dynamics._PAIR_MEMO`
             for expected in (dims, dims[1:]):
                 calls.clear()
                 assert main(["protocol2", "--topology", "custom", "--topology-file",
@@ -475,13 +476,18 @@ class TestOnePlannerStep:
     @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
     def test_cells_refined_once_per_plan(self, strategy):
         g, e, _ = prepared("loop", 8)
-        dynamics._pair_cells.cache_clear()
-        measurement._quotient.cache_clear()
-        plan_protocol2(g, e, strategy, n_max=4)
-        # one refinement, read by the cell quotient of the grid scan, not once per step
-        info = dynamics._pair_cells.cache_info()
-        assert (info.misses, info.hits) == (1, 0)
-        assert measurement._quotient.cache_info().misses == 1
+        reads = []
+        for n_max in (1, 4):
+            dynamics._pair_cells.cache_clear()
+            measurement._quotient.cache_clear()
+            plan_protocol2(g, e, strategy, n_max=n_max)
+            info = dynamics._pair_cells.cache_info()
+            reads.append(info.hits)
+            # one refinement, read by the C blocks of the grid scan, not once per step;
+            # the planner builds none of `scan`'s slot table
+            assert info.misses == 1
+            assert measurement._quotient.cache_info().misses == 0
+        assert reads[0] == reads[1]
 
 
 class TestRegularSchedule:
