@@ -15,7 +15,7 @@ import numpy as np
 
 from qutrit_bell import (Strategy, assemble_hamiltonian, build_cross, build_loop,
                          enumerate_outcome_tree, monte_carlo, plan_protocol2,
-                         protocol2_total, spectral_decompose)
+                         protocol2_total)
 from qutrit_bell.oracle import full_evolve_compare, sector_restriction, su3_algebra_check
 
 print(f"generator algebra, worst violation over 81 combinations: "
@@ -38,8 +38,7 @@ for name, g in (("loop N=4", build_loop(4)), ("cross N=5", build_cross(5))):
 print()
 print("protocol bookkeeping, cross N=5:")
 g = build_cross(5)
-eig = spectral_decompose(assemble_hamiltonian(g))
-sched = plan_protocol2(g, eig, Strategy.PEAK_SUCCESS, n_max=6)
+sched = plan_protocol2(g, strategy=Strategy.PEAK_SUCCESS, n_max=6)
 analytic = protocol2_total(sched)
 worst = max(abs(analytic[n - 1] - enumerate_outcome_tree(sched, n)[1])
             for n in range(1, 7))

@@ -27,8 +27,8 @@ from pathlib import Path
 
 from . import __version__
 from .dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, GRID_END_SLACK, MAX_WORK,
-                       PEAK_WINDOW_FACTOR, PHASE_BLOCK, _pair_eigensystem, _peak_cost,
-                       _time_grid, bell_pairs_share_a_cell, initial_state, one_shot_peak)
+                       PEAK_WINDOW_FACTOR, PHASE_BLOCK, _peak_cost, _time_grid,
+                       bell_pairs_share_a_cell, initial_state, one_shot_peak)
 from .measurement import _scan_cost, outcome_curves
 from .oracle import _verify_cost, full_evolve_compare, su3_algebra_check
 from .protocols import (PLAN_WINDOW_FACTOR, Strategy, _plan_cost, plan_protocol2,
@@ -41,6 +41,9 @@ PRECONDITION_ERROR = 2
 VERIFICATION_ERROR = 3
 
 VERIFY_GRID_STEP = 0.1  # default step of the grid on which `verify` compares the engines
+#: entry steps charged per row of protocol1's `cumulative_series`, made and written: 2.1-3.0
+#: us a CSV row and 5.0-5.8 us a JSON row on 2 cores, so the cap's 2e6 rows take 4-12 s
+SERIES_ROW_STEPS = 500
 #: Cap on protocol 2's planning window and on --tau, not a cost: lambda t rounds past the
 #: planner's symmetry from 1e9, and one ulp of tau moves cross-5's 9th digit at 1e6.
 PLAN_MAX_TIME = 1e6
@@ -198,6 +201,13 @@ class _Run:
     targets: tuple[float, ...]
 
 
+def _series_cost(rows: int, n: int, t_max: float, points: float, g: Graph | None = None):
+    """(work, bytes) of `protocol1` on one system: its peak search (`_peak_cost`) and its
+    `rows` series rows, SERIES_ROW_STEPS each; they are written as they are made."""
+    work, need = _peak_cost(n, t_max, points, g)
+    return work + SERIES_ROW_STEPS * rows, need
+
+
 def _checked_run(args) -> _Run:
     """Make every exit-2 refusal that the flags decide, before any work starts: the
     flags, --output (creating no file), the planning cap, the grid step, and each system's
@@ -237,7 +247,8 @@ def _checked_run(args) -> _Run:
                                 f"{PLAN_MAX_TIME:g}")
     plan = partial(_plan_cost, steps=getattr(args, "n_max", 1),
                    strategy=Strategy(getattr(args, "strategy", Strategy.MIN_LOSS.value)))
-    cost = {"scan": _scan_cost, "verify": _verify_cost, "protocol2": plan}.get(command, _peak_cost)
+    cost = {"scan": _scan_cost, "verify": _verify_cost, "protocol2": plan,
+            "protocol1": partial(_series_cost, getattr(args, "n_max", 1))}.get(command, _peak_cost)
     for n in ns:
         t_max = args.t_max or (10.0 if command == "verify" else n * (
             PLAN_WINDOW_FACTOR if command == "protocol2" else PEAK_WINDOW_FACTOR))
@@ -245,7 +256,7 @@ def _checked_run(args) -> _Run:
         if not tau and command in ("peaks", "protocol1", "protocol2") and args.grid_step > t_max:
             raise PreconditionError(f"--grid-step exceeds the window [0, {t_max:g}]")
         what = f"N={n}: {command}" + (f" on a time grid of {points:.3g} points" if points else "")
-        what += f" with --n-max {args.n_max}" if command == "protocol2" else ""
+        what += f" with --n-max {args.n_max}" if command in ("protocol1", "protocol2") else ""
         _admit(what, 0.0, cost(n, t_max + GRID_END_SLACK, points)[1])
         try:
             g = (Graph(n, edges, roles) if custom else
@@ -302,9 +313,8 @@ def cmd_protocol2(args, run: _Run) -> int:
     if args.tau is not None:
         schedule = plan_regular(g, args.tau, args.n_max)
     else:
-        eig = _pair_eigensystem(g)  # only planning reads the full space
         try:
-            schedule = plan_protocol2(g, eig, Strategy(args.strategy), args.n_max,
+            schedule = plan_protocol2(g, strategy=Strategy(args.strategy), n_max=args.n_max,
                                       t_max=t_max, grid_step=args.grid_step,
                                       refine_tol=args.refine_tol)
         except RuntimeError as exc:  # a search window without success
@@ -338,7 +348,7 @@ def cmd_verify(args, run: _Run) -> int:
     return 0 if all(row[3] == "pass" for row in rows) else VERIFICATION_ERROR
 
 
-def _add_common(p: argparse.ArgumentParser, n_single=True):
+def _add_common(p: argparse.ArgumentParser, n_single=True, refine=False):
     p.add_argument("--topology", choices=["cross", "loop", "custom"], default="cross")
     p.add_argument("--topology-file", help="custom topology file (with --topology custom)")
     if n_single:
@@ -346,7 +356,8 @@ def _add_common(p: argparse.ArgumentParser, n_single=True):
     p.add_argument("--t-max", type=float, default=None,
                    help="window end (default 6.4N; protocol2 planning 8N; verify 10)")
     p.add_argument("--grid-step", type=float, default=DEFAULT_GRID_STEP)
-    p.add_argument("--refine-tol", type=float, default=DEFAULT_REFINE_TOL)
+    if refine:  # the commands that refine a peak
+        p.add_argument("--refine-tol", type=float, default=DEFAULT_REFINE_TOL)
     p.add_argument("--output", help="output file (default stdout)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--no-timestamp", action="store_true",
@@ -365,19 +376,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("peaks", help="peak success probability per system size")
-    _add_common(p, n_single=False)
+    _add_common(p, n_single=False, refine=True)
     p.add_argument("--n-list", help="comma-separated sizes, e.g. 5,7,9")
     p.set_defaults(func=cmd_peaks)
 
     p = sub.add_parser("protocol1", help="repeat-with-reset measurement counts")
-    _add_common(p, n_single=False)
+    _add_common(p, n_single=False, refine=True)
     p.add_argument("--n-list")
     p.add_argument("--targets", default="0.90,0.95,0.99")
     p.add_argument("--n-max", type=int, default=10, help="series length")
     p.set_defaults(func=cmd_protocol1)
 
     p = sub.add_parser("protocol2", help="conditional-reset protocol series")
-    _add_common(p)
+    _add_common(p, refine=True)
     p.add_argument("--strategy", choices=[s.value for s in Strategy],
                    default=Strategy.PEAK_SUCCESS.value)
     p.add_argument("--tau", type=float, default=None,

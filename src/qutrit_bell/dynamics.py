@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from functools import cache, cached_property, lru_cache, partial
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -115,7 +115,7 @@ def _outcome(g: Graph, i, j):
     return 1 + ((i == a) | (j == a)) + 2 * ((i == b) | (j == b))
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def _index_groups(g: Graph) -> dict[str, np.ndarray]:
     """Pair-basis rows of the four measurement outcomes (`_outcome`).
 
@@ -128,13 +128,14 @@ def _index_groups(g: Graph) -> dict[str, np.ndarray]:
             **{f"g{k}": np.flatnonzero(outcome == k) for k in (1, 2, 3)}}
 
 
-def _pair_images(g: Graph, plus: np.ndarray, minus: np.ndarray, position):
-    """(pair, image) per nonzero of the edges' exchange operator on pairs k =
-    (plus[k], minus[k]), in order of k: along each edge at an excitation's site it hops
-    to the other end, or the two swap (once, from the plus site) if the other sits there.
-    H moves pair k to position(image sites)."""
+def _pair_images(g: Graph):
+    """(pair, image) per nonzero of the edges' exchange operator on the ordered pairs, in
+    lexicographic order of pair: along each edge at an excitation's site it hops to the
+    other end, or the two swap (once, from the plus site) if the other sits there. H
+    moves the pair to its image."""
+    n, (plus, minus) = g.n_vertices, _pairs(g.n_vertices)
     arcs = np.array(sorted(g.edges | {(v, u) for u, v in g.edges}))  # (site, neighbour)
-    first = np.searchsorted(arcs[:, 0], np.arange(g.n_vertices + 2))
+    first = np.searchsorted(arcs[:, 0], np.arange(n + 2))
     site = np.column_stack([plus, minus]).ravel()  # each pair's plus site, then its minus site
     count = first[site + 1] - first[site]
     end = np.repeat(np.arange(site.size), count)
@@ -144,16 +145,15 @@ def _pair_images(g: Graph, plus: np.ndarray, minus: np.ndarray, position):
     keep = from_plus | (to != i)
     ti = np.where(from_plus, to, i)[keep]
     tj = np.where(from_plus, np.where(to == j, i, j), to)[keep]
-    return pair[keep], position(ti, tj)
+    return pair[keep], _pair_position(n, ti, tj)
 
 
 def assemble_hamiltonian(g: Graph) -> np.ndarray:
     """H = sum over edges of the equal-state-free exchange operator (zero diagonal):
     the real symmetric matrix in the pair basis, in units of J. One bincount scatters
     every nonzero of `_pair_images` onto (image, pair), exactly in any order."""
-    n = g.n_vertices
-    d = n * (n - 1)
-    pair, image = _pair_images(g, *_pairs(n), partial(_pair_position, n))
+    d = g.n_vertices * (g.n_vertices - 1)
+    pair, image = _pair_images(g)
     return np.bincount(image * d + pair, np.ones(pair.size), d * d).reshape(d, d)
 
 
@@ -172,7 +172,7 @@ class Eigensystem:
 
     def __post_init__(self):
         object.__setattr__(self, "_vt", np.ascontiguousarray(self.eigenvectors.T))
-        for array in (self.eigenvalues, self.eigenvectors, self._vt):  # `_PAIR_MEMO` shares it
+        for array in (self.eigenvalues, self.eigenvectors, self._vt):  # cached and shared
             array.setflags(write=False)
 
 
@@ -194,21 +194,13 @@ def spectral_decompose(h: np.ndarray) -> Eigensystem:
     return Eigensystem(eigenvalues=lam, eigenvectors=vec)
 
 
-#: the last graph's pair-space eigensystem, {graph: eigensystem} of at most one entry
-_PAIR_MEMO: dict[Graph, Eigensystem] = {}
-
-
+@lru_cache(maxsize=1)
 def _pair_eigensystem(g: Graph) -> Eigensystem:
-    """`spectral_decompose(assemble_hamiltonian(g))`, the eigensystem protocol 2's planned
-    steps read, kept for the last graph only: a process that plans the same graph again
-    reads the same arrays and builds nothing. The previous graph's entry (2 d^2 floats,
-    25 MB at loop-36) is dropped before the new one is built, so a process never holds two;
-    `lru_cache(maxsize=1)` would keep the old one until the new one exists."""
-    e = _PAIR_MEMO.get(g)
-    if e is None:
-        _PAIR_MEMO.clear()
-        e = _PAIR_MEMO[g] = spectral_decompose(assemble_hamiltonian(g))
-    return e
+    """`spectral_decompose(assemble_hamiltonian(g))`, which protocol 2's planned steps read,
+    for the last graph only. A new graph first frees the last one's (2 d^2 floats, 25 MB at
+    loop-36), so no process holds two: a bounded `lru_cache` stores into the emptied cache."""
+    _pair_eigensystem.cache_clear()
+    return spectral_decompose(assemble_hamiltonian(g))
 
 
 def initial_state(g: Graph) -> np.ndarray:
@@ -591,7 +583,7 @@ def _pair_cells(g: Graph) -> np.ndarray:
     it is not coarser either."""
     n, r, (plus, minus) = g.n_vertices, g.roles, _pairs(g.n_vertices)
     d = plus.size
-    pair, moved = _pair_images(g, plus, minus, partial(_pair_position, n))
+    pair, moved = _pair_images(g)
     slot = np.arange(pair.size) - np.searchsorted(pair, pair)  # pair k's images, in slots
     image = np.full((slot.max() + 1, d), -1)
     image[slot, pair] = moved
@@ -653,9 +645,8 @@ def _c_blocks(g: Graph, parities=(1, -1)):
     drops a cell with X = CX). Entry (o', o) is s_o' s_o times the weighted count of H's
     nonzeros from orbit o to o', s_o = 1/sqrt(pairs of o): integer sums scaled once, so
     each block is exactly symmetric, as `spectral_decompose` requires."""
-    n = g.n_vertices
     orbit, sign = _c_orbits(g)
-    pair, image = _pair_images(g, *_pairs(n), partial(_pair_position, n))
+    pair, image = _pair_images(g)
     for parity in parities:
         weight = np.ones(sign.size) if parity == 1 else sign
         keep = weight != 0

@@ -30,14 +30,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
 from .dynamics import (MAX_WORK, NORM_TOL, PHASE_BLOCK, Eigensystem, _c_blocks, _c_orbits,
                        _chebyshev_bytes, _chebyshev_spans, _chebyshev_work, _index_groups,
-                       _norm_bound, _outcome, _pair_cells, _pair_images, _pair_position,
-                       _pairs, spectral_decompose)
+                       _norm_bound, _outcome, _pair_cells, _pair_images, _pairs,
+                       spectral_decompose)
 from .topology import Graph
 
 ZERO_PROB = 1e-12
@@ -105,9 +105,9 @@ def _quotient(g: Graph):
     Algebraic Graph Theory, ch. 9). R is the Collatz-Wielandt bound max_i (|H_q| v)_i /
     v_i >= rho(|H_q|) >= ||H_q|| at a v > 0 from powers of |H_q| (`dynamics._norm_bound`):
     7.7 on the seeded 36-site graph, whose ||H|| is 6.46 and largest absolute row sum 12."""
-    n, cells = g.n_vertices, _pair_cells(g)
+    cells = _pair_cells(g)
     s = 1.0 / np.sqrt(np.bincount(cells))
-    pair, image = _pair_images(g, *_pairs(n), partial(_pair_position, n))
+    pair, image = _pair_images(g)
     key, count = np.unique(cells[image] * s.size + cells[pair], return_counts=True)
     i, j = np.divmod(key, s.size)
     slot = np.arange(i.size) - np.searchsorted(i, i)

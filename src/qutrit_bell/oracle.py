@@ -27,9 +27,9 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .dynamics import (PHASE_BLOCK, _chebyshev_bytes, _chebyshev_spans, _chebyshev_work,
-                       _index_groups, _norm_bound, _pairs, _SpectralKernel,
+                       _index_groups, _norm_bound, _pair_cells, _pairs, _SpectralKernel,
                        assemble_hamiltonian, initial_state)
-from .measurement import _quotient, _quotient_eigensystem
+from .measurement import _quotient_eigensystem
 from .topology import Graph
 
 #: a state's index lies below 3^N, and 3^39 < 2^63 < 3^40
@@ -140,7 +140,7 @@ def _verify_cost(n: int, t_max: float, points: float, g: Graph | None = None):
     if g is not None:
         _, _, sources, radius = _closure_system(g)
         edges, size = sources.shape
-        k = _quotient(g)[1].size
+        k = _pair_cells(g).max() + 1  # the quotient's cells
         work = _chebyshev_work(radius, t_max, edges * size) + points * (d * k / 32 + 128)
     return work, (_chebyshev_bytes(size, points) + 16 * (d + k) * min(PHASE_BLOCK, points)
                   + 40 * edges * size + 24 * d * (d + k) + 40 * points)
@@ -185,6 +185,7 @@ class OracleComparison:
     #: max |entry| of the sector restriction of the full H minus the reduced H;
     #: inf where the full H maps a sector state out of the sector
     max_restriction_deviation: float
+    #: inf where psi0 loses norm on the quotient's eigensystem (`_SpectralKernel` refuses it)
     max_amplitude_deviation: float
     #: an upper bound on the largest full-space magnitude outside the sector:
     #: sum_k |c_k(t)| max|T_k psi outside the sector|, worst over the grid
@@ -206,7 +207,10 @@ def full_evolve_compare(g: Graph, t_grid) -> OracleComparison:
     t_grid = np.asarray(t_grid, dtype=float)
     sect = _sector_indices(g)
     closure, images, sources, radius = _closure_system(g)
-    kernel = _SpectralKernel(_quotient_eigensystem(g), initial_state(g))
+    try:
+        kernel = _SpectralKernel(_quotient_eigensystem(g), initial_state(g))
+    except ValueError:  # psi0 off the quotient's span: no reduced amplitudes to compare
+        kernel = None
     rows = np.searchsorted(closure, sect)
     try:  # its d x d arrays are gone before the propagation starts
         restriction = float(np.max(np.abs(_restriction(sect, images[:, rows])
@@ -217,14 +221,15 @@ def full_evolve_compare(g: Graph, t_grid) -> OracleComparison:
     product = partial(_scatter, sources)
     psi = (closure == full_initial_index(g)).astype(complex)
     # np.max, unlike max(), keeps a NaN, so the check that reads it fails
-    deviations, leakages, asymmetries = [0.0], [0.0], [0.0]
+    deviations, leakages, asymmetries = [0.0 if kernel is not None else math.inf], [0.0], [0.0]
     i_ba, i_ab = _index_groups(g)["success"]
     outside = np.setdiff1d(np.arange(closure.size), rows)
     for points, table, terms in _chebyshev_spans(product, radius, psi, t_grid):
         amps = table.T @ terms[:, rows]
         asymmetries.append(np.max(np.abs(amps[:, i_ba] - amps[:, i_ab])))
-        amps -= kernel.at_times(t_grid[points]).T  # the quotient's, at this span's times
-        deviations.append(np.max(np.abs(amps)))
+        if kernel is not None:
+            amps -= kernel.at_times(t_grid[points]).T  # the quotient's, at this span's times
+            deviations.append(np.max(np.abs(amps)))
         # sum_k |c_k| max|T_k psi outside|, 0 where the closure is the sector
         leakages.append(np.max(np.abs(table).T
                                @ np.max(np.abs(terms[:, outside]), axis=1, initial=0.0)))

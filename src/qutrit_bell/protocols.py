@@ -22,7 +22,8 @@ Every strategy plans a step alike (`_step_chooser`): a `_grid_scan` of
 score reads (`measurement._quotient_blocks`, from the one builder
 `dynamics._c_blocks`), its score, then `dynamics.select_peak`. A planned step evolves
 on the full pair space's eigensystem, a fixed-interval one (`plan_regular`) on the
-quotient's, the two blocks side by side (`measurement._quotient_eigensystem`).
+quotient's, the two blocks side by side (`measurement._quotient_eigensystem`): the
+planners take the graph alone, so only this module decides which space a step evolves on.
 
 An explicit outcome-tree enumeration and a Monte Carlo sampler provide two
 independent checks of the recursions.
@@ -39,8 +40,9 @@ from itertools import islice
 import numpy as np
 
 from .dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, HERALD_FLOOR, Eigensystem,
-                       _c_orbits, _index_groups, _pair_position, _pairs, _spectral_cost,
-                       _SpectralKernel, _time_grid, initial_state, select_peak)
+                       _c_orbits, _index_groups, _pair_eigensystem, _pair_position, _pairs,
+                       _spectral_cost, _SpectralKernel, _time_grid, initial_state,
+                       select_peak)
 from .measurement import (ZERO_PROB, Outcome, OutcomeDistribution, _quotient_blocks,
                           _quotient_eigensystem, _weighted_squares, outcome_distribution,
                           post_state)
@@ -259,8 +261,8 @@ def _plan_cost(n: int, t_max: float, points: float, g: Graph | None = None, step
     block reads, and 480 bytes for its series. Without g, d/2 bounds k+ and k- (C pairs
     each pair with another), and 2N - 3 and 2N - 4 bound r+ and r- where the score reads
     p_U (the orbits of success and of the 4(N-2) psi2/psi3 pairs). The pair space's
-    eigensystem counts on every planned run: an upper bound where
-    `dynamics._pair_eigensystem` returns the last run's."""
+    eigensystem counts on every planned run: an upper bound where `plan_protocol2` reads
+    the last run's from `dynamics._pair_eigensystem`'s cache."""
     d = n * (n - 1)
     if g is None:
         dims, rows = {1: d // 2, -1: d // 2}, {1: 1}
@@ -279,9 +281,8 @@ def _plan_cost(n: int, t_max: float, points: float, g: Graph | None = None, step
             blocks[1] + full[1] + 32 * d * k + 96 * points + 480 * steps)
 
 
-def plan_protocol2(g: Graph, e: Eigensystem, strategy: Strategy = Strategy.PEAK_SUCCESS,
-                   n_max: int = 10, t_max: float | None = None,
-                   grid_step: float = DEFAULT_GRID_STEP,
+def plan_protocol2(g: Graph, *, strategy: Strategy = Strategy.PEAK_SUCCESS, n_max: int = 10,
+                   t_max: float | None = None, grid_step: float = DEFAULT_GRID_STEP,
                    refine_tol: float = DEFAULT_REFINE_TOL) -> list[ScheduleStep]:
     """Greedy per-step schedule for the conditional-reset protocol.
 
@@ -291,13 +292,13 @@ def plan_protocol2(g: Graph, e: Eigensystem, strategy: Strategy = Strategy.PEAK_
     The schedule is reused verbatim after every reset.
 
     The grid is scanned on the cell quotient's C blocks that the strategy reads
-    (`_grid_scan`), but each step is refined and evolves on e, the full space: refined on
-    curves of height ~1e-13, the later steps of a chain move with any one-ulp change of
-    the kernel, and the printed protocol-2 outputs rest on this one's rounding. Once they
-    are regenerated, planning steps on both blocks (`measurement._quotient_blocks`), as
-    `plan_regular` does, and the full kernel goes.
+    (`_grid_scan`), but each step is refined and evolves on the pair space
+    (`dynamics._pair_eigensystem`): on curves of height ~1e-13, the later steps of a chain
+    move with any one-ulp change of the kernel, and the printed protocol-2 outputs rest on
+    its rounding. Once they are regenerated, planning steps on both blocks
+    (`measurement._quotient_blocks`), as `plan_regular` does, and the full kernel goes.
     """
-    return _schedule(g, partial(_SpectralKernel, e),
+    return _schedule(g, partial(_SpectralKernel, _pair_eigensystem(g)),
                      _step_chooser(g, strategy, t_max, grid_step, refine_tol), n_max)
 
 
@@ -415,8 +416,7 @@ def _reset_count_masses(schedule: list[ScheduleStep], n: int, m_max: int):
     return np.cumsum(success), np.cumsum(alive.sum(axis=0))
 
 
-def protocol2_limit_check(g: Graph, e: Eigensystem, q: float,
-                          max_measurements: int = 500) -> LimitCheckReport:
+def protocol2_limit_check(g: Graph, q: float, max_measurements: int = 500) -> LimitCheckReport:
     """Extend the peak-success schedule lazily until P_n >= q or the cap is hit.
 
     Also asserts the numerically checkable form of the convergence
@@ -426,7 +426,7 @@ def protocol2_limit_check(g: Graph, e: Eigensystem, q: float,
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"target q must lie in (0,1), got {q}")
-    steps = _protocol2_steps(g, partial(_SpectralKernel, e),
+    steps = _protocol2_steps(g, partial(_SpectralKernel, _pair_eigensystem(g)),
                              _step_chooser(g, Strategy.PEAK_SUCCESS, None,
                                            DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL))
     schedule = [next(steps)]

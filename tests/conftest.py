@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from qutrit_bell import (Graph, Roles, assemble_hamiltonian, build_cross, build_loop,
-                         dynamics, find_peak, initial_state, oracle, spectral_decompose)
+                         clear_caches, find_peak, initial_state, spectral_decompose)
 from qutrit_bell.measurement import _quotient
 
 #: the role permutations that keep the sets {c+, c-} and {A, B}: position k of
@@ -22,15 +22,14 @@ SWAP_CHARLIE, SWAP_ENDS, SWAP_BOTH = ROLE_SWAPS = (1, 0, 2, 3), (0, 1, 3, 2), (1
 
 @pytest.fixture(autouse=True)
 def fresh_memos():
-    """`oracle._closure_system` keeps the last graph's closure, built from the `_images`
-    and `_scatter` of its time, and `dynamics._PAIR_MEMO` the last planned graph's
-    eigensystem: a test that patches what builds them, or counts the builds, must neither
-    read another test's entry nor leave its own."""
-    oracle._closure_system.cache_clear()
-    dynamics._PAIR_MEMO.clear()
+    """The package's caches keep what they derived from the last graph, built by the
+    functions of its time (`oracle._closure_system` from the `_images` and `_scatter`,
+    `dynamics._pair_eigensystem` from `spectral_decompose`): a test that patches what
+    builds them, or counts the builds, must neither read another test's entry nor leave
+    its own."""
+    clear_caches()
     yield
-    oracle._closure_system.cache_clear()
-    dynamics._PAIR_MEMO.clear()
+    clear_caches()
 
 
 @lru_cache(maxsize=None)

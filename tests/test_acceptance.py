@@ -86,8 +86,8 @@ _SCHEDULES = {}
 
 def schedule_for(family, n):
     if (family, n) not in _SCHEDULES:
-        g, e, _ = prepared(family, n)
-        _SCHEDULES[(family, n)] = plan_protocol2(g, e, Strategy.PEAK_SUCCESS,
+        g, _, _ = prepared(family, n)
+        _SCHEDULES[(family, n)] = plan_protocol2(g, strategy=Strategy.PEAK_SUCCESS,
                                                  n_max=10)
     return _SCHEDULES[(family, n)]
 
@@ -223,8 +223,8 @@ def test_criterion_4_degraded_properties(family, n):
     assert np.all(ptot <= 1.0 + 1e-12)
     assert np.all(ptot[1:] >= pbar[1:] - 1e-12)
     # geometric lower bound at every reset count (run-level restatement)
-    g, e, _ = prepared(family, n)
-    check = protocol2_limit_check(g, e, q=0.999999, max_measurements=10)
+    g, _, _ = prepared(family, n)
+    check = protocol2_limit_check(g, q=0.999999, max_measurements=10)
     assert check.run_success_ok
     assert check.reset_bound_ok
     report(4, f"{family} N={n} degraded properties", True)
@@ -236,8 +236,8 @@ def test_criterion_4_degraded_properties(family, n):
 
 @pytest.mark.parametrize("family,n", [("cross", 5), ("loop", 4)])
 def test_criterion_5_limit_behavior(family, n):
-    g, e, _ = prepared(family, n)
-    result = protocol2_limit_check(g, e, q=0.99, max_measurements=500)
+    g, _, _ = prepared(family, n)
+    result = protocol2_limit_check(g, q=0.99, max_measurements=500)
     ok = result.reached and result.series[result.n_reached - 1] >= 0.99
     report(5, f"{family} N={n}", ok,
            f"P_n >= 0.99 at n={result.n_reached}")
@@ -247,8 +247,8 @@ def test_criterion_5_limit_behavior(family, n):
 
 def test_criterion_5_beyond_the_chain_end():
     # loop-4's chain ends after 10 steps; restarts still reach 0.9995
-    g, e, _ = prepared("loop", 4)
-    result = protocol2_limit_check(g, e, q=0.9995, max_measurements=500)
+    g, _, _ = prepared("loop", 4)
+    result = protocol2_limit_check(g, q=0.9995, max_measurements=500)
     ok = (result.n_reached == 12 and len(result.schedule) == 10
           and result.series[11] >= 0.9995)
     report(5, "loop N=4, q=0.9995", ok, f"P_n >= 0.9995 at n={result.n_reached}")

@@ -1,6 +1,9 @@
+import importlib
+import inspect
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from itertools import islice
@@ -9,9 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qutrit_bell
 from conftest import time_budget
-from qutrit_bell import (Strategy, assemble_hamiltonian, cli, dynamics, oracle,
-                         plan_protocol2, spectral_decompose)
+from qutrit_bell import (Strategy, clear_caches, cli, dynamics, measurement, oracle,
+                         plan_protocol2)
 from qutrit_bell.cli import _config_echo, _fmt, _write_table, build_parser, main
 from qutrit_bell.dynamics import MAX_WORK, _peak_cost, _spectral_cost
 from qutrit_bell.measurement import _scan_cost
@@ -119,6 +123,8 @@ REFUSALS = (EIGENSYSTEM_REFUSALS + GRID_REFUSALS + SERIES_REFUSALS + INVALID_FLA
                ["scan", "--topology", "custom", "--topology-file", str(DATA / "missing.txt")],
                # 10 planned steps over 10^8 grid points: about 10^10 entry steps
                ["protocol2", "--topology", "cross", "--n", "9", "--t-max", "1e6"],
+               # 10^9 series rows, SERIES_ROW_STEPS each: about 40 min of writing
+               ["protocol1", "--topology", "loop", "--n-list", "4", "--n-max", "1000000000"],
                # an output that cannot be opened, refused before the scan is made
                ["scan", "--topology", "loop", "--n", "4", "--output", str(DATA)],
                ["scan", "--topology", "loop", "--n", "4", "--output", "/nonexistent/x.csv"]])
@@ -138,6 +144,18 @@ def parse_csv(text):
 
 
 class TestScan:
+    @pytest.mark.parametrize("command", ["scan", "verify"])
+    def test_refine_tol_is_not_a_flag(self, command, capsys):
+        # neither refines a peak: the flag is a usage error, and the config echo
+        # names no refine_tol
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--topology", "loop", "--n", "4", "--refine-tol", "1e-6"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --refine-tol" in capsys.readouterr().err
+        code, out, _ = run_cli([command, "--topology", "loop", "--n", "4", "--t-max", "1",
+                                "--no-timestamp"], capsys)
+        assert code == 0 and "refine_tol" not in out.splitlines()[1]
+
     def test_loop4_periodic_half_peaks(self, capsys):
         code, out, _ = run_cli(["scan", "--topology", "loop", "--n", "4",
                                 "--no-timestamp"], capsys)
@@ -280,8 +298,7 @@ class TestProtocol2:
         assert {r[4] for r in parse_csv(out)[1]} == {strategy}
         args = build_parser().parse_args(argv)
         [(_, g, t_max)] = cli._checked_run(args).systems
-        sched = plan_protocol2(g, spectral_decompose(assemble_hamiltonian(g)),
-                               Strategy(strategy), args.n_max, t_max=t_max)
+        sched = plan_protocol2(g, strategy=Strategy(strategy), n_max=args.n_max, t_max=t_max)
         excess = max(s.pS_projection - s.pS_bell for s in sched)
         assert (_fmt(excess) if excess > 1e-12 else None) == deficit
 
@@ -509,6 +526,34 @@ class TestVerify:
         assert rows["N4_sector_leakage"][-1] == "FAIL"
         assert rows["su3_algebra_max_violation"][-1] == "pass"
 
+    def test_reduced_side_off_the_cells_fails_its_row(self, monkeypatch, capsys):
+        # a quotient eigensystem short of one eigenvector loses psi0's norm, so the
+        # kernel refuses psi0: the amplitude row reads inf and fails instead of raising,
+        # and the full-space rows are still measured
+        eigensystem = oracle._quotient_eigensystem
+
+        def short(g):
+            e = eigensystem(g)
+            return dynamics.Eigensystem(e.eigenvalues[1:], e.eigenvectors[:, 1:])
+
+        monkeypatch.setattr(oracle, "_quotient_eigensystem", short)
+        code, out, err = run_cli(["verify", "--topology", "cross", "--n", "5",
+                                  "--no-timestamp"], capsys)
+        assert code == 3
+        assert "Traceback" not in err and err == ""
+        rows = {r[0]: r for r in parse_csv(out)[1]}
+        assert rows["N5_full_vs_reduced_max_amplitude_dev"][1:] == ["inf", "1e-09", "FAIL"]
+        assert [r[-1] for name, r in rows.items() if "amplitude_dev" not in name] == \
+            ["pass"] * 4
+
+    def test_builds_no_scan_quotient(self, capsys):
+        # the cost reads the cell count from `_pair_cells`: nothing in verify reads
+        # `measurement._quotient`'s slot table or norm bound
+        clear_caches()
+        code, _, _ = run_cli(["verify", "--topology", "loop", "--n", "8"], capsys)
+        assert code == 0
+        assert measurement._quotient.cache_info().currsize == 0
+
     @pytest.mark.parametrize("name,has_row", [("no-role-exchange.txt", False),
                                               ("cross5.txt", True)])
     def test_bell_asymmetry_row_only_under_the_symmetry(self, name, has_row, capsys):
@@ -646,7 +691,8 @@ class TestSizeGuard:
         assert "Traceback" not in err
 
     def test_protocol1_series_is_made_as_it_is_written(self, monkeypatch):
-        # rows are made as they are written, so memory does not grow with --n-max
+        # rows are made as they are written, so memory does not grow with --n-max: the
+        # largest series the cap admits (about 2e6 rows) makes only the rows read
         written = {}
 
         def first_rows(args, sections, extra_config=None):
@@ -655,7 +701,7 @@ class TestSizeGuard:
         monkeypatch.setattr(cli, "_write_table", first_rows)
         with time_budget(1):
             code = main(["protocol1", "--topology", "loop", "--n-list", "4",
-                         "--n-max", "10000000000"])
+                         "--n-max", str(int(MAX_WORK / cli.SERIES_ROW_STEPS) - 10**4)])
         assert code == 0
         assert [row[:2] for row in written["cumulative_series"]] == [(4, 1), (4, 2), (4, 3)]
 
@@ -664,9 +710,8 @@ class TestSizeGuard:
         def work(*args, **kwargs):
             pytest.fail("the run started work before it was refused")
 
-        for name in ("_pair_eigensystem", "one_shot_peak", "outcome_curves",
-                     "su3_algebra_check", "full_evolve_compare", "plan_protocol2",
-                     "plan_regular"):
+        for name in ("one_shot_peak", "outcome_curves", "su3_algebra_check",
+                     "full_evolve_compare", "plan_protocol2", "plan_regular"):
             monkeypatch.setattr(cli, name, work)
         with time_budget(1):
             code, out, _ = run_cli(argv, capsys)
@@ -938,6 +983,10 @@ class TestOutputHandling:
                 ["verify", "--topology", "loop", "--n", "4", "--t-max", "2"],
                 ["protocol1", "--config", str(cfg), "--topology", "loop", "--n-list", "4,8"],
                 ["protocol1", "--topology", "loop", "--n-list", "4,8"]]
+        # planned on the eigensystem the first plan of loop-8 cached, then with --tau
+        runs += [["protocol2", "--topology", "loop", "--n", "8", "--strategy", strategy.value]
+                 for strategy in Strategy]
+        runs.append(["protocol2", "--topology", "loop", "--n", "8", "--tau", "1"])
         env = {**os.environ, "PYTHONPATH": str(DATA.parent.parent / "src")}
         for k, argv in enumerate(runs):
             argv = argv + ["--no-timestamp", "--output"]
@@ -949,6 +998,44 @@ class TestOutputHandling:
                 (tmp_path / f"fresh-{k}.csv").read_bytes()
         assert "grid_step=0.1 " in (tmp_path / "in-1.csv").read_text()
         assert "grid_step=0.01 " in (tmp_path / "in-3.csv").read_text()
+
+
+class TestClearCaches:
+    @staticmethod
+    def package_caches() -> dict:
+        """Every `functools` cache defined in a module of the package, by name, found by
+        importing each module the package holds."""
+        caches = {}
+        for info in pkgutil.walk_packages(qutrit_bell.__path__, "qutrit_bell."):
+            module = importlib.import_module(info.name)
+            caches.update((f"{info.name}.{name}", value) for name, value in vars(module).items()
+                          if hasattr(value, "cache_info") and value.__module__ == info.name)
+        return caches
+
+    def test_empties_every_cache_of_the_package(self, tmp_path):
+        for argv in (["scan", "--topology", "loop", "--n", "4", "--t-max", "2"],
+                     ["verify", "--topology", "loop", "--n", "4", "--t-max", "2"],
+                     ["protocol2", "--topology", "loop", "--n", "4", "--n-max", "2"]):
+            assert main(argv + ["--output", str(tmp_path / "out.csv")]) == 0
+        caches = self.package_caches()
+        # the per-graph caches, the CLI's parsers and row formats, the DFT lengths
+        assert {"qutrit_bell.dynamics._pair_eigensystem", "qutrit_bell.measurement._quotient",
+                "qutrit_bell.oracle._closure_system", "qutrit_bell.cli.build_parser"} <= \
+            set(caches)
+        assert {name for name, c in caches.items() if c.cache_info().currsize == 0} == set()
+        clear_caches()
+        assert {name: c.cache_info().currsize for name, c in caches.items()} == \
+            dict.fromkeys(caches, 0)
+
+    def test_per_graph_caches_keep_one_graph(self):
+        # every cache whose first argument is a graph keeps the last graph only
+        per_graph = {name: c for name, c in self.package_caches().items()
+                     if [p.annotation for p in inspect.signature(c).parameters.values()][:1]
+                     == ["Graph"]}
+        assert set(per_graph) == {f"qutrit_bell.{name}" for name in (
+            "dynamics._index_groups", "dynamics._pair_cells", "dynamics._pair_eigensystem",
+            "measurement._quotient", "oracle._closure_system")}
+        assert {c.cache_info().maxsize for c in per_graph.values()} == {1}
 
 
 class TestRuntimeImports:

@@ -747,11 +747,11 @@ FLOAT_FLAG = st.one_of(st.none(),
                                         1e-300, 1e300]),
                        st.floats(-30.0, -1e-3),
                        st.floats(0.05, 20.0))
-FLAGS = {"scan": ("t-max", "grid-step", "refine-tol"),
+FLAGS = {"scan": ("t-max", "grid-step"),
          "peaks": ("t-max", "grid-step", "refine-tol"),
          "protocol1": ("t-max", "grid-step", "refine-tol", "n-max"),
          "protocol2": ("t-max", "grid-step", "refine-tol", "tau", "n-max"),
-         "verify": ("t-max", "grid-step", "refine-tol")}
+         "verify": ("t-max", "grid-step")}
 
 
 @st.composite

@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 
 from conftest import (ROLE_SWAPS, peak, prepared, random_graph_with_moved_roles,
                       vf2_protocol_automorphism)
-from qutrit_bell import (Outcome, Strategy, assemble_hamiltonian, build_cross,
-                         enumerate_outcome_tree, monte_carlo, one_shot_peak,
-                         outcome_distribution, plan_protocol2, plan_regular, post_state,
-                         protocol1_cumulative, protocol1_required, protocol2_limit_check,
-                         protocol2_no_reset, protocol2_total, spectral_decompose)
+from qutrit_bell import (Outcome, Strategy, build_cross, clear_caches, enumerate_outcome_tree,
+                         monte_carlo, one_shot_peak, outcome_distribution, plan_protocol2,
+                         plan_regular, post_state, protocol1_cumulative, protocol1_required,
+                         protocol2_limit_check, protocol2_no_reset, protocol2_total,
+                         spectral_decompose)
 from qutrit_bell import dynamics, measurement, protocols
 from qutrit_bell.cli import main
 from qutrit_bell.dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, PHASE_BLOCK,
@@ -38,14 +38,14 @@ def synthetic_schedule(rows):
 
 @pytest.fixture(scope="module")
 def cross5_schedule():
-    g, e, _ = prepared("cross", 5)
-    return plan_protocol2(g, e, Strategy.PEAK_SUCCESS, n_max=10)
+    g, _, _ = prepared("cross", 5)
+    return plan_protocol2(g, strategy=Strategy.PEAK_SUCCESS, n_max=10)
 
 
 @pytest.fixture(scope="module")
 def loop4_schedule():
-    g, e, _ = prepared("loop", 4)
-    return plan_protocol2(g, e, Strategy.PEAK_SUCCESS, n_max=10)
+    g, _, _ = prepared("loop", 4)
+    return plan_protocol2(g, strategy=Strategy.PEAK_SUCCESS, n_max=10)
 
 
 class TestProtocol1:
@@ -119,35 +119,44 @@ class TestPlanProtocol2:
             assert s.time > 0
 
     def test_all_strategies_produce_valid_schedules(self):
-        g, e, _ = prepared("loop", 8)
+        g, _, _ = prepared("loop", 8)
         for strategy in Strategy:
-            sched = plan_protocol2(g, e, strategy, n_max=3)
+            sched = plan_protocol2(g, strategy=strategy, n_max=3)
             assert len(sched) == 3
             series = protocol2_total(sched)
             assert np.all(np.diff(series) >= -1e-12)
 
     def test_rejects_bad_n_max(self):
-        g, e, _ = prepared("cross", 5)
+        g, _, _ = prepared("cross", 5)
         with pytest.raises(ValueError):
-            plan_protocol2(g, e, Strategy.PEAK_SUCCESS, n_max=0)
+            plan_protocol2(g, strategy=Strategy.PEAK_SUCCESS, n_max=0)
+
+    def test_planners_take_no_eigensystem(self):
+        # they derive it from the graph: an eigensystem passed as before would land in
+        # `strategy` and plan max-margin silently, so the parameters are keyword-only
+        g, e, _ = prepared("cross", 5)
+        with pytest.raises(TypeError):
+            plan_protocol2(g, e, Strategy.PEAK_SUCCESS)
+        with pytest.raises(TypeError):
+            protocol2_limit_check(g, e, q=0.5)
 
     @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
     def test_rejects_a_window_that_is_not_positive(self, strategy):
-        g, e, _ = prepared("cross", 5)
+        g, _, _ = prepared("cross", 5)
         for t_max in (0.0, -1.0):
             with pytest.raises(ValueError, match="t_max must be positive"):
-                plan_protocol2(g, e, strategy, n_max=2, t_max=t_max)
+                plan_protocol2(g, strategy=strategy, n_max=2, t_max=t_max)
 
     @pytest.mark.parametrize("t_max,grid_step,bad", [
         (None, 0.0, "step"), (None, -1.0, "step"), (None, np.nan, "step"),
         (None, np.inf, "step"), (np.inf, DEFAULT_GRID_STEP, "t_max"),
         (np.nan, DEFAULT_GRID_STEP, "t_max")])
     def test_window_and_step_must_be_finite_and_positive(self, t_max, grid_step, bad):
-        g, e, _ = prepared("loop", 4)
+        g, _, _ = prepared("loop", 4)
         with pytest.raises(ValueError, match=f"^{bad} must be positive and finite"):
             one_shot_peak(g, t_max=t_max, grid_step=grid_step)
         with pytest.raises(ValueError, match=f"^{bad} must be positive and finite"):
-            plan_protocol2(g, e, n_max=2, t_max=t_max, grid_step=grid_step)
+            plan_protocol2(g, n_max=2, t_max=t_max, grid_step=grid_step)
 
     # (time, pS_bell, p1) of each step as the CLI prints them. The loop-4
     # tail plans on curves of height ~1e-13, and cross-7 moved when the
@@ -227,20 +236,20 @@ class TestPlanProtocol2:
         pytest.param(*key, id="-".join(map(str, key[:2] if key[2] == "peak-success" else key)))
         for key in PINNED_SCHEDULES])
     def test_printed_schedule_is_pinned(self, family, n, strategy):
-        g, e, _ = prepared(family, n)
-        sched = plan_protocol2(g, e, Strategy(strategy), n_max=10)
+        g, _, _ = prepared(family, n)
+        sched = plan_protocol2(g, strategy=Strategy(strategy), n_max=10)
         printed = [(f"{s.time:.10g}", f"{s.pS_bell:.10g}", f"{s.p1:.10g}")
                    for s in sched]
         assert printed == self.PINNED_SCHEDULES[(family, n, strategy)]
 
     def test_planning_holds_no_rows_by_grid_matrix(self):
-        g, e, _ = prepared("loop", 16)
+        g, _, _ = prepared("loop", 16)
         # one rows x T complex matrix over the 8N planning grid: 11.9 MB
         rows = 2 + len(_index_groups(g)["g2"]) + len(_index_groups(g)["g3"])
         t_size = int(8.0 * 16 / 0.01) + 1
         tracemalloc.start()
         try:
-            plan_protocol2(g, e, Strategy.MIN_LOSS, n_max=1)
+            plan_protocol2(g, strategy=Strategy.MIN_LOSS, n_max=1)
             _, peak_bytes = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -300,10 +309,10 @@ class TestMirrorRows:
         return built
 
     def test_loop36_scans_34_orbits_for_136_unusable_rows(self, built):
-        g, e, psi0 = prepared("loop", 36)
+        g, _, psi0 = prepared("loop", 36)
         grp = _index_groups(g)
         assert len(grp["g2"]) + len(grp["g3"]) == 136
-        plan_protocol2(g, e, Strategy.MIN_LOSS, n_max=1, t_max=20.0)
+        plan_protocol2(g, strategy=Strategy.MIN_LOSS, n_max=1, t_max=20.0)
         # the step's kernel on every row of the full space (its V^T psi also serves
         # the refinement); the grid scan reads one pair of the {A,B} cell and of each
         # of the 17 C-orbits of the 34 psi2/psi3 cells on the 171-orbit C-even block,
@@ -325,9 +334,8 @@ class TestMirrorRows:
     def test_graph_without_the_symmetry_scans_every_row(self, built):
         g = random_graph_with_moved_roles()
         assert all(vf2_protocol_automorphism(g, swap) is None for swap in ROLE_SWAPS)
-        e = spectral_decompose(assemble_hamiltonian(g))
         every = 2 + len(_index_groups(g)["g2"]) + len(_index_groups(g)["g3"])
-        plan_protocol2(g, e, Strategy.MAX_MARGIN, n_max=1)
+        plan_protocol2(g, strategy=Strategy.MAX_MARGIN, n_max=1)
         # the step's kernel; every pair a cell of its own, so C pairs each cell with
         # another: on the 45-orbit C-even block the orbit of the two Bell pairs and the
         # 16 orbits of the 32 psi2/psi3 pairs, on the 45-orbit C-odd block those 16,
@@ -336,8 +344,8 @@ class TestMirrorRows:
         assert built == [(90, 90), (1 + 16, 45), (16, 45), (every, 90)]
 
     def test_peak_success_reads_only_the_success_rows(self, built):
-        g, e, _ = prepared("loop", 8)
-        plan_protocol2(g, e, Strategy.PEAK_SUCCESS, n_max=2)
+        g, _, _ = prepared("loop", 8)
+        plan_protocol2(g, strategy=Strategy.PEAK_SUCCESS, n_max=2)
         # per step, the step's kernel, the grid scan of the {A,B} cell on the
         # 10-orbit C-even block of the 18-cell quotient (no C-odd kernel), then the
         # refinement
@@ -351,9 +359,9 @@ class TestMirrorRows:
         # one record per plan, not per step, naming the blocks built: loop-8's 10 + 8
         # orbits, and the rows each block reads (peak-success reads the {A,B} orbit alone
         # and builds no C-odd block)
-        g, e, _ = prepared("loop", 8)
+        g, _, _ = prepared("loop", 8)
         with caplog.at_level(logging.DEBUG, logger="qutrit_bell.protocols"):
-            plan_protocol2(g, e, strategy, n_max=3)
+            plan_protocol2(g, strategy=strategy, n_max=3)
         assert [r.getMessage() for r in caplog.records] == [
             "grid scan on the quotient's C blocks: " + "; ".join(rows)]
 
@@ -381,7 +389,7 @@ class TestMirrorRows:
             # the full space, then once the C-even block of the cell quotient, the only
             # block the default peak-success grid scan reads (with no role exchange,
             # every pair a cell: half the pair space's size); run again on the same
-            # graph, the full space comes from `dynamics._PAIR_MEMO`
+            # graph, the full space comes from `dynamics._pair_eigensystem`'s cache
             for expected in (dims, dims[1:]):
                 calls.clear()
                 assert main(["protocol2", "--topology", "custom", "--topology-file",
@@ -414,8 +422,8 @@ def planned_output(path, strategy, *graph):
 
 
 class TestPairEigensystemMemo:
-    """`dynamics._pair_eigensystem` keeps the last planned graph's eigensystem only, and
-    drops it before it builds the next graph's."""
+    """`dynamics._pair_eigensystem`, an `lru_cache(maxsize=1)`, keeps the last planned
+    graph's eigensystem only, and drops it before it builds the next graph's."""
 
     LOOP8 = ("--topology", "loop", "--n", "8")
     CROSS5 = ("--topology", "cross", "--n", "5")
@@ -423,7 +431,7 @@ class TestPairEigensystemMemo:
     def test_strategies_on_one_graph_match_fresh_runs(self, monkeypatch, tmp_path):
         fresh = []
         for strategy in Strategy:
-            dynamics._PAIR_MEMO.clear()
+            clear_caches()
             fresh.append(planned_output(tmp_path / "fresh.csv", strategy, *self.LOOP8))
         builds = PairSpaceBuilds(monkeypatch)
         planned_output(tmp_path / "cross.csv", Strategy.PEAK_SUCCESS, *self.CROSS5)
@@ -445,7 +453,9 @@ class TestPairEigensystemMemo:
         # cross-5's eigensystem is held once the run has returned
         assert builds.overlapped == [False, False]
         assert loop8() is None and cross5() is not None
-        assert list(dynamics._PAIR_MEMO) == [build_cross(5)]
+        assert dynamics._pair_eigensystem.cache_info().currsize == 1
+        assert dynamics._pair_eigensystem(build_cross(5)).eigenvectors is cross5()
+        assert builds.dims == [56, 20]  # read from the cache, not built again
 
 
 class TestOnePlannerStep:
@@ -475,12 +485,12 @@ class TestOnePlannerStep:
 
     @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
     def test_cells_refined_once_per_plan(self, strategy):
-        g, e, _ = prepared("loop", 8)
+        g, _, _ = prepared("loop", 8)
         reads = []
         for n_max in (1, 4):
             dynamics._pair_cells.cache_clear()
             measurement._quotient.cache_clear()
-            plan_protocol2(g, e, strategy, n_max=n_max)
+            plan_protocol2(g, strategy=strategy, n_max=n_max)
             info = dynamics._pair_cells.cache_info()
             reads.append(info.hits)
             # one refinement, read by the C blocks of the grid scan, not once per step;
@@ -684,16 +694,16 @@ class TestPerStepTable:
 
 class TestChainEnd:
     def test_loop4_chain_ends_after_ten_steps(self, loop4_schedule):
-        g, e, _ = prepared("loop", 4)
-        sched = plan_protocol2(g, e, n_max=20)
+        g, _, _ = prepared("loop", 4)
+        sched = plan_protocol2(g, n_max=20)
         assert sched == loop4_schedule
         assert f"{protocol2_total(sched, 20)[-1]:.10g}" == "0.9999964653"
 
 
 class TestLimitCheck:
     def test_loop4_reaches_099_at_8(self):
-        g, e, _ = prepared("loop", 4)
-        report = protocol2_limit_check(g, e, q=0.99)
+        g, _, _ = prepared("loop", 4)
+        report = protocol2_limit_check(g, q=0.99)
         assert report.reached
         assert report.n_reached == 8
         assert report.series[report.n_reached - 1] >= 0.99
@@ -701,8 +711,8 @@ class TestLimitCheck:
         assert report.reset_bound_ok
 
     def test_cross5_reaches_target(self):
-        g, e, _ = prepared("cross", 5)
-        report = protocol2_limit_check(g, e, q=0.5)
+        g, _, _ = prepared("cross", 5)
+        report = protocol2_limit_check(g, q=0.5)
         assert report.reached
         assert report.series[report.n_reached - 1] >= 0.5
         if report.n_reached > 1:
@@ -711,23 +721,23 @@ class TestLimitCheck:
         assert report.reset_bound_ok
 
     def test_cap_reported(self):
-        g, e, _ = prepared("cross", 9)
-        report = protocol2_limit_check(g, e, q=0.999, max_measurements=4)
+        g, _, _ = prepared("cross", 9)
+        report = protocol2_limit_check(g, q=0.999, max_measurements=4)
         assert not report.reached
         assert len(report.series) == 4
 
     @pytest.mark.parametrize("family,n", [("cross", 5), ("loop", 8)])
     def test_schedule_equals_plan_step_for_step(self, family, n):
-        g, e, _ = prepared(family, n)
-        report = protocol2_limit_check(g, e, q=0.99, max_measurements=12)
-        planned = plan_protocol2(g, e, n_max=len(report.schedule))
+        g, _, _ = prepared(family, n)
+        report = protocol2_limit_check(g, q=0.99, max_measurements=12)
+        planned = plan_protocol2(g, n_max=len(report.schedule))
         assert len(report.schedule) > 1
         assert report.schedule == planned
 
     def test_rejects_bad_target(self):
-        g, e, _ = prepared("cross", 5)
+        g, _, _ = prepared("cross", 5)
         with pytest.raises(ValueError):
-            protocol2_limit_check(g, e, q=1.0)
+            protocol2_limit_check(g, q=1.0)
 
 
 class TestMonteCarlo:
