@@ -210,8 +210,9 @@ def _series_cost(rows: int, n: int, t_max: float, points: float, g: Graph | None
 
 def _checked_run(args) -> _Run:
     """Make every exit-2 refusal that the flags decide, before any work starts: the
-    flags, --output (creating no file), the planning cap, the grid step, and each system's
-    cost (`_admit`), its bytes at the bound of N alone before its graph is built."""
+    flags, --output (creating no file), the planning cap, the grid step, and the cost
+    (`_admit`): each system's bytes, at the bound of N alone before its graph is built,
+    and the work of the systems listed up to it, summed."""
     for name in ("t_max", "grid_step", "refine_tol", "tau", "n_max"):
         value = getattr(args, name, None)
         if value is not None and not (math.isfinite(value) and value > 0):
@@ -239,7 +240,7 @@ def _checked_run(args) -> _Run:
             if n is not None and n != n_file:
                 raise PreconditionError(f"{where}N must be the file's N={n_file}, got N={n}")
         ns = [n_file] * len(ns)
-    systems = []
+    systems, total = [], 0.0
     tau = getattr(args, "tau", None) is not None  # protocol2 on the cell quotient
     planned = "tau" if tau else "t_max"  # the interval, or the planning window
     if command == "protocol2" and (getattr(args, planned) or 0) > PLAN_MAX_TIME:
@@ -264,7 +265,8 @@ def _checked_run(args) -> _Run:
             work, need = cost(n, t_max + GRID_END_SLACK, points, g)
         except ValueError as exc:  # a graph that cannot be built; the oracle's bound on N
             raise PreconditionError(f"{where}{exc}") from exc
-        _admit(what, work, need)
+        total += work
+        _admit(what if not systems else f"--n-list up to {what}", total, need)
         systems.append((n, g, t_max))
     return _Run(tuple(systems), targets)
 

@@ -21,9 +21,9 @@ protocols prepare: `scan`, the protocol-2 planner's grid and a fixed-interval
 schedule read H's quotient on it (`measurement`). The exchange C|i,j> = |j,i>
 commutes with H and maps each cell X onto a cell CX, so the quotient splits into a
 C-even and a C-odd block on the orbit states of {X, CX} (`_c_orbits`). `_c_blocks` is
-their one builder: `one_shot_peak` reads the Bell amplitude on the C-even block, and the
-planner's grid, a fixed-interval schedule and `verify` read the blocks unfolded to the
-pairs (`measurement._quotient_blocks`).
+their one builder: `one_shot_peak` and the planner's grid read orbit amplitudes on the
+blocks, and a fixed-interval schedule and `verify` read the blocks unfolded to the pairs
+(`measurement._quotient_eigensystem`).
 There are two propagators, their costs counted in the entry steps MAX_WORK caps
 (`_spectral_cost`, `_chebyshev_work`; a span's bytes in `_chebyshev_bytes`).
 `_SpectralKernel` holds the only exp(-i lambda t) of a dense eigendecomposition (d <= 1260
@@ -213,7 +213,7 @@ def initial_state(g: Graph) -> np.ndarray:
 
 
 class _SpectralKernel:
-    """Amplitudes <r|exp(-iHt)|psi0> on a fixed row set (every row by default).
+    """Amplitudes <r|exp(-iHt)|psi0> on every row r, or on those `on_rows` keeps.
 
     V^T psi0 is formed once (`on_rows` shares it). V may span only part of the
     space (the cell quotient's eigenvectors unfolded to the pairs), so a psi0 that
@@ -237,14 +237,14 @@ class _SpectralKernel:
     (measured: at most 8.4e-15 on the 8N grid at loop-36).
     """
 
-    def __init__(self, e: Eigensystem, psi0: np.ndarray, rows=None):
+    def __init__(self, e: Eigensystem, psi0: np.ndarray):
         if psi0.shape[0] != e.eigenvectors.shape[0]:
             raise ValueError("state and eigensystem dimensions differ")
         self._neg_lam = -e.eigenvalues
         self._coeff = e._vt @ psi0
         if not abs(np.linalg.norm(self._coeff) - np.linalg.norm(psi0)) <= NORM_TOL:
             raise ValueError("state is not invariant on the eigensystem's span")
-        self._v = e.eigenvectors if rows is None else e.eigenvectors[list(rows), :]
+        self._v = e.eigenvectors
 
     def on_rows(self, rows) -> _SpectralKernel:
         """This kernel on a subset of its rows: V^T psi0 is shared, a complex copy of V is not."""
@@ -544,7 +544,7 @@ def _peak(g: Graph, e: Eigensystem, psi0: np.ndarray, rows, p_success,
         raise ValueError("the state to search for a peak is not finite")
     t_max = PEAK_WINDOW_FACTOR * g.n_vertices if t_max is None else t_max
     grid = _time_grid(t_max, grid_step)
-    kernel = _SpectralKernel(e, psi0, rows)
+    kernel = _SpectralKernel(e, psi0).on_rows(rows)
     curve = p_success(kernel(grid))
     if curve.max() < HERALD_FLOOR:
         logger.warning("success probability identically zero over [0, %g]", t_max)

@@ -19,11 +19,10 @@ it. `outcome_curves` gives the probabilities along a time grid on the quotient
 alone, by the Chebyshev recurrence, whose cost `_scan_cost` counts (about R max|t|
 products whatever the grid step). The exchange C|i,j> = |j,i> maps each cell onto a
 cell, so the quotient splits exactly into a C-even and a C-odd block, built by
-`dynamics._c_blocks`; `_quotient_blocks` diagonalises the blocks asked for and unfolds
-them to the pairs: the protocol-2 planner's grids read the blocks they need, and a
-fixed-interval protocol-2 schedule and `verify` read both side by side
-(`_quotient_eigensystem`). `outcome_distribution` and `outcome_curves` check the norm of
-every state they measure.
+`dynamics._c_blocks`; `_quotient_eigensystem` diagonalises both and unfolds them to the
+pairs side by side, for a fixed-interval protocol-2 schedule and `verify` (the planner's
+grid reads the blocks on their orbit states, `protocols._grid_scan`).
+`outcome_distribution` and `outcome_curves` check the norm of every state they measure.
 """
 
 from __future__ import annotations
@@ -88,13 +87,6 @@ def outcome_distribution(psi: np.ndarray, g: Graph) -> OutcomeDistribution:
                                pS_bell=float(0.5 * np.abs(psi[i_ba] + psi[i_ab]) ** 2))
 
 
-def _weighted_squares(w: np.ndarray, amp: np.ndarray) -> np.ndarray:
-    """w @ |amp|^2 for a block amp of shape (rows, B), summed over the real and
-    imaginary views: |amp|^2 would be a temporary half the size of the block."""
-    return (np.einsum("gk,kb,kb->gb", w, amp.real, amp.real)
-            + np.einsum("gk,kb,kb->gb", w, amp.imag, amp.imag))
-
-
 @lru_cache(maxsize=1)
 def _quotient(g: Graph):
     """(cells, s, cols, vals, R): H_q = S^T H S, S the normalised indicators of the cells
@@ -120,28 +112,22 @@ def _quotient(g: Graph):
     return cells, s, cols, vals, radius
 
 
-def _quotient_blocks(g: Graph, parities=(1, -1)) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(eigenvalues, eigenvectors unfolded to the pairs) of each C block of
-    `dynamics._c_blocks` asked for, in that order, each diagonalised once. The
-    eigenvectors unfold as S T V, S the cell indicators (s_X = 1/sqrt|X|, as `_quotient`
-    scales them) and T the orbit states on the cells: a pair of cell X holds s_X V[o] /
-    sqrt2 (s_X V[o] where X = CX), times its weight in the block. T^T H_q T, with its
-    1/sqrt2 entries, would round the blocks twice."""
+def _quotient_eigensystem(g: Graph) -> Eigensystem:
+    """`_quotient`'s eigensystem on the pairs: each C block of `dynamics._c_blocks`
+    diagonalised once, side by side, its eigenvectors unfolded as S T V, S the cell
+    indicators (s_X = 1/sqrt|X|, as `_quotient` scales them) and T the orbit states on the
+    cells: a pair of cell X holds s_X V[o] / sqrt2 (s_X V[o] where X = CX), times its weight
+    in the block. T^T H_q T, with its 1/sqrt2 entries, would round the blocks twice. A
+    `dynamics._SpectralKernel` on it folds psi by W^T psi, refuses a state off the cells,
+    and gives states and rows on the pairs."""
     cells, (_, sign) = _pair_cells(g), _c_orbits(g)
     unfold = (1.0 / np.sqrt(np.bincount(cells)))[cells] * np.where(sign, np.sqrt(0.5), 1.0)
-    blocks = []
-    for h, label, weight in _c_blocks(g, parities):
+    eigenvalues, eigenvectors = [], []
+    for h, label, weight in _c_blocks(g):
         e = spectral_decompose(h)
-        blocks.append((e.eigenvalues, (weight * unfold)[:, None] * e.eigenvectors[label]))
-    return blocks
-
-
-def _quotient_eigensystem(g: Graph) -> Eigensystem:
-    """`_quotient`'s eigensystem on the pairs: its two C blocks (`_quotient_blocks`) side
-    by side. A `dynamics._SpectralKernel` on it folds psi by W^T psi, refuses a state off
-    the cells, and gives states and rows on the pairs."""
-    (even, w_even), (odd, w_odd) = _quotient_blocks(g)
-    return Eigensystem(np.concatenate([even, odd]), np.hstack([w_even, w_odd]))
+        eigenvalues.append(e.eigenvalues)
+        eigenvectors.append((weight * unfold)[:, None] * e.eigenvectors[label])
+    return Eigensystem(np.concatenate(eigenvalues), np.hstack(eigenvectors))
 
 
 def _scan_cost(n: int, t_max: float, points: float, g: Graph | None = None):

@@ -18,12 +18,12 @@ with p_U = p_2 + p_3 the per-step reset probability. Every series reads one
 per-step table, `_padded`, where a chain that ended early pads as dead steps.
 
 Every strategy plans a step alike (`_step_chooser`): a `_grid_scan` of
-(p_S, p_U) on the C blocks of the cell quotient that `scan` reads, only those the
-score reads (`measurement._quotient_blocks`, from the one builder
-`dynamics._c_blocks`), its score, then `dynamics.select_peak`. A planned step evolves
-on the full pair space's eigensystem, a fixed-interval one (`plan_regular`) on the
-quotient's, the two blocks side by side (`measurement._quotient_eigensystem`): the
-planners take the graph alone, so only this module decides which space a step evolves on.
+(p_S, p_U) on the orbit states of the C blocks of the cell quotient that `scan` reads,
+only those the score reads (from the one builder `dynamics._c_blocks`), its score, then
+`dynamics.select_peak`. A planned step evolves on the full pair space's eigensystem, a
+fixed-interval one (`plan_regular`) on the quotient's, the two blocks side by side
+(`measurement._quotient_eigensystem`): the planners take the graph alone, so only this
+module decides which space a step evolves on.
 
 An explicit outcome-tree enumeration and a Monte Carlo sampler provide two
 independent checks of the recursions.
@@ -39,13 +39,12 @@ from itertools import islice
 
 import numpy as np
 
-from .dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, HERALD_FLOOR, Eigensystem,
-                       _c_orbits, _index_groups, _pair_eigensystem, _pair_position, _pairs,
+from .dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, HERALD_FLOOR, NORM_TOL,
+                       _c_blocks, _c_orbits, _index_groups, _pair_eigensystem,
                        _spectral_cost, _SpectralKernel, _time_grid, initial_state,
-                       select_peak)
-from .measurement import (ZERO_PROB, Outcome, OutcomeDistribution, _quotient_blocks,
-                          _quotient_eigensystem, _weighted_squares, outcome_distribution,
-                          post_state)
+                       select_peak, spectral_decompose)
+from .measurement import (ZERO_PROB, Outcome, OutcomeDistribution, _quotient_eigensystem,
+                          outcome_distribution, post_state)
 from .topology import Graph
 
 logger = logging.getLogger(__name__)
@@ -137,51 +136,53 @@ def _step_curve(amp: np.ndarray) -> tuple[float, float]:
     return _success(amp), np.sum(np.abs(amp[2:]) ** 2)
 
 
-def _block_rows(g: Graph, strategy: Strategy):
-    """(bell, reads) of `_grid_scan`: {parity: (pairs, counts)} for each C block of
-    `measurement._quotient_blocks` that reads a pair, each pair's count of psi2/psi3 pairs,
-    and bell, the C-even block's row of |B,A>, |A,B>. An orbit's pairs share one
-    |amplitude| in each block, so the C-even block (1) reads one pair per C-orbit of the
-    success pairs and, where the score reads p_U, of the psi2 and psi3 pairs; the C-odd
-    block (-1) those psi2/psi3 orbits with X != CX (`dynamics._c_orbits`)."""
-    orbit, sign = _c_orbits(g)
+def _unusable_orbits(g: Graph, strategy: Strategy, label, weight) -> np.ndarray:
+    """The orbit states of one C block, given by its label and weight (`dynamics._c_blocks`),
+    that hold a psi2/psi3 pair, where the strategy's score reads p_U (none for peak-success)."""
+    if strategy is Strategy.PEAK_SUCCESS:
+        return np.empty(0, dtype=np.intp)
     grp = _index_groups(g)
-    read = (grp["success"] if strategy is Strategy.PEAK_SUCCESS
-            else np.concatenate([grp["success"], grp["g2"], grp["g3"]]))
-    _, first, where = np.unique(orbit[read], return_index=True, return_inverse=True)
-    unusable = np.bincount(where[2:], minlength=first.size)
-    odd = (sign[read[first]] != 0) & (unusable > 0)
-    reads = {1: (read[first], unusable), -1: (read[first][odd], unusable[odd])}
-    return where[0], {parity: rows for parity, rows in reads.items() if rows[0].size}
+    unusable = np.concatenate([grp["g2"], grp["g3"]])
+    return np.unique(label[unusable[weight[unusable] != 0]])
 
 
 def _grid_scan(g: Graph, strategy: Strategy, t_grid: np.ndarray):
-    """psi -> (p_S, p_U) along t_grid on the cell quotient's C blocks that `_block_rows`
-    reads, each diagonalised once (`measurement._quotient_blocks`). psi's C-even and C-odd
-    parts (psi +- C psi)/2 each evolve on their block and are read on `_block_rows`: p_S =
-    2 |psi+(B,A)|^2, as psi-(A,B) = -psi-(B,A), and p_U sums both parts' squares on the
-    psi2/psi3 orbits, each weighted by its pair count. Peak-success reads no p_U (p_U = 0)
-    and builds no C-odd block."""
-    n = g.n_vertices
-    mirror = _pair_position(n, *_pairs(n)[::-1])  # C|i,j> = |j,i>
-    bell, reads = _block_rows(g, strategy)
-    blocks = _quotient_blocks(g, tuple(reads))
-    parts = [(Eigensystem(*block), parity, rows, unusable[None])
-             for block, (parity, (rows, unusable)) in zip(blocks, reads.items())]
+    """psi -> (p_S, p_U) along t_grid on the cell quotient's C blocks (`dynamics._c_blocks`).
+    psi folds onto each block's orbit states, a_o = s_o sum_{label_p = o} weight_p psi(p),
+    s_o = 1/sqrt(pairs of o of weight != 0), and a block evolves its fold on one
+    `_SpectralKernel` of its own eigensystem, read on its orbits: p_S = |a(o_AB)|^2, o_AB
+    the C-even orbit of |A,B> and |B,A>, and p_U sums |a|^2 over the psi2/psi3 orbits of
+    both blocks (`_unusable_orbits`), as no cell mixes outcomes. A psi whose two folds lose
+    norm lies off the cells and is refused. A block that reads no orbit is not
+    diagonalised: peak-success reads no p_U (p_U = 0) and builds no C-odd eigensystem."""
+    bell = _index_groups(g)["success"][0]
+    folds, parts = {}, []
+    for parity, (h, label, weight) in zip((1, -1), _c_blocks(g)):
+        folds[parity] = label, weight, 1.0 / np.sqrt(np.bincount(label[weight != 0]))
+        rows = _unusable_orbits(g, strategy, label, weight)
+        if parity == 1:
+            rows = np.concatenate([[label[bell]], rows])
+        if rows.size:
+            parts.append((spectral_decompose(h), parity, rows))
     logger.debug("grid scan on the quotient's C blocks: %s", "; ".join(
         f"k{'+' if parity == 1 else '-'} = {e.eigenvalues.size} orbits, {rows.size} rows read"
-        for e, parity, rows, _ in parts))
+        for e, parity, rows in parts))
 
     def scan(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        amps = {parity: s * (np.bincount(label, weight * psi.real, s.size)
+                             + 1j * np.bincount(label, weight * psi.imag, s.size))
+                for parity, (label, weight, s) in folds.items()}
+        norm = sum(np.vdot(a, a).real for a in amps.values())
+        if not abs(norm - np.vdot(psi, psi).real) <= NORM_TOL:
+            raise ValueError("state is not invariant on the eigensystem's span")
         p_s, p_u = np.zeros((2, t_grid.size))
-        mirrored = psi[mirror]
-        kernels = [_SpectralKernel(e, (psi + parity * mirrored) / 2, rows)._blocks(t_grid)
-                   for e, parity, rows, _ in parts]
-        for amps in zip(*kernels):  # the same columns from each block's kernel
-            cols, even = amps[0]
-            p_s[cols] = 2 * (np.square(even[bell].real) + np.square(even[bell].imag))
-            p_u[cols] = sum(_weighted_squares(unusable, amp)[0]
-                            for (_, amp), (*_, unusable) in zip(amps, parts))
+        kernels = [_SpectralKernel(e, amps[parity]).on_rows(rows)._blocks(t_grid)
+                   for e, parity, rows in parts]
+        for blocks in zip(*kernels):  # the same columns from each block's kernel
+            cols = blocks[0][0]
+            squares = np.concatenate([np.square(amp.real) + np.square(amp.imag)
+                                      for _, amp in blocks])
+            p_s[cols], p_u[cols] = squares[0], squares[1:].sum(axis=0)  # the Bell orbit first
         return p_s, p_u
 
     return scan
@@ -254,15 +255,15 @@ def _schedule(g: Graph, kernel_of, choose_time, n_max: int) -> list[ScheduleStep
 def _plan_cost(n: int, t_max: float, points: float, g: Graph | None = None, steps: int = 1,
                strategy: Strategy = Strategy.MIN_LOSS):
     """(work, bytes) of `steps` steps, each evolved on m states (the pair space's d = N(N-1)
-    if planned on a grid, else the quotient's k+ + k-): the pair space's eigensystem if
-    planned and the C blocks built (both with --tau, else those `_block_rows` reads),
-    unfolded (32 d k bytes, k their states); then per step d m / 2 entry steps for its
-    kernel, (r+ k+ + r- k-)/16 + 8 steps and 96 bytes a grid point, r+ and r- the rows each
-    block reads, and 480 bytes for its series. Without g, d/2 bounds k+ and k- (C pairs
-    each pair with another), and 2N - 3 and 2N - 4 bound r+ and r- where the score reads
-    p_U (the orbits of success and of the 4(N-2) psi2/psi3 pairs). The pair space's
-    eigensystem counts on every planned run: an upper bound where `plan_protocol2` reads
-    the last run's from `dynamics._pair_eigensystem`'s cache."""
+    if planned on a grid, else the quotient's k+ + k-): if planned, the pair space's
+    eigensystem and the C blocks that the grid reads on their k orbit states, with --tau
+    both blocks, unfolded to the pairs (32 d m bytes); then per step d m / 2 entry steps for
+    its kernel, (r+ k+ + r- k-)/16 + 8 steps and 96 bytes a grid point, r+ and r- the
+    orbits each block reads, and 480 bytes for its series. Without g, d/2 bounds k+ and k-
+    (C pairs each pair with another), and 2N - 3 and 2N - 4 bound r+ and r- where the
+    score reads p_U (the orbits of success and of the 4(N-2) psi2/psi3 pairs). The pair
+    space's eigensystem counts on every planned run: an upper bound where `plan_protocol2`
+    reads the last run's from `dynamics._pair_eigensystem`'s cache."""
     d = n * (n - 1)
     if g is None:
         dims, rows = {1: d // 2, -1: d // 2}, {1: 1}
@@ -270,15 +271,18 @@ def _plan_cost(n: int, t_max: float, points: float, g: Graph | None = None, step
             rows = {1: max(2 * n - 3, 0), -1: max(2 * n - 4, 0)}
     else:
         orbit, sign = _c_orbits(g)
-        dims = {1: np.count_nonzero(np.bincount(orbit)),
-                -1: np.count_nonzero(np.bincount(orbit[sign != 0]))}
-        rows = {parity: r.size for parity, (r, _) in _block_rows(g, strategy)[1].items()}
+        weights = {1: np.ones(sign.size), -1: sign}
+        dims = {parity: np.unique(orbit[w != 0]).size for parity, w in weights.items()}
+        read = {parity: (parity == 1) + _unusable_orbits(g, strategy, orbit, w).size
+                for parity, w in weights.items()}
+        rows = {parity: r for parity, r in read.items() if r}
     built = [dims[parity] for parity in (rows if points else dims)]
-    k, full = sum(built), _spectral_cost(d if points else 0)
     blocks = [sum(cost) for cost in zip(*map(_spectral_cost, built))]
     grid = sum(r * dims[parity] for parity, r in rows.items()) / 16 + 8
-    return (blocks[0] + full[0] + steps * (points * grid + d * (d if points else k) / 2),
-            blocks[1] + full[1] + 32 * d * k + 96 * points + 480 * steps)
+    m = d if points else sum(built)
+    full = _spectral_cost(d) if points else (0.0, 32 * d * m)
+    return (blocks[0] + full[0] + steps * (points * grid + d * m / 2),
+            blocks[1] + full[1] + 96 * points + 480 * steps)
 
 
 def plan_protocol2(g: Graph, *, strategy: Strategy = Strategy.PEAK_SUCCESS, n_max: int = 10,
@@ -291,12 +295,12 @@ def plan_protocol2(g: Graph, *, strategy: Strategy = Strategy.PEAK_SUCCESS, n_ma
     extremum, records the outcome probabilities and conditions on psi1.
     The schedule is reused verbatim after every reset.
 
-    The grid is scanned on the cell quotient's C blocks that the strategy reads
-    (`_grid_scan`), but each step is refined and evolves on the pair space
+    The grid reads orbit amplitudes on the cell quotient's C blocks that the strategy
+    reads (`_grid_scan`), but each step is refined and evolves on the pair space
     (`dynamics._pair_eigensystem`): on curves of height ~1e-13, the later steps of a chain
     move with any one-ulp change of the kernel, and the printed protocol-2 outputs rest on
-    its rounding. Once they are regenerated, planning steps on both blocks
-    (`measurement._quotient_blocks`), as `plan_regular` does, and the full kernel goes.
+    its rounding. Once they are regenerated, each step evolves its fold on the blocks the
+    grid reads (`_grid_scan`), and the full kernel goes.
     """
     return _schedule(g, partial(_SpectralKernel, _pair_eigensystem(g)),
                      _step_chooser(g, strategy, t_max, grid_step, refine_tol), n_max)

@@ -304,7 +304,7 @@ def test_criterion_8_symmetry_invariant(family, n):
     rows = (pair_index(n, g.roles.bob, g.roles.alice),
             pair_index(n, g.roles.alice, g.roles.bob))
     grid = np.arange(0.0, 8.0 * n, 0.01)
-    amps = _SpectralKernel(e, psi0, rows)(grid)
+    amps = _SpectralKernel(e, psi0).on_rows(rows)(grid)
     asym = float(np.max(np.abs(amps[0] - amps[1])))
     ok = asym < 1e-10
     report(8, f"{family} N={n}", ok, f"max asymmetry {asym:.2e}")

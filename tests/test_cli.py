@@ -125,6 +125,8 @@ REFUSALS = (EIGENSYSTEM_REFUSALS + GRID_REFUSALS + SERIES_REFUSALS + INVALID_FLA
                ["protocol2", "--topology", "cross", "--n", "9", "--t-max", "1e6"],
                # 10^9 series rows, SERIES_ROW_STEPS each: about 40 min of writing
                ["protocol1", "--topology", "loop", "--n-list", "4", "--n-max", "1000000000"],
+               # each system just inside the cap, the two together past it
+               ["protocol1", "--topology", "loop", "--n-list", "4,4", "--n-max", "1990000"],
                # an output that cannot be opened, refused before the scan is made
                ["scan", "--topology", "loop", "--n", "4", "--output", str(DATA)],
                ["scan", "--topology", "loop", "--n", "4", "--output", "/nonexistent/x.csv"]])
@@ -610,15 +612,14 @@ class TestSizeGuard:
     def test_costs_charge_the_c_blocks_built(self):
         # loop-36: the peak tables diagonalise the C-even block alone, k+ = 171 orbit
         # states (of 333 cells); peak-success planning builds no C-odd block (k- = 162),
-        # which min-loss reads and --tau steps on
+        # which min-loss reads and --tau steps on; only --tau unfolds the blocks to the pairs
         g, d, points = build_loop(36), 1260, 101.0
         even, odd, full = _spectral_cost(171), _spectral_cost(162), _spectral_cost(d)
         assert _peak_cost(36, 1.0, points, g) == _spectral_cost(171, points)
         work, need = _plan_cost(36, 1.0, points, g, strategy=Strategy.PEAK_SUCCESS)
         assert work == pytest.approx(even[0] + full[0] + points * (171 / 16 + 8) + d * d / 2,
                                      rel=1e-12)
-        assert need == pytest.approx(even[1] + full[1] + 32 * d * 171 + 96 * points + 480,
-                                     rel=1e-12)
+        assert need == pytest.approx(even[1] + full[1] + 96 * points + 480, rel=1e-12)
         work, need = _plan_cost(36, 1.0, points, g, strategy=Strategy.MIN_LOSS)
         grid = (18 * 171 + 17 * 162) / 16 + 8  # the rows each block reads
         assert work == pytest.approx(even[0] + odd[0] + full[0] + points * grid + d * d / 2,

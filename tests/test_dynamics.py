@@ -220,7 +220,7 @@ class TestSpectralKernel:
     def test_blocked_grid_matches_evolve_at_block_boundaries(self):
         _, e, psi0 = prepared("loop", 8)
         t = 0.01 * np.arange(2 * PHASE_BLOCK + 100)  # three phase blocks
-        amps = _SpectralKernel(e, psi0, self.ROWS)(t)
+        amps = _SpectralKernel(e, psi0).on_rows(self.ROWS)(t)
         for k in (0, PHASE_BLOCK - 1, PHASE_BLOCK, 2 * PHASE_BLOCK - 1,
                   2 * PHASE_BLOCK, t.size - 1):
             full = evolve(e, psi0, float(t[k]))
@@ -229,7 +229,7 @@ class TestSpectralKernel:
     def test_scalar_time_equals_grid_column(self):
         _, e, psi0 = prepared("loop", 8)
         t = 0.01 * np.arange(2 * PHASE_BLOCK + 100)
-        kernel = _SpectralKernel(e, psi0, self.ROWS)
+        kernel = _SpectralKernel(e, psi0).on_rows(self.ROWS)
         grid = kernel(t)
         for k in (3, PHASE_BLOCK, 2 * PHASE_BLOCK + 99):
             assert np.max(np.abs(kernel(float(t[k])) - grid[:, k])) < 1e-15
@@ -238,13 +238,13 @@ class TestSpectralKernel:
         # the grid path's documented agreement, GRID_TOL, at each of the 2148 columns
         _, e, psi0 = prepared("loop", 8)
         t = 0.01 * np.arange(2 * PHASE_BLOCK + 100)
-        kernel = _SpectralKernel(e, psi0, self.ROWS)
+        kernel = _SpectralKernel(e, psi0).on_rows(self.ROWS)
         scalar = np.array([kernel(float(tk)) for tk in t]).T
         assert np.max(np.abs(kernel(t) - scalar)) < self.GRID_TOL
 
     def test_every_scalar_type_is_the_float_time(self):
         _, e, psi0 = prepared("loop", 8)
-        kernel = _SpectralKernel(e, psi0, self.ROWS)
+        kernel = _SpectralKernel(e, psi0).on_rows(self.ROWS)
         for t in (2, np.int64(2), np.float64(2.0), np.array(2.0)):
             assert np.array_equal(kernel(t), kernel(2.0))
 
@@ -266,7 +266,7 @@ class TestSpectralKernel:
         _, e, _ = prepared("loop", 8)
         rng = np.random.default_rng(3)
         psi = rng.normal(size=56) + 1j * rng.normal(size=56)
-        kernel = _SpectralKernel(e, psi, self.ROWS)
+        kernel = _SpectralKernel(e, psi).on_rows(self.ROWS)
         t = 0.01 * np.arange(2 * PHASE_BLOCK + 100)
         dev = np.max(np.abs(kernel(t) - self.dense(e, psi, self.ROWS, t)))
         assert dev < self.GRID_TOL * np.linalg.norm(psi)
@@ -280,7 +280,7 @@ class TestSpectralKernel:
         _, e, _ = prepared("loop", 8)
         psi = np.random.default_rng(4).normal(size=56) + 0j
         t = 0.01 * np.arange(2 * PHASE_BLOCK + 1)
-        got = _SpectralKernel(e, psi, self.ROWS)(t)
+        got = _SpectralKernel(e, psi).on_rows(self.ROWS)(t)
         for s in range(0, t.size, PHASE_BLOCK):
             cols = slice(s, s + PHASE_BLOCK)
             dev = np.max(np.abs(got[:, cols] - self.dense(e, psi, self.ROWS, t[cols])))
@@ -302,7 +302,7 @@ class TestSpectralKernel:
         rows = rng.choice(56, size=rng.integers(1, 57), replace=False)
         psi = rng.normal(size=56) + 1j * rng.normal(size=56)
         t = DEFAULT_GRID_STEP * np.arange(size)
-        kernel = _SpectralKernel(e, psi, rows)
+        kernel = _SpectralKernel(e, psi).on_rows(rows)
         got = np.full((rows.size, size), np.nan, dtype=complex)
         for cols, amp in kernel._blocks(t):
             assert amp.size <= rows.size * PHASE_BLOCK
@@ -316,7 +316,7 @@ class TestSpectralKernel:
         t = _time_grid(factor * 36, DEFAULT_GRID_STEP)
         rows = _index_groups(g)["success"]
         sample = np.arange(0, t.size, 97)
-        got = _SpectralKernel(e, psi0, rows)(t)[:, sample]
+        got = _SpectralKernel(e, psi0).on_rows(rows)(t)[:, sample]
         dev = np.max(np.abs(got - self.dense(e, psi0, rows, t[sample])))
         assert dev < self.GRID_TOL
 
@@ -329,9 +329,10 @@ class TestSpectralKernel:
     ])
     def test_grid_must_be_arithmetic_from_zero(self, t):
         _, e, psi0 = prepared("loop", 4)
-        for rows in (self.ROWS[:2], None):
+        kernel = _SpectralKernel(e, psi0)
+        for rows in (kernel.on_rows(self.ROWS[:2]), kernel):
             with pytest.raises(ValueError, match="arange"):
-                _SpectralKernel(e, psi0, rows)(np.asarray(t))
+                rows(np.asarray(t))
 
 
 class TestSuccessProbability:
@@ -416,17 +417,21 @@ class TestScanAndPeaks:
         built = []
 
         class Recording(_SpectralKernel):
-            def __init__(self, e, psi0, rows=None):
+            def __init__(self, e, psi0):
+                built.append(e.eigenvalues.size)
+                super().__init__(e, psi0)
+
+            def on_rows(self, rows):
                 built.append(len(rows))
-                super().__init__(e, psi0, rows)
+                return super().on_rows(rows)
 
         monkeypatch.setattr(dynamics, "_SpectralKernel", Recording)
         g, e, psi0 = prepared("loop", 8)
         find_peak(e, psi0, g)
-        assert built == [2]  # |B,A> and |A,B>
+        assert built == [56, 2]  # the pair space, read on |B,A> and |A,B>
         built.clear()
         one_shot_peak(g)
-        assert built == [1]  # the {A,B} state of the folded C-even block
+        assert built == [10, 1]  # the folded C-even block, read on the {A,B} state
 
     def test_loop36_peak_window_scan_within_budget(self):
         # 23,041 points at d = 1260, 2 cores: 1.1-1.4 s with a sin and a cos
@@ -434,7 +439,7 @@ class TestScanAndPeaks:
         g, e, psi0 = prepared("loop", 36)
         grid = _time_grid(PEAK_WINDOW_FACTOR * 36, DEFAULT_GRID_STEP)
         with time_budget(0.5):
-            _SpectralKernel(e, psi0, _index_groups(g)["success"])(grid)
+            _SpectralKernel(e, psi0).on_rows(_index_groups(g)["success"])(grid)
 
     @given(st.lists(st.integers(0, 4), min_size=1, max_size=40),
            st.sampled_from([1.0, 0.4 * CANDIDATE_TOL]))
@@ -482,7 +487,7 @@ class TestSymmetryInvariant:
         g, e, psi0 = prepared(family, n)
         rows = (pair_index(n, g.roles.bob, g.roles.alice),
                 pair_index(n, g.roles.alice, g.roles.bob))
-        amps = _SpectralKernel(e, psi0, rows)(np.arange(0.0, 2.0 * n, 0.01))
+        amps = _SpectralKernel(e, psi0).on_rows(rows)(np.arange(0.0, 2.0 * n, 0.01))
         assert np.max(np.abs(amps[0] - amps[1])) < 1e-10
 
 

@@ -8,9 +8,9 @@ from conftest import peak, prepared, quotient_matrix, random_graph_with_moved_ro
 from qutrit_bell import (Graph, Outcome, assemble_hamiltonian, dynamics, evolve, initial_state,
                          measurement, outcome_distribution, post_state, spectral_decompose)
 from qutrit_bell.cli import _load_topology_file
-from qutrit_bell.dynamics import (CHEBYSHEV_SPAN, DEFAULT_GRID_STEP, PHASE_BLOCK, _chebyshev_order,
+from qutrit_bell.dynamics import (CHEBYSHEV_SPAN, DEFAULT_GRID_STEP, _chebyshev_order,
                                   _chebyshev_spans, _time_grid, pair_index)
-from qutrit_bell.measurement import _quotient, _weighted_squares, outcome_curves
+from qutrit_bell.measurement import _quotient, outcome_curves
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -223,22 +223,6 @@ class TestOutcomeCurves:
         # table (502 columns); a span's 73 terms of the 333 cells take 0.4 MB, and its
         # 501 states on the 35 cells of psi2, psi3 and success 0.3 MB
         assert peak_bytes < d * d * 16 + 2 ** 20
-
-    def test_norm_check_holds_no_block_sized_temporary(self):
-        # one kernel block of PHASE_BLOCK times on 171 rows (2.8 MB), read by five
-        # rows of weights (the planner's p_U reads one): |amp|^2 would be a
-        # temporary half the block's size; summed over the real and imaginary views,
-        # the readout holds none
-        rng = np.random.default_rng(3)
-        block = rng.normal(size=(171, PHASE_BLOCK)) + 1j * rng.normal(size=(171, PHASE_BLOCK))
-        w = rng.random((5, 171))
-        tracemalloc.start()
-        try:
-            _weighted_squares(w, block)
-            _, peak_bytes = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak_bytes < block.nbytes / 4
 
 
 class TestPostState:

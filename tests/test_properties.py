@@ -33,14 +33,14 @@ from conftest import (ROLE_SWAPS, SWAP_CHARLIE, SWAP_ENDS, pair_map, peak, quoti
 from qutrit_bell import (Graph, Roles, assemble_hamiltonian, build_cross, build_loop,
                          dynamics, evolve, find_peak, initial_state, one_shot_peak,
                          outcome_distribution, plan_regular, protocol1_cumulative,
-                         protocol1_required, spectral_decompose)
+                         protocol1_required, protocols, spectral_decompose)
 from qutrit_bell.cli import _load_topology_file, main
 from qutrit_bell.dynamics import (DEFAULT_GRID_STEP, DEFAULT_REFINE_TOL, PHASE_BLOCK,
                                   _c_blocks, _c_orbits, _index_groups, _pair_cells,
-                                  _pair_position, _pairs, _SpectralKernel, pair_index)
+                                  _pair_eigensystem, _pair_position, _pairs, _SpectralKernel,
+                                  pair_index)
 from qutrit_bell.measurement import (ZERO_PROB, Outcome, OutcomeDistribution, _quotient,
-                                     _quotient_blocks, _quotient_eigensystem, outcome_curves,
-                                     post_state)
+                                     _quotient_eigensystem, outcome_curves, post_state)
 from qutrit_bell.oracle import full_evolve_compare, sector_restriction
 from qutrit_bell.protocols import (PLAN_WINDOW_FACTOR, Strategy, _grid_scan, _protocol2_steps,
                                    _step_chooser)
@@ -196,14 +196,15 @@ def test_a_role_fixing_leaf_swap_folds_below_the_c_blocks():
     assert abs(outcome_distribution(evolve(e, psi0, t_star), g).pS_bell - p_star) <= 1e-12
 
 
-@given(ANY_OR_BOTH_SWAPS, st.floats(0.0, 50.0))
+@given(st.one_of(ANY_OR_BOTH_SWAPS, ROLE_FIXING), st.floats(0.0, 50.0))
 @settings(max_examples=40, deadline=None)
 def test_planner_fold_keeps_the_planned_states_and_their_grid(drawn, t):
-    # every strategy's grid, on the quotient's C blocks, against the full space's rows;
-    # peak-success reads no p_U and scans p_U = 0
+    # every strategy's grid, folded onto the quotient's C blocks, against the pair-space
+    # kernel's rows, from psi0 and from a psi1-conditioned state; peak-success reads no
+    # p_U and scans p_U = 0; a state off the cells is refused
     g, _ = drawn
     iso = cell_isometry(g)
-    e = spectral_decompose(assemble_hamiltonian(g))
+    e = _pair_eigensystem(g)
     grp = _index_groups(g)
     rows = np.concatenate([grp["success"], grp["g2"], grp["g3"]])
     # the planner's window [0, 8N] in two kernel blocks, the last of two times
@@ -215,20 +216,29 @@ def test_planner_fold_keeps_the_planned_states_and_their_grid(drawn, t):
         states.append(post_state(psi, Outcome.PSI1, g))  # what the planner conditions on
     for state in states:
         assert np.max(np.abs(iso @ (iso.T @ state) - state)) <= 1e-12
-        amp = _SpectralKernel(e, state, rows)(grid)
+        amp = _SpectralKernel(e, state).on_rows(rows)(grid)
         p_s, p_u = 0.5 * np.abs(amp[0] + amp[1]) ** 2, np.sum(np.abs(amp[2:]) ** 2, axis=0)
         for strategy, scan in scans.items():
             got_s, got_u = scan(state)
             assert np.max(np.abs(got_s - p_s)) <= 1e-12
             assert np.max(np.abs(got_u - (0.0 if strategy is Strategy.PEAK_SUCCESS
                                           else p_u))) <= 1e-12
+    cells = _pair_cells(g)
+    shared = np.flatnonzero(np.bincount(cells) > 1)
+    if shared.size:  # two pairs of one cell: their difference lies off the cells
+        off = np.zeros(cells.size, dtype=complex)
+        off[np.flatnonzero(cells == shared[0])[:2]] = np.sqrt(0.5), -np.sqrt(0.5)
+        for scan in scans.values():
+            with pytest.raises(ValueError, match="not invariant"):
+                scan(off)
 
 
 def assert_c_blocks_split_the_quotient(g):
-    """`measurement._quotient_blocks` against the full H: H has no entry between a C-even
-    orbit state and a C-odd one of `measurement._c_orbits` (unnormalised, so the sums are
-    integers and exactly 0), the blocks have one eigenvalue per orbit state, and the
-    concatenated eigenvectors on the pairs are orthonormal and satisfy H W = W Lambda."""
+    """`measurement._quotient_eigensystem` against the full H: H has no entry between a
+    C-even orbit state and a C-odd one of `dynamics._c_orbits` (unnormalised, so the sums
+    are integers and exactly 0), the blocks of `dynamics._c_blocks` have one row per orbit
+    state, and their eigenvectors unfolded to the pairs, side by side, are one per orbit
+    state, orthonormal and satisfy H W = W Lambda."""
     orbit, sign = _c_orbits(g)
     pairs = np.arange(orbit.size)
     even = np.zeros((orbit.size, np.unique(orbit).size))
@@ -238,9 +248,10 @@ def assert_c_blocks_split_the_quotient(g):
     odd[pairs[signed], np.unique(orbit[signed], return_inverse=True)[1]] = sign[signed]
     h = assemble_hamiltonian(g)
     assert not np.any(odd.T @ h @ even)
-    assert [lam.size for lam, _ in _quotient_blocks(g)] == [even.shape[1], odd.shape[1]]
+    assert [block.shape[0] for block, _, _ in _c_blocks(g)] == [even.shape[1], odd.shape[1]]
     e = _quotient_eigensystem(g)
     w = e.eigenvectors
+    assert w.shape[1] == even.shape[1] + odd.shape[1]
     assert np.max(np.abs(w.T @ w - np.eye(w.shape[1]))) <= 1e-12
     assert np.max(np.abs(h @ w - w * e.eigenvalues)) <= 1e-12
 
@@ -288,7 +299,7 @@ def test_no_call_changes_the_state_it_is_given(drawn, t):
         if outcome_distribution(state, g).p1 >= ZERO_PROB:
             post_state(state, Outcome.PSI1, g)
         outcome_curves(g, state, grid)
-        _SpectralKernel(e, state, _index_groups(g)["success"])(grid)
+        _SpectralKernel(e, state).on_rows(_index_groups(g)["success"])(grid)
         assert state.tobytes() == kept.tobytes()
     # the chain of `plan_protocol2`: each conditional state is scanned, evolved,
     # measured and conditioned on, and must reach its chooser as it was made
@@ -481,7 +492,7 @@ def test_quotient_chain_unfolds_to_the_full_space_chain(drawn, times):
     scan, lifted = _grid_scan(g, Strategy.MIN_LOSS, grid), _quotient_eigensystem(g)
     psi = initial_state(g)
     for t in times:
-        amp = _SpectralKernel(e, psi, rows)(grid)
+        amp = _SpectralKernel(e, psi).on_rows(rows)(grid)
         p_s, p_u = scan(psi)
         assert np.max(np.abs(p_s - 0.5 * np.abs(amp[0] + amp[1]) ** 2)) <= 1e-12
         assert np.max(np.abs(p_u - np.sum(np.abs(amp[2:]) ** 2, axis=0))) <= 1e-12
@@ -648,7 +659,7 @@ def test_planner_fold_of_the_built_in_families(family, n, dim):
     sizes = fold_sizes(g)
     assert sizes == C_FOLD_SIZES[(family, n)]
     assert sum(sizes) == dim
-    assert tuple(lam.size for lam, _ in _quotient_blocks(g)) == sizes  # the planner's blocks
+    assert tuple(block.shape[0] for block, _, _ in _c_blocks(g)) == sizes  # the planner's blocks
 
 
 def test_role_block_without_a_role_exchange_is_the_c_even_block():
@@ -661,19 +672,23 @@ def test_role_block_without_a_role_exchange_is_the_c_even_block():
 
 
 def assert_one_builder(g):
-    """`one_shot_peak` diagonalises the C-even block of `measurement._quotient_blocks`,
-    which the planner's grid, --tau and `verify` read: the same eigenvalues, to the bit."""
+    """`one_shot_peak` and the peak-success grid each diagonalise one block, the C-even
+    block of `dynamics._c_blocks`, which --tau and `verify` read too: the same
+    eigensystem, to the bit."""
     built = []
 
     def recording(h):
         built.append(spectral_decompose(h))
         return built[-1]
 
-    with patch.object(dynamics, "spectral_decompose", recording):
+    with patch.object(dynamics, "spectral_decompose", recording), \
+            patch.object(protocols, "spectral_decompose", recording):
         one_shot_peak(g)
-    [(even, _)] = _quotient_blocks(g, (1,))
-    assert len(built) == 1
-    assert np.array_equal(built[0].eigenvalues, even)
+        _grid_scan(g, Strategy.PEAK_SUCCESS, np.zeros(1))
+    one_shot, planner = built
+    assert np.array_equal(one_shot.eigenvalues, planner.eigenvalues)
+    assert np.array_equal(one_shot.eigenvectors, planner.eigenvectors)
+    even = one_shot.eigenvalues
     assert np.array_equal(_quotient_eigensystem(g).eigenvalues[:even.size], even)
 
 

@@ -285,21 +285,20 @@ def scanned_curves(psi, g, t, strategy=Strategy.MIN_LOSS):
 
 
 class TestMirrorRows:
-    """The grid scan reads the Bell orbit and each psi2/psi3 C-orbit once on the
-    quotient's C-even block, and each psi2/psi3 orbit of two cells once on its C-odd
-    block; the refinement reads the pair rows."""
+    """The grid scan folds each state onto the quotient's C blocks and reads the Bell
+    orbit and each psi2/psi3 C-orbit once on the C-even block, and each psi2/psi3 orbit
+    of two cells once on the C-odd block; the refinement reads the pair rows."""
 
     @pytest.fixture
     def built(self, monkeypatch):
-        """(row count, dimension) of each kernel the planner builds or reads on a
-        row subset, in order."""
+        """(row count, dimension) of each kernel the planner builds, on all its rows, or
+        reads on a row subset, in order."""
         built = []
 
         class Recording(_SpectralKernel):
-            def __init__(self, e, psi0, rows=None):
-                d = e.eigenvalues.size
-                built.append((d if rows is None else len(rows), d))
-                super().__init__(e, psi0, rows)
+            def __init__(self, e, psi0):
+                built.append((e.eigenvalues.size,) * 2)
+                super().__init__(e, psi0)
 
             def on_rows(self, rows):
                 built.append((len(rows), self._v.shape[1]))
@@ -314,11 +313,12 @@ class TestMirrorRows:
         assert len(grp["g2"]) + len(grp["g3"]) == 136
         plan_protocol2(g, strategy=Strategy.MIN_LOSS, n_max=1, t_max=20.0)
         # the step's kernel on every row of the full space (its V^T psi also serves
-        # the refinement); the grid scan reads one pair of the {A,B} cell and of each
-        # of the 17 C-orbits of the 34 psi2/psi3 cells on the 171-orbit C-even block,
-        # and one of each of those 17 orbits on the 162-orbit C-odd block (each is a
-        # pair of cells); the refinement all 2 + 136 rows of the full space
-        assert built == [(1260, 1260), (18, 171), (17, 162), (138, 1260)]
+        # the refinement); the grid scan folds the state onto the 171-orbit C-even block
+        # and reads the {A,B} orbit and each of the 17 C-orbits of the 34 psi2/psi3 cells,
+        # and onto the 162-orbit C-odd block and reads those 17 orbits (each is a pair of
+        # cells); the refinement all 2 + 136 rows of the full space
+        assert built == [(1260, 1260), (171, 171), (18, 171), (162, 162), (17, 162),
+                         (138, 1260)]
 
     @pytest.mark.parametrize("family,n", [("loop", 36), ("cross", 35)])
     def test_chain_curves_equal_full_row_curves(self, family, n):
@@ -327,7 +327,7 @@ class TestMirrorRows:
         t = 0.01 * np.arange(2 * PHASE_BLOCK + 1)
         for psi in states:
             p_s, p_u = scanned_curves(psi, g, t)
-            full = _SpectralKernel(e, psi, rows)(t)
+            full = _SpectralKernel(e, psi).on_rows(rows)(t)
             assert np.max(np.abs(p_s - 0.5 * np.abs(full[0] + full[1]) ** 2)) <= 1e-13
             assert np.max(np.abs(p_u - np.sum(np.abs(full[2:]) ** 2, axis=0))) <= 1e-13
 
@@ -341,15 +341,15 @@ class TestMirrorRows:
         # 16 orbits of the 32 psi2/psi3 pairs, on the 45-orbit C-odd block those 16,
         # then every row
         assert every == 2 + 2 * 16
-        assert built == [(90, 90), (1 + 16, 45), (16, 45), (every, 90)]
+        assert built == [(90, 90), (45, 45), (1 + 16, 45), (45, 45), (16, 45), (every, 90)]
 
     def test_peak_success_reads_only_the_success_rows(self, built):
         g, _, _ = prepared("loop", 8)
         plan_protocol2(g, strategy=Strategy.PEAK_SUCCESS, n_max=2)
-        # per step, the step's kernel, the grid scan of the {A,B} cell on the
+        # per step, the step's kernel, the grid scan of the {A,B} orbit on the
         # 10-orbit C-even block of the 18-cell quotient (no C-odd kernel), then the
         # refinement
-        assert built == [(56, 56), (1, 10), (2, 56)] * 2
+        assert built == [(56, 56), (10, 10), (1, 10), (2, 56)] * 2
 
     @pytest.mark.parametrize("strategy,rows", [
         (Strategy.MIN_LOSS, ("k+ = 10 orbits, 4 rows read", "k- = 8 orbits, 3 rows read")),
@@ -383,7 +383,7 @@ class TestMirrorRows:
             calls.append(h.shape[0])
             return spectral_decompose(h)
 
-        for module in (dynamics, measurement):
+        for module in (dynamics, measurement, protocols):
             monkeypatch.setattr(module, "spectral_decompose", counting)
         for name, dims in (("no-role-exchange.txt", [42, 21]), ("cross5.txt", [20, 5])):
             # the full space, then once the C-even block of the cell quotient, the only
@@ -480,7 +480,8 @@ class TestOnePlannerStep:
             score = protocols._score(strategy, p_s, p_u)
             if strategy is Strategy.MIN_LOSS:
                 score = np.where(p_s >= protocols.MINLOSS_FLOOR * p_s.max(), score, -np.inf)
-            objective = protocols._score(strategy, *_step_curve(_SpectralKernel(e, psi, rows)(t)))
+            amp = _SpectralKernel(e, psi).on_rows(rows)(t)
+            objective = protocols._score(strategy, *_step_curve(amp))
             assert objective >= score.max() - TIE_TOL
 
     @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
@@ -548,7 +549,7 @@ class TestRegularSchedule:
             calls.append(h.shape[0])
             return spectral_decompose(h)
 
-        for module in (dynamics, measurement):
+        for module in (dynamics, measurement, protocols):
             monkeypatch.setattr(module, "spectral_decompose", counting)
         assert main(["protocol2", *argv, "--tau", "2.5", "--n-max", "5", "--no-timestamp",
                      "--output", os.devnull]) == 0
